@@ -11,8 +11,11 @@ package openmb
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +32,7 @@ import (
 	"openmb/internal/netsim"
 	"openmb/internal/obs"
 	"openmb/internal/packet"
+	"openmb/internal/sbi"
 	"openmb/internal/trace"
 )
 
@@ -71,6 +75,13 @@ const eqChunk = 16
 
 func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Packet) (*emitRecorder, *mbox.Runtime) {
 	t.Helper()
+	rec, rt := newBurstModeRuntime(t, burst, logic)
+	feedBurstMode(t, burst, rt, pkts)
+	return rec, rt
+}
+
+func newBurstModeRuntime(t *testing.T, burst bool, logic mbox.Logic) (*emitRecorder, *mbox.Runtime) {
+	t.Helper()
 	prev := packet.BurstDefault()
 	packet.SetBurstDefault(burst)
 	rt := mbox.New("eq", logic, mbox.Options{})
@@ -79,6 +90,11 @@ func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Pac
 	rec := &emitRecorder{}
 	rt.SetForward(rec.fwd)
 	rt.SetForwardBurst(rec.fwdBurst)
+	return rec, rt
+}
+
+func feedBurstMode(t *testing.T, burst bool, rt *mbox.Runtime, pkts []*packet.Packet) {
+	t.Helper()
 	if burst {
 		for i := 0; i < len(pkts); i += eqChunk {
 			j := i + eqChunk
@@ -99,7 +115,57 @@ func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Pac
 	if !rt.Drain(30 * time.Second) {
 		t.Fatal("runtime did not drain")
 	}
-	return rec, rt
+}
+
+// recordIntrospection connects rt to a controller of its own, enables the
+// events under codePrefix, and returns a function that waits for every event
+// rt has raised and lists them ("code key values") in raise order.
+func recordIntrospection(t *testing.T, rt *mbox.Runtime, codePrefix string) func() []string {
+	t.Helper()
+	ctrl := core.NewController(core.Options{})
+	tr := sbi.NewMemTransport()
+	if err := ctrl.Serve(tr, "ctrl"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	if err := rt.Connect(tr, "ctrl"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.WaitForMB("eq", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var evs []*sbi.Event
+	ctrl.SubscribeIntrospection(func(_ string, ev *sbi.Event) {
+		mu.Lock()
+		evs = append(evs, ev)
+		mu.Unlock()
+	})
+	if err := ctrl.SetEventFilter("eq", codePrefix, packet.MatchAll, true); err != nil {
+		t.Fatal(err)
+	}
+	return func() []string {
+		t.Helper()
+		want := int(rt.Metrics().IntroRaised)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			got := append([]*sbi.Event(nil), evs...)
+			mu.Unlock()
+			if len(got) >= want {
+				sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
+				lines := make([]string, len(got))
+				for i, ev := range got {
+					lines[i] = fmt.Sprintf("%s %s %v", ev.Code, ev.Key, ev.Values)
+				}
+				return lines
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("introspection events: %d of %d raised arrived", len(got), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // requireSameEmits fails unless both modes emitted byte-identical packet
@@ -194,11 +260,12 @@ func TestBurstEquivalenceNAT(t *testing.T) {
 	// interleaved across flows, then inbound to the deterministically
 	// allocated ports (20000, 20001, ...), one unmapped inbound (dropped),
 	// and pass-through traffic the NAT does not own.
+	flow := func(f int, ts int64) *packet.Packet {
+		return eqPacket(netip.AddrFrom4([4]byte{10, 2, 0, byte(f)}), uint16(4000+f), server, 443, packet.FlagACK, "out", ts, false)
+	}
 	for f := 0; f < 12; f++ {
-		src := netip.AddrFrom4([4]byte{10, 2, 0, byte(f)})
-		sport := uint16(4000 + f)
 		for k := 0; k < 3; k++ {
-			pkts = append(pkts, eqPacket(src, sport, server, 443, packet.FlagACK, "out", ts, false))
+			pkts = append(pkts, flow(f, ts))
 			ts++
 		}
 	}
@@ -210,13 +277,62 @@ func TestBurstEquivalenceNAT(t *testing.T) {
 		eqPacket(server, 443, extIP, 29999, packet.FlagACK, "unmapped", ts, false),
 		eqPacket(netip.AddrFrom4([4]byte{172, 16, 0, 1}), 5555, server, 80, packet.FlagACK, "pass", ts+1, false),
 	)
+	// Idle expiry in the middle of a burst (packet 50 is the third of its
+	// 16-packet burst): the clock jumps past the 1000 ns timeout, every
+	// mapping above expires, and the flows that keep talking are re-created
+	// on fresh ports. Inbound traffic to an expired port now drops, to a
+	// fresh port translates. A second jump expires only the mappings that
+	// stayed idle across it, and a late (out-of-order) packet moves neither
+	// the clock nor the outcome.
+	pkts = append(pkts, flow(0, 2000))
+	for f := 1; f < 6; f++ {
+		pkts = append(pkts, flow(f, int64(2000+f)), flow(f, int64(2000+f)))
+	}
+	pkts = append(pkts,
+		eqPacket(server, 443, extIP, 20003, packet.FlagACK, "stale", 2010, false),
+		eqPacket(server, 443, extIP, 20012, packet.FlagACK, "fresh", 2011, false),
+		flow(7, 1500), // late: stamped by the clock (2011), not by its own timestamp
+		flow(2, 2600),
+		eqPacket(server, 443, extIP, 20016, packet.FlagACK, "keep", 2700, false), // flow 4's fresh port
+	)
+	for f := 8; f < 12; f++ {
+		pkts = append(pkts, flow(f, int64(3100+f))) // expires all but flows 2 and 4
+	}
 	natOn, natOff := nat.New(extIP), nat.New(extIP)
-	recOn, rtOn := runBurstMode(t, true, natOn, pkts)
-	recOff, rtOff := runBurstMode(t, false, natOff, pkts)
+	for _, n := range []*nat.NAT{natOn, natOff} {
+		if err := n.Config().Set("idle_timeout_ns", []string{"1000"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recOn, rtOn := newBurstModeRuntime(t, true, natOn)
+	recOff, rtOff := newBurstModeRuntime(t, false, natOff)
+	eventsOn := recordIntrospection(t, rtOn, "nat.mapping.")
+	eventsOff := recordIntrospection(t, rtOff, "nat.mapping.")
+	feedBurstMode(t, true, rtOn, pkts)
+	feedBurstMode(t, false, rtOff, pkts)
 	requireSameEmits(t, recOn, recOff)
 	requireSameMetrics(t, rtOn, rtOff)
-	if natOn.MappingCount() != natOff.MappingCount() {
-		t.Fatalf("mapping count diverged: burst=%d per-packet=%d", natOn.MappingCount(), natOff.MappingCount())
+	on, off := eventsOn(), eventsOff()
+	if !reflect.DeepEqual(on, off) {
+		t.Errorf("mapping events diverged:\nburst:      %q\nper-packet: %q", on, off)
+	}
+	created, expired := 0, 0
+	for _, line := range off {
+		switch {
+		case strings.HasPrefix(line, "nat.mapping.created "):
+			created++
+		case strings.HasPrefix(line, "nat.mapping.expired "):
+			expired++
+		}
+	}
+	if created != 12+6+1+4 || expired != 12+5 {
+		t.Errorf("mapping events: %d created, %d expired; the sequence creates 23 and expires 17", created, expired)
+	}
+	if natOn.Drops() != natOff.Drops() || natOff.Drops() != (nat.Drops{NoMapping: 2}) {
+		t.Errorf("drops: burst=%+v per-packet=%+v, want 2 NoMapping each", natOn.Drops(), natOff.Drops())
+	}
+	if natOn.MappingCount() != natOff.MappingCount() || natOff.MappingCount() != 6 {
+		t.Fatalf("mapping count: burst=%d per-packet=%d, want 6", natOn.MappingCount(), natOff.MappingCount())
 	}
 	for f := 0; f < 12; f++ {
 		src := netip.AddrFrom4([4]byte{10, 2, 0, byte(f)})
@@ -488,15 +604,17 @@ func TestChainTracerDisarmedAllocs(t *testing.T) {
 func BenchmarkChainThroughput(b *testing.B) {
 	rig := eval.NewChainRig(0)
 	defer rig.Close()
-	if err := rig.Inject(4096); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := rig.Inject(b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
+	benchChainInject(b, rig, 4096)
+}
+
+// BenchmarkChainThroughputFlows16k is BenchmarkChainThroughput over 16384
+// round-robin flows instead of 256. Nothing on the packet path may cost
+// O(flow table), so this row should sit within cache-miss distance of the
+// 256-flow one; a per-burst scan of any NF's table shows here first.
+func BenchmarkChainThroughputFlows16k(b *testing.B) {
+	rig := eval.NewChainRig(16384)
+	defer rig.Close()
+	benchChainInject(b, rig, 16384)
 }
 
 // BenchmarkChainThroughputTracerArmed is BenchmarkChainThroughput with the
@@ -515,7 +633,13 @@ func BenchmarkChainThroughputTracerArmed(b *testing.B) {
 	for i := 0; i < 3; i++ {
 		rig.Runtime(i).ArmTrace(obs.TraceSpec{Match: m})
 	}
-	if err := rig.Inject(4096); err != nil {
+	benchChainInject(b, rig, 4096)
+}
+
+// benchChainInject warms the rig (every flow's state exists before the
+// clock starts) and times b.N packets through it.
+func benchChainInject(b *testing.B, rig *eval.ChainRig, warm int) {
+	if err := rig.Inject(warm); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -49,6 +49,7 @@ func main() {
 	burst := flag.Bool("burst", packet.BurstDefault(), "burst data path: vectorized NF chains, batched ingress, direct co-located handoff (false = the seed's per-packet ablation; default from OPENMB_BURST)")
 	traceFlow := flag.String("trace-flow", "", "arm the filtered flow tracer on every chain hop with this FieldMatch (e.g. 'nw_dst=8.8.8.8,tp_dst=8080'); the armed-overhead ablation for the chain experiment")
 	traceBudget := flag.Int("trace-budget", 0, "per-hop record budget for -trace-flow (0 = default)")
+	flows := flag.Int("flows", 0, "distinct flows the chain experiment round-robins over (0 = 256); per-packet cost must not grow with it")
 	flag.Parse()
 
 	if err := eval.SetTransferTuning(eval.Codec(*codec), *batch); err != nil {
@@ -129,6 +130,7 @@ func main() {
 		{"chain", func() (*eval.Table, error) {
 			return eval.ChainThroughput(eval.ChainConfig{
 				Packets:     pick(full, 1000000, 200000),
+				Flows:       *flows,
 				TraceFlow:   *traceFlow,
 				TraceBudget: *traceBudget,
 			})

@@ -256,6 +256,12 @@ func ChainThroughput(cfg ChainConfig) (*Table, error) {
 	for _, on := range []bool{true, false} {
 		packet.SetBurstDefault(on)
 		rig := NewChainRig(cfg.Flows)
+		// One pass over the flows first, so the timed packets all find
+		// their per-flow state in place at every hop.
+		if err := rig.Inject(cfg.Flows); err != nil {
+			rig.Close()
+			return nil, err
+		}
 		if spec != nil {
 			for _, rt := range rig.rts {
 				rt.ArmTrace(*spec)

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"sync"
 
 	"openmb/internal/mbox"
@@ -39,11 +40,30 @@ type mapping struct {
 	Internal packet.FlowKey // key at NAT granularity: src endpoint + proto
 	ExtPort  uint16
 	Created  int64
-	// LastActive drives idle expiry; non-critical.
+	// LastActive is the NAT's packet clock at the mapping's last touch
+	// (creation, translation in either direction, import). It drives idle
+	// expiry and is the idle list's ordering key; non-critical.
 	LastActive int64
+	// prev/next thread the idle list (NAT.head = longest idle).
+	prev, next *mapping
 }
 
 const mappingWireSize = 2 + 8
+
+const (
+	defaultIdleTimeout = int64(300e9) // 300 s
+	// External ports are allocated from [firstPort, 65535].
+	firstPort    = 20000
+	portPoolSize = 65536 - firstPort
+)
+
+var defaultInternalPrefix = netip.MustParsePrefix("10.0.0.0/8")
+
+// Drops counts the packets the NAT discarded, by reason.
+type Drops struct {
+	PortExhausted uint64 // outbound packet of a new flow, external port pool full
+	NoMapping     uint64 // inbound packet to an external port with no mapping
+}
 
 // NAT is the middlebox logic. It implements mbox.Logic.
 type NAT struct {
@@ -53,9 +73,29 @@ type NAT struct {
 	// keying granularity, coarser than a 5-tuple (§4.1.2).
 	byInternal map[packet.FlowKey]*mapping
 	byExtPort  map[uint16]*mapping
-	nextPort   uint16
-	extIP      netip.Addr
-	config     *state.ConfigTree
+	// head/tail are the idle list: every live mapping exactly once, in
+	// non-decreasing LastActive order, so idle expiry pops from the head and
+	// stops at the first mapping still within the timeout. Every touch
+	// stamps the mapping with now and moves it to the tail; now never goes
+	// back, which is what keeps the order.
+	head, tail *mapping
+	// now is the packet clock: the highest timestamp of any translated
+	// packet so far. start is its value at the first such packet (started
+	// records that there was one); a mapping imported before then idles
+	// from start, not from its import.
+	now     int64
+	start   int64
+	started bool
+
+	nextPort uint16
+	extIP    netip.Addr
+	drops    Drops
+	config   *state.ConfigTree
+	// timeout and internal cache the "idle_timeout_ns" and
+	// "internal_prefix" knobs in parsed form; the config watcher refreshes
+	// them, so the packet path never reads the config tree.
+	timeout  int64
+	internal netip.Prefix
 }
 
 // New returns a NAT translating to the given external IP.
@@ -63,17 +103,39 @@ func New(extIP netip.Addr) *NAT {
 	n := &NAT{
 		byInternal: map[packet.FlowKey]*mapping{},
 		byExtPort:  map[uint16]*mapping{},
-		nextPort:   20000,
+		nextPort:   firstPort,
 		extIP:      extIP,
 		config:     state.NewConfigTree(),
 	}
-	if err := n.config.Set("idle_timeout_ns", []string{"300000000000"}); err != nil { // 300 s
+	n.config.Watch(func(string) {
+		n.mu.Lock()
+		n.applyConfigLocked()
+		n.mu.Unlock()
+	})
+	if err := n.config.Set("idle_timeout_ns", []string{strconv.FormatInt(defaultIdleTimeout, 10)}); err != nil {
 		panic("nat: default config: " + err.Error())
 	}
-	if err := n.config.Set("internal_prefix", []string{"10.0.0.0/8"}); err != nil {
+	if err := n.config.Set("internal_prefix", []string{defaultInternalPrefix.String()}); err != nil {
 		panic("nat: default config: " + err.Error())
 	}
 	return n
+}
+
+// applyConfigLocked refreshes the cached knobs; a missing or malformed value
+// falls back to its default.
+func (n *NAT) applyConfigLocked() {
+	n.timeout = defaultIdleTimeout
+	if v, err := n.config.Get("idle_timeout_ns"); err == nil && len(v) == 1 {
+		if ns, err := strconv.ParseInt(v[0], 10, 64); err == nil && ns > 0 {
+			n.timeout = ns
+		}
+	}
+	n.internal = defaultInternalPrefix
+	if v, err := n.config.Get("internal_prefix"); err == nil && len(v) == 1 {
+		if p, err := netip.ParsePrefix(v[0]); err == nil {
+			n.internal = p
+		}
+	}
 }
 
 // Kind implements mbox.Logic.
@@ -84,86 +146,10 @@ func internalKey(srcIP netip.Addr, srcPort uint16, proto uint8) packet.FlowKey {
 	return packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto, DstIP: netip.AddrFrom4([4]byte{}), DstPort: 0}
 }
 
-func (n *NAT) internalPrefix() netip.Prefix {
-	v, err := n.config.Get("internal_prefix")
-	if err != nil || len(v) != 1 {
-		return netip.MustParsePrefix("10.0.0.0/8")
-	}
-	p, err := netip.ParsePrefix(v[0])
-	if err != nil {
-		return netip.MustParsePrefix("10.0.0.0/8")
-	}
-	return p
-}
-
-func (n *NAT) idleTimeout() int64 {
-	v, err := n.config.Get("idle_timeout_ns")
-	if err != nil || len(v) != 1 {
-		return 300e9
-	}
-	var ns int64
-	if _, err := fmt.Sscanf(v[0], "%d", &ns); err != nil || ns <= 0 {
-		return 300e9
-	}
-	return ns
-}
-
-// Process implements mbox.Logic: translate and forward.
-func (n *NAT) Process(ctx *mbox.Context, p *packet.Packet) {
-	internal := n.internalPrefix()
-	switch {
-	case internal.Contains(p.SrcIP):
-		n.processOutbound(ctx, p)
-	case p.DstIP == n.extIP:
-		n.processInbound(ctx, p)
-	default:
-		ctx.Emit(p) // not ours to translate
-	}
-}
-
-func (n *NAT) processOutbound(ctx *mbox.Context, p *packet.Packet) {
-	key := internalKey(p.SrcIP, p.SrcPort, p.Proto)
-	n.mu.Lock()
-	expired := n.expireLocked(p.Timestamp)
-	m, ok := n.byInternal[key]
-	created := false
-	if !ok && ctx.SkipPerflow() {
-		n.mu.Unlock()
-		return
-	}
-	if !ok {
-		port, ok2 := n.allocPortLocked()
-		if !ok2 {
-			n.mu.Unlock()
-			return // port exhaustion: drop
-		}
-		m = &mapping{Internal: key, ExtPort: port, Created: p.Timestamp, LastActive: p.Timestamp}
-		n.byInternal[key] = m
-		n.byExtPort[port] = m
-		created = true
-		ctx.TouchShared(state.Supporting) // port allocator advanced
-	}
-	m.LastActive = p.Timestamp
-	ctx.Touch(state.Supporting, key)
-	extPort := m.ExtPort
-	n.mu.Unlock()
-
-	n.raiseExpired(ctx, expired)
-	if created {
-		ctx.RaiseIntrospection("nat.mapping.created", key, map[string]string{
-			"external": fmt.Sprintf("%s:%d", n.extIP, extPort),
-		})
-	}
-	out := p.Clone()
-	out.SrcIP = n.extIP
-	out.SrcPort = extPort
-	ctx.Emit(out)
-}
-
-// natRaise is one deferred introspection raise from a burst: raises must run
-// outside n.mu, so ProcessBurst collects them under the lock and replays them
-// after it in packet order (expiries before the creation they preceded,
-// exactly as the per-packet path orders them).
+// natRaise is one deferred introspection raise: raises must run outside
+// n.mu, so translateLocked collects them under the lock and the caller
+// replays them after it in packet order (expiries before the creation they
+// preceded). idx is the packet's position in its burst.
 type natRaise struct {
 	idx  int
 	code string
@@ -171,145 +157,196 @@ type natRaise struct {
 	ext  uint16
 }
 
-// ProcessBurst implements mbox.BurstLogic. Against the per-packet path it
-// amortizes three costs: the internal-prefix config parse happens once per
-// burst instead of once per packet, the mutex is taken once for the whole
-// burst, and the idle-expiry sweep runs once (at the first NAT-relevant
-// packet's timestamp) instead of per packet. The expiry granularity is the
-// one deliberate divergence: a mapping whose idle deadline falls mid-burst
-// expires at the next burst boundary rather than mid-burst — at the default
-// 300 s timeout and microsecond-scale bursts the difference is unobservable.
-// Consecutive outbound packets of the same flow reuse the last mapping
-// lookup.
+func (n *NAT) raise(ctx *mbox.Context, r natRaise) {
+	ctx.RaiseIntrospection(r.code, r.key, map[string]string{
+		"external": fmt.Sprintf("%s:%d", n.extIP, r.ext),
+	})
+}
+
+// lastFlow remembers the previous outbound packet's mapping so consecutive
+// packets of one flow skip the table lookup. Only valid while n.mu is held
+// continuously (ProcessBurst holds it for the whole burst).
+type lastFlow struct {
+	key packet.FlowKey
+	m   *mapping
+}
+
+// Process implements mbox.Logic: translate and forward.
+func (n *NAT) Process(ctx *mbox.Context, p *packet.Packet) {
+	var last lastFlow
+	n.mu.Lock()
+	out, raises := n.translateLocked(ctx, p, 0, nil, &last)
+	n.mu.Unlock()
+	for _, r := range raises {
+		n.raise(ctx, r)
+	}
+	if out != nil {
+		ctx.Emit(out)
+	}
+}
+
+// ProcessBurst implements mbox.BurstLogic. Every packet runs the same
+// translateLocked as Process — including its own idle-expiry check, which
+// costs one comparison when nothing is due — so the two paths have identical
+// side effects; the burst path takes the mutex once for the whole burst and
+// lets consecutive outbound packets of one flow reuse the mapping lookup.
 func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
-	internal := n.internalPrefix()
 	var raises []natRaise
-	var lastKey packet.FlowKey
-	var lastM *mapping
-	expiredOnce := false
+	var last lastFlow
 	n.mu.Lock()
 	for i, p := range pkts {
-		ctx := &ctxs[i]
-		switch {
-		case internal.Contains(p.SrcIP):
-			if !expiredOnce {
-				expiredOnce = true
-				for _, m := range n.expireLocked(p.Timestamp) {
-					raises = append(raises, natRaise{idx: i, code: "nat.mapping.expired", key: m.Internal, ext: m.ExtPort})
-				}
-			}
-			key := internalKey(p.SrcIP, p.SrcPort, p.Proto)
-			var m *mapping
-			if lastM != nil && lastKey == key {
-				m = lastM
-			} else {
-				var ok bool
-				m, ok = n.byInternal[key]
-				if !ok {
-					if ctx.SkipPerflow() {
-						continue
-					}
-					port, ok2 := n.allocPortLocked()
-					if !ok2 {
-						continue // port exhaustion: drop
-					}
-					m = &mapping{Internal: key, ExtPort: port, Created: p.Timestamp, LastActive: p.Timestamp}
-					n.byInternal[key] = m
-					n.byExtPort[port] = m
-					ctx.TouchShared(state.Supporting) // port allocator advanced
-					raises = append(raises, natRaise{idx: i, code: "nat.mapping.created", key: key, ext: port})
-				}
-				lastKey, lastM = key, m
-			}
-			m.LastActive = p.Timestamp
-			ctx.Touch(state.Supporting, key)
-			out := p.Clone()
-			out.SrcIP = n.extIP
-			out.SrcPort = m.ExtPort
-			ctx.Emit(out)
-		case p.DstIP == n.extIP:
-			if !expiredOnce {
-				expiredOnce = true
-				for _, m := range n.expireLocked(p.Timestamp) {
-					raises = append(raises, natRaise{idx: i, code: "nat.mapping.expired", key: m.Internal, ext: m.ExtPort})
-				}
-			}
-			m, ok := n.byExtPort[p.DstPort]
-			if !ok {
-				continue // no mapping: drop
-			}
-			m.LastActive = p.Timestamp
-			ctx.Touch(state.Supporting, m.Internal)
-			out := p.Clone()
-			out.DstIP = m.Internal.SrcIP
-			out.DstPort = m.Internal.SrcPort
-			ctx.Emit(out)
-		default:
-			ctx.Emit(p) // not ours to translate
+		var out *packet.Packet
+		out, raises = n.translateLocked(&ctxs[i], p, i, raises, &last)
+		if out != nil {
+			ctxs[i].Emit(out) // buffered on the burst path: safe under n.mu
 		}
 	}
 	n.mu.Unlock()
 	for _, r := range raises {
-		ctxs[r.idx].RaiseIntrospection(r.code, r.key, map[string]string{
-			"external": fmt.Sprintf("%s:%d", n.extIP, r.ext),
-		})
+		n.raise(&ctxs[r.idx], r)
 	}
 }
 
-func (n *NAT) processInbound(ctx *mbox.Context, p *packet.Packet) {
-	n.mu.Lock()
-	expired := n.expireLocked(p.Timestamp)
-	m, ok := n.byExtPort[p.DstPort]
-	if ok {
-		m.LastActive = p.Timestamp
-		ctx.Touch(state.Supporting, m.Internal)
+// translateLocked is the per-packet body shared by Process and ProcessBurst.
+// Caller holds n.mu. It returns the packet to emit — a rewritten clone, p
+// itself for traffic that is not the NAT's to translate, nil for a drop —
+// and raises with this packet's introspection raises appended.
+func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, raises []natRaise, last *lastFlow) (*packet.Packet, []natRaise) {
+	outbound := n.internal.Contains(p.SrcIP)
+	if !outbound && p.DstIP != n.extIP {
+		return p, raises
 	}
-	n.mu.Unlock()
-	n.raiseExpired(ctx, expired)
-	if !ok {
-		return // no mapping: drop
+	live := len(raises)
+	raises = n.expireLocked(p.Timestamp, idx, raises)
+	if len(raises) != live {
+		*last = lastFlow{} // the remembered mapping may be among the expired
 	}
-	out := p.Clone()
-	out.DstIP = m.Internal.SrcIP
-	out.DstPort = m.Internal.SrcPort
-	ctx.Emit(out)
-}
-
-// expireLocked removes idle mappings and returns them so the caller can
-// raise expiry introspection events outside the lock.
-func (n *NAT) expireLocked(now int64) []mapping {
-	timeout := n.idleTimeout()
-	var expired []mapping
-	for key, m := range n.byInternal {
-		if now-m.LastActive > timeout {
-			delete(n.byInternal, key)
-			delete(n.byExtPort, m.ExtPort)
-			expired = append(expired, *m)
+	if !outbound {
+		m, ok := n.byExtPort[p.DstPort]
+		if !ok {
+			n.drops.NoMapping++
+			return nil, raises
 		}
+		n.touchLocked(m)
+		ctx.Touch(state.Supporting, m.Internal)
+		out := p.Clone()
+		out.DstIP = m.Internal.SrcIP
+		out.DstPort = m.Internal.SrcPort
+		return out, raises
 	}
-	return expired
+	key := internalKey(p.SrcIP, p.SrcPort, p.Proto)
+	m := last.m
+	if m == nil || last.key != key {
+		var ok bool
+		if m, ok = n.byInternal[key]; !ok {
+			if ctx.SkipPerflow() {
+				return nil, raises
+			}
+			port, ok := n.allocPortLocked()
+			if !ok {
+				n.drops.PortExhausted++
+				return nil, raises
+			}
+			m = &mapping{Internal: key, ExtPort: port, Created: p.Timestamp}
+			n.insertLocked(m)
+			ctx.TouchShared(state.Supporting) // port allocator advanced
+			raises = append(raises, natRaise{idx: idx, code: "nat.mapping.created", key: key, ext: port})
+		}
+		*last = lastFlow{key: key, m: m}
+	}
+	n.touchLocked(m)
+	ctx.Touch(state.Supporting, key)
+	out := p.Clone()
+	out.SrcIP = n.extIP
+	out.SrcPort = m.ExtPort
+	return out, raises
 }
 
-func (n *NAT) raiseExpired(ctx *mbox.Context, expired []mapping) {
-	for _, m := range expired {
-		ctx.RaiseIntrospection("nat.mapping.expired", m.Internal, map[string]string{
-			"external": fmt.Sprintf("%s:%d", n.extIP, m.ExtPort),
-		})
+// expireLocked advances the packet clock to ts and removes every mapping
+// idle for longer than the timeout, appending one expiry raise per mapping
+// (longest idle first). The idle list is ordered, so this visits the expired
+// mappings plus one — never the whole table.
+func (n *NAT) expireLocked(ts int64, idx int, raises []natRaise) []natRaise {
+	if ts > n.now {
+		n.now = ts
+	}
+	if !n.started {
+		n.started, n.start = true, n.now
+	}
+	for m := n.head; m != nil && n.now-max(m.LastActive, n.start) > n.timeout; m = n.head {
+		n.removeLocked(m)
+		raises = append(raises, natRaise{idx: idx, code: "nat.mapping.expired", key: m.Internal, ext: m.ExtPort})
+	}
+	return raises
+}
+
+// insertLocked adds m to both maps and to the tail of the idle list, its
+// idle clock starting now.
+func (n *NAT) insertLocked(m *mapping) {
+	n.byInternal[m.Internal] = m
+	n.byExtPort[m.ExtPort] = m
+	m.LastActive = n.now
+	n.pushBackLocked(m)
+}
+
+// removeLocked takes m out of both maps and the idle list.
+func (n *NAT) removeLocked(m *mapping) {
+	delete(n.byInternal, m.Internal)
+	delete(n.byExtPort, m.ExtPort)
+	n.unlinkLocked(m)
+}
+
+// touchLocked restarts m's idle clock and moves it to the tail of the idle
+// list.
+func (n *NAT) touchLocked(m *mapping) {
+	m.LastActive = n.now
+	if m != n.tail {
+		n.unlinkLocked(m)
+		n.pushBackLocked(m)
 	}
 }
 
+func (n *NAT) pushBackLocked(m *mapping) {
+	m.prev, m.next = n.tail, nil
+	if n.tail != nil {
+		n.tail.next = m
+	} else {
+		n.head = m
+	}
+	n.tail = m
+}
+
+func (n *NAT) unlinkLocked(m *mapping) {
+	if m.prev != nil {
+		m.prev.next = m.next
+	} else {
+		n.head = m.next
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	} else {
+		n.tail = m.prev
+	}
+	m.prev, m.next = nil, nil
+}
+
+// allocPortLocked hands out the next free port of the pool, or reports
+// exhaustion without probing: with fewer mappings than pool ports a free one
+// exists, so the probe below always finds it.
 func (n *NAT) allocPortLocked() (uint16, bool) {
-	for tries := 0; tries < 65536; tries++ {
+	if len(n.byExtPort) >= portPoolSize {
+		return 0, false
+	}
+	for {
 		port := n.nextPort
 		n.nextPort++
-		if n.nextPort < 20000 {
-			n.nextPort = 20000
+		if n.nextPort < firstPort {
+			n.nextPort = firstPort
 		}
-		if _, used := n.byExtPort[port]; !used && port >= 20000 {
+		if _, used := n.byExtPort[port]; !used {
 			return port, true
 		}
 	}
-	return 0, false
 }
 
 // GetPerflow implements mbox.Logic: mappings serialize only critical fields
@@ -352,9 +389,11 @@ func (n *NAT) GetPerflow(class state.Class, match packet.FieldMatch, emit func(k
 	return nil
 }
 
-// PutPerflow implements mbox.Logic: restore a mapping with non-critical
-// fields (LastActive) reset to defaults — the failure-recovery semantics of
-// §2.
+// PutPerflow implements mbox.Logic: restore a mapping with its non-critical
+// field (LastActive) reset to the default — the failure-recovery semantics of
+// §2. The imported mapping gets a full idle timeout, counted from the NAT's
+// packet clock at import or, on a NAT that has translated nothing yet, from
+// its first packet. A chunk for a key already present replaces that mapping.
 func (n *NAT) PutPerflow(class state.Class, c state.Chunk) error {
 	if class != state.Supporting {
 		return fmt.Errorf("nat: no per-flow %v state", class)
@@ -366,16 +405,16 @@ func (n *NAT) PutPerflow(class state.Class, c state.Chunk) error {
 		Internal: c.Key,
 		ExtPort:  binary.BigEndian.Uint16(c.Blob[0:2]),
 		Created:  int64(binary.BigEndian.Uint64(c.Blob[2:10])),
-		// LastActive deliberately restarts at import time (zero): the
-		// idle clock is non-critical state.
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if old, ok := n.byExtPort[m.ExtPort]; ok && old.Internal != m.Internal {
 		return fmt.Errorf("nat: external port %d already bound", m.ExtPort)
 	}
-	n.byInternal[m.Internal] = m
-	n.byExtPort[m.ExtPort] = m
+	if old, ok := n.byInternal[m.Internal]; ok {
+		n.removeLocked(old)
+	}
+	n.insertLocked(m)
 	return nil
 }
 
@@ -389,8 +428,7 @@ func (n *NAT) DelPerflow(class state.Class, match packet.FieldMatch) (int, error
 	count := 0
 	for k, m := range n.byInternal {
 		if match.MatchEither(k) {
-			delete(n.byInternal, k)
-			delete(n.byExtPort, m.ExtPort)
+			n.removeLocked(m)
 			count++
 		}
 	}
@@ -445,6 +483,13 @@ func (n *NAT) Stats(match packet.FieldMatch) sbi.StatsReply {
 
 // Config implements mbox.Logic.
 func (n *NAT) Config() *state.ConfigTree { return n.config }
+
+// Drops returns the packets discarded so far, by reason.
+func (n *NAT) Drops() Drops {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.drops
+}
 
 // MappingCount returns the number of live mappings.
 func (n *NAT) MappingCount() int {
