@@ -541,9 +541,9 @@ func TestHandoffMessageCodecRoundTrip(t *testing.T) {
 			tx := newTxn(c, src.mb, dst.mb)
 
 			// Routing state of every flavor.
-			tx.registerChunk(key(1)) // pending put, one buffered event
+			tx.registerFrame(frame(key(1))) // pending put, one buffered event
 			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(1), Seq: 1, Packet: []byte{0xA}})
-			tx.registerChunk(key(2)) // pending put, empty buffer
+			tx.registerFrame(frame(key(2)))                                                                        // pending put, empty buffer
 			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(9), Seq: 2, Packet: []byte{0xB}}) // orphan
 
 			src.mb.handoffMu.Lock()
@@ -596,13 +596,13 @@ func TestHandoffMessageCodecRoundTrip(t *testing.T) {
 				t.Fatalf("import dropped %d keys of a fully resolvable payload", dropped)
 			}
 			src.mb.ctrl.Store(c2)
-			tx.ackPut(key(1))
+			tx.ackFrame(frame(key(1)))
 			dst.expectReprocess(t, key(1))
-			tx.ackPut(key(2))
+			tx.ackFrame(frame(key(2)))
 			dst.expectNothing(t)
 			// The orphan waits for its registering chunk, then its ACK.
-			tx.registerChunk(key(9))
-			tx.ackPut(key(9))
+			tx.registerFrame(frame(key(9)))
+			tx.ackFrame(frame(key(9)))
 			dst.expectReprocess(t, key(9))
 			tx.detach()
 			assertRouterEmpty(t, c2.router)
@@ -621,7 +621,7 @@ func TestImportHandoffAbortedRemote(t *testing.T) {
 	src := newTestPeer(t, c, "src")
 	dst := newTestPeer(t, c, "dst")
 	tx := newTxn(c, src.mb, dst.mb)
-	tx.registerChunk(key(1))
+	tx.registerFrame(frame(key(1)))
 	c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(1), Seq: 1, Packet: []byte{0xA}})
 	c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(9), Seq: 2, Packet: []byte{0xB}}) // orphan
 

@@ -29,7 +29,6 @@ import (
 	"openmb/internal/obs"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
-	"openmb/internal/state"
 )
 
 // Options tunes controller behaviour.
@@ -989,9 +988,7 @@ func (mb *mbConn) readLoop() error {
 					// event for any of these keys received later
 					// on this connection always finds the
 					// transaction.
-					m.EachChunk(func(ch *state.Chunk) {
-						cl.txn.registerChunk(ch.Key)
-					})
+					cl.txn.registerFrame(chunkKeys(m))
 				}
 				// Blocking send: chunk streams may outpace the
 				// consumer (the consumer issues a put per chunk),
@@ -1027,6 +1024,8 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 		// unencodable frames here — keep the underlying error visible.
 		return nil, fmt.Errorf("core: %s %s: send failed (middlebox disconnected?): %w", mb.name, req.Op, err)
 	}
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	select {
 	case m, ok := <-cl.ch:
 		if !ok {
@@ -1042,7 +1041,7 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 			return nil, fmt.Errorf("core: %s %s: %s", mb.name, req.Op, m.Error)
 		}
 		return m, nil
-	case <-time.After(timeout):
+	case <-deadline.C:
 		return nil, fmt.Errorf("core: %s %s timed out", mb.name, req.Op)
 	}
 }

@@ -254,6 +254,12 @@ func TestMoveEventsAreBufferedUntilPutAck(t *testing.T) {
 	if err := r.ctrl.MoveInternal("src", "dst", packet.MatchAll); err != nil {
 		t.Fatal(err)
 	}
+	// The source's marks outlive MoveInternal by the quiet period, so the
+	// traffic keeps raising events: wait for the first forward rather than
+	// count on a packet having landed inside a 20-chunk move window.
+	for deadline := time.Now().Add(5 * time.Second); r.ctrl.Metrics().EventsForwarded == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 	r.ctrl.WaitTxns(10 * time.Second)

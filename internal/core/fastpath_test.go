@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
+	"openmb/internal/racedetect"
 	"openmb/internal/sbi"
 )
 
@@ -121,6 +123,86 @@ func TestMoveWithEventsBatchedBinary(t *testing.T) {
 	want := uint64(flows) + processed
 	if got := r.dst.SumCounts(); got != want {
 		t.Fatalf("destination sum %d, want %d (injected %d, processed %d)", got, want, injected, processed)
+	}
+}
+
+// moveAllocBudget is the move pipeline's written budget, in heap allocations
+// per 202-byte chunk moved, across every layer in the process: MB export and
+// seal, codec, controller registration and put path, MB open and import,
+// ACK. docs/ARCHITECTURE.md ("Move path: the per-chunk budget") has the
+// per-layer table behind it.
+const moveAllocBudget = 12
+
+// budgetRig is the benchmark's move-idle rig at test scale: a controller and
+// two CounterLogic(202) runtimes over MemTransport, default sealer, binary
+// codec, batch 32.
+func budgetRig(t *testing.T, chunks int) (*rig, func() float64) {
+	r := &rig{
+		ctrl: core.NewController(core.Options{QuietPeriod: 10 * time.Millisecond, BatchSize: 32}),
+		tr:   sbi.NewMemTransport(),
+		src:  mbtest.NewCounterLogic(202),
+		dst:  mbtest.NewCounterLogic(202),
+	}
+	if err := r.ctrl.Serve(r.tr, "ctrl"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.ctrl.Close)
+	for name, logic := range map[string]mbox.Logic{"src": r.src, "dst": r.dst} {
+		rt := mbox.New(name, logic, mbox.Options{Codec: sbi.CodecBinary})
+		t.Cleanup(rt.Close)
+		if err := rt.Connect(r.tr, "ctrl"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ctrl.WaitForMB(name, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.src.Preload(chunks)
+	at := [2]string{"src", "dst"}
+	logics := [2]*mbtest.CounterLogic{r.src, r.dst}
+	// move moves everything to the other middlebox, checks exact
+	// conservation, and returns the allocations the whole process made.
+	move := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := r.ctrl.MoveInternal(at[0], at[1], packet.MatchAll); err != nil {
+			t.Fatal(err)
+		}
+		if !r.ctrl.WaitTxns(10 * time.Second) {
+			t.Fatal("transaction did not settle")
+		}
+		runtime.ReadMemStats(&after)
+		if got, left, sum := logics[1].Flows(), logics[0].Flows(), logics[1].SumCounts(); got != chunks || left != 0 || sum != uint64(chunks) {
+			t.Fatalf("move broke conservation: destination %d flows sum %d (want %d, %d), source %d left", got, sum, chunks, chunks, left)
+		}
+		at[0], at[1] = at[1], at[0]
+		logics[0], logics[1] = logics[1], logics[0]
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	return r, move
+}
+
+// TestMoveAllocBudget is the tier-1 guard for the per-chunk budget: a warm
+// 5 000-chunk move allocates at most moveAllocBudget times per chunk, with
+// every record and count conserved.
+func TestMoveAllocBudget(t *testing.T) {
+	const chunks = 5000
+	r, move := budgetRig(t, chunks)
+	move() // warm: pools, reply channels, maps at size
+	move()
+	var perChunk float64
+	for i := 0; i < 4; i++ {
+		perChunk += move() / chunks / 4
+	}
+	if got := r.ctrl.Metrics().ChunksMoved; got != 6*chunks {
+		t.Fatalf("controller counted %d chunks moved, want %d", got, 6*chunks)
+	}
+	t.Logf("%.1f allocations per chunk moved (budget %d)", perChunk, moveAllocBudget)
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if perChunk > moveAllocBudget {
+		t.Errorf("%.1f allocations per chunk moved, budget is %d", perChunk, moveAllocBudget)
 	}
 }
 

@@ -155,6 +155,13 @@ func (c *Controller) flowTraceRecordsConn(mb *mbConn) ([]string, error) {
 	return reply.Values, nil
 }
 
+// chunkKeys returns the flow keys of a chunk frame, in frame order.
+func chunkKeys(m *sbi.Message) []packet.FlowKey {
+	keys := make([]packet.FlowKey, 0, m.ChunkCount())
+	m.EachChunk(func(ch *state.Chunk) { keys = append(keys, ch.Key) })
+	return keys
+}
+
 // putJob is one received chunk frame to forward to a move's destination.
 type putJob struct {
 	op    sbi.Op
@@ -229,7 +236,7 @@ func (c *Controller) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) erro
 // directly for cross-partition moves: the endpoints may be registered with
 // other replicas, but the transaction (completer, metrics, WaitTxns
 // accounting) runs here while routing state follows the source connection's
-// current owner (see txn.registerChunk).
+// current owner (see txn.registerFrame).
 func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	if c.failed.Load() {
 		// This replica has been declared dead; the caller (Cluster) retries
@@ -270,9 +277,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		// Put-ACK round trip, observed on success and failure alike (a
 		// timed-out put is the tail the histogram exists to expose).
 		c.histPut.Observe(time.Since(putStart))
-		for _, key := range j.keys {
-			t.ackPut(key)
-		}
+		t.ackFrame(j.keys)
 	}
 
 	// Puts run on a bounded worker pool fed by an unbounded FIFO: the
@@ -330,12 +335,9 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			if t.aborted.Load() {
 				return ErrReplicaFailed
 			}
-			var keys []packet.FlowKey
+			keys := chunkKeys(chunk)
 			var bytes uint64
-			chunk.EachChunk(func(ch *state.Chunk) {
-				keys = append(keys, ch.Key)
-				bytes += uint64(len(ch.Blob))
-			})
+			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
 			c.chunksMoved.Add(uint64(len(keys)))
 			c.bytesMoved.Add(bytes)
 			j := putJob{op: putOp, frame: chunk, keys: keys}

@@ -99,76 +99,120 @@ func (r *txnRouter) shard(key packet.FlowKey) *routerShard {
 	return &r.shards[mix64(key.FastHash())&r.mask]
 }
 
-// register records t as the owner of key on t.src with one more outstanding
-// put, and adopts any orphaned events that raced ahead of the chunk. Called
-// from the source's read loop, before the chunk is delivered to the move
-// consumer, so event routing can never miss the registration.
-func (r *txnRouter) register(t *txn, key packet.FlowKey) {
-	rk := routeKey{mb: t.src, key: key}
-	sh := r.shard(key)
-	var evicted []*sbi.Event
-	var evictedDst *mbConn
-	sh.mu.Lock()
-	ks := sh.keys[rk]
-	if ks == nil || ks.owner != t {
-		if ks != nil {
-			// A newer transaction claims a key an older one never
-			// released (overlapping moves from the same source).
-			// Hand the old owner its outstanding put count and
-			// buffer, so its remaining ACKs still release its
-			// events toward its own destination — the seed's
-			// per-txn buffers survived routing overwrites the same
-			// way. If nothing is outstanding, the buffer is due
-			// immediately.
-			evicted, evictedDst = ks.owner.adoptStale(key, ks), ks.owner.dst
+// frameShardBuf sizes eachShard's on-stack scratch: frames up to this many
+// keys (twice the benchmark's batch) are grouped without allocating.
+const frameShardBuf = 64
+
+// eachShard visits every key of one chunk frame with the key's shard locked,
+// taking each shard's lock once per frame: keys that share a shard are
+// visited in frame order under a single acquisition. visit may release and
+// re-take sh.mu (the ordered drain does) but returns with it held, and never
+// forwards under it: what it finds due is sent once eachShard has returned.
+func (r *txnRouter) eachShard(keys []packet.FlowKey, visit func(sh *routerShard, i int)) {
+	var buf [frameShardBuf]*routerShard
+	shards := buf[:0]
+	if len(keys) > len(buf) {
+		shards = make([]*routerShard, 0, len(keys))
+	}
+	for i := range keys {
+		shards = append(shards, r.shard(keys[i]))
+	}
+	for i := range shards {
+		sh := shards[i]
+		if sh == nil {
+			continue // visited with an earlier key of the same shard
 		}
-		ks = &keyState{owner: t}
-		sh.keys[rk] = ks
+		sh.mu.Lock()
+		for j := i; j < len(shards); j++ {
+			if shards[j] == sh {
+				shards[j] = nil
+				visit(sh, j)
+			}
+		}
+		sh.mu.Unlock()
 	}
-	ks.pending++
-	if adopted := sh.orphans[rk]; len(adopted) > 0 {
-		delete(sh.orphans, rk)
-		ks.buffered = append(ks.buffered, adopted...)
-		t.ctrl.eventsBuffered.Add(uint64(len(adopted)))
-	}
-	sh.mu.Unlock()
-	forwardEvents(t.ctrl, evictedDst, evicted)
-	t.noteKey(key)
 }
 
-// ackPut marks one put for key acknowledged and, once no puts remain
-// outstanding, drains the buffered events in order. If t no longer owns the
-// key (a newer transaction claimed it), the ACK releases t's stale buffer
-// instead.
-func (r *txnRouter) ackPut(t *txn, key packet.FlowKey) {
-	rk := routeKey{mb: t.src, key: key}
-	sh := r.shard(key)
-	sh.mu.Lock()
-	ks := sh.keys[rk]
-	if ks == nil || ks.owner != t {
-		sh.mu.Unlock()
-		t.ackStale(key)
-		return
+// registerFrame records t as the owner of every key of one chunk frame on
+// t.src, each with one more outstanding put, and adopts any orphaned events
+// that raced ahead of their chunk. Called from the source's read loop, before
+// the frame is delivered to the move consumer, so event routing can never
+// miss the registration. The frame's key states come from one slab, and keys
+// is retained for detach: the caller must not modify it afterwards.
+func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowKey) {
+	slab := make([]keyState, len(keys))
+	type eviction struct {
+		dst *mbConn
+		evs []*sbi.Event
 	}
-	ks.pending--
-	if ks.pending > 0 || ks.flushing || len(ks.buffered) == 0 {
-		sh.mu.Unlock()
-		return
+	var evicted []eviction
+	r.eachShard(keys, func(sh *routerShard, i int) {
+		rk := routeKey{mb: t.src, key: keys[i]}
+		ks := sh.keys[rk]
+		if ks == nil || ks.owner != t {
+			if ks != nil {
+				// A newer transaction claims a key an older one never
+				// released (overlapping moves from the same source).
+				// Hand the old owner its outstanding put count and
+				// buffer, so its remaining ACKs still release its
+				// events toward its own destination — the seed's
+				// per-txn buffers survived routing overwrites the same
+				// way. If nothing is outstanding, the buffer is due
+				// now, and goes out below, outside the shard locks.
+				if evs := ks.owner.adoptStale(keys[i], ks); len(evs) > 0 {
+					evicted = append(evicted, eviction{ks.owner.dst, evs})
+				}
+			}
+			ks = &slab[i]
+			ks.owner = t
+			sh.keys[rk] = ks
+		}
+		ks.pending++
+		if adopted := sh.orphans[rk]; len(adopted) > 0 {
+			delete(sh.orphans, rk)
+			ks.buffered = append(ks.buffered, adopted...)
+			t.ctrl.eventsBuffered.Add(uint64(len(adopted)))
+		}
+	})
+	for _, e := range evicted {
+		forwardEvents(t.ctrl, e.dst, e.evs)
 	}
-	// Ordered drain: forward without the lock, but keep the key in
-	// "flushing" state so concurrent events append behind the batch in
-	// flight instead of overtaking it. Stop if a new registration raises
-	// the pending count mid-drain.
-	ks.flushing = true
-	for ks.pending <= 0 && len(ks.buffered) > 0 {
-		flush := ks.buffered
-		ks.buffered = nil
-		sh.mu.Unlock()
-		forwardEvents(t.ctrl, t.dst, flush)
-		sh.mu.Lock()
+	t.noteFrame(keys)
+}
+
+// ackFrame marks one put acknowledged for every key of a frame and, for each
+// key with no puts left outstanding, drains the buffered events in order. If
+// t no longer owns a key (a newer transaction claimed it), the ACK releases
+// t's stale buffer instead.
+func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowKey) {
+	var stale []int
+	r.eachShard(keys, func(sh *routerShard, i int) {
+		ks := sh.keys[routeKey{mb: t.src, key: keys[i]}]
+		if ks == nil || ks.owner != t {
+			stale = append(stale, i)
+			return
+		}
+		ks.pending--
+		if ks.pending > 0 || ks.flushing || len(ks.buffered) == 0 {
+			return
+		}
+		// Ordered drain: forward without the lock, but keep the key in
+		// "flushing" state so concurrent events append behind the batch in
+		// flight instead of overtaking it. Stop if a new registration raises
+		// the pending count mid-drain.
+		ks.flushing = true
+		for ks.pending <= 0 && len(ks.buffered) > 0 {
+			flush := ks.buffered
+			ks.buffered = nil
+			sh.mu.Unlock()
+			forwardEvents(t.ctrl, t.dst, flush)
+			sh.mu.Lock()
+		}
+		ks.flushing = false
+	})
+	for _, i := range stale {
+		t.ackStale(keys[i])
 	}
-	ks.flushing = false
-	sh.mu.Unlock()
 }
 
 // route dispatches one reprocess event from src: buffer while the key's puts
@@ -211,14 +255,13 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 // orphaned events are discarded — stragglers from the finished transactions
 // that nothing will ever adopt.
 func (r *txnRouter) detach(t *txn) {
-	for _, key := range t.takeKeys() {
-		rk := routeKey{mb: t.src, key: key}
-		sh := r.shard(key)
-		sh.mu.Lock()
-		if ks := sh.keys[rk]; ks != nil && ks.owner == t {
-			delete(sh.keys, rk)
-		}
-		sh.mu.Unlock()
+	for _, keys := range t.takeFrames() {
+		r.eachShard(keys, func(sh *routerShard, i int) {
+			rk := routeKey{mb: t.src, key: keys[i]}
+			if ks := sh.keys[rk]; ks != nil && ks.owner == t {
+				delete(sh.keys, rk)
+			}
+		})
 	}
 	t.src.sharedTxn.CompareAndSwap(t, nil)
 	if t.src.liveTxns.Add(-1) == 0 {

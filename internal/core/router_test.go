@@ -8,8 +8,12 @@ package core
 // shards=N equivalence) is covered in core_test and fastpath_test.
 
 import (
+	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +93,9 @@ func key(i int) packet.FlowKey {
 	}
 }
 
+// frame is one chunk frame's key slice (registerFrame keeps it).
+func frame(keys ...packet.FlowKey) []packet.FlowKey { return keys }
+
 func reprocessEvent(k packet.FlowKey) *sbi.Event {
 	return &sbi.Event{Kind: sbi.EventReprocess, Key: k}
 }
@@ -148,12 +155,10 @@ func TestOrphanAdoptionAcrossShards(t *testing.T) {
 		c.router.route(src.mb, reprocessEvent(k)) // beats its chunk: orphaned
 	}
 	dst.expectNothing(t)
+	tx.registerFrame(frame(keys...)) // one frame spanning the shards adopts every orphan
+	dst.expectNothing(t)             // still buffered: put outstanding
 	for _, k := range keys {
-		tx.registerChunk(k) // adopts the orphan
-	}
-	dst.expectNothing(t) // still buffered: put outstanding
-	for _, k := range keys {
-		tx.ackPut(k)
+		tx.ackFrame(frame(k))
 		dst.expectReprocess(t, k)
 	}
 	if got := c.Metrics().EventsBuffered; got != uint64(len(keys)) {
@@ -193,18 +198,18 @@ func TestOverlappingTxnOwnership(t *testing.T) {
 	k := key(3)
 
 	t1 := newTxn(c, src.mb, dst1.mb)
-	t1.registerChunk(k)
+	t1.registerFrame(frame(k))
 	c.router.route(src.mb, reprocessEvent(k)) // buffered against t1's put
 
 	t2 := newTxn(c, src.mb, dst2.mb)
-	t2.registerChunk(k) // takes over routing; t1's buffer goes stale
+	t2.registerFrame(frame(k)) // takes over routing; t1's buffer goes stale
 	dst1.expectNothing(t)
 
 	c.router.route(src.mb, reprocessEvent(k)) // buffered against t2's put
-	t1.ackPut(k)                              // releases t1's stale buffer, not t2's
+	t1.ackFrame(frame(k))                     // releases t1's stale buffer, not t2's
 	dst1.expectReprocess(t, k)
 	dst2.expectNothing(t)
-	t2.ackPut(k)
+	t2.ackFrame(frame(k))
 	dst2.expectReprocess(t, k)
 	t1.detach()
 	t2.detach()
@@ -222,7 +227,7 @@ func TestEvictionDuringDrain(t *testing.T) {
 	k := key(5)
 
 	t1 := newTxn(c, src.mb, dst1.mb)
-	t1.registerChunk(k)
+	t1.registerFrame(frame(k))
 	ev := func(seq uint64) *sbi.Event {
 		return &sbi.Event{Kind: sbi.EventReprocess, Key: k, Seq: seq}
 	}
@@ -234,7 +239,7 @@ func TestEvictionDuringDrain(t *testing.T) {
 	// marked the key as flushing (set under the shard lock before the
 	// first forward), so the next event deterministically lands mid-drain.
 	drainDone := make(chan struct{})
-	go func() { t1.ackPut(k); close(drainDone) }()
+	go func() { t1.ackFrame(frame(k)); close(drainDone) }()
 	sh := c.router.shard(k)
 	rk := routeKey{mb: src.mb, key: k}
 	for deadline := time.Now().Add(5 * time.Second); ; {
@@ -252,7 +257,7 @@ func TestEvictionDuringDrain(t *testing.T) {
 	c.router.route(src.mb, ev(3)) // arrives mid-drain: must queue behind 1,2
 
 	t2 := newTxn(c, src.mb, dst2.mb)
-	t2.registerChunk(k) // eviction while t1's drain is frozen
+	t2.registerFrame(frame(k)) // eviction while t1's drain is frozen
 	c.router.route(src.mb, ev(4))
 
 	release1()
@@ -268,7 +273,7 @@ func TestEvictionDuringDrain(t *testing.T) {
 		}
 	}
 	dst2.expectNothing(t) // seq 4 buffered against t2's put
-	t2.ackPut(k)
+	t2.ackFrame(frame(k))
 	select {
 	case m := <-dst2.recv:
 		if m.Event == nil || m.Event.Seq != 4 {
@@ -290,7 +295,7 @@ func TestDetachPurges(t *testing.T) {
 	dst := newTestPeer(t, c, "dst")
 	tx := newTxn(c, src.mb, dst.mb)
 	for i := 0; i < 16; i++ {
-		tx.registerChunk(key(i))
+		tx.registerFrame(frame(key(i)))
 	}
 	c.router.route(src.mb, reprocessEvent(key(99))) // unregistered: orphaned
 	tx.detach()
@@ -355,3 +360,181 @@ func TestCompleterCloseFlushes(t *testing.T) {
 }
 
 func ipv4(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
+
+// routerOutcome is everything the frame-granular entry points must leave
+// exactly as per-key calls would: the events each destination received, per
+// key in arrival order; the puts still outstanding per key; the counters.
+type routerOutcome struct {
+	received  map[string][]uint64 // "dst/key" -> event seqs in arrival order
+	pending   map[packet.FlowKey]int
+	buffered  uint64
+	forwarded uint64
+}
+
+// collectOutcome drains what the destinations received (every forwarded
+// event is one frame here: the test peers announce no event batching) and
+// snapshots the router.
+func collectOutcome(t *testing.T, c *Controller, dsts ...*testPeer) routerOutcome {
+	t.Helper()
+	o := routerOutcome{received: map[string][]uint64{}, pending: map[packet.FlowKey]int{}}
+	m := c.Metrics()
+	o.buffered, o.forwarded = m.EventsBuffered, m.EventsForwarded
+	// The counter covers every forward ever made, so receiving exactly
+	// that many frames is also the check that nothing extra was sent.
+	deadline := time.Now().Add(5 * time.Second)
+	for got := uint64(0); got < o.forwarded; {
+		idle := true
+		for _, d := range dsts {
+			select {
+			case f := <-d.recv:
+				if f.Event == nil {
+					t.Fatalf("forwarded frame without event: %+v", f)
+				}
+				id := d.mb.name + "/" + f.Event.Key.String()
+				o.received[id] = append(o.received[id], f.Event.Seq)
+				got++
+				idle = false
+			default:
+			}
+		}
+		if idle {
+			if time.Now().After(deadline) {
+				t.Fatalf("received %d of %d forwarded events", got, o.forwarded)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	for i := range c.router.shards {
+		sh := &c.router.shards[i]
+		sh.mu.Lock()
+		for rk, ks := range sh.keys {
+			o.pending[rk.key] = ks.pending
+		}
+		sh.mu.Unlock()
+	}
+	return o
+}
+
+// frameCalls registers and ACKs whole frames, or — the reference — the same
+// frames one key at a time.
+type frameCalls struct{ perKey bool }
+
+func (f frameCalls) register(tx *txn, keys []packet.FlowKey) {
+	if !f.perKey {
+		tx.registerFrame(slices.Clone(keys))
+		return
+	}
+	for _, k := range keys {
+		tx.registerFrame(frame(k))
+	}
+}
+
+func (f frameCalls) ack(tx *txn, keys []packet.FlowKey) {
+	if !f.perKey {
+		tx.ackFrame(keys)
+		return
+	}
+	for _, k := range keys {
+		tx.ackFrame(frame(k))
+	}
+}
+
+// seededFrameScript interleaves, from one seed, events (orphans when they
+// beat their chunk), frame registrations and frame ACKs of two transactions
+// that overlap on the same eight keys of one source, and leaves some puts
+// outstanding.
+func seededFrameScript(t *testing.T, seed int64, calls frameCalls) routerOutcome {
+	c := NewController(Options{Shards: 4})
+	src := newTestPeer(t, c, "src")
+	dsts := []*testPeer{newTestPeer(t, c, "dst0"), newTestPeer(t, c, "dst1")}
+	txns := []*txn{newTxn(c, src.mb, dsts[0].mb), newTxn(c, src.mb, dsts[1].mb)}
+	rng := rand.New(rand.NewSource(seed))
+	var unacked [2][][]packet.FlowKey
+	var seq uint64
+	for step := 0; step < 150; step++ {
+		x := rng.Intn(2)
+		switch op := rng.Intn(10); {
+		case op < 4:
+			seq++
+			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(rng.Intn(8)), Seq: seq})
+		case op < 7:
+			keys := make([]packet.FlowKey, 1+rng.Intn(6))
+			for i := range keys {
+				keys[i] = key(rng.Intn(8))
+			}
+			calls.register(txns[x], keys)
+			unacked[x] = append(unacked[x], keys)
+		case len(unacked[x]) > 0:
+			calls.ack(txns[x], unacked[x][0])
+			unacked[x] = unacked[x][1:]
+		}
+	}
+	return collectOutcome(t, c, dsts...)
+}
+
+// midDrainScript: both state classes register one frame's keys (two puts
+// outstanding per key), the second ACK starts an ordered drain that blocks
+// on a held destination, and while it is blocked the key is registered again
+// and that put's ACK lands mid-drain.
+func midDrainScript(t *testing.T, calls frameCalls) routerOutcome {
+	c := NewController(Options{Shards: 4})
+	src := newTestPeer(t, c, "src")
+	dst, release := newHeldTestPeer(t, c, "dst")
+	tx := newTxn(c, src.mb, dst.mb)
+	keys := frame(key(1), key(2), key(3))
+	ev := func(k packet.FlowKey, seq uint64) {
+		c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: k, Seq: seq})
+	}
+	calls.register(tx, keys)
+	calls.register(tx, keys)
+	ev(key(1), 1)
+	ev(key(1), 2)
+	ev(key(2), 3)
+	calls.ack(tx, keys) // one put left per key: nothing is due yet
+
+	drained := make(chan struct{})
+	go func() { calls.ack(tx, keys); close(drained) }()
+	sh, rk := c.router.shard(key(1)), routeKey{mb: src.mb, key: key(1)}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		flushing := sh.keys[rk].flushing
+		sh.mu.Unlock()
+		if flushing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("drain never started")
+		}
+	}
+	ev(key(1), 4) // mid-drain: queues behind 1 and 2
+	calls.register(tx, frame(key(1)))
+	calls.ack(tx, frame(key(1))) // lands mid-drain: must not start a second drain
+	release()
+	<-drained
+	return collectOutcome(t, c, dst)
+}
+
+// TestFrameCallsMatchPerKeyCalls: registerFrame and ackFrame are N per-key
+// calls — same forwarded-event order per key and destination, same
+// outstanding puts, same EventsBuffered and EventsForwarded — over seeded
+// interleavings with overlapping transactions and orphans, and with an ACK
+// landing mid-drain.
+func TestFrameCallsMatchPerKeyCalls(t *testing.T) {
+	check := func(name string, run func(calls frameCalls) routerOutcome) {
+		got, want := run(frameCalls{}), run(frameCalls{perKey: true})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: frame calls diverge from per-key calls:\nframe   %+v\nper-key %+v", name, got, want)
+		}
+		if want.forwarded == 0 || want.buffered == 0 {
+			t.Fatalf("%s: script forwarded %d and buffered %d events; it exercises nothing", name, want.forwarded, want.buffered)
+		}
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		check(fmt.Sprintf("seed %d", seed), func(calls frameCalls) routerOutcome { return seededFrameScript(t, seed, calls) })
+	}
+	check("mid-drain", func(calls frameCalls) routerOutcome { return midDrainScript(t, calls) })
+	want := map[string][]uint64{"dst/" + key(1).String(): {1, 2, 4}, "dst/" + key(2).String(): {3}}
+	if got := midDrainScript(t, frameCalls{}).received; !reflect.DeepEqual(got, want) {
+		t.Fatalf("mid-drain delivery %v, want %v", got, want)
+	}
+}

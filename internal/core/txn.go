@@ -13,7 +13,7 @@ import (
 // (outstanding puts and buffered events per key) lives in the controller's
 // sharded router; the txn itself holds only what is inherently per
 // transaction — the endpoints, the activity clock the completer watches,
-// the list of keys it registered (so detach touches exactly the shards it
+// the keys it registered (so detach touches exactly the shards it
 // used), and the shared-state transfer bookkeeping.
 type txn struct {
 	ctrl *Controller
@@ -36,8 +36,9 @@ type txn struct {
 	lastEvent atomic.Int64
 
 	mu sync.Mutex
-	// keys are the flow keys registered with the router, for detach.
-	keys []packet.FlowKey
+	// frames are the key slices registered with the router, one per chunk
+	// frame, for detach.
+	frames [][]packet.FlowKey
 	// stale holds put counts and buffered events for keys this
 	// transaction lost to a newer one (overlapping moves); its remaining
 	// ACKs release them toward its own destination.
@@ -88,44 +89,45 @@ func (t *txn) quietSince(d time.Duration) bool {
 // complete if no further events arrive.
 func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64(d) }
 
-// registerChunk attaches the txn to the router for key and adopts any
-// orphaned events that raced ahead of the chunk. Called from the source's
-// read loop, before the chunk is delivered to the move consumer, so event
-// routing can never miss the registration.
+// registerFrame attaches the txn to the router for every key of one chunk
+// frame and adopts any orphaned events that raced ahead of it. Called from
+// the source's read loop, before the frame is delivered to the move consumer,
+// so event routing can never miss the registration. keys belongs to the
+// transaction afterwards.
 //
 // Routing state lives with whichever cluster replica currently owns the
 // source connection (not necessarily t.ctrl, the replica that started the
 // transaction): the handoff read-lock pins the owner for the duration of
 // the router call, so a concurrent ownership transfer either sees this
 // registration in the state it exports or happens entirely after it.
-func (t *txn) registerChunk(key packet.FlowKey) {
+func (t *txn) registerFrame(keys []packet.FlowKey) {
 	t.src.routingLock()
-	t.src.controller().router.register(t, key)
+	t.src.controller().router.registerFrame(t, keys)
 	t.src.routingUnlock()
 }
 
-// ackPut marks one put for key acknowledged; see txnRouter.ackPut. Owner
-// resolution follows registerChunk.
-func (t *txn) ackPut(key packet.FlowKey) {
+// ackFrame marks one put acknowledged for every key of a frame; see
+// txnRouter.ackFrame. Owner resolution follows registerFrame.
+func (t *txn) ackFrame(keys []packet.FlowKey) {
 	t.src.routingLock()
-	t.src.controller().router.ackPut(t, key)
+	t.src.controller().router.ackFrame(t, keys)
 	t.src.routingUnlock()
 }
 
-// noteKey remembers a registered key for detach.
-func (t *txn) noteKey(key packet.FlowKey) {
+// noteFrame remembers a registered frame's keys for detach.
+func (t *txn) noteFrame(keys []packet.FlowKey) {
 	t.mu.Lock()
-	t.keys = append(t.keys, key)
+	t.frames = append(t.frames, keys)
 	t.mu.Unlock()
 }
 
-// takeKeys returns and clears the registered-key list.
-func (t *txn) takeKeys() []packet.FlowKey {
+// takeFrames returns and clears the registered-key list.
+func (t *txn) takeFrames() [][]packet.FlowKey {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	keys := t.keys
-	t.keys = nil
-	return keys
+	frames := t.frames
+	t.frames = nil
+	return frames
 }
 
 // adoptStale takes over the outstanding put count and buffered events of a
@@ -216,7 +218,7 @@ func (t *txn) registerShared() {
 
 // ackSharedPut marks one shared put acknowledged; the last outstanding one
 // drains buffered shared-state events in order (same flushing discipline as
-// txnRouter.ackPut).
+// txnRouter.ackFrame).
 func (t *txn) ackSharedPut() {
 	t.mu.Lock()
 	t.sharedPending--

@@ -1,7 +1,10 @@
 package mbox_test
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"math/rand"
 	"net/netip"
 	"sync"
 	"testing"
@@ -462,15 +465,64 @@ func TestCompressedTransfer(t *testing.T) {
 	}
 }
 
-func DeflateForInflateForTestRoundTrip(t *testing.T) {
-	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly repeatedly repeatedly")
-	got, err := mbox.InflateForTest(mbox.DeflateForTest(data))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("round trip: %v", err)
+// TestDeflateInflatePooled: the pooled compressor state behaves as a fresh
+// one per call did — the same bytes on the wire, a round trip at every size,
+// a reader that survives corrupt input — and is safe to use from several
+// southbound goroutines at once.
+func TestDeflateInflatePooled(t *testing.T) {
+	fresh := func(b []byte) []byte {
+		var buf bytes.Buffer
+		w, err := flate.NewWriter(&buf, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(b)
+		w.Close()
+		return buf.Bytes()
 	}
-	if len(mbox.DeflateForTest(data)) >= len(data) {
-		t.Fatal("repetitive data did not compress")
+	rng := rand.New(rand.NewSource(14))
+	var blobs [][]byte
+	for _, n := range []int{0, 1, 8, 202, 4096, 70000} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(4)) // compressible, not constant
+		}
+		blobs = append(blobs, b)
 	}
+	for round := 0; round < 3; round++ {
+		for _, b := range blobs {
+			z := mbox.DeflateForTest(b)
+			if !bytes.Equal(z, fresh(b)) {
+				t.Fatalf("%d bytes: pooled writer produced different bytes than a fresh one", len(b))
+			}
+			got, err := mbox.InflateForTest(z)
+			if err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("%d bytes: round trip: %v", len(b), err)
+			}
+			if len(b) >= 202 && len(z) >= len(b) {
+				t.Fatalf("%d compressible bytes deflated to %d", len(b), len(z))
+			}
+		}
+		if _, err := mbox.InflateForTest([]byte{0xff, 0xff, 0xff}); err == nil {
+			t.Fatal("corrupt input inflated without error")
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			b := bytes.Repeat([]byte{byte(g), byte(g + 1), 7}, 50+g)
+			for i := 0; i < 500; i++ {
+				got, err := mbox.InflateForTest(mbox.DeflateForTest(b))
+				if err != nil || !bytes.Equal(got, b) {
+					t.Errorf("goroutine %d: round trip failed: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestLatencyBuckets(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"openmb/internal/obs"
@@ -479,6 +480,11 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 			blob = deflate(blob)
 		}
 		count++
+		if pending == nil {
+			// One allocation per frame at the usual batch sizes; the
+			// request's batch alone never sizes an allocation.
+			pending = make([]state.Chunk, 0, min(batch, 64))
+		}
 		pending = append(pending, state.Chunk{Key: key, Blob: rt.sealer.Seal(blob)})
 		if len(pending) >= batch {
 			return flush()
@@ -594,13 +600,23 @@ func (rt *Runtime) enqueueReplay(p *packet.Packet, shared bool) {
 	}
 }
 
+// flateWriters and flateReaders recycle compressor state across chunks: a
+// flate.Writer carries hundreds of KB of tables, so building one per chunk
+// cost more in the allocator than the compression itself.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		w, _ := flate.NewWriter(nil, flate.DefaultCompression) // errors only on an invalid level
+		return w
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+)
+
 // deflate compresses b with flate at default compression.
 func deflate(b []byte) []byte {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		panic("mbox: flate: " + err.Error())
-	}
+	w := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(b); err != nil {
 		panic("mbox: flate write: " + err.Error())
 	}
@@ -612,8 +628,11 @@ func deflate(b []byte) []byte {
 
 // inflate reverses deflate.
 func inflate(b []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(b))
-	defer r.Close()
+	r := flateReaders.Get().(io.ReadCloser)
+	defer flateReaders.Put(r)
+	if err := r.(flate.Resetter).Reset(bytes.NewReader(b), nil); err != nil {
+		return nil, err
+	}
 	return io.ReadAll(r)
 }
 

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -266,25 +266,8 @@ func (m *FieldMatch) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SortKeys sorts flow keys deterministically (by string form); harness code
-// uses it to make table output stable across runs. The string form is
-// computed once per key, not once per comparison — sorting is on every
-// get's path, and O(n log n) Sprintf calls were a measurable share of
-// Figure 9's get time.
-func SortKeys(keys []FlowKey) {
-	if len(keys) < 2 {
-		return
-	}
-	type keyed struct {
-		s string
-		k FlowKey
-	}
-	tmp := make([]keyed, len(keys))
-	for i, k := range keys {
-		tmp[i] = keyed{k.String(), k}
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].s < tmp[j].s })
-	for i := range tmp {
-		keys[i] = tmp[i].k
-	}
-}
+// SortKeys sorts flow keys in place under FlowKey.Compare. Every per-flow
+// get sorts its keys so that exports — and everything downstream of their
+// order — are deterministic across runs; it is on the move path, so it
+// compares fields and builds nothing per key.
+func SortKeys(keys []FlowKey) { slices.SortFunc(keys, FlowKey.Compare) }

@@ -10,10 +10,12 @@
 package packet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // Protocol numbers used in the IPv4 header. Only the protocols the
@@ -196,7 +198,7 @@ func protoName(proto uint8) string {
 	case ProtoICMP:
 		return "icmp"
 	}
-	return fmt.Sprintf("proto%d", proto)
+	return "proto" + strconv.Itoa(int(proto))
 }
 
 // FlowKey is a directed 5-tuple. It is comparable and therefore usable as a
@@ -262,9 +264,49 @@ func (k FlowKey) FastHash() uint64 {
 	return h
 }
 
+// Compare orders keys by source endpoint, destination endpoint, then
+// protocol: a total order (zero only for equal keys) computed from the
+// fields, for callers that need a deterministic iteration order.
+func (k FlowKey) Compare(o FlowKey) int {
+	if c := k.SrcIP.Compare(o.SrcIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.SrcPort, o.SrcPort); c != 0 {
+		return c
+	}
+	if c := k.DstIP.Compare(o.DstIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.DstPort, o.DstPort); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Proto, o.Proto)
+}
+
 // String renders the key as "src:port>dst:port/proto".
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%s", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, protoName(k.Proto))
+func (k FlowKey) String() string { return string(k.appendText(make([]byte, 0, 48))) }
+
+// appendText appends the String form to b without going through fmt: it is
+// the JSON codec's key encoding and sits on per-packet log paths.
+func (k FlowKey) appendText(b []byte) []byte {
+	b = appendAddr(b, k.SrcIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, '>')
+	b = appendAddr(b, k.DstIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.DstPort), 10)
+	b = append(b, '/')
+	return append(b, protoName(k.Proto)...)
+}
+
+// appendAddr appends a.String(); netip's own AppendTo renders the zero Addr
+// as nothing.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, "invalid IP"...)
+	}
+	return a.AppendTo(b)
 }
 
 // MarshalText implements encoding.TextMarshaler: the String form, or empty
@@ -274,7 +316,7 @@ func (k FlowKey) MarshalText() ([]byte, error) {
 	if k == (FlowKey{}) {
 		return nil, nil
 	}
-	return []byte(k.String()), nil
+	return k.appendText(make([]byte, 0, 48)), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler, inverting MarshalText.

@@ -658,8 +658,15 @@ func (c *binaryCodec) decode() (*Message, error) {
 	}
 	if flags&fChunks != 0 {
 		n := r.uvarint("chunks")
-		if r.err == nil && n > uint64(len(body)/packet.FlowKeyWireSize)+1 {
+		// Every chunk is a key and at least one length byte, so the count
+		// is checked against the bytes that remain before it sizes the
+		// slice: a hostile count cannot make the decoder allocate more
+		// than a well-formed frame of this length would.
+		if r.err == nil && n > uint64(len(body)-r.off)/(packet.FlowKeyWireSize+1) {
 			return nil, fmt.Errorf("sbi: binary decode: chunk count %d exceeds frame", n)
+		}
+		if r.err == nil && n > 0 {
+			m.Chunks = make([]state.Chunk, 0, n)
 		}
 		for i := uint64(0); i < n && r.err == nil; i++ {
 			m.Chunks = append(m.Chunks, r.chunk("chunks"))

@@ -21,6 +21,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 
 	"openmb/internal/packet"
 )
@@ -93,19 +95,43 @@ func (c Chunk) Size() int { return packet.FlowKeyWireSize + len(c.Blob) }
 // supporting state before exporting"). All instances of one MB type share a
 // key, so a blob sealed by one instance opens at its peer but nowhere else.
 //
-// The construction is AES-CTR with an HMAC-SHA256 tag (encrypt-then-MAC).
+// The construction is AES-128-CTR with an HMAC-SHA256 tag over iv || ct
+// (encrypt-then-MAC); a sealed blob is iv(16) || ct || tag(32). Everything
+// that depends only on the secret is built once: the AES key schedule in
+// NewSealer, and keyed HMAC states that Seal and Open borrow from a pool and
+// Reset, so a call allocates only its output and the CTR stream. A Sealer is
+// safe for concurrent use and must not be copied.
 type Sealer struct {
-	encKey [16]byte
-	macKey [32]byte
+	block cipher.Block
+	macs  sync.Pool // *sealMAC, keyed
+}
+
+// sealMAC is one reusable keyed HMAC state and the buffer Open sums into.
+type sealMAC struct {
+	h   hash.Hash
+	sum [sealTagLen]byte
+}
+
+// tag appends the HMAC of body to dst and leaves m ready for the next blob.
+func (m *sealMAC) tag(dst, body []byte) []byte {
+	m.h.Write(body)
+	dst = m.h.Sum(dst)
+	m.h.Reset()
+	return dst
 }
 
 // NewSealer derives a sealer from a shared secret. Deriving rather than
 // using the secret directly lets tests use short human-readable secrets.
 func NewSealer(secret string) *Sealer {
 	s := &Sealer{}
-	h := sha256.Sum256([]byte("openmb-enc:" + secret))
-	copy(s.encKey[:], h[:16])
-	s.macKey = sha256.Sum256([]byte("openmb-mac:" + secret))
+	encKey := sha256.Sum256([]byte("openmb-enc:" + secret))
+	block, err := aes.NewCipher(encKey[:16])
+	if err != nil {
+		panic("state: aes: " + err.Error())
+	}
+	s.block = block
+	macKey := sha256.Sum256([]byte("openmb-mac:" + secret))
+	s.macs.New = func() any { return &sealMAC{h: hmac.New(sha256.New, macKey[:])} }
 	return s
 }
 
@@ -119,70 +145,44 @@ var ErrSealOpen = errors.New("state: sealed blob failed authentication")
 
 // Seal encrypts plaintext and returns iv || ciphertext || tag.
 func (s *Sealer) Seal(plaintext []byte) []byte {
-	out := make([]byte, sealIVLen+len(plaintext)+sealTagLen)
+	n := sealIVLen + len(plaintext)
+	out := make([]byte, n, n+sealTagLen)
 	iv := out[:sealIVLen]
 	if _, err := rand.Read(iv); err != nil {
 		// crypto/rand failure is unrecoverable and cannot be handled
 		// meaningfully by callers moving state.
 		panic("state: crypto/rand: " + err.Error())
 	}
-	block, err := aes.NewCipher(s.encKey[:])
-	if err != nil {
-		panic("state: aes: " + err.Error())
-	}
-	ct := out[sealIVLen : sealIVLen+len(plaintext)]
-	cipher.NewCTR(block, iv).XORKeyStream(ct, plaintext)
-	mac := hmac.New(sha256.New, s.macKey[:])
-	mac.Write(out[:sealIVLen+len(plaintext)])
-	copy(out[sealIVLen+len(plaintext):], mac.Sum(nil))
+	cipher.NewCTR(s.block, iv).XORKeyStream(out[sealIVLen:], plaintext)
+	m := s.macs.Get().(*sealMAC)
+	out = m.tag(out, out)
+	s.macs.Put(m)
 	return out
 }
 
-// Open authenticates and decrypts a blob produced by Seal.
+// Open authenticates and decrypts a blob produced by Seal. The tag is
+// checked, in constant time, before anything is decrypted.
 func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	if len(sealed) < sealIVLen+sealTagLen {
 		return nil, ErrSealOpen
 	}
 	body := sealed[:len(sealed)-sealTagLen]
-	tag := sealed[len(sealed)-sealTagLen:]
-	mac := hmac.New(sha256.New, s.macKey[:])
-	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
+	m := s.macs.Get().(*sealMAC)
+	ok := hmac.Equal(sealed[len(body):], m.tag(m.sum[:0], body))
+	s.macs.Put(m)
+	if !ok {
 		return nil, ErrSealOpen
 	}
-	iv := body[:sealIVLen]
-	ct := body[sealIVLen:]
-	block, err := aes.NewCipher(s.encKey[:])
-	if err != nil {
-		panic("state: aes: " + err.Error())
-	}
-	pt := make([]byte, len(ct))
-	cipher.NewCTR(block, iv).XORKeyStream(pt, ct)
+	pt := make([]byte, len(body)-sealIVLen)
+	cipher.NewCTR(s.block, body[:sealIVLen]).XORKeyStream(pt, body[sealIVLen:])
 	return pt, nil
 }
 
-// NopSealer passes blobs through unchanged. The dummy middleboxes used for
-// controller benchmarks (§8.3) skip encryption to isolate controller cost.
-type NopSealer struct{}
-
-// Seal returns a copy of plaintext.
-func (NopSealer) Seal(plaintext []byte) []byte {
-	return append([]byte(nil), plaintext...)
-}
-
-// Open returns a copy of sealed.
-func (NopSealer) Open(sealed []byte) ([]byte, error) {
-	return append([]byte(nil), sealed...), nil
-}
-
-// BlobSealer is the interface middlebox runtimes use; *Sealer for real MBs,
-// NopSealer for benchmark dummies.
+// BlobSealer is what middlebox runtimes seal exported state with; *Sealer
+// unless mbox.Options supplies another.
 type BlobSealer interface {
 	Seal(plaintext []byte) []byte
 	Open(sealed []byte) ([]byte, error)
 }
 
-var (
-	_ BlobSealer = (*Sealer)(nil)
-	_ BlobSealer = NopSealer{}
-)
+var _ BlobSealer = (*Sealer)(nil)
