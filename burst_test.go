@@ -26,6 +26,7 @@ import (
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/ips"
 	"openmb/internal/mbox/lb"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/mbox/monitor"
 	"openmb/internal/mbox/nat"
 	"openmb/internal/mbox/re"
@@ -522,11 +523,37 @@ func TestBurstSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// tapTwice is a tap-and-forward hop that emits the packet it is processing
+// twice (CounterLogic.Process emits it once already): the first Emit passes
+// the runtime's borrow on, the second has to take a reference of its own.
+type tapTwice struct{ *mbtest.CounterLogic }
+
+func (l tapTwice) Process(ctx *mbox.Context, p *packet.Packet) {
+	l.CounterLogic.Process(ctx, p)
+	ctx.Emit(p)
+}
+
+// dropOdd forwards every second packet and drops the rest, so one burst
+// holds both packets whose borrow moved downstream and packets the runtime
+// still has to release itself.
+type dropOdd struct {
+	*mbtest.CounterLogic
+	seen int
+}
+
+func (l *dropOdd) Process(ctx *mbox.Context, p *packet.Packet) {
+	if l.seen++; l.seen%2 == 0 {
+		ctx.Emit(p)
+	}
+}
+
 // TestBurstChainBorrowDiscipline replays a trace through a full testbed
-// chain — switch, NAT colocated with an IPS (direct handoff), second
+// chain — switch, a tap that emits every packet twice, NAT, IPS and a hop
+// that drops every other packet, all colocated (direct handoff), second
 // switch, recording host — on the zero-copy ring path with an ingress drop
 // fault, under the ambient burst mode, and requires every borrowed pooled
-// packet released exactly once after quiesce.
+// packet released exactly once after quiesce (the accounting pool panics on
+// a release too many and lists a release too few).
 func TestBurstChainBorrowDiscipline(t *testing.T) {
 	b, err := bed.NewWithNet(core.Options{QuietPeriod: 50 * time.Millisecond}, netsim.Options{ZeroCopy: true})
 	if err != nil {
@@ -538,17 +565,21 @@ func TestBurstChainBorrowDiscipline(t *testing.T) {
 	sw := b.AddSwitch("s1")
 	sw2 := b.AddSwitch("s2")
 	dst := b.AddHost("dst", 1<<16)
+	tap := b.AddStandaloneMB("tap1", tapTwice{mbtest.NewCounterLogic(0)}, "")
 	b.AddStandaloneMB("nat1", nat.New(netip.AddrFrom4([4]byte{203, 0, 113, 1})), "")
-	b.AddStandaloneMB("ips1", ips.New(), "s2")
-	if err := b.Colocate("nat1", "ips1"); err != nil {
-		t.Fatal(err)
+	ipsRT := b.AddStandaloneMB("ips1", ips.New(), "")
+	half := b.AddStandaloneMB("half1", &dropOdd{CounterLogic: mbtest.NewCounterLogic(0)}, "s2")
+	for _, pair := range [][2]string{{"tap1", "nat1"}, {"nat1", "ips1"}, {"ips1", "half1"}} {
+		if err := b.Colocate(pair[0], pair[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, pair := range [][2]string{{"s1", "nat1"}, {"ips1", "s2"}, {"s2", "dst"}} {
+	for _, pair := range [][2]string{{"s1", "tap1"}, {"half1", "s2"}, {"s2", "dst"}} {
 		if err := b.Connect(pair[0], pair[1], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sw.Install(netsim.Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"nat1"}})
+	sw.Install(netsim.Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"tap1"}})
 	sw2.Install(netsim.Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"dst"}})
 	if err := b.Net.SetFault(netsim.Ingress, "s1", netsim.DropFraction(0.1, 23)); err != nil {
 		t.Fatal(err)
@@ -560,6 +591,20 @@ func TestBurstChainBorrowDiscipline(t *testing.T) {
 	}
 	if !b.Quiesce(30 * time.Second) {
 		t.Fatal("bed did not quiesce")
+	}
+	// Conservation hop by hop: nothing is shed at a ring, the tap doubles,
+	// the last hop halves, and what it emits is what the host receives.
+	tm, im, hm := tap.Metrics(), ipsRT.Metrics(), half.Metrics()
+	if tm.Processed == 0 || tm.Emitted != 2*tm.Processed {
+		t.Errorf("tap processed %d packets and emitted %d, want twice as many", tm.Processed, tm.Emitted)
+	}
+	if hm.Processed != im.Emitted || hm.Emitted != hm.Processed/2 || uint64(dst.Count()) != hm.Emitted {
+		t.Errorf("IPS emitted %d; last hop processed %d, emitted %d; host received %d", im.Emitted, hm.Processed, hm.Emitted, dst.Count())
+	}
+	for _, name := range []string{"tap1", "nat1", "ips1", "half1"} {
+		if d := b.MB(name).Metrics().DroppedPackets; d != 0 {
+			t.Errorf("%s shed %d packets at its ring", name, d)
+		}
 	}
 	if dst.Count() == 0 {
 		t.Fatal("no packets made it through the chain")

@@ -58,6 +58,31 @@ func (g *gateLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func
 	})
 }
 
+// gateDeadline bounds the wait for a move to reach its gate; far above the
+// few milliseconds a healthy move needs, far below go test's own timeout.
+const gateDeadline = 30 * time.Second
+
+// awaitReached waits until the gated get is pinned mid-stream. A move that
+// never starts (a spawned coordinator that lost its command, a registration
+// that moved) fails the test here with how far it got, instead of blocking
+// until go test's timeout kills the whole package. src is the runtime
+// hosting the gate.
+func (g *gateLogic) awaitReached(t *testing.T, src *mbox.Runtime) {
+	t.Helper()
+	select {
+	case <-g.reached:
+	case <-time.After(gateDeadline):
+		// Unpin first: a get that arrives during cleanup must not block it.
+		close(g.release)
+		g.mu.Lock()
+		seen := g.seen
+		g.mu.Unlock()
+		m := src.Metrics()
+		t.Fatalf("move never reached the gate within %v: source get emitted %d of the %d chunks that pin it; source holds %d flows, %d marked keys, processed %d packets, raised %d events",
+			gateDeadline, seen, g.after, g.Flows(), src.MarkedKeys(), m.Processed, m.EventsRaised)
+	}
+}
+
 // clusterRig is a cluster with `pairs` counter-MB pairs attached over an
 // in-memory transport. Pair 0's source is a gateLogic when gated is set.
 type clusterRig struct {
@@ -237,7 +262,7 @@ func runClusterWorkload(t *testing.T, replicas int, forceHandoffs bool) [][]uint
 	// Forced mid-move handoffs: the gate guarantees pair 0's move is
 	// frozen mid-stream — registered keys, outstanding puts, buffered
 	// events all live in the router — when the rebalances run.
-	<-r.gate.reached
+	r.gate.awaitReached(t, r.rts["src0"])
 	if forceHandoffs {
 		for _, mb := range []string{"src0", "dst1", "src2"} {
 			cur, err := r.cl.ReplicaOf(mb)

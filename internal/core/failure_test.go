@@ -72,7 +72,7 @@ func TestFailReplicaMidMove(t *testing.T) {
 
 	// The gate guarantees pair 0's move is frozen mid-stream when the
 	// coordinating replica (the move source's owner) dies.
-	<-r.gate.reached
+	r.gate.awaitReached(t, r.rts["src0"])
 	coord, err := r.cl.ReplicaOf("src0")
 	if err != nil {
 		t.Fatal(err)

@@ -211,7 +211,7 @@ func TestProcessKillMidMove(t *testing.T) {
 	// coordinator is SIGKILLed. Everything it knew (its transaction
 	// registry, its routing state, its half of the handoff) dies with it.
 	n1.send(t, "move src0 dst0")
-	<-gate.reached
+	gate.awaitReached(t, srcRT)
 	start := time.Now()
 	n1.sigkill(t)
 	close(gate.release)

@@ -132,7 +132,10 @@ func (rt *Runtime) workerBurst() {
 // ProcessBurst when the logic implements BurstLogic, otherwise through a
 // per-packet Process shim — then raises any reprocess events, flushes the
 // buffered emits downstream in one hand-off, and releases the runtime's
-// borrows. The latency clock is read once per burst (not twice per packet)
+// borrows on the packets the logic did not pass on. A packet whose borrow
+// Emit moved into the emit buffer belongs to the sink from flushEmits on
+// (it may already be recycled), so nothing below that call reads one. The
+// latency clock is read once per burst (not twice per packet)
 // and the mean attributed across the burst's packets, with the during-op /
 // normal split decided at burst start.
 func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burstState) {
@@ -191,7 +194,9 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	rt.processed.Add(uint64(n))
 	rt.pending.Add(int64(-n))
 	for i, p := range pkts {
-		p.Release()
+		if !ctxs[i].moved {
+			p.Release()
+		}
 		pkts[i] = nil
 	}
 }

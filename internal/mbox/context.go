@@ -14,9 +14,11 @@ import (
 type Context struct {
 	rt *Runtime
 	// pkt is the packet being processed. The runtime owns its borrowed
-	// reference; Emit of this exact packet takes an extra reference so the
-	// downstream hand-off and the runtime's release stay balanced.
-	pkt *packet.Packet
+	// reference until the logic Emits this exact packet on the burst path:
+	// the first such Emit hands it downstream (moved), and the runtime then
+	// neither releases the packet nor reads it after the emits are flushed.
+	pkt   *packet.Packet
+	moved bool
 	// Replay is true when the packet is being re-processed from an event
 	// raised by a peer middlebox. Logic may consult it for rare cases
 	// (e.g. suppressing retransmission heuristics) but normally need not.
@@ -52,8 +54,18 @@ type touchRef struct {
 // class. Call it while holding the lock that serializes this state against
 // export: if the state is currently part of a move or clone transaction, the
 // runtime will raise a reprocess event after the packet completes.
+//
+// With no transaction in progress Touch takes no lock: it reads the count of
+// marks and returns on zero. That read cannot miss a mark that matters. A
+// mark is only ever set by the mark() callback of GetPerflow/GetShared, which
+// the logic invokes while holding its own lock, and Touch is called under
+// that same lock. So either the export's critical section came first — then
+// its count update happened before this Touch through the lock's
+// unlock/lock edge, and the count read here is not zero — or this Touch's
+// critical section came first, and the update it reports is inside the
+// exported blob. A stale non-zero read only costs the locked lookup below.
 func (c *Context) Touch(class state.Class, key packet.FlowKey) {
-	if c.Replay || c.raise {
+	if c.Replay || c.raise || c.rt.markCount.Load() == 0 {
 		return
 	}
 	c.rt.marksMu.Lock()
@@ -68,9 +80,10 @@ func (c *Context) Touch(class state.Class, key packet.FlowKey) {
 }
 
 // TouchShared records that the logic updated shared state of the given
-// class, under the same locking discipline as Touch.
+// class, under the same locking discipline (and the same lock-free exit) as
+// Touch.
 func (c *Context) TouchShared(class state.Class) {
-	if c.Replay || c.raise {
+	if c.Replay || c.raise || c.rt.markCount.Load() == 0 {
 		return
 	}
 	c.rt.marksMu.Lock()
@@ -86,9 +99,12 @@ func (c *Context) TouchShared(class state.Class) {
 // Emit sends a packet onward into the network — an external side effect,
 // suppressed during replay. Emit consumes one reference on p: emit a packet
 // the logic created (e.g. a Clone it rewrote) to hand it off entirely, or
-// emit the packet currently being processed to pass it through (Emit takes
-// the downstream's reference itself; the runtime still releases its borrow
-// after Process returns).
+// emit the packet currently being processed to pass it through. For that
+// packet Emit supplies the downstream's reference itself: on the burst path
+// the first Emit passes on the runtime's own borrow, with no reference-count
+// traffic for a packet that just passes through; any further Emit of it, and
+// every Emit on the per-packet and replay path, retains. Either way the
+// logic may keep reading the packet until Process/ProcessBurst returns.
 func (c *Context) Emit(p *packet.Packet) {
 	c.emitted++
 	if c.Replay {
@@ -99,7 +115,11 @@ func (c *Context) Emit(p *packet.Packet) {
 		return
 	}
 	if p == c.pkt {
-		p.Retain()
+		if c.burst != nil && !c.moved {
+			c.moved = true
+		} else {
+			p.Retain()
+		}
 	}
 	if c.burst != nil {
 		// Buffered: the runtime flushes the whole burst's emits downstream

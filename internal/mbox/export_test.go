@@ -12,3 +12,11 @@ func DeflateForTest(b []byte) []byte { return deflate(b) }
 
 // InflateForTest exposes the wire decompression helper.
 func InflateForTest(b []byte) ([]byte, error) { return inflate(b) }
+
+// MarkCountForTest returns the mark count Touch reads without a lock next to
+// the size of the two mark tables it stands for; they must always agree.
+func MarkCountForTest(rt *Runtime) (count int64, marks int) {
+	rt.marksMu.Lock()
+	defer rt.marksMu.Unlock()
+	return rt.markCount.Load(), len(rt.movedKeys) + len(rt.sharedMoved)
+}

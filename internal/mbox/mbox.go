@@ -103,11 +103,13 @@ type Logic interface {
 // The contract matches Process per element: the implementation must produce
 // the same state updates, Touch/TouchShared calls, Emits, Logs, and raised
 // events — in the same per-packet order — as len(pkts) sequential Process
-// calls would. Packet references are owned by the runtime exactly as in
-// Process (Emit of pkts[i] takes its own reference; the runtime releases its
-// borrow after ProcessBurst returns). Emits are buffered by the Context and
+// calls would. The logic owns no reference on pkts[i], exactly as in Process:
+// ctxs[i].Emit(pkts[i]) supplies the downstream's reference (the first one
+// by passing on the runtime's borrow) and the runtime releases what was not
+// passed on after ProcessBurst returns. Emits are buffered by the Context and
 // flushed downstream in one hand-off after the call, so Emit is safe — and
-// intended — to call while holding the logic's own lock.
+// intended — to call while holding the logic's own lock, and every packet
+// stays readable until ProcessBurst returns.
 //
 // Logic that does not implement BurstLogic runs unchanged: the runtime falls
 // back to a per-packet Process loop (still amortizing the runtime-side costs:

@@ -127,10 +127,13 @@ type Runtime struct {
 	reconnects                 atomic.Uint64
 
 	// marks is the moved/cloned registry: per-flow keys and shared
-	// classes currently part of a controller transaction.
+	// classes currently part of a controller transaction. markCount is
+	// len(movedKeys)+len(sharedMoved), kept by updateMarks and read without
+	// the lock by Touch/TouchShared.
 	marksMu     sync.Mutex
 	movedKeys   map[touchRef]bool
 	sharedMoved map[state.Class]bool
+	markCount   atomic.Int64
 
 	filtersMu sync.Mutex
 	filters   []eventFilter
@@ -536,33 +539,38 @@ func (rt *Runtime) sendEvent(ev *sbi.Event) {
 	_ = conn.Send(&sbi.Message{Type: sbi.MsgEvent, Event: ev})
 }
 
+// updateMarks is the only writer of the mark tables: it runs change under
+// marksMu and republishes markCount before unlocking.
+func (rt *Runtime) updateMarks(change func()) {
+	rt.marksMu.Lock()
+	change()
+	rt.markCount.Store(int64(len(rt.movedKeys) + len(rt.sharedMoved)))
+	rt.marksMu.Unlock()
+}
+
 // markKey records that per-flow state (key, class) is part of a transaction.
 func (rt *Runtime) markKey(key packet.FlowKey, class state.Class) {
-	rt.marksMu.Lock()
-	rt.movedKeys[touchRef{key: key, class: class}] = true
-	rt.marksMu.Unlock()
+	rt.updateMarks(func() { rt.movedKeys[touchRef{key: key, class: class}] = true })
 }
 
 // markShared records that shared state of class is part of a transaction.
 func (rt *Runtime) markShared(class state.Class) {
-	rt.marksMu.Lock()
-	rt.sharedMoved[class] = true
-	rt.marksMu.Unlock()
+	rt.updateMarks(func() { rt.sharedMoved[class] = true })
 }
 
 // clearMarks removes transaction marks for keys matching m (either
 // direction) in the given class, plus the shared mark if clearShared.
 func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class, clearShared bool) {
-	rt.marksMu.Lock()
-	for ref := range rt.movedKeys {
-		if ref.class == class && m.MatchEither(ref.key) {
-			delete(rt.movedKeys, ref)
+	rt.updateMarks(func() {
+		for ref := range rt.movedKeys {
+			if ref.class == class && m.MatchEither(ref.key) {
+				delete(rt.movedKeys, ref)
+			}
 		}
-	}
-	if clearShared {
-		delete(rt.sharedMoved, class)
-	}
-	rt.marksMu.Unlock()
+		if clearShared {
+			delete(rt.sharedMoved, class)
+		}
+	})
 }
 
 // MarkedKeys returns the number of per-flow keys currently in transactions.

@@ -390,9 +390,7 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 
 	case sbi.OpEndTransaction:
 		if m.Enable {
-			rt.marksMu.Lock()
-			rt.sharedMoved = map[state.Class]bool{}
-			rt.marksMu.Unlock()
+			rt.updateMarks(func() { clear(rt.sharedMoved) })
 		} else {
 			rt.clearMarks(m.Match, state.Supporting, false)
 			rt.clearMarks(m.Match, state.Reporting, false)

@@ -26,21 +26,28 @@ import (
 // the borrow contract runs unchanged on the copying (ablation) path.
 type Pool struct {
 	opts PoolOptions
-
-	mu   sync.Mutex
-	free []*Packet
-
-	// live tracks outstanding reference counts in accounting mode; it is
-	// the invariant checker behind the leak/double-release tests.
+	// live tracks outstanding reference counts in accounting mode, under mu:
+	// the checker behind the leak/double-release tests. Every Retain and
+	// Release reads the pointer, so it stays off the lines the sides write.
 	live map[*Packet]int32
+	_    [64]byte
 
-	gets     atomic.Uint64
-	news     atomic.Uint64
-	releases atomic.Uint64
+	// The pool has two sides, so that a borrower on one core and a releaser
+	// on another share no lock and no counter per packet. Get pops free under
+	// mu; recycle pushes returned under retMu, a cache line away; Get swaps
+	// the lists when free runs dry, the only cross-side hand-off — once per
+	// returned-list's worth of packets. Lock order: mu, then retMu.
+	mu         sync.Mutex
+	free       []*Packet
+	gets, news uint64
+	_          [64]byte
 
-	// outstanding counts packets currently borrowed (Get/Clone minus final
-	// releases). Zero after quiesce means every borrow was balanced.
-	outstanding atomic.Int64
+	retMu    sync.Mutex
+	returned []*Packet
+	// releases counts final releases; gets - releases is the number of
+	// packets currently borrowed. Zero after quiesce means every borrow was
+	// balanced.
+	releases uint64
 }
 
 // PoolOptions configures a Pool.
@@ -49,7 +56,8 @@ type PoolOptions struct {
 	// is cross-checked against a live table under the pool lock, so leaks
 	// (borrowed packets never released) are attributable and double
 	// releases are caught even after the packet was recycled. It is meant
-	// for tests; the fast path uses atomics only.
+	// for tests; the fast path keeps the count in the packet and takes only
+	// its own side's lock.
 	Accounting bool
 	// PayloadCap preallocates this much payload capacity in fresh packets
 	// (default 256), so pooled clones of typical trace payloads never grow
@@ -69,18 +77,23 @@ func NewPool(opts PoolOptions) *Pool {
 	return p
 }
 
-// Get returns a reset packet holding one reference.
+// Get returns a reset packet holding one reference. It allocates only when
+// neither side of the pool holds a free packet.
 func (pl *Pool) Get() *Packet {
-	pl.gets.Add(1)
-	pl.outstanding.Add(1)
 	pl.mu.Lock()
+	pl.gets++
+	if len(pl.free) == 0 {
+		pl.retMu.Lock()
+		pl.free, pl.returned = pl.returned, pl.free
+		pl.retMu.Unlock()
+	}
 	var p *Packet
 	if n := len(pl.free); n > 0 {
 		p = pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
 	} else {
-		pl.news.Add(1)
+		pl.news++
 		p = &Packet{Payload: make([]byte, 0, pl.opts.PayloadCap)}
 		p.pool = pl
 	}
@@ -146,12 +159,11 @@ func (pl *Pool) releaseAccounted(p *Packet) {
 }
 
 func (pl *Pool) recycle(p *Packet) {
-	pl.releases.Add(1)
-	pl.outstanding.Add(-1)
 	p.Reset()
-	pl.mu.Lock()
-	pl.free = append(pl.free, p)
-	pl.mu.Unlock()
+	pl.retMu.Lock()
+	pl.releases++
+	pl.returned = append(pl.returned, p)
+	pl.retMu.Unlock()
 }
 
 // retain adds one reference. In accounting mode the refs update stays under
@@ -184,29 +196,32 @@ type PoolStats struct {
 	FreeLen int
 }
 
-// Stats returns a snapshot of the pool's counters.
+// Stats returns an exact snapshot of the pool's counters: both sides are
+// locked, so no Get or final release falls between two fields.
 func (pl *Pool) Stats() PoolStats {
 	pl.mu.Lock()
-	freeLen := len(pl.free)
-	pl.mu.Unlock()
-	return PoolStats{
-		Gets:        pl.gets.Load(),
-		News:        pl.news.Load(),
-		Releases:    pl.releases.Load(),
-		Outstanding: pl.outstanding.Load(),
-		FreeLen:     freeLen,
+	pl.retMu.Lock()
+	st := PoolStats{
+		Gets:        pl.gets,
+		News:        pl.news,
+		Releases:    pl.releases,
+		Outstanding: int64(pl.gets - pl.releases),
+		FreeLen:     len(pl.free) + len(pl.returned),
 	}
+	pl.retMu.Unlock()
+	pl.mu.Unlock()
+	return st
 }
 
 // Outstanding returns the number of borrowed packets not yet fully released.
-func (pl *Pool) Outstanding() int64 { return pl.outstanding.Load() }
+func (pl *Pool) Outstanding() int64 { return pl.Stats().Outstanding }
 
 // CheckLeaks returns nil when every borrowed packet has been released
 // exactly once (Outstanding == 0). In accounting mode the error lists the
 // leaked packets; otherwise it reports only the count. Call after the
 // network has quiesced and all holders (hosts, runtimes) have drained.
 func (pl *Pool) CheckLeaks() error {
-	n := pl.outstanding.Load()
+	n := pl.Outstanding()
 	if n == 0 {
 		return nil
 	}
