@@ -79,8 +79,7 @@ func BenchmarkFigure9bPutPerflow(b *testing.B) {
 
 // reportWireStats attaches the accumulated frames-per-flush ratio of the
 // experiment's southbound connections as a custom metric, so the coalesced
-// wire path's effectiveness lands in bench output (and BENCH_*.json) next
-// to ns/op. The OPENMB_COALESCE=off ablation pins it at 1.
+// wire path's effectiveness lands in bench output next to ns/op.
 func reportWireStats(b *testing.B) {
 	b.Helper()
 	if frames, flushes := eval.TakeWireStats(); flushes > 0 {
@@ -119,38 +118,14 @@ func BenchmarkFigure10aSingleMove(b *testing.B) {
 	})
 }
 
-// figure10bPairs is the concurrency sweep BenchmarkFigure10bConcurrentMoves
-// and its serialized ablation share, so their sub-benchmarks compare
-// directly (`benchstat` lines pair up by name).
-var figure10bPairs = []int{1, 4, 16, 32}
-
 // BenchmarkFigure10bConcurrentMoves regenerates Figure 10(b): average move
-// time versus simultaneous operations, one sub-benchmark per pair count,
-// on the sharded transaction router (shards from OPENMB_SHARDS, else the
-// controller's GOMAXPROCS-derived default).
+// time versus simultaneous operations, one sub-benchmark per pair count.
 func BenchmarkFigure10bConcurrentMoves(b *testing.B) {
-	for _, pairs := range figure10bPairs {
+	for _, pairs := range []int{1, 4, 16, 32} {
 		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
 			runExp(b, func() (*eval.Table, error) {
 				return eval.Figure10bConcurrentMoves(eval.Figure10bConfig{
 					Concurrency: []int{pairs}, ChunkCounts: []int{1000},
-				})
-			})
-		})
-	}
-}
-
-// BenchmarkAblationSerializedMoves is the shards=1 ablation of Figure 10(b):
-// the seed's serialized transaction path (single routing lock, sleep-poll
-// completion goroutine per transaction, one goroutine per put frame).
-// Compare against BenchmarkFigure10bConcurrentMoves at the same pair counts
-// to see what the sharded router, completer, and bounded put pool buy.
-func BenchmarkAblationSerializedMoves(b *testing.B) {
-	for _, pairs := range figure10bPairs {
-		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
-			runExp(b, func() (*eval.Table, error) {
-				return eval.Figure10bConcurrentMoves(eval.Figure10bConfig{
-					Concurrency: []int{pairs}, ChunkCounts: []int{1000}, Shards: 1,
 				})
 			})
 		})
@@ -180,14 +155,9 @@ func BenchmarkClusterRebalanceUnderLoad(b *testing.B) {
 // metrics count the loop's actions and the ring sheds across both rows —
 // the loop-on row asserts zero sheds internally, so every shed counted here
 // comes from the unmanaged ablation row, where shedding is the point.
-// OPENMB_ELASTIC=off benches only that ablation.
 func BenchmarkFlashCrowdElastic(b *testing.B) {
 	eval.TakeElasticStats()
-	cfg := eval.FlashCrowdConfig{}
-	if !ElasticDefault() {
-		cfg.Rows = []bool{false}
-	}
-	runExp(b, func() (*eval.Table, error) { return eval.FlashCrowd(cfg) })
+	runExp(b, func() (*eval.Table, error) { return eval.FlashCrowd(eval.FlashCrowdConfig{}) })
 	scaleOuts, scaleIns, drops := eval.TakeElasticStats()
 	b.ReportMetric(float64(scaleOuts)/float64(b.N), "scaleouts/op")
 	b.ReportMetric(float64(scaleIns)/float64(b.N), "scaleins/op")
@@ -224,13 +194,4 @@ func BenchmarkLatencyDuringGet(b *testing.B) {
 // BenchmarkCompressionAblation regenerates the §8.3 compression experiment.
 func BenchmarkCompressionAblation(b *testing.B) {
 	runExp(b, func() (*eval.Table, error) { return eval.CompressionAblation(200) })
-}
-
-// BenchmarkAblationIndexedGet quantifies footnote 6: get time versus
-// resident table size at constant matched subset (the linear-scan penalty an
-// index would remove).
-func BenchmarkAblationIndexedGet(b *testing.B) {
-	runExp(b, func() (*eval.Table, error) {
-		return eval.AblationLinearScan(100, []int{1000, 8000})
-	})
 }

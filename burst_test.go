@@ -1,13 +1,14 @@
 package openmb
 
 // Burst data-path tests. The equivalence suite runs every middlebox over
-// the same packet sequence twice — OPENMB_BURST on (vectorized ProcessBurst,
-// batched ingress) versus off (the seed-faithful per-packet path) — and
-// requires identical emitted wire bytes, identical middlebox state, and
-// identical runtime metrics. BenchmarkChainThroughput is the tentpole's
-// headline number: a monitor→NAT→IPS chain with direct co-located handoff,
-// where ns/op is ns/packet; run it plain and with OPENMB_BURST=off to see
-// what the burst path buys.
+// the same packet sequence twice — its native ProcessBurst fed whole bursts
+// by HandleBurst, versus the same logic behind perPacketOnly (only
+// mbox.Logic visible, so the runtime's per-packet Process shim runs it) fed
+// by HandlePacket — and requires identical emitted wire bytes, identical
+// middlebox state, and identical runtime metrics: a ProcessBurst that
+// diverges from its Process fails here. BenchmarkChainThroughput is a
+// monitor→NAT→IPS chain with direct co-located handoff, where ns/op is
+// ns/packet.
 
 import (
 	"bytes"
@@ -68,10 +69,15 @@ func (e *emitRecorder) bytes() [][]byte {
 	return append([][]byte(nil), e.pkts...)
 }
 
-// runBurstMode hosts logic in a runtime constructed under the given burst
-// mode, feeds it clones of pkts (whole bursts of eqChunk when burst is on,
-// per packet otherwise), drains, and returns the emit record plus the
-// runtime for state/metric inspection.
+// perPacketOnly hides a logic's ProcessBurst: the embedded interface exposes
+// only mbox.Logic's method set, so the runtime runs the logic through its
+// per-packet Process shim — the reference the native burst path must match.
+type perPacketOnly struct{ mbox.Logic }
+
+// runBurstMode hosts logic in a runtime — natively when burst is true, behind
+// perPacketOnly otherwise — feeds it clones of pkts (whole bursts of eqChunk
+// when burst is on, per packet otherwise), drains, and returns the emit
+// record plus the runtime for state/metric inspection.
 const eqChunk = 16
 
 func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Packet) (*emitRecorder, *mbox.Runtime) {
@@ -83,10 +89,10 @@ func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Pac
 
 func newBurstModeRuntime(t *testing.T, burst bool, logic mbox.Logic) (*emitRecorder, *mbox.Runtime) {
 	t.Helper()
-	prev := packet.BurstDefault()
-	packet.SetBurstDefault(burst)
+	if !burst {
+		logic = perPacketOnly{logic}
+	}
 	rt := mbox.New("eq", logic, mbox.Options{})
-	packet.SetBurstDefault(prev)
 	t.Cleanup(rt.Close)
 	rec := &emitRecorder{}
 	rt.SetForward(rec.fwd)
@@ -299,6 +305,11 @@ func TestBurstEquivalenceNAT(t *testing.T) {
 	for f := 8; f < 12; f++ {
 		pkts = append(pkts, flow(f, int64(3100+f))) // expires all but flows 2 and 4
 	}
+	// One flow back to back with a clock jump between its packets: each
+	// packet expires the mapping the one before it just used, so the burst
+	// body's remembered last mapping must be dropped and the flow re-created
+	// on a fresh port. Of two adjacent pairs at least one shares a burst.
+	pkts = append(pkts, flow(4, 5000), flow(4, 7000), flow(4, 9000))
 	natOn, natOff := nat.New(extIP), nat.New(extIP)
 	for _, n := range []*nat.NAT{natOn, natOff} {
 		if err := n.Config().Set("idle_timeout_ns", []string{"1000"}); err != nil {
@@ -326,14 +337,14 @@ func TestBurstEquivalenceNAT(t *testing.T) {
 			expired++
 		}
 	}
-	if created != 12+6+1+4 || expired != 12+5 {
-		t.Errorf("mapping events: %d created, %d expired; the sequence creates 23 and expires 17", created, expired)
+	if created != 12+6+1+4+3 || expired != 12+5+6+2 {
+		t.Errorf("mapping events: %d created, %d expired; the sequence creates 26 and expires 25", created, expired)
 	}
 	if natOn.Drops() != natOff.Drops() || natOff.Drops() != (nat.Drops{NoMapping: 2}) {
 		t.Errorf("drops: burst=%+v per-packet=%+v, want 2 NoMapping each", natOn.Drops(), natOff.Drops())
 	}
-	if natOn.MappingCount() != natOff.MappingCount() || natOff.MappingCount() != 6 {
-		t.Fatalf("mapping count: burst=%d per-packet=%d, want 6", natOn.MappingCount(), natOff.MappingCount())
+	if natOn.MappingCount() != natOff.MappingCount() || natOff.MappingCount() != 1 {
+		t.Fatalf("mapping count: burst=%d per-packet=%d, want 1", natOn.MappingCount(), natOff.MappingCount())
 	}
 	for f := 0; f < 12; f++ {
 		src := netip.AddrFrom4([4]byte{10, 2, 0, byte(f)})
@@ -428,13 +439,14 @@ func TestBurstEquivalenceLB(t *testing.T) {
 
 func TestBurstEquivalenceRE(t *testing.T) {
 	run := func(burst bool) ([][]byte, *re.Encoder, *re.Decoder) {
-		prev := packet.BurstDefault()
-		packet.SetBurstDefault(burst)
 		enc := re.NewEncoder(1 << 16)
 		dec := re.NewDecoder(1 << 16)
-		rtE := mbox.New("enc", enc, mbox.Options{})
-		rtD := mbox.New("dec", dec, mbox.Options{})
-		packet.SetBurstDefault(prev)
+		var encLogic, decLogic mbox.Logic = enc, dec
+		if !burst {
+			encLogic, decLogic = perPacketOnly{enc}, perPacketOnly{dec}
+		}
+		rtE := mbox.New("enc", encLogic, mbox.Options{})
+		rtD := mbox.New("dec", decLogic, mbox.Options{})
 		t.Cleanup(func() { rtE.Close(); rtD.Close() })
 		rec := &emitRecorder{}
 		rtE.SetForward(rtD.HandlePacket)
@@ -503,9 +515,6 @@ func TestBurstEquivalenceRE(t *testing.T) {
 // direct handoff, vectorized ProcessBurst at every hop) allocates nothing
 // per packet in steady state.
 func TestBurstSteadyStateAllocs(t *testing.T) {
-	if !packet.BurstDefault() {
-		t.Skip("OPENMB_BURST=off: the per-packet ablation has no burst allocation invariant")
-	}
 	rig := eval.NewChainRig(64)
 	defer rig.Close()
 	// Warm up: materialize every flow's records at all hops and size the
@@ -550,12 +559,11 @@ func (l *dropOdd) Process(ctx *mbox.Context, p *packet.Packet) {
 // TestBurstChainBorrowDiscipline replays a trace through a full testbed
 // chain — switch, a tap that emits every packet twice, NAT, IPS and a hop
 // that drops every other packet, all colocated (direct handoff), second
-// switch, recording host — on the zero-copy ring path with an ingress drop
-// fault, under the ambient burst mode, and requires every borrowed pooled
-// packet released exactly once after quiesce (the accounting pool panics on
-// a release too many and lists a release too few).
+// switch, recording host — with an ingress drop fault, and requires every
+// borrowed pooled packet released exactly once after quiesce (the accounting
+// pool panics on a release too many and lists a release too few).
 func TestBurstChainBorrowDiscipline(t *testing.T) {
-	b, err := bed.NewWithNet(core.Options{QuietPeriod: 50 * time.Millisecond}, netsim.Options{ZeroCopy: true})
+	b, err := bed.New(core.Options{QuietPeriod: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,9 +627,6 @@ func TestBurstChainBorrowDiscipline(t *testing.T) {
 // tracer machinery exists, only the atomic pointer is nil) the burst chain's
 // zero-allocation steady state must hold exactly as without a tracer.
 func TestChainTracerDisarmedAllocs(t *testing.T) {
-	if !packet.BurstDefault() {
-		t.Skip("OPENMB_BURST=off: the per-packet ablation has no burst allocation invariant")
-	}
 	rig := eval.NewChainRig(64)
 	defer rig.Close()
 	for i := 0; i < 3; i++ {
@@ -644,8 +649,7 @@ func TestChainTracerDisarmedAllocs(t *testing.T) {
 }
 
 // BenchmarkChainThroughput drives the co-located monitor→NAT→IPS chain
-// closed-loop; ns/op is ns/packet end to end. Run with OPENMB_BURST=off for
-// the per-packet ablation — the delta is the tentpole's win.
+// closed-loop; ns/op is ns/packet end to end.
 func BenchmarkChainThroughput(b *testing.B) {
 	rig := eval.NewChainRig(0)
 	defer rig.Close()

@@ -2,21 +2,12 @@
 // evaluation (§8) and prints them as text tables. Run with -exp all (the
 // default) or a comma-separated subset of experiment ids:
 //
-//	f7 f8 t2 t3 f9ab f9c f9d f10a f10b snap sm corr perf comp scan chaos chain obs elastic
+//	f7 f8 t2 t3 f9ab f9c f9d f10a f10b snap sm corr perf comp chaos chain obs elastic
 //
 // -scale full uses parameters close to the paper's sweeps; the default
-// "quick" scale finishes in well under a minute.
-//
-// -codec and -batch select the SBI wire codec (binary by default, json for
-// the paper-faithful compatibility framing) and the number of state chunks
-// per frame for every experiment, so full-sweep tables can compare
-// transfer-plane configurations. -shards sets the controller's
-// transaction-router shard count: 0 (default) lets the controller derive it
-// from GOMAXPROCS, and 1 selects the serialized ablation that reproduces the
-// seed's single-lock transaction path — sweep f10b under both to measure
-// what sharding buys concurrent moves. -zerocopy selects the netsim data
-// path: pooled ring-buffer links (true) or the seed's copying channels and
-// per-event heap packets (false, the ablation).
+// "quick" scale finishes in well under a minute. Every experiment runs on
+// the library defaults (binary codec, 32 chunks per frame, automatic router
+// sharding).
 package main
 
 import (
@@ -27,41 +18,15 @@ import (
 	"strings"
 	"time"
 
-	"openmb/internal/elastic"
 	"openmb/internal/eval"
-	"openmb/internal/netsim"
-	"openmb/internal/packet"
-	"openmb/internal/sbi"
 )
 
 func main() {
-	// Flag defaults inherit the OPENMB_CODEC/OPENMB_BATCH/OPENMB_SHARDS/
-	// OPENMB_ZEROCOPY environment (binary/1/auto/off otherwise), so either
-	// mechanism tunes a run and explicit flags win.
-	envCodec, envBatch := eval.TransferTuning()
 	exp := flag.String("exp", "all", "experiments to run (comma-separated ids, or 'all')")
 	scale := flag.String("scale", "quick", "quick|full parameter scale")
-	codec := flag.String("codec", string(envCodec), "SBI wire codec for all experiments: binary (default) or json (compatibility)")
-	batch := flag.Int("batch", envBatch, "state chunks per SBI frame (1 = the paper's framing)")
-	shards := flag.Int("shards", eval.Shards(), "controller transaction-router shards (0 = auto from GOMAXPROCS, 1 = serialized ablation)")
-	zerocopy := flag.Bool("zerocopy", netsim.ZeroCopyDefault(), "zero-copy netsim data path: pooled packets over ring-buffer links (false = copying ablation)")
-	coalesce := flag.Bool("coalesce", sbi.CoalesceDefault(), "coalesced SBI wire path: flush-on-idle, deferred stream flushes, batched events (false = the seed's flush-per-frame ablation; default from OPENMB_COALESCE)")
-	burst := flag.Bool("burst", packet.BurstDefault(), "burst data path: vectorized NF chains, batched ingress, direct co-located handoff (false = the seed's per-packet ablation; default from OPENMB_BURST)")
 	traceFlow := flag.String("trace-flow", "", "arm the filtered flow tracer on every chain hop with this FieldMatch (e.g. 'nw_dst=8.8.8.8,tp_dst=8080'); the armed-overhead ablation for the chain experiment")
-	traceBudget := flag.Int("trace-budget", 0, "per-hop record budget for -trace-flow (0 = default)")
 	flows := flag.Int("flows", 0, "distinct flows the chain experiment round-robins over (0 = 256); per-packet cost must not grow with it")
 	flag.Parse()
-
-	if err := eval.SetTransferTuning(eval.Codec(*codec), *batch); err != nil {
-		log.Fatal(err)
-	}
-	if err := eval.SetShards(*shards); err != nil {
-		log.Fatal(err)
-	}
-	netsim.SetZeroCopyDefault(*zerocopy)
-	sbi.SetCoalesceDefault(*coalesce)
-	packet.SetBurstDefault(*burst)
-	fmt.Printf("transfer tuning: codec=%s batch=%d shards=%d (0=auto) zerocopy=%v coalesce=%v burst=%v\n\n", *codec, *batch, *shards, *zerocopy, *coalesce, *burst)
 
 	full := *scale == "full"
 	want := map[string]bool{}
@@ -118,9 +83,6 @@ func main() {
 			return eval.LatencyDuringGet(pick(full, 1000, 300), pick(full, 10000, 2000))
 		}},
 		{"comp", func() (*eval.Table, error) { return eval.CompressionAblation(pick(full, 500, 200)) }},
-		{"scan", func() (*eval.Table, error) {
-			return eval.AblationLinearScan(100, pickSlice(full, []int{2000, 8000, 32000}, []int{1000, 4000, 16000}))
-		}},
 		{"chaos", func() (*eval.Table, error) {
 			return eval.RecoveryUnderFailure(eval.ChaosConfig{
 				Pairs:  pick(full, 4, 2),
@@ -129,10 +91,9 @@ func main() {
 		}},
 		{"chain", func() (*eval.Table, error) {
 			return eval.ChainThroughput(eval.ChainConfig{
-				Packets:     pick(full, 1000000, 200000),
-				Flows:       *flows,
-				TraceFlow:   *traceFlow,
-				TraceBudget: *traceBudget,
+				Packets:   pick(full, 1000000, 200000),
+				Flows:     *flows,
+				TraceFlow: *traceFlow,
 			})
 		}},
 		{"obs", func() (*eval.Table, error) {
@@ -150,12 +111,6 @@ func main() {
 					PeakRate: 2400,
 					Cool:     2 * time.Second,
 				}
-			}
-			// The elasticity loop's own default switch: OPENMB_ELASTIC=off
-			// runs only the frozen-fleet ablation row, so the CI sweep can
-			// compare both regimes without a dedicated flag.
-			if !elastic.Default() {
-				cfg.Rows = []bool{false}
 			}
 			return eval.FlashCrowd(cfg)
 		}},

@@ -47,17 +47,16 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9753", "address to accept middlebox connections on")
 	quiet := flag.Duration("quiet-period", 5*time.Second, "event quiescence before completing transactions (the paper's 5 s default)")
 	compress := flag.Bool("compress", false, "flate-compress state transfers (§8.3)")
-	batch := flag.Int("batch", 1, "state chunks per frame during moves (1 = the paper's one-chunk frames)")
-	shards := flag.Int("shards", envInt("OPENMB_SHARDS", 0), "transaction-router shards per replica (0 = auto from GOMAXPROCS, 1 = serialized ablation; default from OPENMB_SHARDS)")
+	batch := flag.Int("batch", 0, "state chunks per frame during moves (0 = the library default, 32; 1 = the paper's one-chunk frames)")
+	shards := flag.Int("shards", envInt("OPENMB_SHARDS", 0), "transaction-router shards per replica (0 = auto from GOMAXPROCS; default from OPENMB_SHARDS)")
 	replicas := flag.Int("replicas", envInt("OPENMB_REPLICAS", 1), "controller replicas in the cluster (1 = single-controller; default from OPENMB_REPLICAS)")
 	rebalance := flag.Duration("rebalance", 0, "interval between live handoffs rotating one middlebox to the next replica (0 = never)")
 	heartbeat := flag.Duration("heartbeat", envDuration("OPENMB_HEARTBEAT", 0), "liveness probe interval for idle middlebox connections (0 = no heartbeats; default from OPENMB_HEARTBEAT)")
 	misses := flag.Int("heartbeat-misses", 0, "silent heartbeat intervals before a connection is declared dead (0 = default 3)")
 	helloTimeout := flag.Duration("hello-timeout", 0, "read deadline for a new connection's hello frame (0 = default 10s)")
 	events := flag.Bool("log-events", true, "log introspection events")
-	coalesce := flag.Bool("coalesce", openmb.CoalesceDefault(), "coalesced SBI wire path: flush-on-idle, deferred stream flushes, batched events (false = the seed's flush-per-frame ablation; default from OPENMB_COALESCE)")
 	metrics := flag.String("metrics", os.Getenv("OPENMB_METRICS"), "address to serve the Prometheus /metrics endpoint on (empty = no endpoint; default from OPENMB_METRICS)")
-	elasticOn := flag.Bool("elastic", openmb.ElasticDefault(), "arm the elasticity loop: sample control-plane load and migrate hot middleboxes to cool replicas (default from OPENMB_ELASTIC)")
+	elasticOn := flag.Bool("elastic", envBool("OPENMB_ELASTIC", true), "arm the elasticity loop: sample control-plane load and migrate hot middleboxes to cool replicas (default from OPENMB_ELASTIC)")
 	elasticInterval := flag.Duration("elastic-interval", 0, "elasticity sampling period (0 = default 50ms)")
 	elasticCooldown := flag.Duration("elastic-cooldown", 0, "quiet window after each elasticity action (0 = default 500ms)")
 	elasticMigrateRatio := flag.Float64("elastic-migrate-ratio", 0, "multiple of peer-mean control load a replica must carry before a migration fires (0 = default 4, negative disables migration)")
@@ -73,7 +72,6 @@ func main() {
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound on draining in-flight transactions")
 	flag.Parse()
 
-	openmb.SetCoalesceDefault(*coalesce)
 	clusterOpts := openmb.ClusterOptions{
 		Replicas:        *replicas,
 		FindRetryWindow: *findRetry,
@@ -128,7 +126,7 @@ func main() {
 		if err := cluster.Serve(openmb.TCPTransport{}, *listen); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("openmb-controller listening on %s (replicas=%d, quiet period %v, compress=%v, batch=%d, shards=%d, heartbeat=%v)",
+		log.Printf("openmb-controller listening on %s (replicas=%d, quiet period %v, compress=%v, batch=%d (0 = library default), shards=%d, heartbeat=%v)",
 			*listen, cluster.Replicas(), *quiet, *compress, *batch, cluster.Shards(), *heartbeat)
 	}
 
@@ -383,6 +381,21 @@ func envDuration(key string, fallback time.Duration) time.Duration {
 		return fallback
 	}
 	return d
+}
+
+// envBool reads an on/off default for a flag; fallback when unset or
+// malformed, like envInt.
+func envBool(key string, fallback bool) bool {
+	switch env := os.Getenv(key); env {
+	case "":
+	case "on", "1", "true":
+		return true
+	case "off", "0", "false":
+		return false
+	default:
+		log.Printf("openmb-controller: ignoring %s=%q: want on/off (or 1/0)", key, env)
+	}
+	return fallback
 }
 
 // envInt reads an integer default for a flag; fallback when unset or

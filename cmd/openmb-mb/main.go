@@ -39,7 +39,6 @@ func main() {
 	lbVIP := flag.String("lb-vip", "1.1.1.100:80", "VIP for -kind lb")
 	lbBackends := flag.String("lb-backends", "1.1.1.10:8080,1.1.1.11:8080", "comma-separated backends for -kind lb")
 	cacheBytes := flag.Int("cache-bytes", 1<<22, "cache capacity for -kind re-encoder/re-decoder")
-	coalesce := flag.Bool("coalesce", openmb.CoalesceDefault(), "coalesced SBI wire path: flush-on-idle, deferred stream flushes, batched events (false = the seed's flush-per-frame ablation; default from OPENMB_COALESCE)")
 	reconnect := flag.Bool("reconnect", false, "redial the controller with exponential backoff when the southbound session drops")
 	reconnectMin := flag.Duration("reconnect-min", 0, "initial redial backoff (0 = default 50ms)")
 	reconnectMax := flag.Duration("reconnect-max", 0, "backoff ceiling (0 = default 2s)")
@@ -50,7 +49,6 @@ func main() {
 		log.Fatal("openmb-mb: -name is required")
 	}
 
-	openmb.SetCoalesceDefault(*coalesce)
 	codec, err := openmb.ParseCodec(*codecName)
 	if err != nil {
 		log.Fatal(err)

@@ -26,11 +26,9 @@ type Bed struct {
 	SDN  *sdn.Controller
 	Ctrl *core.Controller
 	TR   *sbi.MemTransport
-	// Pool is the bed's packet pool. On the zero-copy data path
-	// (netsim.Options.ZeroCopy / OPENMB_ZEROCOPY) InjectTrace draws every
-	// injected packet from it instead of sharing the trace's heap packets
-	// with the network; harness code injecting by hand may clone from it
-	// too.
+	// Pool is the bed's packet pool. InjectTrace draws every injected
+	// packet from it instead of sharing the trace's heap packets with the
+	// network; harness code injecting by hand may clone from it too.
 	Pool *packet.Pool
 
 	mbs map[string]*mbox.Runtime
@@ -39,18 +37,10 @@ type Bed struct {
 // ctrlAddr is the in-memory controller address.
 const ctrlAddr = "openmb-controller"
 
-// New assembles an empty testbed with the given controller options and the
-// default netsim data path (zero-copy if OPENMB_ZEROCOPY turned it on).
+// New assembles an empty testbed with the given controller options.
 func New(opts core.Options) (*Bed, error) {
-	return NewWithNet(opts, netsim.Options{ZeroCopy: netsim.ZeroCopyDefault()})
-}
-
-// NewWithNet assembles an empty testbed with explicit network options. Pass
-// netsim.Options{ZeroCopy: true} for the pooled ring-buffer data path, false
-// for the copying ablation.
-func NewWithNet(opts core.Options, netOpts netsim.Options) (*Bed, error) {
 	b := &Bed{
-		Net:  netsim.NewWithOptions(netOpts),
+		Net:  netsim.New(),
 		SDN:  sdn.NewController(),
 		Ctrl: core.NewController(opts),
 		TR:   sbi.NewMemTransport(),
@@ -83,12 +73,9 @@ func (b *Bed) AddHost(name string, limit int) *netsim.Host {
 func (b *Bed) AddMB(name string, logic mbox.Logic, forwardTo string) (*mbox.Runtime, error) {
 	rt := mbox.New(name, logic, mbox.Options{})
 	if forwardTo != "" {
-		rt.SetForward(func(p *packet.Packet) {
+		rt.SetForwardBurst(func(ps []*packet.Packet) {
 			// Best-effort: a missing link drops, like a real port
 			// with no cable.
-			_ = b.Net.Send(name, forwardTo, p)
-		})
-		rt.SetForwardBurst(func(ps []*packet.Packet) {
 			_ = b.Net.SendBurst(name, forwardTo, ps)
 		})
 	}
@@ -111,9 +98,6 @@ func (b *Bed) AddMB(name string, logic mbox.Logic, forwardTo string) (*mbox.Runt
 func (b *Bed) AddStandaloneMB(name string, logic mbox.Logic, forwardTo string) *mbox.Runtime {
 	rt := mbox.New(name, logic, mbox.Options{})
 	if forwardTo != "" {
-		rt.SetForward(func(p *packet.Packet) {
-			_ = b.Net.Send(name, forwardTo, p)
-		})
 		rt.SetForwardBurst(func(ps []*packet.Packet) {
 			_ = b.Net.SendBurst(name, forwardTo, ps)
 		})
@@ -125,9 +109,8 @@ func (b *Bed) AddStandaloneMB(name string, logic mbox.Logic, forwardTo string) *
 
 // Colocate rewires from's emit path to hand packets directly to to's
 // ingress — the shared-memory fast path between middleboxes hosted on the
-// same node. Emitted packets (and, in burst mode, whole emitted bursts in a
-// single ring synchronization) go straight into the peer runtime's ingress
-// ring, skipping the simulated wire entirely; the paper's co-located NF
+// same node. Whole emitted bursts go straight into the peer runtime's ingress
+// ring in a single ring synchronization, skipping the simulated wire entirely; the paper's co-located NF
 // chains get exactly this hand-off instead of a NIC round-trip. Both
 // middleboxes must already be added; any forwardTo given at add time is
 // overridden.
@@ -140,7 +123,6 @@ func (b *Bed) Colocate(from, to string) error {
 	if !ok {
 		return fmt.Errorf("bed: colocate: no middlebox %q", to)
 	}
-	src.SetForward(dst.HandlePacket)
 	src.SetForwardBurst(dst.HandleBurst)
 	return nil
 }
@@ -206,20 +188,13 @@ func timeoutRemaining(deadline time.Time) time.Duration {
 
 // InjectTrace replays packets into the network at an entry endpoint,
 // optionally pacing them (pace = delay between packets; 0 replays as fast
-// as possible). On the zero-copy path each injected packet is drawn from the
-// bed's pool (a recycled clone of the trace packet), so the trace itself is
-// never mutated or retained by endpoints and steady-state replay allocates
-// nothing; on the copying path the trace's heap packets are injected
-// directly, as the seed did.
+// as possible). Each injected packet is drawn from the bed's pool (a recycled
+// clone of the trace packet), so the trace itself is never mutated or
+// retained by endpoints and steady-state replay allocates nothing.
 func (b *Bed) InjectTrace(at string, pkts []*packet.Packet, pace time.Duration) error {
-	zero := b.Net.ZeroCopy()
 	for _, p := range pkts {
-		q := p
-		if zero {
-			q = b.Pool.Clone(p)
-		}
-		if err := b.Net.Inject(at, q); err != nil {
-			// Inject consumed q's reference even on error.
+		if err := b.Net.Inject(at, b.Pool.Clone(p)); err != nil {
+			// Inject consumed the clone's reference even on error.
 			return fmt.Errorf("bed: inject: %w", err)
 		}
 		if pace > 0 {

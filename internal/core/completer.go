@@ -6,14 +6,11 @@ import (
 	"time"
 )
 
-// completer finishes transactions after event quiescence. The seed dedicated
-// one goroutine per transaction to a sleep-poll loop (time.Sleep of a fifth
-// of the quiet period until quietSince held), so N concurrent moves paid for
-// N pollers waking 5x per period whether or not anything happened. The
-// completer replaces them with a single timer goroutine owning a deadline
-// heap: each pending completion sleeps exactly until its earliest possible
-// quiescence instant, and a transaction that saw events in the meantime is
-// pushed back to its new deadline instead of being polled.
+// completer finishes transactions after event quiescence: a single timer
+// goroutine owning a deadline heap. Each pending completion sleeps exactly
+// until its earliest possible quiescence instant, and a transaction that saw
+// events in the meantime is pushed back to its new deadline instead of being
+// polled.
 type completer struct {
 	ctrl *Controller
 
@@ -191,10 +188,16 @@ func (c *completer) loop() {
 		c.mu.Lock()
 		for len(c.pending) > 0 && c.pending[0].due <= now {
 			e := heap.Pop(&c.pending).(*completion)
-			// Pipeline first, clock second (the order matters — see
-			// txn.quietSince): events the source already delivered but
+			// Quiet means no events for the period AND the source's
+			// event pipeline drained: events the read loop accepted but
 			// the router has not routed will touch the quiet clock when
-			// they route, so re-poll rather than completing past them.
+			// they route, and completing past them would clear source
+			// marks early and orphan their replays — so re-poll. The
+			// pipeline check runs FIRST: if it reads empty at some
+			// instant, every routed event's touch happened before that
+			// instant and is visible to the lastEvent read that follows;
+			// the reverse order races a router draining its backlog
+			// between the two loads and reports quiet right after a burst.
 			if e.t.src.eventsInFlight() > 0 {
 				e.due = now + quiet/5
 				heap.Push(&c.pending, e)

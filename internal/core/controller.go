@@ -44,25 +44,18 @@ type Options struct {
 	CallTimeout time.Duration
 	// BatchSize is how many state chunks the controller asks middleboxes
 	// to pack per MsgChunk frame during moves, and how many it forwards
-	// per put. 0 and 1 mean one chunk per frame (the paper's framing).
+	// per put. 0 selects the default (32); 1 is one chunk per frame, the
+	// paper's framing.
 	BatchSize int
 	// Shards is the number of transaction-router shards event routing,
 	// chunk registration, and put acknowledgment are partitioned over,
 	// rounded up to a power of two. 0 (or a negative value) selects a
-	// default derived from GOMAXPROCS (minimum 2, so the concurrent
-	// lifecycle is the default even on single-core hosts). Shards = 1 is
-	// the serialized ablation:
-	// it restores the seed's transaction path — one global routing lock,
-	// one sleep-poll completion goroutine per transaction, and one
-	// goroutine per put frame — so the sharded fast path can be measured
-	// against it (eval's Figure 10(b) sweep does exactly that).
+	// default derived from GOMAXPROCS (minimum 2). Shards = 1 is a
+	// one-shard router: every key behind one lock, same lifecycle.
 	Shards int
 	// PutWorkers bounds how many puts one MoveInternal keeps in flight
 	// (default 64 — deep enough to hide the put ACK round trip, measured
-	// on the Figure 10(b) sweep, while bounding memory). The seed spawned
-	// one goroutine per received frame, so a large move under concurrency
-	// held thousands of blocked goroutines, their per-call channels, and
-	// their pinned frames.
+	// on the Figure 10(b) sweep, while bounding memory).
 	PutWorkers int
 	// HeartbeatInterval enables liveness probing of connected middleboxes:
 	// a connection quiet for one interval is sent an OpPing, and one quiet
@@ -82,6 +75,12 @@ type Options struct {
 	HelloTimeout time.Duration
 }
 
+// DefaultBatchSize is the chunks-per-frame default: deep enough to amortize
+// the per-frame costs (flush, put round trip, routing-lock acquisition), small
+// enough that a frame of typical chunks stays well under the 64 KiB write
+// buffer.
+const DefaultBatchSize = 32
+
 // maxShards caps the router shard count; beyond this, shard maps cost more
 // than the contention they avoid.
 const maxShards = 4096
@@ -94,11 +93,9 @@ func (o *Options) setDefaults() {
 		o.CallTimeout = 30 * time.Second
 	}
 	if o.BatchSize < 1 {
-		o.BatchSize = 1
+		o.BatchSize = DefaultBatchSize
 	}
 	if o.Shards <= 0 {
-		// 0 and nonsense negatives both select the automatic default;
-		// only an explicit 1 may degrade to the serialized ablation.
 		o.Shards = runtime.GOMAXPROCS(0)
 		if o.Shards < 2 {
 			o.Shards = 2
@@ -210,29 +207,13 @@ func NewController(opts Options) *Controller {
 }
 
 // Shards reports the resolved router shard count (after defaulting and
-// power-of-two rounding); 1 means the serialized ablation path.
+// power-of-two rounding).
 func (c *Controller) Shards() int { return c.opts.Shards }
 
-// serialized reports whether the controller runs the seed's serialized
-// transaction path (the shards=1 ablation).
-func (c *Controller) serialized() bool { return c.opts.Shards == 1 }
-
-// finishAfterQuiet arranges for fn to run once t's source has been quiet for
-// the configured period. The sharded path queues it on the completer; the
-// shards=1 ablation reproduces the seed's per-transaction sleep-poll
-// goroutine.
+// finishAfterQuiet arranges for fn to run, on the completer, once t's source
+// has been quiet for the configured period.
 func (c *Controller) finishAfterQuiet(t *txn, fn func()) {
 	c.txnWG.Add(1)
-	if c.serialized() {
-		go func() {
-			defer c.txnWG.Done()
-			for !t.quietSince(c.opts.QuietPeriod) {
-				time.Sleep(c.opts.QuietPeriod / 5)
-			}
-			fn()
-		}()
-		return
-	}
 	c.completer.schedule(t, func() {
 		defer c.txnWG.Done()
 		fn()

@@ -388,9 +388,9 @@ func TestConcurrentMoves(t *testing.T) {
 	}
 }
 
-// TestShardEquivalence runs the same move-under-traffic scenario on the
-// serialized ablation (Shards: 1, the seed transaction path) and on the
-// sharded router, and requires the identical externally visible outcome:
+// TestShardEquivalence runs the same move-under-traffic scenario on a
+// one-shard router and on an eight-shard one, and requires the identical
+// externally visible outcome:
 // every packet counted exactly once at the destination, the source emptied.
 func TestShardEquivalence(t *testing.T) {
 	const flows = 60

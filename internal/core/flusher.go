@@ -13,11 +13,6 @@ import (
 // drains the dirty list and issues one Flush per connection per pass, so a
 // controller juggling requests, pings, and reprocess forwards across many
 // middleboxes amortizes flush syscalls across all of them.
-//
-// The OPENMB_COALESCE=off ablation needs no special casing here:
-// SendDeferred flushes inline per frame when coalescing is off, so the
-// scheduler's pass finds the connections clean and its Flush calls are
-// no-ops — per-frame wire semantics are preserved by construction.
 type connFlusher struct {
 	mu     sync.Mutex
 	cond   sync.Cond

@@ -283,8 +283,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	// Puts run on a bounded worker pool fed by an unbounded FIFO: the
 	// destination installs chunks from one southbound goroutine anyway,
 	// so PutWorkers in-flight puts keep it saturated, and a queued frame
-	// costs only its payload — far less than the seed's goroutine per
-	// frame (stack + per-call channel). The queue must never block the
+	// costs only its payload. The queue must never block the
 	// producer: the producer is, transitively, the source MB's read
 	// loop, which also delivers the put ACKs the workers wait on.
 	// Backpressuring it deadlocks opposite-direction moves between the
@@ -292,11 +291,9 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	// the ACKs queued behind them undeliverable). The pool spawns on
 	// the first frame, all workers at once — a move that exports
 	// nothing pays for no goroutines, and spawning per frame measurably
-	// delays pipeline fill-up. The shards=1 ablation reproduces the
-	// seed's unbounded goroutine-per-frame fan-out instead.
-	serialized := c.serialized()
+	// delays pipeline fill-up.
 	var putWG sync.WaitGroup
-	var queue *putQueue
+	queue := newPutQueue()
 	var poolOnce sync.Once
 	enqueue := func(j putJob) {
 		poolOnce.Do(func() {
@@ -315,9 +312,6 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			}
 		})
 		queue.push(j)
-	}
-	if !serialized {
-		queue = newPutQueue()
 	}
 
 	// One get per state class; the read loop registers each streamed
@@ -340,16 +334,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
 			c.chunksMoved.Add(uint64(len(keys)))
 			c.bytesMoved.Add(bytes)
-			j := putJob{op: putOp, frame: chunk, keys: keys}
-			if serialized {
-				putWG.Add(1)
-				go func() {
-					defer putWG.Done()
-					doPut(j)
-				}()
-				return nil
-			}
-			enqueue(j)
+			enqueue(putJob{op: putOp, frame: chunk, keys: keys})
 			return nil
 		})
 		// Get-stream duration: first request frame to the stream's done.
@@ -364,9 +349,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	go func() { defer getWG.Done(); movePair(sbi.OpGetSupportPerflow, sbi.OpPutSupportPerflow) }()
 	go func() { defer getWG.Done(); movePair(sbi.OpGetReportPerflow, sbi.OpPutReportPerflow) }()
 	getWG.Wait()
-	if !serialized {
-		queue.close()
-	}
+	queue.close()
 	putWG.Wait()
 	// The move window closes here: every chunk is exported and its put
 	// ACKed, so the destination owns the state (the quiet-period delete at

@@ -70,21 +70,6 @@ func newTxn(c *Controller, src, dst *mbConn) *txn {
 // touch records source activity, pushing quiescence out.
 func (t *txn) touch() { t.lastEvent.Store(time.Now().UnixNano()) }
 
-// quietSince reports whether no events have arrived for d AND the source
-// connection's event pipeline is drained. The second condition is
-// load-bearing with the decoupled event router: events the read loop has
-// accepted but the router has not yet routed have not touched the quiet
-// clock, and completing past them would clear source marks early and
-// orphan their replays.
-// The pipeline check runs FIRST: if it reads empty at some instant, every
-// routed event's touch happened before that instant and is visible to the
-// lastEvent read that follows. The reverse order races a router draining
-// its backlog between the two loads — a stale-then-fresh interleaving that
-// reports quiet right after a burst.
-func (t *txn) quietSince(d time.Duration) bool {
-	return t.src.eventsInFlight() == 0 && time.Now().UnixNano()-t.lastEvent.Load() >= int64(d)
-}
-
 // quietAt returns the earliest unix-nano instant the transaction can
 // complete if no further events arrive.
 func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64(d) }

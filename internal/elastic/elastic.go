@@ -30,7 +30,6 @@ package elastic
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,28 +37,6 @@ import (
 
 	"openmb/internal/obs"
 )
-
-// elasticDefault gates whether daemons and eval rigs arm the loop by
-// default; OPENMB_ELASTIC=off selects the unmanaged ablation.
-var elasticDefault atomic.Bool
-
-func init() {
-	switch v := os.Getenv("OPENMB_ELASTIC"); v {
-	case "", "on", "1", "true":
-		elasticDefault.Store(true)
-	case "off", "0", "false":
-		elasticDefault.Store(false)
-	default:
-		panic("elastic: OPENMB_ELASTIC: want on/off (or 1/0), got " + v)
-	}
-}
-
-// SetDefault sets whether the elasticity loop is armed by default. Also
-// settable with OPENMB_ELASTIC=off.
-func SetDefault(on bool) { elasticDefault.Store(on) }
-
-// Default reports whether the elasticity loop is armed by default.
-func Default() bool { return elasticDefault.Load() }
 
 // Clock abstracts time for the loop so hysteresis and cooldown arithmetic
 // is deterministically testable.

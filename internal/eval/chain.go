@@ -49,13 +49,9 @@ const chainOutstanding = 2048
 
 // ChainRig is the co-located NF chain the burst benchmarks drive: a
 // monitor tap, a NAT, and an IPS wired hop to hop by direct handoff
-// (SetForward/SetForwardBurst straight into the next runtime's ingress) —
-// no simulated wire, the paper's same-node chain layout. The rig honours
-// the ambient OPENMB_BURST mode captured at construction: burst on injects
-// and hands off whole batches; burst off is the seed-faithful per-packet
-// path.
+// (SetForwardBurst straight into the next runtime's ingress) — no simulated
+// wire, the paper's same-node chain layout.
 type ChainRig struct {
-	burst     bool
 	pool      *packet.Pool
 	tmpl      []*packet.Packet
 	first     *mbox.Runtime
@@ -84,10 +80,7 @@ func NewChainRig(flows int) *ChainRig {
 	if flows <= 0 {
 		flows = 256
 	}
-	r := &ChainRig{
-		burst: packet.BurstDefault(),
-		pool:  packet.NewPool(packet.PoolOptions{}),
-	}
+	r := &ChainRig{pool: packet.NewPool(packet.PoolOptions{})}
 	r.tmpl = make([]*packet.Packet, flows)
 	for i := range r.tmpl {
 		r.tmpl[i] = chainPacket(i)
@@ -95,14 +88,8 @@ func NewChainRig(flows int) *ChainRig {
 	rtMon := mbox.New("chain-mon", &fwdMonitor{Monitor: monitor.New()}, mbox.Options{})
 	rtNAT := mbox.New("chain-nat", nat.New(netip.MustParseAddr("192.0.2.1")), mbox.Options{})
 	rtIPS := mbox.New("chain-ips", ips.New(), mbox.Options{})
-	rtMon.SetForward(rtNAT.HandlePacket)
 	rtMon.SetForwardBurst(rtNAT.HandleBurst)
-	rtNAT.SetForward(rtIPS.HandlePacket)
 	rtNAT.SetForwardBurst(rtIPS.HandleBurst)
-	rtIPS.SetForward(func(p *packet.Packet) {
-		r.delivered.Add(1)
-		p.Release()
-	})
 	rtIPS.SetForwardBurst(func(ps []*packet.Packet) {
 		r.delivered.Add(uint64(len(ps)))
 		for _, p := range ps {
@@ -122,8 +109,7 @@ func (r *ChainRig) Runtime(i int) *mbox.Runtime { return r.rts[i] }
 
 // Inject drives n pooled packets through the chain closed-loop (as fast as
 // the chain drains, with bounded in-flight population) and waits until the
-// terminal hop has delivered them all. In burst mode injection is whole
-// bursts; otherwise per packet.
+// terminal hop has delivered them all. Injection is whole bursts.
 func (r *ChainRig) Inject(n int) error {
 	start := r.delivered.Load()
 	deadline := time.Now().Add(120 * time.Second)
@@ -137,13 +123,7 @@ func (r *ChainRig) Inject(n int) error {
 		for i := 0; i < k; i++ {
 			buf[i] = r.pool.Clone(r.tmpl[(sent+i)%len(r.tmpl)])
 		}
-		if r.burst {
-			r.first.HandleBurst(buf[:k])
-		} else {
-			for i := 0; i < k; i++ {
-				r.first.HandlePacket(buf[i])
-			}
-		}
+		r.first.HandleBurst(buf[:k])
 		sent += k
 		for int64(sent)-int64(r.delivered.Load()-start) > chainOutstanding {
 			if time.Now().After(deadline) {
@@ -201,7 +181,7 @@ func (r *ChainRig) Close() {
 
 // ChainConfig parameterizes ChainThroughput.
 type ChainConfig struct {
-	Packets int // packets per mode (default 200000)
+	Packets int // timed packets (default 200000)
 	Flows   int // distinct flows (default 256)
 	Rate    int // paced injection rate in pps; 0 = closed-loop max rate
 
@@ -209,9 +189,8 @@ type ChainConfig struct {
 	// hop of the chain before injection — the armed-tracer overhead
 	// ablation. The value is a FieldMatch in the northbound syntax
 	// (e.g. "nw_dst=8.8.8.8,tp_dst=8080"); per-hop record counts land in
-	// the table notes. TraceBudget bounds records per hop (0 = default).
-	TraceFlow   string
-	TraceBudget int
+	// the table notes.
+	TraceFlow string
 }
 
 func (c *ChainConfig) setDefaults() {
@@ -223,11 +202,8 @@ func (c *ChainConfig) setDefaults() {
 	}
 }
 
-// ChainThroughput measures the burst data path end to end: the same
-// monitor→NAT→IPS chain, burst mode on versus the OPENMB_BURST=off
-// per-packet ablation, reporting per-packet cost and throughput. This is
-// the tentpole's headline number — what vectorized NF chains with direct
-// co-located handoff buy over the seed path.
+// ChainThroughput measures the data path end to end: the monitor→NAT→IPS
+// chain's per-packet cost and throughput.
 func ChainThroughput(cfg ChainConfig) (*Table, error) {
 	cfg.setDefaults()
 	var spec *obs.TraceSpec
@@ -236,63 +212,45 @@ func ChainThroughput(cfg ChainConfig) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: chain trace-flow: %w", err)
 		}
-		spec = &obs.TraceSpec{Match: m, Budget: cfg.TraceBudget}
+		spec = &obs.TraceSpec{Match: m}
 	}
 	tbl := &Table{
 		ID:      "chain",
 		Title:   "NF chain throughput: monitor→NAT→IPS, direct co-located handoff",
-		Columns: []string{"burst", "packets", "ns/packet", "pps"},
+		Columns: []string{"packets", "ns/packet", "pps"},
 		Notes: []string{
-			"burst=off is the seed-faithful per-packet ablation (OPENMB_BURST=off)",
 			fmt.Sprintf("closed-loop injection, %d flows, rate=%d", cfg.Flows, cfg.Rate),
 		},
 	}
+	rig := NewChainRig(cfg.Flows)
+	defer rig.Close()
+	// One pass over the flows first, so the timed packets all find their
+	// per-flow state in place at every hop.
+	if err := rig.Inject(cfg.Flows); err != nil {
+		return nil, err
+	}
 	if spec != nil {
+		for _, rt := range rig.rts {
+			rt.ArmTrace(*spec)
+		}
+	}
+	startT := time.Now()
+	err := rig.InjectPaced(cfg.Packets, cfg.Rate)
+	elapsed := time.Since(startT)
+	if err != nil {
+		return nil, err
+	}
+	if spec != nil {
+		counts := make([]string, 0, len(rig.rts))
+		for i, rt := range rig.rts {
+			counts = append(counts, fmt.Sprintf("hop%d=%d", i, len(rt.TraceRecords())))
+		}
 		tbl.Notes = append(tbl.Notes,
-			fmt.Sprintf("flow tracer ARMED on every hop: match %q, budget %d/hop — armed-overhead ablation", cfg.TraceFlow, spec.Budget))
+			fmt.Sprintf("flow tracer ARMED on every hop: match %q — armed-overhead ablation", cfg.TraceFlow),
+			"trace records captured: "+strings.Join(counts, " "))
 	}
-	prev := packet.BurstDefault()
-	defer packet.SetBurstDefault(prev)
-	for _, on := range []bool{true, false} {
-		packet.SetBurstDefault(on)
-		rig := NewChainRig(cfg.Flows)
-		// One pass over the flows first, so the timed packets all find
-		// their per-flow state in place at every hop.
-		if err := rig.Inject(cfg.Flows); err != nil {
-			rig.Close()
-			return nil, err
-		}
-		if spec != nil {
-			for _, rt := range rig.rts {
-				rt.ArmTrace(*spec)
-			}
-		}
-		startT := time.Now()
-		err := rig.InjectPaced(cfg.Packets, cfg.Rate)
-		elapsed := time.Since(startT)
-		if spec != nil {
-			mode := "on"
-			if !on {
-				mode = "off"
-			}
-			counts := make([]string, 0, len(rig.rts))
-			for i, rt := range rig.rts {
-				counts = append(counts, fmt.Sprintf("hop%d=%d", i, len(rt.TraceRecords())))
-			}
-			tbl.Notes = append(tbl.Notes,
-				fmt.Sprintf("burst=%s trace records captured: %s", mode, strings.Join(counts, " ")))
-		}
-		rig.Close()
-		if err != nil {
-			return nil, err
-		}
-		mode := "on"
-		if !on {
-			mode = "off"
-		}
-		tbl.AddRow(mode, cfg.Packets,
-			float64(elapsed.Nanoseconds())/float64(cfg.Packets),
-			float64(cfg.Packets)/elapsed.Seconds())
-	}
+	tbl.AddRow(cfg.Packets,
+		float64(elapsed.Nanoseconds())/float64(cfg.Packets),
+		float64(cfg.Packets)/elapsed.Seconds())
 	return tbl, nil
 }

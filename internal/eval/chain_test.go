@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"openmb/internal/packet"
 	"openmb/internal/racedetect"
 )
 
@@ -16,9 +15,6 @@ import (
 // at the sink comes back to the source), are all delivered, and leave the
 // pool balanced.
 func TestChainPacketBudget(t *testing.T) {
-	if !packet.BurstDefault() {
-		t.Skip("OPENMB_BURST=off: the budget is the burst path's")
-	}
 	const flows = 256
 	rig := NewChainRig(flows)
 	defer rig.Close()

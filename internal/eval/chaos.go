@@ -90,8 +90,6 @@ func onOff(b bool) string {
 func runRecovery(pairs, chunks int, heartbeat, chaos bool) (avg, recovery time.Duration, err error) {
 	opts := core.Options{
 		QuietPeriod: 50 * time.Millisecond,
-		BatchSize:   transferBatch,
-		Shards:      transferShards,
 	}
 	if heartbeat {
 		opts.HeartbeatInterval = 25 * time.Millisecond
@@ -120,7 +118,7 @@ func runRecovery(pairs, chunks int, heartbeat, chaos bool) (avg, recovery time.D
 		}
 	}()
 	attach := func(name string, logic mbox.Logic) error {
-		rt := mbox.New(name, logic, mbox.Options{Codec: transferCodec})
+		rt := mbox.New(name, logic, mbox.Options{})
 		if err := rt.Connect(tr, "cluster"); err != nil {
 			rt.Close()
 			return err

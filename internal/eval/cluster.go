@@ -86,8 +86,6 @@ func timeClusterMoves(pairs, chunks, replicas, handoffs int) (time.Duration, uin
 		Replicas: replicas,
 		Controller: core.Options{
 			QuietPeriod: 50 * time.Millisecond,
-			BatchSize:   transferBatch,
-			Shards:      transferShards,
 		},
 	})
 	defer cl.Close()
@@ -105,7 +103,7 @@ func timeClusterMoves(pairs, chunks, replicas, handoffs int) (time.Duration, uin
 		}
 	}()
 	attach := func(name string, logic mbox.Logic) error {
-		rt := mbox.New(name, logic, mbox.Options{Codec: transferCodec})
+		rt := mbox.New(name, logic, mbox.Options{})
 		if err := rt.Connect(tr, "cluster"); err != nil {
 			rt.Close()
 			return err

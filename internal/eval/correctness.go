@@ -224,7 +224,7 @@ func LatencyDuringGet(flows, packetsPerPhase int) (*Table, error) {
 			getOp = sbi.OpGetSupportPerflow
 		}
 		for i := 0; i < 3; i++ {
-			id, err := d.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: transferBatch})
+			id, err := d.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: core.DefaultBatchSize})
 			if err != nil {
 				return err
 			}
@@ -305,85 +305,6 @@ func CompressionAblation(chunks int) (*Table, error) {
 	return t, nil
 }
 
-// AblationLinearScan quantifies footnote 6 of the paper: the linear-scan
-// get's cost grows with the resident table size even when the matched subset
-// is constant, while the indexed variant (the monitor's "indexed_get" knob —
-// the wildcard-match structure the footnote suggests) stays near-flat.
-func AblationLinearScan(matched int, tableSizes []int) (*Table, error) {
-	if matched == 0 {
-		matched = 100
-	}
-	if len(tableSizes) == 0 {
-		tableSizes = []int{1000, 2000, 4000, 8000}
-	}
-	t := &Table{
-		ID:      "A-SCAN",
-		Title:   "get time vs resident table size (constant matched subset): scan vs indexed",
-		Columns: []string{"table_size", "matched", "scan_get", "indexed_get"},
-	}
-	m, _ := packet.ParseFieldMatch(fmt.Sprintf("[nw_src=10.0.0.0/%d]", 32-bitsFor(matched)))
-	timeGet := func(mon *monitor.Monitor) (time.Duration, int, error) {
-		// Repeat and take the minimum: at small table sizes the get is
-		// microseconds and allocator noise would dominate a single shot.
-		best := time.Duration(0)
-		n := 0
-		for rep := 0; rep < 7; rep++ {
-			start := time.Now()
-			n = 0
-			err := mon.GetPerflow(state.Reporting, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-				if _, err := build(func() {}); err != nil {
-					return err
-				}
-				n++
-				return nil
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			if elapsed := time.Since(start); rep == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return best, n, nil
-	}
-	for _, size := range tableSizes {
-		scanMon := monitor.New()
-		// The index is on by default now; the scan column measures the
-		// paper-faithful linear search, so force it off here.
-		if err := scanMon.Config().Set("indexed_get", []string{"off"}); err != nil {
-			return nil, err
-		}
-		preloadMonitor(scanMon, size).Close()
-		scanTime, n, err := timeGet(scanMon)
-		if err != nil {
-			return nil, err
-		}
-		idxMon := monitor.New()
-		if err := idxMon.Config().Set("indexed_get", []string{"on"}); err != nil {
-			return nil, err
-		}
-		preloadMonitor(idxMon, size).Close()
-		idxTime, n2, err := timeGet(idxMon)
-		if err != nil {
-			return nil, err
-		}
-		if n2 != n {
-			return nil, fmt.Errorf("eval: indexed get returned %d chunks, scan returned %d", n2, n)
-		}
-		t.AddRow(size, n, scanTime, idxTime)
-	}
-	t.Notes = append(t.Notes, "paper footnote 6: wildcard-match techniques from switches could avoid the scan; the indexed column is that technique")
-	return t, nil
-}
-
-func bitsFor(n int) int {
-	b := 0
-	for (1 << b) < n {
-		b++
-	}
-	return b
-}
-
 // RenderAll runs every experiment with test-scale defaults and returns the
 // rendered tables in a stable order. cmd/openmb-bench uses larger scales.
 func RenderAll() ([]string, error) {
@@ -417,7 +338,6 @@ func RenderAll() ([]string, error) {
 		{"S-CORR", func() (*Table, error) { return CorrectnessDiff(51, 30) }},
 		{"S-PERF", func() (*Table, error) { return LatencyDuringGet(200, 1500) }},
 		{"S-COMP", func() (*Table, error) { return CompressionAblation(200) }},
-		{"A-SCAN", func() (*Table, error) { return AblationLinearScan(50, []int{500, 1000, 2000}) }},
 	}
 	for _, e := range exps {
 		tbl, err := e.run()

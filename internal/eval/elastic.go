@@ -24,8 +24,9 @@ import (
 // measures the data-plane cost of one move (Figures 7/10); this closes the
 // loop the paper leaves to the operator and asserts the end-to-end contract:
 // the fleet grows under the crowd, shrinks after it, and not one packet or
-// per-flow record is lost along the way. The OPENMB_ELASTIC=off ablation
-// rides the identical workload on the frozen fleet and is expected to shed.
+// per-flow record is lost along the way. The loop-off ablation row
+// (FlashCrowdConfig.Rows) rides the identical workload on the frozen fleet
+// and is expected to shed.
 
 // FlashCrowdConfig parameterizes FlashCrowd.
 type FlashCrowdConfig struct {
@@ -141,8 +142,6 @@ func runFlashCrowd(cfg FlashCrowdConfig, loopOn bool) (fcResult, error) {
 		Replicas: 2,
 		Controller: core.Options{
 			QuietPeriod: 50 * time.Millisecond,
-			BatchSize:   transferBatch,
-			Shards:      transferShards,
 		},
 	})
 	defer cl.Close()
@@ -320,7 +319,7 @@ func (d *fcDriver) connect(name string, preload int) (*elastic.Member, error) {
 	if preload > 0 {
 		logic.Preload(preload)
 	}
-	rt := mbox.New(name, logic, mbox.Options{Codec: transferCodec, QueueSize: d.cfg.QueueSize})
+	rt := mbox.New(name, logic, mbox.Options{QueueSize: d.cfg.QueueSize})
 	if err := rt.Connect(d.tr, "cluster"); err != nil {
 		rt.Close()
 		return nil, err
@@ -508,9 +507,9 @@ func fcSchedule(flows int) []int {
 	return sched
 }
 
-// Elastic-stat accumulation for the CI bench job, in the TakeWireStats
-// pattern: FlashCrowd records each row's decisions and sheds here so the
-// benchmark harness can persist them in BENCH_9.json.
+// Elastic-stat accumulation, in the TakeWireStats pattern: FlashCrowd records
+// each row's decisions and sheds here so BenchmarkFlashCrowdElastic can
+// report them as custom metrics.
 var (
 	elasticScaleOuts atomic.Uint64
 	elasticScaleIns  atomic.Uint64

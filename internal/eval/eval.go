@@ -9,10 +9,8 @@ package eval
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -21,81 +19,6 @@ import (
 	"openmb/internal/mbox"
 	"openmb/internal/sbi"
 )
-
-// Codec re-exports sbi.Codec for flag plumbing in cmd/openmb-bench.
-type Codec = sbi.Codec
-
-// Transfer tuning: which SBI codec, chunk batch size, and controller shard
-// count every experiment rig uses. Defaults are the binary codec (the SBI
-// default since the hello negotiation shipped; OPENMB_CODEC=json restores
-// the paper-faithful framing), one chunk per frame, and automatic router
-// sharding. cmd/openmb-bench overrides them from -codec/-batch/-shards
-// flags, and the OPENMB_CODEC / OPENMB_BATCH / OPENMB_SHARDS environment
-// variables tune `go test -bench` runs without touching the benchmark table
-// (so before/after sweeps compare identical experiments).
-var (
-	transferCodec = sbi.CodecBinary
-	transferBatch = 1
-	// transferShards is the controller router shard count: 0 selects the
-	// controller's GOMAXPROCS-derived default, 1 the serialized ablation.
-	transferShards = 0
-)
-
-func init() {
-	if env := os.Getenv("OPENMB_CODEC"); env != "" {
-		c, err := sbi.ParseCodec(env)
-		if err != nil {
-			// A typo'd sweep config must not silently fall back and
-			// mislabel the resulting numbers.
-			panic("eval: OPENMB_CODEC: " + err.Error())
-		}
-		transferCodec = c
-	}
-	if env := os.Getenv("OPENMB_BATCH"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n < 1 {
-			panic("eval: OPENMB_BATCH: want a positive integer, got " + strconv.Quote(env))
-		}
-		transferBatch = n
-	}
-	if env := os.Getenv("OPENMB_SHARDS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n < 0 {
-			panic("eval: OPENMB_SHARDS: want a non-negative integer, got " + strconv.Quote(env))
-		}
-		transferShards = n
-	}
-}
-
-// SetTransferTuning sets the codec and batch size used by every experiment's
-// controller and middlebox connections. batch < 1 means 1.
-func SetTransferTuning(codec sbi.Codec, batch int) error {
-	c, err := sbi.ParseCodec(string(codec))
-	if err != nil {
-		return err
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	transferCodec, transferBatch = c, batch
-	return nil
-}
-
-// TransferTuning reports the active codec and batch size.
-func TransferTuning() (sbi.Codec, int) { return transferCodec, transferBatch }
-
-// SetShards sets the controller router shard count every experiment rig uses:
-// 0 means the controller's automatic default, 1 the serialized ablation.
-func SetShards(n int) error {
-	if n < 0 {
-		return fmt.Errorf("eval: shards must be >= 0, got %d", n)
-	}
-	transferShards = n
-	return nil
-}
-
-// Shards reports the active router shard setting (0 = automatic).
-func Shards() int { return transferShards }
 
 // Table is one experiment's output.
 type Table struct {
@@ -172,12 +95,6 @@ type rig struct {
 }
 
 func newRig(opts core.Options) (*rig, error) {
-	if opts.BatchSize == 0 {
-		opts.BatchSize = transferBatch
-	}
-	if opts.Shards == 0 {
-		opts.Shards = transferShards
-	}
 	r := &rig{ctrl: core.NewController(opts), tr: sbi.NewMemTransport()}
 	if err := r.ctrl.Serve(r.tr, "ctrl"); err != nil {
 		return nil, err
@@ -186,7 +103,7 @@ func newRig(opts core.Options) (*rig, error) {
 }
 
 func (r *rig) add(name string, logic mbox.Logic) (*mbox.Runtime, error) {
-	rt := mbox.New(name, logic, mbox.Options{Codec: transferCodec})
+	rt := mbox.New(name, logic, mbox.Options{})
 	if err := rt.Connect(r.tr, "ctrl"); err != nil {
 		rt.Close()
 		return nil, err
@@ -225,7 +142,7 @@ func newDirectMB(name string, logic mbox.Logic) (*directMB, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := mbox.New(name, logic, mbox.Options{Codec: transferCodec})
+	rt := mbox.New(name, logic, mbox.Options{})
 	accepted := make(chan *sbi.Conn, 1)
 	go func() {
 		raw, err := l.Accept()
@@ -369,8 +286,7 @@ func pace(rate int, stop <-chan struct{}, send func(i int)) {
 // Wire-counter accumulation: experiments that exercise the southbound wire
 // path record their middlebox connections' frame/flush counters here, so
 // the benchmark table can report the frames-per-flush ratio the coalesced
-// write path exists to raise (and the CI bench job can persist it in
-// BENCH_5.json).
+// write path exists to raise.
 var (
 	wireFrames  atomic.Uint64
 	wireFlushes atomic.Uint64

@@ -244,20 +244,6 @@ func TestCompressionAblationShape(t *testing.T) {
 	}
 }
 
-func TestAblationLinearScanGrows(t *testing.T) {
-	tbl := mustRun(t, func() (*Table, error) { return AblationLinearScan(50, []int{1000, 16000}) })
-	at := func(row int) time.Duration {
-		d, err := time.ParseDuration(cell(t, tbl, row, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	if at(1) <= at(0) {
-		t.Fatalf("scan time should grow with table size: %v vs %v", at(0), at(1))
-	}
-}
-
 func TestFigure7Runs(t *testing.T) {
 	tbl := mustRun(t, func() (*Table, error) {
 		return Figure7ScaleUpTimeline(Figure7Config{

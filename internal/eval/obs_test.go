@@ -121,7 +121,8 @@ func TestObsReportShape(t *testing.T) {
 	if atoi(t, cell(t, tbl, 1, 1)) < 2 {
 		t.Fatalf("get row = %v", tbl.Rows[1])
 	}
-	if atoi(t, cell(t, tbl, 2, 1)) < 50 {
+	// One put per frame: 2 moves × ⌈50 chunks / 32 per frame⌉.
+	if atoi(t, cell(t, tbl, 2, 1)) < 4 {
 		t.Fatalf("put-ack row = %v", tbl.Rows[2])
 	}
 	var sawTracer, sawScrape bool

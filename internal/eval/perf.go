@@ -12,7 +12,6 @@ import (
 	"openmb/internal/mbox/ips"
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/mbox/monitor"
-	"openmb/internal/netsim"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
 	"openmb/internal/state"
@@ -20,11 +19,9 @@ import (
 )
 
 // pktSource supplies the per-event packets the paced injection loops feed
-// middleboxes. On the zero-copy path (netsim.ZeroCopyDefault, i.e.
-// OPENMB_ZEROCOPY or -zerocopy) every packet is a pooled clone of a prebuilt
-// template — recycled as soon as the runtime releases it, so steady-state
-// replay allocates nothing. Otherwise each event gets a fresh heap packet,
-// the seed's behaviour and the measurable ablation.
+// middleboxes: every packet is a pooled clone of a prebuilt template —
+// recycled as soon as the runtime releases it, so steady-state replay
+// allocates nothing.
 type pktSource struct {
 	pool      *packet.Pool
 	templates []*packet.Packet
@@ -32,9 +29,6 @@ type pktSource struct {
 
 // newPktSource prepares a source cycling over the given number of flows.
 func newPktSource(flows int) *pktSource {
-	if !netsim.ZeroCopyDefault() {
-		return &pktSource{}
-	}
 	s := &pktSource{pool: packet.NewPool(packet.PoolOptions{})}
 	s.templates = make([]*packet.Packet, flows)
 	for i := range s.templates {
@@ -46,9 +40,6 @@ func newPktSource(flows int) *pktSource {
 // packetFor returns the i-th event's packet (caller owns one reference; the
 // receiving runtime releases it after processing).
 func (s *pktSource) packetFor(i int) *packet.Packet {
-	if s.pool == nil {
-		return mbtest.PacketForFlow(i)
-	}
 	return s.pool.Clone(s.templates[i%len(s.templates)])
 }
 
@@ -101,7 +92,7 @@ func measureGetPut(srcLogic, dstLogic mbox.Logic, class state.Class) (getTime, p
 
 	var collected []state.Chunk
 	start := time.Now()
-	id, err := src.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: transferBatch})
+	id, err := src.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: core.DefaultBatchSize})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -113,12 +104,12 @@ func measureGetPut(srcLogic, dstLogic mbox.Logic, class state.Class) (getTime, p
 	getTime = time.Since(start)
 
 	start = time.Now()
-	// Pipelined puts, batched per the transfer tuning: issue all frames,
-	// then await all ACKs (Figure 5's stream). Framing reuses the same
+	// Pipelined puts, batched at the controller's default like a move's:
+	// issue all frames, then await all ACKs (Figure 5's stream). Framing reuses the same
 	// sbi helper the controller's move pipeline is built on, so the
 	// harness measures the production batching rather than a copy of it.
 	var ids []uint64
-	if err := sbi.FrameChunks(collected, transferBatch, func(frame []state.Chunk) error {
+	if err := sbi.FrameChunks(collected, core.DefaultBatchSize, func(frame []state.Chunk) error {
 		put := &sbi.Message{Type: sbi.MsgRequest, Op: putOp}
 		put.SetChunks(frame)
 		pid, err := dst.request(put)
@@ -295,7 +286,7 @@ func countMoveEvents(logic mbox.Logic, flows, rate int, window time.Duration) (u
 	if logic.Kind() == ips.Kind {
 		getOp = sbi.OpGetSupportPerflow
 	}
-	id, err := d.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: transferBatch})
+	id, err := d.request(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Match: packet.MatchAll, Batch: core.DefaultBatchSize})
 	if err != nil {
 		close(stop)
 		wg.Wait()
@@ -425,13 +416,6 @@ func timeMove(n, eventRate int) (time.Duration, error) {
 type Figure10bConfig struct {
 	Concurrency []int // default {1, 2, 4, 8, 16, 32, 64}
 	ChunkCounts []int // default {1000, 2000, 3000}
-	// Shards sets the controller's transaction-router shard count for the
-	// sweep: 0 (the default) uses the active transfer tuning (OPENMB_SHARDS
-	// or -shards, else the controller's GOMAXPROCS-derived default), and 1
-	// is the serialized ablation that reproduces the seed's single-lock
-	// transaction path — run both to see what sharding buys at high
-	// concurrency.
-	Shards int
 }
 
 func (c *Figure10bConfig) setDefaults() {
@@ -445,48 +429,45 @@ func (c *Figure10bConfig) setDefaults() {
 
 // Figure10bConcurrentMoves reproduces Figure 10(b): average time per move
 // versus the number of simultaneous moves, for several chunk counts.
-// Expected shape: average move time grows with both concurrency and state;
-// with the sharded transaction router the growth stays near-linear where the
-// serialized (shards=1) baseline degrades super-linearly.
+// Expected shape: average move time grows near-linearly with both
+// concurrency and state.
 func Figure10bConcurrentMoves(cfg Figure10bConfig) (*Table, error) {
 	cfg.setDefaults()
 	t := &Table{
 		ID:      "F10b",
 		Title:   "controller: avg time per moveInternal vs simultaneous moves",
-		Columns: []string{"simultaneous", "chunks", "shards", "avg_move"},
+		Columns: []string{"simultaneous", "chunks", "avg_move"},
 	}
 	for _, chunks := range cfg.ChunkCounts {
 		for _, k := range cfg.Concurrency {
-			avg, shards, err := timeConcurrentMoves(k, chunks, cfg.Shards)
+			avg, err := timeConcurrentMoves(k, chunks)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(k, chunks, shards, avg)
+			t.AddRow(k, chunks, avg)
 		}
 	}
 	t.Notes = append(t.Notes,
-		"paper: avg move time increases linearly with simultaneous operations and chunk count",
-		"shards=1 is the serialized ablation (seed transaction path); compare against the sharded default")
+		"paper: avg move time increases linearly with simultaneous operations and chunk count")
 	return t, nil
 }
 
 // timeConcurrentMoves runs `pairs` simultaneous moves of `chunks` chunks each
-// and returns the average move latency plus the controller's resolved shard
-// count.
-func timeConcurrentMoves(pairs, chunks, shards int) (time.Duration, int, error) {
-	r, err := newRig(core.Options{QuietPeriod: 50 * time.Millisecond, Shards: shards})
+// and returns the average move latency.
+func timeConcurrentMoves(pairs, chunks int) (time.Duration, error) {
+	r, err := newRig(core.Options{QuietPeriod: 50 * time.Millisecond})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer r.close()
 	for i := 0; i < pairs; i++ {
 		src := mbtest.NewCounterLogic(202)
 		src.Preload(chunks)
 		if _, err := r.add(fmt.Sprintf("src%d", i), src); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if _, err := r.add(fmt.Sprintf("dst%d", i), mbtest.NewCounterLogic(202)); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	var wg sync.WaitGroup
@@ -504,7 +485,7 @@ func timeConcurrentMoves(pairs, chunks, shards int) (time.Duration, int, error) 
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	r.ctrl.WaitTxns(120 * time.Second)
@@ -512,7 +493,7 @@ func timeConcurrentMoves(pairs, chunks, shards int) (time.Duration, int, error) 
 	for _, d := range times {
 		sum += d
 	}
-	return sum / time.Duration(pairs), r.ctrl.Shards(), nil
+	return sum / time.Duration(pairs), nil
 }
 
 // SnapshotComparison reproduces the §8.1.2 snapshot experiment: image-size

@@ -141,26 +141,18 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 		}
 	}()
 
-	// Paced injection. On the zero-copy path the per-event packet is a
-	// pooled clone of a prebuilt template (matching bed.InjectTrace), so
-	// the scenario's steady state carries the mode's allocation behaviour.
+	// Paced injection: the per-event packet is a pooled clone of a prebuilt
+	// template (matching bed.InjectTrace).
 	templates := make([]*packet.Packet, cfg.Flows)
 	for i := range templates {
 		templates[i] = httpFlowPacket(i, cfg.Flows)
 	}
-	zero := b.Net.ZeroCopy()
 	injectDone := make(chan struct{})
 	stopInject := make(chan struct{})
 	go func() {
 		defer close(injectDone)
 		pace(cfg.Rate, stopInject, func(i int) {
-			p := templates[i%cfg.Flows]
-			if zero {
-				p = b.Pool.Clone(p)
-			} else {
-				p = p.Clone() // the seed's fresh heap packet per event
-			}
-			_ = b.Net.Inject("s1", p)
+			_ = b.Net.Inject("s1", b.Pool.Clone(templates[i%cfg.Flows]))
 		})
 	}()
 	go func() {

@@ -7,12 +7,10 @@ import (
 	"openmb/internal/packet"
 )
 
-// This file is the runtime half of the burst-mode data path (OPENMB_BURST,
-// default on): the vectorized worker that partitions ingress batches into
-// live bursts, the per-burst scratch state contexts share, and the batched
-// ingress/egress hand-offs (HandleBurst in, flushEmits out). The per-packet
-// path in runtime.go is the seed-faithful ablation and stays byte-for-byte
-// untouched when the switch is off.
+// This file is the runtime's packet path: the vectorized worker that
+// partitions ingress batches into live bursts, the per-burst scratch state
+// contexts share, and the batched ingress/egress hand-offs (HandleBurst in,
+// flushEmits out).
 
 // burstState is the scratch state one burst's contexts share: the buffered
 // emits (flushed downstream in one hand-off after ProcessBurst) and a lazy
@@ -85,13 +83,19 @@ func (rt *Runtime) handleBurstTraced(a *obs.ArmedTrace, ps []*packet.Packet) {
 	}
 }
 
-// workerBurst is the vectorized drain loop. Each popped batch is partitioned
-// in order: replayed reprocess packets keep the per-packet process path (they
-// carry per-item suppression state and are rare), and every maximal run of
-// live packets becomes one burst through processBurst. Partitioning preserves
-// the single-threaded packet stream the per-packet worker guarantees — the
-// logic still observes packets strictly in arrival order.
-func (rt *Runtime) workerBurst() {
+// worker is the vectorized drain loop. Replayed packets (reprocess events)
+// and live packets are serialized through it, so logic observes a
+// single-threaded packet stream, as the paper's per-Connection mutex achieves
+// for Bro; the ring hands out replay items first (another middlebox waits on
+// them). Each popped batch is partitioned in order: replayed packets take
+// the per-packet processReplay path (they carry per-item suppression state
+// and are rare), and every maximal run of live packets becomes one burst
+// through processBurst — the logic still observes packets strictly in
+// arrival order. Contexts are reused across bursts (Logic must not retain
+// them past Process), so the steady-state path allocates nothing per packet.
+// After Close the ring's backlog is released undelivered.
+func (rt *Runtime) worker() {
+	defer rt.workersWG.Done()
 	var rctx Context
 	var bs burstState
 	ctxs := make([]Context, ingressBatch)
@@ -112,7 +116,7 @@ func (rt *Runtime) workerBurst() {
 					rt.pending.Add(-1)
 					it.p.Release()
 				default:
-					rt.process(&rctx, it.p, true, it.shared)
+					rt.processReplay(&rctx, it.p, it.shared)
 				}
 				continue
 			}
@@ -204,8 +208,7 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 // flushEmits hands one burst's buffered emits downstream: through the
 // SetForwardBurst sink in a single call when one is wired (the co-located
 // handoff), else through the per-packet forward sink in order. Reference
-// ownership transfers with the hand-off, exactly as per-packet Emit
-// forwarding does.
+// ownership transfers with the hand-off.
 func (rt *Runtime) flushEmits(bs *burstState) {
 	if len(bs.emits) == 0 {
 		return
@@ -228,18 +231,22 @@ func (rt *Runtime) flushEmits(bs *burstState) {
 			fn(p)
 		}
 	default:
-		// No sink: counted but discarded, as in forwardPacket.
+		// No sink: the emits are counted but go nowhere, so their
+		// references are released here.
 		for _, p := range bs.emits {
 			p.Release()
 		}
 	}
 }
 
-// filterAllowsBurst is filterAllows evaluated against the burst's lazily
-// captured filter snapshot: the first event of a burst pays the filtersMu
-// acquisition and the expiry clock read, burst-mates reuse both. Snapshot
-// staleness is bounded by one burst (tens of microseconds) — well inside the
-// delivery slack filter changes already tolerate on the wire.
+// filterAllowsBurst evaluates the introspection filters against the burst's
+// lazily captured snapshot: the first event of a burst pays the filtersMu
+// acquisition and the expiry clock read, burst-mates reuse both. Filters are
+// evaluated in reverse registration order; the most recent matching filter
+// wins. With no matching filter, events are disabled — the safe default
+// against overload. Snapshot staleness is bounded by one burst (tens of
+// microseconds) — well inside the delivery slack filter changes already
+// tolerate on the wire.
 func (rt *Runtime) filterAllowsBurst(bs *burstState, code string, key packet.FlowKey) bool {
 	if !bs.fvalid {
 		rt.filtersMu.Lock()

@@ -12,23 +12,12 @@ import (
 	"openmb/internal/sbi"
 )
 
-// forceCoalesce pins the coalesced wire path for one test regardless of the
-// OPENMB_COALESCE environment (the runtime captures the mode at
-// construction), restoring the environment's choice afterwards.
-func forceCoalesce(t *testing.T, on bool) {
-	t.Helper()
-	prev := sbi.CoalesceDefault()
-	sbi.SetCoalesceDefault(on)
-	t.Cleanup(func() { sbi.SetCoalesceDefault(prev) })
-}
-
 // TestEventBatchingCoalescesAndPreservesOrder marks a set of flows (via a
 // get, as a move would), bursts packets at them, and checks the raised
 // reprocess events arrive (a) all of them, (b) in strictly increasing seq
 // order, and (c) coalesced — fewer frames than events, with at least one
 // genuine multi-event frame.
 func TestEventBatchingCoalescesAndPreservesOrder(t *testing.T) {
-	forceCoalesce(t, true)
 	logic := mbtest.NewCounterLogic(16)
 	h := newHarness(t, logic)
 	if h.hello.Batch != sbi.MaxEventsPerFrame {
@@ -104,7 +93,6 @@ func TestEventBatchingCoalescesAndPreservesOrder(t *testing.T) {
 // TestBatchedReprocessDelivery: one OpReprocess frame carrying several
 // events replays each of them, in order, exactly as per-event frames would.
 func TestBatchedReprocessDelivery(t *testing.T) {
-	forceCoalesce(t, true)
 	logic := mbtest.NewCounterLogic(16)
 	h := newHarness(t, logic)
 

@@ -37,10 +37,11 @@ type Context struct {
 	raiseShared bool
 	emitted     int
 
-	// burst is set on contexts handed to the vectorized burst path: Emit
+	// burst is the scratch state a live burst's contexts share: Emit
 	// buffers into it (one downstream hand-off per burst instead of one
 	// per packet) and introspection filters are evaluated against a
-	// once-per-burst snapshot. Nil on the per-packet path.
+	// once-per-burst snapshot. Nil on replay and detached (NewBenchContext)
+	// contexts, whose side effects go nowhere.
 	burst *burstState
 }
 
@@ -100,36 +101,36 @@ func (c *Context) TouchShared(class state.Class) {
 // suppressed during replay. Emit consumes one reference on p: emit a packet
 // the logic created (e.g. a Clone it rewrote) to hand it off entirely, or
 // emit the packet currently being processed to pass it through. For that
-// packet Emit supplies the downstream's reference itself: on the burst path
-// the first Emit passes on the runtime's own borrow, with no reference-count
-// traffic for a packet that just passes through; any further Emit of it, and
-// every Emit on the per-packet and replay path, retains. Either way the
-// logic may keep reading the packet until Process/ProcessBurst returns.
+// packet Emit supplies the downstream's reference itself: the first Emit
+// passes on the runtime's own borrow, with no reference-count traffic for a
+// packet that just passes through; any further Emit of it retains. Either
+// way the logic may keep reading the packet until Process/ProcessBurst
+// returns.
 func (c *Context) Emit(p *packet.Packet) {
 	c.emitted++
 	if c.Replay {
 		c.rt.suppressedEmits.Add(1)
+	}
+	if c.Replay || c.burst == nil {
+		// Suppressed (replay) or nowhere to go (detached context). Only a
+		// packet the logic created is disposed of here — the one being
+		// processed stays the runtime's.
 		if p != c.pkt {
 			p.Release()
 		}
 		return
 	}
 	if p == c.pkt {
-		if c.burst != nil && !c.moved {
+		if !c.moved {
 			c.moved = true
 		} else {
 			p.Retain()
 		}
 	}
-	if c.burst != nil {
-		// Buffered: the runtime flushes the whole burst's emits downstream
-		// in one hand-off after ProcessBurst returns. This is why Emit is
-		// safe to call under the logic's lock on the burst path — nothing
-		// leaves the runtime here.
-		c.burst.emits = append(c.burst.emits, p)
-		return
-	}
-	c.rt.forwardPacket(p)
+	// Buffered: the runtime flushes the whole burst's emits downstream in
+	// one hand-off after ProcessBurst returns. This is why Emit is safe to
+	// call under the logic's lock — nothing leaves the runtime here.
+	c.burst.emits = append(c.burst.emits, p)
 }
 
 // Log appends a line to the middlebox's log (conn.log / http.log style) —
@@ -173,17 +174,13 @@ func NewBenchContext() *Context {
 // MB-specific details. The event is delivered only if a matching filter has
 // been enabled, and never during replay.
 func (c *Context) RaiseIntrospection(code string, key packet.FlowKey, values map[string]string) {
-	if c.Replay {
+	// A detached context (nil burst) has no filters, so nothing is enabled.
+	if c.Replay || c.burst == nil {
 		return
 	}
-	if c.burst != nil {
-		// Evaluate against the burst's filter snapshot: one filtersMu
-		// acquisition and one clock read per burst, not per event.
-		if !c.rt.filterAllowsBurst(c.burst, code, key) {
-			return
-		}
+	// Evaluate against the burst's filter snapshot: one filtersMu
+	// acquisition and one clock read per burst, not per event.
+	if c.rt.filterAllowsBurst(c.burst, code, key) {
 		c.rt.emitIntrospection(code, key, values)
-		return
 	}
-	c.rt.raiseIntrospection(code, key, values)
 }

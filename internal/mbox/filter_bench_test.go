@@ -1,11 +1,11 @@
 package mbox
 
-// Microbench guard for the filterAllows clock hoist: the introspection
-// filter check runs per raised event under filtersMu on the packet worker's
-// path, and before the hoist it read the clock once per *filter* per event.
-// With 64 TTL-bearing filters that was 64 clock calls per event; now it is
-// one. The benchmark pins the shape so a regression (a clock read creeping
-// back into the loop) shows up as a step change in ns/op.
+// Microbench guard for the filter check's clock hoist: the introspection
+// filter check runs per raised event on the packet worker's path, and must
+// read the clock once per burst snapshot, never once per *filter* per event
+// (64 TTL-bearing filters would be 64 clock calls). Each iteration is the
+// first event of a fresh burst — snapshot, clock read, full walk — so a
+// clock read creeping back into the loop shows up as a step change in ns/op.
 
 import (
 	"fmt"
@@ -32,12 +32,14 @@ func benchFilterStack(b *testing.B, filters int) {
 		})
 	}
 	key := packet.FlowKey{SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP}
+	var bs burstState
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A code matching no prefix walks the whole stack — the worst case
 		// the hoist targets.
-		if rt.filterAllows("zz.miss", key) {
+		bs.reset()
+		if rt.filterAllowsBurst(&bs, "zz.miss", key) {
 			b.Fatal("unexpected filter match")
 		}
 	}

@@ -13,12 +13,10 @@
 //
 // Prefix-constrained gets use a flow-keyed index (state.FlowIndex — the
 // wildcard-match structure of the paper's footnote 6) so their cost is
-// O(matched), not O(resident). Setting the "indexed_get" config knob to
-// "off" restores the PRADS-faithful full-table linear scan, which the
-// ablation benchmarks use to quantify the index's benefit; full-wildcard
-// gets scan either way, reproducing the get/put cost asymmetry measured in
-// Figure 9 (the paper attributes the ~6x gap to PRADS's and Bro's linear
-// search).
+// O(matched), not O(resident). Full-wildcard gets (and any match the index
+// cannot answer) scan the whole table, reproducing the get/put cost asymmetry
+// measured in Figure 9 (the paper attributes the ~6x gap to PRADS's and
+// Bro's linear search).
 package monitor
 
 import (
@@ -154,9 +152,8 @@ type Monitor struct {
 	shared sharedStat
 	config *state.ConfigTree
 	// index is the flow-keyed index behind prefix-constrained gets — the
-	// wildcard-match structure of the paper's footnote 6, now the default.
-	// The "indexed_get" config knob ("off") disables it, restoring the
-	// PRADS-faithful full-table linear scan for the ablation benchmarks.
+	// wildcard-match structure of the paper's footnote 6. It holds exactly
+	// the keys of conns.
 	index *state.FlowIndex
 	// serviceOn caches the "service_detection" knob: reading the config
 	// tree costs per-packet allocations (path splitting), which the
@@ -169,6 +166,7 @@ func New() *Monitor {
 	m := &Monitor{
 		conns:  map[packet.FlowKey]*connRecord{},
 		config: state.NewConfigTree(),
+		index:  state.NewFlowIndex(),
 	}
 	// Default PRADS-style configuration knobs; control applications clone
 	// and adjust these (§6.2 step 1).
@@ -178,34 +176,18 @@ func New() *Monitor {
 	if err := m.config.Set("os_detection", []string{"on"}); err != nil {
 		panic("monitor: default config: " + err.Error())
 	}
-	if err := m.config.Set("indexed_get", []string{"on"}); err != nil {
-		panic("monitor: default config: " + err.Error())
-	}
 	m.config.Watch(func(string) {
 		m.mu.Lock()
 		m.applyConfigLocked()
 		m.mu.Unlock()
 	})
-	m.index = state.NewFlowIndex()
 	m.serviceOn = true
 	return m
 }
 
-// applyConfigLocked refreshes the cached knobs: builds or drops the flow
-// index and re-reads the service-detection switch.
+// applyConfigLocked refreshes the cached service-detection switch.
 func (m *Monitor) applyConfigLocked() {
-	v, err := m.config.Get("indexed_get")
-	on := err == nil && len(v) == 1 && v[0] == "on"
-	switch {
-	case on && m.index == nil:
-		m.index = state.NewFlowIndex()
-		for k := range m.conns {
-			m.index.Insert(k)
-		}
-	case !on && m.index != nil:
-		m.index = nil
-	}
-	v, err = m.config.Get("service_detection")
+	v, err := m.config.Get("service_detection")
 	m.serviceOn = err == nil && len(v) > 0 && v[0] == "on"
 }
 
@@ -255,9 +237,7 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 			if !ok {
 				rec = &connRecord{Key: key, FirstSeen: p.Timestamp}
 				m.conns[key] = rec
-				if m.index != nil {
-					m.index.Insert(key)
-				}
+				m.index.Insert(key)
 				if !ctx.SkipShared() {
 					m.shared.Flows++
 				}
@@ -370,18 +350,15 @@ func (m *Monitor) GetPerflow(class state.Class, match packet.FieldMatch, emit fu
 	return nil
 }
 
-// scanKeys collects the keys matching match: via the flow index when it
-// applies (prefix-constrained match, index enabled), else the full-table
-// linear search of PRADS — the behaviour footnote 6 of the paper points at,
-// kept behind the "indexed_get=off" knob for the ablation benchmarks.
+// scanKeys collects the keys matching match: via the flow index when it can
+// answer (a prefix-constrained match), else the full-table linear search of
+// PRADS — the behaviour footnote 6 of the paper points at.
 func (m *Monitor) scanKeys(match packet.FieldMatch) []packet.FlowKey {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.index != nil {
-		if keys, ok := m.index.Lookup(match); ok {
-			packet.SortKeys(keys)
-			return keys
-		}
+	if keys, ok := m.index.Lookup(match); ok {
+		packet.SortKeys(keys)
+		return keys
 	}
 	var keys []packet.FlowKey
 	for k := range m.conns {
@@ -427,9 +404,7 @@ func (m *Monitor) PutPerflow(class state.Class, c state.Chunk) error {
 		return nil
 	}
 	m.conns[c.Key] = &rec
-	if m.index != nil {
-		m.index.Insert(c.Key)
-	}
+	m.index.Insert(c.Key)
 	m.shared.Flows++
 	return nil
 }
@@ -447,9 +422,7 @@ func (m *Monitor) DelPerflow(class state.Class, match packet.FieldMatch) (int, e
 	for k := range m.conns {
 		if match.MatchEither(k) {
 			delete(m.conns, k)
-			if m.index != nil {
-				m.index.Remove(k)
-			}
+			m.index.Remove(k)
 			n++
 		}
 	}

@@ -331,24 +331,17 @@ func BenchmarkLinearScanGet(b *testing.B) {
 }
 
 func TestIndexedGetEquivalence(t *testing.T) {
-	// With indexed_get on, gets must return exactly the same chunks as
-	// the linear scan, for matches in either direction.
+	// Gets answered by the flow index must return exactly the keys a
+	// brute-force MatchEither scan of the table finds, in the same (sorted)
+	// order, for matches in either direction.
 	tr := trace.Cloud(trace.CloudConfig{Seed: 70, Flows: 60})
-	scan := New()
-	indexed := New()
-	if err := indexed.Config().Set("indexed_get", []string{"on"}); err != nil {
-		t.Fatal(err)
-	}
-	rtA := mbox.New("a", scan, mbox.Options{})
-	rtB := mbox.New("b", indexed, mbox.Options{})
-	defer rtA.Close()
-	defer rtB.Close()
+	mon := New()
+	rt := mbox.New("a", mon, mbox.Options{})
+	defer rt.Close()
 	for _, p := range tr.Packets {
-		rtA.HandlePacket(p)
-		rtB.HandlePacket(p)
+		rt.HandlePacket(p)
 	}
-	rtA.Drain(10e9)
-	rtB.Drain(10e9)
+	rt.Drain(10e9)
 
 	for _, spec := range []string{
 		"[nw_src=10.1.0.0/17]",
@@ -360,27 +353,36 @@ func TestIndexedGetEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := func(mon *Monitor) []string {
-			var keys []string
-			err := mon.GetPerflow(state.Reporting, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-				if _, err := build(func() {}); err != nil {
-					return err
-				}
-				keys = append(keys, key.String())
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", spec, err)
+		if _, ok := mon.index.Lookup(m); !ok {
+			t.Fatalf("%s: the index cannot answer this match, so the get below would not exercise it", spec)
+		}
+		var want []packet.FlowKey
+		for k := range mon.conns {
+			if m.MatchEither(k) {
+				want = append(want, k)
 			}
-			return keys
 		}
-		a, b := collect(scan), collect(indexed)
-		if len(a) != len(b) {
-			t.Fatalf("%s: scan=%d indexed=%d", spec, len(a), len(b))
+		packet.SortKeys(want)
+		if len(want) == 0 {
+			t.Fatalf("%s: matches none of %d flows", spec, len(mon.conns))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: key %d differs: %s vs %s", spec, i, a[i], b[i])
+		var got []packet.FlowKey
+		err = mon.GetPerflow(state.Reporting, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
+			if _, err := build(func() {}); err != nil {
+				return err
+			}
+			got = append(got, key)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: scan=%d indexed=%d", spec, len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: key %d differs: %s vs %s", spec, i, want[i], got[i])
 			}
 		}
 	}
@@ -388,12 +390,11 @@ func TestIndexedGetEquivalence(t *testing.T) {
 
 func TestIndexMaintainedAcrossPutDel(t *testing.T) {
 	m := New()
-	m.Config().Set("indexed_get", []string{"on"})
 	process(t, m,
 		tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, 0, "x"),
 		tcpPkt("10.0.0.2", "1.1.1.1", 2, 80, 0, "x"))
-	if m.index == nil || m.index.Len() != 2 {
-		t.Fatalf("index size: %v", m.index)
+	if m.index.Len() != 2 {
+		t.Fatalf("index size: %d", m.index.Len())
 	}
 	match, _ := packet.ParseFieldMatch("[nw_src=10.0.0.1]")
 	if _, err := m.DelPerflow(state.Reporting, match); err != nil {
@@ -411,14 +412,10 @@ func TestIndexMaintainedAcrossPutDel(t *testing.T) {
 	if m.index.Len() != 2 {
 		t.Fatalf("index after put: %d", m.index.Len())
 	}
-	// Turning the index off drops it; gets still work.
-	m.Config().Set("indexed_get", []string{"off"})
-	if m.index != nil {
-		t.Fatal("index not dropped")
-	}
+	// A full wildcard is not the index's to answer; the scan still works.
 	s := m.Stats(packet.MatchAll)
 	if s.ReportPerflowChunks != 2 {
-		t.Fatalf("stats after index off: %+v", s)
+		t.Fatalf("stats over the full table: %+v", s)
 	}
 }
 

@@ -32,9 +32,8 @@ const maxEventWindow = 10 * time.Millisecond
 const minEventWindow = 250 * time.Microsecond
 
 // maxOutboxEvents bounds the event backlog. When the raiser outruns the
-// wire, add blocks until the flusher drains below the bound — the batched
-// analogue of the seed's synchronous per-event send, which throttled the
-// packet worker to wire speed one event at a time. Without it a saturating
+// wire, add blocks until the flusher drains below the bound, throttling the
+// packet worker to wire speed. Without it a saturating
 // packet loop grows the backlog without limit and the event firehose
 // starves same-connection request streams. The bound is deliberately a
 // small multiple of the frame size: a worker stall lasts one drain cycle,
@@ -147,12 +146,11 @@ func (ob *eventOutbox) close() {
 // next fill buffers (double buffering), so the flusher allocates nothing in
 // steady state beyond the frames themselves.
 //
-// In burst mode the window is adaptive, NAPI-style: a drain that fills half
-// a frame or more stretches the next linger (×2, capped at maxEventWindow —
-// sustained bursts buy bigger batches per flush), while a near-empty drain
-// shrinks it (÷2, floored at minEventWindow — light load buys latency). The
-// configured Options.EventWindow is the starting point; the OPENMB_BURST=off
-// ablation keeps it fixed, the seed-faithful 2 ms behaviour.
+// The window is adaptive, NAPI-style: a drain that fills half a frame or
+// more stretches the next linger (×2, capped at maxEventWindow — sustained
+// bursts buy bigger batches per flush), while a near-empty drain shrinks it
+// (÷2, floored at minEventWindow — light load buys latency). The configured
+// Options.EventWindow is the starting point.
 func (rt *Runtime) eventFlusher() {
 	defer rt.workersWG.Done()
 	ob := &rt.outbox
@@ -198,7 +196,7 @@ func (rt *Runtime) eventFlusher() {
 			batch[i] = nil
 		}
 		spareJobs, spareArena = batch, arena
-		if rt.burst && rt.eventWindow > 0 {
+		if rt.eventWindow > 0 {
 			switch {
 			case lastBatch >= sbi.MaxEventsPerFrame/2:
 				if window *= 2; window > maxEventWindow {

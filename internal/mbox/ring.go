@@ -103,7 +103,7 @@ func (r *ingressRing) tryPush(it ingressItem) bool {
 }
 
 // tryPushBurst enqueues live items for ps in order under a single lock
-// acquisition and at most one wakeup — the burst-mode analogue of len(ps)
+// acquisition and at most one wakeup — the batched analogue of len(ps)
 // tryPush calls. It returns the number of trailing packets that did NOT fit
 // (queue full or ring closed); the caller still owns those borrows. Accepted
 // packets keep FIFO order.

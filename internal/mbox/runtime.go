@@ -38,9 +38,7 @@ type Options struct {
 	// controller's quiescence accounting (it can only see events that
 	// reached the wire), so the window must stay well below any quiet
 	// period — a window at or past it would let transactions complete
-	// while count-bearing events are still parked source-side. Ignored
-	// when the coalesced wire path is off (OPENMB_COALESCE=off), which
-	// restores the seed's synchronous frame-and-flush per event.
+	// while count-bearing events are still parked source-side.
 	EventWindow time.Duration
 	// Reconnect enables southbound resilience: when the controller
 	// connection drops, the runtime redials with exponential backoff plus
@@ -73,17 +71,11 @@ type Runtime struct {
 	stopOnce  sync.Once
 	workersWG sync.WaitGroup
 
-	// coalesce selects the batched event path (outbox + flusher); off is
-	// the seed's synchronous frame-and-flush per event, captured from
-	// sbi.CoalesceDefault at construction.
-	coalesce    bool
 	eventWindow time.Duration
 
-	// burst selects the vectorized worker path (captured from
-	// packet.BurstDefault at construction); burstLogic is non-nil when the
-	// logic natively implements BurstLogic (otherwise the burst worker
-	// shims ProcessBurst with a per-packet Process loop).
-	burst      bool
+	// burstLogic is non-nil when the logic natively implements BurstLogic
+	// (otherwise the worker shims ProcessBurst with a per-packet Process
+	// loop).
 	burstLogic BurstLogic
 	outbox     eventOutbox
 	// eventsQueued counts events raised but not yet handed to the
@@ -105,8 +97,7 @@ type Runtime struct {
 	// forwardBurst, when set, receives whole emitted bursts in one call —
 	// the direct co-located handoff (typically a peer Runtime's
 	// HandleBurst, pushing the burst into its ingress ring in a single
-	// synchronization). Consulted only on the burst path; the per-packet
-	// forward sink is the fallback.
+	// synchronization). The per-packet forward sink is the fallback.
 	forwardBurst func(ps []*packet.Packet)
 
 	// conn is the live southbound connection; tr and addrs remember how it
@@ -207,8 +198,6 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		codec:        opts.Codec,
 		ring:         newIngressRing(opts.QueueSize),
 		stop:         make(chan struct{}),
-		coalesce:     sbi.CoalesceDefault(),
-		burst:        packet.BurstDefault(),
 		eventWindow:  opts.EventWindow,
 		forward:      opts.Forward,
 		reconnect:    opts.Reconnect,
@@ -218,16 +207,11 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		sharedMoved:  map[state.Class]bool{},
 		logs:         map[string][]string{},
 	}
-	if rt.burst {
-		rt.burstLogic, _ = logic.(BurstLogic)
-	}
+	rt.burstLogic, _ = logic.(BurstLogic)
 	rt.outbox.init()
-	rt.workersWG.Add(1)
+	rt.workersWG.Add(2)
 	go rt.worker()
-	if rt.coalesce {
-		rt.workersWG.Add(1)
-		go rt.eventFlusher()
-	}
+	go rt.eventFlusher()
 	return rt
 }
 
@@ -274,95 +258,33 @@ func (rt *Runtime) SetForward(fn func(p *packet.Packet)) {
 }
 
 // SetForwardBurst installs a burst-capable emitted-packet sink — the direct
-// co-located handoff. On the burst path, a whole burst's emits are handed to
-// fn in one call (packet references transfer with the call; fn must not
-// retain the slice past its return). Runtimes on the per-packet ablation
-// ignore it and use the SetForward sink, so callers wire both and the
-// OPENMB_BURST switch picks the path.
+// co-located handoff. A whole burst's emits are handed to fn in one call
+// (packet references transfer with the call; fn must not retain the slice
+// past its return). While it is set the SetForward sink is not consulted.
 func (rt *Runtime) SetForwardBurst(fn func(ps []*packet.Packet)) {
 	rt.forwardMu.Lock()
 	rt.forwardBurst = fn
 	rt.forwardMu.Unlock()
 }
 
-func (rt *Runtime) forwardPacket(p *packet.Packet) {
-	rt.emitted.Add(1)
-	if a := rt.tracer.Enabled(); a != nil {
-		// Post-rewrite flow: a NAT'd packet traces here under its
-		// translated key. Captured before the sink call — the sink owns
-		// the reference once handed over.
-		a.Record(rt.name, obs.HopEgress, p.Flow(), "")
-	}
-	rt.forwardMu.RLock()
-	fn := rt.forward
-	rt.forwardMu.RUnlock()
-	if fn == nil {
-		// No sink: the emit is counted but the packet goes nowhere, so
-		// its reference is released here.
-		p.Release()
-		return
-	}
-	fn(p)
-}
-
 // ingressBatch is how many queued packets the worker takes per ring
 // synchronization.
 const ingressBatch = 64
 
-// worker drains the ingress ring in batches. Replayed packets (reprocess
-// events) and live packets are serialized through the same loop, so logic
-// observes a single-threaded packet stream, as the paper's per-Connection
-// mutex achieves for Bro; replay items are drained first (another middlebox
-// waits on them). The Context is reused across packets (the worker is the
-// only caller of process, and Logic must not retain it past Process), so
-// the steady-state path allocates nothing per packet, and under bursts one
-// ring synchronization covers up to ingressBatch packets. After Close the
-// ring's backlog is released undelivered.
-func (rt *Runtime) worker() {
-	defer rt.workersWG.Done()
-	if rt.burst {
-		rt.workerBurst()
-		return
-	}
-	var ctx Context
-	batch := make([]ingressItem, 0, ingressBatch)
-	for {
-		batch = rt.ring.popBatch(batch)
-		if len(batch) == 0 {
-			return
-		}
-		for i := range batch {
-			it := batch[i]
-			batch[i] = ingressItem{}
-			select {
-			case <-rt.stop:
-				rt.pending.Add(-1)
-				it.p.Release()
-			default:
-				rt.process(&ctx, it.p, it.replay, it.shared)
-			}
-		}
-	}
-}
-
-// process runs one packet through the logic and then releases the runtime's
-// borrowed reference (the logic takes its own via Context.Emit/Retain if it
-// keeps or forwards the packet).
-func (rt *Runtime) process(ctx *Context, p *packet.Packet, replay, replayShared bool) {
+// processReplay runs one replayed reprocess packet through the logic — state
+// updates apply, side effects are suppressed (Context.Replay) — and then
+// releases the runtime's borrowed reference.
+func (rt *Runtime) processReplay(ctx *Context, p *packet.Packet, replayShared bool) {
 	rt.procSeq.Add(1)
 	defer rt.procSeq.Add(1)
 	defer rt.pending.Add(-1)
 	defer p.Release()
 	tr := rt.tracer.Enabled()
 	if tr != nil {
-		note := ""
-		if replay {
-			note = "replay"
-		}
-		tr.Record(rt.name, obs.HopDispatch, p.Flow(), note)
+		tr.Record(rt.name, obs.HopDispatch, p.Flow(), "replay")
 	}
 	start := time.Now()
-	*ctx = Context{rt: rt, pkt: p, Replay: replay, replayShared: replayShared}
+	*ctx = Context{rt: rt, pkt: p, Replay: true, replayShared: replayShared}
 	rt.logic.Process(ctx, p)
 	if tr != nil {
 		tr.RecordEmits(rt.name, p.Flow(), ctx.emitted)
@@ -375,23 +297,7 @@ func (rt *Runtime) process(ctx *Context, p *packet.Packet, replay, replayShared 
 		rt.latNormalNS.Add(int64(elapsed))
 		rt.latNormalN.Add(1)
 	}
-	if replay {
-		rt.replayed.Add(1)
-		return
-	}
-	rt.processed.Add(1)
-	rt.maybeRaiseReprocess(ctx, p)
-}
-
-// eventBufPool recycles the per-event packet encode buffer. A move window
-// raises one reprocess event per in-transaction packet, and each used to
-// pay a fresh p.Marshal(nil) allocation sized to the packet — the dominant
-// per-event cost the Figure 9(c)/(d) experiments measure. sendEvent encodes
-// the frame synchronously (both codecs copy the payload into their own
-// write buffers before Send returns), so the buffer can be recycled the
-// moment the event is sent.
-var eventBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
+	rt.replayed.Add(1)
 }
 
 // maybeRaiseReprocess implements step 2 of §4.2.1: if the packet updated
@@ -399,10 +305,9 @@ var eventBufPool = sync.Pool{
 // under the logic's lock), send a reprocess event with a copy of the packet
 // toward the controller. At most one event is raised per packet; the
 // destination replays the whole packet, which renews every piece of state it
-// touches. On the coalesced wire path the event is queued on the outbox —
-// the packet's wire form marshals into the outbox arena, so the steady
-// state allocates no per-event buffer — and the flusher frames it with its
-// burst-mates; the ablation keeps the seed's synchronous frame-and-flush.
+// touches. The event is queued on the outbox — the packet's wire form
+// marshals into the outbox arena, so the steady state allocates no per-event
+// buffer — and the flusher frames it with its burst-mates.
 func (rt *Runtime) maybeRaiseReprocess(ctx *Context, p *packet.Packet) {
 	if !ctx.raise {
 		return
@@ -412,50 +317,26 @@ func (rt *Runtime) maybeRaiseReprocess(ctx *Context, p *packet.Packet) {
 		key = p.Flow()
 	}
 	rt.eventsRaised.Add(1)
-	ev := &sbi.Event{
+	rt.queueEvent(&sbi.Event{
 		Kind:   sbi.EventReprocess,
 		Key:    key,
 		Class:  ctx.raiseClass,
 		Shared: ctx.raiseShared,
 		Seq:    rt.eventSeq.Add(1),
-	}
-	if rt.coalesce {
-		rt.queueEvent(ev, p)
-		return
-	}
-	bp := eventBufPool.Get().(*[]byte)
-	buf := p.Marshal((*bp)[:0])
-	ev.Packet = buf
-	rt.sendEvent(ev)
-	// Keep whatever capacity Marshal grew the buffer to.
-	*bp = buf[:0]
-	eventBufPool.Put(bp)
-}
-
-func (rt *Runtime) raiseIntrospection(code string, key packet.FlowKey, values map[string]string) {
-	if !rt.filterAllows(code, key) {
-		return
-	}
-	rt.emitIntrospection(code, key, values)
+	}, p)
 }
 
 // emitIntrospection builds and queues an introspection event whose filter
-// check has already passed (the per-packet path checks filterAllows; the
-// burst path checks a per-burst filter snapshot).
+// check (against the burst's filter snapshot) has already passed.
 func (rt *Runtime) emitIntrospection(code string, key packet.FlowKey, values map[string]string) {
 	rt.introRaised.Add(1)
-	ev := &sbi.Event{
+	rt.queueEvent(&sbi.Event{
 		Kind:   sbi.EventIntrospection,
 		Key:    key,
 		Code:   code,
 		Values: values,
 		Seq:    rt.eventSeq.Add(1),
-	}
-	if rt.coalesce {
-		rt.queueEvent(ev, nil)
-		return
-	}
-	rt.sendEvent(ev)
+	}, nil)
 }
 
 // eventSyncTimeout caps how long a mark-clearing op will wait for the
@@ -483,11 +364,7 @@ func (rt *Runtime) syncEvents() {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	if rt.coalesce {
-		rt.outbox.barrier(eventSyncTimeout)
-	}
-	// The synchronous ablation path writes events to the conn inside the
-	// worker's raise step; the parity wait above already covers it.
+	rt.outbox.barrier(eventSyncTimeout)
 }
 
 // queueEvent hands one raised event to the outbox flusher, keeping the
@@ -497,46 +374,6 @@ func (rt *Runtime) queueEvent(ev *sbi.Event, p *packet.Packet) {
 	if !rt.outbox.add(ev, p) {
 		rt.eventsQueued.Add(-1)
 	}
-}
-
-// filterAllows evaluates introspection filters. Filters are evaluated in
-// reverse registration order; the most recent matching filter wins. With no
-// matching filter, events are disabled — the safe default against overload.
-// The expiry clock is read once per call (not per filter): a long filter
-// list otherwise pays one vDSO clock call per entry per event, all under
-// filtersMu on the packet worker's critical path
-// (BenchmarkFilterAllowsDeepStack guards the cost).
-func (rt *Runtime) filterAllows(code string, key packet.FlowKey) bool {
-	rt.filtersMu.Lock()
-	defer rt.filtersMu.Unlock()
-	if len(rt.filters) == 0 {
-		return false
-	}
-	now := time.Now()
-	for i := len(rt.filters) - 1; i >= 0; i-- {
-		f := rt.filters[i]
-		if !f.expires.IsZero() && now.After(f.expires) {
-			continue
-		}
-		if len(f.codePrefix) <= len(code) && code[:len(f.codePrefix)] == f.codePrefix && f.match.MatchEither(key) {
-			return f.enable
-		}
-	}
-	return false
-}
-
-// sendEvent is the ablation's synchronous event path: one frame, one flush,
-// per event (the flush because the ablation Conn flushes every Send).
-func (rt *Runtime) sendEvent(ev *sbi.Event) {
-	rt.connMu.RLock()
-	conn := rt.conn
-	rt.connMu.RUnlock()
-	if conn == nil {
-		return
-	}
-	// Send errors mean the controller is gone; the event is dropped, as
-	// it would be on a failed TCP connection.
-	_ = conn.Send(&sbi.Message{Type: sbi.MsgEvent, Event: ev})
 }
 
 // updateMarks is the only writer of the mark tables: it runs change under

@@ -83,12 +83,10 @@ func (rt *Runtime) dialSouthbound() (*sbi.Conn, error) {
 		if codec != sbi.CodecJSON {
 			hello.Codec = codec
 		}
-		if rt.coalesce {
-			// Announce willingness to receive batched reprocess frames (the
-			// event analogue of chunk batching); a controller that predates
-			// event batching ignores the field and keeps per-event delivery.
-			hello.Batch = sbi.MaxEventsPerFrame
-		}
+		// Announce willingness to receive batched reprocess frames (the
+		// event analogue of chunk batching); a controller that predates
+		// event batching ignores the field and keeps per-event delivery.
+		hello.Batch = sbi.MaxEventsPerFrame
 		if err := conn.Send(hello); err != nil {
 			conn.Close()
 			lastErr = err

@@ -8,9 +8,8 @@
 // # Data path and the borrow discipline
 //
 // Packets are handed between endpoints by pointer; nothing on the data path
-// marshals. The zero-copy mode (Options.ZeroCopy, env OPENMB_ZEROCOPY)
-// additionally recycles packets through a packet.Pool and replaces each
-// link's buffered channel with a batched ring buffer. Both modes share one
+// marshals. Every link is a batched ring buffer, and packets drawn from a
+// packet.Pool are recycled when their last reference is released. The
 // ownership contract:
 //
 //   - Send and Inject consume the caller's reference: on success it travels
@@ -21,15 +20,14 @@
 //   - Fault hooks run before delivery and must not retain the packet;
 //     duplication clones via the packet's pool.
 //
-// Heap packets make every Retain/Release a no-op, so the copying (ablation)
-// path runs the identical code with the seed's allocation behaviour.
+// Heap packets (packet.New, a nil pool) make every Retain/Release a no-op and
+// travel over the same rings.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +46,10 @@ type Endpoint interface {
 }
 
 // BurstEndpoint is optionally implemented by endpoints that accept whole
-// delivery batches in one call (middlebox runtimes, switches, hosts). When
-// the burst-mode data path is on (OPENMB_BURST, captured at Network
-// creation), a latency-free fault-free link pump hands its entire popped
-// batch to HandleBurst — one endpoint lookup and one hand-off per batch
-// instead of one per packet. Each packet in the slice is borrowed under the
+// delivery batches in one call (middlebox runtimes, switches, hosts). A
+// latency-free fault-free link pump hands its entire popped batch to
+// HandleBurst — one endpoint lookup and one hand-off per batch instead of
+// one per packet. Each packet in the slice is borrowed under the
 // Endpoint.HandlePacket contract (the endpoint owns one reference per
 // packet); the slice itself is the pump's and must not be retained past the
 // call.
@@ -79,50 +76,13 @@ const Ingress = ""
 
 // Options configures a Network.
 type Options struct {
-	// ZeroCopy selects the zero-copy data path: ring-buffer links with
-	// batched hand-off and pool-recycled packets (the bed clones injected
-	// trace packets from its pool when this is on). Off reproduces the
-	// seed's copying path — per-link buffered channels and heap packets —
-	// as the measurable ablation, mirroring indexed_get=off (PR 1) and
-	// Shards=1 (PR 2).
-	ZeroCopy bool
-	// RingSize is the per-link queue capacity in packets (default 4096,
-	// the same depth as the copying path's channels).
+	// RingSize is the per-link queue capacity in packets (default 4096).
 	RingSize int
 }
-
-// defaultZeroCopy is the mode New() uses, settable by OPENMB_ZEROCOPY and
-// cmd flags so `go test -bench` sweeps flip the whole stack at once.
-var defaultZeroCopy atomic.Bool
-
-func init() {
-	switch v := os.Getenv("OPENMB_ZEROCOPY"); v {
-	case "", "0", "off", "false", "no":
-	case "1", "on", "true", "yes":
-		defaultZeroCopy.Store(true)
-	default:
-		// A typo'd sweep config must not silently run the wrong mode and
-		// mislabel the resulting numbers.
-		panic("netsim: OPENMB_ZEROCOPY: want on/off (or 1/0), got " + v)
-	}
-}
-
-// SetZeroCopyDefault sets the data-path mode New() selects (flag plumbing
-// for cmd/openmb-bench; NewWithOptions callers choose explicitly).
-func SetZeroCopyDefault(on bool) { defaultZeroCopy.Store(on) }
-
-// ZeroCopyDefault reports the mode New() currently selects.
-func ZeroCopyDefault() bool { return defaultZeroCopy.Load() }
 
 // Network owns endpoints and links. All methods are safe for concurrent use.
 type Network struct {
 	opts Options
-
-	// burst enables batched pump delivery to BurstEndpoints, captured from
-	// packet.BurstDefault at creation (not an Options field, so burst mode
-	// defaults on for every construction path and OPENMB_BURST=off flips
-	// the whole stack to the per-packet ablation at once).
-	burst bool
 
 	mu        sync.RWMutex
 	endpoints map[string]Endpoint
@@ -138,11 +98,8 @@ type Network struct {
 	dropped atomic.Uint64
 }
 
-// New returns an empty network in the default data-path mode (zero-copy if
-// OPENMB_ZEROCOPY or SetZeroCopyDefault turned it on).
-func New() *Network {
-	return NewWithOptions(Options{ZeroCopy: defaultZeroCopy.Load()})
-}
+// New returns an empty network with default options.
+func New() *Network { return NewWithOptions(Options{}) }
 
 // NewWithOptions returns an empty network with an explicit configuration.
 func NewWithOptions(opts Options) *Network {
@@ -151,14 +108,10 @@ func NewWithOptions(opts Options) *Network {
 	}
 	return &Network{
 		opts:      opts,
-		burst:     packet.BurstDefault(),
 		endpoints: map[string]Endpoint{},
 		links:     map[string]map[string]*link{},
 	}
 }
-
-// ZeroCopy reports whether the network runs the zero-copy data path.
-func (n *Network) ZeroCopy() bool { return n.opts.ZeroCopy }
 
 // ErrNoSuchEndpoint is returned for sends to unattached names.
 var ErrNoSuchEndpoint = errors.New("netsim: no such endpoint")
@@ -166,7 +119,10 @@ var ErrNoSuchEndpoint = errors.New("netsim: no such endpoint")
 // ErrNoLink is returned for sends between unconnected endpoints.
 var ErrNoLink = errors.New("netsim: no link between endpoints")
 
-var errStopped = errors.New("netsim: network stopped")
+var (
+	errStopped    = errors.New("netsim: network stopped")
+	errLinkClosed = errors.New("netsim: link closed")
+)
 
 // Attach registers an endpoint under name. Attaching a name twice replaces
 // the endpoint (used by failover scenarios to swap in a replacement MB).
@@ -213,12 +169,7 @@ func (n *Network) addLink(from, to string, latency time.Duration) {
 	}
 	l := &link{
 		net: n, from: from, to: to, latency: latency,
-		done: make(chan struct{}),
-	}
-	if n.opts.ZeroCopy {
-		l.ring = newPktRing(n.opts.RingSize)
-	} else {
-		l.queue = make(chan *packet.Packet, n.opts.RingSize)
+		ring: newPktRing(n.opts.RingSize),
 	}
 	n.links[from][to] = l
 	go l.pump()
@@ -266,8 +217,7 @@ func (n *Network) Send(from, to string, p *packet.Packet) error {
 }
 
 // SendBurst queues a whole batch on the from->to link in one ring
-// synchronization (zero-copy mode; the copying ablation's channel links fall
-// back to per-packet enqueues). Like Send it consumes the caller's
+// synchronization. Like Send it consumes the caller's
 // references: on success they travel with the packets, on error the
 // undelivered tail is released. The slice itself stays the caller's.
 func (n *Network) SendBurst(from, to string, ps []*packet.Packet) error {
@@ -287,24 +237,13 @@ func (n *Network) SendBurst(from, to string, ps []*packet.Packet) error {
 		}
 		return fmt.Errorf("%w: %s->%s", ErrNoLink, from, to)
 	}
-	if l.ring == nil {
-		for i, p := range ps {
-			if err := n.enqueue(l, p); err != nil {
-				for _, rest := range ps[i+1:] {
-					rest.Release()
-				}
-				return err
-			}
-		}
-		return nil
-	}
 	n.inflight.Add(int64(len(ps)))
 	if rejected := l.ring.pushBatch(ps); rejected > 0 {
 		n.inflight.Add(int64(-rejected))
 		for _, p := range ps[len(ps)-rejected:] {
 			p.Release()
 		}
-		return errors.New("netsim: link closed")
+		return errLinkClosed
 	}
 	return nil
 }
@@ -333,25 +272,15 @@ func (n *Network) Inject(at string, p *packet.Packet) error {
 }
 
 // enqueue puts p on l, blocking while the link queue is full (link-level
-// backpressure, identical in both modes).
+// backpressure).
 func (n *Network) enqueue(l *link, p *packet.Packet) error {
 	n.inflight.Add(1)
-	if l.ring != nil {
-		if !l.ring.push(p) {
-			n.inflight.Add(-1)
-			p.Release()
-			return errors.New("netsim: link closed")
-		}
-		return nil
-	}
-	select {
-	case l.queue <- p:
-		return nil
-	case <-l.done:
+	if !l.ring.push(p) {
 		n.inflight.Add(-1)
 		p.Release()
-		return errors.New("netsim: link closed")
+		return errLinkClosed
 	}
+	return nil
 }
 
 // Quiesce blocks until no packets are queued or being delivered, or the
@@ -400,7 +329,7 @@ func (n *Network) Stop() {
 	n.stopped = true
 	for _, m := range n.links {
 		for _, l := range m {
-			l.close()
+			l.ring.close()
 		}
 	}
 }
@@ -410,75 +339,25 @@ type link struct {
 	from    string
 	to      string
 	latency time.Duration
-	// Exactly one of queue (copying mode) and ring (zero-copy mode) is
-	// non-nil.
-	queue chan *packet.Packet
-	ring  *pktRing
-	done  chan struct{}
-	once  sync.Once
-	fault atomic.Pointer[func(*packet.Packet) Fault]
+	ring    *pktRing
+	fault   atomic.Pointer[func(*packet.Packet) Fault]
 }
 
-func (l *link) close() {
-	l.once.Do(func() {
-		close(l.done)
-		if l.ring != nil {
-			l.ring.close()
-		}
-	})
-}
-
-// ringBatch is how many packets the zero-copy pump takes per ring
-// synchronization.
+// ringBatch is how many packets the pump takes per ring synchronization.
 const ringBatch = 64
 
 func (l *link) pump() {
-	if l.ring != nil {
-		l.pumpRing()
-		return
-	}
-	l.pumpChan()
-}
-
-func (l *link) pumpChan() {
-	for {
-		select {
-		case <-l.done:
-			// Drain anything still queued so inflight reaches zero.
-			for {
-				select {
-				case p := <-l.queue:
-					p.Release()
-					l.net.inflight.Add(-1)
-				default:
-					return
-				}
-			}
-		case p := <-l.queue:
-			l.process(p)
-			l.net.inflight.Add(-1)
-		}
-	}
-}
-
-func (l *link) pumpRing() {
 	batch := make([]*packet.Packet, ringBatch)
 	for {
-		k := l.ring.popBatch(batch)
+		k, closed := l.ring.popBatch(batch)
 		if k == 0 {
 			return // closed and drained
-		}
-		closed := false
-		select {
-		case <-l.done:
-			closed = true
-		default:
 		}
 		// Burst fast path: a latency-free, fault-free link hands the whole
 		// popped batch to a burst-capable endpoint in one call. Latency or
 		// an installed fault hook need the per-packet process loop (sleeps
 		// and verdicts are per packet by contract).
-		if !closed && l.net.burst && l.latency == 0 && !l.hasFault() {
+		if !closed && l.latency == 0 && !l.hasFault() {
 			if l.deliverBurst(batch[:k]) {
 				continue
 			}

@@ -6,10 +6,9 @@ import (
 	"openmb/internal/packet"
 )
 
-// pktRing is the zero-copy link queue: a fixed-capacity ring of packet
-// pointers with blocking push and batched pop. Compared to the copying
-// path's buffered channel it hands the consumer whole batches per lock
-// acquisition, so a busy link pays one synchronization per batch rather
+// pktRing is the link queue: a fixed-capacity ring of packet pointers with
+// blocking push and batched pop. It hands the consumer whole batches per
+// lock acquisition, so a busy link pays one synchronization per batch rather
 // than one per packet — the hand-off cost mmb-style userspace data planes
 // optimize away. Multiple producers (every upstream pump that forwards into
 // this link) may push concurrently; the link's single pump goroutine is the
@@ -52,7 +51,7 @@ func (r *pktRing) push(p *packet.Packet) bool {
 }
 
 // pushBatch enqueues all of ps in order, blocking while the ring is full —
-// the burst-mode analogue of len(ps) push calls, paying one lock acquisition
+// the batched analogue of len(ps) push calls, paying one lock acquisition
 // and one wakeup per chunk that fits instead of one per packet. It returns
 // the number of trailing packets not enqueued because the ring closed (the
 // caller still owns those references).
@@ -82,8 +81,10 @@ func (r *pktRing) pushBatch(ps []*packet.Packet) int {
 }
 
 // popBatch dequeues up to len(dst) packets into dst, blocking while the ring
-// is empty. It returns 0 only when the ring is closed and drained.
-func (r *pktRing) popBatch(dst []*packet.Packet) int {
+// is empty, and reports whether the ring has closed (the batch is then to be
+// released, not delivered). It returns 0 only when the ring is closed and
+// drained.
+func (r *pktRing) popBatch(dst []*packet.Packet) (int, bool) {
 	r.mu.Lock()
 	for r.n == 0 && !r.closed {
 		r.notEmpty.Wait()
@@ -101,8 +102,9 @@ func (r *pktRing) popBatch(dst []*packet.Packet) int {
 	if k > 0 {
 		r.notFull.Broadcast()
 	}
+	closed := r.closed
 	r.mu.Unlock()
-	return k
+	return k, closed
 }
 
 // close marks the ring closed and wakes all waiters. Queued packets remain

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,26 +8,19 @@ import (
 	"openmb/internal/packet"
 )
 
-// bothModes runs a subtest on the copying (ablation) and zero-copy data
-// paths, so every delivery-ordering property is pinned in both link
-// implementations.
-func bothModes(t *testing.T, run func(t *testing.T, opts Options)) {
+// ringMode runs a delivery-ordering property on the one link implementation.
+// It was two subtests while the copying channel links existed; the surviving
+// one keeps its name so test history stays continuous.
+func ringMode(t *testing.T, run func(t *testing.T, opts Options)) {
 	t.Helper()
-	for _, mode := range []struct {
-		name string
-		zero bool
-	}{{"copying", false}, {"zerocopy", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			run(t, Options{ZeroCopy: mode.zero})
-		})
-	}
+	t.Run("zerocopy", func(t *testing.T) { run(t, Options{}) })
 }
 
 // TestInjectDeliversOffCallerGoroutine pins the Send/Inject symmetry fix:
 // Inject must hand the packet to a link pump, not run the endpoint's
 // HandlePacket on the caller's goroutine.
 func TestInjectDeliversOffCallerGoroutine(t *testing.T) {
-	bothModes(t, func(t *testing.T, opts Options) {
+	ringMode(t, func(t *testing.T, opts Options) {
 		n := NewWithOptions(opts)
 		defer n.Stop()
 		callerDone := make(chan struct{})
@@ -58,7 +50,7 @@ func TestInjectDeliversOffCallerGoroutine(t *testing.T) {
 // TestInjectPreservesFIFO pins per-endpoint FIFO ordering of injected
 // packets — the property trace replay depends on.
 func TestInjectPreservesFIFO(t *testing.T) {
-	bothModes(t, func(t *testing.T, opts Options) {
+	ringMode(t, func(t *testing.T, opts Options) {
 		n := NewWithOptions(opts)
 		defer n.Stop()
 		h := NewHost(n, "h", 4096)
@@ -89,7 +81,7 @@ func TestInjectPreservesFIFO(t *testing.T) {
 // hooks installed on the ingress pseudo-link apply to injected packets,
 // which the old synchronous Inject silently skipped.
 func TestInjectRunsFaultHooks(t *testing.T) {
-	bothModes(t, func(t *testing.T, opts Options) {
+	ringMode(t, func(t *testing.T, opts Options) {
 		n := NewWithOptions(opts)
 		defer n.Stop()
 		h := NewHost(n, "h", 0)
@@ -113,7 +105,7 @@ func TestInjectRunsFaultHooks(t *testing.T) {
 // TestInjectHonorsIngressLatency: injected packets ride a real link, so the
 // delivery pipeline (latency included, when one is configured) applies.
 func TestInjectAndSendShareDeliveryPath(t *testing.T) {
-	bothModes(t, func(t *testing.T, opts Options) {
+	ringMode(t, func(t *testing.T, opts Options) {
 		n := NewWithOptions(opts)
 		defer n.Stop()
 		a := NewHost(n, "a", 0)
@@ -173,7 +165,7 @@ func (f endpointFunc) HandlePacket(p *packet.Packet) { f(p) }
 // mode, so leaks and double releases are caught even across recycling; run
 // under -race this doubles as the hand-off publication test.
 func TestBorrowDisciplineStress(t *testing.T) {
-	n := NewWithOptions(Options{ZeroCopy: true, RingSize: 256})
+	n := NewWithOptions(Options{RingSize: 256})
 	defer n.Stop()
 	pool := packet.NewPool(packet.PoolOptions{Accounting: true})
 
@@ -259,85 +251,66 @@ func TestBorrowDisciplineStress(t *testing.T) {
 	}
 }
 
-// TestZeroCopyLinkHopAllocs asserts the steady-state zero-copy link hop is
+// TestZeroCopyLinkHopAllocs asserts the steady-state link hop is
 // allocation-free (≤ 2 allocs/packet overall budget, shared with the
-// monitor-path assertion in the repository root), and that the copying
-// ablation on the identical workload still allocates — proving the
-// Options.ZeroCopy flag actually switches implementations.
+// monitor-path assertion in the repository root).
 func TestZeroCopyLinkHopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
 	}
-	run := func(zero bool) float64 {
-		n := NewWithOptions(Options{ZeroCopy: zero})
-		defer n.Stop()
-		pool := packet.NewPool(packet.PoolOptions{})
-		delivered := make(chan struct{}, 1)
-		n.Attach("sink", endpointFunc(func(p *packet.Packet) {
-			p.Release()
-			delivered <- struct{}{}
-		}))
-		NewHost(n, "src", 0)
-		if err := n.Connect("src", "sink", 0); err != nil {
+	n := New()
+	defer n.Stop()
+	pool := packet.NewPool(packet.PoolOptions{})
+	delivered := make(chan struct{}, 1)
+	n.Attach("sink", endpointFunc(func(p *packet.Packet) {
+		p.Release()
+		delivered <- struct{}{}
+	}))
+	NewHost(n, "src", 0)
+	if err := n.Connect("src", "sink", 0); err != nil {
+		t.Fatal(err)
+	}
+	tpl := mkPacket(1, 80)
+	hop := func() {
+		if err := n.Send("src", "sink", pool.Clone(tpl)); err != nil {
 			t.Fatal(err)
 		}
-		tpl := mkPacket(1, 80)
-		hop := func() {
-			var q *packet.Packet
-			if zero {
-				q = pool.Clone(tpl)
-			} else {
-				q = tpl.Clone() // the seed's per-event heap packet
-			}
-			if err := n.Send("src", "sink", q); err != nil {
-				t.Fatal(err)
-			}
-			<-delivered
-		}
-		for i := 0; i < 100; i++ {
-			hop() // warm the pool and the link
-		}
-		return testing.AllocsPerRun(500, hop)
+		<-delivered
 	}
-	if allocs := run(true); allocs > 2 {
-		t.Fatalf("zero-copy link hop allocates %.1f/packet, want <= 2", allocs)
+	for i := 0; i < 100; i++ {
+		hop() // warm the pool and the link
 	}
-	if allocs := run(false); allocs < 1 {
-		t.Fatalf("copying ablation allocated %.1f/packet; flag is not switching implementations", allocs)
+	if allocs := testing.AllocsPerRun(500, hop); allocs > 2 {
+		t.Fatalf("link hop allocates %.1f/packet, want <= 2", allocs)
 	}
 }
 
-// TestModesDeliverIdentically runs the same mirrored topology in both modes
-// and requires identical delivery counts — the ablation must differ in cost,
-// never in behaviour.
+// TestModesDeliverIdentically injects 100 pooled packets into a switch that
+// mirrors to two hosts and requires exactly 200 deliveries (the count the
+// copying and ring links both produced while there were two).
 func TestModesDeliverIdentically(t *testing.T) {
-	counts := map[string]uint64{}
-	for _, zero := range []bool{false, true} {
-		n := NewWithOptions(Options{ZeroCopy: zero})
-		sw := NewSwitch(n, "s1")
-		b := NewHost(n, "b", 0)
-		c := NewHost(n, "c", 0)
-		NewHost(n, "a", 0)
-		for _, pair := range [][2]string{{"a", "s1"}, {"s1", "b"}, {"s1", "c"}} {
-			if err := n.Connect(pair[0], pair[1], 0); err != nil {
-				t.Fatal(err)
-			}
+	n := New()
+	defer n.Stop()
+	sw := NewSwitch(n, "s1")
+	b := NewHost(n, "b", 0)
+	c := NewHost(n, "c", 0)
+	NewHost(n, "a", 0)
+	for _, pair := range [][2]string{{"a", "s1"}, {"s1", "b"}, {"s1", "c"}} {
+		if err := n.Connect(pair[0], pair[1], 0); err != nil {
+			t.Fatal(err)
 		}
-		sw.Install(Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"b", "c"}})
-		pool := packet.NewPool(packet.PoolOptions{})
-		for i := 0; i < 100; i++ {
-			p := pool.Clone(mkPacket(byte(i), 80))
-			if err := n.Inject("s1", p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !n.Quiesce(5 * time.Second) {
-			t.Fatal("quiesce")
-		}
-		counts[fmt.Sprintf("zero=%v", zero)] = b.Count() + c.Count()
-		n.Stop()
 	}
-	if counts["zero=false"] != counts["zero=true"] {
-		t.Fatalf("modes diverge: %v", counts)
+	sw.Install(Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"b", "c"}})
+	pool := packet.NewPool(packet.PoolOptions{})
+	for i := 0; i < 100; i++ {
+		if err := n.Inject("s1", pool.Clone(mkPacket(byte(i), 80))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.Quiesce(5 * time.Second) {
+		t.Fatal("quiesce")
+	}
+	if got := b.Count() + c.Count(); got != 200 {
+		t.Fatalf("delivered %d packets to the two mirror hosts, want 200", got)
 	}
 }

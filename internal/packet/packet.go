@@ -143,8 +143,7 @@ func (p *Packet) Unmarshal(b []byte) error {
 // Clone returns a deep copy of p, including the payload. Middleboxes clone
 // packets before attaching them to reprocess events so later in-place reuse
 // of trace buffers cannot corrupt the event. A pooled packet clones from its
-// pool (the copy holds one reference); a heap packet clones to the heap, so
-// the copying ablation path never touches a pool.
+// pool (the copy holds one reference); a heap packet clones to the heap.
 func (p *Packet) Clone() *Packet {
 	if p.pool != nil {
 		return p.pool.Clone(p)

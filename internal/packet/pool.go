@@ -23,7 +23,7 @@ import (
 //
 // Heap packets (anything not obtained from a Pool) are outside the
 // discipline: Retain and Release on them are no-ops, so code written against
-// the borrow contract runs unchanged on the copying (ablation) path.
+// the borrow contract handles them unchanged.
 type Pool struct {
 	opts PoolOptions
 	// live tracks outstanding reference counts in accounting mode, under mu:

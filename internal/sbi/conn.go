@@ -6,40 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// coalesceDefault selects the write-path mode NewConn captures: coalesced
-// flushing (the default) or the seed's flush-per-frame path, settable by
-// OPENMB_COALESCE and cmd flags so `go test -bench` sweeps flip both ends of
-// every connection at once (mirroring OPENMB_ZEROCOPY / OPENMB_SHARDS).
-var coalesceDefault atomic.Bool
-
-func init() {
-	coalesceDefault.Store(true)
-	switch v := os.Getenv("OPENMB_COALESCE"); v {
-	case "", "1", "on", "true", "yes":
-	case "0", "off", "false", "no":
-		coalesceDefault.Store(false)
-	default:
-		// A typo'd sweep config must not silently run the wrong mode and
-		// mislabel the resulting numbers.
-		panic("sbi: OPENMB_COALESCE: want on/off (or 1/0), got " + v)
-	}
-}
-
-// SetCoalesceDefault sets the write-path mode NewConn selects: coalesced
-// flushing (flush-on-idle plus deferred stream flushes) or the seed's
-// flush-per-frame ablation.
-func SetCoalesceDefault(on bool) { coalesceDefault.Store(on) }
-
-// CoalesceDefault reports the write-path mode NewConn currently selects.
-// The mbox runtime also keys its event batching off it, so one knob flips
-// the whole coalesced wire path.
-func CoalesceDefault() bool { return coalesceDefault.Load() }
 
 // Conn frames Messages over a byte stream. Send is safe for concurrent use;
 // the paper's controller dedicates one thread per MB to state operations and
@@ -49,7 +19,7 @@ func CoalesceDefault() bool { return coalesceDefault.Load() }
 //
 // Encoding appends frames to a buffered writer; when and how the buffer is
 // flushed is the per-message overhead the Figure 9(c)/(d) and Figure 10
-// experiments measure. In the default (coalesced) mode:
+// experiments measure:
 //
 //   - Send encodes the frame, marks the writer dirty, and flushes only when
 //     no other flushing sender (Send or Flush — never SendDeferred, which
@@ -65,10 +35,6 @@ func CoalesceDefault() bool { return coalesceDefault.Load() }
 //     Send — or an explicit Flush — publishes the tail; the buffered writer
 //     auto-writes full buffers meanwhile, so long streams still make
 //     progress in buffer-sized blocks.
-//
-// With coalescing off (OPENMB_COALESCE=off, the measurable ablation) both
-// methods flush per frame, reproducing the seed's one-write-per-message
-// wire path exactly.
 //
 // A Conn starts in the JSON codec (newline-delimited JSON, the paper
 // prototype's format). After the hello exchange both ends may switch to the
@@ -91,10 +57,6 @@ type Conn struct {
 	// deferring to one would strand its frame in the buffer.
 	flushers atomic.Int32
 
-	// coalesce selects the write-path mode, captured from the package
-	// default at construction (immutable afterwards).
-	coalesce bool
-
 	// dirty marks encoded-but-unflushed bytes; guarded by sendMu.
 	dirty bool
 
@@ -112,14 +74,12 @@ type Conn struct {
 	sent, received, flushes atomic.Uint64
 }
 
-// NewConn wraps a transport connection. The initial codec is JSON; the
-// write-path mode is the package default (see SetCoalesceDefault).
+// NewConn wraps a transport connection. The initial codec is JSON.
 func NewConn(raw net.Conn) *Conn {
 	c := &Conn{
-		raw:      raw,
-		br:       bufio.NewReaderSize(raw, 64<<10),
-		bw:       bufio.NewWriterSize(raw, 64<<10),
-		coalesce: coalesceDefault.Load(),
+		raw: raw,
+		br:  bufio.NewReaderSize(raw, 64<<10),
+		bw:  bufio.NewWriterSize(raw, 64<<10),
 	}
 	c.codec = newJSONCodec(c.br, c.bw)
 	return c
@@ -185,8 +145,7 @@ func (c *Conn) Send(m *Message) error {
 	// The decrement must happen while sendMu is still held: decrementing
 	// after unlock would let a waiter observe our stale count, skip its own
 	// flush, and leave the final frame stranded in the buffer.
-	idle := c.flushers.Add(-1) == 0
-	if !c.coalesce || idle {
+	if c.flushers.Add(-1) == 0 {
 		if ferr := c.flushLocked(); err == nil {
 			err = ferr
 		}
@@ -203,8 +162,7 @@ func (c *Conn) Send(m *Message) error {
 // buffered writer filling, by any concurrent or later Send going quiescent,
 // or by an explicit Flush — every stream must end in one of the latter two
 // (the middlebox streamer's terminating done/error Send, the southbound
-// loop's flush-at-idle). With coalescing off it flushes per frame, exactly
-// like Send.
+// loop's flush-at-idle).
 func (c *Conn) SendDeferred(m *Message) error {
 	// Deliberately NOT counted in flushers: a deferred sender never
 	// flushes, so a concurrent Send must not defer its flush to this one
@@ -215,11 +173,6 @@ func (c *Conn) SendDeferred(m *Message) error {
 	if err == nil {
 		c.sent.Add(1)
 		c.dirty = true
-	}
-	if !c.coalesce {
-		if ferr := c.flushLocked(); err == nil {
-			err = ferr
-		}
 	}
 	c.sendMu.Unlock()
 	if err != nil {
@@ -274,9 +227,8 @@ func (c *Conn) Receive() (*Message, error) {
 }
 
 // Counters is a snapshot of a connection's wire counters. Sent/Flushes is
-// the frames-per-flush ratio the coalesced write path exists to raise: the
-// ablation pins it at 1, the coalesced path amortizes many frames per
-// transport write.
+// the frames-per-flush ratio the coalesced write path exists to raise: it
+// amortizes many frames per transport write.
 type Counters struct {
 	// Sent and Received count frames encoded and decoded.
 	Sent, Received uint64

@@ -15,16 +15,6 @@ import (
 // that is never flushed genuinely never arrives — a liveness bug hangs the
 // peer instead of hiding behind kernel socket buffers.
 
-// forceCoalesce pins the write-path mode for one test regardless of the
-// OPENMB_COALESCE environment (the ablation suite runs with it off), and
-// restores the environment's choice afterwards.
-func forceCoalesce(t *testing.T, on bool) {
-	t.Helper()
-	prev := CoalesceDefault()
-	SetCoalesceDefault(on)
-	t.Cleanup(func() { SetCoalesceDefault(prev) })
-}
-
 // receiveAsync pulls n messages on its own goroutine and reports completion.
 func receiveAsync(t *testing.T, c *Conn, n int) <-chan error {
 	t.Helper()
@@ -46,7 +36,6 @@ func receiveAsync(t *testing.T, c *Conn, n int) <-chan error {
 // did not flush, the peer's Receive would block forever on the synchronous
 // pipe.
 func TestCoalescedFlushLiveness(t *testing.T) {
-	forceCoalesce(t, true)
 	a, b := net.Pipe()
 	c1, c2 := NewConn(a), NewConn(b)
 	defer c1.Close()
@@ -72,7 +61,6 @@ func TestCoalescedFlushLiveness(t *testing.T) {
 // buffer; the stream-terminating Send publishes them together with its own
 // frame, and the explicit Flush path works too.
 func TestDeferredFramesFlushedByNextSend(t *testing.T) {
-	forceCoalesce(t, true)
 	a, b := net.Pipe()
 	c1, c2 := NewConn(a), NewConn(b)
 	defer c1.Close()
@@ -141,7 +129,6 @@ func (s *slowConn) Write(p []byte) (int, error) {
 // last skip their flush — far fewer flushes than frames — while every
 // frame still arrives.
 func TestFlushOnIdleCoalescesContendingSenders(t *testing.T) {
-	forceCoalesce(t, true)
 	a, b := net.Pipe()
 	c1 := NewConn(&slowConn{Conn: a, delay: 200 * time.Microsecond})
 	c2 := NewConn(b)
@@ -178,43 +165,6 @@ func TestFlushOnIdleCoalescesContendingSenders(t *testing.T) {
 	}
 	if got.Flushes >= got.Sent/2 {
 		t.Fatalf("flushes = %d of %d frames: flush-on-idle is not coalescing", got.Flushes, got.Sent)
-	}
-}
-
-// TestAblationFlushesPerFrame: with coalescing off, both Send and
-// SendDeferred reproduce the seed's flush-per-frame wire path, so the
-// ablation really is the seed's behaviour.
-func TestAblationFlushesPerFrame(t *testing.T) {
-	forceCoalesce(t, false)
-	a, b := net.Pipe()
-	c1, c2 := NewConn(a), NewConn(b)
-	defer c1.Close()
-	defer c2.Close()
-
-	const frames = 8
-	done := receiveAsync(t, c2, frames)
-	for i := 0; i < frames; i++ {
-		var err error
-		if i%2 == 0 {
-			err = c1.Send(&Message{Type: MsgDone, ID: uint64(i + 1)})
-		} else {
-			err = c1.SendDeferred(&Message{Type: MsgDone, ID: uint64(i + 1)})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ablation frames never arrived")
-	}
-	got := c1.Counters()
-	if got.Flushes != frames {
-		t.Fatalf("ablation flushes = %d, want %d (one per frame)", got.Flushes, frames)
 	}
 }
 
@@ -265,7 +215,6 @@ func TestBatchedEventFrameOrder(t *testing.T) {
 // frame; with the fix, every Send goroutine's final frame is flushed no
 // matter how many deferred senders race it.
 func TestSendNeverDefersToDeferredSender(t *testing.T) {
-	forceCoalesce(t, true)
 	a, b := net.Pipe()
 	c1, c2 := NewConn(a), NewConn(b)
 	defer c1.Close()

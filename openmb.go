@@ -135,14 +135,6 @@ const (
 // RuntimeOptions layer).
 func ParseCodec(s string) (Codec, error) { return sbi.ParseCodec(s) }
 
-// SetCoalesceDefault selects the SBI write-path mode new connections use:
-// coalesced flushing with batched events (the default) or the seed's
-// flush-per-frame ablation. Also settable with OPENMB_COALESCE=off.
-func SetCoalesceDefault(on bool) { sbi.SetCoalesceDefault(on) }
-
-// CoalesceDefault reports the SBI write-path mode new connections will use.
-func CoalesceDefault() bool { return sbi.CoalesceDefault() }
-
 // Event is a middlebox-raised notification (reprocess or introspection).
 type Event = sbi.Event
 
@@ -201,8 +193,7 @@ func NewREDecoder(cacheBytes int) *REDecoder { return re.NewDecoder(cacheBytes) 
 // Network is the software switch fabric.
 type Network = netsim.Network
 
-// NetworkOptions selects the network data path: zero-copy (pooled packets
-// over ring-buffer links) or the copying ablation.
+// NetworkOptions configures a Network (per-link ring size).
 type NetworkOptions = netsim.Options
 
 // Switch is a software switch with a priority flow table.
@@ -211,7 +202,7 @@ type Switch = netsim.Switch
 // Host is a terminal endpoint recording received packets.
 type Host = netsim.Host
 
-// PacketPool recycles packets for the zero-copy data path. Packets handed
+// PacketPool recycles packets for the data path. Packets handed
 // to the network are borrowed: see the netsim package docs for the
 // borrow/release contract.
 type PacketPool = packet.Pool
@@ -223,12 +214,10 @@ type PacketPoolOptions = packet.PoolOptions
 // NewPacketPool creates a packet pool.
 func NewPacketPool(opts PacketPoolOptions) *PacketPool { return packet.NewPool(opts) }
 
-// NewNetwork creates an empty network in the default data-path mode
-// (zero-copy when OPENMB_ZEROCOPY is set).
+// NewNetwork creates an empty network with default options.
 func NewNetwork() *Network { return netsim.New() }
 
-// NewNetworkWithOptions creates an empty network with an explicit data-path
-// configuration.
+// NewNetworkWithOptions creates an empty network with explicit options.
 func NewNetworkWithOptions(opts NetworkOptions) *Network { return netsim.NewWithOptions(opts) }
 
 // Rule is one switch flow-table entry.
@@ -374,13 +363,6 @@ func NewElasticClusterActuator(cl *Cluster, src *ElasticClusterSource, drv Elast
 func NewElasticProcessDriver(cfg ElasticProcessConfig) *ElasticProcessDriver {
 	return elastic.NewProcessDriver(cfg)
 }
-
-// SetElasticDefault sets whether daemons and eval rigs arm the elasticity
-// loop by default. Also settable with OPENMB_ELASTIC=off.
-func SetElasticDefault(on bool) { elastic.SetDefault(on) }
-
-// ElasticDefault reports whether the elasticity loop is armed by default.
-func ElasticDefault() bool { return elastic.Default() }
 
 // Trace is a time-ordered synthetic packet trace.
 type Trace = trace.Trace

@@ -1,12 +1,9 @@
 package openmb
 
 // Zero-copy data-path benchmarks and invariants. BenchmarkFigure9cEventZeroCopy
-// replays the Figure 9(c) event workload's data-path component — paced packets
-// traversing ingress -> switch -> monitor runtime — on the pooled ring-buffer
-// path; BenchmarkAblationCopyingLinks is the identical workload on the seed's
-// copying channel path (fresh heap packet per event, channel links). Both
-// report allocs/op, so `go test -bench 'Figure9cEventZeroCopy|AblationCopyingLinks'`
-// prints the allocation delta the zero-copy tentpole exists for.
+// replays the Figure 9(c) event workload's data-path component — paced pooled
+// packets traversing ingress -> switch -> monitor runtime over the ring-buffer
+// links — and reports allocs/op.
 
 import (
 	"net/netip"
@@ -30,15 +27,14 @@ type eventPathRig struct {
 	rt   *mbox.Runtime
 	pool *packet.Pool
 	tpls []*packet.Packet
-	zero bool
 	sent int
 }
 
 const eventPathFlows = 256
 
-func newEventPathRig(tb testing.TB, zero bool) *eventPathRig {
+func newEventPathRig(tb testing.TB) *eventPathRig {
 	tb.Helper()
-	n := netsim.NewWithOptions(netsim.Options{ZeroCopy: zero})
+	n := netsim.New()
 	sw := netsim.NewSwitch(n, "s1")
 	rt := mbox.New("mon", monitor.New(), mbox.Options{QueueSize: 1 << 15})
 	n.Attach("mon", rt)
@@ -46,7 +42,7 @@ func newEventPathRig(tb testing.TB, zero bool) *eventPathRig {
 		tb.Fatal(err)
 	}
 	sw.Install(netsim.Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"mon"}})
-	r := &eventPathRig{net: n, rt: rt, pool: packet.NewPool(packet.PoolOptions{}), zero: zero}
+	r := &eventPathRig{net: n, rt: rt, pool: packet.NewPool(packet.PoolOptions{})}
 	r.tpls = make([]*packet.Packet, eventPathFlows)
 	for i := range r.tpls {
 		p := mbtestPacket(i)
@@ -75,24 +71,13 @@ func mbtestPacket(i int) *packet.Packet {
 	}
 }
 
-// inject sends the i-th event packet: a pooled recycled clone on the
-// zero-copy path, a fresh heap packet on the copying ablation (the seed's
-// per-event allocation).
+// inject sends the i-th event packet: a pooled recycled clone.
 func (r *eventPathRig) inject(tb testing.TB, i int) {
-	tpl := r.tpls[i%eventPathFlows]
-	var q *packet.Packet
-	if r.zero {
-		q = r.pool.Clone(tpl)
-	} else {
-		q = tpl.Clone()
-	}
-	if err := r.net.Inject("s1", q); err != nil {
+	if err := r.net.Inject("s1", r.pool.Clone(r.tpls[i%eventPathFlows])); err != nil {
 		tb.Fatal(err)
 	}
 	r.sent++
-	// Bound the in-flight window so pooled packets actually recycle (and
-	// the ablation's queues never overflow); both modes pay the same
-	// drain cadence.
+	// Bound the in-flight window so pooled packets actually recycle.
 	if r.sent%1024 == 0 {
 		r.drain(tb)
 	}
@@ -104,8 +89,10 @@ func (r *eventPathRig) drain(tb testing.TB) {
 	}
 }
 
-func benchEventPath(b *testing.B, zero bool) {
-	r := newEventPathRig(b, zero)
+// BenchmarkFigure9cEventZeroCopy is the data path under the Figure 9(c)
+// event workload (paced per-flow packets through the monitor).
+func BenchmarkFigure9cEventZeroCopy(b *testing.B) {
+	r := newEventPathRig(b)
 	// Warm up: materialize every flow's record and size the pool.
 	for i := 0; i < 2*eventPathFlows; i++ {
 		r.inject(b, i)
@@ -118,61 +105,44 @@ func benchEventPath(b *testing.B, zero bool) {
 	}
 	r.drain(b)
 	b.StopTimer()
-	if st := r.pool.Stats(); zero && st.Outstanding != 0 {
+	if st := r.pool.Stats(); st.Outstanding != 0 {
 		b.Fatalf("pool leak after drain: %+v", st)
 	}
 }
 
-// BenchmarkFigure9cEventZeroCopy is the zero-copy data path under the
-// Figure 9(c) event workload (paced per-flow packets through the monitor).
-func BenchmarkFigure9cEventZeroCopy(b *testing.B) { benchEventPath(b, true) }
-
-// BenchmarkAblationCopyingLinks is the same workload on the seed's copying
-// path: channel links and a fresh heap packet per event. Compare allocs/op
-// against BenchmarkFigure9cEventZeroCopy — the zero-copy tentpole's win is
-// this delta.
-func BenchmarkAblationCopyingLinks(b *testing.B) { benchEventPath(b, false) }
-
-// TestZeroCopySteadyStateAllocs is the tentpole's allocation invariant: a
+// TestZeroCopySteadyStateAllocs is the data path's allocation invariant: a
 // full link hop plus the monitor's HandlePacket costs at most 2 allocs per
-// packet on the zero-copy path, while the copying ablation on the identical
-// workload still allocates — the flag provably switches implementations.
+// packet.
 func TestZeroCopySteadyStateAllocs(t *testing.T) {
-	measure := func(zero bool) float64 {
-		r := newEventPathRig(t, zero)
-		for i := 0; i < 2*eventPathFlows; i++ {
-			r.inject(t, i)
+	r := newEventPathRig(t)
+	for i := 0; i < 2*eventPathFlows; i++ {
+		r.inject(t, i)
+	}
+	r.drain(t)
+	i := 0
+	processed := r.rt.Metrics().Processed
+	allocs := testing.AllocsPerRun(400, func() {
+		r.inject(t, i)
+		i++
+		// Wait for the packet to clear the monitor so its whole cost lands
+		// inside the measured window (and the pooled packet is recycled for
+		// the next round).
+		processed++
+		for r.rt.Metrics().Processed < processed {
+			time.Sleep(10 * time.Microsecond)
 		}
-		r.drain(t)
-		i := 0
-		processed := r.rt.Metrics().Processed
-		return testing.AllocsPerRun(400, func() {
-			r.inject(t, i)
-			i++
-			// Wait for the packet to clear the monitor so its whole
-			// cost lands inside the measured window (and the pooled
-			// packet is recycled for the next round).
-			processed++
-			for r.rt.Metrics().Processed < processed {
-				time.Sleep(10 * time.Microsecond)
-			}
-		})
-	}
-	if allocs := measure(true); allocs > 2 {
-		t.Errorf("zero-copy link hop + monitor HandlePacket: %.2f allocs/packet, want <= 2", allocs)
-	}
-	if allocs := measure(false); allocs < 1 {
-		t.Errorf("copying ablation allocated only %.2f/packet; the ZeroCopy flag is not switching implementations", allocs)
+	})
+	if allocs > 2 {
+		t.Errorf("link hop + monitor HandlePacket: %.2f allocs/packet, want <= 2", allocs)
 	}
 }
 
 // TestBedTraceReplayBorrowDiscipline runs a full testbed — trace replay
 // through a switch into a NAT (which rewrites and re-emits) and a monitor
-// tap, with an ingress drop fault — on the zero-copy path with an
-// accounting pool, and requires every borrowed packet released exactly once
-// after quiesce.
+// tap, with an ingress drop fault — with an accounting pool, and requires
+// every borrowed packet released exactly once after quiesce.
 func TestBedTraceReplayBorrowDiscipline(t *testing.T) {
-	b, err := bed.NewWithNet(core.Options{QuietPeriod: 50 * time.Millisecond}, netsim.Options{ZeroCopy: true})
+	b, err := bed.New(core.Options{QuietPeriod: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
