@@ -36,8 +36,8 @@ func TestRecycledCallChannelComesBackEmpty(t *testing.T) {
 	mb := &mbConn{name: "mb", pending: map[uint64]*call{}}
 	id1, cl1 := mb.newCall(nil)
 	// Two replies arrive but the waiter abandons the call without reading.
-	cl1.ch <- &sbi.Message{Type: sbi.MsgChunk, ID: id1}
-	cl1.ch <- &sbi.Message{Type: sbi.MsgDone, ID: id1}
+	cl1.ch <- reply{Message: &sbi.Message{Type: sbi.MsgChunk, ID: id1}}
+	cl1.ch <- reply{Message: &sbi.Message{Type: sbi.MsgDone, ID: id1}}
 	mb.dropCall(id1)
 
 	_, cl2 := mb.newCall(nil)
@@ -104,7 +104,7 @@ func TestFailedCallChannelIsNotRecycled(t *testing.T) {
 		t.Fatal("closed channel was recycled")
 	}
 	select {
-	case cl2.ch <- &sbi.Message{Type: sbi.MsgDone, ID: 1}:
+	case cl2.ch <- reply{Message: &sbi.Message{Type: sbi.MsgDone, ID: 1}}:
 	default:
 		t.Fatal("fresh call channel not usable")
 	}

@@ -645,7 +645,7 @@ type mbConn struct {
 	pending map[uint64]*call
 	// chanFree recycles reply channels for this connection's calls; see
 	// getCallChanLocked.
-	chanFree []chan *sbi.Message
+	chanFree []chan reply
 
 	// eventQ hands MsgEvent frames from the read loop to the connection's
 	// event-router goroutine (see eventRouter). Routing off the read loop
@@ -823,7 +823,7 @@ func (mb *mbConn) routingUnlock() {
 // call was aborted; it is written before ch closes, so the channel close
 // publishes it to the waiter.
 type call struct {
-	ch   chan *sbi.Message
+	ch   chan reply
 	txn  *txn
 	dead chan struct{}
 	err  error
@@ -835,6 +835,14 @@ type call struct {
 	// grabbed the call just before it left pending to stand down.
 	delivering sync.Mutex
 	dropped    bool
+}
+
+// reply is one frame delivered to a call. For a chunk frame of a
+// transaction's get it carries the frame's keys as the read loop registered
+// them: the one slice that serves register, ACK and detach.
+type reply struct {
+	*sbi.Message
+	keys []packet.FlowID
 }
 
 // callChanCap is the reply-channel capacity: deep enough that a streamed
@@ -850,18 +858,18 @@ const callChanPoolMax = 256
 // deterministic for the reuse-correctness tests) or allocates one. The free
 // list is per connection and rides mb.mu — which newCall holds anyway — so
 // recycling adds no cross-connection synchronization to the move path.
-func (mb *mbConn) getCallChanLocked() chan *sbi.Message {
+func (mb *mbConn) getCallChanLocked() chan reply {
 	if n := len(mb.chanFree); n > 0 {
 		ch := mb.chanFree[n-1]
 		mb.chanFree[n-1] = nil
 		mb.chanFree = mb.chanFree[:n-1]
 		return ch
 	}
-	return make(chan *sbi.Message, callChanCap)
+	return make(chan reply, callChanCap)
 }
 
 // putCallChan returns a drained, never-closed channel to the free list.
-func (mb *mbConn) putCallChan(ch chan *sbi.Message) {
+func (mb *mbConn) putCallChan(ch chan reply) {
 	mb.mu.Lock()
 	if len(mb.chanFree) < callChanPoolMax {
 		mb.chanFree = append(mb.chanFree, ch)
@@ -964,12 +972,14 @@ func (mb *mbConn) readLoop() error {
 			}
 			cl.delivering.Lock()
 			if !cl.dropped {
+				r := reply{Message: m}
 				if m.Type == sbi.MsgChunk && cl.txn != nil {
 					// Register here, on the read loop, so an
 					// event for any of these keys received later
 					// on this connection always finds the
 					// transaction.
-					cl.txn.registerFrame(chunkKeys(m))
+					r.keys = chunkKeys(m)
+					cl.txn.registerFrame(r.keys)
 				}
 				// Blocking send: chunk streams may outpace the
 				// consumer (the consumer issues a put per chunk),
@@ -977,7 +987,7 @@ func (mb *mbConn) readLoop() error {
 				// channel unblocks the loop if the consumer
 				// abandoned the call.
 				select {
-				case cl.ch <- m:
+				case cl.ch <- r:
 				case <-cl.dead:
 				}
 			}
@@ -1021,7 +1031,7 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 		if m.Type == sbi.MsgError {
 			return nil, fmt.Errorf("core: %s %s: %s", mb.name, req.Op, m.Error)
 		}
-		return m, nil
+		return m.Message, nil
 	case <-deadline.C:
 		return nil, fmt.Errorf("core: %s %s timed out", mb.name, req.Op)
 	}
@@ -1029,9 +1039,10 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 
 // stream sends a get request and invokes onChunk for each streamed chunk
 // until the final done (returning its Count) or an error. If t is non-nil,
-// the read loop registers each chunk's key with t before delivery, so that
-// events behind the chunk on the wire always find the transaction.
-func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChunk func(m *sbi.Message) error) (int, error) {
+// the read loop registers each chunk's keys with t before delivery, so that
+// events behind the chunk on the wire always find the transaction, and
+// onChunk receives those keys (nil otherwise).
+func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChunk func(m *sbi.Message, keys []packet.FlowID) error) (int, error) {
 	id, cl := mb.newCall(t)
 	defer mb.dropCall(id)
 	req.ID = id
@@ -1051,7 +1062,7 @@ func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChun
 			}
 			switch m.Type {
 			case sbi.MsgChunk:
-				if err := onChunk(m); err != nil {
+				if err := onChunk(m.Message, m.keys); err != nil {
 					return 0, err
 				}
 			case sbi.MsgDone:

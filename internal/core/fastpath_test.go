@@ -133,10 +133,14 @@ func TestMoveWithEventsBatchedBinary(t *testing.T) {
 // per-layer table behind it.
 const moveAllocBudget = 12
 
+// moveBytesBudget is the same budget in heap bytes allocated per chunk moved
+// (the same runs' TotalAlloc): the measured value plus 20 %.
+const moveBytesBudget = 3400
+
 // budgetRig is the benchmark's move-idle rig at test scale: a controller and
 // two CounterLogic(202) runtimes over MemTransport, default sealer, binary
 // codec, batch 32.
-func budgetRig(t *testing.T, chunks int) (*rig, func() float64) {
+func budgetRig(t *testing.T, chunks int) (*rig, func() (allocs, bytes float64)) {
 	r := &rig{
 		ctrl: core.NewController(core.Options{QuietPeriod: 10 * time.Millisecond, BatchSize: 32}),
 		tr:   sbi.NewMemTransport(),
@@ -161,8 +165,9 @@ func budgetRig(t *testing.T, chunks int) (*rig, func() float64) {
 	at := [2]string{"src", "dst"}
 	logics := [2]*mbtest.CounterLogic{r.src, r.dst}
 	// move moves everything to the other middlebox, checks exact
-	// conservation, and returns the allocations the whole process made.
-	move := func() float64 {
+	// conservation, and returns the allocations the whole process made and
+	// the bytes they came to.
+	move := func() (allocs, bytes float64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := r.ctrl.MoveInternal(at[0], at[1], packet.MatchAll); err != nil {
@@ -177,7 +182,7 @@ func budgetRig(t *testing.T, chunks int) (*rig, func() float64) {
 		}
 		at[0], at[1] = at[1], at[0]
 		logics[0], logics[1] = logics[1], logics[0]
-		return float64(after.Mallocs - before.Mallocs)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	return r, move
 }
@@ -190,19 +195,24 @@ func TestMoveAllocBudget(t *testing.T) {
 	r, move := budgetRig(t, chunks)
 	move() // warm: pools, reply channels, maps at size
 	move()
-	var perChunk float64
+	var perChunk, bytesPerChunk float64
 	for i := 0; i < 4; i++ {
-		perChunk += move() / chunks / 4
+		allocs, bytes := move()
+		perChunk += allocs / chunks / 4
+		bytesPerChunk += bytes / chunks / 4
 	}
 	if got := r.ctrl.Metrics().ChunksMoved; got != 6*chunks {
 		t.Fatalf("controller counted %d chunks moved, want %d", got, 6*chunks)
 	}
-	t.Logf("%.1f allocations per chunk moved (budget %d)", perChunk, moveAllocBudget)
+	t.Logf("%.1f allocations, %.0f bytes per chunk moved (budget %d, %d)", perChunk, bytesPerChunk, moveAllocBudget, moveBytesBudget)
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	if perChunk > moveAllocBudget {
 		t.Errorf("%.1f allocations per chunk moved, budget is %d", perChunk, moveAllocBudget)
+	}
+	if bytesPerChunk > moveBytesBudget {
+		t.Errorf("%.0f bytes allocated per chunk moved, budget is %d", bytesPerChunk, moveBytesBudget)
 	}
 }
 

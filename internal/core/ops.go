@@ -155,10 +155,16 @@ func (c *Controller) flowTraceRecordsConn(mb *mbConn) ([]string, error) {
 	return reply.Values, nil
 }
 
-// chunkKeys returns the flow keys of a chunk frame, in frame order.
-func chunkKeys(m *sbi.Message) []packet.FlowKey {
-	keys := make([]packet.FlowKey, 0, m.ChunkCount())
-	m.EachChunk(func(ch *state.Chunk) { keys = append(keys, ch.Key) })
+// chunkKeys returns the flow keys of a chunk frame as IDs, in frame order.
+// A key no ID can hold only comes from a middlebox that skipped its own
+// export check; it routes as its wire encoding would (the address as 0) and
+// the put that follows fails on it.
+func chunkKeys(m *sbi.Message) []packet.FlowID {
+	keys := make([]packet.FlowID, 0, m.ChunkCount())
+	m.EachChunk(func(ch *state.Chunk) {
+		id, _ := ch.Key.ID()
+		keys = append(keys, id)
+	})
 	return keys
 }
 
@@ -166,7 +172,7 @@ func chunkKeys(m *sbi.Message) []packet.FlowKey {
 type putJob struct {
 	op    sbi.Op
 	frame *sbi.Message
-	keys  []packet.FlowKey
+	keys  []packet.FlowID
 }
 
 // putQueue is an unbounded FIFO of put jobs feeding a move's worker pool.
@@ -325,11 +331,10 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			Compressed: c.opts.Compress, Batch: c.opts.BatchSize,
 		}
 		getStart := time.Now()
-		_, err := src.stream(t, get, c.opts.CallTimeout, func(chunk *sbi.Message) error {
+		_, err := src.stream(t, get, c.opts.CallTimeout, func(chunk *sbi.Message, keys []packet.FlowID) error {
 			if t.aborted.Load() {
 				return ErrReplicaFailed
 			}
-			keys := chunkKeys(chunk)
 			var bytes uint64
 			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
 			c.chunksMoved.Add(uint64(len(keys)))

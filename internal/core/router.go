@@ -13,10 +13,10 @@ import (
 // the transaction that owns the state they touched. The seed kept this state
 // as two maps behind a single per-MB mutex; every event route, chunk
 // registration, and put acknowledgment serialized on it. The router
-// partitions the key space into N power-of-two shards by FlowKey.FastHash(),
+// partitions the key space into N power-of-two shards by FlowID.Hash(),
 // each with its own mutex, so those operations only ever take one shard lock.
 //
-// FastHash is symmetric — k and k.Reverse() hash equal — so both directions
+// The hash is symmetric — id and id.Reverse() hash equal — so both directions
 // of a connection land in the same shard. That property is load-bearing: a
 // middlebox may raise events keyed by either direction of a flow it exported
 // under the canonical key, and a single shard lock must cover the whole
@@ -30,10 +30,12 @@ const maxOrphansPerKey = 256
 // routeKey names one flow key on one source middlebox. Routing state is
 // controller-global, so entries are qualified by the source connection:
 // different MBs routinely hold state for identical flow keys (e.g. replicas
-// fed the same trace).
+// fed the same trace). Keys enter as FlowKeys on chunks and events and are
+// held here as IDs: the connection is the entry's only pointer
+// (TestTableKeysAreCompact).
 type routeKey struct {
 	mb  *mbConn
-	key packet.FlowKey
+	key packet.FlowID
 }
 
 // keyState is a shard's record for one in-transaction flow key: the owning
@@ -62,7 +64,7 @@ type routerShard struct {
 	orphans map[routeKey][]*sbi.Event
 }
 
-// txnRouter shards transaction routing by FlowKey.FastHash(). Shard count is
+// txnRouter shards transaction routing by FlowID.Hash(). Shard count is
 // a power of two so the hash maps to a shard with a mask.
 type txnRouter struct {
 	shards []routerShard
@@ -79,11 +81,9 @@ func newTxnRouter(shards int) *txnRouter {
 }
 
 // mix64 is a splitmix-style avalanche finisher: FNV-family hashes of
-// similar short inputs (flow keys differing in few bytes, names like
-// "src0"/"src1") differ by small multiples of the prime, which disperses
-// poorly under a power-of-two mask or onto a hash ring. Both the router's
-// shard selection and the cluster directory's ring placement finish with
-// it.
+// similar short inputs (names like "src0"/"src1") differ by small multiples
+// of the prime, which disperses poorly onto a hash ring. The cluster
+// directory's ring placement finishes with it; FlowID.Hash carries its own.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -93,10 +93,8 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-func (r *txnRouter) shard(key packet.FlowKey) *routerShard {
-	// mix64 is a pure function of FastHash, so the symmetry property
-	// (k and k.Reverse() share a shard) is preserved.
-	return &r.shards[mix64(key.FastHash())&r.mask]
+func (r *txnRouter) shard(key packet.FlowID) *routerShard {
+	return &r.shards[key.Hash()&r.mask]
 }
 
 // frameShardBuf sizes eachShard's on-stack scratch: frames up to this many
@@ -108,7 +106,7 @@ const frameShardBuf = 64
 // visited in frame order under a single acquisition. visit may release and
 // re-take sh.mu (the ordered drain does) but returns with it held, and never
 // forwards under it: what it finds due is sent once eachShard has returned.
-func (r *txnRouter) eachShard(keys []packet.FlowKey, visit func(sh *routerShard, i int)) {
+func (r *txnRouter) eachShard(keys []packet.FlowID, visit func(sh *routerShard, i int)) {
 	var buf [frameShardBuf]*routerShard
 	shards := buf[:0]
 	if len(keys) > len(buf) {
@@ -139,7 +137,7 @@ func (r *txnRouter) eachShard(keys []packet.FlowKey, visit func(sh *routerShard,
 // the frame is delivered to the move consumer, so event routing can never
 // miss the registration. The frame's key states come from one slab, and keys
 // is retained for detach: the caller must not modify it afterwards.
-func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowKey) {
+func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 	slab := make([]keyState, len(keys))
 	type eviction struct {
 		dst *mbConn
@@ -184,7 +182,7 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowKey) {
 // key with no puts left outstanding, drains the buffered events in order. If
 // t no longer owns a key (a newer transaction claimed it), the ACK releases
 // t's stale buffer instead.
-func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowKey) {
+func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowID) {
 	var stale []int
 	r.eachShard(keys, func(sh *routerShard, i int) {
 		ks := sh.keys[routeKey{mb: t.src, key: keys[i]}]
@@ -227,8 +225,14 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 		}
 		return
 	}
-	rk := routeKey{mb: src, key: ev.Key}
-	sh := r.shard(ev.Key)
+	// An event names its state by FlowKey; a key no table can hold (a
+	// non-IPv4 address) names no registered state and is dropped.
+	id, ok := ev.Key.ID()
+	if !ok {
+		return
+	}
+	rk := routeKey{mb: src, key: id}
+	sh := r.shard(id)
 	sh.mu.Lock()
 	ks := sh.keys[rk]
 	if ks == nil {
@@ -290,11 +294,12 @@ func (r *txnRouter) purgeOrphans(mb *mbConn) {
 // already contain, so letting the restart adopt them would replay — and
 // double-count — those packets at the destination.
 func (r *txnRouter) purgeOrphanMatch(mb *mbConn, m packet.FieldMatch) {
+	im := m.ForID()
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
 		for rk := range sh.orphans {
-			if rk.mb == mb && m.MatchEither(rk.key) {
+			if rk.mb == mb && im.MatchEither(rk.key) {
 				delete(sh.orphans, rk)
 			}
 		}
@@ -407,7 +412,7 @@ func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
 				index[ks.owner] = ti
 			}
 			h.Keys = append(h.Keys, sbi.HandoffKey{
-				Key: rk.key, Txn: ti, Pending: ks.pending, Events: ks.buffered,
+				Key: rk.key.Key(), Txn: ti, Pending: ks.pending, Events: ks.buffered,
 			})
 			delete(sh.keys, rk)
 		}
@@ -415,7 +420,7 @@ func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
 			if rk.mb != mb {
 				continue
 			}
-			h.Keys = append(h.Keys, sbi.HandoffKey{Key: rk.key, Events: evs})
+			h.Keys = append(h.Keys, sbi.HandoffKey{Key: rk.key.Key(), Events: evs})
 			delete(sh.orphans, rk)
 		}
 		sh.mu.Unlock()
@@ -452,12 +457,16 @@ func (r *txnRouter) importHandoff(mb *mbConn, h *sbi.Handoff, reg *txnRegistry) 
 		if hk.Txn > uint64(len(table)) {
 			return 0, fmt.Errorf("core: handoff for %q references transaction %d of %d", h.MB, hk.Txn, len(table))
 		}
+		if _, ok := hk.Key.ID(); !ok {
+			return 0, fmt.Errorf("core: handoff for %q carries non-IPv4 key %s", h.MB, hk.Key)
+		}
 	}
 	dropped := 0
 	for i := range h.Keys {
 		hk := &h.Keys[i]
-		rk := routeKey{mb: mb, key: hk.Key}
-		sh := r.shard(hk.Key)
+		id, _ := hk.Key.ID() // checked above
+		rk := routeKey{mb: mb, key: id}
+		sh := r.shard(id)
 		sh.mu.Lock()
 		if hk.Txn == 0 {
 			sh.orphans[rk] = append(sh.orphans[rk], hk.Events...)

@@ -1,7 +1,7 @@
 package core
 
 // White-box tests for the sharded transaction router and the completer:
-// shard selection (power-of-two rounding, FastHash symmetry), orphan
+// shard selection (power-of-two rounding, FlowID.Hash symmetry), orphan
 // adoption when events beat their registering chunk, ownership guards when
 // transactions overlap on a key, detach cleanup, and quiescence-driven
 // completion. End-to-end behaviour (moves under traffic, shards=1 vs
@@ -93,8 +93,14 @@ func key(i int) packet.FlowKey {
 	}
 }
 
-// frame is one chunk frame's key slice (registerFrame keeps it).
-func frame(keys ...packet.FlowKey) []packet.FlowKey { return keys }
+// frame is one chunk frame's key slice, as IDs (registerFrame keeps it).
+func frame(keys ...packet.FlowKey) []packet.FlowID {
+	ids := make([]packet.FlowID, len(keys))
+	for i, k := range keys {
+		ids[i], _ = k.ID()
+	}
+	return ids
+}
 
 func reprocessEvent(k packet.FlowKey) *sbi.Event {
 	return &sbi.Event{Kind: sbi.EventReprocess, Key: k}
@@ -119,14 +125,14 @@ func TestShardDefaultsAndRounding(t *testing.T) {
 	}
 }
 
-// TestShardSymmetry: FastHash is symmetric, so both directions of a flow
+// TestShardSymmetry: FlowID.Hash is symmetric, so both directions of a flow
 // must resolve to the same shard — the property the per-shard ordering
 // argument relies on.
 func TestShardSymmetry(t *testing.T) {
 	r := newTxnRouter(16)
 	spread := map[*routerShard]bool{}
 	for i := 0; i < 64; i++ {
-		k := key(i)
+		k := frame(key(i))[0]
 		if r.shard(k) != r.shard(k.Reverse()) {
 			t.Fatalf("key %v and its reverse land in different shards", k)
 		}
@@ -176,9 +182,9 @@ func TestOrphansAreBounded(t *testing.T) {
 	for i := 0; i < maxOrphansPerKey+100; i++ {
 		c.router.route(src.mb, reprocessEvent(k))
 	}
-	sh := c.router.shard(k)
+	sh := c.router.shard(frame(k)[0])
 	sh.mu.Lock()
-	n := len(sh.orphans[routeKey{mb: src.mb, key: k}])
+	n := len(sh.orphans[routeKey{mb: src.mb, key: frame(k)[0]}])
 	sh.mu.Unlock()
 	if n != maxOrphansPerKey {
 		t.Fatalf("orphans held = %d, want %d", n, maxOrphansPerKey)
@@ -240,8 +246,8 @@ func TestEvictionDuringDrain(t *testing.T) {
 	// first forward), so the next event deterministically lands mid-drain.
 	drainDone := make(chan struct{})
 	go func() { t1.ackFrame(frame(k)); close(drainDone) }()
-	sh := c.router.shard(k)
-	rk := routeKey{mb: src.mb, key: k}
+	sh := c.router.shard(frame(k)[0])
+	rk := routeKey{mb: src.mb, key: frame(k)[0]}
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		sh.mu.Lock()
 		flushing := sh.keys[rk] != nil && sh.keys[rk].flushing
@@ -408,7 +414,7 @@ func collectOutcome(t *testing.T, c *Controller, dsts ...*testPeer) routerOutcom
 		sh := &c.router.shards[i]
 		sh.mu.Lock()
 		for rk, ks := range sh.keys {
-			o.pending[rk.key] = ks.pending
+			o.pending[rk.key.Key()] = ks.pending
 		}
 		sh.mu.Unlock()
 	}
@@ -419,23 +425,23 @@ func collectOutcome(t *testing.T, c *Controller, dsts ...*testPeer) routerOutcom
 // frames one key at a time.
 type frameCalls struct{ perKey bool }
 
-func (f frameCalls) register(tx *txn, keys []packet.FlowKey) {
+func (f frameCalls) register(tx *txn, keys []packet.FlowID) {
 	if !f.perKey {
 		tx.registerFrame(slices.Clone(keys))
 		return
 	}
 	for _, k := range keys {
-		tx.registerFrame(frame(k))
+		tx.registerFrame([]packet.FlowID{k})
 	}
 }
 
-func (f frameCalls) ack(tx *txn, keys []packet.FlowKey) {
+func (f frameCalls) ack(tx *txn, keys []packet.FlowID) {
 	if !f.perKey {
 		tx.ackFrame(keys)
 		return
 	}
 	for _, k := range keys {
-		tx.ackFrame(frame(k))
+		tx.ackFrame([]packet.FlowID{k})
 	}
 }
 
@@ -449,7 +455,7 @@ func seededFrameScript(t *testing.T, seed int64, calls frameCalls) routerOutcome
 	dsts := []*testPeer{newTestPeer(t, c, "dst0"), newTestPeer(t, c, "dst1")}
 	txns := []*txn{newTxn(c, src.mb, dsts[0].mb), newTxn(c, src.mb, dsts[1].mb)}
 	rng := rand.New(rand.NewSource(seed))
-	var unacked [2][][]packet.FlowKey
+	var unacked [2][][]packet.FlowID
 	var seq uint64
 	for step := 0; step < 150; step++ {
 		x := rng.Intn(2)
@@ -458,9 +464,9 @@ func seededFrameScript(t *testing.T, seed int64, calls frameCalls) routerOutcome
 			seq++
 			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(rng.Intn(8)), Seq: seq})
 		case op < 7:
-			keys := make([]packet.FlowKey, 1+rng.Intn(6))
+			keys := make([]packet.FlowID, 1+rng.Intn(6))
 			for i := range keys {
-				keys[i] = key(rng.Intn(8))
+				keys[i] = frame(key(rng.Intn(8)))[0]
 			}
 			calls.register(txns[x], keys)
 			unacked[x] = append(unacked[x], keys)
@@ -494,7 +500,7 @@ func midDrainScript(t *testing.T, calls frameCalls) routerOutcome {
 
 	drained := make(chan struct{})
 	go func() { calls.ack(tx, keys); close(drained) }()
-	sh, rk := c.router.shard(key(1)), routeKey{mb: src.mb, key: key(1)}
+	sh, rk := c.router.shard(keys[0]), routeKey{mb: src.mb, key: keys[0]}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		sh.mu.Lock()
 		flushing := sh.keys[rk].flushing

@@ -38,11 +38,11 @@ type txn struct {
 	mu sync.Mutex
 	// frames are the key slices registered with the router, one per chunk
 	// frame, for detach.
-	frames [][]packet.FlowKey
+	frames [][]packet.FlowID
 	// stale holds put counts and buffered events for keys this
 	// transaction lost to a newer one (overlapping moves); its remaining
 	// ACKs release them toward its own destination.
-	stale map[packet.FlowKey]*staleKey
+	stale map[packet.FlowID]*staleKey
 	// sharedPending counts unacknowledged shared puts; sharedBuffered
 	// holds shared-state events meanwhile, and sharedFlushing marks an
 	// ordered drain in progress (see keyState.flushing).
@@ -85,7 +85,7 @@ func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64
 // transaction): the handoff read-lock pins the owner for the duration of
 // the router call, so a concurrent ownership transfer either sees this
 // registration in the state it exports or happens entirely after it.
-func (t *txn) registerFrame(keys []packet.FlowKey) {
+func (t *txn) registerFrame(keys []packet.FlowID) {
 	t.src.routingLock()
 	t.src.controller().router.registerFrame(t, keys)
 	t.src.routingUnlock()
@@ -93,21 +93,21 @@ func (t *txn) registerFrame(keys []packet.FlowKey) {
 
 // ackFrame marks one put acknowledged for every key of a frame; see
 // txnRouter.ackFrame. Owner resolution follows registerFrame.
-func (t *txn) ackFrame(keys []packet.FlowKey) {
+func (t *txn) ackFrame(keys []packet.FlowID) {
 	t.src.routingLock()
 	t.src.controller().router.ackFrame(t, keys)
 	t.src.routingUnlock()
 }
 
 // noteFrame remembers a registered frame's keys for detach.
-func (t *txn) noteFrame(keys []packet.FlowKey) {
+func (t *txn) noteFrame(keys []packet.FlowID) {
 	t.mu.Lock()
 	t.frames = append(t.frames, keys)
 	t.mu.Unlock()
 }
 
 // takeFrames returns and clears the registered-key list.
-func (t *txn) takeFrames() [][]packet.FlowKey {
+func (t *txn) takeFrames() [][]packet.FlowID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	frames := t.frames
@@ -121,14 +121,14 @@ func (t *txn) takeFrames() [][]packet.FlowKey {
 // reverse); ks belongs to the caller after this returns. If nothing remains
 // outstanding, the buffer is returned for the caller to forward once the
 // shard lock is released.
-func (t *txn) adoptStale(key packet.FlowKey, ks *keyState) []*sbi.Event {
+func (t *txn) adoptStale(key packet.FlowID, ks *keyState) []*sbi.Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.stale[key]
 	if s == nil {
 		s = &staleKey{}
 		if t.stale == nil {
-			t.stale = map[packet.FlowKey]*staleKey{}
+			t.stale = map[packet.FlowID]*staleKey{}
 		}
 		t.stale[key] = s
 	}
@@ -173,7 +173,7 @@ func (t *txn) adoptStale(key packet.FlowKey, ks *keyState) []*sbi.Event {
 
 // ackStale releases one stale put for key; the last one flushes the
 // remaining buffer toward this transaction's destination.
-func (t *txn) ackStale(key packet.FlowKey) {
+func (t *txn) ackStale(key packet.FlowID) {
 	t.mu.Lock()
 	s := t.stale[key]
 	if s == nil {

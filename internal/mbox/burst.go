@@ -62,9 +62,9 @@ func (rt *Runtime) HandleBurst(ps []*packet.Packet) {
 // outcome per packet.
 func (rt *Runtime) handleBurstTraced(a *obs.ArmedTrace, ps []*packet.Packet) {
 	n := len(ps)
-	keys := make([]packet.FlowKey, n)
+	keys := make([]packet.FlowID, n)
 	for i, p := range ps {
-		keys[i] = p.Flow()
+		keys[i] = p.FlowID()
 	}
 	rejected := rt.ring.tryPushBurst(ps)
 	if rejected > 0 {
@@ -162,7 +162,7 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	tr := rt.tracer.Enabled()
 	if tr != nil {
 		for _, p := range pkts {
-			tr.Record(rt.name, obs.HopDispatch, p.Flow(), "burst")
+			tr.Record(rt.name, obs.HopDispatch, p.FlowID(), "burst")
 		}
 	}
 	duringOp := rt.activeOps.Load() > 0
@@ -179,7 +179,7 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	}
 	if tr != nil {
 		for i := range ctxs {
-			tr.RecordEmits(rt.name, pkts[i].Flow(), ctxs[i].emitted)
+			tr.RecordEmits(rt.name, pkts[i].FlowID(), ctxs[i].emitted)
 		}
 	}
 	elapsed := time.Since(start)
@@ -217,7 +217,7 @@ func (rt *Runtime) flushEmits(bs *burstState) {
 	if a := rt.tracer.Enabled(); a != nil {
 		// Before the hand-off: reference ownership transfers with it.
 		for _, p := range bs.emits {
-			a.Record(rt.name, obs.HopEgress, p.Flow(), "")
+			a.Record(rt.name, obs.HopEgress, p.FlowID(), "")
 		}
 	}
 	rt.forwardMu.RLock()
@@ -247,7 +247,7 @@ func (rt *Runtime) flushEmits(bs *burstState) {
 // against overload. Snapshot staleness is bounded by one burst (tens of
 // microseconds) — well inside the delivery slack filter changes already
 // tolerate on the wire.
-func (rt *Runtime) filterAllowsBurst(bs *burstState, code string, key packet.FlowKey) bool {
+func (rt *Runtime) filterAllowsBurst(bs *burstState, code string, id packet.FlowID) bool {
 	if !bs.fvalid {
 		rt.filtersMu.Lock()
 		bs.fsnap = append(bs.fsnap[:0], rt.filters...)
@@ -260,7 +260,7 @@ func (rt *Runtime) filterAllowsBurst(bs *burstState, code string, key packet.Flo
 		if !f.expires.IsZero() && bs.fnow.After(f.expires) {
 			continue
 		}
-		if len(f.codePrefix) <= len(code) && code[:len(f.codePrefix)] == f.codePrefix && f.match.MatchEither(key) {
+		if len(f.codePrefix) <= len(code) && code[:len(f.codePrefix)] == f.codePrefix && f.match.MatchEither(id) {
 			return f.enable
 		}
 	}

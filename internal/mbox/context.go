@@ -32,7 +32,7 @@ type Context struct {
 	// which the logic calls while holding its own lock — making the
 	// moved-mark check atomic with the state update it reports.
 	raise       bool
-	raiseKey    packet.FlowKey
+	raiseID     packet.FlowID
 	raiseClass  state.Class
 	raiseShared bool
 	emitted     int
@@ -45,16 +45,19 @@ type Context struct {
 	burst *burstState
 }
 
+// touchRef names one marked piece of per-flow state. It is the marks
+// table's key: compact and pointer-free (TestTableKeysAreCompact).
 type touchRef struct {
-	key   packet.FlowKey
+	id    packet.FlowID
 	class state.Class
 }
 
 // Touch records that the logic created or updated the per-flow state
-// identified by key (at the middlebox's own keying granularity) of the given
-// class. Call it while holding the lock that serializes this state against
-// export: if the state is currently part of a move or clone transaction, the
-// runtime will raise a reprocess event after the packet completes.
+// identified by id — the FlowID of the key GetPerflow exports it under, at
+// the middlebox's own keying granularity — of the given class. Call it while
+// holding the lock that serializes this state against export: if the state
+// is currently part of a move or clone transaction, the runtime will raise a
+// reprocess event after the packet completes.
 //
 // With no transaction in progress Touch takes no lock: it reads the count of
 // marks and returns on zero. That read cannot miss a mark that matters. A
@@ -65,16 +68,16 @@ type touchRef struct {
 // unlock/lock edge, and the count read here is not zero — or this Touch's
 // critical section came first, and the update it reports is inside the
 // exported blob. A stale non-zero read only costs the locked lookup below.
-func (c *Context) Touch(class state.Class, key packet.FlowKey) {
+func (c *Context) Touch(class state.Class, id packet.FlowID) {
 	if c.Replay || c.raise || c.rt.markCount.Load() == 0 {
 		return
 	}
 	c.rt.marksMu.Lock()
-	moved := c.rt.movedKeys[touchRef{key: key, class: class}]
+	moved := c.rt.movedKeys[touchRef{id: id, class: class}]
 	c.rt.marksMu.Unlock()
 	if moved {
 		c.raise = true
-		c.raiseKey = key
+		c.raiseID = id
 		c.raiseClass = class
 		c.raiseShared = false
 	}
@@ -169,18 +172,19 @@ func NewBenchContext() *Context {
 }
 
 // RaiseIntrospection raises an introspection event (§4.2.2) announcing that
-// the middlebox created or updated state identified by key. code is the
+// the middlebox created or updated state identified by id. code is the
 // MB-specific event code (e.g. "nat.mapping.created"); values carry optional
 // MB-specific details. The event is delivered only if a matching filter has
-// been enabled, and never during replay.
-func (c *Context) RaiseIntrospection(code string, key packet.FlowKey, values map[string]string) {
+// been enabled, and never during replay; the ID expands to the event's
+// FlowKey only then.
+func (c *Context) RaiseIntrospection(code string, id packet.FlowID, values map[string]string) {
 	// A detached context (nil burst) has no filters, so nothing is enabled.
 	if c.Replay || c.burst == nil {
 		return
 	}
 	// Evaluate against the burst's filter snapshot: one filtersMu
 	// acquisition and one clock read per burst, not per event.
-	if c.rt.filterAllowsBurst(c.burst, code, key) {
-		c.rt.emitIntrospection(code, key, values)
+	if c.rt.filterAllowsBurst(c.burst, code, id) {
+		c.rt.emitIntrospection(code, id.Key(), values)
 	}
 }

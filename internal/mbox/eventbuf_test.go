@@ -24,7 +24,7 @@ type touchLogic struct{ cfg *state.ConfigTree }
 
 func (l *touchLogic) Kind() string { return "touch" }
 func (l *touchLogic) Process(ctx *Context, p *packet.Packet) {
-	ctx.Touch(state.Supporting, p.Flow())
+	ctx.Touch(state.Supporting, p.FlowID())
 }
 func (l *touchLogic) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
 	return nil
@@ -71,7 +71,7 @@ func TestReprocessEventEncodeAllocs(t *testing.T) {
 		Proto: packet.ProtoTCP, SrcPort: 4242, DstPort: 80,
 		Payload: make([]byte, 4096),
 	}
-	rt.markKey(pkt.Flow(), state.Supporting)
+	rt.markKey(pkt.FlowID(), state.Supporting)
 
 	send := func() {
 		raised := rt.Metrics().EventsRaised

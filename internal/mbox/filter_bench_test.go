@@ -26,12 +26,12 @@ func benchFilterStack(b *testing.B, filters int) {
 	for i := 0; i < filters; i++ {
 		rt.filters = append(rt.filters, eventFilter{
 			codePrefix: fmt.Sprintf("app%d.", i),
-			match:      packet.MatchAll,
+			match:      packet.MatchAll.ForID(),
 			enable:     true,
 			expires:    expires, // every entry pays the expiry check
 		})
 	}
-	key := packet.FlowKey{SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP}
+	key, _ := packet.FlowKey{SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP}.ID()
 	var bs burstState
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -78,10 +78,13 @@ type Conn struct {
 	SigMatches uint64 `json:"sigMatches"`
 	// Established reports whether the three-way handshake completed.
 	Established bool `json:"established"`
+	// orig is Key — the originator's direction, which logs and exports
+	// print — as the ID the packet path compares against.
+	orig packet.FlowID
 }
 
-func newConn(key packet.FlowKey, ts int64) *Conn {
-	return &Conn{Key: key, Proto: key.Proto, State: StateOTH, Start: ts, Last: ts}
+func newConn(orig packet.FlowID, ts int64) *Conn {
+	return &Conn{Key: orig.Key(), orig: orig, Proto: orig.Proto(), State: StateOTH, Start: ts, Last: ts}
 }
 
 // update advances the connection state machine for one packet. fromOrig

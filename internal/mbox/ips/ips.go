@@ -23,7 +23,7 @@ type IPS struct {
 	mu sync.Mutex
 	// tables holds connections per transport protocol, as Bro stores
 	// Connection objects in one of three hash tables (§7).
-	tables map[uint8]map[packet.FlowKey]*Conn
+	tables map[uint8]map[packet.FlowID]*Conn
 	// index spans all three tables so prefix-constrained gets avoid the
 	// full linear scan (state.FlowIndex; footnote 6 of the paper).
 	index  *state.FlowIndex
@@ -48,7 +48,7 @@ type reportCounters struct {
 // signature rules.
 func New() *IPS {
 	ips := &IPS{
-		tables: map[uint8]map[packet.FlowKey]*Conn{
+		tables: map[uint8]map[packet.FlowID]*Conn{
 			packet.ProtoTCP:  {},
 			packet.ProtoUDP:  {},
 			packet.ProtoICMP: {},
@@ -98,10 +98,10 @@ func (i *IPS) recompileLocked() {
 	}
 }
 
-func (i *IPS) table(proto uint8) map[packet.FlowKey]*Conn {
+func (i *IPS) table(proto uint8) map[packet.FlowID]*Conn {
 	t, ok := i.tables[proto]
 	if !ok {
-		t = map[packet.FlowKey]*Conn{}
+		t = map[packet.FlowID]*Conn{}
 		i.tables[proto] = t
 	}
 	return t
@@ -111,12 +111,11 @@ func (i *IPS) table(proto uint8) map[packet.FlowKey]*Conn {
 // connection and its analyzer tree, evaluates signatures, feeds the scan
 // detector, and forwards the packet unless a drop rule fired.
 func (i *IPS) Process(ctx *mbox.Context, p *packet.Packet) {
-	key := p.Flow().Canonical()
 	i.mu.Lock()
 	if i.sigsDirty {
 		i.recompileLocked()
 	}
-	logLines, httpLines, drop, terminated := i.processLocked(ctx, p, key)
+	key, logLines, httpLines, drop, terminated := i.processLocked(ctx, p)
 	i.mu.Unlock()
 
 	for _, line := range httpLines {
@@ -143,7 +142,7 @@ func (i *IPS) Process(ctx *mbox.Context, p *packet.Packet) {
 // (no alerts, no terminations) appends nothing.
 type ipsEffect struct {
 	idx        int
-	key        packet.FlowKey
+	key        packet.FlowID
 	logLines   []string
 	httpLines  []string
 	terminated bool
@@ -162,8 +161,7 @@ func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	}
 	for idx, p := range pkts {
 		ctx := &ctxs[idx]
-		key := p.Flow().Canonical()
-		logLines, httpLines, drop, terminated := i.processLocked(ctx, p, key)
+		key, logLines, httpLines, drop, terminated := i.processLocked(ctx, p)
 		if !drop {
 			ctx.Emit(p)
 		}
@@ -192,16 +190,18 @@ func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 
 // processLocked is the per-packet Bro path shared by Process and
 // ProcessBurst. Caller holds i.mu and has already handled lazy signature
-// recompilation. Log lines and the termination flag are returned for the
-// caller to act on outside the lock.
-func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet, key packet.FlowKey) (logLines, httpLines []string, drop, terminated bool) {
+// recompilation. The flow's canonical ID, log lines and the termination flag
+// are returned for the caller to act on outside the lock.
+func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet) (key packet.FlowID, logLines, httpLines []string, drop, terminated bool) {
+	flow := p.FlowID()
+	key, _ = flow.Canonical()
 	if !ctx.SkipPerflow() {
 		tbl := i.table(p.Proto)
 		conn, ok := tbl[key]
 		if !ok {
-			conn = newConn(p.Flow(), p.Timestamp)
+			conn = newConn(flow, p.Timestamp)
 			tbl[key] = conn
-			i.index.Insert(key)
+			i.index.InsertID(key)
 			// A new flow opening feeds the scan detector (shared
 			// supporting state).
 			if p.Proto == packet.ProtoTCP && p.Flags&packet.FlagSYN != 0 && p.Flags&packet.FlagACK == 0 && !ctx.SkipShared() {
@@ -213,7 +213,7 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet, key packet.Flow
 				ctx.TouchShared(state.Reporting)
 			}
 		}
-		fromOrig := p.Flow() == conn.Key
+		fromOrig := flow == conn.orig
 		terminated = conn.update(p, fromOrig)
 
 		// Signature evaluation.
@@ -256,7 +256,7 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet, key packet.Flow
 		if terminated {
 			logLines = append(logLines, conn.logLine())
 			delete(tbl, key)
-			i.index.Remove(key)
+			i.index.RemoveID(key)
 			if !ctx.SkipShared() {
 				i.report.ConnsLogged++
 				ctx.TouchShared(state.Reporting)
@@ -271,7 +271,7 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet, key packet.Flow
 		}
 		ctx.TouchShared(state.Supporting)
 	}
-	return logLines, httpLines, drop, terminated
+	return key, logLines, httpLines, drop, terminated
 }
 
 // SweepIdle logs and removes connections idle since before cutoff (trace
@@ -287,7 +287,7 @@ func (i *IPS) SweepIdle(cutoff int64, log func(stream, line string)) []string {
 			if conn.Last < cutoff {
 				lines = append(lines, conn.logLine())
 				delete(tbl, k)
-				i.index.Remove(k)
+				i.index.RemoveID(k)
 				i.report.ConnsLogged++
 			}
 		}
@@ -317,25 +317,25 @@ func (i *IPS) GetPerflow(class state.Class, match packet.FieldMatch, emit func(k
 		return nil // Bro's movable per-flow state is supporting state
 	}
 	i.mu.Lock()
-	keys, ok := i.index.Lookup(match)
+	keys, ok := i.index.LookupIDs(match)
 	if !ok {
+		im := match.ForID()
 		for _, tbl := range i.tables {
 			for k := range tbl {
-				if match.MatchEither(k) {
+				if im.MatchEither(k) {
 					keys = append(keys, k)
 				}
 			}
 		}
 	}
 	i.mu.Unlock()
-	packet.SortKeys(keys)
-	for _, k := range keys {
-		key := k
-		err := emit(key, func(mark func()) ([]byte, error) {
+	packet.SortIDs(keys)
+	for _, key := range keys {
+		err := emit(key.Key(), func(mark func()) ([]byte, error) {
 			i.mu.Lock()
 			defer i.mu.Unlock()
 			mark()
-			conn, ok := i.table(key.Proto)[key]
+			conn, ok := i.table(key.Proto())[key]
 			if !ok {
 				conn = newConn(key, 0)
 				conn.State = StateMOVED
@@ -365,11 +365,15 @@ func (i *IPS) PutPerflow(class state.Class, c state.Chunk) error {
 	if err != nil {
 		return fmt.Errorf("ips: decode connection key: %w", err)
 	}
-	conn.Key = key
-	canon := key.Canonical()
+	orig, ok := key.ID()
+	if !ok {
+		return fmt.Errorf("ips: connection key %s is not IPv4", key)
+	}
+	conn.Key, conn.orig = key, orig
+	canon, _ := orig.Canonical()
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	tbl := i.table(canon.Proto)
+	tbl := i.table(canon.Proto())
 	if existing, ok := tbl[canon]; ok {
 		conn.Orig.Packets += existing.Orig.Packets
 		conn.Orig.Bytes += existing.Orig.Bytes
@@ -384,7 +388,7 @@ func (i *IPS) PutPerflow(class state.Class, c state.Chunk) error {
 		conn.SigMatches += existing.SigMatches
 	}
 	tbl[canon] = &conn
-	i.index.Insert(canon)
+	i.index.InsertID(canon)
 	return nil
 }
 
@@ -396,12 +400,13 @@ func (i *IPS) DelPerflow(class state.Class, match packet.FieldMatch) (int, error
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
+	im := match.ForID()
 	n := 0
 	for _, tbl := range i.tables {
 		for k := range tbl {
-			if match.MatchEither(k) {
+			if im.MatchEither(k) {
 				delete(tbl, k)
-				i.index.Remove(k)
+				i.index.RemoveID(k)
 				n++
 			}
 		}
@@ -451,9 +456,10 @@ func (i *IPS) Stats(match packet.FieldMatch) sbi.StatsReply {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	var s sbi.StatsReply
+	im := match.ForID()
 	for _, tbl := range i.tables {
 		for k, conn := range tbl {
-			if match.MatchEither(k) {
+			if im.MatchEither(k) {
 				s.SupportPerflowChunks++
 				if b, err := json.Marshal(conn); err == nil {
 					s.SupportPerflowBytes += len(b)
@@ -488,7 +494,8 @@ func (i *IPS) ConnCount() int {
 func (i *IPS) Connection(key packet.FlowKey) (Conn, bool) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	conn, ok := i.table(key.Canonical().Proto)[key.Canonical()]
+	id, _ := key.Canonical().ID()
+	conn, ok := i.table(id.Proto())[id]
 	if !ok {
 		return Conn{}, false
 	}

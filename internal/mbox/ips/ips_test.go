@@ -367,7 +367,7 @@ func TestPutMergesWithLocallyStartedFlow(t *testing.T) {
 	// counters must sum, not reset.
 	dst := New()
 	run(t, dst, tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, packet.FlagACK, "xx"))
-	incoming := newConn(tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, 0, "").Flow(), 0)
+	incoming := newConn(tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, 0, "").FlowID(), 0)
 	incoming.Orig.Packets = 5
 	incoming.Orig.Bytes = 50
 	incoming.KeyS = incoming.Key.String()

@@ -67,8 +67,9 @@ type assignment struct {
 // LB is the middlebox logic. It implements mbox.Logic.
 type LB struct {
 	mu sync.Mutex
-	// assigns is keyed by source endpoint only: dst fields zeroed.
-	assigns  map[packet.FlowKey]*assignment
+	// assigns is keyed by source endpoint only (FlowID.SrcEndpoint): dst
+	// fields zero, on both sides of a move.
+	assigns  map[packet.FlowID]*assignment
 	backends []Backend
 	rr       int
 	vip      netip.Addr
@@ -80,7 +81,7 @@ type LB struct {
 // New returns a load balancer fronting vip:vipPort with the given backends.
 func New(vip netip.Addr, vipPort uint16, backends []Backend) *LB {
 	l := &LB{
-		assigns:  map[packet.FlowKey]*assignment{},
+		assigns:  map[packet.FlowID]*assignment{},
 		backends: append([]Backend(nil), backends...),
 		vip:      vip,
 		vipPort:  vipPort,
@@ -103,11 +104,6 @@ func New(vip netip.Addr, vipPort uint16, backends []Backend) *LB {
 
 // Kind implements mbox.Logic.
 func (l *LB) Kind() string { return Kind }
-
-// srcKey masks a flow to the balancer's keying granularity.
-func srcKey(p *packet.Packet) packet.FlowKey {
-	return packet.FlowKey{SrcIP: p.SrcIP, SrcPort: p.SrcPort, Proto: p.Proto}
-}
 
 func (l *LB) applyConfigLocked() {
 	l.dirty = false
@@ -136,7 +132,7 @@ func (l *LB) Process(ctx *mbox.Context, p *packet.Packet) {
 		ctx.Emit(p) // return traffic or unrelated: pass through
 		return
 	}
-	key := srcKey(p)
+	key := p.FlowID().SrcEndpoint()
 	l.mu.Lock()
 	if l.dirty {
 		l.applyConfigLocked()
@@ -172,7 +168,7 @@ func (l *LB) Process(ctx *mbox.Context, p *packet.Packet) {
 // them after it in packet order.
 type lbRaise struct {
 	idx     int
-	key     packet.FlowKey
+	key     packet.FlowID
 	backend Backend
 }
 
@@ -183,7 +179,7 @@ type lbRaise struct {
 // in packet order.
 func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []lbRaise
-	var lastKey packet.FlowKey
+	var lastKey packet.FlowID
 	var lastA *assignment
 	l.mu.Lock()
 	if l.dirty {
@@ -198,7 +194,7 @@ func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 		if len(l.backends) == 0 {
 			continue // no backends: drop
 		}
-		key := srcKey(p)
+		key := p.FlowID().SrcEndpoint()
 		var a *assignment
 		if lastA != nil && lastKey == key {
 			a = lastA
@@ -237,18 +233,18 @@ func (l *LB) GetPerflow(class state.Class, match packet.FieldMatch, emit func(ke
 	if match.ConstrainsDst() {
 		return fmt.Errorf("lb: per-flow state is keyed by source IP/port only; destination constraints are finer than the keying granularity")
 	}
+	im := match.ForID()
 	l.mu.Lock()
-	keys := make([]packet.FlowKey, 0, len(l.assigns))
+	keys := make([]packet.FlowID, 0, len(l.assigns))
 	for k := range l.assigns {
-		if match.Match(k) {
+		if im.Match(k) {
 			keys = append(keys, k)
 		}
 	}
 	l.mu.Unlock()
-	packet.SortKeys(keys)
-	for _, k := range keys {
-		key := k
-		err := emit(key, func(mark func()) ([]byte, error) {
+	packet.SortIDs(keys)
+	for _, key := range keys {
+		err := emit(key.Key(), func(mark func()) ([]byte, error) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			mark()
@@ -282,9 +278,13 @@ func (l *LB) PutPerflow(class state.Class, c state.Chunk) error {
 	if err != nil {
 		return fmt.Errorf("lb: malformed packet count %q", parts[1])
 	}
+	id, ok := c.Key.ID()
+	if !ok {
+		return fmt.Errorf("lb: flow key %s is not IPv4", c.Key)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if existing, ok := l.assigns[c.Key]; ok {
+	if existing, ok := l.assigns[id]; ok {
 		// The flow raced the move and was assigned here too; the
 		// incoming (original) binding wins — an in-progress
 		// transaction must not switch servers (§2, R4).
@@ -292,7 +292,7 @@ func (l *LB) PutPerflow(class state.Class, c state.Chunk) error {
 		existing.Packets += pkts
 		return nil
 	}
-	l.assigns[c.Key] = &assignment{Backend: b, Packets: pkts}
+	l.assigns[id] = &assignment{Backend: b, Packets: pkts}
 	return nil
 }
 
@@ -303,9 +303,10 @@ func (l *LB) DelPerflow(class state.Class, match packet.FieldMatch) (int, error)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	im := match.ForID()
 	n := 0
 	for k := range l.assigns {
-		if match.Match(k) {
+		if im.Match(k) {
 			delete(l.assigns, k)
 			n++
 		}
@@ -329,8 +330,9 @@ func (l *LB) Stats(match packet.FieldMatch) sbi.StatsReply {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var s sbi.StatsReply
+	im := match.ForID()
 	for k, a := range l.assigns {
-		if match.Match(k) {
+		if im.Match(k) {
 			s.SupportPerflowChunks++
 			s.SupportPerflowBytes += len(a.Backend.String()) + 8
 		}
@@ -345,7 +347,8 @@ func (l *LB) Config() *state.ConfigTree { return l.config }
 func (l *LB) Assignment(srcIP netip.Addr, srcPort uint16, proto uint8) (Backend, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	a, ok := l.assigns[packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto}]
+	id, _ := packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto}.ID()
+	a, ok := l.assigns[id]
 	if !ok {
 		return Backend{}, false
 	}

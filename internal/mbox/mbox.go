@@ -63,10 +63,16 @@ type Logic interface {
 	// Implementations should collect matching keys under their lock,
 	// then emit each chunk with build serializing under a short
 	// per-chunk lock acquisition.
+	//
+	// Keys cross this interface as FlowKeys; tables hold packet.FlowID.
+	// The runtime marks key.ID(), so Process must Touch with the ID of
+	// the key the state is exported under, and a key with a non-IPv4
+	// address fails the get (the wire form cannot carry it).
 	GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error
 
 	// PutPerflow installs one chunk previously exported by a peer
-	// instance of the same kind.
+	// instance of the same kind, under c.Key.ID(); a key whose ID reports
+	// false is rejected.
 	PutPerflow(class state.Class, c state.Chunk) error
 
 	// DelPerflow removes matching state without side effects (no log

@@ -26,7 +26,7 @@ type CounterLogic struct {
 	ChunkBytes int
 
 	mu            sync.Mutex
-	flows         map[packet.FlowKey]uint64
+	flows         map[packet.FlowID]uint64
 	sharedSupport uint64
 	sharedReport  uint64
 	config        *state.ConfigTree
@@ -43,7 +43,7 @@ func NewCounterLogic(chunkBytes int) *CounterLogic {
 	}
 	return &CounterLogic{
 		ChunkBytes: chunkBytes,
-		flows:      map[packet.FlowKey]uint64{},
+		flows:      map[packet.FlowID]uint64{},
 		config:     state.NewConfigTree(),
 	}
 }
@@ -53,13 +53,13 @@ func (l *CounterLogic) Kind() string { return "counter" }
 
 // Process counts the packet per flow and globally.
 func (l *CounterLogic) Process(ctx *mbox.Context, p *packet.Packet) {
-	key := p.Flow().Canonical()
+	id, _ := p.FlowID().Canonical()
 	l.mu.Lock()
 	// Touch under the same lock that serializes exports, so the
 	// moved-mark check is atomic with the update (see mbox.Logic).
 	if !ctx.SkipPerflow() {
-		l.flows[key]++
-		ctx.Touch(state.Supporting, key)
+		l.flows[id]++
+		ctx.Touch(state.Supporting, id)
 	}
 	if !ctx.SkipShared() {
 		l.sharedSupport++
@@ -69,8 +69,8 @@ func (l *CounterLogic) Process(ctx *mbox.Context, p *packet.Packet) {
 	}
 	l.mu.Unlock()
 	ctx.Emit(p)
-	ctx.Log("conn", key.String())
-	ctx.RaiseIntrospection("counter.flow.seen", key, nil)
+	ctx.Log("conn", id.String())
+	ctx.RaiseIntrospection("counter.flow.seen", id, nil)
 }
 
 func (l *CounterLogic) encode(v uint64) []byte {
@@ -89,21 +89,21 @@ func (l *CounterLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit f
 	if m.ConstrainsDst() {
 		return fmt.Errorf("counter: requested granularity finer than per-flow keying")
 	}
+	im := m.ForID()
 	l.mu.Lock()
-	keys := make([]packet.FlowKey, 0, len(l.flows))
-	for k := range l.flows {
-		if m.MatchEither(k) {
-			keys = append(keys, k)
+	ids := make([]packet.FlowID, 0, len(l.flows))
+	for id := range l.flows {
+		if im.MatchEither(id) {
+			ids = append(ids, id)
 		}
 	}
 	l.mu.Unlock()
-	packet.SortKeys(keys)
-	for _, k := range keys {
-		key := k
-		err := emit(key, func(mark func()) ([]byte, error) {
+	packet.SortIDs(ids)
+	for _, id := range ids {
+		err := emit(id.Key(), func(mark func()) ([]byte, error) {
 			l.mu.Lock()
 			mark() // atomic with the snapshot: see mbox.Logic
-			v := l.flows[key]
+			v := l.flows[id]
 			l.mu.Unlock()
 			return l.encode(v), nil
 		})
@@ -122,8 +122,12 @@ func (l *CounterLogic) PutPerflow(class state.Class, c state.Chunk) error {
 	if len(c.Blob) < 8 {
 		return fmt.Errorf("counter: short blob (%d bytes)", len(c.Blob))
 	}
+	id, ok := c.Key.ID()
+	if !ok {
+		return fmt.Errorf("counter: flow key %s is not IPv4", c.Key)
+	}
 	l.mu.Lock()
-	l.flows[c.Key] += binary.BigEndian.Uint64(c.Blob)
+	l.flows[id] += binary.BigEndian.Uint64(c.Blob)
 	l.mu.Unlock()
 	return nil
 }
@@ -135,10 +139,11 @@ func (l *CounterLogic) DelPerflow(class state.Class, m packet.FieldMatch) (int, 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	im := m.ForID()
 	n := 0
-	for k := range l.flows {
-		if m.MatchEither(k) {
-			delete(l.flows, k)
+	for id := range l.flows {
+		if im.MatchEither(id) {
+			delete(l.flows, id)
 			n++
 		}
 	}
@@ -183,8 +188,9 @@ func (l *CounterLogic) Stats(m packet.FieldMatch) sbi.StatsReply {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var s sbi.StatsReply
-	for k := range l.flows {
-		if m.MatchEither(k) {
+	im := m.ForID()
+	for id := range l.flows {
+		if im.MatchEither(id) {
 			s.SupportPerflowChunks++
 			s.SupportPerflowBytes += l.ChunkBytes
 		}
@@ -201,7 +207,8 @@ func (l *CounterLogic) Config() *state.ConfigTree { return l.config }
 func (l *CounterLogic) Count(key packet.FlowKey) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flows[key.Canonical()]
+	id, _ := key.Canonical().ID()
+	return l.flows[id]
 }
 
 // SharedSupport returns the shared supporting counter.
@@ -245,7 +252,8 @@ func (l *CounterLogic) Preload(n int) []packet.FlowKey {
 	defer l.mu.Unlock()
 	for i := 0; i < n; i++ {
 		k := FlowN(i)
-		l.flows[k.Canonical()] = 1
+		id, _ := k.Canonical().ID()
+		l.flows[id] = 1
 		keys[i] = k
 	}
 	return keys

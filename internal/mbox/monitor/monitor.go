@@ -38,11 +38,11 @@ var _ mbox.BurstLogic = (*Monitor)(nil)
 
 // connRecord is the per-flow reporting state: PRADS's connection object.
 type connRecord struct {
-	Key       packet.FlowKey
 	FirstSeen int64
 	LastSeen  int64
-	// Packets and Bytes per direction: index 0 = forward (same direction
-	// as Key), 1 = reverse.
+	// Packets and Bytes per direction: index 0 = forward (the direction of
+	// the flow's canonical key, which the record is stored under), 1 =
+	// reverse.
 	Packets [2]uint64
 	Bytes   [2]uint64
 	// Service is the detected service name ("" until detected).
@@ -145,10 +145,34 @@ var serviceFingerprints = []struct {
 	{[]byte("* OK"), "imap"},
 }
 
+// fingerprintStart[b] reports whether some fingerprint starts with byte b.
+// Most payloads of a flow whose service is still unknown match nothing, and
+// their first byte says so without walking the list.
+var fingerprintStart = func() (t [256]bool) {
+	for _, fp := range serviceFingerprints {
+		t[fp.prefix[0]] = true
+	}
+	return t
+}()
+
+// detectService returns the service of the first fingerprint that prefixes
+// payload, "" if none does.
+func detectService(payload []byte) string {
+	if len(payload) == 0 || !fingerprintStart[payload[0]] {
+		return ""
+	}
+	for _, fp := range serviceFingerprints {
+		if bytes.HasPrefix(payload, fp.prefix) {
+			return fp.service
+		}
+	}
+	return ""
+}
+
 // Monitor is the middlebox logic. It implements mbox.Logic.
 type Monitor struct {
 	mu     sync.Mutex
-	conns  map[packet.FlowKey]*connRecord
+	conns  map[packet.FlowID]*connRecord
 	shared sharedStat
 	config *state.ConfigTree
 	// index is the flow-keyed index behind prefix-constrained gets — the
@@ -164,7 +188,7 @@ type Monitor struct {
 // New returns an empty monitor with default configuration.
 func New() *Monitor {
 	m := &Monitor{
-		conns:  map[packet.FlowKey]*connRecord{},
+		conns:  map[packet.FlowID]*connRecord{},
 		config: state.NewConfigTree(),
 		index:  state.NewFlowIndex(),
 	}
@@ -198,74 +222,70 @@ func (m *Monitor) Kind() string { return Kind }
 // shared statistics.
 func (m *Monitor) Process(ctx *mbox.Context, p *packet.Packet) {
 	m.mu.Lock()
-	key, newService := m.processLocked(ctx, p, nil)
+	id, newService := m.processLocked(ctx, p, nil)
 	m.mu.Unlock()
 
 	if newService != "" {
-		ctx.RaiseIntrospection("monitor.asset.detected", key, map[string]string{"service": newService})
+		ctx.RaiseIntrospection("monitor.asset.detected", id, map[string]string{"service": newService})
 	}
 	// A passive monitor taps traffic; it does not forward packets.
 }
 
-// recCache caches the last (canonical key -> record) resolution within one
+// recCache caches the last (canonical ID -> record) resolution within one
 // burst, so consecutive packets of the same flow — the common arrival
 // pattern — skip the connection-table lookup. Only valid while m.mu is held
 // continuously (ProcessBurst holds it for the whole burst).
 type recCache struct {
-	key packet.FlowKey
+	id  packet.FlowID
 	rec *connRecord
 }
 
 // processLocked is the per-packet body shared by Process and ProcessBurst.
-// Caller holds m.mu. It returns the packet's canonical key and the newly
+// Caller holds m.mu. It returns the packet's canonical ID and the newly
 // detected service name ("" if none) for the introspection raise, which must
 // happen outside the lock.
-func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recCache) (packet.FlowKey, string) {
-	key := p.Flow().Canonical()
+func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recCache) (packet.FlowID, string) {
+	id, reversed := p.FlowID().Canonical()
 	dir := 0
-	if p.Flow() != key {
+	if reversed {
 		dir = 1
 	}
 	newService := ""
 	if !ctx.SkipPerflow() {
 		var rec *connRecord
-		if cache != nil && cache.rec != nil && cache.key == key {
+		if cache != nil && cache.rec != nil && cache.id == id {
 			rec = cache.rec
 		} else {
 			var ok bool
-			rec, ok = m.conns[key]
+			rec, ok = m.conns[id]
 			if !ok {
-				rec = &connRecord{Key: key, FirstSeen: p.Timestamp}
-				m.conns[key] = rec
-				m.index.Insert(key)
+				rec = &connRecord{FirstSeen: p.Timestamp}
+				m.conns[id] = rec
+				m.index.InsertID(id)
 				if !ctx.SkipShared() {
 					m.shared.Flows++
 				}
 			}
 			if cache != nil {
-				cache.key, cache.rec = key, rec
+				cache.id, cache.rec = id, rec
 			}
 		}
 		rec.LastSeen = p.Timestamp
 		rec.Packets[dir]++
 		rec.Bytes[dir] += uint64(len(p.Payload))
 
-		if rec.Service == "" && len(p.Payload) > 0 && m.serviceOn {
-			for _, fp := range serviceFingerprints {
-				if bytes.HasPrefix(p.Payload, fp.prefix) {
-					rec.Service = fp.service
-					if !ctx.SkipShared() {
-						m.shared.AssetsFound++
-					}
-					newService = fp.service
-					break
+		if rec.Service == "" && m.serviceOn {
+			if newService = detectService(p.Payload); newService != "" {
+				rec.Service = newService
+				if !ctx.SkipShared() {
+					m.shared.AssetsFound++
 				}
 			}
 		}
 		if rec.OS == "" && p.Flags&packet.FlagSYN != 0 && p.Flags&packet.FlagACK == 0 {
 			rec.OS = osFromTTL(p.TTL)
 		}
-		ctx.Touch(state.Reporting, key)
+		ctx.Touch(state.Reporting, id)
 	}
 
 	if !ctx.SkipShared() {
@@ -281,7 +301,7 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 		}
 		ctx.TouchShared(state.Reporting)
 	}
-	return key, newService
+	return id, newService
 }
 
 // ProcessBurst implements mbox.BurstLogic: one mutex acquisition covers the
@@ -292,20 +312,20 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 func (m *Monitor) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	type detection struct {
 		idx     int
-		key     packet.FlowKey
+		id      packet.FlowID
 		service string
 	}
 	var found []detection
 	var cache recCache
 	m.mu.Lock()
 	for i, p := range pkts {
-		if key, svc := m.processLocked(&ctxs[i], p, &cache); svc != "" {
-			found = append(found, detection{idx: i, key: key, service: svc})
+		if id, svc := m.processLocked(&ctxs[i], p, &cache); svc != "" {
+			found = append(found, detection{idx: i, id: id, service: svc})
 		}
 	}
 	m.mu.Unlock()
 	for _, d := range found {
-		ctxs[d.idx].RaiseIntrospection("monitor.asset.detected", d.key, map[string]string{"service": d.service})
+		ctxs[d.idx].RaiseIntrospection("monitor.asset.detected", d.id, map[string]string{"service": d.service})
 	}
 }
 
@@ -328,18 +348,16 @@ func (m *Monitor) GetPerflow(class state.Class, match packet.FieldMatch, emit fu
 	if class != state.Reporting {
 		return nil // PRADS has no per-flow supporting state
 	}
-	keys := m.scanKeys(match)
-	for _, k := range keys {
-		key := k
-		err := emit(key, func(mark func()) ([]byte, error) {
+	for _, id := range m.scanKeys(match) {
+		err := emit(id.Key(), func(mark func()) ([]byte, error) {
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			mark()
-			rec, ok := m.conns[key]
+			rec, ok := m.conns[id]
 			if !ok {
 				// Deleted between scan and serialize: an empty
 				// record is correct (events cover any updates).
-				rec = &connRecord{Key: key}
+				rec = &connRecord{}
 			}
 			return rec.marshal(), nil
 		})
@@ -353,26 +371,27 @@ func (m *Monitor) GetPerflow(class state.Class, match packet.FieldMatch, emit fu
 // scanKeys collects the keys matching match: via the flow index when it can
 // answer (a prefix-constrained match), else the full-table linear search of
 // PRADS — the behaviour footnote 6 of the paper points at.
-func (m *Monitor) scanKeys(match packet.FieldMatch) []packet.FlowKey {
+func (m *Monitor) scanKeys(match packet.FieldMatch) []packet.FlowID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if keys, ok := m.index.Lookup(match); ok {
-		packet.SortKeys(keys)
-		return keys
-	}
-	var keys []packet.FlowKey
-	for k := range m.conns {
-		if match.MatchEither(k) {
-			keys = append(keys, k)
+	ids, ok := m.index.LookupIDs(match)
+	if !ok {
+		im := match.ForID()
+		for id := range m.conns {
+			if im.MatchEither(id) {
+				ids = append(ids, id)
+			}
 		}
 	}
-	packet.SortKeys(keys)
-	return keys
+	packet.SortIDs(ids)
+	return ids
 }
 
 // PutPerflow implements mbox.Logic: install a record moved from a peer. If a
 // record already exists (the flow started at this instance while the move
 // was in flight), counters are summed — reporting state merges additively.
+// The record installs under the canonical ID whichever direction the peer's
+// key names; a reversed key's per-direction counters swap with it.
 func (m *Monitor) PutPerflow(class state.Class, c state.Chunk) error {
 	if class != state.Reporting {
 		return fmt.Errorf("monitor: no per-flow %v state", class)
@@ -381,10 +400,18 @@ func (m *Monitor) PutPerflow(class state.Class, c state.Chunk) error {
 	if err := rec.unmarshal(c.Blob); err != nil {
 		return err
 	}
-	rec.Key = c.Key
+	id, ok := c.Key.ID()
+	if !ok {
+		return fmt.Errorf("monitor: flow key %s is not IPv4", c.Key)
+	}
+	id, reversed := id.Canonical()
+	if reversed {
+		rec.Packets[0], rec.Packets[1] = rec.Packets[1], rec.Packets[0]
+		rec.Bytes[0], rec.Bytes[1] = rec.Bytes[1], rec.Bytes[0]
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if existing, ok := m.conns[c.Key]; ok {
+	if existing, ok := m.conns[id]; ok {
 		existing.Packets[0] += rec.Packets[0]
 		existing.Packets[1] += rec.Packets[1]
 		existing.Bytes[0] += rec.Bytes[0]
@@ -403,8 +430,8 @@ func (m *Monitor) PutPerflow(class state.Class, c state.Chunk) error {
 		}
 		return nil
 	}
-	m.conns[c.Key] = &rec
-	m.index.Insert(c.Key)
+	m.conns[id] = &rec
+	m.index.InsertID(id)
 	m.shared.Flows++
 	return nil
 }
@@ -418,11 +445,12 @@ func (m *Monitor) DelPerflow(class state.Class, match packet.FieldMatch) (int, e
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	im := match.ForID()
 	n := 0
-	for k := range m.conns {
-		if match.MatchEither(k) {
-			delete(m.conns, k)
-			m.index.Remove(k)
+	for id := range m.conns {
+		if im.MatchEither(id) {
+			delete(m.conns, id)
+			m.index.RemoveID(id)
 			n++
 		}
 	}
@@ -457,8 +485,9 @@ func (m *Monitor) Stats(match packet.FieldMatch) sbi.StatsReply {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var s sbi.StatsReply
-	for k, rec := range m.conns {
-		if match.MatchEither(k) {
+	im := match.ForID()
+	for id, rec := range m.conns {
+		if im.MatchEither(id) {
 			s.ReportPerflowChunks++
 			s.ReportPerflowBytes += recordWireSize + len(rec.Service) + len(rec.OS)
 		}
@@ -500,7 +529,8 @@ func (m *Monitor) Snapshot() Snapshot {
 func (m *Monitor) FlowRecord(key packet.FlowKey) (connRecord, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.conns[key.Canonical()]
+	id, _ := key.Canonical().ID()
+	rec, ok := m.conns[id]
 	if !ok {
 		return connRecord{}, false
 	}

@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +68,41 @@ func TestServiceDetection(t *testing.T) {
 	}
 	if m.Snapshot().Shared.AssetsFound != 2 {
 		t.Fatalf("assets: %d", m.Snapshot().Shared.AssetsFound)
+	}
+}
+
+// TestDetectServiceTable: the first-byte dispatch in front of the fingerprint
+// list changes no result — every fingerprint, with and without trailing
+// bytes, near-misses that share a first byte or a longer stem, and payloads
+// that cannot match at all.
+func TestDetectServiceTable(t *testing.T) {
+	byList := func(payload []byte) string {
+		for _, fp := range serviceFingerprints {
+			if bytes.HasPrefix(payload, fp.prefix) {
+				return fp.service
+			}
+		}
+		return ""
+	}
+	cases := [][]byte{nil, {}, []byte("x"), []byte("\x00\x01"), []byte("get / http/1.1"), []byte(" GET /")}
+	for _, fp := range serviceFingerprints {
+		pre := fp.prefix
+		flipped := append([]byte(nil), pre...)
+		flipped[len(flipped)-1] ^= 0x20
+		cases = append(cases,
+			pre, append(append([]byte(nil), pre...), "rest of the payload"...),
+			pre[:len(pre)-1], pre[:1], flipped, append([]byte("x"), pre...))
+		if got := detectService(pre); got != fp.service {
+			t.Errorf("detectService(%q) = %q, want %q", pre, got, fp.service)
+		}
+	}
+	if len(serviceFingerprints) != 8 {
+		t.Fatalf("%d fingerprints, the table was written for 8", len(serviceFingerprints))
+	}
+	for _, payload := range cases {
+		if got, want := detectService(payload), byList(payload); got != want {
+			t.Errorf("detectService(%q) = %q, the ordered list gives %q", payload, got, want)
+		}
 	}
 }
 
@@ -176,6 +213,27 @@ func TestPutMergesExistingRecord(t *testing.T) {
 	}
 	if m.Snapshot().Shared.Flows != 1 {
 		t.Fatal("merge inflated flow count")
+	}
+
+	// A chunk keyed by the flow's other direction (p's own: the server's
+	// endpoint is the lower one) merges into the same record, its
+	// per-direction counters turned to the canonical direction.
+	if p.Flow() == p.Flow().Canonical() {
+		t.Fatal("test packet's flow is already canonical")
+	}
+	reversed := connRecord{FirstSeen: 5, LastSeen: 6, Packets: [2]uint64{2, 7}, Bytes: [2]uint64{20, 70}}
+	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: p.Flow(), Blob: reversed.marshal()}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ = m.FlowRecord(p.Flow())
+	if m.FlowCount() != 1 || m.Snapshot().Shared.Flows != 1 {
+		t.Fatalf("non-canonical chunk key made a second record: %d flows", m.FlowCount())
+	}
+	if want := [2]uint64{5 + 7, 3 + 1 + 2}; rec.Packets != want {
+		t.Fatalf("merged packets %v, want %v", rec.Packets, want)
+	}
+	if want := [2]uint64{50 + 70, 30 + 1 + 20}; rec.Bytes != want {
+		t.Fatalf("merged bytes %v, want %v", rec.Bytes, want)
 	}
 }
 
@@ -357,12 +415,12 @@ func TestIndexedGetEquivalence(t *testing.T) {
 			t.Fatalf("%s: the index cannot answer this match, so the get below would not exercise it", spec)
 		}
 		var want []packet.FlowKey
-		for k := range mon.conns {
-			if m.MatchEither(k) {
+		for id := range mon.conns {
+			if k := id.Key(); m.MatchEither(k) {
 				want = append(want, k)
 			}
 		}
-		packet.SortKeys(want)
+		slices.SortFunc(want, packet.FlowKey.Compare)
 		if len(want) == 0 {
 			t.Fatalf("%s: matches none of %d flows", spec, len(mon.conns))
 		}
@@ -453,7 +511,8 @@ func TestIndexInsertRemoveProperty(t *testing.T) {
 			seen[k] = true
 		}
 		for _, k := range keys {
-			ix.Remove(k)
+			id, _ := k.ID()
+			ix.RemoveID(id)
 		}
 		return ix.Len() == 0
 	}

@@ -37,7 +37,7 @@ var _ mbox.BurstLogic = (*NAT)(nil)
 // mapping is one NAT binding. External IP/port are CRITICAL state (must
 // survive failover); LastActive is non-critical bookkeeping reset on import.
 type mapping struct {
-	Internal packet.FlowKey // key at NAT granularity: src endpoint + proto
+	Internal packet.FlowID // key at NAT granularity: src endpoint + proto
 	ExtPort  uint16
 	Created  int64
 	// LastActive is the NAT's packet clock at the mapping's last touch
@@ -69,9 +69,9 @@ type Drops struct {
 type NAT struct {
 	mu sync.Mutex
 	// byInternal maps internal (src IP, src port, proto) to mapping. The
-	// key is a masked FlowKey: destination fields zeroed — the NAT's
-	// keying granularity, coarser than a 5-tuple (§4.1.2).
-	byInternal map[packet.FlowKey]*mapping
+	// key is a masked FlowID (FlowID.SrcEndpoint): destination fields zero —
+	// the NAT's keying granularity, coarser than a 5-tuple (§4.1.2).
+	byInternal map[packet.FlowID]*mapping
 	byExtPort  map[uint16]*mapping
 	// head/tail are the idle list: every live mapping exactly once, in
 	// non-decreasing LastActive order, so idle expiry pops from the head and
@@ -101,7 +101,7 @@ type NAT struct {
 // New returns a NAT translating to the given external IP.
 func New(extIP netip.Addr) *NAT {
 	n := &NAT{
-		byInternal: map[packet.FlowKey]*mapping{},
+		byInternal: map[packet.FlowID]*mapping{},
 		byExtPort:  map[uint16]*mapping{},
 		nextPort:   firstPort,
 		extIP:      extIP,
@@ -141,11 +141,6 @@ func (n *NAT) applyConfigLocked() {
 // Kind implements mbox.Logic.
 func (n *NAT) Kind() string { return Kind }
 
-// internalKey masks a flow down to the NAT's keying granularity.
-func internalKey(srcIP netip.Addr, srcPort uint16, proto uint8) packet.FlowKey {
-	return packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto, DstIP: netip.AddrFrom4([4]byte{}), DstPort: 0}
-}
-
 // natRaise is one deferred introspection raise: raises must run outside
 // n.mu, so translateLocked collects them under the lock and the caller
 // replays them after it in packet order (expiries before the creation they
@@ -153,7 +148,7 @@ func internalKey(srcIP netip.Addr, srcPort uint16, proto uint8) packet.FlowKey {
 type natRaise struct {
 	idx  int
 	code string
-	key  packet.FlowKey
+	key  packet.FlowID
 	ext  uint16
 }
 
@@ -167,7 +162,7 @@ func (n *NAT) raise(ctx *mbox.Context, r natRaise) {
 // packets of one flow skip the table lookup. Only valid while n.mu is held
 // continuously (ProcessBurst holds it for the whole burst).
 type lastFlow struct {
-	key packet.FlowKey
+	key packet.FlowID
 	m   *mapping
 }
 
@@ -230,11 +225,11 @@ func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, rais
 		n.touchLocked(m)
 		ctx.Touch(state.Supporting, m.Internal)
 		out := p.Clone()
-		out.DstIP = m.Internal.SrcIP
-		out.DstPort = m.Internal.SrcPort
+		out.DstIP = m.Internal.SrcAddr()
+		out.DstPort = m.Internal.SrcPort()
 		return out, raises
 	}
-	key := internalKey(p.SrcIP, p.SrcPort, p.Proto)
+	key := p.FlowID().SrcEndpoint()
 	m := last.m
 	if m == nil || last.key != key {
 		var ok bool
@@ -358,18 +353,18 @@ func (n *NAT) GetPerflow(class state.Class, match packet.FieldMatch, emit func(k
 	if match.ConstrainsDst() {
 		return fmt.Errorf("nat: mappings are keyed by internal endpoint; destination constraints are finer than keying granularity")
 	}
+	im := match.ForID()
 	n.mu.Lock()
-	keys := make([]packet.FlowKey, 0, len(n.byInternal))
+	keys := make([]packet.FlowID, 0, len(n.byInternal))
 	for k := range n.byInternal {
-		if match.MatchEither(k) {
+		if im.MatchEither(k) {
 			keys = append(keys, k)
 		}
 	}
 	n.mu.Unlock()
-	packet.SortKeys(keys)
-	for _, k := range keys {
-		key := k
-		err := emit(key, func(mark func()) ([]byte, error) {
+	packet.SortIDs(keys)
+	for _, key := range keys {
+		err := emit(key.Key(), func(mark func()) ([]byte, error) {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			mark()
@@ -401,8 +396,12 @@ func (n *NAT) PutPerflow(class state.Class, c state.Chunk) error {
 	if len(c.Blob) < mappingWireSize {
 		return fmt.Errorf("nat: short mapping blob (%d bytes)", len(c.Blob))
 	}
+	id, ok := c.Key.ID()
+	if !ok {
+		return fmt.Errorf("nat: flow key %s is not IPv4", c.Key)
+	}
 	m := &mapping{
-		Internal: c.Key,
+		Internal: id,
 		ExtPort:  binary.BigEndian.Uint16(c.Blob[0:2]),
 		Created:  int64(binary.BigEndian.Uint64(c.Blob[2:10])),
 	}
@@ -425,9 +424,10 @@ func (n *NAT) DelPerflow(class state.Class, match packet.FieldMatch) (int, error
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	im := match.ForID()
 	count := 0
 	for k, m := range n.byInternal {
-		if match.MatchEither(k) {
+		if im.MatchEither(k) {
 			n.removeLocked(m)
 			count++
 		}
@@ -471,8 +471,9 @@ func (n *NAT) Stats(match packet.FieldMatch) sbi.StatsReply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var s sbi.StatsReply
+	im := match.ForID()
 	for k := range n.byInternal {
-		if match.MatchEither(k) {
+		if im.MatchEither(k) {
 			s.SupportPerflowChunks++
 			s.SupportPerflowBytes += mappingWireSize
 		}
@@ -502,7 +503,8 @@ func (n *NAT) MappingCount() int {
 func (n *NAT) Lookup(srcIP netip.Addr, srcPort uint16, proto uint8) (uint16, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m, ok := n.byInternal[internalKey(srcIP, srcPort, proto)]
+	id, _ := packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto}.ID()
+	m, ok := n.byInternal[id]
 	if !ok {
 		return 0, false
 	}

@@ -158,7 +158,7 @@ type Runtime struct {
 
 type eventFilter struct {
 	codePrefix string
-	match      packet.FieldMatch
+	match      packet.IDMatch
 	enable     bool
 	// expires bounds the filter's lifetime; zero means no expiry
 	// (§4.2.2: events can be enabled "only for a limited period of
@@ -232,7 +232,7 @@ func (rt *Runtime) HandlePacket(p *packet.Packet) {
 		// Armed path: capture the flow before the push — once the ring
 		// owns the packet the worker may process and recycle it
 		// concurrently, so reading headers after a successful push races.
-		key := p.Flow()
+		key := p.FlowID()
 		if !rt.ring.tryPush(ingressItem{p: p}) {
 			rt.droppedPackets.Add(1)
 			rt.pending.Add(-1)
@@ -281,13 +281,13 @@ func (rt *Runtime) processReplay(ctx *Context, p *packet.Packet, replayShared bo
 	defer p.Release()
 	tr := rt.tracer.Enabled()
 	if tr != nil {
-		tr.Record(rt.name, obs.HopDispatch, p.Flow(), "replay")
+		tr.Record(rt.name, obs.HopDispatch, p.FlowID(), "replay")
 	}
 	start := time.Now()
 	*ctx = Context{rt: rt, pkt: p, Replay: true, replayShared: replayShared}
 	rt.logic.Process(ctx, p)
 	if tr != nil {
-		tr.RecordEmits(rt.name, p.Flow(), ctx.emitted)
+		tr.RecordEmits(rt.name, p.FlowID(), ctx.emitted)
 	}
 	elapsed := time.Since(start)
 	if rt.activeOps.Load() > 0 {
@@ -312,14 +312,14 @@ func (rt *Runtime) maybeRaiseReprocess(ctx *Context, p *packet.Packet) {
 	if !ctx.raise {
 		return
 	}
-	key := ctx.raiseKey
+	id := ctx.raiseID
 	if ctx.raiseShared {
-		key = p.Flow()
+		id = p.FlowID()
 	}
 	rt.eventsRaised.Add(1)
 	rt.queueEvent(&sbi.Event{
 		Kind:   sbi.EventReprocess,
-		Key:    key,
+		Key:    id.Key(),
 		Class:  ctx.raiseClass,
 		Shared: ctx.raiseShared,
 		Seq:    rt.eventSeq.Add(1),
@@ -385,9 +385,9 @@ func (rt *Runtime) updateMarks(change func()) {
 	rt.marksMu.Unlock()
 }
 
-// markKey records that per-flow state (key, class) is part of a transaction.
-func (rt *Runtime) markKey(key packet.FlowKey, class state.Class) {
-	rt.updateMarks(func() { rt.movedKeys[touchRef{key: key, class: class}] = true })
+// markKey records that per-flow state (id, class) is part of a transaction.
+func (rt *Runtime) markKey(id packet.FlowID, class state.Class) {
+	rt.updateMarks(func() { rt.movedKeys[touchRef{id: id, class: class}] = true })
 }
 
 // markShared records that shared state of class is part of a transaction.
@@ -398,9 +398,10 @@ func (rt *Runtime) markShared(class state.Class) {
 // clearMarks removes transaction marks for keys matching m (either
 // direction) in the given class, plus the shared mark if clearShared.
 func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class, clearShared bool) {
+	im := m.ForID()
 	rt.updateMarks(func() {
 		for ref := range rt.movedKeys {
-			if ref.class == class && m.MatchEither(ref.key) {
+			if ref.class == class && im.MatchEither(ref.id) {
 				delete(rt.movedKeys, ref)
 			}
 		}

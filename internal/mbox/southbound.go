@@ -318,7 +318,7 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Stats: &s})
 
 	case sbi.OpSetEventFilter:
-		f := eventFilter{codePrefix: m.Path, match: m.Match, enable: m.Enable}
+		f := eventFilter{codePrefix: m.Path, match: m.Match.ForID(), enable: m.Enable}
 		if m.TTLNanos > 0 {
 			f.expires = time.Now().Add(time.Duration(m.TTLNanos))
 		}
@@ -464,11 +464,16 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		return conn.SendDeferred(out)
 	}
 	err := rt.logic.GetPerflow(class, m.Match, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
+		// A key enters the runtime's tables here, as an ID.
+		id, ok := key.ID()
+		if !ok {
+			return fmt.Errorf("mbox: exported flow key %s is not IPv4", key)
+		}
 		// build invokes mark under the logic's lock immediately before
 		// serializing, so the moved-mark and the snapshot are atomic:
 		// every packet update is either inside the blob or covered by
 		// a reprocess event, never both and never neither.
-		blob, err := build(func() { rt.markKey(key, class) })
+		blob, err := build(func() { rt.markKey(id, class) })
 		if err != nil {
 			return err
 		}

@@ -243,7 +243,7 @@ func TestTouchFastPathSeesMarks(t *testing.T) {
 // with no marks set.
 func BenchmarkTouchNoMarks(b *testing.B) {
 	ctx := mbox.NewBenchContext()
-	key := mbtest.FlowN(1)
+	key, _ := mbtest.FlowN(1).ID()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx.Touch(state.Supporting, key)

@@ -25,6 +25,7 @@ type Rule struct {
 // InstalledRule is a Rule resident in a flow table, with match statistics.
 type InstalledRule struct {
 	Rule
+	match   packet.IDMatch // Rule.Match, lowered at install
 	packets atomic.Uint64
 }
 
@@ -64,7 +65,10 @@ func (s *Switch) Install(r Rule) *InstalledRule {
 	if r.ID == "" {
 		r.ID = s.name + "-rule-" + itoa(s.seq)
 	}
-	nr := &InstalledRule{Rule: Rule{ID: r.ID, Priority: r.Priority, Match: r.Match, OutPorts: append([]string(nil), r.OutPorts...)}}
+	nr := &InstalledRule{
+		Rule:  Rule{ID: r.ID, Priority: r.Priority, Match: r.Match, OutPorts: append([]string(nil), r.OutPorts...)},
+		match: r.Match.ForID(),
+	}
 	s.rules = append(s.rules, nr)
 	// Stable sort by priority desc; equal priorities keep insertion order,
 	// and lookup scans from the end of each priority class so newer wins.
@@ -119,7 +123,7 @@ func (s *Switch) Forwarded() uint64 { return s.forwarded.Load() }
 // get clones) or released on a table miss.
 func (s *Switch) HandlePacket(p *packet.Packet) {
 	s.mu.RLock()
-	hit := s.classifyLocked(p.Flow())
+	hit := s.classifyLocked(p.FlowID())
 	s.mu.RUnlock()
 	s.forwardHit(hit, p)
 }
@@ -127,14 +131,14 @@ func (s *Switch) HandlePacket(p *packet.Packet) {
 // classifyLocked scans the flow table for the winning rule (priority desc;
 // within a priority class the most recently installed matching rule wins).
 // Caller holds mu for read.
-func (s *Switch) classifyLocked(flow packet.FlowKey) *InstalledRule {
+func (s *Switch) classifyLocked(flow packet.FlowID) *InstalledRule {
 	var hit *InstalledRule
 	for i := 0; i < len(s.rules); i++ {
 		r := s.rules[i]
 		if hit != nil && r.Priority < hit.Priority {
 			break
 		}
-		if r.Match.Match(flow) {
+		if r.match.Match(flow) {
 			hit = r // later entries at same priority overwrite
 		}
 	}
@@ -192,7 +196,7 @@ func (s *Switch) burstChunk(ps []*packet.Packet) {
 	var hits [ringBatch]*InstalledRule
 	s.mu.RLock()
 	for i, p := range ps {
-		hits[i] = s.classifyLocked(p.Flow())
+		hits[i] = s.classifyLocked(p.FlowID())
 	}
 	s.mu.RUnlock()
 	for i := 0; i < len(ps); {

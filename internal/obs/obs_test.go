@@ -165,6 +165,11 @@ func traceKey(last byte, dport uint16) packet.FlowKey {
 	}
 }
 
+func traceID(last byte, dport uint16) packet.FlowID {
+	id, _ := traceKey(last, dport).ID()
+	return id
+}
+
 func TestTracerArmDisarmBudget(t *testing.T) {
 	var tr FlowTracer
 	if tr.Enabled() != nil || tr.IsArmed() || tr.Records() != nil {
@@ -180,10 +185,11 @@ func TestTracerArmDisarmBudget(t *testing.T) {
 	if a == nil {
 		t.Fatal("armed tracer returned nil session")
 	}
-	match, other := traceKey(1, 80), traceKey(1, 443)
+	match := traceKey(1, 80)
+	matchID, otherID := traceID(1, 80), traceID(1, 443)
 	for i := 0; i < 10; i++ {
-		a.Record("mb1", HopIngress, match, "")
-		a.Record("mb1", HopIngress, other, "") // never captured
+		a.Record("mb1", HopIngress, matchID, "")
+		a.Record("mb1", HopIngress, otherID, "") // never captured
 	}
 	recs := tr.Records()
 	if len(recs) != 3 {
@@ -197,7 +203,7 @@ func TestTracerArmDisarmBudget(t *testing.T) {
 
 	// Either-direction: the reverse flow of a match is captured too.
 	tr.Arm(TraceSpec{Match: m})
-	tr.Enabled().Record("mb1", HopEgress, match.Reverse(), "")
+	tr.Enabled().Record("mb1", HopEgress, matchID.Reverse(), "")
 	if got := len(tr.Records()); got != 1 {
 		t.Fatalf("reverse-direction record not captured (got %d)", got)
 	}
@@ -219,7 +225,7 @@ func TestTracerArmDisarmBudget(t *testing.T) {
 func TestTracerRecordEmitsNote(t *testing.T) {
 	var tr FlowTracer
 	tr.Arm(TraceSpec{Match: packet.MatchAll})
-	tr.Enabled().RecordEmits("mb1", traceKey(1, 80), 2)
+	tr.Enabled().RecordEmits("mb1", traceID(1, 80), 2)
 	recs := tr.Records()
 	if len(recs) != 1 || recs[0].Note != "emits=2" || recs[0].Hop != HopVerdict {
 		t.Fatalf("bad verdict record: %+v", recs)
@@ -229,8 +235,9 @@ func TestTracerRecordEmitsNote(t *testing.T) {
 	}
 }
 
-// TestCompileEquivalence pins FieldMatch.Compile to Match semantics across
-// every predicate shape the tracer arms with.
+// TestCompileEquivalence pins the lowered match (FieldMatch.ForID, what Arm
+// compiles a spec to) to field-by-field semantics across every predicate
+// shape the tracer arms with.
 func TestCompileEquivalence(t *testing.T) {
 	keys := []packet.FlowKey{
 		traceKey(1, 80), traceKey(2, 80), traceKey(1, 443),
@@ -246,10 +253,16 @@ func TestCompileEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
-		pred := m.Compile()
+		pred := m.ForID()
 		for _, k := range keys {
-			if pred(k) != m.Match(k) {
-				t.Errorf("Compile(%q)(%v) = %v, Match = %v", spec, k, pred(k), m.Match(k))
+			want := (!m.SrcPrefix.IsValid() || m.SrcPrefix.Contains(k.SrcIP)) &&
+				(!m.DstPrefix.IsValid() || m.DstPrefix.Contains(k.DstIP)) &&
+				(m.Proto == 0 || m.Proto == k.Proto) &&
+				(!m.HasSrcPort || m.SrcPort == k.SrcPort) &&
+				(!m.HasDstPort || m.DstPort == k.DstPort)
+			id, _ := k.ID()
+			if pred.Match(id) != want || m.Match(k) != want {
+				t.Errorf("ForID(%q).Match(%v) = %v, Match = %v, field by field %v", spec, k, pred.Match(id), m.Match(k), want)
 			}
 		}
 	}
@@ -278,7 +291,7 @@ func TestTracerArmedNonMatchingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Arm(TraceSpec{Match: m})
-	key := traceKey(1, 80)
+	key := traceID(1, 80)
 	a := tr.Enabled()
 	if n := testing.AllocsPerRun(1000, func() {
 		a.Record("mb1", HopIngress, key, "")
@@ -310,7 +323,7 @@ func BenchmarkTracerArmedNonMatching(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr.Arm(TraceSpec{Match: m})
-	key := traceKey(1, 80)
+	key := traceID(1, 80)
 	a := tr.Enabled()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -77,34 +77,34 @@ const DefaultTraceBudget = 256
 // FlowTracer.Enabled on the hot path; nil means disarmed.
 type ArmedTrace struct {
 	spec TraceSpec
-	// pred is the spec's match compiled once, at arm time, into a single
-	// closure (skbtrace's compile-the-filter-once discipline). The hot
-	// path never re-parses or re-validates the filter.
-	pred func(packet.FlowKey) bool
-	used atomic.Int64
-	mu   sync.Mutex
-	recs []TraceRecord
+	// match is the spec's match lowered once, at arm time (skbtrace's
+	// compile-the-filter-once discipline). The hot path never re-parses or
+	// re-validates the filter.
+	match packet.IDMatch
+	used  atomic.Int64
+	mu    sync.Mutex
+	recs  []TraceRecord
 }
 
-// Record captures one hop observation if key matches the compiled predicate
+// Record captures one hop observation if id matches the lowered match
 // (either direction) and budget remains. Non-matching packets pay only the
-// predicate call; matching packets pay an atomic add and, within budget, a
+// masked compares; matching packets pay an atomic add and, within budget, a
 // short critical section.
-func (a *ArmedTrace) Record(mb string, hop Hop, key packet.FlowKey, note string) {
-	if !a.pred(key) && !a.pred(key.Reverse()) {
+func (a *ArmedTrace) Record(mb string, hop Hop, id packet.FlowID, note string) {
+	if !a.match.MatchEither(id) {
 		return
 	}
-	a.capture(TraceRecord{MB: mb, Hop: hop, Key: key, Note: note})
+	a.capture(TraceRecord{MB: mb, Hop: hop, Key: id.Key(), Note: note})
 }
 
 // RecordEmits captures a HopVerdict record carrying the logic's emit count.
 // The note string is built only after the predicate matches, so an armed
 // tracer costs non-matching packets no allocation.
-func (a *ArmedTrace) RecordEmits(mb string, key packet.FlowKey, emits int) {
-	if !a.pred(key) && !a.pred(key.Reverse()) {
+func (a *ArmedTrace) RecordEmits(mb string, id packet.FlowID, emits int) {
+	if !a.match.MatchEither(id) {
 		return
 	}
-	a.capture(TraceRecord{MB: mb, Hop: HopVerdict, Key: key, Note: "emits=" + strconv.Itoa(emits)})
+	a.capture(TraceRecord{MB: mb, Hop: HopVerdict, Key: id.Key(), Note: "emits=" + strconv.Itoa(emits)})
 }
 
 func (a *ArmedTrace) capture(rec TraceRecord) {
@@ -138,14 +138,14 @@ type FlowTracer struct {
 	last *ArmedTrace
 }
 
-// Arm compiles spec.Match once and starts capturing. Re-arming replaces the
+// Arm lowers spec.Match once and starts capturing. Re-arming replaces the
 // previous session (its records remain retrievable until the new session
 // captures, i.e. Records() always reflects the newest session).
 func (t *FlowTracer) Arm(spec TraceSpec) {
 	if spec.Budget <= 0 {
 		spec.Budget = DefaultTraceBudget
 	}
-	a := &ArmedTrace{spec: spec, pred: spec.Match.Compile()}
+	a := &ArmedTrace{spec: spec, match: spec.Match.ForID()}
 	t.mu.Lock()
 	t.last = a
 	t.armed.Store(a)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 )
 
@@ -30,83 +29,64 @@ type FieldMatch struct {
 // MatchAll is the empty match; it matches every flow.
 var MatchAll = FieldMatch{}
 
-// Match reports whether k satisfies every set predicate.
+// Match reports whether k satisfies every set predicate. A key the ID form
+// cannot hold (a non-IPv4 address) matches nothing.
 func (m FieldMatch) Match(k FlowKey) bool {
-	if m.SrcPrefix.IsValid() && !m.SrcPrefix.Contains(k.SrcIP) {
-		return false
-	}
-	if m.DstPrefix.IsValid() && !m.DstPrefix.Contains(k.DstIP) {
-		return false
-	}
-	if m.Proto != 0 && m.Proto != k.Proto {
-		return false
-	}
-	if m.HasSrcPort && m.SrcPort != k.SrcPort {
-		return false
-	}
-	if m.HasDstPort && m.DstPort != k.DstPort {
-		return false
-	}
-	return true
+	id, ok := k.ID()
+	return ok && m.ForID().Match(id)
 }
 
 // MatchEither reports whether the match covers the flow in either direction.
 // Connection-oriented middleboxes key state canonically, so a request that
 // names the client->server direction must also select the reverse direction.
 func (m FieldMatch) MatchEither(k FlowKey) bool {
-	return m.Match(k) || m.Match(k.Reverse())
+	id, ok := k.ID()
+	return ok && m.ForID().MatchEither(id)
 }
 
-// Compile lowers the match into a single predicate closure, specialized to
-// the fields that are actually set, so a hot path can evaluate it without
-// re-checking prefix validity or Has* flags per packet. The returned
-// predicate has Match semantics (forward direction only); callers that need
-// either-direction coverage compose it with FlowKey.Reverse. The wildcard
-// match compiles to a constant-true closure with no captures.
-//
-// This is the skbtrace discipline the flow tracer relies on: the filter is
-// compiled exactly once, at arm time, never on the packet path.
-func (m FieldMatch) Compile() func(FlowKey) bool {
-	if m.IsAll() {
-		return func(FlowKey) bool { return true }
+// IDMatch is a FieldMatch lowered onto FlowID's two words: each prefix, port
+// and the protocol become bits of a mask and the value expected under it, so
+// evaluating the match is two masked compares. Table scans and per-packet
+// filters lower the match once (ForID) and evaluate it per entry.
+type IDMatch struct{ srcMask, srcWant, dstMask, dstWant uint64 }
+
+// ForID lowers the match for evaluation on FlowIDs.
+func (m FieldMatch) ForID() IDMatch {
+	var im IDMatch
+	im.srcMask, im.srcWant = lowerEndpoint(m.SrcPrefix, m.SrcPort, m.HasSrcPort)
+	im.dstMask, im.dstWant = lowerEndpoint(m.DstPrefix, m.DstPort, m.HasDstPort)
+	if m.Proto != 0 {
+		im.dstMask |= 0xff
+		im.dstWant |= uint64(m.Proto)
 	}
-	type check struct {
-		hasSrc, hasDst bool
-		srcPfx, dstPfx netip.Prefix
-		proto          uint8
-		srcPort        uint16
-		dstPort        uint16
-		hasSrcPort     bool
-		hasDstPort     bool
-	}
-	c := check{
-		hasSrc: m.SrcPrefix.IsValid(), srcPfx: m.SrcPrefix,
-		hasDst: m.DstPrefix.IsValid(), dstPfx: m.DstPrefix,
-		proto:      m.Proto,
-		srcPort:    m.SrcPort,
-		dstPort:    m.DstPort,
-		hasSrcPort: m.HasSrcPort,
-		hasDstPort: m.HasDstPort,
-	}
-	return func(k FlowKey) bool {
-		if c.proto != 0 && c.proto != k.Proto {
-			return false
-		}
-		if c.hasSrcPort && c.srcPort != k.SrcPort {
-			return false
-		}
-		if c.hasDstPort && c.dstPort != k.DstPort {
-			return false
-		}
-		if c.hasSrc && !c.srcPfx.Contains(k.SrcIP) {
-			return false
-		}
-		if c.hasDst && !c.dstPfx.Contains(k.DstIP) {
-			return false
-		}
-		return true
-	}
+	return im
 }
+
+func lowerEndpoint(p netip.Prefix, port uint16, hasPort bool) (mask, want uint64) {
+	if p.IsValid() {
+		a, ok := addr4(p.Addr())
+		if !ok {
+			// A non-IPv4 prefix contains no IPv4 address: expect a bit no
+			// endpoint word has.
+			return 0, 1 << 63
+		}
+		mask = uint64(^uint32(0)<<(32-p.Bits())) << 24
+		want = uint64(a) << 24 & mask
+	}
+	if hasPort {
+		mask |= 0xffff << 8
+		want |= uint64(port) << 8
+	}
+	return mask, want
+}
+
+// Match reports whether id satisfies every set predicate.
+func (im IDMatch) Match(id FlowID) bool {
+	return id.src&im.srcMask == im.srcWant && id.dst&im.dstMask == im.dstWant
+}
+
+// MatchEither is Match on id or its reverse.
+func (im IDMatch) MatchEither(id FlowID) bool { return im.Match(id) || im.Match(id.Reverse()) }
 
 // IsAll reports whether the match is the full wildcard.
 func (m FieldMatch) IsAll() bool {
@@ -265,9 +245,3 @@ func (m *FieldMatch) UnmarshalJSON(b []byte) error {
 	*m = parsed
 	return nil
 }
-
-// SortKeys sorts flow keys in place under FlowKey.Compare. Every per-flow
-// get sorts its keys so that exports — and everything downstream of their
-// order — are deterministic across runs; it is on the move path, so it
-// compares fields and builds nothing per key.
-func SortKeys(keys []FlowKey) { slices.SortFunc(keys, FlowKey.Compare) }

@@ -234,33 +234,11 @@ func endpointLess(aIP netip.Addr, aPort uint16, bIP netip.Addr, bPort uint16) bo
 }
 
 // FastHash returns a symmetric 64-bit hash: k and k.Reverse() hash equal.
-// It is an FNV-1a variant over the canonical key, suitable for sharding
-// flows across workers while keeping both directions together.
+// It is the hash of the key's ID, suitable for sharding flows across workers
+// while keeping both directions together.
 func (k FlowKey) FastHash() uint64 {
-	c := k.Canonical()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	src := c.SrcIP.As4()
-	dst := c.DstIP.As4()
-	for _, b := range src {
-		mix(b)
-	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(c.SrcPort >> 8))
-	mix(byte(c.SrcPort))
-	mix(byte(c.DstPort >> 8))
-	mix(byte(c.DstPort))
-	mix(c.Proto)
-	return h
+	id, _ := k.ID()
+	return id.Hash()
 }
 
 // Compare orders keys by source endpoint, destination endpoint, then
@@ -337,36 +315,20 @@ func (k *FlowKey) UnmarshalText(b []byte) error {
 const FlowKeyWireSize = 13
 
 // AppendBinary appends the 13-byte wire form of k to b. Invalid (zero)
-// addresses encode as 0.0.0.0; callers that must distinguish the zero key
-// track presence separately, and callers whose keys may hold non-IPv4
-// addresses must reject them before encoding (the SBI binary codec does) —
-// the fixed form cannot represent them.
+// addresses encode as 0.0.0.0 and decode as such; callers that must
+// distinguish the zero key track presence separately, and callers whose keys
+// may hold non-IPv4 addresses must reject them before encoding (ID reports
+// them) — the fixed form cannot represent them.
 func (k FlowKey) AppendBinary(b []byte) []byte {
-	var src, dst [4]byte
-	if k.SrcIP.Is4() {
-		src = k.SrcIP.As4()
-	}
-	if k.DstIP.Is4() {
-		dst = k.DstIP.As4()
-	}
-	b = append(b, src[:]...)
-	b = append(b, dst[:]...)
-	b = append(b, k.Proto)
-	return append(b,
-		byte(k.SrcPort>>8), byte(k.SrcPort),
-		byte(k.DstPort>>8), byte(k.DstPort))
+	id, _ := k.ID()
+	return id.AppendBinary(b)
 }
 
 // DecodeFlowKey decodes the wire form produced by AppendBinary.
 func DecodeFlowKey(b []byte) (FlowKey, error) {
-	if len(b) < FlowKeyWireSize {
-		return FlowKey{}, ErrTruncated
+	id, err := DecodeFlowID(b)
+	if err != nil {
+		return FlowKey{}, err
 	}
-	return FlowKey{
-		SrcIP:   netip.AddrFrom4([4]byte(b[0:4])),
-		DstIP:   netip.AddrFrom4([4]byte(b[4:8])),
-		Proto:   b[8],
-		SrcPort: binary.BigEndian.Uint16(b[9:11]),
-		DstPort: binary.BigEndian.Uint16(b[11:13]),
-	}, nil
+	return id.Key(), nil
 }

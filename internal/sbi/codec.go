@@ -162,13 +162,10 @@ const knownEventBits = efClass<<1 - 1
 var errKeyNotBinary = fmt.Errorf("sbi: binary encode: flow key is not IPv4")
 
 // flowKeyBinaryOK reports whether k survives the 13-byte encoding: each
-// address is IPv4, or the whole key is the zero key (which binary frames
-// track with a presence bit, never by encoding it).
+// address is IPv4 or unset (the wildcard, encoded as 0.0.0.0).
 func flowKeyBinaryOK(k packet.FlowKey) bool {
-	if k == (packet.FlowKey{}) {
-		return true
-	}
-	return k.SrcIP.Is4() && k.DstIP.Is4()
+	_, ok := k.ID()
+	return ok
 }
 
 var msgTypeToByte = map[MsgType]byte{

@@ -14,6 +14,9 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"openmb/internal/packet"
+	"openmb/internal/state"
 )
 
 // encodeBinary renders one message as a binary frame.
@@ -82,7 +85,30 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip unstable:\n first:  %+v\n second: %+v", m, m2)
 		}
+		// Every key the decoder hands out has a table form, and that form
+		// is the same 13 bytes.
+		eachKey(m, func(k packet.FlowKey) {
+			id, ok := k.ID()
+			wire := k.AppendBinary(nil)
+			if back, err := packet.DecodeFlowID(wire); !ok || err != nil || back != id || !bytes.Equal(id.AppendBinary(nil), wire) {
+				t.Fatalf("decoded key %v: ID %v ok=%v, from its wire form %v (%v)", k, id, ok, back, err)
+			}
+		})
 	})
+}
+
+// eachKey visits every flow key a message carries.
+func eachKey(m *Message, visit func(packet.FlowKey)) {
+	m.EachChunk(func(c *state.Chunk) { visit(c.Key) })
+	m.EachEvent(func(ev *Event) { visit(ev.Key) })
+	if m.Handoff != nil {
+		for _, hk := range m.Handoff.Keys {
+			visit(hk.Key)
+			for _, ev := range hk.Events {
+				visit(ev.Key)
+			}
+		}
+	}
 }
 
 // FuzzBinaryRejectsCorrupt: truncations and bit flips of valid frames must

@@ -24,88 +24,66 @@ import (
 // FlowIndex is not safe for concurrent use; callers guard it with the same
 // lock that serializes their state table (middlebox logic locks).
 type FlowIndex struct {
-	keys  map[packet.FlowKey]struct{}
-	bySrc []packet.FlowKey // sorted by (SrcIP, SrcPort, DstIP, DstPort, Proto)
-	byDst []packet.FlowKey // sorted by (DstIP, DstPort, SrcIP, SrcPort, Proto)
-	dirty bool
+	ids map[packet.FlowID]struct{}
+	// bySrc holds the IDs and byDst their reverses, both sorted by
+	// FlowID.Compare: (source, destination, proto) order for one,
+	// (destination, source, proto) for the other.
+	bySrc, byDst []packet.FlowID
+	dirty        bool
 }
 
 // NewFlowIndex returns an empty index.
 func NewFlowIndex() *FlowIndex {
-	return &FlowIndex{keys: map[packet.FlowKey]struct{}{}}
+	return &FlowIndex{ids: map[packet.FlowID]struct{}{}}
 }
 
-// Insert adds a key to the index. O(1); the sorted views refresh on the
-// next Lookup.
+// Insert adds a key to the index; InsertID is the same on the table form.
+// O(1); the sorted views refresh on the next Lookup. A key with a non-IPv4
+// address names no state a middlebox can hold and is ignored.
 func (ix *FlowIndex) Insert(k packet.FlowKey) {
-	if _, ok := ix.keys[k]; ok {
+	if id, ok := k.ID(); ok {
+		ix.InsertID(id)
+	}
+}
+
+func (ix *FlowIndex) InsertID(id packet.FlowID) {
+	if _, ok := ix.ids[id]; ok {
 		return
 	}
-	ix.keys[k] = struct{}{}
+	ix.ids[id] = struct{}{}
 	ix.dirty = true
 }
 
-// Remove deletes a key from the index. O(1).
-func (ix *FlowIndex) Remove(k packet.FlowKey) {
-	if _, ok := ix.keys[k]; !ok {
+// RemoveID deletes a key from the index. O(1).
+func (ix *FlowIndex) RemoveID(id packet.FlowID) {
+	if _, ok := ix.ids[id]; !ok {
 		return
 	}
-	delete(ix.keys, k)
+	delete(ix.ids, id)
 	ix.dirty = true
 }
 
 // Len returns the number of indexed keys.
-func (ix *FlowIndex) Len() int { return len(ix.keys) }
-
-func srcLess(a, b packet.FlowKey) bool {
-	if c := a.SrcIP.Compare(b.SrcIP); c != 0 {
-		return c < 0
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if c := a.DstIP.Compare(b.DstIP); c != 0 {
-		return c < 0
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
-}
-
-func dstLess(a, b packet.FlowKey) bool {
-	if c := a.DstIP.Compare(b.DstIP); c != 0 {
-		return c < 0
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	if c := a.SrcIP.Compare(b.SrcIP); c != 0 {
-		return c < 0
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	return a.Proto < b.Proto
-}
+func (ix *FlowIndex) Len() int { return len(ix.ids) }
 
 // rebuild refreshes the sorted views from the key set.
 func (ix *FlowIndex) rebuild() {
-	ix.bySrc = ix.bySrc[:0]
-	for k := range ix.keys {
-		ix.bySrc = append(ix.bySrc, k)
+	ix.bySrc, ix.byDst = ix.bySrc[:0], ix.byDst[:0]
+	for id := range ix.ids {
+		ix.bySrc = append(ix.bySrc, id)
+		ix.byDst = append(ix.byDst, id.Reverse())
 	}
-	ix.byDst = append(ix.byDst[:0], ix.bySrc...)
-	sort.Slice(ix.bySrc, func(i, j int) bool { return srcLess(ix.bySrc[i], ix.bySrc[j]) })
-	sort.Slice(ix.byDst, func(i, j int) bool { return dstLess(ix.byDst[i], ix.byDst[j]) })
+	packet.SortIDs(ix.bySrc)
+	packet.SortIDs(ix.byDst)
 	ix.dirty = false
 }
 
-// Lookup returns the keys matching m (in either direction) and whether the
-// index was applicable. A match with no address constraint returns
+// LookupIDs returns the keys matching m (in either direction) and whether
+// the index was applicable. A match with no address constraint returns
 // (nil, false): every key would be a candidate, so a table scan is optimal
-// and the caller should fall back to it.
-func (ix *FlowIndex) Lookup(m packet.FieldMatch) ([]packet.FlowKey, bool) {
+// and the caller should fall back to it. Lookup is the same, expanded to
+// FlowKeys.
+func (ix *FlowIndex) LookupIDs(m packet.FieldMatch) ([]packet.FlowID, bool) {
 	var prefixes []netip.Prefix
 	if m.SrcPrefix.IsValid() {
 		prefixes = append(prefixes, m.SrcPrefix)
@@ -119,24 +97,43 @@ func (ix *FlowIndex) Lookup(m packet.FieldMatch) ([]packet.FlowKey, bool) {
 	if ix.dirty {
 		ix.rebuild()
 	}
-	seen := map[packet.FlowKey]bool{}
-	var out []packet.FlowKey
-	add := func(k packet.FlowKey) {
-		if !seen[k] && m.MatchEither(k) {
-			seen[k] = true
-			out = append(out, k)
+	im := m.ForID()
+	seen := map[packet.FlowID]bool{}
+	var out []packet.FlowID
+	add := func(id packet.FlowID) {
+		if !seen[id] && im.MatchEither(id) {
+			seen[id] = true
+			out = append(out, id)
 		}
 	}
 	for _, p := range prefixes {
-		lo := p.Masked().Addr()
-		start := sort.Search(len(ix.bySrc), func(i int) bool { return ix.bySrc[i].SrcIP.Compare(lo) >= 0 })
-		for i := start; i < len(ix.bySrc) && p.Contains(ix.bySrc[i].SrcIP); i++ {
+		// The lowest ID whose source address is inside p; a non-IPv4 prefix
+		// covers no indexed key.
+		lo, ok := packet.FlowKey{SrcIP: p.Masked().Addr()}.ID()
+		if !ok {
+			continue
+		}
+		covers := packet.FieldMatch{SrcPrefix: p}.ForID()
+		start := sort.Search(len(ix.bySrc), func(i int) bool { return ix.bySrc[i].Compare(lo) >= 0 })
+		for i := start; i < len(ix.bySrc) && covers.Match(ix.bySrc[i]); i++ {
 			add(ix.bySrc[i])
 		}
-		start = sort.Search(len(ix.byDst), func(i int) bool { return ix.byDst[i].DstIP.Compare(lo) >= 0 })
-		for i := start; i < len(ix.byDst) && p.Contains(ix.byDst[i].DstIP); i++ {
-			add(ix.byDst[i])
+		start = sort.Search(len(ix.byDst), func(i int) bool { return ix.byDst[i].Compare(lo) >= 0 })
+		for i := start; i < len(ix.byDst) && covers.Match(ix.byDst[i]); i++ {
+			add(ix.byDst[i].Reverse())
 		}
 	}
 	return out, true
+}
+
+func (ix *FlowIndex) Lookup(m packet.FieldMatch) ([]packet.FlowKey, bool) {
+	ids, ok := ix.LookupIDs(m)
+	if !ok {
+		return nil, false
+	}
+	keys := make([]packet.FlowKey, len(ids))
+	for i, id := range ids {
+		keys[i] = id.Key()
+	}
+	return keys, true
 }

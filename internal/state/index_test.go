@@ -87,8 +87,9 @@ func TestFlowIndexInsertRemoveChurn(t *testing.T) {
 	if got, _ := ix.Lookup(m); len(got) != 2 {
 		t.Fatalf("lookup: %v", got)
 	}
-	ix.Remove(k1)
-	ix.Remove(k1) // double remove is a no-op
+	id1, _ := k1.ID()
+	ix.RemoveID(id1)
+	ix.RemoveID(id1) // double remove is a no-op
 	if got, _ := ix.Lookup(m); len(got) != 1 || got[0] != k2 {
 		t.Fatalf("lookup after remove: %v", got)
 	}

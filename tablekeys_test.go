@@ -1,0 +1,68 @@
+package openmb
+
+import (
+	"reflect"
+	"testing"
+
+	"openmb/internal/core"
+	"openmb/internal/mbox"
+	"openmb/internal/packet"
+)
+
+// pointerFields returns the names of t's fields (t itself, as "", if it is
+// not a struct) that hold something the collector must scan.
+func pointerFields(t reflect.Type) []string {
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return nil
+	case k == reflect.Array && (t.Len() == 0 || pointerFields(t.Elem()) == nil):
+		return nil
+	case k == reflect.Struct:
+		var names []string
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); pointerFields(f.Type) != nil {
+				names = append(names, f.Name)
+			}
+		}
+		return names
+	}
+	return []string{""}
+}
+
+// TestTableKeysAreCompact pins what the move's memory rests on — the key
+// types of the standing per-key tables, read off the tables themselves: the
+// flow ID is at most 16 bytes, the runtime's marks table keys on at most 24
+// pointer-free bytes, and the controller router's tables on at most 24 bytes
+// whose only pointer is the source connection.
+func TestTableKeysAreCompact(t *testing.T) {
+	// field follows a chain of struct fields, stepping through pointers and
+	// slices on the way.
+	field := func(t reflect.Type, names ...string) reflect.Type {
+		for _, name := range names {
+			for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+				t = t.Elem()
+			}
+			f, ok := t.FieldByName(name)
+			if !ok {
+				panic(t.String() + " has no field " + name)
+			}
+			t = f.Type
+		}
+		return t
+	}
+	flowID := reflect.TypeOf(packet.FlowID{})
+	if flowID.Size() > 16 || pointerFields(flowID) != nil || !flowID.Comparable() {
+		t.Errorf("packet.FlowID: %d bytes, pointer fields %q", flowID.Size(), pointerFields(flowID))
+	}
+	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "movedKeys")
+	if ref := marks.Key(); ref.Size() > 24 || pointerFields(ref) != nil {
+		t.Errorf("marks table %v: key is %d bytes, pointer fields %q", marks, ref.Size(), pointerFields(ref))
+	}
+	for _, table := range []string{"keys", "orphans"} {
+		m := field(reflect.TypeOf((*core.Controller)(nil)), "router", "shards", table)
+		rk := m.Key()
+		if ptrs := pointerFields(rk); rk.Size() > 24 || !reflect.DeepEqual(ptrs, []string{"mb"}) || field(rk, "mb").Kind() != reflect.Pointer {
+			t.Errorf("router table %v: key is %d bytes, pointer fields %q (want only the connection)", m, rk.Size(), ptrs)
+		}
+	}
+}
