@@ -83,11 +83,10 @@ func (g *gateLogic) awaitReached(t *testing.T, src *mbox.Runtime) {
 	}
 }
 
-// clusterRig is a cluster with `pairs` counter-MB pairs attached over an
-// in-memory transport. Pair 0's source is a gateLogic when gated is set.
+// clusterRig is a cluster with `pairs` counter-MB pairs attached over one
+// transport. Pair 0's source is a gateLogic when gated is set.
 type clusterRig struct {
 	cl   *Cluster
-	tr   *sbi.MemTransport
 	srcs []*mbtest.CounterLogic
 	dsts []*mbtest.CounterLogic
 	rts  map[string]*mbox.Runtime
@@ -97,29 +96,29 @@ type clusterRig struct {
 func newClusterRig(t *testing.T, replicas, pairs int, gated bool) *clusterRig {
 	t.Helper()
 	return newClusterRigOpts(t, replicas, pairs, gated,
-		Options{QuietPeriod: 60 * time.Millisecond})
+		Options{QuietPeriod: 60 * time.Millisecond}, sbi.NewMemTransport())
 }
 
-// newClusterRigOpts is newClusterRig with the controller options exposed —
-// the failure tests enable heartbeats and shorten hello timeouts.
-func newClusterRigOpts(t *testing.T, replicas, pairs int, gated bool, ctrl Options) *clusterRig {
+// newClusterRigOpts is newClusterRig with the controller options and the
+// transport exposed — the failure tests enable heartbeats, shorten hello
+// timeouts, and run over a fault-injecting wire.
+func newClusterRigOpts(t *testing.T, replicas, pairs int, gated bool, ctrl Options, tr sbi.Transport) *clusterRig {
 	t.Helper()
 	r := &clusterRig{
 		cl: NewCluster(ClusterOptions{
 			Replicas:   replicas,
 			Controller: ctrl,
 		}),
-		tr:  sbi.NewMemTransport(),
 		rts: map[string]*mbox.Runtime{},
 	}
-	if err := r.cl.Serve(r.tr, "cluster"); err != nil {
+	if err := r.cl.Serve(tr, "cluster"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.cl.Close)
 	attach := func(name string, logic mbox.Logic) {
 		rt := mbox.New(name, logic, mbox.Options{})
 		t.Cleanup(rt.Close)
-		if err := rt.Connect(r.tr, "cluster"); err != nil {
+		if err := rt.Connect(tr, "cluster"); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.cl.WaitForMB(name, 5*time.Second); err != nil {

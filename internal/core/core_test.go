@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"openmb/internal/core"
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/mbtest"
+	"openmb/internal/mbox/monitor"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
 	"openmb/internal/state"
@@ -758,5 +760,83 @@ func TestEventFilterTTLExpires(t *testing.T) {
 	defer mu.Unlock()
 	if got != 1 {
 		t.Fatalf("events after filter expiry: %d", got)
+	}
+}
+
+// TestFlowTraceOverNorthbound drives the filtered flow tracer the way an
+// operator does, through the controller: arm a one-flow predicate on a
+// middlebox, offer matching and non-matching traffic, pull the per-hop
+// records back over the southbound dump op, disarm.
+func TestFlowTraceOverNorthbound(t *testing.T) {
+	r := newRig(t, core.Options{})
+	mon := r.attach(t, "mon", monitor.New())
+	const offered, flows, traced = 32, 8, 7
+	offer := func() {
+		t.Helper()
+		for i := 0; i < offered; i++ {
+			mon.HandlePacket(mbtest.PacketForFlow(i % flows))
+		}
+		if !mon.Drain(10 * time.Second) {
+			t.Fatal("mon did not drain")
+		}
+	}
+	records := func() []string {
+		t.Helper()
+		recs, err := r.ctrl.FlowTraceRecords("mon")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	key := mbtest.FlowN(traced)
+	match := packet.FieldMatch{
+		SrcPrefix:  netip.PrefixFrom(key.SrcIP, key.SrcIP.BitLen()),
+		HasDstPort: true,
+		DstPort:    key.DstPort,
+	}
+
+	// A budget the traffic cannot reach: every hop of every packet of the
+	// armed flow is recorded, and nothing of the seven other flows.
+	if err := r.ctrl.ArmFlowTrace("mon", match, 64); err != nil {
+		t.Fatal(err)
+	}
+	offer()
+	armed := records()
+	if len(armed) < offered/flows || len(armed) >= 64 {
+		t.Fatalf("%d records for %d matching packets under a budget of 64", len(armed), offered/flows)
+	}
+	for _, rec := range armed {
+		if !strings.HasPrefix(rec, "mon ") || !strings.Contains(rec, key.String()) {
+			t.Fatalf("record %q does not name flow %v at mon", rec, key)
+		}
+	}
+
+	// Disarmed, with budget to spare: matching traffic adds nothing, and
+	// the captured session stays retrievable.
+	if err := r.ctrl.DisarmFlowTrace("mon"); err != nil {
+		t.Fatal(err)
+	}
+	offer()
+	if got := records(); len(got) != len(armed) {
+		t.Fatalf("%d records after disarm, %d before", len(got), len(armed))
+	}
+
+	// A budget smaller than the matching traffic caps the new session.
+	if err := r.ctrl.ArmFlowTrace("mon", match, 5); err != nil {
+		t.Fatal(err)
+	}
+	offer()
+	if got := records(); len(got) != 5 {
+		t.Fatalf("budget 5, captured %d of the %d hops the traffic offers", len(got), len(armed))
+	}
+
+	if err := r.ctrl.ArmFlowTrace("ghost", match, 5); err == nil {
+		t.Error("ArmFlowTrace on an unknown middlebox succeeded")
+	}
+	if _, err := r.ctrl.FlowTraceRecords("ghost"); err == nil {
+		t.Error("FlowTraceRecords on an unknown middlebox succeeded")
+	}
+	if err := r.ctrl.DisarmFlowTrace("ghost"); err == nil {
+		t.Error("DisarmFlowTrace on an unknown middlebox succeeded")
 	}
 }

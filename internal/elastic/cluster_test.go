@@ -7,7 +7,10 @@ package elastic
 //     state to be byte-identical to a never-scaled control run;
 //   - the chaos bed — kill a controller replica while the armed loop is
 //     mid-scale-out and require the loop to converge on the survivors with
-//     nothing leaked.
+//     nothing leaked;
+//   - the flash crowd — a paced warm/peak/cool ramp against latency-bound
+//     instances, once with the loop resizing the group and once on the
+//     frozen fleet, which must shed.
 
 import (
 	"bytes"
@@ -37,30 +40,52 @@ const nFlows = 64
 
 type flowRange struct{ base, size int }
 
+// slowLogic is the counter middlebox behind a per-packet downstream wait —
+// a latency-bound service in the style of a DPI box blocking on an external
+// reputation lookup. The wait is a sleep, not a spin, so instances sharing a
+// host still scale aggregate throughput with instance count; that is the
+// property scale-out exploits. A zero cost returns at once.
+type slowLogic struct {
+	*mbtest.CounterLogic
+	cost time.Duration
+}
+
+func (l *slowLogic) Process(ctx *mbox.Context, p *packet.Packet) {
+	time.Sleep(l.cost)
+	l.CounterLogic.Process(ctx, p)
+}
+
 // rangeDriver is the test GroupDriver: buddy-system flowspace splitting
-// over mbtest.CounterLogic instances. Each scale-out halves the hot
-// member's range and hands the upper half to the clone; each retire gives
-// the range back. Routing is a flow-indexed runtime table swapped
-// atomically, read by the injector per packet.
+// over counter instances, each waiting perPacket on every packet behind an
+// ingress ring of queueSize slots (0: the runtime's default). Each scale-out
+// halves the hot member's range and hands the upper half to the clone; each
+// retire gives the range back. Routing is a flow-indexed runtime table
+// swapped atomically, read by the injector per packet. Logics stay on the
+// books after retirement, and a retired runtime's ring sheds stay in the
+// drop count, so the audits cover every instance ever spawned.
 type rangeDriver struct {
 	t         *testing.T
 	cl        *core.Cluster
 	tr        sbi.Transport
 	reconnect bool
+	perPacket time.Duration
+	queueSize int
 	spawned   chan string
 
-	mu         sync.Mutex
-	logics     map[string]*mbtest.CounterLogic
-	rts        map[string]*mbox.Runtime
-	ranges     map[string]flowRange
-	carvedFrom map[string]string
+	mu           sync.Mutex
+	logics       map[string]*mbtest.CounterLogic
+	rts          map[string]*mbox.Runtime
+	ranges       map[string]flowRange
+	carvedFrom   map[string]string
+	retiredDrops uint64
 
 	route atomic.Pointer[[nFlows]*mbox.Runtime]
 }
 
-func newRangeDriver(t *testing.T, cl *core.Cluster, tr sbi.Transport, reconnect bool) *rangeDriver {
+func newRangeDriver(t *testing.T, cl *core.Cluster, tr sbi.Transport, reconnect bool, perPacket time.Duration, queueSize int) *rangeDriver {
 	return &rangeDriver{
 		t: t, cl: cl, tr: tr, reconnect: reconnect,
+		perPacket: perPacket, queueSize: queueSize,
 		spawned:    make(chan string, 16),
 		logics:     map[string]*mbtest.CounterLogic{},
 		rts:        map[string]*mbox.Runtime{},
@@ -89,13 +114,13 @@ func (d *rangeDriver) seed(name string, preload int) *Member {
 }
 
 func (d *rangeDriver) connect(name string, logic *mbtest.CounterLogic) *mbox.Runtime {
-	opts := mbox.Options{}
+	opts := mbox.Options{QueueSize: d.queueSize}
 	if d.reconnect {
 		opts.Reconnect = true
 		opts.ReconnectMin = 2 * time.Millisecond
 		opts.ReconnectMax = 40 * time.Millisecond
 	}
-	rt := mbox.New(name, logic, opts)
+	rt := mbox.New(name, &slowLogic{CounterLogic: logic, cost: d.perPacket}, opts)
 	if err := rt.Connect(d.tr, "cluster"); err != nil {
 		d.t.Errorf("connect %s: %v", name, err)
 		rt.Close()
@@ -179,6 +204,9 @@ func (d *rangeDriver) Retire(group string, m *Member) {
 	d.mu.Unlock()
 	if rt != nil {
 		rt.Close()
+		d.mu.Lock()
+		d.retiredDrops += sheds(rt)
+		d.mu.Unlock()
 	}
 }
 
@@ -190,8 +218,20 @@ func (d *rangeDriver) inject(f int) {
 	}
 }
 
-// sumCounts totals per-flow counts over every live logic (spawn order is
-// irrelevant to a sum).
+// countFlow sums flow f's counter across every instance ever spawned.
+func (d *rangeDriver) countFlow(f int) uint64 {
+	key := mbtest.FlowN(f)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var total uint64
+	for _, l := range d.logics {
+		total += l.Count(key)
+	}
+	return total
+}
+
+// sumCounts totals per-flow counts over every logic ever spawned (spawn
+// order is irrelevant to a sum).
 func (d *rangeDriver) sumCounts() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -227,14 +267,20 @@ func (d *rangeDriver) closeAll() {
 	}
 }
 
-// ringDrops totals ingress sheds across every live runtime.
+// sheds is one runtime's ingress sheds, packets and replays.
+func sheds(rt *mbox.Runtime) uint64 {
+	rs := rt.RingStats()
+	return rs.DroppedPackets + rs.DroppedReplays
+}
+
+// ringDrops totals ingress sheds across every runtime, retired ones
+// included.
 func (d *rangeDriver) ringDrops() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var total uint64
+	total := d.retiredDrops
 	for _, rt := range d.rts {
-		rs := rt.RingStats()
-		total += rs.DroppedPackets + rs.DroppedReplays
+		total += sheds(rt)
 	}
 	return total
 }
@@ -252,12 +298,16 @@ func chunkDump(l *mbtest.CounterLogic) []byte {
 	return out
 }
 
-// schedule builds the deterministic heavy-tailed injection order: low flow
-// indices get many repetitions, the tail few, shuffled by a fixed LCG.
+// schedule builds the deterministic heavy-tailed injection order: flow
+// popularity falls off as 1/(1+rank), with ranks assigned by bit-reversal so
+// every aligned half of the flowspace carries a near-equal share of the load
+// — a prefix split therefore halves a member's traffic, which is what makes
+// scale-out effective against a skewed crowd. The order is shuffled by a
+// fixed LCG, so interleaving is adversarial but deterministic.
 func schedule(perFlowTotal *[nFlows]int) []int {
 	var sched []int
 	for f := 0; f < nFlows; f++ {
-		rank := (f*29 + 7) % nFlows
+		rank := int(bits.Reverse8(uint8(f))) >> (8 - bits.TrailingZeros(nFlows))
 		reps := 1 + 96/(1+rank)
 		perFlowTotal[f] = reps
 		for i := 0; i < reps; i++ {
@@ -293,7 +343,7 @@ func TestCloneMergeRoundTripEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	drv := newRangeDriver(t, cl, tr, false)
+	drv := newRangeDriver(t, cl, tr, false, 0, 0)
 	defer drv.closeAll()
 	seed := drv.seed("m0", nFlows)
 	if err := cl.WaitForMB("m0", 5*time.Second); err != nil {
@@ -436,7 +486,7 @@ func TestElasticLoopSurvivesReplicaFailure(t *testing.T) {
 	}
 
 	const chunks = 800
-	drv := newRangeDriver(t, cl, ft, true)
+	drv := newRangeDriver(t, cl, ft, true, 0, 0)
 	seed := drv.seed("m0", chunks)
 	if err := cl.WaitForMB("m0", 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -513,5 +563,160 @@ func TestElasticLoopSurvivesReplicaFailure(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after teardown", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFlashCrowd closes the loop the paper leaves to the operator (it scales
+// instances by hand and measures the data-plane cost of one move, Figures
+// 7/10): a heavy-tailed workload ramps warm -> peak -> cool through the
+// deadline pacer against a group whose per-packet service time is
+// latency-bound, once with the Stratos-style elasticity loop free to clone
+// and merge instances while the crowd arrives, once on the frozen fleet.
+//
+// The loop-on run must finish with zero ring drops, exact per-flow
+// conservation across every instance that ever existed (retired clones
+// included), at least one scale-out AND one scale-in, no actuator error and
+// the controller's p99 move latency inside the SLO. The loop-off run rides
+// the identical ramp and must demonstrate the crowd was real: the frozen
+// instance has to shed, and its sheds must account exactly for the per-flow
+// shortfall.
+func TestFlashCrowd(t *testing.T) {
+	t.Run("loop=on", func(t *testing.T) { flashCrowd(t, true) })
+	t.Run("loop=off", func(t *testing.T) { flashCrowd(t, false) })
+}
+
+func flashCrowd(t *testing.T, loopOn bool) {
+	const (
+		// The per-packet wait caps one instance near 1/perPacket pps (host
+		// timer granularity); the peak is roughly 2.3x that, so the frozen
+		// fleet must overflow its ring while three or four members absorb it.
+		perPacket = time.Millisecond
+		queueSize = 512
+		slo       = 1500 * time.Millisecond // bound on the p99 move latency
+	)
+	phases := []struct {
+		rate int
+		dur  time.Duration
+	}{
+		{300, 300 * time.Millisecond},   // warm
+		{2000, 1600 * time.Millisecond}, // peak
+		{200, 1200 * time.Millisecond},  // cool
+	}
+
+	cl := core.NewCluster(core.ClusterOptions{
+		Replicas:   2,
+		Controller: core.Options{QuietPeriod: 50 * time.Millisecond},
+	})
+	defer cl.Close()
+	tr := sbi.NewMemTransport()
+	if err := cl.Serve(tr, "cluster"); err != nil {
+		t.Fatal(err)
+	}
+	drv := newRangeDriver(t, cl, tr, false, perPacket, queueSize)
+	defer drv.closeAll()
+	seed := drv.seed("fc0", nFlows)
+	if err := cl.WaitForMB("fc0", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	src := NewClusterSource(cl)
+	act := NewClusterActuator(cl, src, drv)
+	act.Seed("fc", seed)
+
+	var loop *Loop
+	if loopOn {
+		loop = New(Config{
+			Interval:     20 * time.Millisecond,
+			HighUtil:     0.25,
+			LowRate:      120,
+			HighWindows:  2,
+			LowWindows:   3,
+			Cooldown:     150 * time.Millisecond,
+			MaxInstances: 4,
+			MigrateRatio: -1, // scale decisions only; no replica migration noise
+		}, src, act)
+		loop.Start()
+		defer loop.Close()
+	}
+
+	// One sequence counter spans the phases so the heavy-tailed schedule
+	// never restarts mid-run.
+	var perFlow [nFlows]int
+	sched := schedule(&perFlow)
+	var injected [nFlows]uint64
+	seq := 0
+	send := func(int) {
+		f := sched[seq%len(sched)]
+		seq++
+		injected[f]++
+		drv.inject(f)
+	}
+	for _, ph := range phases {
+		stop := make(chan struct{})
+		timer := time.AfterFunc(ph.dur, func() { close(stop) })
+		mbtest.Pace(ph.rate, stop, send)
+		timer.Stop()
+	}
+
+	var totals Totals
+	if loopOn {
+		// Traffic is gone, so every member reads cold; the loop must now
+		// retrace its own splits back down to the single seed.
+		deadline := time.Now().Add(20 * time.Second)
+		for len(act.Members("fc")) > 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet never converged back to 1 member (at %d)", len(act.Members("fc")))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		loop.Close()
+		totals = loop.Totals()
+	}
+	drv.drainAll(t)
+	if !cl.WaitTxns(30 * time.Second) {
+		t.Fatalf("transactions never settled (%d live)", cl.LiveTxns())
+	}
+
+	drops := drv.ringDrops()
+	var p99Move time.Duration
+	for i := 0; i < cl.Replicas(); i++ {
+		move, _, _ := cl.Replica(i).OpLatencies()
+		p99Move = max(p99Move, move.Quantile(0.99))
+	}
+	var totalInjected, totalCounted uint64
+	for f := 0; f < nFlows; f++ {
+		totalInjected += injected[f]
+		got := drv.countFlow(f)
+		totalCounted += got
+		if loopOn && got != 1+injected[f] {
+			t.Fatalf("flow %d: counted %d across all instances, want %d (preload 1 + injected %d)",
+				f, got, 1+injected[f], injected[f])
+		}
+	}
+	t.Logf("injected %d, drops %d, scale-outs %d, scale-ins %d, p99 move %v",
+		totalInjected, drops, totals.ScaleOuts, totals.ScaleIns, p99Move)
+
+	if !loopOn {
+		if drops == 0 {
+			t.Fatal("the frozen fleet shed nothing — the crowd was not a crowd")
+		}
+		// Every injected packet was either counted or shed; the identity
+		// failing would mean loss the ring never admitted to.
+		if totalCounted+drops != nFlows+totalInjected {
+			t.Fatalf("conservation identity broken: counted %d + drops %d != preload %d + injected %d",
+				totalCounted, drops, nFlows, totalInjected)
+		}
+		return
+	}
+	if drops != 0 {
+		t.Errorf("loop-on run shed %d packets", drops)
+	}
+	if totals.ScaleOuts < 1 || totals.ScaleIns < 1 {
+		t.Errorf("fleet never resized: %d scale-outs, %d scale-ins", totals.ScaleOuts, totals.ScaleIns)
+	}
+	if totals.Errors != 0 {
+		t.Errorf("%d actuator errors during the ramp", totals.Errors)
+	}
+	if p99Move > slo {
+		t.Errorf("p99 move %v blew the %v SLO", p99Move, slo)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"openmb/internal/mbox/ips"
 	"openmb/internal/mbox/monitor"
 	"openmb/internal/mbox/nat"
-	"openmb/internal/obs"
 	"openmb/internal/packet"
 )
 
@@ -135,31 +133,6 @@ func (r *ChainRig) Inject(n int) error {
 	return r.waitDelivered(start, n, deadline)
 }
 
-// InjectPaced drives n packets at the given rate (pps) through the chain
-// and waits for full delivery; rate <= 0 falls back to closed-loop Inject.
-// Pacing injects per packet — burst formation under paced load comes from
-// the ingress rings' batched pops, the organic path.
-func (r *ChainRig) InjectPaced(n, rate int) error {
-	if rate <= 0 {
-		return r.Inject(n)
-	}
-	start := r.delivered.Load()
-	deadline := time.Now().Add(120 * time.Second)
-	stop := make(chan struct{})
-	closed := false
-	pace(rate, stop, func(i int) {
-		if i >= n {
-			if !closed {
-				closed = true
-				close(stop)
-			}
-			return
-		}
-		r.first.HandlePacket(r.pool.Clone(r.tmpl[i%len(r.tmpl)]))
-	})
-	return r.waitDelivered(start, n, deadline)
-}
-
 func (r *ChainRig) waitDelivered(start uint64, n int, deadline time.Time) error {
 	for r.delivered.Load()-start < uint64(n) {
 		if time.Now().After(deadline) {
@@ -177,80 +150,4 @@ func (r *ChainRig) Close() {
 		rt.Drain(10 * time.Second)
 		rt.Close()
 	}
-}
-
-// ChainConfig parameterizes ChainThroughput.
-type ChainConfig struct {
-	Packets int // timed packets (default 200000)
-	Flows   int // distinct flows (default 256)
-	Rate    int // paced injection rate in pps; 0 = closed-loop max rate
-
-	// TraceFlow, when non-empty, arms the filtered flow tracer on every
-	// hop of the chain before injection — the armed-tracer overhead
-	// ablation. The value is a FieldMatch in the northbound syntax
-	// (e.g. "nw_dst=8.8.8.8,tp_dst=8080"); per-hop record counts land in
-	// the table notes.
-	TraceFlow string
-}
-
-func (c *ChainConfig) setDefaults() {
-	if c.Packets == 0 {
-		c.Packets = 200000
-	}
-	if c.Flows == 0 {
-		c.Flows = 256
-	}
-}
-
-// ChainThroughput measures the data path end to end: the monitor→NAT→IPS
-// chain's per-packet cost and throughput.
-func ChainThroughput(cfg ChainConfig) (*Table, error) {
-	cfg.setDefaults()
-	var spec *obs.TraceSpec
-	if cfg.TraceFlow != "" {
-		m, err := packet.ParseFieldMatch(cfg.TraceFlow)
-		if err != nil {
-			return nil, fmt.Errorf("eval: chain trace-flow: %w", err)
-		}
-		spec = &obs.TraceSpec{Match: m}
-	}
-	tbl := &Table{
-		ID:      "chain",
-		Title:   "NF chain throughput: monitor→NAT→IPS, direct co-located handoff",
-		Columns: []string{"packets", "ns/packet", "pps"},
-		Notes: []string{
-			fmt.Sprintf("closed-loop injection, %d flows, rate=%d", cfg.Flows, cfg.Rate),
-		},
-	}
-	rig := NewChainRig(cfg.Flows)
-	defer rig.Close()
-	// One pass over the flows first, so the timed packets all find their
-	// per-flow state in place at every hop.
-	if err := rig.Inject(cfg.Flows); err != nil {
-		return nil, err
-	}
-	if spec != nil {
-		for _, rt := range rig.rts {
-			rt.ArmTrace(*spec)
-		}
-	}
-	startT := time.Now()
-	err := rig.InjectPaced(cfg.Packets, cfg.Rate)
-	elapsed := time.Since(startT)
-	if err != nil {
-		return nil, err
-	}
-	if spec != nil {
-		counts := make([]string, 0, len(rig.rts))
-		for i, rt := range rig.rts {
-			counts = append(counts, fmt.Sprintf("hop%d=%d", i, len(rt.TraceRecords())))
-		}
-		tbl.Notes = append(tbl.Notes,
-			fmt.Sprintf("flow tracer ARMED on every hop: match %q — armed-overhead ablation", cfg.TraceFlow),
-			"trace records captured: "+strings.Join(counts, " "))
-	}
-	tbl.AddRow(cfg.Packets,
-		float64(elapsed.Nanoseconds())/float64(cfg.Packets),
-		float64(cfg.Packets)/elapsed.Seconds())
-	return tbl, nil
 }

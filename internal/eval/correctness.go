@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"openmb/internal/bed"
 	"openmb/internal/core"
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/ips"
@@ -15,21 +16,18 @@ import (
 	"openmb/internal/trace"
 )
 
-// CorrectnessDiff reproduces the §8.2 correctness experiment: the output of
+// correctnessDiff reproduces the §8.2 correctness experiment: the output of
 // a single unmodified middlebox is compared against the combined output of
 // two OpenMB-enabled instances with a mid-trace moveInternal between them.
 // The paper observed no differences in Bro's conn.log/http.log, PRADS's
 // statistics, or RE's decoded packets; mismatches here are counted per
 // middlebox.
-func CorrectnessDiff(seed int64, flows int) (*Table, error) {
-	if flows == 0 {
-		flows = 50
-	}
-	tr := trace.Cloud(trace.CloudConfig{Seed: seed, Flows: flows})
+func correctnessDiff(flows int) (*Table, error) {
+	tr := trace.Cloud(trace.CloudConfig{Seed: 61, Flows: flows})
 	half := len(tr.Packets) / 2
 
 	t := &Table{
-		ID:      "S-CORR",
+		ID:      "corr",
 		Title:   "correctness: unmodified vs OpenMB-enabled output",
 		Columns: []string{"mb", "metric", "reference", "openmb", "mismatches"},
 	}
@@ -77,24 +75,24 @@ func CorrectnessDiff(seed int64, flows int) (*Table, error) {
 	}
 	t.AddRow("prads", "per-flow packet counts", refMon.TotalPerflowPackets(), gotPerflow, mism)
 
-	t.Notes = append(t.Notes, "paper: no differences in conn.log/http.log, PRADS statistics, or RE decode (RE verified in T3: 0 undecodable)")
+	t.Notes = append(t.Notes, "paper: no differences in conn.log/http.log, PRADS statistics, or RE decode (RE verified in t3: 0 undecodable)")
 	return t, nil
 }
 
 // splitRunIPS runs the trace through instance A, moves all state to B via
 // the controller mid-trace, then finishes at B. Returns combined logs.
 func splitRunIPS(tr *trace.Trace, half int) (conn, http []string, err error) {
-	r, err := newRig(core.Options{QuietPeriod: 40 * time.Millisecond})
+	bd, err := bed.New(core.Options{QuietPeriod: 40 * time.Millisecond})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer r.close()
+	defer bd.Close()
 	a, b := ips.New(), ips.New()
-	rtA, err := r.add("a", a)
+	rtA, err := bd.AddMB("a", a, "")
 	if err != nil {
 		return nil, nil, err
 	}
-	rtB, err := r.add("b", b)
+	rtB, err := bd.AddMB("b", b, "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,10 +102,10 @@ func splitRunIPS(tr *trace.Trace, half int) (conn, http []string, err error) {
 	if !rtA.Drain(60 * time.Second) {
 		return nil, nil, fmt.Errorf("eval: instance A did not drain")
 	}
-	if err := r.ctrl.MoveInternal("a", "b", packet.MatchAll); err != nil {
+	if err := bd.Ctrl.MoveInternal("a", "b", packet.MatchAll); err != nil {
 		return nil, nil, err
 	}
-	if !r.ctrl.WaitTxns(60 * time.Second) {
+	if !bd.Ctrl.WaitTxns(60 * time.Second) {
 		return nil, nil, fmt.Errorf("eval: move did not complete")
 	}
 	for _, p := range tr.Packets[half:] {
@@ -126,17 +124,17 @@ func splitRunIPS(tr *trace.Trace, half int) (conn, http []string, err error) {
 // splitRunMonitor does the same for the monitor, returning the combined
 // shared packet count and per-flow counter sum.
 func splitRunMonitor(tr *trace.Trace, half int) (sharedPkts, perflowPkts uint64, err error) {
-	r, err := newRig(core.Options{QuietPeriod: 40 * time.Millisecond})
+	bd, err := bed.New(core.Options{QuietPeriod: 40 * time.Millisecond})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer r.close()
+	defer bd.Close()
 	a, b := monitor.New(), monitor.New()
-	rtA, err := r.add("a", a)
+	rtA, err := bd.AddMB("a", a, "")
 	if err != nil {
 		return 0, 0, err
 	}
-	rtB, err := r.add("b", b)
+	rtB, err := bd.AddMB("b", b, "")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -144,13 +142,13 @@ func splitRunMonitor(tr *trace.Trace, half int) (sharedPkts, perflowPkts uint64,
 		rtA.HandlePacket(p)
 	}
 	rtA.Drain(60 * time.Second)
-	if err := r.ctrl.MoveInternal("a", "b", packet.MatchAll); err != nil {
+	if err := bd.Ctrl.MoveInternal("a", "b", packet.MatchAll); err != nil {
 		return 0, 0, err
 	}
-	if err := r.ctrl.MergeInternal("a", "b"); err != nil {
+	if err := bd.Ctrl.MergeInternal("a", "b"); err != nil {
 		return 0, 0, err
 	}
-	if !r.ctrl.WaitTxns(60 * time.Second) {
+	if !bd.Ctrl.WaitTxns(60 * time.Second) {
 		return 0, 0, fmt.Errorf("eval: transactions did not complete")
 	}
 	for _, p := range tr.Packets[half:] {
@@ -179,19 +177,13 @@ func multisetDiff(a, b []string) int {
 	return diff
 }
 
-// LatencyDuringGet reproduces the §8.2 performance check: mean per-packet
+// latencyDuringGet reproduces the §8.2 performance check: mean per-packet
 // processing latency during normal operation versus while the middlebox is
 // serving a get. The paper: Bro 6.93 ms -> 7.06 ms (+1.9%); RE
 // 0.781 ms -> 0.790 ms (+1.2%) — i.e. at most ~2%.
-func LatencyDuringGet(flows, packetsPerPhase int) (*Table, error) {
-	if flows == 0 {
-		flows = 500
-	}
-	if packetsPerPhase == 0 {
-		packetsPerPhase = 3000
-	}
+func latencyDuringGet(flows, packetsPerPhase int) (*Table, error) {
 	t := &Table{
-		ID:      "S-PERF",
+		ID:      "perf",
 		Title:   "per-packet processing latency, normal vs during get",
 		Columns: []string{"mb", "normal", "during_get", "increase"},
 	}
@@ -254,33 +246,30 @@ func LatencyDuringGet(flows, packetsPerPhase int) (*Table, error) {
 	return t, nil
 }
 
-// CompressionAblation reproduces the §8.3 compression experiment: a move of
+// compressionAblation reproduces the §8.3 compression experiment: a move of
 // n chunks with and without flate compression of state transfers.
-func CompressionAblation(chunks int) (*Table, error) {
-	if chunks == 0 {
-		chunks = 500
-	}
+func compressionAblation(chunks int) (*Table, error) {
 	run := func(compress bool) (time.Duration, uint64, error) {
-		r, err := newRig(core.Options{QuietPeriod: 50 * time.Millisecond, Compress: compress})
+		b, err := bed.New(core.Options{QuietPeriod: 50 * time.Millisecond, Compress: compress})
 		if err != nil {
 			return 0, 0, err
 		}
-		defer r.close()
+		defer b.Close()
 		src := mbtest.NewCounterLogic(202)
 		src.Preload(chunks)
-		if _, err := r.add("src", src); err != nil {
+		if _, err := b.AddMB("src", src, ""); err != nil {
 			return 0, 0, err
 		}
-		if _, err := r.add("dst", mbtest.NewCounterLogic(202)); err != nil {
+		if _, err := b.AddMB("dst", mbtest.NewCounterLogic(202), ""); err != nil {
 			return 0, 0, err
 		}
 		start := time.Now()
-		if err := r.ctrl.MoveInternal("src", "dst", packet.MatchAll); err != nil {
+		if err := b.Ctrl.MoveInternal("src", "dst", packet.MatchAll); err != nil {
 			return 0, 0, err
 		}
 		elapsed := time.Since(start)
-		bytes := r.ctrl.Metrics().BytesMoved
-		r.ctrl.WaitTxns(60 * time.Second)
+		bytes := b.Ctrl.Metrics().BytesMoved
+		b.Ctrl.WaitTxns(60 * time.Second)
 		return elapsed, bytes, nil
 	}
 	plainTime, plainBytes, err := run(false)
@@ -292,7 +281,7 @@ func CompressionAblation(chunks int) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:      "S-COMP",
+		ID:      "comp",
 		Title:   "state-transfer compression ablation (move of dummy chunks)",
 		Columns: []string{"variant", "move_time", "bytes_on_wire"},
 	}
@@ -303,48 +292,4 @@ func CompressionAblation(chunks int) (*Table, error) {
 			100*(1-float64(compBytes)/float64(plainBytes))))
 	}
 	return t, nil
-}
-
-// RenderAll runs every experiment with test-scale defaults and returns the
-// rendered tables in a stable order. cmd/openmb-bench uses larger scales.
-func RenderAll() ([]string, error) {
-	var out []string
-	type exp struct {
-		name string
-		run  func() (*Table, error)
-	}
-	exps := []exp{
-		{"F7", func() (*Table, error) {
-			return Figure7ScaleUpTimeline(Figure7Config{Duration: 600 * time.Millisecond, MoveAt: 200 * time.Millisecond, Bucket: 50 * time.Millisecond})
-		}},
-		{"F8", func() (*Table, error) { return Figure8FlowDurationCDF(Figure8Config{Flows: 1500}) }},
-		{"T2", Table2Applicability},
-		{"T3", func() (*Table, error) { return Table3REMigration(Table3Config{}) }},
-		{"F9ab", func() (*Table, error) { return Figure9GetPut(Figure9Config{ChunkCounts: []int{100, 200}}) }},
-		{"F9c", func() (*Table, error) {
-			return Figure9Events(Figure9EventsConfig{ChunkCounts: []int{100}, Rates: []int{500, 1500}, Window: 60 * time.Millisecond}, false)
-		}},
-		{"F9d", func() (*Table, error) {
-			return Figure9Events(Figure9EventsConfig{ChunkCounts: []int{100}, Rates: []int{500, 1500}, Window: 60 * time.Millisecond}, true)
-		}},
-		{"F10a", func() (*Table, error) {
-			return Figure10aSingleMove(Figure10aConfig{ChunkCounts: []int{500, 1000}})
-		}},
-		{"F10b", func() (*Table, error) {
-			return Figure10bConcurrentMoves(Figure10bConfig{Concurrency: []int{1, 2, 4}, ChunkCounts: []int{500}})
-		}},
-		{"S-SNAP", func() (*Table, error) { return SnapshotComparison(50, 40) }},
-		{"S-SM", func() (*Table, error) { return SplitMergeBuffering(300, 1000) }},
-		{"S-CORR", func() (*Table, error) { return CorrectnessDiff(51, 30) }},
-		{"S-PERF", func() (*Table, error) { return LatencyDuringGet(200, 1500) }},
-		{"S-COMP", func() (*Table, error) { return CompressionAblation(200) }},
-	}
-	for _, e := range exps {
-		tbl, err := e.run()
-		if err != nil {
-			return nil, fmt.Errorf("eval: %s: %w", e.name, err)
-		}
-		out = append(out, tbl.Render())
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"openmb/internal/baseline"
+	"openmb/internal/bed"
 	"openmb/internal/core"
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/ips"
@@ -143,56 +144,61 @@ func measureGetPut(srcLogic, dstLogic mbox.Logic, class state.Class) (getTime, p
 	return getTime, putTime, len(collected), nil
 }
 
-// Figure9Config parameterizes the get/put measurements.
-type Figure9Config struct {
-	ChunkCounts []int // default {250, 500, 1000}
-}
-
-func (c *Figure9Config) setDefaults() {
-	if len(c.ChunkCounts) == 0 {
-		c.ChunkCounts = []int{250, 500, 1000}
-	}
-}
-
-// Figure9GetPut reproduces Figures 9(a) and 9(b): time to complete a single
+// figure9GetPut reproduces Figures 9(a) and 9(b): time to complete a single
 // get (all chunks streamed) and all corresponding puts, for PRADS-like and
 // Bro-like middleboxes, versus the number of per-flow chunks. Expected
 // shapes: linear growth in chunks; gets cost several times more than puts
 // (linear table scan versus hash insert); Bro costs more than PRADS (deep
-// serialized analyzer trees versus flat records).
-func Figure9GetPut(cfg Figure9Config) (*Table, error) {
-	cfg.setDefaults()
+// serialized analyzer trees versus flat records). Each point is the best of
+// five runs on freshly preloaded instances: a get of a few hundred chunks is
+// shorter than one descheduling on a loaded box.
+func figure9GetPut(chunkCounts []int) (*Table, error) {
 	t := &Table{
-		ID:      "F9ab",
+		ID:      "f9ab",
 		Title:   "getPerflow / putPerflow time per operation",
 		Columns: []string{"mb", "chunks", "get", "put", "get/put"},
 	}
-	for _, n := range cfg.ChunkCounts {
-		mon := monitor.New()
-		preloadMonitor(mon, n).Close()
-		get, put, chunks, err := measureGetPut(mon, monitor.New(), state.Reporting)
-		if err != nil {
-			return nil, err
+	for _, deep := range []bool{false, true} {
+		name, class := "prads", state.Reporting
+		if deep {
+			name, class = "bro", state.Supporting
 		}
-		if chunks != n {
-			return nil, fmt.Errorf("eval: monitor exported %d chunks, want %d", chunks, n)
+		for _, n := range chunkCounts {
+			var put time.Duration
+			get, err := bestOf(5, func() (time.Duration, error) {
+				g, p, chunks, err := measureGetPut(preloaded(deep, n), preloaded(deep, 0), class)
+				if err != nil {
+					return 0, err
+				}
+				if chunks != n {
+					return 0, fmt.Errorf("eval: %s exported %d chunks, want %d", name, chunks, n)
+				}
+				if put == 0 || p < put {
+					put = p
+				}
+				return g, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(name, n, get, put, ratio(get, put))
 		}
-		t.AddRow("prads", n, get, put, ratio(get, put))
-	}
-	for _, n := range cfg.ChunkCounts {
-		b := ips.New()
-		preloadIPS(b, n).Close()
-		get, put, chunks, err := measureGetPut(b, ips.New(), state.Supporting)
-		if err != nil {
-			return nil, err
-		}
-		if chunks != n {
-			return nil, fmt.Errorf("eval: ips exported %d chunks, want %d", chunks, n)
-		}
-		t.AddRow("bro", n, get, put, ratio(get, put))
 	}
 	t.Notes = append(t.Notes, "paper: linear in chunks; put ≈6x cheaper than get; Bro slower than PRADS")
 	return t, nil
+}
+
+// preloaded returns a PRADS-like monitor or, deep, a Bro-like IPS holding n
+// flows.
+func preloaded(deep bool, n int) mbox.Logic {
+	if deep {
+		b := ips.New()
+		preloadIPS(b, n).Close()
+		return b
+	}
+	m := monitor.New()
+	preloadMonitor(m, n).Close()
+	return m
 }
 
 func ratio(a, b time.Duration) string {
@@ -202,53 +208,25 @@ func ratio(a, b time.Duration) string {
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
 
-// Figure9EventsConfig parameterizes the events-generated measurement.
-type Figure9EventsConfig struct {
-	ChunkCounts []int         // default {250, 500, 1000}
-	Rates       []int         // packets/s, default {500, 1000, 1500, 2000, 2500}
-	Window      time.Duration // post-get window until "routing update" (default 150 ms)
-}
-
-func (c *Figure9EventsConfig) setDefaults() {
-	if len(c.ChunkCounts) == 0 {
-		c.ChunkCounts = []int{250, 500, 1000}
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = []int{500, 1000, 1500, 2000, 2500}
-	}
-	if c.Window == 0 {
-		c.Window = 150 * time.Millisecond
-	}
-}
-
-// Figure9Events reproduces Figures 9(c)/9(d): the number of reprocess events
-// generated during a move, versus packet rate and chunk count. Events are
-// raised for packets arriving between the start of the get and the routing
-// update taking effect; their count grows linearly with the packet rate.
-func Figure9Events(cfg Figure9EventsConfig, deep bool) (*Table, error) {
-	cfg.setDefaults()
-	name, id := "prads", "F9c"
+// figure9Events reproduces Figures 9(c)/9(d): the number of reprocess events
+// generated during a move, versus packet rate and chunk count, for the
+// PRADS-like monitor or (deep) the Bro-like IPS. Events are raised for
+// packets arriving between the start of the get and the routing update
+// taking effect, window after the get completes; their count grows linearly
+// with the packet rate.
+func figure9Events(id string, deep bool, chunkCounts, rates []int, window time.Duration) (*Table, error) {
+	name := "prads"
 	if deep {
-		name, id = "bro", "F9d"
+		name = "bro"
 	}
 	t := &Table{
 		ID:      id,
 		Title:   fmt.Sprintf("reprocess events generated by %s during moveInternal", name),
 		Columns: []string{"rate_pps", "chunks", "events"},
 	}
-	for _, n := range cfg.ChunkCounts {
-		for _, rate := range cfg.Rates {
-			var logic mbox.Logic
-			if deep {
-				b := ips.New()
-				preloadIPS(b, n).Close()
-				logic = b
-			} else {
-				m := monitor.New()
-				preloadMonitor(m, n).Close()
-				logic = m
-			}
-			events, err := countMoveEvents(logic, n, rate, cfg.Window)
+	for _, n := range chunkCounts {
+		for _, rate := range rates {
+			events, err := countMoveEvents(preloaded(deep, n), n, rate, window)
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +253,7 @@ func countMoveEvents(logic mbox.Logic, flows, rate int, window time.Duration) (u
 	src := newPktSource(flows)
 	go func() {
 		defer wg.Done()
-		pace(rate, stop, func(i int) {
+		mbtest.Pace(rate, stop, func(i int) {
 			p := src.packetFor(i % flows)
 			p.Flags = packet.FlagACK
 			d.rt.HandlePacket(p)
@@ -302,44 +280,30 @@ func countMoveEvents(logic mbox.Logic, flows, rate int, window time.Duration) (u
 	close(stop)
 	wg.Wait()
 	d.rt.Drain(30 * time.Second)
-	// The move window's wire behaviour: the MB-side connection carried the
-	// chunk stream and every coalesced event frame.
-	recordWire(d.rt.WireCounters())
 	return d.rt.Metrics().EventsRaised, nil
 }
 
-// Figure10aConfig parameterizes the single-move controller measurement.
-type Figure10aConfig struct {
-	ChunkCounts []int // default {1000, 5000, 10000, 15000, 20000, 25000}
-	EventRate   int   // packets/s during the with-events runs (default 2000)
-}
+// figure10aEventRate is the packet rate injected at the source during the
+// with-events runs of Figure 10(a).
+const figure10aEventRate = 2000
 
-func (c *Figure10aConfig) setDefaults() {
-	if len(c.ChunkCounts) == 0 {
-		c.ChunkCounts = []int{1000, 5000, 10000, 15000, 20000, 25000}
-	}
-	if c.EventRate == 0 {
-		c.EventRate = 2000
-	}
-}
-
-// Figure10aSingleMove reproduces Figure 10(a): time per moveInternal versus
+// figure10aSingleMove reproduces Figure 10(a): time per moveInternal versus
 // the number of state chunks, with and without events, using dummy MBs
 // (202-byte chunks) so the controller dominates. Expected shape: linear in
-// chunks; events add a bounded overhead (the paper: at most 9%).
-func Figure10aSingleMove(cfg Figure10aConfig) (*Table, error) {
-	cfg.setDefaults()
+// chunks; events add a bounded overhead (the paper: at most 9%). Each point
+// is the best of three moves.
+func figure10aSingleMove(chunkCounts []int) (*Table, error) {
 	t := &Table{
-		ID:      "F10a",
+		ID:      "f10a",
 		Title:   "controller: time per moveInternal vs chunks (dummy MBs)",
 		Columns: []string{"chunks", "without_events", "with_events", "overhead"},
 	}
-	for _, n := range cfg.ChunkCounts {
-		without, err := bestMove(n, 0)
+	for _, n := range chunkCounts {
+		without, err := bestOf(3, func() (time.Duration, error) { return timeMove(n, 0) })
 		if err != nil {
 			return nil, err
 		}
-		with, err := bestMove(n, cfg.EventRate)
+		with, err := bestOf(3, func() (time.Duration, error) { return timeMove(n, figure10aEventRate) })
 		if err != nil {
 			return nil, err
 		}
@@ -353,12 +317,12 @@ func Figure10aSingleMove(cfg Figure10aConfig) (*Table, error) {
 	return t, nil
 }
 
-// bestMove runs timeMove three times and keeps the minimum, suppressing
-// scheduler noise at small chunk counts.
-func bestMove(n, eventRate int) (time.Duration, error) {
+// bestOf runs f n times and keeps the minimum, suppressing scheduler noise
+// at small chunk counts.
+func bestOf(n int, f func() (time.Duration, error)) (time.Duration, error) {
 	best := time.Duration(0)
-	for i := 0; i < 3; i++ {
-		d, err := timeMove(n, eventRate)
+	for i := 0; i < n; i++ {
+		d, err := f()
 		if err != nil {
 			return 0, err
 		}
@@ -372,19 +336,18 @@ func bestMove(n, eventRate int) (time.Duration, error) {
 // timeMove runs one MoveInternal between two dummy MBs with n preloaded
 // chunks, injecting packets at eventRate (0 = no traffic) during the move.
 func timeMove(n, eventRate int) (time.Duration, error) {
-	r, err := newRig(core.Options{QuietPeriod: 50 * time.Millisecond})
+	b, err := bed.New(core.Options{QuietPeriod: 50 * time.Millisecond})
 	if err != nil {
 		return 0, err
 	}
-	defer r.close()
+	defer b.Close()
 	src := mbtest.NewCounterLogic(202)
-	dst := mbtest.NewCounterLogic(202)
 	src.Preload(n)
-	srcRT, err := r.add("src", src)
+	srcRT, err := b.AddMB("src", src, "")
 	if err != nil {
 		return 0, err
 	}
-	if _, err := r.add("dst", dst); err != nil {
+	if _, err := b.AddMB("dst", mbtest.NewCounterLogic(202), ""); err != nil {
 		return 0, err
 	}
 
@@ -395,51 +358,35 @@ func timeMove(n, eventRate int) (time.Duration, error) {
 		pkts := newPktSource(n)
 		go func() {
 			defer wg.Done()
-			pace(eventRate, stop, func(i int) {
+			mbtest.Pace(eventRate, stop, func(i int) {
 				srcRT.HandlePacket(pkts.packetFor(i % n))
 			})
 		}()
 	}
 	start := time.Now()
-	err = r.ctrl.MoveInternal("src", "dst", packet.MatchAll)
+	err = b.Ctrl.MoveInternal("src", "dst", packet.MatchAll)
 	elapsed := time.Since(start)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		return 0, err
 	}
-	r.ctrl.WaitTxns(60 * time.Second)
+	b.Ctrl.WaitTxns(60 * time.Second)
 	return elapsed, nil
 }
 
-// Figure10bConfig parameterizes the concurrent-move measurement.
-type Figure10bConfig struct {
-	Concurrency []int // default {1, 2, 4, 8, 16, 32, 64}
-	ChunkCounts []int // default {1000, 2000, 3000}
-}
-
-func (c *Figure10bConfig) setDefaults() {
-	if len(c.Concurrency) == 0 {
-		c.Concurrency = []int{1, 2, 4, 8, 16, 32, 64}
-	}
-	if len(c.ChunkCounts) == 0 {
-		c.ChunkCounts = []int{1000, 2000, 3000}
-	}
-}
-
-// Figure10bConcurrentMoves reproduces Figure 10(b): average time per move
+// figure10bConcurrentMoves reproduces Figure 10(b): average time per move
 // versus the number of simultaneous moves, for several chunk counts.
 // Expected shape: average move time grows near-linearly with both
 // concurrency and state.
-func Figure10bConcurrentMoves(cfg Figure10bConfig) (*Table, error) {
-	cfg.setDefaults()
+func figure10bConcurrentMoves(concurrency, chunkCounts []int) (*Table, error) {
 	t := &Table{
-		ID:      "F10b",
+		ID:      "f10b",
 		Title:   "controller: avg time per moveInternal vs simultaneous moves",
 		Columns: []string{"simultaneous", "chunks", "avg_move"},
 	}
-	for _, chunks := range cfg.ChunkCounts {
-		for _, k := range cfg.Concurrency {
+	for _, chunks := range chunkCounts {
+		for _, k := range concurrency {
 			avg, err := timeConcurrentMoves(k, chunks)
 			if err != nil {
 				return nil, err
@@ -455,18 +402,18 @@ func Figure10bConcurrentMoves(cfg Figure10bConfig) (*Table, error) {
 // timeConcurrentMoves runs `pairs` simultaneous moves of `chunks` chunks each
 // and returns the average move latency.
 func timeConcurrentMoves(pairs, chunks int) (time.Duration, error) {
-	r, err := newRig(core.Options{QuietPeriod: 50 * time.Millisecond})
+	b, err := bed.New(core.Options{QuietPeriod: 50 * time.Millisecond})
 	if err != nil {
 		return 0, err
 	}
-	defer r.close()
+	defer b.Close()
 	for i := 0; i < pairs; i++ {
 		src := mbtest.NewCounterLogic(202)
 		src.Preload(chunks)
-		if _, err := r.add(fmt.Sprintf("src%d", i), src); err != nil {
+		if _, err := b.AddMB(fmt.Sprintf("src%d", i), src, ""); err != nil {
 			return 0, err
 		}
-		if _, err := r.add(fmt.Sprintf("dst%d", i), mbtest.NewCounterLogic(202)); err != nil {
+		if _, err := b.AddMB(fmt.Sprintf("dst%d", i), mbtest.NewCounterLogic(202), ""); err != nil {
 			return 0, err
 		}
 	}
@@ -478,7 +425,7 @@ func timeConcurrentMoves(pairs, chunks int) (time.Duration, error) {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			errs[i] = r.ctrl.MoveInternal(fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i), packet.MatchAll)
+			errs[i] = b.Ctrl.MoveInternal(fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i), packet.MatchAll)
 			times[i] = time.Since(start)
 		}(i)
 	}
@@ -488,7 +435,7 @@ func timeConcurrentMoves(pairs, chunks int) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	r.ctrl.WaitTxns(120 * time.Second)
+	b.Ctrl.WaitTxns(120 * time.Second)
 	var sum time.Duration
 	for _, d := range times {
 		sum += d
@@ -496,15 +443,12 @@ func timeConcurrentMoves(pairs, chunks int) (time.Duration, error) {
 	return sum / time.Duration(pairs), nil
 }
 
-// SnapshotComparison reproduces the §8.1.2 snapshot experiment: image-size
+// snapshotComparison reproduces the §8.1.2 snapshot experiment: image-size
 // deltas for BASE/FULL/HTTP/OTHER images of a Bro-like IPS, the state SDMBN
 // would move, and the incorrect conn.log entries caused by unneeded state
 // after a snapshot-based migration.
-func SnapshotComparison(seed int64, flows int) (*Table, error) {
-	if flows == 0 {
-		flows = 60
-	}
-	tr := trace.Cloud(trace.CloudConfig{Seed: seed, Flows: flows})
+func snapshotComparison(flows int) (*Table, error) {
+	tr := trace.Cloud(trace.CloudConfig{Seed: 60, Flows: flows})
 	httpMatch := trace.HTTPMatch()
 
 	feed := func(pkts []*packet.Packet, only func(*packet.Packet) bool) *ips.IPS {
@@ -573,7 +517,7 @@ func SnapshotComparison(seed int64, flows int) (*Table, error) {
 	anomalousOld := countAnomalous(full.SweepIdle(1<<62, nil), packet.MatchAll)
 
 	t := &Table{
-		ID:      "S-SNAP",
+		ID:      "snap",
 		Title:   "VM snapshot comparison (Bro-like IPS, cloud trace)",
 		Columns: []string{"quantity", "bytes"},
 	}
@@ -590,16 +534,10 @@ func SnapshotComparison(seed int64, flows int) (*Table, error) {
 	return t, nil
 }
 
-// SplitMergeBuffering reproduces the §8.1.2 Split/Merge experiment: packets
+// splitMergeBuffering reproduces the §8.1.2 Split/Merge experiment: packets
 // buffered and added latency while a halt-based move of n chunks runs at the
 // given packet rate.
-func SplitMergeBuffering(chunks, rate int) (*Table, error) {
-	if chunks == 0 {
-		chunks = 1000
-	}
-	if rate == 0 {
-		rate = 1000
-	}
+func splitMergeBuffering(chunks, rate int) (*Table, error) {
 	src := monitor.New()
 	preloadMonitor(src, chunks).Close()
 	dst := monitor.New()
@@ -612,7 +550,7 @@ func SplitMergeBuffering(chunks, rate int) (*Table, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pace(rate, stop, func(i int) {
+		mbtest.Pace(rate, stop, func(i int) {
 			valve.HandlePacket(mbtest.PacketForFlow(i % chunks))
 		})
 	}()
@@ -642,7 +580,7 @@ func SplitMergeBuffering(chunks, rate int) (*Table, error) {
 	wg.Wait()
 
 	t := &Table{
-		ID:      "S-SM",
+		ID:      "sm",
 		Title:   "Split/Merge halt-based migration cost",
 		Columns: []string{"quantity", "value"},
 	}

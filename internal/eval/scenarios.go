@@ -10,6 +10,7 @@ import (
 	"openmb/internal/bed"
 	"openmb/internal/core"
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/mbox/monitor"
 	"openmb/internal/mbox/re"
 	"openmb/internal/packet"
@@ -17,44 +18,16 @@ import (
 	"openmb/internal/trace"
 )
 
-// Figure7Config parameterizes the scale-up timeline capture.
-type Figure7Config struct {
-	Flows      int           // distinct HTTP flows (default 60)
-	Rate       int           // packets per second (default 2000)
-	Duration   time.Duration // total injection window (default 1.2 s)
-	MoveAt     time.Duration // when the scale-up starts (default 400 ms)
-	Bucket     time.Duration // sampling bucket (default 100 ms)
-	QuietAfter time.Duration // controller quiet period (default 150 ms)
-	// RouteDelay models controller-to-switch rule propagation; it is the
-	// window in which packets keep arriving at the original instance for
-	// moved state, producing the reprocess events Figure 7 shows
-	// (default 30 ms per rule).
-	RouteDelay time.Duration
-}
-
-func (c *Figure7Config) setDefaults() {
-	if c.Flows == 0 {
-		c.Flows = 60
-	}
-	if c.Rate == 0 {
-		c.Rate = 2000
-	}
-	if c.Duration == 0 {
-		c.Duration = 1200 * time.Millisecond
-	}
-	if c.MoveAt == 0 {
-		c.MoveAt = 400 * time.Millisecond
-	}
-	if c.Bucket == 0 {
-		c.Bucket = 100 * time.Millisecond
-	}
-	if c.QuietAfter == 0 {
-		c.QuietAfter = 150 * time.Millisecond
-	}
-	if c.RouteDelay == 0 {
-		c.RouteDelay = 30 * time.Millisecond
-	}
-}
+// Figure 7's fixed parameters: the HTTP flowspace and rate, the
+// controller's quiet period, and the controller-to-switch rule propagation
+// delay — the window in which packets keep arriving at the original instance
+// for moved state, producing the reprocess events the figure shows.
+const (
+	figure7Flows      = 60
+	figure7Rate       = 2000
+	figure7QuietAfter = 150 * time.Millisecond
+	figure7RouteDelay = 30 * time.Millisecond
+)
 
 // httpFlowPacket builds one forward HTTP packet for flow index i; the lower
 // half of the flow space sits in 10.1.0.0/17 (the subnet the scale-up
@@ -73,17 +46,17 @@ func httpFlowPacket(i, flows int) *packet.Packet {
 	}
 }
 
-// Figure7ScaleUpTimeline reproduces Figure 7: packet processing, event
+// figure7ScaleUpTimeline reproduces Figure 7: packet processing, event
 // raising/processing, and operation handling at the original and new
-// monitor instances across a scale-up, in time buckets. The paper's
+// monitor instances across a scale-up that starts moveAt into a duration-long
+// injection window, sampled every bucket. The paper's
 // qualitative shape: the original MB processes all HTTP packets until
 // slightly after the final put completes; events are raised from soon after
 // the get begins until slightly after it completes; the new MB processes
 // the events after the corresponding state was put, then takes over the
 // packets once routing updates.
-func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
-	cfg.setDefaults()
-	b, err := bed.New(core.Options{QuietPeriod: cfg.QuietAfter})
+func figure7ScaleUpTimeline(duration, moveAt, bucket time.Duration) (*Table, error) {
+	b, err := bed.New(core.Options{QuietPeriod: figure7QuietAfter})
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +81,8 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 		return nil, err
 	}
 	// Rule installations after this point (the scale-up's routing update)
-	// take RouteDelay to propagate, as on a physical switch.
-	b.SDN.SetUpdateDelay(cfg.RouteDelay)
+	// take figure7RouteDelay to propagate, as on a physical switch.
+	b.SDN.SetUpdateDelay(figure7RouteDelay)
 
 	type sample struct {
 		at                 time.Duration
@@ -123,7 +96,7 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 	samplerDone := make(chan struct{})
 	go func() {
 		defer close(samplerDone)
-		tick := time.NewTicker(cfg.Bucket)
+		tick := time.NewTicker(bucket)
 		defer tick.Stop()
 		for {
 			select {
@@ -143,25 +116,25 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 
 	// Paced injection: the per-event packet is a pooled clone of a prebuilt
 	// template (matching bed.InjectTrace).
-	templates := make([]*packet.Packet, cfg.Flows)
+	templates := make([]*packet.Packet, figure7Flows)
 	for i := range templates {
-		templates[i] = httpFlowPacket(i, cfg.Flows)
+		templates[i] = httpFlowPacket(i, figure7Flows)
 	}
 	injectDone := make(chan struct{})
 	stopInject := make(chan struct{})
 	go func() {
 		defer close(injectDone)
-		pace(cfg.Rate, stopInject, func(i int) {
-			_ = b.Net.Inject("s1", b.Pool.Clone(templates[i%cfg.Flows]))
+		mbtest.Pace(figure7Rate, stopInject, func(i int) {
+			_ = b.Net.Inject("s1", b.Pool.Clone(templates[i%figure7Flows]))
 		})
 	}()
 	go func() {
-		time.Sleep(time.Until(start.Add(cfg.Duration)))
+		time.Sleep(time.Until(start.Add(duration)))
 		close(stopInject)
 	}()
 
-	// The scale-up at MoveAt.
-	time.Sleep(time.Until(start.Add(cfg.MoveAt)))
+	// The scale-up at moveAt.
+	time.Sleep(time.Until(start.Add(moveAt)))
 	env := &apps.Env{MB: b.Ctrl}
 	moveMatch, _ := packet.ParseFieldMatch("[nw_src=10.1.0.0/17]")
 	moveStart := time.Since(start)
@@ -180,7 +153,7 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 	<-samplerDone
 
 	t := &Table{
-		ID:      "F7",
+		ID:      "f7",
 		Title:   "MB actions during scale-up (per-bucket deltas)",
 		Columns: []string{"t_ms", "orig_pkts", "new_pkts", "events_raised", "events_replayed"},
 	}
@@ -198,31 +171,19 @@ func Figure7ScaleUpTimeline(cfg Figure7Config) (*Table, error) {
 	return t, nil
 }
 
-// Figure8Config parameterizes the flow-duration CDF.
-type Figure8Config struct {
-	Flows int   // default 4000
-	Seed  int64 // default 8
-}
-
-// Figure8FlowDurationCDF reproduces Figure 8: the CDF of flow completion
+// figure8FlowDurationCDF reproduces Figure 8: the CDF of flow completion
 // times in the university data-center trace. The paper's headline: ~9% of
 // flows take more than 1500 s to complete — the hold-up problem for
 // drain-based approaches.
-func Figure8FlowDurationCDF(cfg Figure8Config) (*Table, error) {
-	if cfg.Flows == 0 {
-		cfg.Flows = 4000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 8
-	}
-	tr := trace.UnivDC(trace.UnivDCConfig{Seed: cfg.Seed, Flows: cfg.Flows})
+func figure8FlowDurationCDF(flows int) (*Table, error) {
+	tr := trace.UnivDC(trace.UnivDCConfig{Seed: 8, Flows: flows})
 	durations := make([]time.Duration, len(tr.Flows))
 	for i, f := range tr.Flows {
 		durations[i] = f.Duration()
 	}
 	sortDurations(durations)
 	t := &Table{
-		ID:      "F8",
+		ID:      "f8",
 		Title:   "CDF of flow completion times (university data-center trace)",
 		Columns: []string{"duration_s", "cdf"},
 	}
@@ -244,10 +205,10 @@ func Figure8FlowDurationCDF(cfg Figure8Config) (*Table, error) {
 	return t, nil
 }
 
-// Table2Applicability reproduces Table 2: which approaches support scale-up,
+// table2Applicability reproduces Table 2: which approaches support scale-up,
 // scale-down, and live migration. Classifications are derived from measured
 // evidence on small concrete runs, recorded in the notes.
-func Table2Applicability() (*Table, error) {
+func table2Applicability() (*Table, error) {
 	tr := trace.Cloud(trace.CloudConfig{Seed: 40, Flows: 40})
 
 	// --- Snapshot evidence: unneeded state and no merge path.
@@ -286,7 +247,7 @@ func Table2Applicability() (*Table, error) {
 	stranded := smSrc.Snapshot().Shared.Packets
 
 	t := &Table{
-		ID:      "T2",
+		ID:      "t2",
 		Title:   "Applicability of MB control approaches (Y supported, ~ partial, N unsupported)",
 		Columns: []string{"approach", "scale-up", "scale-down", "migration"},
 	}
@@ -295,7 +256,7 @@ func Table2Applicability() (*Table, error) {
 	t.AddRow("config+routing", "~", "~", "~")
 	t.AddRow("Split/Merge", "Y", "~", "~")
 	t.Notes = append(t.Notes,
-		"SDMBN: all three scenarios pass conservation and correctness checks (see apps integration tests / S-CORR)",
+		"SDMBN: all three scenarios pass conservation and correctness checks (see apps integration tests / corr)",
 		fmt.Sprintf("snapshot: %.0f%% of per-flow state in the image is unneeded at the destination; two images cannot merge (scale-down N)", unneededFrac*100),
 		fmt.Sprintf("config+routing: deprecated instance held up %v by in-progress flows (partial everywhere)", drain.Round(time.Second)),
 		fmt.Sprintf("Split/Merge: %d shared-state packet counts stranded at the source (no shared merge: scale-down/migration partial)", stranded),
@@ -303,67 +264,46 @@ func Table2Applicability() (*Table, error) {
 	return t, nil
 }
 
-// Table3Config parameterizes the RE migration comparison.
-type Table3Config struct {
-	Flows          int // default 16
-	PacketsPerFlow int // default 30
-	RoutingLagPkts int // default 10, as in the paper
-	CacheBytes     int // default 256 KiB
-	Seed           int64
-}
+// Table 3's fixed parameters; the routing lag is the paper's.
+const (
+	table3PacketsPerFlow = 30
+	table3RoutingLagPkts = 10
+	table3CacheBytes     = 1 << 18
+)
 
-func (c *Table3Config) setDefaults() {
-	if c.Flows == 0 {
-		c.Flows = 16
-	}
-	if c.PacketsPerFlow == 0 {
-		c.PacketsPerFlow = 30
-	}
-	if c.RoutingLagPkts == 0 {
-		c.RoutingLagPkts = 10
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 1 << 18
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-}
-
-// Table3REMigration reproduces Table 3: redundancy elimination performance
+// table3REMigration reproduces Table 3: redundancy elimination performance
 // and correctness during live migration, SDMBN versus config+routing. The
 // shape: SDMBN encodes more redundant bytes (warm cloned cache) and decodes
 // everything; config+routing encodes less (cold cache) and, after the
 // routing lag desynchronizes the caches, none of its encoded bytes can be
 // decoded.
-func Table3REMigration(cfg Table3Config) (*Table, error) {
-	cfg.setDefaults()
-	trc := trace.Redundant(trace.RedundantConfig{Seed: cfg.Seed, Flows: cfg.Flows, PacketsPerFlow: cfg.PacketsPerFlow})
+func table3REMigration(flows int) (*Table, error) {
+	trc := trace.Redundant(trace.RedundantConfig{Seed: 42, Flows: flows, PacketsPerFlow: table3PacketsPerFlow})
 	half := len(trc.Packets) / 2
 
 	// ---- SDMBN run: full bed with the migrate control application.
-	sdmbnEnc, sdmbnUndec, err := runSDMBNMigration(trc, half, cfg.CacheBytes)
+	sdmbnEnc, sdmbnUndec, err := runSDMBNMigration(trc, half)
 	if err != nil {
 		return nil, err
 	}
 
 	// ---- Config+routing run: new empty encoder/decoder pair for the
-	// migrated prefix; the first RoutingLagPkts encoded packets reach the
+	// migrated prefix; the first table3RoutingLagPkts encoded packets reach the
 	// OLD decoder (routing not yet updated), desynchronizing the caches.
-	cfgEnc, cfgUndec, err := runConfigRouteMigration(trc, half, cfg)
+	cfgEnc, cfgUndec, err := runConfigRouteMigration(trc, half)
 	if err != nil {
 		return nil, err
 	}
 
 	t := &Table{
-		ID:      "T3",
+		ID:      "t3",
 		Title:   "Performance of RE in live migration",
 		Columns: []string{"approach", "encoded_bytes", "undecodable_bytes"},
 	}
 	t.AddRow("SDMBN (OpenMB)", sdmbnEnc, sdmbnUndec)
 	t.AddRow("config+routing", cfgEnc, cfgUndec)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("routing lag for the baseline: %d packets (as in the paper)", cfg.RoutingLagPkts),
+		fmt.Sprintf("routing lag for the baseline: %d packets (as in the paper)", table3RoutingLagPkts),
 		"paper: SDMBN 148.42 MB encoded / 0 undecodable; config+routing 97.33 MB encoded / 97.33 MB undecodable",
 	)
 	return t, nil
@@ -371,7 +311,7 @@ func Table3REMigration(cfg Table3Config) (*Table, error) {
 
 // runSDMBNMigration drives the Figure 6(a) scenario through the full stack
 // and returns (encoded redundant bytes, undecodable bytes).
-func runSDMBNMigration(trc *trace.Trace, half, cacheBytes int) (uint64, uint64, error) {
+func runSDMBNMigration(trc *trace.Trace, half int) (uint64, uint64, error) {
 	b, err := bed.New(core.Options{QuietPeriod: 60 * time.Millisecond})
 	if err != nil {
 		return 0, 0, err
@@ -380,9 +320,9 @@ func runSDMBNMigration(trc *trace.Trace, half, cacheBytes int) (uint64, uint64, 
 	b.AddSwitch("wan")
 	b.AddHost("sinkA", 1)
 	b.AddHost("sinkB", 1)
-	enc := re.NewEncoder(cacheBytes)
-	decA := re.NewDecoder(cacheBytes)
-	decB := re.NewDecoder(cacheBytes)
+	enc := re.NewEncoder(table3CacheBytes)
+	decA := re.NewDecoder(table3CacheBytes)
+	decB := re.NewDecoder(table3CacheBytes)
 	if _, err := b.AddMB("enc", enc, "wan"); err != nil {
 		return 0, 0, err
 	}
@@ -432,11 +372,11 @@ func runSDMBNMigration(trc *trace.Trace, half, cacheBytes int) (uint64, uint64, 
 
 // runConfigRouteMigration drives the baseline: empty caches for the
 // migrated prefix, with the first lag packets misrouted to the old decoder.
-func runConfigRouteMigration(trc *trace.Trace, half int, cfg Table3Config) (uint64, uint64, error) {
-	encA := re.NewEncoder(cfg.CacheBytes)
-	decA := re.NewDecoder(cfg.CacheBytes)
-	encB := re.NewEncoder(cfg.CacheBytes)
-	decB := re.NewDecoder(cfg.CacheBytes)
+func runConfigRouteMigration(trc *trace.Trace, half int) (uint64, uint64, error) {
+	encA := re.NewEncoder(table3CacheBytes)
+	decA := re.NewDecoder(table3CacheBytes)
+	encB := re.NewEncoder(table3CacheBytes)
+	decB := re.NewDecoder(table3CacheBytes)
 	dcB := netip.MustParsePrefix("1.1.2.0/24")
 
 	// Chain runtimes: encoder forward delivers into a router function.
@@ -446,7 +386,7 @@ func runConfigRouteMigration(trc *trace.Trace, half int, cfg Table3Config) (uint
 	defer rtDecB.Close()
 
 	migrated := false
-	lagLeft := cfg.RoutingLagPkts
+	lagLeft := table3RoutingLagPkts
 	routeB := func(p *packet.Packet) {
 		// Until the routing update takes effect, encoded DC-B traffic
 		// still reaches the OLD decoder.
@@ -468,7 +408,7 @@ func runConfigRouteMigration(trc *trace.Trace, half int, cfg Table3Config) (uint
 	for i, p := range trc.Packets {
 		if i == half {
 			// Migration instant: DC-B traffic switches to the new
-			// (empty) encoder; routing lags by RoutingLagPkts.
+			// (empty) encoder; routing lags by table3RoutingLagPkts.
 			rtEncA.Drain(10 * time.Second)
 			rtDecA.Drain(10 * time.Second)
 			migrated = true

@@ -22,8 +22,8 @@
 //   - Traffic: seeded synthetic workload generators.
 //
 // The quickstart in examples/quickstart shows the minimal end-to-end flow;
-// DESIGN.md maps every subsystem and experiment, and EXPERIMENTS.md records
-// paper-versus-measured results.
+// docs/ARCHITECTURE.md maps every subsystem, and docs/REPRODUCTION.md records
+// paper-versus-measured results for every artefact of the paper's evaluation.
 package openmb
 
 import (
