@@ -1,6 +1,6 @@
 package core
 
-// White-box tests for the pooled per-call reply channels on the move path:
+// White-box tests for the pooled one-slot reply channels on the move path:
 // a recycled channel must come back empty, and a reply racing the waiter's
 // abandonment (timeout, error) must never surface inside the call that
 // reuses the channel.
@@ -34,13 +34,12 @@ func newCallConnPair(t *testing.T) (*mbConn, *sbi.Conn) {
 // survive into the next call that draws the same channel from the pool.
 func TestRecycledCallChannelComesBackEmpty(t *testing.T) {
 	mb := &mbConn{name: "mb", pending: map[uint64]*call{}}
-	id1, cl1 := mb.newCall(nil)
-	// Two replies arrive but the waiter abandons the call without reading.
-	cl1.ch <- reply{Message: &sbi.Message{Type: sbi.MsgChunk, ID: id1}}
-	cl1.ch <- reply{Message: &sbi.Message{Type: sbi.MsgDone, ID: id1}}
+	id1, cl1 := mb.newCall(nil, 1)
+	// The reply arrives but the waiter abandons the call without reading.
+	cl1.ch <- &sbi.Message{Type: sbi.MsgDone, ID: id1}
 	mb.dropCall(id1)
 
-	_, cl2 := mb.newCall(nil)
+	_, cl2 := mb.newCall(nil, 1)
 	if cl2.ch != cl1.ch {
 		// The free list is LIFO, so the very next call must reuse the
 		// channel — this is what makes the emptiness assertion meaningful.
@@ -58,7 +57,7 @@ func TestRecycledCallChannelComesBackEmpty(t *testing.T) {
 func TestLateReplyNeverLeaksIntoRecycledCall(t *testing.T) {
 	mb, peer := newCallConnPair(t)
 	for round := 0; round < 300; round++ {
-		idOld, _ := mb.newCall(nil)
+		idOld, _ := mb.newCall(nil, 1)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -70,7 +69,7 @@ func TestLateReplyNeverLeaksIntoRecycledCall(t *testing.T) {
 		mb.dropCall(idOld) // the waiter gave up (timeout path)
 		wg.Wait()
 
-		idNew, cl := mb.newCall(nil)
+		idNew, cl := mb.newCall(nil, 1)
 		if err := peer.Send(&sbi.Message{Type: sbi.MsgDone, ID: idNew}); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +90,7 @@ func TestLateReplyNeverLeaksIntoRecycledCall(t *testing.T) {
 // could not carry the next call's replies).
 func TestFailedCallChannelIsNotRecycled(t *testing.T) {
 	mb := &mbConn{name: "mb", pending: map[uint64]*call{}}
-	id, cl := mb.newCall(nil)
+	id, cl := mb.newCall(nil, 1)
 	mb.failAll(errTestDisconnect)
 	if _, ok := <-cl.ch; ok {
 		t.Fatal("failAll did not close the call channel")
@@ -99,15 +98,48 @@ func TestFailedCallChannelIsNotRecycled(t *testing.T) {
 	// The waiter's deferred dropCall runs after failAll took the call over;
 	// it must be a no-op, not a recycle of the closed channel.
 	mb.dropCall(id)
-	_, cl2 := mb.newCall(nil)
+	_, cl2 := mb.newCall(nil, 1)
 	if cl2.ch == cl.ch {
 		t.Fatal("closed channel was recycled")
 	}
 	select {
-	case cl2.ch <- reply{Message: &sbi.Message{Type: sbi.MsgDone, ID: 1}}:
+	case cl2.ch <- &sbi.Message{Type: sbi.MsgDone, ID: 1}:
 	default:
 		t.Fatal("fresh call channel not usable")
 	}
 }
 
 var errTestDisconnect = &net.OpError{Op: "read", Err: net.ErrClosed}
+
+// TestOverrunFailsOnlyItsCall: a peer that sends a stream more frames than
+// its window holds fails that one call, after the frames that fit; the read
+// loop never blocks on it and goes on delivering other calls' replies.
+func TestOverrunFailsOnlyItsCall(t *testing.T) {
+	mb, peer := newCallConnPair(t)
+	id, cl := mb.newCall(nil, 3) // a window of two frames plus the done
+	other, ocl := mb.newCall(nil, 1)
+	go func() {
+		for i := 0; i < 4; i++ {
+			_ = peer.Send(&sbi.Message{Type: sbi.MsgChunk, ID: id})
+		}
+		_ = peer.Send(&sbi.Message{Type: sbi.MsgDone, ID: other})
+	}()
+	select {
+	case m := <-ocl.ch:
+		if m.ID != other {
+			t.Fatalf("reply %d delivered to call %d", m.ID, other)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the read loop stalled behind the overrun stream")
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := <-cl.ch; !ok {
+			t.Fatalf("the overrun call lost frame %d of the three that fit", i)
+		}
+	}
+	if _, ok := <-cl.ch; ok || cl.err != errOverrun {
+		t.Fatalf("overrun call: channel open %v, err %v; want closed with %v", ok, cl.err, errOverrun)
+	}
+	mb.dropCall(id)
+	mb.dropCall(other)
+}

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -55,7 +56,8 @@ type Options struct {
 	Shards int
 	// PutWorkers bounds how many puts one MoveInternal keeps in flight
 	// (default 64 — deep enough to hide the put ACK round trip, measured
-	// on the Figure 10(b) sweep, while bounding memory).
+	// on the Figure 10(b) sweep), and is each get's credit window in chunk
+	// frames: a move holds at most 2 × PutWorkers frames unACKed.
 	PutWorkers int
 	// HeartbeatInterval enables liveness probing of connected middleboxes:
 	// a connection quiet for one interval is sent an OpPing, and one quiet
@@ -643,9 +645,9 @@ type mbConn struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*call
-	// chanFree recycles reply channels for this connection's calls; see
-	// getCallChanLocked.
-	chanFree []chan reply
+	// chanFree recycles one-slot reply channels for this connection's
+	// calls; see getCallChanLocked.
+	chanFree []chan *sbi.Message
 
 	// eventQ hands MsgEvent frames from the read loop to the connection's
 	// event-router goroutine (see eventRouter). Routing off the read loop
@@ -655,7 +657,7 @@ type mbConn struct {
 	// inline would head-of-line-block the move pipeline behind them
 	// (stretching the move window, which raises yet more events). The
 	// queue is bounded: a router that falls behind backpressures the read
-	// loop, exactly the seed's inline-routing throttle, just with slack.
+	// loop.
 	eventQ  chan *sbi.Message
 	eventWG sync.WaitGroup
 	// eventsRecv counts events the read loop has accepted off the wire;
@@ -666,10 +668,11 @@ type mbConn struct {
 	// no events *anywhere*, or a descheduled router would let the
 	// completer end a transaction whose count-bearing events are still
 	// queued (clearing source marks early and orphaning the replays).
-	// The seed coupled receipt to routing, so its quiet clock saw events
-	// the moment they left the wire; these counters restore that meaning.
 	eventsRecv   atomic.Uint64
 	eventsRouted atomic.Uint64
+	// drained holds a token the event router posts whenever the pipeline
+	// empties; drainEvents waits on it instead of polling.
+	drained chan struct{}
 
 	// lastRecv is the unix-nano time of the last frame received on this
 	// connection — any frame: data, ACKs, events, and ping replies all
@@ -705,6 +708,7 @@ func newMBConn(name, kind string, conn *sbi.Conn, c *Controller) *mbConn {
 		name: name, kind: kind, conn: conn,
 		pending:   map[uint64]*call{},
 		eventQ:    make(chan *sbi.Message, eventQueueDepth),
+		drained:   make(chan struct{}, 1),
 		pingStop:  make(chan struct{}),
 		noHandoff: !c.clustered,
 	}
@@ -772,6 +776,17 @@ func (mb *mbConn) eventRouter() {
 		// transaction's quiet clock, so a quiescence check can never see
 		// the pipeline empty while a touch is still pending.
 		mb.eventsRouted.Add(uint64(m.EventCount()))
+		if mb.eventsInFlight() == 0 {
+			mb.signalDrained()
+		}
+	}
+}
+
+// signalDrained posts the drained token unless one is already waiting.
+func (mb *mbConn) signalDrained() {
+	select {
+	case mb.drained <- struct{}{}:
+	default:
 	}
 }
 
@@ -790,12 +805,20 @@ func (mb *mbConn) eventsInFlight() uint64 {
 // and the read loop has charged them into eventsRecv before delivering the
 // ack — but routing happens on the connection's eventRouter goroutine, so
 // without this wait the detach could still outrun the router and orphan
-// the transaction's final events.
+// the transaction's final events. The router posts a token after the count
+// that empties the pipeline, so a waiter that saw an event in flight finds
+// it; one that sees the pipeline empty passes it on to the next waiter.
 func (mb *mbConn) drainEvents(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for mb.eventsInFlight() > 0 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Microsecond)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for mb.eventsInFlight() > 0 {
+		select {
+		case <-mb.drained:
+		case <-deadline.C:
+			return
+		}
 	}
+	mb.signalDrained()
 }
 
 // controller returns the replica that currently owns this connection.
@@ -819,57 +842,45 @@ func (mb *mbConn) routingUnlock() {
 // call is one outstanding request. Streaming responses (get chunks) are
 // delivered through ch before the final done/error message. For gets that
 // are part of a transaction, txn is set so the read loop can register
-// streamed keys before any later event is dispatched. err records why the
-// call was aborted; it is written before ch closes, so the channel close
-// publishes it to the waiter.
+// streamed keys (sbi.Message.Keys) before any later event is dispatched. err
+// records why the call was aborted; it is written before ch closes, so the
+// channel close publishes it to the waiter.
 type call struct {
-	ch   chan reply
-	txn  *txn
-	dead chan struct{}
-	err  error
+	ch  chan *sbi.Message
+	txn *txn
+	err error
 
 	// delivering serializes the read loop's delivery into ch against
-	// dropCall's recycling of ch: dropCall takes it after closing dead, so
-	// once it holds the lock no sender references the channel and it can
-	// be drained and returned to the pool. dropped tells a sender that
-	// grabbed the call just before it left pending to stand down.
+	// dropCall's recycling of ch: dropCall takes it after removing the call
+	// from pending, so once it holds the lock no sender references the
+	// channel. dropped tells a sender that grabbed the call just before it
+	// left pending to stand down.
 	delivering sync.Mutex
 	dropped    bool
 }
-
-// reply is one frame delivered to a call. For a chunk frame of a
-// transaction's get it carries the frame's keys as the read loop registered
-// them: the one slice that serves register, ACK and detach.
-type reply struct {
-	*sbi.Message
-	keys []packet.FlowID
-}
-
-// callChanCap is the reply-channel capacity: deep enough that a streamed
-// get's chunks pipeline without the read loop blocking between frames.
-const callChanCap = 256
 
 // callChanPoolMax bounds how many idle channels one connection retains;
 // the list naturally grows only to the connection's peak concurrent calls
 // (the put pipeline depth plus a few).
 const callChanPoolMax = 256
 
-// getCallChanLocked pops a recycled reply channel (LIFO, which keeps reuse
-// deterministic for the reuse-correctness tests) or allocates one. The free
-// list is per connection and rides mb.mu — which newCall holds anyway — so
-// recycling adds no cross-connection synchronization to the move path.
-func (mb *mbConn) getCallChanLocked() chan reply {
+// getCallChanLocked pops a recycled one-slot reply channel (LIFO, which
+// keeps reuse deterministic for the reuse-correctness tests) or allocates
+// one. The free list is per connection and rides mb.mu — which newCall holds
+// anyway — so recycling adds no cross-connection synchronization to the move
+// path.
+func (mb *mbConn) getCallChanLocked() chan *sbi.Message {
 	if n := len(mb.chanFree); n > 0 {
 		ch := mb.chanFree[n-1]
 		mb.chanFree[n-1] = nil
 		mb.chanFree = mb.chanFree[:n-1]
 		return ch
 	}
-	return make(chan reply, callChanCap)
+	return make(chan *sbi.Message, 1)
 }
 
 // putCallChan returns a drained, never-closed channel to the free list.
-func (mb *mbConn) putCallChan(ch chan reply) {
+func (mb *mbConn) putCallChan(ch chan *sbi.Message) {
 	mb.mu.Lock()
 	if len(mb.chanFree) < callChanPoolMax {
 		mb.chanFree = append(mb.chanFree, ch)
@@ -877,12 +888,20 @@ func (mb *mbConn) putCallChan(ch chan reply) {
 	mb.mu.Unlock()
 }
 
-func (mb *mbConn) newCall(t *txn) (uint64, *call) {
+// newCall registers a request that can have depth replies undelivered: a
+// call's one on a pooled channel, or a stream's window plus its done on a
+// channel that dies with the stream.
+func (mb *mbConn) newCall(t *txn, depth int) (uint64, *call) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.nextID++
 	id := mb.nextID
-	cl := &call{ch: mb.getCallChanLocked(), txn: t, dead: make(chan struct{})}
+	cl := &call{txn: t}
+	if depth > 1 {
+		cl.ch = make(chan *sbi.Message, depth)
+	} else {
+		cl.ch = mb.getCallChanLocked()
+	}
 	mb.pending[id] = cl
 	return id, cl
 }
@@ -893,32 +912,29 @@ func (mb *mbConn) dropCall(id uint64) {
 	delete(mb.pending, id)
 	mb.mu.Unlock()
 	if cl == nil {
-		// Taken over by failAll, which closed ch: a closed channel can
-		// never be recycled, so it is simply dropped.
+		// Taken over by failAll or overrun, which closed ch: a closed
+		// channel can never be recycled, so it is simply dropped.
 		return
 	}
-	close(cl.dead)
 	// Barrier: a read-loop delivery that looked the call up before it left
-	// pending may still hold ch. Closing dead above unblocks it; taking
-	// delivering after it guarantees it has let go before the channel is
-	// drained and recycled. Without this, a late reply could surface on a
-	// recycled channel inside a different call.
+	// pending may still hold ch. Taking delivering guarantees it has let go
+	// before the channel is drained and recycled. Without this, a late
+	// reply could surface on a recycled channel inside a different call.
 	cl.delivering.Lock()
 	cl.dropped = true
 	cl.delivering.Unlock()
-	for {
-		select {
-		case <-cl.ch:
-		default:
-			mb.putCallChan(cl.ch)
-			return
-		}
+	if cap(cl.ch) > 1 {
+		return // a stream's window-deep channel is not kept
 	}
+	select { // an unread reply: one at most, or the call would have failed
+	case <-cl.ch:
+	default:
+	}
+	mb.putCallChan(cl.ch)
 }
 
 // failAll aborts every outstanding call, recording err as the reason each
-// waiter observes (the seed discarded it and callers saw only a generic
-// "disconnected").
+// waiter observes.
 func (mb *mbConn) failAll(err error) {
 	mb.mu.Lock()
 	pend := mb.pending
@@ -926,6 +942,20 @@ func (mb *mbConn) failAll(err error) {
 	mb.mu.Unlock()
 	for _, cl := range pend {
 		cl.err = err
+		close(cl.ch)
+	}
+}
+
+var errOverrun = errors.New("middlebox sent past its window")
+
+// overrun fails a call whose peer sent more than it can hold undelivered,
+// as failAll would, unless failAll or dropCall took it first.
+func (mb *mbConn) overrun(id uint64, cl *call) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.pending[id] == cl {
+		delete(mb.pending, id)
+		cl.err = errOverrun
 		close(cl.ch)
 	}
 }
@@ -952,8 +982,7 @@ func (mb *mbConn) readLoop() error {
 			// recv before routed, so the pipeline can never look empty
 			// with this frame in it), then hand the frame to the event
 			// router; blocking when the router is eventQueueDepth frames
-			// behind is the intended backpressure (the seed routed
-			// inline, i.e. with no slack).
+			// behind is the intended backpressure.
 			mb.eventsRecv.Add(uint64(m.EventCount()))
 			mb.eventQ <- m
 		case sbi.MsgChunk, sbi.MsgDone, sbi.MsgError:
@@ -972,23 +1001,19 @@ func (mb *mbConn) readLoop() error {
 			}
 			cl.delivering.Lock()
 			if !cl.dropped {
-				r := reply{Message: m}
 				if m.Type == sbi.MsgChunk && cl.txn != nil {
-					// Register here, on the read loop, so an
-					// event for any of these keys received later
-					// on this connection always finds the
-					// transaction.
-					r.keys = chunkKeys(m)
-					cl.txn.registerFrame(r.keys)
+					// Register on the read loop, so any later
+					// event for these keys finds the transaction.
+					m.Keys = chunkKeys(m)
+					cl.txn.registerFrame(m.Keys)
 				}
-				// Blocking send: chunk streams may outpace the
-				// consumer (the consumer issues a put per chunk),
-				// and dropping a chunk would lose state. The dead
-				// channel unblocks the loop if the consumer
-				// abandoned the call.
+				// Never blocks: a call's channel holds its reply, a
+				// stream's its window plus the done. A peer past that
+				// fails its call instead of stalling this loop.
 				select {
-				case cl.ch <- r:
-				case <-cl.dead:
+				case cl.ch <- m:
+				default:
+					mb.overrun(m.ID, cl)
 				}
 			}
 			cl.delivering.Unlock()
@@ -999,15 +1024,14 @@ func (mb *mbConn) readLoop() error {
 // send routes one southbound frame through the owning replica's flush
 // scheduler: the frame encodes immediately (deferred) and the connection is
 // flushed on the scheduler's next pass, so concurrent senders across all
-// connections share flushes instead of each paying its own. With coalescing
-// off the encode flushed inline and the scheduled pass is a no-op.
+// connections share flushes instead of each paying its own.
 func (mb *mbConn) send(m *sbi.Message) error {
 	return mb.controller().flusher.send(mb.conn, m)
 }
 
 // call sends a request and waits for its single done/error reply.
 func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, error) {
-	id, cl := mb.newCall(nil)
+	id, cl := mb.newCall(nil, 1)
 	defer mb.dropCall(id)
 	req.ID = id
 	if err := mb.send(req); err != nil {
@@ -1031,7 +1055,7 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 		if m.Type == sbi.MsgError {
 			return nil, fmt.Errorf("core: %s %s: %s", mb.name, req.Op, m.Error)
 		}
-		return m.Message, nil
+		return m, nil
 	case <-deadline.C:
 		return nil, fmt.Errorf("core: %s %s timed out", mb.name, req.Op)
 	}
@@ -1041,13 +1065,18 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 // until the final done (returning its Count) or an error. If t is non-nil,
 // the read loop registers each chunk's keys with t before delivery, so that
 // events behind the chunk on the wire always find the transaction, and
-// onChunk receives those keys (nil otherwise).
-func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChunk func(m *sbi.Message, keys []packet.FlowID) error) (int, error) {
-	id, cl := mb.newCall(t)
+// stores them in the frame's Keys. A windowed get's consumer returns its
+// credit, and the stream ends by cancelling the get: one that ended first
+// may be waiting for credit that will never come.
+func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChunk func(m *sbi.Message) error) (int, error) {
+	id, cl := mb.newCall(t, req.Window+1)
 	defer mb.dropCall(id)
 	req.ID = id
 	if err := mb.send(req); err != nil {
 		return 0, fmt.Errorf("core: %s %s: send failed (middlebox disconnected?): %w", mb.name, req.Op, err)
+	}
+	if req.Window > 0 {
+		defer mb.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: id})
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -1062,7 +1091,7 @@ func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChun
 			}
 			switch m.Type {
 			case sbi.MsgChunk:
-				if err := onChunk(m.Message, m.keys); err != nil {
+				if err := onChunk(m); err != nil {
 					return 0, err
 				}
 			case sbi.MsgDone:

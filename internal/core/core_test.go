@@ -591,49 +591,75 @@ func TestDisconnectErrorIsPropagated(t *testing.T) {
 	}
 }
 
-// TestOppositeMovesDoNotDeadlock runs two large concurrent moves in
-// opposite directions between the same MB pair. Each MB's read loop then
-// both delivers the other move's chunks and carries this move's put ACKs;
-// if the put pipeline ever backpressures the chunk path, the ACKs behind it
-// become undeliverable and the moves deadlock until CallTimeout. The put
-// queue must therefore never block the stream consumer.
+// TestOppositeMovesDoNotDeadlock runs large concurrent moves around a ring
+// of MBs: two in opposite directions between one pair, and a three-MB cycle
+// (A→B, B→C, C→A), each at the default window and at the smallest one
+// (PutWorkers 1: one frame per get in flight). Every MB's serve loop then
+// both streams its own get and installs another move's puts, whose ACKs are
+// the credit some other get waits for. A get that waited for credit on the
+// serve loop would stop those puts, and the ring would deadlock until
+// CallTimeout.
 func TestOppositeMovesDoNotDeadlock(t *testing.T) {
-	const flows = 600 // enough to exceed any in-flight put window
-	r := newRig(t, core.Options{QuietPeriod: 60 * time.Millisecond, Shards: 4, CallTimeout: 8 * time.Second})
-	for i := 0; i < flows; i++ {
-		r.srcRT.HandlePacket(mbtest.PacketForFlow(i))         // 10.0.x.x
-		r.dstRT.HandlePacket(mbtest.PacketForFlow(1<<16 + i)) // 10.1.x.x
-	}
-	if !r.srcRT.Drain(5*time.Second) || !r.dstRT.Drain(5*time.Second) {
-		t.Fatal("preload did not drain")
-	}
-	m1, err := packet.ParseFieldMatch("[nw_src=10.0.0.0/16]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := packet.ParseFieldMatch("[nw_src=10.1.0.0/16]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- r.ctrl.MoveInternal("src", "dst", m1) }()
-	go func() { errs <- r.ctrl.MoveInternal("dst", "src", m2) }()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("opposite-direction move failed: %v", err)
+	const (
+		flows       = 600 // enough to exceed any in-flight put window
+		callTimeout = 8 * time.Second
+	)
+	for _, tc := range []struct {
+		name       string
+		mbs        int
+		putWorkers int
+	}{
+		{"pair", 2, 0},
+		{"cycle", 3, 0},
+		{"pair-window1", 2, 1},
+		{"cycle-window1", 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, core.Options{QuietPeriod: 60 * time.Millisecond, Shards: 4, CallTimeout: callTimeout, PutWorkers: tc.putWorkers})
+			names := []string{"src", "dst", "third"}[:tc.mbs]
+			logics := []*mbtest.CounterLogic{r.src, r.dst, mbtest.NewCounterLogic(16)}[:tc.mbs]
+			rts := []*mbox.Runtime{r.srcRT, r.dstRT}
+			if tc.mbs == 3 {
+				rts = append(rts, r.attach(t, names[2], logics[2]))
 			}
-		case <-time.After(15 * time.Second):
-			t.Fatal("opposite-direction moves deadlocked")
-		}
-	}
-	if !r.ctrl.WaitTxns(10 * time.Second) {
-		t.Fatal("transactions did not complete")
-	}
-	// The populations swapped: each side now holds the other's flows.
-	if r.src.Flows() != flows || r.dst.Flows() != flows {
-		t.Fatalf("flows after swap: src=%d dst=%d, want %d each", r.src.Flows(), r.dst.Flows(), flows)
+			// MB i holds 10.i.x.x and moves it to MB i+1.
+			for i, rt := range rts {
+				for j := 0; j < flows; j++ {
+					rt.HandlePacket(mbtest.PacketForFlow(i<<16 + j))
+				}
+				if !rt.Drain(5 * time.Second) {
+					t.Fatal("preload did not drain")
+				}
+			}
+			errs := make(chan error, tc.mbs)
+			for i := range rts {
+				m, err := packet.ParseFieldMatch(fmt.Sprintf("[nw_src=10.%d.0.0/16]", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() { errs <- r.ctrl.MoveInternal(names[i], names[(i+1)%tc.mbs], m) }()
+			}
+			deadline := time.After(callTimeout)
+			for range rts {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatalf("concurrent move failed: %v", err)
+					}
+				case <-deadline:
+					t.Fatal("concurrent moves deadlocked")
+				}
+			}
+			if !r.ctrl.WaitTxns(10 * time.Second) {
+				t.Fatal("transactions did not complete")
+			}
+			// The populations rotated: each MB now holds its neighbour's flows.
+			for i, l := range logics {
+				if l.Flows() != flows {
+					t.Fatalf("%s holds %d flows after the moves, want %d", names[i], l.Flows(), flows)
+				}
+			}
+		})
 	}
 }
 

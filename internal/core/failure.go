@@ -156,10 +156,11 @@ func (cl *Cluster) failoverMB(from *Controller, mbName string, target int) error
 // snapshot values plus every in-window increment — and rollback reduces to
 // wiping the destination's partial copy and the transfer's bookkeeping:
 //
-//  1. clear the source's per-flow transaction marks under m. Southbound
-//     requests are served serially, so by the time this returns the aborted
-//     epoch's get streams have fully finished at the source and no further
-//     key under m is marked — no new reprocess events can be raised;
+//  1. clear the source's per-flow transaction marks under m. The source
+//     cancels every get still running under m and waits for it to exit
+//     before it clears, so by the time this returns the aborted epoch's get
+//     streams have finished at the source and no further key under m is
+//     marked — no new reprocess events can be raised;
 //  2. sleep one quiet period: events raised just before the clear may still
 //     be in the source's coalescing outbox or on the wire, and replays the
 //     controller already forwarded may still be in the destination's
@@ -180,11 +181,7 @@ func (cl *Cluster) rollbackMove(src, dst *mbConn, m packet.FieldMatch) {
 	_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m}, opts.CallTimeout)
 
 	time.Sleep(opts.QuietPeriod)
-
-	deadline := time.Now().Add(opts.CallTimeout)
-	for src.eventsInFlight() > 0 && time.Now().Before(deadline) {
-		time.Sleep(500 * time.Microsecond)
-	}
+	src.drainEvents(opts.CallTimeout)
 
 	src.routingLock()
 	src.controller().router.purgeOrphanMatch(src, m)

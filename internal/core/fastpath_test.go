@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -214,6 +215,59 @@ func TestMoveAllocBudget(t *testing.T) {
 	if bytesPerChunk > moveBytesBudget {
 		t.Errorf("%.0f bytes allocated per chunk moved, budget is %d", bytesPerChunk, moveBytesBudget)
 	}
+}
+
+// TestTransactionTablesReleasedAfterMove: nothing a move sizes outlives it.
+// Once a 20 000-key move has settled, the marks at both runtimes and every
+// router shard hold no storage, and the reply free list keeps only one-slot
+// channels — a stream's window-deep channel is not recycled.
+func TestTransactionTablesReleasedAfterMove(t *testing.T) {
+	const keys = 20000
+	r := newRig(t, core.Options{QuietPeriod: 10 * time.Millisecond})
+	r.src.Preload(keys)
+	if err := r.ctrl.MoveInternal("src", "dst", packet.MatchAll); err != nil {
+		t.Fatal(err)
+	}
+	if r.srcRT.MarkedKeys() != keys {
+		t.Fatalf("source marks %d keys mid-transaction, want %d", r.srcRT.MarkedKeys(), keys)
+	}
+	if !r.ctrl.WaitTxns(10 * time.Second) {
+		t.Fatal("move did not settle")
+	}
+	if r.dst.Flows() != keys || r.src.Flows() != 0 {
+		t.Fatalf("after the move: dst %d flows, src %d", r.dst.Flows(), r.src.Flows())
+	}
+	for _, rt := range []*mbox.Runtime{r.srcRT, r.dstRT} {
+		if n := markCapacity(rt); n != 0 {
+			t.Errorf("%s mark storage keeps room for %d after the move", rt.Name(), n)
+		}
+	}
+	if n := core.RouterTablesForTest(r.ctrl); n != 0 {
+		t.Errorf("%d router shards keep their tables after the move", n)
+	}
+	for _, name := range []string{"src", "dst"} {
+		depths := core.FreeReplyDepthsForTest(r.ctrl, name)
+		if len(depths) == 0 {
+			t.Errorf("%s: no reply channel was recycled", name)
+		}
+		for _, d := range depths {
+			if d != 1 {
+				t.Errorf("%s: the reply free list keeps a %d-slot channel", name, d)
+			}
+		}
+	}
+}
+
+// markCapacity reads how many keys and runs rt's per-flow mark storage has
+// room for, off the runtime's own fields (nothing else may touch them here:
+// the runtime is idle).
+func markCapacity(rt *mbox.Runtime) int {
+	marks := reflect.ValueOf(rt).Elem().FieldByName("marks")
+	n := marks.Cap()
+	for i := 0; i < marks.Len(); i++ {
+		n += marks.Index(i).Elem().FieldByName("ids").Cap()
+	}
+	return n
 }
 
 // TestHelloBadCodecRejected verifies the controller refuses an unknown

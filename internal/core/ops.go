@@ -168,56 +168,11 @@ func chunkKeys(m *sbi.Message) []packet.FlowID {
 	return keys
 }
 
-// putJob is one received chunk frame to forward to a move's destination.
+// putJob is one received chunk frame (with its keys and its get's ID) to
+// forward to a move's destination.
 type putJob struct {
 	op    sbi.Op
 	frame *sbi.Message
-	keys  []packet.FlowID
-}
-
-// putQueue is an unbounded FIFO of put jobs feeding a move's worker pool.
-// push never blocks (see the deadlock note in MoveInternal); pop blocks
-// until a job is available or the queue is closed and drained.
-type putQueue struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	items  []putJob
-	closed bool
-}
-
-func newPutQueue() *putQueue {
-	q := &putQueue{}
-	q.cond.L = &q.mu
-	return q
-}
-
-func (q *putQueue) push(j putJob) {
-	q.mu.Lock()
-	q.items = append(q.items, j)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-func (q *putQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *putQueue) pop() (putJob, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return putJob{}, false
-	}
-	j := q.items[0]
-	q.items[0] = putJob{} // drop the frame reference for the collector
-	q.items = q.items[1:]
-	return j, true
 }
 
 // MoveInternal implements moveInternal(SrcMB, DstMB, HeaderFieldList):
@@ -262,6 +217,9 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	}
 
 	doPut := func(j putJob) {
+		// Credit the frame back to its get whatever becomes of the put: an
+		// uncredited frame would stall the stream, not fail it.
+		defer src.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: j.frame.ID, Count: 1})
 		if t.aborted.Load() {
 			// The coordinating replica was declared failed mid-move: stop
 			// installing state at the destination. The ACKs are skipped
@@ -283,23 +241,18 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		// Put-ACK round trip, observed on success and failure alike (a
 		// timed-out put is the tail the histogram exists to expose).
 		c.histPut.Observe(time.Since(putStart))
-		t.ackFrame(j.keys)
+		t.ackFrame(j.frame.Keys)
 	}
 
-	// Puts run on a bounded worker pool fed by an unbounded FIFO: the
-	// destination installs chunks from one southbound goroutine anyway,
-	// so PutWorkers in-flight puts keep it saturated, and a queued frame
-	// costs only its payload. The queue must never block the
-	// producer: the producer is, transitively, the source MB's read
-	// loop, which also delivers the put ACKs the workers wait on.
-	// Backpressuring it deadlocks opposite-direction moves between the
-	// same MB pair (each read loop stuck on the other move's chunks,
-	// the ACKs queued behind them undeliverable). The pool spawns on
-	// the first frame, all workers at once — a move that exports
-	// nothing pays for no goroutines, and spawning per frame measurably
-	// delays pipeline fill-up.
+	// Puts run on PutWorkers goroutines (the destination installs on one
+	// goroutine anyway) fed by a FIFO of one credit window per get stream,
+	// which a source keeping its window cannot fill (ARCHITECTURE.md,
+	// "Credit-windowed gets"). The pool spawns on the first frame, all
+	// workers at once — a move that exports nothing pays for no goroutines,
+	// and spawning per frame measurably delays pipeline fill-up.
+	window := c.opts.PutWorkers
+	puts := make(chan putJob, 2*window)
 	var putWG sync.WaitGroup
-	queue := newPutQueue()
 	var poolOnce sync.Once
 	enqueue := func(j putJob) {
 		poolOnce.Do(func() {
@@ -307,17 +260,13 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			for i := 0; i < c.opts.PutWorkers; i++ {
 				go func() {
 					defer putWG.Done()
-					for {
-						j, ok := queue.pop()
-						if !ok {
-							return
-						}
+					for j := range puts {
 						doPut(j)
 					}
 				}()
 			}
 		})
-		queue.push(j)
+		puts <- j
 	}
 
 	// One get per state class; the read loop registers each streamed
@@ -328,18 +277,18 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	movePair := func(getOp, putOp sbi.Op) {
 		get := &sbi.Message{
 			Type: sbi.MsgRequest, Op: getOp, Match: m,
-			Compressed: c.opts.Compress, Batch: c.opts.BatchSize,
+			Compressed: c.opts.Compress, Batch: c.opts.BatchSize, Window: window,
 		}
 		getStart := time.Now()
-		_, err := src.stream(t, get, c.opts.CallTimeout, func(chunk *sbi.Message, keys []packet.FlowID) error {
+		_, err := src.stream(t, get, c.opts.CallTimeout, func(chunk *sbi.Message) error {
 			if t.aborted.Load() {
 				return ErrReplicaFailed
 			}
 			var bytes uint64
 			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
-			c.chunksMoved.Add(uint64(len(keys)))
+			c.chunksMoved.Add(uint64(len(chunk.Keys)))
 			c.bytesMoved.Add(bytes)
-			enqueue(putJob{op: putOp, frame: chunk, keys: keys})
+			enqueue(putJob{op: putOp, frame: chunk})
 			return nil
 		})
 		// Get-stream duration: first request frame to the stream's done.
@@ -354,7 +303,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	go func() { defer getWG.Done(); movePair(sbi.OpGetSupportPerflow, sbi.OpPutSupportPerflow) }()
 	go func() { defer getWG.Done(); movePair(sbi.OpGetReportPerflow, sbi.OpPutReportPerflow) }()
 	getWG.Wait()
-	queue.close()
+	close(puts)
 	putWG.Wait()
 	// The move window closes here: every chunk is exported and its put
 	// ACKed, so the destination owns the state (the quiet-period delete at

@@ -53,7 +53,9 @@ type keyState struct {
 	flushing bool
 }
 
-// routerShard owns one slice of the key space.
+// routerShard owns one slice of the key space. Its tables are nil while
+// both are empty: Go maps never shrink, so kept tables would stay the size
+// of the largest move ever made.
 type routerShard struct {
 	mu   sync.Mutex
 	keys map[routeKey]*keyState
@@ -64,6 +66,20 @@ type routerShard struct {
 	orphans map[routeKey][]*sbi.Event
 }
 
+// alloc readies the tables for an insert; release drops them once the
+// caller's deletes have emptied both.
+func (sh *routerShard) alloc() {
+	if sh.keys == nil {
+		sh.keys, sh.orphans = map[routeKey]*keyState{}, map[routeKey][]*sbi.Event{}
+	}
+}
+
+func (sh *routerShard) release() {
+	if len(sh.keys)+len(sh.orphans) == 0 {
+		sh.keys, sh.orphans = nil, nil
+	}
+}
+
 // txnRouter shards transaction routing by FlowID.Hash(). Shard count is
 // a power of two so the hash maps to a shard with a mask.
 type txnRouter struct {
@@ -72,12 +88,7 @@ type txnRouter struct {
 }
 
 func newTxnRouter(shards int) *txnRouter {
-	r := &txnRouter{shards: make([]routerShard, shards), mask: uint64(shards - 1)}
-	for i := range r.shards {
-		r.shards[i].keys = map[routeKey]*keyState{}
-		r.shards[i].orphans = map[routeKey][]*sbi.Event{}
-	}
-	return r
+	return &txnRouter{shards: make([]routerShard, shards), mask: uint64(shards - 1)}
 }
 
 // mix64 is a splitmix-style avalanche finisher: FNV-family hashes of
@@ -153,16 +164,16 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 				// released (overlapping moves from the same source).
 				// Hand the old owner its outstanding put count and
 				// buffer, so its remaining ACKs still release its
-				// events toward its own destination — the seed's
-				// per-txn buffers survived routing overwrites the same
-				// way. If nothing is outstanding, the buffer is due
-				// now, and goes out below, outside the shard locks.
+				// events toward its own destination. If nothing is
+				// outstanding, the buffer is due now, and goes out
+				// below, outside the shard locks.
 				if evs := ks.owner.adoptStale(keys[i], ks); len(evs) > 0 {
 					evicted = append(evicted, eviction{ks.owner.dst, evs})
 				}
 			}
 			ks = &slab[i]
 			ks.owner = t
+			sh.alloc()
 			sh.keys[rk] = ks
 		}
 		ks.pending++
@@ -237,6 +248,7 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 	ks := sh.keys[rk]
 	if ks == nil {
 		if ev.Kind == sbi.EventReprocess && len(sh.orphans[rk]) < maxOrphansPerKey {
+			sh.alloc()
 			sh.orphans[rk] = append(sh.orphans[rk], ev)
 		}
 		sh.mu.Unlock()
@@ -264,26 +276,13 @@ func (r *txnRouter) detach(t *txn) {
 			rk := routeKey{mb: t.src, key: keys[i]}
 			if ks := sh.keys[rk]; ks != nil && ks.owner == t {
 				delete(sh.keys, rk)
+				sh.release()
 			}
 		})
 	}
 	t.src.sharedTxn.CompareAndSwap(t, nil)
 	if t.src.liveTxns.Add(-1) == 0 {
-		r.purgeOrphans(t.src)
-	}
-}
-
-// purgeOrphans discards every orphaned event held for mb.
-func (r *txnRouter) purgeOrphans(mb *mbConn) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for rk := range sh.orphans {
-			if rk.mb == mb {
-				delete(sh.orphans, rk)
-			}
-		}
-		sh.mu.Unlock()
+		r.purgeOrphanMatch(t.src, packet.MatchAll)
 	}
 }
 
@@ -303,6 +302,7 @@ func (r *txnRouter) purgeOrphanMatch(mb *mbConn, m packet.FieldMatch) {
 				delete(sh.orphans, rk)
 			}
 		}
+		sh.release()
 		sh.mu.Unlock()
 	}
 }
@@ -323,6 +323,7 @@ func (r *txnRouter) purgeMB(mb *mbConn) {
 				delete(sh.orphans, rk)
 			}
 		}
+		sh.release()
 		sh.mu.Unlock()
 	}
 }
@@ -423,6 +424,7 @@ func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
 			h.Keys = append(h.Keys, sbi.HandoffKey{Key: rk.key.Key(), Events: evs})
 			delete(sh.orphans, rk)
 		}
+		sh.release()
 		sh.mu.Unlock()
 	}
 	// Publish the transfer table's registry IDs on the wire payload, so a
@@ -468,6 +470,7 @@ func (r *txnRouter) importHandoff(mb *mbConn, h *sbi.Handoff, reg *txnRegistry) 
 		rk := routeKey{mb: mb, key: id}
 		sh := r.shard(id)
 		sh.mu.Lock()
+		sh.alloc()
 		if hk.Txn == 0 {
 			sh.orphans[rk] = append(sh.orphans[rk], hk.Events...)
 		} else if owner := table[hk.Txn-1]; owner != nil {

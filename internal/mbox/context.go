@@ -45,13 +45,6 @@ type Context struct {
 	burst *burstState
 }
 
-// touchRef names one marked piece of per-flow state. It is the marks
-// table's key: compact and pointer-free (TestTableKeysAreCompact).
-type touchRef struct {
-	id    packet.FlowID
-	class state.Class
-}
-
 // Touch records that the logic created or updated the per-flow state
 // identified by id — the FlowID of the key GetPerflow exports it under, at
 // the middlebox's own keying granularity — of the given class. Call it while
@@ -72,14 +65,8 @@ func (c *Context) Touch(class state.Class, id packet.FlowID) {
 	if c.Replay || c.raise || c.rt.markCount.Load() == 0 {
 		return
 	}
-	c.rt.marksMu.Lock()
-	moved := c.rt.movedKeys[touchRef{id: id, class: class}]
-	c.rt.marksMu.Unlock()
-	if moved {
-		c.raise = true
-		c.raiseID = id
-		c.raiseClass = class
-		c.raiseShared = false
+	if c.rt.marked(class, id) {
+		c.raise, c.raiseID, c.raiseClass, c.raiseShared = true, id, class, false
 	}
 }
 
@@ -164,7 +151,6 @@ func (c *Context) SkipPerflow() bool { return c.Replay && c.replayShared }
 // loop or controller connection. Side effects are recorded but go nowhere.
 func NewBenchContext() *Context {
 	rt := &Runtime{
-		movedKeys:   map[touchRef]bool{},
 		sharedMoved: map[state.Class]bool{},
 		logs:        map[string][]string{},
 	}

@@ -18,5 +18,13 @@ func InflateForTest(b []byte) ([]byte, error) { return inflate(b) }
 func MarkCountForTest(rt *Runtime) (count int64, marks int) {
 	rt.marksMu.Lock()
 	defer rt.marksMu.Unlock()
-	return rt.markCount.Load(), len(rt.movedKeys) + len(rt.sharedMoved)
+	marks = len(rt.sharedMoved)
+	for _, r := range rt.marks {
+		marks += len(r.ids)
+	}
+	return rt.markCount.Load(), marks
 }
+
+// CreditPeakForTest returns the most chunk frames any get of rt has had sent
+// beyond the credit the controller had returned.
+func CreditPeakForTest(rt *Runtime) int { return int(rt.creditPeak.Load()) }

@@ -18,7 +18,6 @@ import (
 
 func benchFilterStack(b *testing.B, filters int) {
 	rt := &Runtime{
-		movedKeys:   map[touchRef]bool{},
 		sharedMoved: map[state.Class]bool{},
 		logs:        map[string][]string{},
 	}

@@ -1,6 +1,7 @@
 package mbox
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,14 +118,16 @@ type Runtime struct {
 	reconnectMin, reconnectMax time.Duration
 	reconnects                 atomic.Uint64
 
-	// marks is the moved/cloned registry: per-flow keys and shared
-	// classes currently part of a controller transaction. markCount is
-	// len(movedKeys)+len(sharedMoved), kept by updateMarks and read without
-	// the lock by Touch/TouchShared.
+	// marks is the moved/cloned registry: per-flow keys (one run per get)
+	// and shared classes currently part of a controller transaction.
+	// markCount is their total, kept by updateMarks and read without the
+	// lock by Touch/TouchShared.
 	marksMu     sync.Mutex
-	movedKeys   map[touchRef]bool
+	marks       []*markRun
 	sharedMoved map[state.Class]bool
 	markCount   atomic.Int64
+	// creditPeak is the most frames any get has had beyond its credit.
+	creditPeak atomic.Int64
 
 	filtersMu sync.Mutex
 	filters   []eventFilter
@@ -203,7 +206,6 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		reconnect:    opts.Reconnect,
 		reconnectMin: opts.ReconnectMin,
 		reconnectMax: opts.ReconnectMax,
-		movedKeys:    map[touchRef]bool{},
 		sharedMoved:  map[state.Class]bool{},
 		logs:         map[string][]string{},
 	}
@@ -376,18 +378,49 @@ func (rt *Runtime) queueEvent(ev *sbi.Event, p *packet.Packet) {
 	}
 }
 
+// markRun is one get's per-flow marks, in export order, which the get holds
+// to ascending FlowID order: 16 bytes a key, found by binary search. A run
+// is listed while it marks anything and dropped whole once emptied.
+type markRun struct {
+	class state.Class
+	ids   []packet.FlowID
+}
+
 // updateMarks is the only writer of the mark tables: it runs change under
-// marksMu and republishes markCount before unlocking.
+// marksMu, drops emptied runs, and republishes markCount before unlocking.
 func (rt *Runtime) updateMarks(change func()) {
 	rt.marksMu.Lock()
 	change()
-	rt.markCount.Store(int64(len(rt.movedKeys) + len(rt.sharedMoved)))
+	n := len(rt.sharedMoved)
+	rt.marks = slices.DeleteFunc(rt.marks, func(r *markRun) bool { n += len(r.ids); return len(r.ids) == 0 })
+	if len(rt.marks) == 0 {
+		rt.marks = nil
+	}
+	rt.markCount.Store(int64(n))
 	rt.marksMu.Unlock()
 }
 
-// markKey records that per-flow state (id, class) is part of a transaction.
-func (rt *Runtime) markKey(id packet.FlowID, class state.Class) {
-	rt.updateMarks(func() { rt.movedKeys[touchRef{id: id, class: class}] = true })
+// markKey records that per-flow state id of r's class is part of a
+// transaction; the get has checked that id ascends.
+func (rt *Runtime) markKey(r *markRun, id packet.FlowID) {
+	rt.updateMarks(func() {
+		if len(r.ids) == 0 { // r's first mark, or a clear emptied it
+			rt.marks = append(rt.marks, r)
+		}
+		r.ids = append(r.ids, id)
+	})
+}
+
+// marked reports whether per-flow state (id, class) is in a transaction.
+func (rt *Runtime) marked(class state.Class, id packet.FlowID) bool {
+	rt.marksMu.Lock()
+	defer rt.marksMu.Unlock()
+	for _, r := range rt.marks {
+		if _, ok := slices.BinarySearchFunc(r.ids, id, packet.FlowID.Compare); ok && r.class == class {
+			return true
+		}
+	}
+	return false
 }
 
 // markShared records that shared state of class is part of a transaction.
@@ -400,9 +433,9 @@ func (rt *Runtime) markShared(class state.Class) {
 func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class, clearShared bool) {
 	im := m.ForID()
 	rt.updateMarks(func() {
-		for ref := range rt.movedKeys {
-			if ref.class == class && im.MatchEither(ref.id) {
-				delete(rt.movedKeys, ref)
+		for _, r := range rt.marks {
+			if r.class == class {
+				r.ids = slices.DeleteFunc(r.ids, im.MatchEither)
 			}
 		}
 		if clearShared {
@@ -411,11 +444,12 @@ func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class, clearShare
 	})
 }
 
-// MarkedKeys returns the number of per-flow keys currently in transactions.
+// MarkedKeys returns the number of per-flow keys currently in transactions
+// (a key two gets exported counts twice).
 func (rt *Runtime) MarkedKeys() int {
 	rt.marksMu.Lock()
 	defer rt.marksMu.Unlock()
-	return len(rt.movedKeys)
+	return int(rt.markCount.Load()) - len(rt.sharedMoved)
 }
 
 func (rt *Runtime) writeLog(stream, line string) {

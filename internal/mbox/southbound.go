@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"openmb/internal/obs"
@@ -193,6 +194,7 @@ const maxDeferredReplies = 16
 
 func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 	defer rt.workersWG.Done()
+	gets := getStreams{live: map[uint64]*getStream{}}
 	served, received := 0, 0
 	for {
 		m, err := conn.Receive()
@@ -206,8 +208,11 @@ func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 			}
 			// The loop is exiting with replies possibly still deferred;
 			// publish them so a half-served pipeline is not lost with the
-			// buffer (a no-op on a closed transport).
+			// buffer (a no-op on a closed transport). Then the session's
+			// gets stop before a redial can start the next session's.
 			_ = conn.Flush()
+			conn.Close()
+			gets.settle(packet.MatchAll)
 			if rt.reconnect {
 				// Spawn the redial loop unless the runtime is shutting
 				// down. The Add is safe against Close's Wait: this
@@ -235,10 +240,10 @@ func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 		if m.Type != sbi.MsgRequest {
 			continue
 		}
-		// Requests are served on the southbound goroutine; the packet
-		// worker runs concurrently, so logic implementations lock
-		// per chunk (see Logic contract).
-		rt.serveRequest(conn, m)
+		// Requests are served on the southbound goroutine, per-flow gets
+		// on their own; the packet worker runs concurrently, so logic
+		// implementations lock per chunk (see Logic contract).
+		rt.serveRequest(conn, &gets, m)
 		served++
 		// Reply coalescing: replies are encoded deferred, and the flush
 		// happens when the loop is about to block on the transport — or
@@ -254,7 +259,7 @@ func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 	}
 }
 
-func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
+func (rt *Runtime) serveRequest(conn *sbi.Conn, gets *getStreams, m *sbi.Message) {
 	fail := func(err error) {
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
 	}
@@ -289,9 +294,11 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID})
 
 	case sbi.OpGetSupportPerflow:
-		rt.serveGetPerflow(conn, m, state.Supporting)
+		rt.startGet(conn, gets, m, state.Supporting)
 	case sbi.OpGetReportPerflow:
-		rt.serveGetPerflow(conn, m, state.Reporting)
+		rt.startGet(conn, gets, m, state.Reporting)
+	case sbi.OpCredit:
+		gets.credit(m.ID, m.Count)
 
 	case sbi.OpPutSupportPerflow:
 		rt.servePutPerflow(conn, m, state.Supporting)
@@ -299,9 +306,9 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 		rt.servePutPerflow(conn, m, state.Reporting)
 
 	case sbi.OpDelSupportPerflow:
-		rt.serveDelPerflow(conn, m, state.Supporting)
+		rt.serveDelPerflow(conn, gets, m, state.Supporting)
 	case sbi.OpDelReportPerflow:
-		rt.serveDelPerflow(conn, m, state.Reporting)
+		rt.serveDelPerflow(conn, gets, m, state.Reporting)
 
 	case sbi.OpGetSupportShared:
 		rt.serveGetShared(conn, m, state.Supporting)
@@ -374,6 +381,7 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 		_ = conn.Flush()
 		rt.promoteAddr(m.Addr)
 		conn.Close()
+		gets.settle(packet.MatchAll)
 		if !rt.reconnect {
 			// A redirect implies a redial even when the steady-state
 			// reconnect loop is disabled; one-shot, same stop-race
@@ -390,6 +398,7 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 		if m.Enable {
 			rt.updateMarks(func() { clear(rt.sharedMoved) })
 		} else {
+			gets.settle(m.Match)
 			rt.clearMarks(m.Match, state.Supporting, false)
 			rt.clearMarks(m.Match, state.Reporting, false)
 		}
@@ -443,7 +452,105 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, m *sbi.Message) {
 	}
 }
 
-func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class) {
+// getStream is one per-flow get in flight (docs/SBI.md): out holds a token
+// per chunk frame not yet credited (no room: the get has no window); cancel
+// closes to stop the get, done once it has.
+type getStream struct {
+	match             packet.IDMatch
+	out, cancel, done chan struct{}
+	stop              sync.Once
+}
+
+// acquire makes room for one more frame, flushing before it waits so the
+// frames to be credited are on the wire; false means cancelled. The tokens
+// held then are the frames beyond the credit, recorded in peak.
+func (g *getStream) acquire(conn *sbi.Conn, peak *atomic.Int64) bool {
+	select {
+	case <-g.cancel:
+		return false
+	default:
+	}
+	if cap(g.out) == 0 {
+		return true
+	}
+	select {
+	case g.out <- struct{}{}:
+	default:
+		_ = conn.Flush()
+		select {
+		case g.out <- struct{}{}:
+		case <-g.cancel:
+			return false
+		}
+	}
+	for n, old := int64(len(g.out)), peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+	}
+	return true
+}
+
+// getStreams is a session's gets in flight by request ID.
+type getStreams struct {
+	mu   sync.Mutex
+	live map[uint64]*getStream
+}
+
+// credit frees n frames of get id's window; n <= 0 cancels the get.
+func (s *getStreams) credit(id uint64, n int) {
+	s.mu.Lock()
+	g := s.live[id]
+	s.mu.Unlock()
+	if g != nil && n <= 0 {
+		g.stop.Do(func() { close(g.cancel) })
+	}
+	for ; g != nil && n > 0; n-- {
+		select {
+		case <-g.out:
+		default:
+			return // more credit than frames out: the window stays full size
+		}
+	}
+}
+
+// settle cancels every get in flight whose match overlaps m and waits for it
+// to exit, so that no key under m is marked once the caller clears m's marks.
+// A cancelled get never waits for credit, so neither does settle.
+func (s *getStreams) settle(m packet.FieldMatch) {
+	var exits []chan struct{}
+	s.mu.Lock()
+	for _, g := range s.live {
+		if g.match.OverlapsEither(m.ForID()) {
+			g.stop.Do(func() { close(g.cancel) })
+			exits = append(exits, g.done)
+		}
+	}
+	s.mu.Unlock()
+	for _, done := range exits {
+		<-done
+	}
+}
+
+// startGet serves a per-flow get on its own goroutine: waiting for credit
+// must not block the serve loop, which carries the puts whose ACKs are that
+// credit (ARCHITECTURE.md, "Credit-windowed gets"). GetPerflow holds no lock
+// across emit (see Logic), so the wait stalls nothing else.
+func (rt *Runtime) startGet(conn *sbi.Conn, gets *getStreams, m *sbi.Message, class state.Class) {
+	g := &getStream{match: m.Match.ForID(), out: make(chan struct{}, max(m.Window, 0)),
+		cancel: make(chan struct{}), done: make(chan struct{})}
+	gets.mu.Lock()
+	gets.live[m.ID] = g
+	gets.mu.Unlock()
+	rt.workersWG.Add(1)
+	go func() {
+		defer rt.workersWG.Done()
+		rt.serveGetPerflow(conn, m, class, g)
+		gets.mu.Lock()
+		delete(gets.live, m.ID)
+		gets.mu.Unlock()
+		close(g.done)
+	}()
+}
+
+func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class, g *getStream) {
 	rt.activeOps.Add(1)
 	defer rt.activeOps.Add(-1)
 	// The request's Batch asks for up to that many chunks per MsgChunk
@@ -452,11 +559,16 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	if batch < 1 {
 		batch = 1
 	}
+	run := &markRun{class: class}
 	count := 0
+	var last packet.FlowID
 	var pending []state.Chunk
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
+		}
+		if !g.acquire(conn, &rt.creditPeak) {
+			return errors.New("mbox: get cancelled")
 		}
 		out := &sbi.Message{Type: sbi.MsgChunk, ID: m.ID, Compressed: m.Compressed}
 		out.SetChunks(pending)
@@ -469,11 +581,16 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		if !ok {
 			return fmt.Errorf("mbox: exported flow key %s is not IPv4", key)
 		}
+		// The marks are a sorted run, so the export must ascend.
+		if count > 0 && id.Compare(last) <= 0 {
+			return fmt.Errorf("mbox: %s get exported %s after %s; keys must ascend in FlowID order", rt.logic.Kind(), key, last)
+		}
+		last = id
 		// build invokes mark under the logic's lock immediately before
 		// serializing, so the moved-mark and the snapshot are atomic:
 		// every packet update is either inside the blob or covered by
 		// a reprocess event, never both and never neither.
-		blob, err := build(func() { rt.markKey(id, class) })
+		blob, err := build(func() { rt.markKey(run, id) })
 		if err != nil {
 			return err
 		}
@@ -495,12 +612,13 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	if err == nil {
 		err = flush()
 	}
+	// The serve loop may be parked in Receive: the last frame flushes.
 	if err != nil {
-		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
+		_ = conn.Send(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
 		return
 	}
 	// The get's ACK (Figure 5): all matching chunks have been exported.
-	_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: count})
+	_ = conn.Send(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: count})
 }
 
 func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class) {
@@ -537,9 +655,10 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: installed})
 }
 
-func (rt *Runtime) serveDelPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class) {
+func (rt *Runtime) serveDelPerflow(conn *sbi.Conn, gets *getStreams, m *sbi.Message, class state.Class) {
 	rt.activeOps.Add(1)
 	defer rt.activeOps.Add(-1)
+	gets.settle(m.Match) // no get marks under m once the marks below clear
 	n, err := rt.logic.DelPerflow(class, m.Match)
 	if err != nil {
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})

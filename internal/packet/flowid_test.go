@@ -197,3 +197,52 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		t.Fatalf("short decode: %v", err)
 	}
 }
+
+// TestOverlapsEither: two IPv4 matches overlap exactly when some key in a
+// universe holding a witness for every combination of their fields matches
+// both, in either direction.
+func TestOverlapsEither(t *testing.T) {
+	addrs := []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("11.0.0.1"), netip.MustParseAddr("12.0.0.1")}
+	ports, protos := []uint16{1, 2, 3}, []uint8{ProtoTCP, ProtoUDP, ProtoICMP}
+	var ids []FlowID
+	for _, sa := range addrs {
+		for _, da := range addrs {
+			for _, sp := range ports {
+				for _, dp := range ports {
+					for _, pr := range protos {
+						ids = append(ids, mustID(t, FlowKey{SrcIP: sa, DstIP: da, SrcPort: sp, DstPort: dp, Proto: pr}))
+					}
+				}
+			}
+		}
+	}
+	prefixes := []netip.Prefix{{}, netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.0.1/32"), netip.MustParsePrefix("11.0.0.0/8")}
+	rng := rand.New(rand.NewSource(26))
+	match := func() FieldMatch {
+		m := FieldMatch{SrcPrefix: prefixes[rng.Intn(len(prefixes))], DstPrefix: prefixes[rng.Intn(len(prefixes))]}
+		if rng.Intn(3) == 0 {
+			m.Proto = protos[rng.Intn(2)]
+		}
+		if rng.Intn(3) == 0 {
+			m.SrcPort, m.HasSrcPort = ports[rng.Intn(2)], true
+		}
+		if rng.Intn(3) == 0 {
+			m.DstPort, m.HasDstPort = ports[rng.Intn(2)], true
+		}
+		return m
+	}
+	overlaps := 0
+	for i := 0; i < 400; i++ {
+		a, b := match(), match()
+		want := slices.ContainsFunc(ids, func(id FlowID) bool { return a.ForID().MatchEither(id) && b.ForID().MatchEither(id) })
+		if got := a.ForID().OverlapsEither(b.ForID()); got != want {
+			t.Fatalf("%v and %v: OverlapsEither %v, some key matches both: %v", a, b, got, want)
+		}
+		if want {
+			overlaps++
+		}
+	}
+	if overlaps == 0 || overlaps == 400 {
+		t.Fatalf("%d of 400 pairs overlap: the draw tests one side only", overlaps)
+	}
+}

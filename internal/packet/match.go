@@ -88,6 +88,16 @@ func (im IDMatch) Match(id FlowID) bool {
 // MatchEither is Match on id or its reverse.
 func (im IDMatch) MatchEither(id FlowID) bool { return im.Match(id) || im.Match(id.Reverse()) }
 
+// OverlapsEither reports whether some ID satisfies both im.MatchEither and
+// o.MatchEither: im agrees on every bit both constrain with o, or with o
+// reversed (Reverse applied to the masks).
+func (im IDMatch) OverlapsEither(o IDMatch) bool {
+	meets := func(o IDMatch) bool {
+		return (im.srcWant^o.srcWant)&im.srcMask&o.srcMask == 0 && (im.dstWant^o.dstWant)&im.dstMask&o.dstMask == 0
+	}
+	return meets(o) || meets(IDMatch{o.dstMask &^ 0xff, o.dstWant &^ 0xff, o.srcMask | o.dstMask&0xff, o.srcWant | o.dstWant&0xff})
+}
+
 // IsAll reports whether the match is the full wildcard.
 func (m FieldMatch) IsAll() bool {
 	return !m.SrcPrefix.IsValid() && !m.DstPrefix.IsValid() && m.Proto == 0 && !m.HasSrcPort && !m.HasDstPort

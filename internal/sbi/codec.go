@@ -136,11 +136,12 @@ const (
 	fEvents
 	fAddr
 	fDir
+	fWindow
 )
 
 // knownFields masks every bit this implementation understands; frames with
 // other bits set are from a newer, incompatible binary protocol.
-const knownFields = fDir<<1 - 1
+const knownFields = fWindow<<1 - 1
 
 // Event-presence bits (one byte).
 const (
@@ -316,6 +317,9 @@ func (c *binaryCodec) encode(m *Message) error {
 	if len(m.Dir) > 0 {
 		flags |= fDir
 	}
+	if m.Window != 0 {
+		flags |= fWindow
+	}
 	body = binary.BigEndian.AppendUint32(body, flags)
 	body = appendUvarint(body, m.ID)
 
@@ -424,6 +428,9 @@ func (c *binaryCodec) encode(m *Message) error {
 			body = appendString(body, de.Node)
 			body = appendUvarint(body, de.Version)
 		}
+	}
+	if flags&fWindow != 0 {
+		body = appendUvarint(body, uint64(m.Window))
 	}
 
 	if len(body)-4 > maxBinaryFrame {
@@ -773,6 +780,9 @@ func (c *binaryCodec) decode() (*Message, error) {
 			m.Dir = append(m.Dir, de)
 		}
 	}
+	if flags&fWindow != 0 {
+		m.Window = int(r.uvarint("window"))
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -798,8 +808,10 @@ func decodeEvent(r *binReader) (*Event, error) {
 	}
 	if ef&efValues != 0 {
 		n := r.uvarint("event values")
-		ev.Values = make(map[string]string, n)
 		for i := uint64(0); i < n && r.err == nil; i++ {
+			if ev.Values == nil { // never sized by the peer's count
+				ev.Values = map[string]string{}
+			}
 			k := r.string("event values")
 			ev.Values[k] = r.string("event values")
 		}

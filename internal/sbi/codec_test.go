@@ -123,6 +123,9 @@ func testMessages() []*Message {
 			Keys: []HandoffKey{{Key: k, Txn: 1, Pending: 1}, {Key: k2, Txn: 2}},
 			Txns: []uint64{0x0007_0000_0000_0042, 0x0007_0000_0000_0043},
 		}},
+		{Type: MsgRequest, ID: 28, Op: OpGetSupportPerflow, Match: match, Batch: 32, Window: 64}, // windowed get
+		{Type: MsgRequest, ID: 28, Op: OpCredit, Count: 1},                                       // credit for it
+		{Type: MsgRequest, ID: 28, Op: OpCredit},                                                 // cancel it
 	}
 }
 
@@ -194,7 +197,7 @@ func TestCodecEquivalenceRandom(t *testing.T) {
 		case 2:
 			m = &Message{
 				Type: MsgRequest, ID: uint64(rng.Intn(1 << 20)),
-				Op: OpGetSupportPerflow, Batch: rng.Intn(128),
+				Op: OpGetSupportPerflow, Batch: rng.Intn(128), Window: rng.Intn(128),
 			}
 			if rng.Intn(2) == 0 {
 				m.Match, _ = packet.ParseFieldMatch(fmt.Sprintf("[nw_src=10.0.0.0/%d]", 8+rng.Intn(25)))

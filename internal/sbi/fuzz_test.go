@@ -1,7 +1,8 @@
 package sbi
 
 // Native Go fuzz targets for the binary SBI codec, seeded from the
-// codec-equivalence corpus (testMessages). The binary protocol is the
+// codec-equivalence corpus (testMessages), which includes a windowed get and
+// its credit and cancel frames. The binary protocol is the
 // default wire format, so every frame a hostile or corrupted peer could
 // deliver goes through decode: the targets assert it never panics, never
 // over-allocates past the frame bound, and that every frame it does accept

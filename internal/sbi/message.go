@@ -51,6 +51,11 @@ const (
 	// external side effects (§4.2.1 step 3).
 	OpReprocess Op = "reprocess"
 
+	// OpCredit returns Count chunk frames of credit to the windowed get
+	// whose request ID it carries; Count 0 cancels the get. It is never
+	// answered. See Message.Window and docs/SBI.md.
+	OpCredit Op = "credit"
+
 	// OpEndTransaction tells a source MB that a controller transaction
 	// has finished, clearing its moved/cloned marks so it stops raising
 	// reprocess events. With Enable set it clears shared-state marks;
@@ -294,6 +299,9 @@ type Message struct {
 	// OpReprocess frame (0 and 1 mean unbatched delivery, so peers that
 	// predate event batching keep the per-event framing).
 	Batch int `json:"batch,omitempty"`
+	// Window, on a per-flow get, is how many chunk frames the middlebox may
+	// send beyond the OpCredit returned (0: no window).
+	Window int `json:"window,omitempty"`
 
 	// Chunk payload (MsgChunk, and OpPut*Perflow requests).
 	Chunk *state.Chunk `json:"chunk,omitempty"`
@@ -301,6 +309,9 @@ type Message struct {
 	// put request) carrying several state chunks at once. Chunk and Chunks
 	// may not both be set.
 	Chunks []state.Chunk `json:"chunks,omitempty"`
+	// Keys is never on the wire: a receiver that resolves a chunk frame's
+	// keys to IDs keeps them here, with the frame.
+	Keys []packet.FlowID `json:"-"`
 
 	// Done payload. Count also rides OpTraceFlow requests as the record
 	// budget (<=0 selects the default).

@@ -31,8 +31,8 @@ func pointerFields(t reflect.Type) []string {
 
 // TestTableKeysAreCompact pins what the move's memory rests on — the key
 // types of the standing per-key tables, read off the tables themselves: the
-// flow ID is at most 16 bytes, the runtime's marks table keys on at most 24
-// pointer-free bytes, and the controller router's tables on at most 24 bytes
+// flow ID is at most 16 bytes, the runtime's mark runs hold at most 24
+// pointer-free bytes a key, and the controller router's tables on at most 24 bytes
 // whose only pointer is the source connection.
 func TestTableKeysAreCompact(t *testing.T) {
 	// field follows a chain of struct fields, stepping through pointers and
@@ -54,8 +54,8 @@ func TestTableKeysAreCompact(t *testing.T) {
 	if flowID.Size() > 16 || pointerFields(flowID) != nil || !flowID.Comparable() {
 		t.Errorf("packet.FlowID: %d bytes, pointer fields %q", flowID.Size(), pointerFields(flowID))
 	}
-	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "movedKeys")
-	if ref := marks.Key(); ref.Size() > 24 || pointerFields(ref) != nil {
+	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "marks", "ids")
+	if ref := marks.Elem(); ref.Size() > 24 || pointerFields(ref) != nil {
 		t.Errorf("marks table %v: key is %d bytes, pointer fields %q", marks, ref.Size(), pointerFields(ref))
 	}
 	for _, table := range []string{"keys", "orphans"} {
