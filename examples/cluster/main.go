@@ -1,9 +1,9 @@
-// Controller cluster: three controller replicas behind one listener, four
-// PRADS-like monitors partitioned across them by the consistent-hash
-// directory. Traffic builds per-flow state; a cross-partition MoveInternal
-// relocates it between middleboxes owned by DIFFERENT replicas; and a live
-// rebalance hands a middlebox to another replica while a second move is in
-// flight — the freeze-transfer-replay handoff — without losing a count.
+// Controller cluster: two controller nodes joined over SBI peer links, each
+// one controller. A PRADS-like monitor registers at each node; the
+// replicated directory says which node owns which monitor. Traffic builds
+// per-flow state at the first monitor, and a MoveInternal coordinated by
+// the second node pulls that monitor across the node boundary and moves
+// its state — without losing a count.
 package main
 
 import (
@@ -16,89 +16,81 @@ import (
 )
 
 func main() {
-	// 1. A three-replica cluster on an in-memory transport (use
-	//    openmb.TCPTransport{} and a real address for multi-process; the
-	//    openmb-controller daemon exposes the same thing via -replicas).
-	cluster := openmb.NewCluster(openmb.ClusterOptions{
-		Replicas:   3,
-		Controller: openmb.ControllerOptions{QuietPeriod: 200 * time.Millisecond},
-	})
-	defer cluster.Close()
+	// 1. Two nodes on an in-memory transport, each listening on its name
+	//    (use openmb.TCPTransport{} and real addresses for multi-process;
+	//    the openmb-controller daemon exposes the same thing via -node and
+	//    -join).
 	tr := openmb.NewMemTransport()
-	if err := cluster.Serve(tr, "cluster"); err != nil {
+	nodes := map[string]*openmb.Node{}
+	for _, name := range []string{"node-a", "node-b"} {
+		n := openmb.NewNode(openmb.NodeOptions{
+			Name:    name,
+			Cluster: openmb.ClusterOptions{Controller: openmb.ControllerOptions{QuietPeriod: 200 * time.Millisecond}},
+		})
+		defer n.Close()
+		if err := n.Serve(tr, name); err != nil {
+			log.Fatal(err)
+		}
+		nodes[name] = n
+	}
+	a, b := nodes["node-a"], nodes["node-b"]
+	// Join returns once node-a has answered a directory sync on the new
+	// link, so both ends hold it.
+	if err := b.Join("node-a"); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("%s peers: %v\n", a.Name(), a.Peers())
 
-	// 2. Four monitors register; the directory spreads them over replicas.
+	// 2. One monitor per node. Each registration commits the monitor's
+	//    owner to the replicated directory, under quorum, before it is
+	//    accepted.
 	monitors := map[string]*openmb.Monitor{}
 	runtimes := map[string]*openmb.Runtime{}
-	for _, name := range []string{"prads1", "prads2", "prads3", "prads4"} {
+	for name, at := range map[string]*openmb.Node{"prads1": a, "prads2": b} {
 		m := openmb.NewMonitor()
 		rt := openmb.NewRuntime(name, m, openmb.RuntimeOptions{})
 		defer rt.Close()
-		if err := rt.Connect(tr, "cluster"); err != nil {
+		if err := rt.Connect(tr, at.Name()); err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		if err := cluster.WaitForMB(name, 5*time.Second); err != nil {
+		if err := at.WaitForMB(name, 5*time.Second); err != nil {
 			log.Fatal(err)
 		}
 		monitors[name], runtimes[name] = m, rt
 	}
-	for _, name := range cluster.Middleboxes() {
-		r, _ := cluster.ReplicaOf(name)
-		fmt.Printf("%s registered with replica %d\n", name, r)
+	for _, name := range []string{"prads1", "prads2"} {
+		owner, _ := b.Lookup(name)
+		fmt.Printf("%s is owned by %s\n", name, owner)
 	}
 
 	// 3. Traffic builds per-flow reporting state at prads1.
-	inject := func(rt *openmb.Runtime, n int) {
-		for i := 0; i < n; i++ {
-			rt.HandlePacket(&openmb.Packet{
-				SrcIP: netip.AddrFrom4([4]byte{10, 0, byte(i / 200), byte(i % 200)}),
-				DstIP: netip.MustParseAddr("52.20.0.1"),
-				Proto: 6, SrcPort: uint16(10000 + i), DstPort: 80,
-				Payload: []byte("GET / HTTP/1.1\r\n"),
-			})
-		}
-		rt.Drain(10 * time.Second)
+	for i := 0; i < 40; i++ {
+		runtimes["prads1"].HandlePacket(&openmb.Packet{
+			SrcIP: netip.AddrFrom4([4]byte{10, 0, byte(i / 200), byte(i % 200)}),
+			DstIP: netip.MustParseAddr("52.20.0.1"),
+			Proto: 6, SrcPort: uint16(10000 + i), DstPort: 80,
+			Payload: []byte("GET / HTTP/1.1\r\n"),
+		})
 	}
-	inject(runtimes["prads1"], 40)
+	runtimes["prads1"].Drain(10 * time.Second)
 
-	// 4. A cross-partition move: source and destination may be owned by
-	//    different replicas; the cluster proxies the transaction, and the
-	//    API is byte-for-byte the single-controller one.
-	if err := cluster.MoveInternal("prads1", "prads2", openmb.MatchAll); err != nil {
+	// 4. A cross-node move coordinated by node-b: prads1 is pulled from
+	//    node-a (its routing state travels on the peer link, the monitor
+	//    redials node-b), then the move runs on node-b's controller with
+	//    the single-controller API.
+	if err := b.MoveInternal("prads1", "prads2", openmb.MatchAll); err != nil {
 		log.Fatal(err)
 	}
-	r1, _ := cluster.ReplicaOf("prads1")
-	r2, _ := cluster.ReplicaOf("prads2")
-	fmt.Printf("cross-partition move (replica %d -> replica %d): prads2 holds %d flows\n",
-		r1, r2, monitors["prads2"].FlowCount())
+	b.WaitTxns(10 * time.Second)
+	owner, _ := a.Lookup("prads1")
+	fmt.Printf("after the move node-a's directory says prads1 is owned by %s\n", owner)
 
-	// 5. A live handoff while a move runs: prads2 (now holding the state)
-	//    is rebalanced to another replica mid-transaction. The freeze
-	//    window is the in-memory transfer; events buffered behind it
-	//    replay on the new owner, so the move completes exactly as if
-	//    nothing happened.
-	moveDone := make(chan error, 1)
-	go func() { moveDone <- cluster.MoveInternal("prads2", "prads3", openmb.MatchAll) }()
-	target := (r2 + 1) % cluster.Replicas()
-	if err := cluster.Rebalance("prads2", target); err != nil {
-		fmt.Printf("rebalance raced the move's completion: %v\n", err)
-	} else {
-		fmt.Printf("live handoff: prads2 moved to replica %d mid-move (%d handoffs total)\n",
-			target, cluster.Handoffs())
-	}
-	if err := <-moveDone; err != nil {
-		log.Fatal(err)
-	}
-	cluster.WaitTxns(10 * time.Second)
-
-	// 6. Conservation across two moves and a handoff: every packet count
-	//    survives, exactly once, at prads3.
+	// 5. Conservation across the pull and the move: every packet count
+	//    survives, exactly once, at prads2.
 	total := 0
 	for _, m := range monitors {
 		total += int(m.TotalPerflowPackets())
 	}
-	fmt.Printf("after moves + handoff: prads3 holds %d flows; %d packet counts across the pool (sent 40)\n",
-		monitors["prads3"].FlowCount(), total)
+	fmt.Printf("after cross-node move: prads2 holds %d flows; %d packet counts across the pool (sent 40)\n",
+		monitors["prads2"].FlowCount(), total)
 }

@@ -19,7 +19,7 @@ var exampleRuns = []struct {
 	want string // a line fragment the successful run must print
 }{
 	{dir: "quickstart", want: "conservation:"},
-	{dir: "cluster", want: "after moves + handoff:"},
+	{dir: "cluster", want: "after cross-node move:"},
 	{dir: "failover", want: "failover complete:"},
 	{dir: "livemigration", want: "migration done:"},
 	{dir: "scaling", want: "conservation held: true"},

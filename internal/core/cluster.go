@@ -1,633 +1,33 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"net"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
+import "fmt"
 
-	"openmb/internal/obs"
-	"openmb/internal/packet"
-	"openmb/internal/sbi"
-	"openmb/internal/state"
-)
-
-// Cluster runs N Controller replicas behind one listener and partitions the
-// registered middleboxes across them by a consistent-hash directory. The
-// paper's control plane is a single controller process; a Stratos-style
-// deployment orchestrates pools of middleboxes whose control load exceeds
-// one instance, so each replica here owns a slice of the MB population —
-// its connections, its transaction router shards, its completer — and the
-// cluster proxies the northbound API so applications keep calling one
-// object:
-//
-//   - same-partition operations delegate to the owning replica unchanged;
-//   - cross-partition moves/clones/merges run on the source's replica while
-//     the destination connection is resolved cluster-wide (the transaction
-//     machinery never required both endpoints to share a router — event
-//     routing keys on the source, and forwarding is plain connection I/O);
-//   - Rebalance/Drain move a middlebox between replicas LIVE, mid-
-//     transaction, via the handoff protocol in handoff.go.
-//
-// Replicas = 1 is the ablation: one replica, the directory always answering
-// 0, and every operation taking exactly today's single-controller path.
+// ClusterOptions configures a Node's controller. It exists because
+// benchmark/moves.go builds nodes with NodeOptions.Cluster and
+// ClusterOptions{Replicas, Controller}; it goes in ROADMAP item 1's
+// benchmark PR, the one PR that may change benchmark/.
 type ClusterOptions struct {
-	// Replicas is the number of controller replicas (default 1).
+	// Replicas must be 0 or 1: a node is one controller.
 	Replicas int
-	// Controller configures every replica (quiet period, shards, ...).
+	// Controller configures the node's controller.
 	Controller Options
-	// FindRetryWindow bounds how long northbound operations keep
-	// re-resolving a middlebox name that transiently resolves nowhere
-	// (mid-handoff, mid-recovery, mid-reconnect). Zero selects the
-	// in-process default (250ms); cross-process deployments, whose
-	// failover gaps include real dial latencies and reconnect backoff,
-	// want seconds.
-	FindRetryWindow time.Duration
 }
 
-// defaultFindRetryWindow is the in-process findRetry bound: long enough to
-// cover a handoff freeze, a replica-failure migration, or a reconnecting
-// middlebox's first backoff; short enough that a genuinely unknown name
-// still fails fast.
-const defaultFindRetryWindow = 250 * time.Millisecond
-
-// Cluster is a replicated OpenMB controller.
+// Cluster holds a node's one Controller. Like ClusterOptions it exists for
+// benchmark/moves.go, which reads Node.Cluster and Cluster.Replica(0), and
+// goes in ROADMAP item 1's benchmark PR.
 type Cluster struct {
-	replicas []*Controller
-	dir      *directory
-	// registry is the cluster-wide transaction registry every replica
-	// shares (see txnRegistry).
-	registry *txnRegistry
-
-	mu       sync.Mutex // serializes handoffs and listener state
-	listener net.Listener
-	closed   atomic.Bool
-
-	// findRetryWindow bounds findRetry; see ClusterOptions.FindRetryWindow.
-	findRetryWindow time.Duration
-
-	// handoffs counts completed live ownership transfers.
-	handoffs atomic.Uint64
-	// dirMissRetries counts findRetry poll iterations that found the name
-	// unresolved (or resolved onto a failed replica) — a measure of how
-	// much time northbound callers spend riding out directory misses.
-	dirMissRetries atomic.Uint64
+	*Controller
 }
 
-// NewCluster creates a cluster of opts.Replicas controller replicas.
+// NewCluster creates the holder. More than one replica panics: a node is
+// one controller.
 func NewCluster(opts ClusterOptions) *Cluster {
-	if opts.Replicas < 1 {
-		opts.Replicas = 1
+	if opts.Replicas > 1 {
+		panic(fmt.Sprintf("core: %d replicas: a node is one controller", opts.Replicas))
 	}
-	if opts.FindRetryWindow <= 0 {
-		opts.FindRetryWindow = defaultFindRetryWindow
-	}
-	cl := &Cluster{
-		dir:             newDirectory(opts.Replicas),
-		registry:        newTxnRegistry(),
-		findRetryWindow: opts.FindRetryWindow,
-	}
-	for i := 0; i < opts.Replicas; i++ {
-		c := NewController(opts.Controller)
-		// Replicas of a multi-replica cluster participate in handoffs;
-		// a replicas=1 cluster has nowhere to hand off to and keeps the
-		// single-controller fast path (the ablation stays exact).
-		c.clustered = opts.Replicas > 1
-		// All replicas share one transaction registry: IDs stay unique
-		// cluster-wide and FailReplica can sweep a dead replica's
-		// in-flight transactions. Replaced before any Serve, so no txn
-		// can have registered with the replica-private one.
-		c.registry = cl.registry
-		cl.replicas = append(cl.replicas, c)
-	}
-	return cl
+	return &Cluster{NewController(opts.Controller)}
 }
 
-// Replicas returns the replica count.
-func (cl *Cluster) Replicas() int { return len(cl.replicas) }
-
-// Replica returns the i-th replica, for tests and per-replica metrics.
-func (cl *Cluster) Replica(i int) *Controller { return cl.replicas[i] }
-
-// Shards reports the per-replica router shard count (all replicas share one
-// Options value).
-func (cl *Cluster) Shards() int { return cl.replicas[0].Shards() }
-
-// Serve starts accepting middlebox connections on addr. The cluster reads
-// each connection's hello itself — the directory needs the MB name to pick
-// the owning replica — then hands the connection to that replica, which
-// upgrades the codec and runs the read loop exactly as a lone controller
-// would.
-func (cl *Cluster) Serve(tr sbi.Transport, addr string) error {
-	l, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("core: cluster listen %q: %w", addr, err)
-	}
-	cl.mu.Lock()
-	cl.listener = l
-	cl.mu.Unlock()
-	go cl.acceptLoop(l)
-	return nil
-}
-
-func (cl *Cluster) acceptLoop(l net.Listener) {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			conn := sbi.NewConn(raw)
-			// Same hello bound as Controller.handleConn: a stalled or
-			// truncated hello must not pin this goroutine.
-			_ = conn.SetReadDeadline(time.Now().Add(cl.replicas[0].opts.HelloTimeout))
-			hello, err := conn.Receive()
-			if err != nil || hello.Type != sbi.MsgHello || hello.Name == "" {
-				conn.Close()
-				return
-			}
-			_ = conn.SetReadDeadline(time.Time{})
-			cl.replicas[cl.dir.owner(hello.Name)].serveMB(conn, hello)
-		}()
-	}
-}
-
-// Addr returns the listener's address, or "" before Serve.
-func (cl *Cluster) Addr() string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.listener == nil {
-		return ""
-	}
-	return cl.listener.Addr().String()
-}
-
-// find resolves a middlebox to its current replica and connection. The
-// directory owner is checked first; a scan covers the races a concurrent
-// rebalance can open between the directory update and the table moves.
-func (cl *Cluster) find(name string) (*Controller, *mbConn, error) {
-	owner := cl.dir.owner(name)
-	for off := 0; off < len(cl.replicas); off++ {
-		c := cl.replicas[(owner+off)%len(cl.replicas)]
-		c.mu.Lock()
-		mb, ok := c.mbs[name]
-		c.mu.Unlock()
-		if ok {
-			return c, mb, nil
-		}
-	}
-	return nil, nil, fmt.Errorf("core: unknown middlebox %q", name)
-}
-
-// findRetry is find with bounded retry (ClusterOptions.FindRetryWindow): a
-// name mid-handoff, mid-recovery, or mid-reconnect transiently resolves
-// nowhere (or to a replica declared failed), and the northbound API should
-// ride out that window instead of surfacing a spurious unknown-middlebox
-// error.
-func (cl *Cluster) findRetry(name string) (*Controller, *mbConn, error) {
-	deadline := time.Now().Add(cl.findRetryWindow)
-	for {
-		c, mb, err := cl.find(name)
-		if err == nil && !c.failed.Load() {
-			return c, mb, nil
-		}
-		cl.dirMissRetries.Add(1)
-		if !time.Now().Before(deadline) {
-			if err == nil {
-				// The connection never migrated off the failed replica
-				// (e.g. FailReplica is still mid-flight); hand it back
-				// rather than erroring — conn-level calls still work.
-				return c, mb, nil
-			}
-			return nil, nil, err
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// ReplicaOf reports which replica currently serves the middlebox.
-func (cl *Cluster) ReplicaOf(name string) (int, error) {
-	c, _, err := cl.find(name)
-	if err != nil {
-		return 0, err
-	}
-	for i, r := range cl.replicas {
-		if r == c {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("core: middlebox %q on unknown replica", name)
-}
-
-// WaitForMB blocks until the middlebox is registered anywhere in the
-// cluster. The blocking wait parks on the directory owner's waiter
-// registry (the replica a fresh registration lands on), but each wait is
-// sliced and re-resolved cluster-wide: a concurrent Rebalance moves the
-// name between replicas and wakes only the new owner's waiters, so a
-// single full-timeout wait on one replica could miss it.
-func (cl *Cluster) WaitForMB(name string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if _, _, err := cl.find(name); err == nil {
-			return nil
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return fmt.Errorf("core: middlebox %q did not register", name)
-		}
-		slice := remain
-		if slice > 50*time.Millisecond {
-			slice = 50 * time.Millisecond
-		}
-		// Wakes early when the name registers at the current owner;
-		// otherwise the slice bounds how stale the owner resolution and
-		// the cluster-wide scan can get.
-		_ = cl.replicas[cl.dir.owner(name)].WaitForMB(name, slice)
-	}
-}
-
-// Middleboxes returns the names registered across all replicas.
-func (cl *Cluster) Middleboxes() []string {
-	var names []string
-	for _, c := range cl.replicas {
-		names = append(names, c.Middleboxes()...)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SubscribeIntrospection registers fn on every replica, so events arrive
-// regardless of which replica owns the raising middlebox.
-func (cl *Cluster) SubscribeIntrospection(fn func(mb string, ev *sbi.Event)) {
-	for _, c := range cl.replicas {
-		c.SubscribeIntrospection(fn)
-	}
-}
-
-// The proxied single-MB operations below resolve the name cluster-wide
-// once (with bounded retry, riding out handoff and recovery windows) and
-// then call through the resolved connection: re-resolving by name on the
-// owning replica would race a concurrent Rebalance moving the name away
-// between the two lookups and fail a healthy middlebox.
-
-// ReadConfig proxies to the middlebox's replica.
-func (cl *Cluster) ReadConfig(mbName, path string) ([]state.Entry, error) {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return nil, err
-	}
-	return c.readConfigConn(mb, path)
-}
-
-// WriteConfig proxies to the middlebox's replica.
-func (cl *Cluster) WriteConfig(mbName, path string, values []string) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.writeConfigConn(mb, path, values)
-}
-
-// WriteConfigAll proxies to the middlebox's replica.
-func (cl *Cluster) WriteConfigAll(mbName string, entries []state.Entry) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.writeConfigAllConn(mb, entries)
-}
-
-// DelConfig proxies to the middlebox's replica.
-func (cl *Cluster) DelConfig(mbName, path string) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.delConfigConn(mb, path)
-}
-
-// CloneConfig copies all configuration between middleboxes on any replicas:
-// the read runs at the source's replica, the write at the destination's.
-func (cl *Cluster) CloneConfig(srcMB, dstMB string) error {
-	entries, err := cl.ReadConfig(srcMB, "*")
-	if err != nil {
-		return err
-	}
-	return cl.WriteConfigAll(dstMB, entries)
-}
-
-// Stats proxies to the middlebox's replica.
-func (cl *Cluster) Stats(mbName string, m packet.FieldMatch) (sbi.StatsReply, error) {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return sbi.StatsReply{}, err
-	}
-	return c.statsConn(mb, m)
-}
-
-// SetEventFilter proxies to the middlebox's replica.
-func (cl *Cluster) SetEventFilter(mbName, codePrefix string, m packet.FieldMatch, enable bool) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.setEventFilterConn(mb, codePrefix, m, enable, 0)
-}
-
-// ArmFlowTrace proxies to the middlebox's replica; see
-// Controller.ArmFlowTrace.
-func (cl *Cluster) ArmFlowTrace(mbName string, m packet.FieldMatch, budget int) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.armFlowTraceConn(mb, m, budget, true)
-}
-
-// DisarmFlowTrace proxies to the middlebox's replica.
-func (cl *Cluster) DisarmFlowTrace(mbName string) error {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return err
-	}
-	return c.armFlowTraceConn(mb, packet.FieldMatch{}, 0, false)
-}
-
-// FlowTraceRecords proxies to the middlebox's replica.
-func (cl *Cluster) FlowTraceRecords(mbName string) ([]string, error) {
-	c, mb, err := cl.findRetry(mbName)
-	if err != nil {
-		return nil, err
-	}
-	return c.flowTraceRecordsConn(mb)
-}
-
-// moveAttempts bounds how many times MoveInternal restarts a move whose
-// coordinating replica was declared failed mid-flight.
-const moveAttempts = 3
-
-// MoveInternal moves per-flow state between middleboxes on any replicas.
-// The transaction runs on the source's replica (its completer finishes it;
-// its metrics count it); the destination is resolved cluster-wide.
-//
-// If the coordinating replica is declared failed mid-move (FailReplica),
-// the half-applied transfer is rolled back — per-flow marks cleared at the
-// source, stale-epoch routing state purged, half-installed state deleted at
-// the destination — and the move restarts on the connection's current
-// owner, up to moveAttempts times. The rollback restores "the move never
-// happened": live packets are always counted at the source, so wiping the
-// destination's partial copy leaves every packet accounted exactly once.
-func (cl *Cluster) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
-	for attempt := 1; ; attempt++ {
-		srcC, src, err := cl.findRetry(srcMB)
-		if err != nil {
-			return err
-		}
-		_, dst, err := cl.findRetry(dstMB)
-		if err != nil {
-			return err
-		}
-		err = srcC.moveConns(src, dst, m)
-		if err == nil || !errors.Is(err, ErrReplicaFailed) || attempt >= moveAttempts {
-			return err
-		}
-		cl.rollbackMove(src, dst, m)
-	}
-}
-
-// RecoverMove restores a move whose coordinating process died mid-flight.
-// The in-process retry above cannot help there — the coordinator's registry,
-// and with it every live transaction, died with the process — so whichever
-// node the middleboxes reconnect to calls RecoverMove: roll the half-applied
-// transfer back to "the move never happened" (safe even if the move never
-// started, or finished — rollback only clears marks and purges half-copied
-// state that exists), then run the move again from scratch on this cluster.
-// Both middleboxes must already be registered locally.
-func (cl *Cluster) RecoverMove(srcMB, dstMB string, m packet.FieldMatch) error {
-	_, src, err := cl.findRetry(srcMB)
-	if err != nil {
-		return err
-	}
-	_, dst, err := cl.findRetry(dstMB)
-	if err != nil {
-		return err
-	}
-	cl.rollbackMove(src, dst, m)
-	return cl.MoveInternal(srcMB, dstMB, m)
-}
-
-// CloneSupport clones shared supporting state across partitions; see
-// Controller.CloneSupport.
-func (cl *Cluster) CloneSupport(srcMB, dstMB string) error {
-	return cl.sharedTransfer(srcMB, dstMB,
-		[]sbi.Op{sbi.OpGetSupportShared}, []sbi.Op{sbi.OpPutSupportShared})
-}
-
-// MergeInternal merges shared state across partitions; see
-// Controller.MergeInternal.
-func (cl *Cluster) MergeInternal(srcMB, dstMB string) error {
-	return cl.sharedTransfer(srcMB, dstMB,
-		[]sbi.Op{sbi.OpGetSupportShared, sbi.OpGetReportShared},
-		[]sbi.Op{sbi.OpPutSupportShared, sbi.OpPutReportShared})
-}
-
-func (cl *Cluster) sharedTransfer(srcMB, dstMB string, getOps, putOps []sbi.Op) error {
-	for attempt := 1; ; attempt++ {
-		srcC, src, err := cl.findRetry(srcMB)
-		if err != nil {
-			return err
-		}
-		_, dst, err := cl.findRetry(dstMB)
-		if err != nil {
-			return err
-		}
-		err = srcC.sharedTransferConns(src, dst, getOps, putOps)
-		// Only the before-anything-started refusal is retryable: a shared
-		// transfer that aborted mid-flight may have merged some classes
-		// into the destination already, and restarting would merge them
-		// twice. (Mid-flight shared transfers are deliberately never
-		// aborted — see txnRegistry.abortController.)
-		if err == nil || !errors.Is(err, ErrReplicaFailed) || attempt >= moveAttempts {
-			return err
-		}
-	}
-}
-
-// WaitTxns blocks until every replica's in-flight transactions have
-// finished, or the timeout elapses.
-func (cl *Cluster) WaitTxns(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for _, c := range cl.replicas {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			remain = time.Millisecond
-		}
-		if !c.WaitTxns(remain) {
-			return false
-		}
-	}
-	return true
-}
-
-// LiveTxns reports the number of in-flight transactions cluster-wide; zero
-// after WaitTxns returns true. Recovery and elasticity tests use it to prove
-// that aborted or retried operations leak nothing in the shared registry.
-func (cl *Cluster) LiveTxns() int { return cl.registry.Live() }
-
-// ConnCounters merges every replica's per-connection wire counters; see
-// Controller.ConnCounters for the per-entry coherence contract.
-func (cl *Cluster) ConnCounters() map[string]sbi.Counters {
-	out := map[string]sbi.Counters{}
-	for _, c := range cl.replicas {
-		for name, wc := range c.ConnCounters() {
-			out[name] = wc
-		}
-	}
-	return out
-}
-
-// Handoffs reports how many live ownership transfers have completed.
-func (cl *Cluster) Handoffs() uint64 { return cl.handoffs.Load() }
-
-// Metrics sums the replicas' counters.
-func (cl *Cluster) Metrics() Metrics {
-	var sum Metrics
-	for _, c := range cl.replicas {
-		m := c.Metrics()
-		sum.MovesStarted += m.MovesStarted
-		sum.EventsForwarded += m.EventsForwarded
-		sum.EventsBuffered += m.EventsBuffered
-		sum.ChunksMoved += m.ChunksMoved
-		sum.BytesMoved += m.BytesMoved
-		sum.PingsSent += m.PingsSent
-		sum.PongsReceived += m.PongsReceived
-		sum.HeartbeatDeaths += m.HeartbeatDeaths
-	}
-	return sum
-}
-
-// Collect implements obs.Collector: every replica's series tagged with a
-// replica label, plus the cluster-level handoff counter.
-func (cl *Cluster) Collect(e *obs.Emitter) {
-	for i, c := range cl.replicas {
-		c.collect(e, "replica", strconv.Itoa(i))
-	}
-	e.Counter("openmb_handoffs_total", "Live replica-to-replica ownership transfers completed.", cl.handoffs.Load())
-	e.Counter("openmb_directory_miss_retries_total", "Northbound findRetry polls that found a middlebox name unresolved or on a failed replica.", cl.dirMissRetries.Load())
-}
-
-// Close stops the accept loop and every replica.
-func (cl *Cluster) Close() {
-	if !cl.closed.CompareAndSwap(false, true) {
-		return
-	}
-	cl.mu.Lock()
-	l := cl.listener
-	cl.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	for _, c := range cl.replicas {
-		c.Close()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Directory.
-
-// vnodesPerReplica is the number of consistent-hash ring points per replica;
-// enough for an even spread at small replica counts without making the ring
-// search measurable.
-const vnodesPerReplica = 64
-
-// directory maps middlebox names to replica indices: a consistent-hash ring
-// (so growing the replica set moves only ~1/N of the names) overlaid with
-// explicit assignments recording live handoffs. Both the ring and the
-// overrides ride d.mu: the ring was immutable until replica failure —
-// removeReplica prunes a dead replica's points so the ring itself stops
-// answering with it.
-type directory struct {
-	mu        sync.Mutex
-	points    []ringPoint // sorted by hash
-	overrides map[string]int
-}
-
-type ringPoint struct {
-	hash    uint64
-	replica int
-}
-
-func newDirectory(replicas int) *directory {
-	d := &directory{overrides: map[string]int{}}
-	for r := 0; r < replicas; r++ {
-		for v := 0; v < vnodesPerReplica; v++ {
-			d.points = append(d.points, ringPoint{
-				hash:    ringHash(fmt.Sprintf("replica-%d/%d", r, v)),
-				replica: r,
-			})
-		}
-	}
-	sort.Slice(d.points, func(i, j int) bool { return d.points[i].hash < d.points[j].hash })
-	return d
-}
-
-func ringHash(s string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(s))
-	// Without the finisher, FNV of short similar names ("src0", "src1",
-	// ...) lands on nearby ring positions and whole MB pools pile onto
-	// one replica; see mix64.
-	return mix64(f.Sum64())
-}
-
-// owner resolves a middlebox name to its replica: an explicit assignment if
-// a handoff recorded one, else the first ring point at or after the name's
-// hash (wrapping).
-func (d *directory) owner(name string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r, ok := d.overrides[name]; ok {
-		return r
-	}
-	h := ringHash(name)
-	i := sort.Search(len(d.points), func(i int) bool { return d.points[i].hash >= h })
-	if i == len(d.points) {
-		i = 0
-	}
-	return d.points[i].replica
-}
-
-// assign records a handoff's new ownership.
-func (d *directory) assign(name string, replica int) {
-	d.mu.Lock()
-	d.overrides[name] = replica
-	d.mu.Unlock()
-}
-
-// removeReplica excises a dead replica from the directory: its ring points
-// are pruned (names it owned by hash redistribute to the ring's survivors)
-// and its explicit assignments are dropped (those names fall back to the
-// pruned ring). After this, owner can never answer with the dead replica,
-// which is what lets FailReplica pick migration targets by simply asking
-// the directory.
-func (d *directory) removeReplica(replica int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	kept := d.points[:0]
-	for _, p := range d.points {
-		if p.replica != replica {
-			kept = append(kept, p)
-		}
-	}
-	d.points = kept
-	for name, r := range d.overrides {
-		if r == replica {
-			delete(d.overrides, name)
-		}
-	}
-}
+// Replica returns the controller; benchmark/moves.go asks for replica 0.
+func (cl *Cluster) Replica(int) *Controller { return cl.Controller }

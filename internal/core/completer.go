@@ -18,14 +18,8 @@ type completer struct {
 	pending completionHeap
 	started bool
 	stopped bool
-	// redirect, once set by redirectTo, forwards every future schedule to
-	// a survivor replica's completer. Completions must outlive the replica
-	// that scheduled them: a transaction whose data phase finished keeps
-	// its quiet-period completion even if its coordinator is declared
-	// failed, and that completion has to run somewhere alive.
-	redirect *completer
-	wake     chan struct{}
-	stop     chan struct{}
+	wake    chan struct{}
+	stop    chan struct{}
 }
 
 // completion is one scheduled transaction finish.
@@ -62,11 +56,6 @@ func newCompleter(c *Controller) *completer {
 func (c *completer) schedule(t *txn, finish func()) {
 	e := &completion{t: t, due: t.quietAt(c.ctrl.opts.QuietPeriod), finish: finish}
 	c.mu.Lock()
-	if r := c.redirect; r != nil {
-		c.mu.Unlock()
-		r.adopt(e)
-		return
-	}
 	if c.stopped {
 		c.mu.Unlock()
 		// The controller is shutting down: complete immediately; the
@@ -84,53 +73,6 @@ func (c *completer) schedule(t *txn, finish func()) {
 	select {
 	case c.wake <- struct{}{}:
 	default:
-	}
-}
-
-// adopt enqueues an already-built completion (migrated from a failed
-// replica's completer, or handed over by its redirect). Semantics match the
-// tail of schedule.
-func (c *completer) adopt(e *completion) {
-	c.mu.Lock()
-	if r := c.redirect; r != nil {
-		c.mu.Unlock()
-		r.adopt(e)
-		return
-	}
-	if c.stopped {
-		c.mu.Unlock()
-		go e.finish()
-		return
-	}
-	heap.Push(&c.pending, e)
-	if !c.started {
-		c.started = true
-		go c.loop()
-	}
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// redirectTo migrates this completer's pending completions to other and
-// forwards everything scheduled afterwards there too. Called by FailReplica
-// after the dead replica's connections have been handed to survivors, so
-// quiet-period completions keep their due times and run on live machinery.
-func (c *completer) redirectTo(other *completer) {
-	c.mu.Lock()
-	c.redirect = other
-	rest := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	// Recompute the (now empty) heap's sleep so the timer goroutine parks.
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-	for _, e := range rest {
-		other.adopt(e)
 	}
 }
 

@@ -137,14 +137,9 @@ type Controller struct {
 	router    *txnRouter
 	completer *completer
 
-	// registry tracks live transactions under cluster-wide IDs; a Cluster
-	// replaces it with one shared across replicas (before any txn exists).
+	// registry tracks live transactions under wire-visible IDs; a Node
+	// salts it before any txn exists.
 	registry *txnRegistry
-
-	// failed marks a cluster replica declared dead by FailReplica. New
-	// northbound transactions refuse to start here (ErrReplicaFailed);
-	// everything already migrated runs on the survivors.
-	failed atomic.Bool
 
 	mu  sync.Mutex
 	mbs map[string]*mbConn
@@ -166,13 +161,6 @@ type Controller struct {
 
 	introMu   sync.Mutex
 	introSubs []func(mb string, ev *sbi.Event)
-
-	// clustered marks this controller as a replica of a multi-replica
-	// Cluster (set once, before Serve). Connections owned by a lone
-	// controller — or a replicas=1 cluster — can never be handed off, so
-	// their routing paths skip the handoff freeze lock entirely and run
-	// the exact pre-cluster fast path.
-	clustered bool
 
 	txnWG sync.WaitGroup
 
@@ -261,10 +249,10 @@ func (c *Controller) handleConn(conn *sbi.Conn) {
 }
 
 // serveMB upgrades the connection to the hello's codec, registers the
-// middlebox, and runs its read loop until disconnect. The single-controller
-// accept path calls it after receiving the hello itself; a Cluster receives
-// the hello in its own accept loop (to consult the directory) and hands the
-// connection to the owning replica here.
+// middlebox, and runs its read loop until disconnect. The controller's
+// accept path calls it after receiving the hello itself; a Node receives the
+// hello in its own accept loop (to commit ownership first) and hands the
+// connection over here.
 func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	// The hello (always JSON) may announce a faster codec for everything
 	// after it; the controller's side of the connection follows suit.
@@ -294,23 +282,16 @@ func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	// The MB disconnected: drain the event router (queued events route
 	// against whatever transactions remain — the purge below cleans up),
 	// fail outstanding calls with the reason, drop the routing state, and
-	// deregister — from whichever replica owns it now. The handoff
-	// read-lock serializes this cleanup against a concurrent ownership
-	// transfer, so the purge and the deregistration hit the same
-	// controller and a transfer can never resurrect state for a
-	// connection that is already gone.
+	// deregister.
 	close(mb.eventQ)
 	mb.eventWG.Wait()
 	mb.failAll(fmt.Errorf("middlebox disconnected: %w", err))
-	mb.routingLock()
-	cur := mb.controller()
-	cur.router.purgeMB(mb)
-	cur.mu.Lock()
-	if cur.mbs[mb.name] == mb {
-		delete(cur.mbs, mb.name)
+	c.router.purgeMB(mb)
+	c.mu.Lock()
+	if c.mbs[mb.name] == mb {
+		delete(c.mbs, mb.name)
 	}
-	cur.mu.Unlock()
-	mb.routingUnlock()
+	c.mu.Unlock()
 }
 
 // register adds mb to the connection table and wakes its name's waiters;
@@ -354,9 +335,8 @@ func (c *Controller) Addr() string {
 // timeout elapses. Waiters are keyed by name, so a registration wakes only
 // the callers waiting for that middlebox.
 func (c *Controller) WaitForMB(name string, timeout time.Duration) error {
-	// Fast path: already registered — no waiter-registry traffic. (The
-	// Cluster polls this in short slices, so the common case must stay
-	// allocation-free.)
+	// Fast path: already registered — no waiter-registry traffic, so the
+	// common case stays allocation-free.
 	c.mu.Lock()
 	_, ok := c.mbs[name]
 	c.mu.Unlock()
@@ -453,18 +433,10 @@ func (c *Controller) SetEventFilter(mbName, codePrefix string, m packet.FieldMat
 // expires after ttl (0 means no expiry). This is §4.2.2's overload
 // protection — "receive all events only for a limited period of time".
 func (c *Controller) SetEventFilterFor(mbName, codePrefix string, m packet.FieldMatch, enable bool, ttl time.Duration) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.setEventFilterConn(mb, codePrefix, m, enable, ttl)
-}
-
-func (c *Controller) setEventFilterConn(mb *mbConn, codePrefix string, m packet.FieldMatch, enable bool, ttl time.Duration) error {
-	_, err := mb.call(&sbi.Message{
+	_, err := c.call(mbName, &sbi.Message{
 		Type: sbi.MsgRequest, Op: sbi.OpSetEventFilter,
 		Path: codePrefix, Match: m, Enable: enable, TTLNanos: int64(ttl),
-	}, c.opts.CallTimeout)
+	})
 	return err
 }
 
@@ -539,25 +511,26 @@ func (c *Controller) OpLatencies() (move, get, put obs.HistogramSnapshot) {
 	return c.histMove.Snapshot(), c.histGet.Snapshot(), c.histPut.Snapshot()
 }
 
+// LiveTxns reports how many transactions are in flight; zero after WaitTxns
+// returns true. Tests use it to prove failed and aborted operations leak
+// nothing.
+func (c *Controller) LiveTxns() int { return c.registry.Live() }
+
 // Collect implements obs.Collector: controller counters, the three
 // operation-window histograms, and per-connection wire counters.
-func (c *Controller) Collect(e *obs.Emitter) { c.collect(e) }
-
-// collect emits the controller's series with extra label pairs appended
-// (Cluster.Collect uses this to tag each replica).
-func (c *Controller) collect(e *obs.Emitter, labels ...string) {
+func (c *Controller) Collect(e *obs.Emitter) {
 	m := c.Metrics()
-	e.Counter("openmb_moves_started_total", "State-move transactions started.", m.MovesStarted, labels...)
-	e.Counter("openmb_events_forwarded_total", "Reprocess events forwarded to move destinations.", m.EventsForwarded, labels...)
-	e.Counter("openmb_events_buffered_total", "Reprocess events buffered awaiting a put ACK.", m.EventsBuffered, labels...)
-	e.Counter("openmb_state_chunks_moved_total", "State chunks transferred between middleboxes.", m.ChunksMoved, labels...)
-	e.Counter("openmb_state_bytes_moved_total", "State bytes transferred between middleboxes.", m.BytesMoved, labels...)
-	e.Counter("openmb_heartbeat_pings_sent_total", "Liveness probes sent on idle connections.", m.PingsSent, labels...)
-	e.Counter("openmb_heartbeat_pongs_received_total", "Pong-marked done frames received.", m.PongsReceived, labels...)
-	e.Counter("openmb_heartbeat_deaths_total", "Connections closed for missing the heartbeat deadline.", m.HeartbeatDeaths, labels...)
-	e.Histogram("openmb_move_duration_seconds", "Move window: freeze through transfer to last put ACK.", &c.histMove, labels...)
-	e.Histogram("openmb_get_duration_seconds", "Southbound get stream duration (first request to done).", &c.histGet, labels...)
-	e.Histogram("openmb_put_ack_duration_seconds", "Put round trip: request to installation ACK.", &c.histPut, labels...)
+	e.Counter("openmb_moves_started_total", "State-move transactions started.", m.MovesStarted)
+	e.Counter("openmb_events_forwarded_total", "Reprocess events forwarded to move destinations.", m.EventsForwarded)
+	e.Counter("openmb_events_buffered_total", "Reprocess events buffered awaiting a put ACK.", m.EventsBuffered)
+	e.Counter("openmb_state_chunks_moved_total", "State chunks transferred between middleboxes.", m.ChunksMoved)
+	e.Counter("openmb_state_bytes_moved_total", "State bytes transferred between middleboxes.", m.BytesMoved)
+	e.Counter("openmb_heartbeat_pings_sent_total", "Liveness probes sent on idle connections.", m.PingsSent)
+	e.Counter("openmb_heartbeat_pongs_received_total", "Pong-marked done frames received.", m.PongsReceived)
+	e.Counter("openmb_heartbeat_deaths_total", "Connections closed for missing the heartbeat deadline.", m.HeartbeatDeaths)
+	e.Histogram("openmb_move_duration_seconds", "Move window: freeze through transfer to last put ACK.", &c.histMove)
+	e.Histogram("openmb_get_duration_seconds", "Southbound get stream duration (first request to done).", &c.histGet)
+	e.Histogram("openmb_put_ack_duration_seconds", "Put round trip: request to installation ACK.", &c.histPut)
 
 	c.mu.Lock()
 	type connRow struct {
@@ -569,9 +542,9 @@ func (c *Controller) collect(e *obs.Emitter, labels ...string) {
 		rows = append(rows, connRow{name, mb.conn.Counters()})
 	}
 	c.mu.Unlock()
-	e.Gauge("openmb_mbs_registered", "Middlebox connections currently registered.", float64(len(rows)), labels...)
+	e.Gauge("openmb_mbs_registered", "Middlebox connections currently registered.", float64(len(rows)))
 	for _, r := range rows {
-		lbl := append(append([]string(nil), labels...), "conn", r.name, "side", "controller")
+		lbl := []string{"conn", r.name, "side", "controller"}
 		e.Counter("openmb_conn_sent_frames_total", "SBI frames sent on the southbound connection.", r.wc.Sent, lbl...)
 		e.Counter("openmb_conn_received_frames_total", "SBI frames received on the southbound connection.", r.wc.Received, lbl...)
 		e.Counter("openmb_conn_flushes_total", "Transport flushes on the southbound connection.", r.wc.Flushes, lbl...)
@@ -620,27 +593,9 @@ type mbConn struct {
 	// registration); <= 1 keeps the per-event framing.
 	eventBatch int
 
-	// ctrl is the controller (cluster replica) that currently owns this
-	// connection's routing state. A handoff retargets it; everything that
-	// routes through the owner resolves it via controller() under
-	// handoffMu, so a single-replica deployment pays one atomic load and
-	// one uncontended read-lock on the event path.
-	ctrl atomic.Pointer[Controller]
-
-	// handoffMu freezes the connection's flowspace during an ownership
-	// transfer. Every router access on behalf of this MB — event routing,
-	// chunk registration, put ACKs, detach, disconnect purge — holds it
-	// for read (via routingLock); Cluster handoff holds it for write while
-	// it moves the routing state between replicas and swaps ctrl. Events
-	// arriving during the freeze block in order on the connection's read
-	// loop (the replica-scope analogue of a move's buffer-until-ACK
-	// window) and drain against the new owner the moment the transfer
-	// completes.
-	handoffMu sync.RWMutex
-	// noHandoff (immutable after construction) marks connections owned by
-	// an un-clustered controller: no handoff can ever target them, so the
-	// routing paths skip handoffMu.
-	noHandoff bool
+	// ctrl is the controller that registered the connection and owns its
+	// routing state.
+	ctrl *Controller
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -701,25 +656,20 @@ type mbConn struct {
 // seconds into minutes.
 const eventQueueDepth = 32
 
-// newMBConn builds the controller's view of one middlebox connection, owned
-// by c until a handoff moves it.
+// newMBConn builds controller c's view of one middlebox connection.
 func newMBConn(name, kind string, conn *sbi.Conn, c *Controller) *mbConn {
 	mb := &mbConn{
-		name: name, kind: kind, conn: conn,
-		pending:   map[uint64]*call{},
-		eventQ:    make(chan *sbi.Message, eventQueueDepth),
-		drained:   make(chan struct{}, 1),
-		pingStop:  make(chan struct{}),
-		noHandoff: !c.clustered,
+		name: name, kind: kind, conn: conn, ctrl: c,
+		pending:  map[uint64]*call{},
+		eventQ:   make(chan *sbi.Message, eventQueueDepth),
+		drained:  make(chan struct{}, 1),
+		pingStop: make(chan struct{}),
 	}
 	mb.lastRecv.Store(time.Now().UnixNano())
-	mb.ctrl.Store(c)
 	return mb
 }
 
-// heartbeat probes this connection's liveness on behalf of the controller
-// that registered it (which keeps the options and counters stable if a
-// cluster handoff later moves the connection's routing state elsewhere).
+// heartbeat probes this connection's liveness on behalf of its controller.
 // Each tick it measures how long the link has been silent: past one
 // interval it sends an OpPing — fire-and-forget, from a short-lived
 // goroutine so a peer that has stopped reading (blocking our write) cannot
@@ -819,24 +769,6 @@ func (mb *mbConn) drainEvents(timeout time.Duration) {
 		}
 	}
 	mb.signalDrained()
-}
-
-// controller returns the replica that currently owns this connection.
-func (mb *mbConn) controller() *Controller { return mb.ctrl.Load() }
-
-// routingLock/routingUnlock take the connection's handoff freeze lock for
-// read around one router operation. Un-clustered connections skip it: their
-// owner can never change, so the pre-cluster fast path stays intact.
-func (mb *mbConn) routingLock() {
-	if !mb.noHandoff {
-		mb.handoffMu.RLock()
-	}
-}
-
-func (mb *mbConn) routingUnlock() {
-	if !mb.noHandoff {
-		mb.handoffMu.RUnlock()
-	}
 }
 
 // call is one outstanding request. Streaming responses (get chunks) are
@@ -991,7 +923,7 @@ func (mb *mbConn) readLoop() error {
 				// (no request ID), so the pending lookup below finds
 				// nothing and skips it — exactly what a pre-pong
 				// controller did with the unmarked reply.
-				mb.controller().pongsRecv.Add(1)
+				mb.ctrl.pongsRecv.Add(1)
 			}
 			mb.mu.Lock()
 			cl := mb.pending[m.ID]
@@ -1021,12 +953,12 @@ func (mb *mbConn) readLoop() error {
 	}
 }
 
-// send routes one southbound frame through the owning replica's flush
+// send routes one southbound frame through the controller's flush
 // scheduler: the frame encodes immediately (deferred) and the connection is
 // flushed on the scheduler's next pass, so concurrent senders across all
 // connections share flushes instead of each paying its own.
 func (mb *mbConn) send(m *sbi.Message) error {
-	return mb.controller().flusher.send(mb.conn, m)
+	return mb.ctrl.flusher.send(mb.conn, m)
 }
 
 // call sends a request and waits for its single done/error reply.

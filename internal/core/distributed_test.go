@@ -76,10 +76,7 @@ func newTestNode(t *testing.T, name string, tr sbi.Transport) *Node {
 	n := NewNode(NodeOptions{
 		Name:            name,
 		PeerCallTimeout: 400 * time.Millisecond,
-		Cluster: ClusterOptions{
-			Replicas:   1,
-			Controller: Options{QuietPeriod: 60 * time.Millisecond},
-		},
+		Cluster:         ClusterOptions{Controller: Options{QuietPeriod: 60 * time.Millisecond}},
 	})
 	if err := n.Serve(tr, "127.0.0.1:0"); err != nil {
 		t.Skipf("no loopback networking: %v", err)
@@ -136,7 +133,7 @@ func TestNodeJoinMeshAndDirectory(t *testing.T) {
 	}
 
 	attachNodeMB(t, "mb1", mbtest.NewCounterLogic(16), a.Addr())
-	if err := a.Cluster.WaitForMB("mb1", 10*time.Second); err != nil {
+	if err := a.WaitForMB("mb1", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The registration was only accepted after the quorum round, so every
@@ -169,7 +166,7 @@ func TestNodePullMovesSession(t *testing.T) {
 
 	logic := mbtest.NewCounterLogic(16)
 	attachNodeMB(t, "m1", logic, a.Addr())
-	if err := a.Cluster.WaitForMB("m1", 10*time.Second); err != nil {
+	if err := a.WaitForMB("m1", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	logic.Preload(10)
@@ -177,11 +174,11 @@ func TestNodePullMovesSession(t *testing.T) {
 	if err := b.Pull("m1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Cluster.find("m1"); err != nil {
+	if _, err := b.Controller.mb("m1"); err != nil {
 		t.Fatalf("pulled middlebox not registered at b: %v", err)
 	}
 	waitUntil(t, 5*time.Second, "deregistration at a", func() bool {
-		return len(a.Cluster.Middleboxes()) == 0
+		return len(a.Middleboxes()) == 0
 	})
 	for _, n := range []*Node{a, b} {
 		if owner, _ := n.Lookup("m1"); owner != "b" {
@@ -238,10 +235,10 @@ func TestNodeCrossNodeMoveConservation(t *testing.T) {
 	dst := mbtest.NewCounterLogic(16)
 	srcRT := attachNodeMB(t, "src", src, a.Addr())
 	attachNodeMB(t, "dst", dst, b.Addr())
-	if err := a.Cluster.WaitForMB("src", 10*time.Second); err != nil {
+	if err := a.WaitForMB("src", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Cluster.WaitForMB("dst", 10*time.Second); err != nil {
+	if err := b.WaitForMB("dst", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	src.Preload(flows)
@@ -267,7 +264,7 @@ func TestNodeCrossNodeMoveConservation(t *testing.T) {
 			t.Fatal("source did not drain")
 		}
 	}
-	if !b.Cluster.WaitTxns(30 * time.Second) {
+	if !b.WaitTxns(30 * time.Second) {
 		t.Fatal("cross-node move transactions did not complete")
 	}
 	if !srcRT.Drain(10 * time.Second) {
@@ -286,11 +283,11 @@ func TestNodeCrossNodeMoveConservation(t *testing.T) {
 	if got := dst.Flows(); got != flows {
 		t.Fatalf("destination holds %d flows, want %d", got, flows)
 	}
-	assertRoutersQuiescent(t, b.Cluster)
-	if got := b.Cluster.registry.Live(); got != 0 {
+	assertRoutersQuiescent(t, b.Controller)
+	if got := b.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked at b", got)
 	}
-	if got := a.Cluster.registry.Live(); got != 0 {
+	if got := a.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked at a", got)
 	}
 }
@@ -318,7 +315,7 @@ func TestNodePartitionRefusesOwnership(t *testing.T) {
 		})
 	}
 	attachNodeMB(t, "mb1", mbtest.NewCounterLogic(16), a.Addr())
-	if err := a.Cluster.WaitForMB("mb1", 10*time.Second); err != nil {
+	if err := a.WaitForMB("mb1", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "mb1 in c's directory", func() bool {
@@ -333,13 +330,13 @@ func TestNodePartitionRefusesOwnership(t *testing.T) {
 	// ownership: its quorum round goes dark) and land on a instead — the
 	// rotation through its candidate list is the failover.
 	attachNodeMB(t, "mb2", mbtest.NewCounterLogic(16), c.Addr()+","+a.Addr())
-	if err := a.Cluster.WaitForMB("mb2", 20*time.Second); err != nil {
+	if err := a.WaitForMB("mb2", 20*time.Second); err != nil {
 		t.Fatalf("refused middlebox never failed over to the majority: %v", err)
 	}
 	if got := c.dirRefusals.Load(); got == 0 {
 		t.Fatal("partitioned node refused nothing")
 	}
-	if got := c.Cluster.Middleboxes(); len(got) != 0 {
+	if got := c.Middleboxes(); len(got) != 0 {
 		t.Fatalf("partitioned node accepted a registration: %v", got)
 	}
 	// Stale-but-safe reads: the partitioned node still answers from its
@@ -360,7 +357,7 @@ func TestNodePartitionRefusesOwnership(t *testing.T) {
 	// The healed node commits registrations again, and the commit reaches
 	// the majority side's directories.
 	attachNodeMB(t, "mb3", mbtest.NewCounterLogic(16), c.Addr())
-	if err := c.Cluster.WaitForMB("mb3", 20*time.Second); err != nil {
+	if err := c.WaitForMB("mb3", 20*time.Second); err != nil {
 		t.Fatalf("healed node cannot accept registrations: %v", err)
 	}
 	waitUntil(t, 10*time.Second, "mb3 propagated to a", func() bool {
@@ -378,10 +375,10 @@ func TestTCPClusterReconnectFlapStorm(t *testing.T) {
 	const pairs, flows, rounds, storms = 2, 20, 3, 2
 	before := runtime.NumGoroutine()
 	ft := faults.New(sbi.TCPTransport{}, faults.Options{Seed: 42})
-	cl := NewCluster(ClusterOptions{Replicas: 3, Controller: Options{
+	cl := NewController(Options{
 		QuietPeriod:       60 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
-	}})
+	})
 	if err := cl.Serve(ft, "127.0.0.1:0"); err != nil {
 		t.Skipf("no loopback networking: %v", err)
 	}

@@ -16,17 +16,16 @@ import (
 // router moves, the reply arrives and drainEvents returns on the router's
 // signal.
 func TestEventQueueBackpressuresReadLoop(t *testing.T) {
-	c := NewController(Options{})
+	c := NewController(Options{Shards: 1})
 	defer c.Close()
 	ctrlSide, mbSide := net.Pipe()
 	mb := newMBConn("mb", "counter", sbi.NewConn(ctrlSide), c)
 	peer := sbi.NewConn(mbSide)
 	defer peer.Close()
 	defer mb.conn.Close()
-	// Route through the handoff lock, and hold it: the router stalls on the
-	// first event.
-	mb.noHandoff = false
-	mb.handoffMu.Lock()
+	// Hold the one router shard: the router stalls on the first event.
+	sh := &c.router.shards[0]
+	sh.mu.Lock()
 	mb.eventWG.Add(1)
 	go mb.eventRouter()
 	go func() { _ = mb.readLoop() }()
@@ -59,7 +58,7 @@ func TestEventQueueBackpressuresReadLoop(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	mb.handoffMu.Unlock()
+	sh.mu.Unlock()
 	select {
 	case m := <-cl.ch:
 		if m.ID != id {

@@ -1,6 +1,6 @@
 package core
 
-// Failure-domain tests: replica failure mid-move (the kill-a-replica chaos
+// Failure-domain tests: a node's controller killed mid-move (the chaos
 // scenario), heartbeat liveness detection, truncated-hello timeouts on both
 // accept paths, a reconnect flap storm through the fault-injection
 // transport, and an asymmetric partition. CI runs this file under -race.
@@ -21,20 +21,24 @@ import (
 )
 
 // recoverySLO is the stated bound on failure recovery: from the instant a
-// replica is declared dead until an aborted cross-partition move has rolled
-// back and re-run to completion on the survivors. Generous against CI -race
-// slowness; the interactive path is dominated by one quiet period and the
-// re-streamed transfer, tens of milliseconds here.
+// coordinator dies until its aborted move has rolled back and re-run to
+// completion on a survivor. Generous against CI -race slowness; the
+// interactive path is dominated by the middleboxes' redial, one quiet
+// period and the re-streamed transfer.
 const recoverySLO = 5 * time.Second
 
-// TestFailReplicaMidMove is the kill-a-replica-mid-move chaos scenario: a
-// gated logic pins pair 0's move provably mid-data-phase — registered keys,
-// outstanding puts, buffered events all live on the coordinating replica —
-// and that replica is then declared failed, under live traffic, with
-// heartbeats running. The move must roll back and re-run on the survivors
-// within the recovery SLO, with zero packet loss (combined counts exact),
-// no leaked transactions, and no heartbeat false positives — over a clean
-// wire and over one that splits writes and jitters them.
+// TestFailReplicaMidMove is the kill-a-controller-mid-move chaos scenario,
+// where each controller replica is a node: a gated logic pins pair 0's move,
+// coordinated by node a, provably mid-data-phase — registered keys,
+// outstanding puts, buffered events all live at a, and the destination
+// holds part of the state — and a is then closed like a crashed process,
+// under live traffic, with heartbeats running. The middleboxes fail over
+// down their address lists to node b, which runs RecoverMove; pair 1 moves
+// on b throughout. Node c is the quorum witness: with a dead, b commits the
+// failed-over registrations 2-of-3. Zero packet loss (combined counts
+// exact), quiescent routers, no leaked transactions, recovery inside the
+// SLO and no heartbeat false positives — over a clean wire and over one
+// that splits writes and jitters them.
 func TestFailReplicaMidMove(t *testing.T) {
 	t.Run("MemTransport", func(t *testing.T) { failReplicaMidMove(t, sbi.NewMemTransport()) })
 	t.Run("FaultyTransport", func(t *testing.T) {
@@ -49,17 +53,28 @@ func TestFailReplicaMidMove(t *testing.T) {
 
 func failReplicaMidMove(t *testing.T, tr sbi.Transport) {
 	const pairs, flows, rounds = 2, 40, 5
-	r := newClusterRigOpts(t, 3, pairs, true, Options{
+	r := newNodeRig(t, tr, Options{
 		QuietPeriod:       60 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
 		// Frames smaller than the gate's ten chunks, and the kill waits
 		// for one to land: the destination holds a partial copy when the
-		// replica dies, so the rollback's delete there is what keeps the
-		// restart from counting it twice.
+		// coordinator dies, so the rollback's delete there is what keeps
+		// the restart from counting it twice.
 		BatchSize: 4,
-	}, tr)
+	}, "a", "b", "c")
+	a, b := r.nodes["a"], r.nodes["b"]
+	gate := newGateLogic(10)
+	srcs := []*mbtest.CounterLogic{gate.CounterLogic, mbtest.NewCounterLogic(16)}
+	dsts := []*mbtest.CounterLogic{mbtest.NewCounterLogic(16), mbtest.NewCounterLogic(16)}
+	// Pair 0 prefers the doomed coordinator and fails over to b; pair 1
+	// lives on b.
+	r.attach("src0", gate, "a,b")
+	r.attach("dst0", dsts[0], "a,b")
+	r.attach("src1", srcs[1], "b,a")
+	r.attach("dst1", dsts[1], "b,a")
+	coord := []*Node{a, b}
 	for i := 0; i < pairs; i++ {
-		r.srcs[i].Preload(flows)
+		srcs[i].Preload(flows)
 	}
 
 	var traffic sync.WaitGroup
@@ -83,130 +98,65 @@ func failReplicaMidMove(t *testing.T, tr sbi.Transport) {
 		moves.Add(1)
 		go func(i int) {
 			defer moves.Done()
-			moveErrs[i] = r.cl.MoveInternal(fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i), packet.MatchAll)
+			moveErrs[i] = coord[i].MoveInternal(fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i), packet.MatchAll)
 		}(i)
 	}
 
-	// The gate guarantees pair 0's move is frozen mid-stream when the
-	// coordinating replica (the move source's owner) dies.
-	r.gate.awaitReached(t, r.rts["src0"])
-	for deadline := time.Now().Add(gateDeadline); r.dsts[0].Flows() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("no frame of the pinned move reached the destination")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	coord, err := r.cl.ReplicaOf("src0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The gate guarantees pair 0's move is frozen mid-stream when its
+	// coordinator dies.
+	gate.awaitReached(t, r.rts["src0"])
+	waitUntil(t, gateDeadline, "a frame of the pinned move at the destination", func() bool { return dsts[0].Flows() > 0 })
 	start := time.Now()
-	if err := r.cl.FailReplica(coord); err != nil {
-		t.Fatalf("fail replica %d: %v", coord, err)
-	}
-	close(r.gate.release)
+	a.Close()
+	close(gate.release)
 	moves.Wait()
-	recovery := time.Since(start)
-	for i, err := range moveErrs {
-		if err != nil {
-			t.Fatalf("move %d across replica failure: %v", i, err)
+	if moveErrs[0] == nil {
+		t.Fatal("the move a coordinated survived a's crash")
+	}
+	if moveErrs[1] != nil {
+		t.Fatalf("move on the survivor across a's crash: %v", moveErrs[1])
+	}
+	for _, name := range []string{"src0", "dst0"} {
+		if err := b.WaitForMB(name, recoverySLO); err != nil {
+			t.Fatalf("%s never failed over to b: %v", name, err)
 		}
 	}
-	if recovery > recoverySLO {
+	if err := b.RecoverMove("src0", "dst0", packet.MatchAll); err != nil {
+		t.Fatalf("recover move: %v", err)
+	}
+	if recovery := time.Since(start); recovery > recoverySLO {
 		t.Fatalf("recovery took %v, SLO %v", recovery, recoverySLO)
 	}
 
 	traffic.Wait()
 	r.drainAll(t)
-	if !r.cl.WaitTxns(30 * time.Second) {
-		t.Fatal("transactions did not complete after replica failure")
+	if !b.WaitTxns(30 * time.Second) {
+		t.Fatal("transactions did not complete after the crash")
 	}
 	r.drainAll(t)
 
-	// The mid-flight move really was aborted and restarted, not silently
-	// completed on the dead coordinator.
-	if got := r.cl.Metrics().MovesStarted; got < pairs+1 {
-		t.Fatalf("only %d moves started; the failure aborted nothing", got)
-	}
 	// Conservation: 1 preloaded count + `rounds` packets per flow, exactly
-	// once each, across abort, rollback, and restart.
+	// once each, across the crash, the rollback, and the restart.
 	for i := 0; i < pairs; i++ {
 		for f := 0; f < flows; f++ {
 			k := mbtest.FlowN(f)
-			if got := r.srcs[i].Count(k) + r.dsts[i].Count(k); got != rounds+1 {
+			if got := srcs[i].Count(k) + dsts[i].Count(k); got != rounds+1 {
 				t.Fatalf("pair %d flow %d: combined count %d, want %d", i, f, got, rounds+1)
 			}
 		}
-		if got := r.srcs[i].Flows(); got != 0 {
-			t.Fatalf("pair %d: source still holds %d flows after recovered move", i, got)
+		if got := srcs[i].Flows(); got != 0 {
+			t.Fatalf("pair %d: source still holds %d flows after the move", i, got)
 		}
-		if got := r.dsts[i].Flows(); got != flows {
+		if got := dsts[i].Flows(); got != flows {
 			t.Fatalf("pair %d: destination holds %d flows, want %d", i, got, flows)
 		}
 	}
-	assertRoutersQuiescent(t, r.cl)
-	if got := r.cl.registry.Live(); got != 0 {
+	assertRoutersQuiescent(t, b.Controller)
+	if got := b.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked in the registry", got)
 	}
-	if got := r.cl.Metrics().HeartbeatDeaths; got != 0 {
+	if got := b.Metrics().HeartbeatDeaths; got != 0 {
 		t.Fatalf("heartbeats killed %d live connections under load", got)
-	}
-}
-
-// TestFailReplicaValidation covers the edges: bad indices, double failure,
-// failing the last live replica, and the failed replica being refused as a
-// rebalance or drain target — while the surviving cluster keeps serving
-// every northbound operation.
-func TestFailReplicaValidation(t *testing.T) {
-	r := newClusterRig(t, 2, 1, false)
-	if err := r.cl.FailReplica(5); err == nil {
-		t.Fatal("out-of-range replica accepted")
-	}
-	if err := r.cl.FailReplica(0); err != nil {
-		t.Fatalf("fail replica 0: %v", err)
-	}
-	if err := r.cl.FailReplica(0); err == nil {
-		t.Fatal("double failure accepted")
-	}
-	if err := r.cl.FailReplica(1); err == nil {
-		t.Fatal("failing the last live replica accepted")
-	}
-	if err := r.cl.Rebalance("src0", 0); err == nil {
-		t.Fatal("rebalance onto a failed replica accepted")
-	}
-	if err := r.cl.Drain(1); err == nil {
-		t.Fatal("drain with no live target accepted")
-	}
-
-	// Everything the dead replica owned migrated; the survivors serve the
-	// full northbound API.
-	for _, name := range []string{"src0", "dst0"} {
-		ri, err := r.cl.ReplicaOf(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ri != 1 {
-			t.Fatalf("%s still on failed replica %d", name, ri)
-		}
-	}
-	if _, err := r.cl.Stats("src0", packet.MatchAll); err != nil {
-		t.Fatalf("stats after failover: %v", err)
-	}
-	if err := r.cl.WriteConfig("src0", "knob", []string{"v"}); err != nil {
-		t.Fatalf("writeConfig after failover: %v", err)
-	}
-	r.srcs[0].Preload(10)
-	if err := r.cl.MoveInternal("src0", "dst0", packet.MatchAll); err != nil {
-		t.Fatalf("move after failover: %v", err)
-	}
-	if got := r.dsts[0].Flows(); got != 10 {
-		t.Fatalf("post-failover move delivered %d flows, want 10", got)
-	}
-	if !r.cl.WaitTxns(10 * time.Second) {
-		t.Fatal("post-failover move did not complete")
-	}
-	if got := r.cl.registry.Live(); got != 0 {
-		t.Fatalf("%d transactions leaked", got)
 	}
 }
 
@@ -277,7 +227,8 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 func TestTruncatedHelloTimesOut(t *testing.T) {
 	opts := Options{HelloTimeout: 50 * time.Millisecond}
 	c := NewController(opts)
-	cl := NewCluster(ClusterOptions{Replicas: 3, Controller: opts})
+	// The cluster arm is a node's accept loop, which reads the hello itself.
+	n := NewNode(NodeOptions{Cluster: ClusterOptions{Controller: opts}})
 	cases := []struct {
 		name    string
 		serve   func(tr sbi.Transport) error
@@ -285,7 +236,7 @@ func TestTruncatedHelloTimesOut(t *testing.T) {
 		waitFor func(name string, d time.Duration) error
 	}{
 		{"controller", func(tr sbi.Transport) error { return c.Serve(tr, "ctrl") }, c.Close, c.WaitForMB},
-		{"cluster", func(tr sbi.Transport) error { return cl.Serve(tr, "ctrl") }, cl.Close, cl.WaitForMB},
+		{"cluster", func(tr sbi.Transport) error { return n.Serve(tr, "ctrl") }, n.Close, n.WaitForMB},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -336,10 +287,10 @@ func TestClusterReconnectFlapStorm(t *testing.T) {
 	const pairs, flows, rounds, storms = 3, 30, 4, 3
 	before := runtime.NumGoroutine()
 	ft := faults.New(sbi.NewMemTransport(), faults.Options{Seed: 42})
-	cl := NewCluster(ClusterOptions{Replicas: 3, Controller: Options{
+	cl := NewController(Options{
 		QuietPeriod:       60 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
-	}})
+	})
 	if err := cl.Serve(ft, "cluster"); err != nil {
 		t.Fatal(err)
 	}

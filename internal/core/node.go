@@ -15,10 +15,9 @@ import (
 	"openmb/internal/sbi"
 )
 
-// Node lifts a Cluster across the process boundary: one controller process
-// per Node, joined to fellow nodes over SBI peer links (peer.go). Within
-// the process the node is an ordinary Cluster — replicas, consistent-hash
-// directory, shared transaction registry; across processes it adds:
+// Node is one controller process of a cluster: exactly one Controller,
+// joined to fellow nodes over SBI peer links (peer.go). Around the
+// controller it adds:
 //
 //   - a replicated middlebox directory (repdir.go): every node holds a full
 //     name → owning-node copy, updated by versioned OpDirUpdate peer ops
@@ -30,15 +29,16 @@ import (
 //     therefore refuses to become an owner it could not prove — while dead
 //     nodes stay in the denominator, so a majority-side survivor keeps
 //     committing after a crash;
-//   - cross-node middlebox movement: Pull asks the owner to freeze the
-//     middlebox, export its routing state as the standard
-//     OpTransferOwnership payload, and redirect the middlebox here; the
+//   - cross-node middlebox movement: Pull asks the owner to export the
+//     middlebox's routing state as the standard OpTransferOwnership
+//     payload and redirect the middlebox here; the
 //     payload's transaction table is resolved through the local registry by
 //     wire ID, with unresolvable (remote-coordinated) transactions dropped
-//     as aborted-remote.
+//     as aborted-remote;
+//   - RecoverMove, a survivor's restart of a move whose coordinator died.
 //
-// Node embeds *Cluster, so the whole northbound API — moves, clones,
-// merges, stats, rebalancing — works unchanged on a node; MoveInternal is
+// Node embeds the controller (through Cluster), so the whole northbound API
+// works on a node for the middleboxes registered here; MoveInternal is
 // shadowed to pull both endpoints local first.
 type Node struct {
 	*Cluster
@@ -60,6 +60,9 @@ type Node struct {
 	dirRefusals    atomic.Uint64
 	peerReconnects atomic.Uint64
 	pulls          atomic.Uint64
+	// dirMissRetries counts findRetry lookups that found the name
+	// unregistered and had to wait for it.
+	dirMissRetries atomic.Uint64
 }
 
 // NodeOptions configures a cluster node.
@@ -77,9 +80,12 @@ type NodeOptions struct {
 	// PullTimeout bounds how long a Pull waits for the released middlebox
 	// to redial this node (default 10s).
 	PullTimeout time.Duration
-	// Cluster configures the in-process replica set. FindRetryWindow
-	// defaults to 2s on a node (cross-process failover gaps include dial
-	// latencies and reconnect backoff) instead of the in-process 250ms.
+	// FindRetryWindow bounds how long MoveInternal and RecoverMove wait for
+	// a middlebox name that transiently resolves nowhere (mid-pull,
+	// mid-recovery, mid-reconnect) before failing (default 2s: failover gaps
+	// include dial latencies and reconnect backoff).
+	FindRetryWindow time.Duration
+	// Cluster configures the node's controller.
 	Cluster ClusterOptions
 }
 
@@ -91,7 +97,7 @@ func nodeSalt(name string) uint64 {
 	return (mix64(f.Sum64()) & 0xFFFF) << 48
 }
 
-// NewNode creates a node wrapping a fresh Cluster.
+// NewNode creates a node around a fresh controller.
 func NewNode(opts NodeOptions) *Node {
 	if opts.Name == "" {
 		opts.Name = "node"
@@ -102,8 +108,8 @@ func NewNode(opts NodeOptions) *Node {
 	if opts.PullTimeout <= 0 {
 		opts.PullTimeout = 10 * time.Second
 	}
-	if opts.Cluster.FindRetryWindow <= 0 {
-		opts.Cluster.FindRetryWindow = 2 * time.Second
+	if opts.FindRetryWindow <= 0 {
+		opts.FindRetryWindow = 2 * time.Second
 	}
 	cl := NewCluster(opts.Cluster)
 	cl.registry.seed(nodeSalt(opts.Name))
@@ -122,8 +128,8 @@ func NewNode(opts NodeOptions) *Node {
 func (n *Node) Name() string { return n.name }
 
 // Serve starts the node's accept loop: middlebox hellos are quorum-committed
-// into the replicated directory and handed to the owning replica; peer
-// hellos are answered and become node-to-node links.
+// into the replicated directory and handed to the controller; peer hellos
+// are answered and become node-to-node links.
 func (n *Node) Serve(tr sbi.Transport, addr string) error {
 	l, err := tr.Listen(addr)
 	if err != nil {
@@ -166,7 +172,7 @@ func (n *Node) acceptLoop(l net.Listener) {
 		}
 		go func() {
 			conn := sbi.NewConn(raw)
-			_ = conn.SetReadDeadline(time.Now().Add(n.replicas[0].opts.HelloTimeout))
+			_ = conn.SetReadDeadline(time.Now().Add(n.Controller.opts.HelloTimeout))
 			hello, err := conn.Receive()
 			if err != nil || hello.Type != sbi.MsgHello || hello.Name == "" {
 				conn.Close()
@@ -187,7 +193,7 @@ func (n *Node) acceptLoop(l net.Listener) {
 				conn.Close()
 				return
 			}
-			n.replicas[n.Cluster.dir.owner(hello.Name)].serveMB(conn, hello)
+			n.Controller.serveMB(conn, hello)
 		}()
 	}
 }
@@ -466,30 +472,18 @@ func (n *Node) servePeerRequest(p *peerConn, m *sbi.Message) {
 }
 
 // releaseMB gives up a locally registered middlebox to the node at toAddr:
-// freeze, export the routing state (the caller ships it back in the reply),
-// then redirect the middlebox so it redials its new owner. The redirect
-// happens outside the freeze — holding the handoff write-lock across a
-// middlebox round trip would deadlock against its read loop — so events the
-// middlebox raises in the short window between export and reconnect land as
-// orphans and are recovered by the standard rollback machinery.
+// export its routing state (the caller ships it back in the reply), then
+// redirect the middlebox so it redials its new owner. Nothing freezes the
+// connection, so events the middlebox raises between the export and the
+// redirect route here, land as orphans and die with the connection;
+// RecoverMove restores any move they belonged to.
 func (n *Node) releaseMB(mbName, toAddr string) (*sbi.Handoff, error) {
-	cl := n.Cluster
-	cl.mu.Lock()
-	c, mb, err := cl.find(mbName)
+	c := n.Controller
+	mb, err := c.mb(mbName)
 	if err != nil {
-		cl.mu.Unlock()
 		return nil, err
 	}
-	mb.handoffMu.Lock()
-	if mb.controller() != c {
-		mb.handoffMu.Unlock()
-		cl.mu.Unlock()
-		return nil, fmt.Errorf("core: release %q: ownership changed mid-freeze", mbName)
-	}
 	h := c.router.exportHandoff(mb)
-	mb.handoffMu.Unlock()
-	cl.mu.Unlock()
-
 	if toAddr != "" {
 		_, _ = mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpRedirect, Addr: toAddr}, c.opts.CallTimeout)
 	}
@@ -497,14 +491,14 @@ func (n *Node) releaseMB(mbName, toAddr string) (*sbi.Handoff, error) {
 }
 
 // Pull moves ownership of a middlebox to this node: ask the current owner
-// to release it (freeze + export + redirect), wait for the middlebox to
-// redial here (its registration quorum-commits the directory change), then
-// import the exported routing state from the wire payload through the local
-// registry. Remote-coordinated transactions resolve to nothing and drop as
+// to release it (export + redirect), wait for the middlebox to redial here
+// (its registration quorum-commits the directory change), then import the
+// exported routing state from the wire payload through the local registry.
+// Remote-coordinated transactions resolve to nothing and drop as
 // aborted-remote; a subsequent RecoverMove restores any move they were
 // mid-flight on. Pulling an already-local middlebox is a no-op.
 func (n *Node) Pull(mbName string) error {
-	if _, _, err := n.Cluster.find(mbName); err == nil {
+	if _, err := n.Controller.mb(mbName); err == nil {
 		return nil
 	}
 	owner, ok := n.repdir.lookup(mbName)
@@ -522,29 +516,45 @@ func (n *Node) Pull(mbName string) error {
 	if err != nil {
 		return err
 	}
-	if err := n.Cluster.WaitForMB(mbName, n.opts.PullTimeout); err != nil {
+	if err := n.Controller.WaitForMB(mbName, n.opts.PullTimeout); err != nil {
 		return fmt.Errorf("core: node %s: released middlebox %q never redialed: %w", n.name, mbName, err)
 	}
 	if resp.Handoff != nil && len(resp.Handoff.Keys) > 0 {
-		c, mb, err := n.Cluster.findRetry(mbName)
+		mb, err := n.findRetry(mbName)
 		if err != nil {
 			return err
 		}
-		mb.handoffMu.Lock()
-		_, ierr := c.router.importHandoff(mb, resp.Handoff, n.Cluster.registry)
-		mb.handoffMu.Unlock()
-		if ierr != nil {
-			return ierr
+		if _, err := n.Controller.router.importHandoff(mb, resp.Handoff, n.Controller.registry); err != nil {
+			return err
 		}
 	}
 	n.pulls.Add(1)
 	return nil
 }
 
-// MoveInternal shadows Cluster.MoveInternal with cross-node awareness: both
-// endpoints are pulled local first (the wire handoff travels on the peer
-// link; the middlebox redials), then the move runs on the local cluster
-// unchanged.
+// findRetry resolves a registered middlebox, waiting up to FindRetryWindow
+// on the controller's WaitForMB registry for a name that transiently
+// resolves nowhere (mid-pull, mid-recovery, mid-reconnect), so the
+// northbound API rides out that window instead of surfacing a spurious
+// unknown-middlebox error.
+func (n *Node) findRetry(name string) (*mbConn, error) {
+	deadline := time.Now().Add(n.opts.FindRetryWindow)
+	for {
+		mb, err := n.Controller.mb(name)
+		if err == nil {
+			return mb, nil
+		}
+		n.dirMissRetries.Add(1)
+		if n.Controller.WaitForMB(name, time.Until(deadline)) != nil {
+			return nil, err
+		}
+	}
+}
+
+// MoveInternal shadows Controller.MoveInternal with cross-node awareness:
+// both endpoints are pulled local first (the wire handoff travels on the
+// peer link; the middlebox redials), then the move runs on this node's
+// controller unchanged.
 func (n *Node) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
 	if err := n.Pull(srcMB); err != nil {
 		return err
@@ -552,7 +562,73 @@ func (n *Node) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
 	if err := n.Pull(dstMB); err != nil {
 		return err
 	}
-	return n.Cluster.MoveInternal(srcMB, dstMB, m)
+	src, dst, err := n.findPair(srcMB, dstMB)
+	if err != nil {
+		return err
+	}
+	return n.Controller.moveConns(src, dst, m)
+}
+
+// RecoverMove restores a move whose coordinating node died mid-flight: its
+// registry, and with it every live transaction, died with it, so whichever
+// node the middleboxes reconnect to rolls the half-applied transfer back to
+// "the move never happened" and runs the move again from scratch. Both
+// middleboxes must be registered here. It is safe on a move that never
+// started or whose data phase finished, but not on one that completed: the
+// rollback would delete the destination's only copy.
+func (n *Node) RecoverMove(srcMB, dstMB string, m packet.FieldMatch) error {
+	src, dst, err := n.findPair(srcMB, dstMB)
+	if err != nil {
+		return err
+	}
+	n.rollbackMove(src, dst, m)
+	return n.Controller.moveConns(src, dst, m)
+}
+
+func (n *Node) findPair(srcMB, dstMB string) (src, dst *mbConn, err error) {
+	if src, err = n.findRetry(srcMB); err != nil {
+		return nil, nil, err
+	}
+	if dst, err = n.findRetry(dstMB); err != nil {
+		return nil, nil, err
+	}
+	return src, dst, nil
+}
+
+// rollbackMove undoes a move whose coordinator died mid-data-phase.
+// Conservation rests on one fact about the middlebox runtime: live packets
+// are ALWAYS counted at the source, marked or not (marks only trigger
+// reprocess events; replay-time skips apply to replays, not live traffic).
+// Source state is never deleted before a move completes, so the source
+// still holds a complete, correct copy — snapshot values plus every
+// in-window increment — and rollback reduces to wiping the destination's
+// partial copy and the transfer's bookkeeping:
+//
+//  1. clear the source's per-flow transaction marks under m. The source
+//     cancels every get still running under m and waits for it to exit
+//     before it clears, so no key under m is marked once this returns and
+//     no new reprocess event can be raised;
+//  2. sleep one quiet period: events raised just before the clear may still
+//     be in the source's coalescing outbox or on the wire, and replays
+//     already forwarded may still be in the destination's ingress ring (the
+//     timing argument the normal completion path's quiet period rests on);
+//  3. drain the source's event pipeline (received-but-unrouted events), so
+//     every stale event has landed in an orphan list;
+//  4. purge those orphans: their packets' increments are inside the
+//     restart's snapshot, so letting the restart adopt and replay them
+//     would double-count;
+//  5. delete the half-installed per-flow state at the destination. This
+//     presumes the destination holds no independent state under m — the
+//     standing precondition for a per-flow move to be meaningful at all.
+func (n *Node) rollbackMove(src, dst *mbConn, m packet.FieldMatch) {
+	c := n.Controller
+	timeout := c.opts.CallTimeout
+	_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m}, timeout)
+	time.Sleep(c.opts.QuietPeriod)
+	src.drainEvents(timeout)
+	c.router.purgeOrphanMatch(src, m)
+	_, _ = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelSupportPerflow, Match: m}, timeout)
+	_, _ = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelReportPerflow, Match: m}, timeout)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +639,7 @@ func (n *Node) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
 // the node down. The timeout bounds the transaction wait; departure
 // announcements use the peer call timeout.
 func (n *Node) Shutdown(timeout time.Duration) {
-	n.Cluster.WaitTxns(timeout)
+	n.Controller.WaitTxns(timeout)
 	n.mu.Lock()
 	links := make([]*peerConn, 0, len(n.peers))
 	for _, p := range n.peers {
@@ -582,9 +658,9 @@ func (n *Node) Shutdown(timeout time.Duration) {
 	n.Close()
 }
 
-// Close stops the node: listener, peer links, then the embedded cluster.
-// Peers are NOT notified (that is Shutdown) — a closed-without-leave node
-// stays in its peers' quorum denominators, like a crash.
+// Close stops the node: listener, peer links, then the controller. Peers
+// are NOT notified (that is Shutdown) — a closed-without-leave node stays in
+// its peers' quorum denominators, like a crash.
 func (n *Node) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -602,15 +678,16 @@ func (n *Node) Close() {
 	for _, p := range links {
 		p.close()
 	}
-	n.Cluster.Close()
+	n.Controller.Close()
 }
 
-// Collect implements obs.Collector: the cluster's series plus the node
+// Collect implements obs.Collector: the controller's series plus the node
 // layer's own counters.
 func (n *Node) Collect(e *obs.Emitter) {
-	n.Cluster.Collect(e)
+	n.Controller.Collect(e)
 	e.Counter("openmb_node_dir_commits_total", "Replicated-directory ownership changes committed under quorum.", n.dirCommits.Load())
 	e.Counter("openmb_node_dir_refusals_total", "Ownership changes refused for lack of quorum (partitioned minority).", n.dirRefusals.Load())
 	e.Counter("openmb_node_peer_reconnects_total", "Peer links re-established after loss.", n.peerReconnects.Load())
 	e.Counter("openmb_node_pulls_total", "Middleboxes pulled from other nodes.", n.pulls.Load())
+	e.Counter("openmb_directory_miss_retries_total", "Northbound lookups that found a middlebox name unregistered and waited for it.", n.dirMissRetries.Load())
 }

@@ -10,24 +10,20 @@ import (
 	"openmb/internal/state"
 )
 
-// The public name-based operations resolve the middlebox in this
-// controller's table and delegate to conn-level helpers. The Cluster
-// resolves names cluster-wide (a concurrent handoff may move a middlebox
-// between replicas mid-call) and invokes the conn-level helpers directly,
-// so an operation can never fail on a re-lookup of a name that just moved.
-
-// ReadConfig implements the northbound readConfig(SrcMB, HierarchicalKey):
-// it returns the configuration leaves under path ("*" or "" for all).
-func (c *Controller) ReadConfig(mbName, path string) ([]state.Entry, error) {
+// call resolves a middlebox by name and sends it one request: the shape of
+// every single-middlebox northbound operation.
+func (c *Controller) call(mbName string, req *sbi.Message) (*sbi.Message, error) {
 	mb, err := c.mb(mbName)
 	if err != nil {
 		return nil, err
 	}
-	return c.readConfigConn(mb, path)
+	return mb.call(req, c.opts.CallTimeout)
 }
 
-func (c *Controller) readConfigConn(mb *mbConn, path string) ([]state.Entry, error) {
-	m, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpGetConfig, Path: path}, c.opts.CallTimeout)
+// ReadConfig implements the northbound readConfig(SrcMB, HierarchicalKey):
+// it returns the configuration leaves under path ("*" or "" for all).
+func (c *Controller) ReadConfig(mbName, path string) ([]state.Entry, error) {
+	m, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpGetConfig, Path: path})
 	if err != nil {
 		return nil, err
 	}
@@ -36,15 +32,7 @@ func (c *Controller) readConfigConn(mb *mbConn, path string) ([]state.Entry, err
 
 // WriteConfig implements writeConfig(DstMB, HierarchicalKey, values).
 func (c *Controller) WriteConfig(mbName, path string, values []string) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.writeConfigConn(mb, path, values)
-}
-
-func (c *Controller) writeConfigConn(mb *mbConn, path string, values []string) error {
-	_, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpSetConfig, Path: path, Values: values}, c.opts.CallTimeout)
+	_, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpSetConfig, Path: path, Values: values})
 	return err
 }
 
@@ -52,29 +40,13 @@ func (c *Controller) writeConfigConn(mb *mbConn, path string, values []string) e
 // middlebox: writeConfig(DstMB, "*", values), the configuration-cloning step
 // of the control applications (§6).
 func (c *Controller) WriteConfigAll(mbName string, entries []state.Entry) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.writeConfigAllConn(mb, entries)
-}
-
-func (c *Controller) writeConfigAllConn(mb *mbConn, entries []state.Entry) error {
-	_, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpSetConfig, Path: "*", Entries: entries}, c.opts.CallTimeout)
+	_, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpSetConfig, Path: "*", Entries: entries})
 	return err
 }
 
 // DelConfig implements delConfig(DstMB, HierarchicalKey).
 func (c *Controller) DelConfig(mbName, path string) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.delConfigConn(mb, path)
-}
-
-func (c *Controller) delConfigConn(mb *mbConn, path string) error {
-	_, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelConfig, Path: path}, c.opts.CallTimeout)
+	_, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelConfig, Path: path})
 	return err
 }
 
@@ -91,20 +63,12 @@ func (c *Controller) CloneConfig(srcMB, dstMB string) error {
 // Stats implements stats(SrcMB, HeaderFieldList): how much shared and
 // per-flow supporting and reporting state exists for the given key.
 func (c *Controller) Stats(mbName string, m packet.FieldMatch) (sbi.StatsReply, error) {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return sbi.StatsReply{}, err
-	}
-	return c.statsConn(mb, m)
-}
-
-func (c *Controller) statsConn(mb *mbConn, m packet.FieldMatch) (sbi.StatsReply, error) {
-	reply, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpStats, Match: m}, c.opts.CallTimeout)
+	reply, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpStats, Match: m})
 	if err != nil {
 		return sbi.StatsReply{}, err
 	}
 	if reply.Stats == nil {
-		return sbi.StatsReply{}, fmt.Errorf("core: %s returned no stats", mb.name)
+		return sbi.StatsReply{}, fmt.Errorf("core: %s returned no stats", mbName)
 	}
 	return *reply.Stats, nil
 }
@@ -114,25 +78,14 @@ func (c *Controller) statsConn(mb *mbConn, m packet.FieldMatch) (sbi.StatsReply,
 // middlebox compiles the predicate once at arm time (sbi.OpTraceFlow);
 // budget<=0 selects the runtime's default.
 func (c *Controller) ArmFlowTrace(mbName string, m packet.FieldMatch, budget int) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.armFlowTraceConn(mb, m, budget, true)
+	_, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTraceFlow, Match: m, Count: budget, Enable: true})
+	return err
 }
 
 // DisarmFlowTrace stops the middlebox's tracer; captured records remain
 // retrievable via FlowTraceRecords.
 func (c *Controller) DisarmFlowTrace(mbName string) error {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return err
-	}
-	return c.armFlowTraceConn(mb, packet.FieldMatch{}, 0, false)
-}
-
-func (c *Controller) armFlowTraceConn(mb *mbConn, m packet.FieldMatch, budget int, enable bool) error {
-	_, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTraceFlow, Match: m, Count: budget, Enable: enable}, c.opts.CallTimeout)
+	_, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTraceFlow})
 	return err
 }
 
@@ -140,15 +93,7 @@ func (c *Controller) armFlowTraceConn(mb *mbConn, m packet.FieldMatch, budget in
 // record per line, in capture order. Dumping does not disturb an armed
 // session.
 func (c *Controller) FlowTraceRecords(mbName string) ([]string, error) {
-	mb, err := c.mb(mbName)
-	if err != nil {
-		return nil, err
-	}
-	return c.flowTraceRecordsConn(mb)
-}
-
-func (c *Controller) flowTraceRecordsConn(mb *mbConn) ([]string, error) {
-	reply, err := mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTraceDump}, c.opts.CallTimeout)
+	reply, err := c.call(mbName, &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTraceDump})
 	if err != nil {
 		return nil, err
 	}
@@ -193,17 +138,9 @@ func (c *Controller) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) erro
 	return c.moveConns(src, dst, m)
 }
 
-// moveConns is MoveInternal on resolved connections. The Cluster calls it
-// directly for cross-partition moves: the endpoints may be registered with
-// other replicas, but the transaction (completer, metrics, WaitTxns
-// accounting) runs here while routing state follows the source connection's
-// current owner (see txn.registerFrame).
+// moveConns is MoveInternal on resolved connections; a Node calls it after
+// resolving names with find-retry.
 func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
-	if c.failed.Load() {
-		// This replica has been declared dead; the caller (Cluster) retries
-		// on the connection's current owner.
-		return ErrReplicaFailed
-	}
 	c.movesStarted.Add(1)
 	moveStart := time.Now()
 	t := newTxn(c, src, dst)
@@ -220,15 +157,6 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		// Credit the frame back to its get whatever becomes of the put: an
 		// uncredited frame would stall the stream, not fail it.
 		defer src.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: j.frame.ID, Count: 1})
-		if t.aborted.Load() {
-			// The coordinating replica was declared failed mid-move: stop
-			// installing state at the destination. The ACKs are skipped
-			// too — rollback wipes the routing entries wholesale, and an
-			// ACK-driven drain here would forward events for state the
-			// rollback is about to delete.
-			fail(ErrReplicaFailed)
-			return
-		}
 		put := &sbi.Message{
 			Type: sbi.MsgRequest, Op: j.op,
 			Chunk: j.frame.Chunk, Chunks: j.frame.Chunks,
@@ -281,9 +209,6 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		}
 		getStart := time.Now()
 		_, err := src.stream(t, get, c.opts.CallTimeout, func(chunk *sbi.Message) error {
-			if t.aborted.Load() {
-				return ErrReplicaFailed
-			}
 			var bytes uint64
 			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
 			c.chunksMoved.Add(uint64(len(chunk.Keys)))
@@ -310,16 +235,15 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	// the source is background completion, not part of the window).
 	c.histMove.Observe(time.Since(moveStart))
 
-	// A failure declared after the last put was issued but before this
-	// point must still abort: once finishAfterQuiet is scheduled the move
-	// is committed to completing (the quiet-period delete at the source is
-	// then the only loss-free ending).
-	if t.aborted.Load() {
-		fail(ErrReplicaFailed)
-	}
-
 	select {
 	case err := <-errCh:
+		// A failed move ends its transaction at the source, or the source
+		// keeps every exported key marked and raising reprocess events no
+		// transaction routes. Events raised before the clear route first;
+		// the destination keeps what it installed, since it may hold state
+		// of its own under m.
+		_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m}, c.opts.CallTimeout)
+		src.drainEvents(c.opts.CallTimeout)
 		t.detach()
 		return err
 	default:
@@ -372,15 +296,6 @@ func (c *Controller) sharedTransfer(srcMB, dstMB string, getOps, putOps []sbi.Op
 	dst, err := c.mb(dstMB)
 	if err != nil {
 		return err
-	}
-	return c.sharedTransferConns(src, dst, getOps, putOps)
-}
-
-// sharedTransferConns is sharedTransfer on resolved connections (the
-// cluster's cross-partition path, mirroring moveConns).
-func (c *Controller) sharedTransferConns(src, dst *mbConn, getOps, putOps []sbi.Op) error {
-	if c.failed.Load() {
-		return ErrReplicaFailed
 	}
 	t := newTxn(c, src, dst)
 	for i, getOp := range getOps {

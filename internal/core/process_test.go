@@ -35,10 +35,7 @@ func TestHelperNodeProcess(t *testing.T) {
 	n := NewNode(NodeOptions{
 		Name:            os.Getenv("OPENMB_HELPER_NAME"),
 		PeerCallTimeout: 400 * time.Millisecond,
-		Cluster: ClusterOptions{
-			Replicas:   1,
-			Controller: Options{QuietPeriod: 60 * time.Millisecond},
-		},
+		Cluster:         ClusterOptions{Controller: Options{QuietPeriod: 60 * time.Millisecond}},
 	})
 	if err := n.Serve(sbi.TCPTransport{}, "127.0.0.1:0"); err != nil {
 		fmt.Printf("ERR serve: %v\n", err)
@@ -164,10 +161,7 @@ func TestProcessKillMidMove(t *testing.T) {
 	n0 := NewNode(NodeOptions{
 		Name:            "n0",
 		PeerCallTimeout: 400 * time.Millisecond,
-		Cluster: ClusterOptions{
-			Replicas:   1,
-			Controller: Options{QuietPeriod: 60 * time.Millisecond},
-		},
+		Cluster:         ClusterOptions{Controller: Options{QuietPeriod: 60 * time.Millisecond}},
 	})
 	if err := n0.Serve(sbi.TCPTransport{}, "127.0.0.1:0"); err != nil {
 		t.Skipf("no loopback networking: %v", err)
@@ -218,10 +212,10 @@ func TestProcessKillMidMove(t *testing.T) {
 
 	// Failover: the runtimes redial down their candidate lists to n0,
 	// whose commits still clear quorum (n0 + n2 of {n0, n1, n2}).
-	if err := n0.Cluster.WaitForMB("src0", 15*time.Second); err != nil {
+	if err := n0.WaitForMB("src0", 15*time.Second); err != nil {
 		t.Fatalf("src0 never failed over to the survivor: %v", err)
 	}
-	if err := n0.Cluster.WaitForMB("dst0", 15*time.Second); err != nil {
+	if err := n0.WaitForMB("dst0", 15*time.Second); err != nil {
 		t.Fatalf("dst0 never failed over to the survivor: %v", err)
 	}
 	if err := n0.RecoverMove("src0", "dst0", packet.MatchAll); err != nil {
@@ -243,7 +237,7 @@ func TestProcessKillMidMove(t *testing.T) {
 			t.Fatalf("%s did not drain", name)
 		}
 	}
-	if !n0.Cluster.WaitTxns(30 * time.Second) {
+	if !n0.WaitTxns(30 * time.Second) {
 		t.Fatal("transactions did not complete after recovery")
 	}
 	for name, rt := range map[string]*mbox.Runtime{"src0": srcRT, "dst0": dstRT} {
@@ -267,8 +261,8 @@ func TestProcessKillMidMove(t *testing.T) {
 	if got := dst.Flows(); got != flows {
 		t.Fatalf("destination holds %d flows, want %d", got, flows)
 	}
-	assertRoutersQuiescent(t, n0.Cluster)
-	if got := n0.Cluster.registry.Live(); got != 0 {
+	assertRoutersQuiescent(t, n0.Controller)
+	if got := n0.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked in the survivor's registry", got)
 	}
 }

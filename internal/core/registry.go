@@ -1,29 +1,14 @@
 package core
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
-// ErrReplicaFailed is the error a northbound operation observes when the
-// cluster replica coordinating it has been declared dead (FailReplica).
-// Cluster-level callers treat it as retryable: the connections themselves
-// survive a replica failure (they are handed off to survivors), so the
-// operation can be rolled back and restarted on the current owner.
-var ErrReplicaFailed = errors.New("core: controller replica failed")
-
-// txnRegistry assigns cluster-wide transaction IDs and tracks every live
-// transaction, so replica-failure recovery can find the in-flight
-// transactions a dead coordinator leaves behind and abort them
-// deterministically (rather than leaking their routing state as orphans).
+// txnRegistry assigns transaction IDs and tracks every live transaction.
 // The IDs are wire-visible: a handoff payload carries them in
 // sbi.Handoff.Txns, parallel to its transfer table, which is what lets a
-// receiving replica — in-process today, cross-process later — name the exact
-// transactions an import re-binds or an abort kills.
-//
-// A lone Controller owns a private registry; a Cluster shares one across its
-// replicas, so IDs stay unique cluster-wide and abortController can sweep by
-// coordinating replica.
+// receiving node name the exact transactions an import re-binds — and treat
+// an ID it cannot resolve as a transaction that died with a remote
+// coordinator. A Node salts its controller's registry (seed), so IDs minted
+// by different processes never collide.
 type txnRegistry struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -80,24 +65,4 @@ func (r *txnRegistry) Live() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.live)
-}
-
-// abortController marks every live transaction coordinated by c as aborted
-// and returns how many it hit. The flag is only acted on by the per-flow
-// move pipeline (its chunk and put stages check it and bail out with
-// ErrReplicaFailed); transactions past their data phase — and shared
-// clone/merge transfers, whose restart would double-merge completed classes
-// — deliberately ignore it and run to completion on the migrated machinery,
-// which is the "recovered" arm of failure handling.
-func (r *txnRegistry) abortController(c *Controller) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, t := range r.live {
-		if t.ctrl == c {
-			t.aborted.Store(true)
-			n++
-		}
-	}
-	return n
 }

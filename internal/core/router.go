@@ -92,9 +92,9 @@ func newTxnRouter(shards int) *txnRouter {
 }
 
 // mix64 is a splitmix-style avalanche finisher: FNV-family hashes of
-// similar short inputs (names like "src0"/"src1") differ by small multiples
-// of the prime, which disperses poorly onto a hash ring. The cluster
-// directory's ring placement finishes with it; FlowID.Hash carries its own.
+// similar short inputs (names like "n0"/"n1") differ by small multiples of
+// the prime. A node's registry salt finishes with it; FlowID.Hash carries
+// its own.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -357,22 +357,17 @@ func forwardEvents(c *Controller, dst *mbConn, evs []*sbi.Event) {
 }
 
 // routeEvent dispatches an MB-raised event: introspection events go to the
-// owning replica's subscribers; reprocess events go to that replica's
-// sharded transaction router. The handoff read-lock pins the owner for the
-// duration of the route — during an ownership transfer the connection's
-// read loop blocks here (in arrival order) and resumes against the new
-// owner's router, which is exactly the freeze-transfer-replay discipline.
+// controller's subscribers; reprocess events go to its sharded transaction
+// router.
 func (mb *mbConn) routeEvent(ev *sbi.Event) {
 	if ev == nil {
 		return
 	}
 	if ev.Kind == sbi.EventIntrospection {
-		mb.controller().notifyIntrospection(mb.name, ev)
+		mb.ctrl.notifyIntrospection(mb.name, ev)
 		return
 	}
-	mb.routingLock()
-	mb.controller().router.route(mb, ev)
-	mb.routingUnlock()
+	mb.ctrl.router.route(mb, ev)
 }
 
 // notifyIntrospection fans one introspection event out to subscribers.
@@ -385,16 +380,13 @@ func (c *Controller) notifyIntrospection(mbName string, ev *sbi.Event) {
 	}
 }
 
-// exportHandoff freezes nothing itself — the caller holds mb's handoff
-// write-lock — but removes and returns every routing entry the router holds
-// for mb: in-transaction key states and orphaned events, rendered as the
-// SBI ownership-transfer payload. Transaction identity travels as registry
-// IDs in the payload's Txns table, so the result is self-contained: any
-// receiver with access to the transaction registry — the next replica over
-// or a different process entirely — can re-bind the keys from the bytes
-// alone. With the write-lock held no route/register/ACK/drain can be in
-// flight, so pending counts and buffers are exact and no key can be
-// flushing.
+// exportHandoff removes and returns every routing entry the router holds for
+// mb — in-transaction key states and orphaned events — rendered as the SBI
+// ownership-transfer payload. Transaction identity travels as registry IDs
+// in the payload's Txns table, so the result is self-contained: a receiving
+// node re-binds the keys from the bytes and its own registry alone. Each
+// shard is exported under its lock; nothing freezes the connection, so an
+// event routed after its shard was visited stays behind (Node.releaseMB).
 func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
 	h := &sbi.Handoff{MB: mb.name}
 	var txns []*txn
@@ -438,11 +430,8 @@ func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
 
 // importHandoff installs a transferred flowspace into this router, resolving
 // the payload's transfer table through reg by wire ID — the payload plus a
-// registry is the complete input, so an import works identically whether the
-// handoff crossed a function call or a process boundary. The caller still
-// holds mb's handoff write-lock, so the entries become visible atomically
-// with the ownership swap. Shard counts may differ between replicas — each
-// router hashes the keys into its own shards.
+// registry is the complete input. Shard counts may differ between nodes —
+// each router hashes the keys into its own shards.
 //
 // IDs reg cannot resolve name transactions that died with a remote
 // coordinator: their keys are dropped (buffered events discarded), the same

@@ -20,16 +20,10 @@ type txn struct {
 	src  *mbConn
 	dst  *mbConn
 
-	// id is the cluster-wide transaction ID the registry assigned (wire-
-	// visible: exported handoffs carry it in sbi.Handoff.Txns). Immutable
-	// after newTxn.
+	// id is the transaction ID the registry assigned (wire-visible:
+	// exported handoffs carry it in sbi.Handoff.Txns). Immutable after
+	// newTxn.
 	id uint64
-
-	// aborted is set by the registry when this transaction's coordinating
-	// replica is declared failed. Only the per-flow move data phase acts on
-	// it (see txnRegistry.abortController for why completions and shared
-	// transfers deliberately ignore it).
-	aborted atomic.Bool
 
 	// lastEvent is the unix-nano time the source last raised an event for
 	// this transaction; the completer reads it to detect quiescence.
@@ -79,25 +73,11 @@ func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64
 // the source's read loop, before the frame is delivered to the move consumer,
 // so event routing can never miss the registration. keys belongs to the
 // transaction afterwards.
-//
-// Routing state lives with whichever cluster replica currently owns the
-// source connection (not necessarily t.ctrl, the replica that started the
-// transaction): the handoff read-lock pins the owner for the duration of
-// the router call, so a concurrent ownership transfer either sees this
-// registration in the state it exports or happens entirely after it.
-func (t *txn) registerFrame(keys []packet.FlowID) {
-	t.src.routingLock()
-	t.src.controller().router.registerFrame(t, keys)
-	t.src.routingUnlock()
-}
+func (t *txn) registerFrame(keys []packet.FlowID) { t.ctrl.router.registerFrame(t, keys) }
 
 // ackFrame marks one put acknowledged for every key of a frame; see
-// txnRouter.ackFrame. Owner resolution follows registerFrame.
-func (t *txn) ackFrame(keys []packet.FlowID) {
-	t.src.routingLock()
-	t.src.controller().router.ackFrame(t, keys)
-	t.src.routingUnlock()
-}
+// txnRouter.ackFrame.
+func (t *txn) ackFrame(keys []packet.FlowID) { t.ctrl.router.ackFrame(t, keys) }
 
 // noteFrame remembers a registered frame's keys for detach.
 func (t *txn) noteFrame(keys []packet.FlowID) {
@@ -239,9 +219,7 @@ func (t *txn) handleSharedEvent(ev *sbi.Event) {
 	forwardEvents(t.ctrl, t.dst, []*sbi.Event{ev})
 }
 
-// detach removes the txn from the routing tables of the replica that
-// currently owns the source connection (handoffs move all of a source's
-// entries together, so one router holds them all). Idempotent.
+// detach removes the txn from its controller's routing tables. Idempotent.
 func (t *txn) detach() {
 	t.mu.Lock()
 	if t.detached {
@@ -251,7 +229,5 @@ func (t *txn) detach() {
 	t.detached = true
 	t.mu.Unlock()
 	t.ctrl.registry.remove(t)
-	t.src.routingLock()
-	t.src.controller().router.detach(t)
-	t.src.routingUnlock()
+	t.ctrl.router.detach(t)
 }

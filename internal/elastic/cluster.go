@@ -14,7 +14,7 @@ import (
 )
 
 // spawnWait bounds how long a scale-out waits for the freshly spawned
-// instance to register with the cluster before giving up.
+// instance to register with the controller before giving up.
 const spawnWait = 2 * time.Second
 
 // txnSettle bounds the transaction-quiescence waits inside ScaleIn. A move's
@@ -24,16 +24,15 @@ const spawnWait = 2 * time.Second
 // destroy, so scale-in refuses to re-import state until the registry drains.
 const txnSettle = 15 * time.Second
 
-// ClusterSource samples a live core.Cluster for the loop. Co-located
-// middlebox runtimes registered with Register are sampled directly — their
-// ingress ring via the tear-proof mbox.Runtime.RingStats and their packet
-// counters via mbox.Runtime.Metrics. Middleboxes known only through their
-// southbound connections (a cross-process daemon deployment) appear as
-// unmanaged instances (Group "") whose Processed is the connection's
-// received-frame counter: they can be migrated but never scaled, since the
-// controller cannot see their ring.
+// ClusterSource samples a live controller's middleboxes for the loop.
+// Co-located middlebox runtimes registered with Register are sampled
+// directly — their ingress ring via the tear-proof mbox.Runtime.RingStats
+// and their packet counters via mbox.Runtime.Metrics. A member registered
+// without a runtime (a process-driver member living in another OS process)
+// is sampled through its southbound connection: Processed is the
+// connection's received-frame counter, and its ring depth is unknown.
 type ClusterSource struct {
-	cl *core.Cluster
+	c *core.Controller
 
 	mu    sync.Mutex
 	insts map[string]regEntry
@@ -44,13 +43,14 @@ type regEntry struct {
 	rt    *mbox.Runtime
 }
 
-// NewClusterSource creates a source over the cluster.
-func NewClusterSource(cl *core.Cluster) *ClusterSource {
-	return &ClusterSource{cl: cl, insts: map[string]regEntry{}}
+// NewClusterSource creates a source over the controller.
+func NewClusterSource(c *core.Controller) *ClusterSource {
+	return &ClusterSource{c: c, insts: map[string]regEntry{}}
 }
 
-// Register makes the runtime an elastically managed instance of the group.
-// Group "" registers it for direct sampling without scale management.
+// Register makes the runtime an elastically managed instance of the group;
+// a nil runtime samples the instance through its connection. Group ""
+// registers it for sampling without scale management.
 func (s *ClusterSource) Register(group, name string, rt *mbox.Runtime) {
 	s.mu.Lock()
 	s.insts[name] = regEntry{group: group, rt: rt}
@@ -74,78 +74,33 @@ func (s *ClusterSource) Sample() Sample {
 	}
 	s.mu.Unlock()
 
-	var out Sample
+	conns := s.c.ConnCounters()
 	names := make([]string, 0, len(reg))
 	for name := range reg {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var out Sample
 	for _, name := range names {
 		e := reg[name]
 		if e.rt == nil {
-			// A process-driver member: the instance lives in another OS
-			// process, so there is no runtime handle to sample. It is still
-			// a managed group member — its load sample comes from the
-			// connection counters below.
+			wc, ok := conns[name]
+			if !ok {
+				continue // not registered (yet, or any more)
+			}
+			out.Instances = append(out.Instances, InstanceSample{MB: name, Group: e.group, Processed: wc.Received})
 			continue
 		}
 		m := e.rt.Metrics()
 		rs := e.rt.RingStats()
-		replica := -1
-		if r, err := s.cl.ReplicaOf(name); err == nil {
-			replica = r
-		}
 		out.Instances = append(out.Instances, InstanceSample{
 			MB:        name,
 			Group:     e.group,
-			Replica:   replica,
 			Processed: m.Processed + m.Replayed,
 			RingDrops: rs.DroppedPackets + rs.DroppedReplays,
 			QueueLen:  rs.Live + rs.Replay,
 			QueueCap:  rs.Capacity,
 		})
-	}
-
-	// Per-replica control-plane load, plus connection-only instances for
-	// middleboxes with no registered runtime.
-	for i := 0; i < s.cl.Replicas(); i++ {
-		ctrl := s.cl.Replica(i)
-		cm := ctrl.Metrics()
-		rs := ReplicaSample{
-			Replica: i,
-			Events:  cm.EventsForwarded,
-			Moves:   cm.MovesStarted,
-		}
-		conns := ctrl.ConnCounters()
-		connNames := make([]string, 0, len(conns))
-		for name := range conns {
-			connNames = append(connNames, name)
-		}
-		sort.Strings(connNames)
-		for _, name := range connNames {
-			wc := conns[name]
-			rs.ControlFrames += wc.Received + wc.Sent
-			if e, ok := reg[name]; ok {
-				if e.rt == nil {
-					// Registered process-driver member, sampled here by its
-					// southbound connection: Group is preserved so the loop
-					// can scale it, Processed is the received-frame proxy.
-					out.Instances = append(out.Instances, InstanceSample{
-						MB:        name,
-						Group:     e.group,
-						Replica:   i,
-						Processed: wc.Received,
-					})
-				}
-				continue
-			}
-			out.Instances = append(out.Instances, InstanceSample{
-				MB:        name,
-				Replica:   i,
-				Processed: wc.Received,
-			})
-		}
-		out.Replicas = append(out.Replicas, rs)
 	}
 	return out
 }
@@ -158,7 +113,7 @@ type Member struct {
 }
 
 // GroupDriver supplies the deployment-specific halves of scaling that the
-// cluster API cannot: creating and destroying instances and steering
+// northbound API cannot: creating and destroying instances and steering
 // traffic. The actuator owns the state-movement choreography; the driver
 // owns everything outside the southbound protocol.
 type GroupDriver interface {
@@ -176,21 +131,19 @@ type GroupDriver interface {
 	Retire(group string, m *Member)
 }
 
-// ClusterActuator executes loop decisions against a live cluster using the
-// existing northbound operations: CloneSupport + MoveInternal for
-// scale-out, MoveInternal + MergeInternal for scale-in, Rebalance for
-// migration. A nil driver selects migrate-only mode (the daemon default,
-// where no co-located runtimes exist to clone).
+// ClusterActuator executes loop decisions against a live controller using
+// the existing northbound operations: CloneSupport + MoveInternal for
+// scale-out, MoveInternal + MergeInternal for scale-in.
 //
 // Scale-in is LIFO: the retiring instance is always the most recently
 // spawned clone and its state merges back into the member it was split
 // from, so repeated scale-out/scale-in cycles retrace their own splits.
 type ClusterActuator struct {
-	cl  *core.Cluster
+	c   *core.Controller
 	src *ClusterSource
 	drv GroupDriver
 
-	// mu guards the membership book only; cluster operations run outside
+	// mu guards the membership book only; northbound operations run outside
 	// it so driver callbacks may consult Members.
 	mu     sync.Mutex
 	groups map[string]*memberBook
@@ -207,10 +160,10 @@ type memberBook struct {
 	ordinal int
 }
 
-// NewClusterActuator creates an actuator. src may be nil when no sampling
-// registration is wanted; drv nil means migrate-only.
-func NewClusterActuator(cl *core.Cluster, src *ClusterSource, drv GroupDriver) *ClusterActuator {
-	return &ClusterActuator{cl: cl, src: src, drv: drv, groups: map[string]*memberBook{}}
+// NewClusterActuator creates an actuator over the controller, acting through
+// the driver. src may be nil when no sampling registration is wanted.
+func NewClusterActuator(c *core.Controller, src *ClusterSource, drv GroupDriver) *ClusterActuator {
+	return &ClusterActuator{c: c, src: src, drv: drv, groups: map[string]*memberBook{}}
 }
 
 // Seed declares an already-running instance as the group's base member and
@@ -253,9 +206,6 @@ func (a *ClusterActuator) book(group string) *memberBook {
 // move completes — during the move the hot instance keeps receiving and
 // marks/forwards the moving flows, so no packet is lost or double-handled.
 func (a *ClusterActuator) ScaleOut(group, hot string) error {
-	if a.drv == nil {
-		return fmt.Errorf("elastic: group %q: no driver (migrate-only actuator)", group)
-	}
 	a.mu.Lock()
 	b := a.book(group)
 	var hotM *Member
@@ -276,18 +226,18 @@ func (a *ClusterActuator) ScaleOut(group, hot string) error {
 		a.spawnFailures.Add(1)
 		return fmt.Errorf("elastic: spawn %s#%d: %w", group, ordinal, err)
 	}
-	if err := a.cl.WaitForMB(clone.Name, spawnWait); err != nil {
+	if err := a.c.WaitForMB(clone.Name, spawnWait); err != nil {
 		a.spawnFailures.Add(1)
 		a.retire(group, clone)
 		return fmt.Errorf("elastic: clone %q never registered: %w", clone.Name, err)
 	}
 	a.spawns.Add(1)
-	if err := a.cl.CloneSupport(hot, clone.Name); err != nil {
+	if err := a.c.CloneSupport(hot, clone.Name); err != nil {
 		a.retire(group, clone)
 		return fmt.Errorf("elastic: clone support %s -> %s: %w", hot, clone.Name, err)
 	}
 	match := a.drv.SplitMatch(group, hotM, clone)
-	if err := a.cl.MoveInternal(hot, clone.Name, match); err != nil {
+	if err := a.c.MoveInternal(hot, clone.Name, match); err != nil {
 		a.retire(group, clone)
 		return fmt.Errorf("elastic: split move %s -> %s: %w", hot, clone.Name, err)
 	}
@@ -310,9 +260,6 @@ func (a *ClusterActuator) ScaleOut(group, hot string) error {
 // races the move; the drain bounds how long in-queue packets may still
 // mutate the retiring state before the move snapshots it.
 func (a *ClusterActuator) ScaleIn(group string) error {
-	if a.drv == nil {
-		return fmt.Errorf("elastic: group %q: no driver (migrate-only actuator)", group)
-	}
 	a.mu.Lock()
 	b := a.groups[group]
 	if b == nil || len(b.members) < 2 {
@@ -349,19 +296,19 @@ func (a *ClusterActuator) ScaleIn(group string) error {
 	// after its quiet period) would otherwise wipe the very records this
 	// merge is about to return. Derouting already cut the event stream that
 	// keeps those transactions alive, so this settles in ~one quiet period.
-	if !a.cl.WaitTxns(txnSettle) {
+	if !a.c.WaitTxns(txnSettle) {
 		return fmt.Errorf("elastic: group %q: transactions never settled before scale-in merge", group)
 	}
-	if err := a.cl.MoveInternal(victim.Name, survivor.Name, packet.MatchAll); err != nil {
+	if err := a.c.MoveInternal(victim.Name, survivor.Name, packet.MatchAll); err != nil {
 		return fmt.Errorf("elastic: merge move %s -> %s: %w", victim.Name, survivor.Name, err)
 	}
-	if err := a.cl.MergeInternal(victim.Name, survivor.Name); err != nil {
+	if err := a.c.MergeInternal(victim.Name, survivor.Name); err != nil {
 		return fmt.Errorf("elastic: merge shared %s -> %s: %w", victim.Name, survivor.Name, err)
 	}
 	// The merge-move's own source delete is deferred too; retire only once
 	// it has landed, so the victim really is empty when the driver disposes
 	// of it.
-	if !a.cl.WaitTxns(txnSettle) {
+	if !a.c.WaitTxns(txnSettle) {
 		return fmt.Errorf("elastic: group %q: merge transactions never settled", group)
 	}
 	a.retire(group, victim)
@@ -380,10 +327,4 @@ func (a *ClusterActuator) Collect(e *obs.Emitter) {
 	e.Counter("openmb_elastic_spawns_total", "Group members spawned and registered by scale-outs.", a.spawns.Load())
 	e.Counter("openmb_elastic_spawn_failures_total", "Spawn attempts that failed or never registered.", a.spawnFailures.Load())
 	e.Counter("openmb_elastic_retires_total", "Group members retired (scale-in merges and failed-spawn cleanups).", a.retires.Load())
-}
-
-// Migrate implements Actuator: the live freeze→transfer→switch replica
-// handoff.
-func (a *ClusterActuator) Migrate(mb string, target int) error {
-	return a.cl.Rebalance(mb, target)
 }

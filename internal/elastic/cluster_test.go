@@ -1,13 +1,10 @@
 package elastic
 
-// Integration beds for the cluster-backed actuator:
+// Integration beds for the controller-backed actuator:
 //
 //   - the clone/merge round-trip equivalence bed — scale out under live
 //     traffic, scale back in, and require the surviving instance's per-flow
 //     state to be byte-identical to a never-scaled control run;
-//   - the chaos bed — kill a controller replica while the armed loop is
-//     mid-scale-out and require the loop to converge on the survivors with
-//     nothing leaked;
 //   - the flash crowd — a paced warm/peak/cool ramp against latency-bound
 //     instances, once with the loop resizing the group and once on the
 //     frozen fleet, which must shed.
@@ -25,7 +22,6 @@ import (
 	"time"
 
 	"openmb/internal/core"
-	"openmb/internal/faults"
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
@@ -65,7 +61,6 @@ func (l *slowLogic) Process(ctx *mbox.Context, p *packet.Packet) {
 // drop count, so the audits cover every instance ever spawned.
 type rangeDriver struct {
 	t         *testing.T
-	cl        *core.Cluster
 	tr        sbi.Transport
 	reconnect bool
 	perPacket time.Duration
@@ -82,9 +77,9 @@ type rangeDriver struct {
 	route atomic.Pointer[[nFlows]*mbox.Runtime]
 }
 
-func newRangeDriver(t *testing.T, cl *core.Cluster, tr sbi.Transport, reconnect bool, perPacket time.Duration, queueSize int) *rangeDriver {
+func newRangeDriver(t *testing.T, tr sbi.Transport, reconnect bool, perPacket time.Duration, queueSize int) *rangeDriver {
 	return &rangeDriver{
-		t: t, cl: cl, tr: tr, reconnect: reconnect,
+		t: t, tr: tr, reconnect: reconnect,
 		perPacket: perPacket, queueSize: queueSize,
 		spawned:    make(chan string, 16),
 		logics:     map[string]*mbtest.CounterLogic{},
@@ -121,7 +116,7 @@ func (d *rangeDriver) connect(name string, logic *mbtest.CounterLogic) *mbox.Run
 		opts.ReconnectMax = 40 * time.Millisecond
 	}
 	rt := mbox.New(name, &slowLogic{CounterLogic: logic, cost: d.perPacket}, opts)
-	if err := rt.Connect(d.tr, "cluster"); err != nil {
+	if err := rt.Connect(d.tr, "controller"); err != nil {
 		d.t.Errorf("connect %s: %v", name, err)
 		rt.Close()
 		return rt
@@ -333,17 +328,14 @@ func schedule(perFlowTotal *[nFlows]int) []int {
 // design: CloneSupport copies the running totals and MergeInternal sums
 // them back, so the shared baseline legitimately double-counts.
 func TestCloneMergeRoundTripEquivalence(t *testing.T) {
-	cl := core.NewCluster(core.ClusterOptions{
-		Replicas:   1,
-		Controller: core.Options{QuietPeriod: 50 * time.Millisecond},
-	})
+	cl := core.NewController(core.Options{QuietPeriod: 50 * time.Millisecond})
 	defer cl.Close()
 	tr := sbi.NewMemTransport()
-	if err := cl.Serve(tr, "cluster"); err != nil {
+	if err := cl.Serve(tr, "controller"); err != nil {
 		t.Fatal(err)
 	}
 
-	drv := newRangeDriver(t, cl, tr, false, 0, 0)
+	drv := newRangeDriver(t, tr, false, 0, 0)
 	defer drv.closeAll()
 	seed := drv.seed("m0", nFlows)
 	if err := cl.WaitForMB("m0", 5*time.Second); err != nil {
@@ -444,128 +436,6 @@ func TestCloneMergeRoundTripEquivalence(t *testing.T) {
 	}
 }
 
-// hotSource drives the chaos loop: it reports every current member of "g"
-// with a near-full ring, so the loop keeps deciding scale-out until the
-// group caps out — no real traffic needed to arm the failure window.
-type hotSource struct{ act *ClusterActuator }
-
-func (s *hotSource) Sample() Sample {
-	var out Sample
-	for _, m := range s.act.Members("g") {
-		out.Instances = append(out.Instances, InstanceSample{
-			MB: m.Name, Group: "g", Replica: 0,
-			QueueLen: 90, QueueCap: 100,
-		})
-	}
-	return out
-}
-
-// TestElasticLoopSurvivesReplicaFailure kills a controller replica while
-// the armed loop is mid-scale-out, through the fault-injection transport
-// (delays + partial writes), with heartbeats running. The loop must
-// converge on the survivors — a completed scale-out, every preloaded chunk
-// accounted for exactly once across the group, an empty transaction
-// registry — and the whole bed must tear down without leaking goroutines.
-func TestElasticLoopSurvivesReplicaFailure(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ft := faults.New(sbi.NewMemTransport(), faults.Options{
-		Seed:          11,
-		PartialWrites: true,
-		Delay:         200 * time.Microsecond,
-		DelayProb:     0.2,
-	})
-	cl := core.NewCluster(core.ClusterOptions{
-		Replicas: 3,
-		Controller: core.Options{
-			QuietPeriod:       60 * time.Millisecond,
-			HeartbeatInterval: 25 * time.Millisecond,
-		},
-	})
-	if err := cl.Serve(ft, "cluster"); err != nil {
-		t.Fatal(err)
-	}
-
-	const chunks = 800
-	drv := newRangeDriver(t, cl, ft, true, 0, 0)
-	seed := drv.seed("m0", chunks)
-	if err := cl.WaitForMB("m0", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	src := NewClusterSource(cl)
-	act := NewClusterActuator(cl, src, drv)
-	act.Seed("g", seed)
-
-	loop := New(Config{
-		Interval:     10 * time.Millisecond,
-		HighWindows:  1,
-		Cooldown:     100 * time.Millisecond,
-		MaxInstances: 2,
-	}, &hotSource{act: act}, act)
-	loop.Start()
-
-	// The kill lands a few milliseconds after the clone spawns — inside
-	// the scale-out's clone-support/split-move window.
-	select {
-	case <-drv.spawned:
-	case <-time.After(10 * time.Second):
-		t.Fatal("loop never attempted a scale-out")
-	}
-	time.Sleep(3 * time.Millisecond)
-	coord, err := cl.ReplicaOf("m0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.FailReplica(coord); err != nil {
-		t.Fatalf("fail replica %d: %v", coord, err)
-	}
-
-	// The loop must converge on the survivors: either the interrupted
-	// scale-out's internal retries complete it, or the loop's cooldown
-	// expires and a fresh attempt lands.
-	deadline := time.Now().Add(20 * time.Second)
-	for loop.Totals().ScaleOuts == 0 {
-		if time.Now().After(deadline) {
-			tot := loop.Totals()
-			t.Fatalf("no scale-out completed after replica kill (totals %+v)", tot)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	loop.Close()
-
-	if !cl.WaitTxns(30 * time.Second) {
-		t.Fatal("transactions did not complete after replica failure")
-	}
-	if got := cl.LiveTxns(); got != 0 {
-		t.Fatalf("%d transactions leaked in the registry", got)
-	}
-	if got := len(act.Members("g")); got != 2 {
-		t.Fatalf("group has %d members, want 2 after converged scale-out", got)
-	}
-	// Conservation: no traffic ran, so the preloaded chunks must be
-	// distributed across the group with nothing lost or duplicated by the
-	// aborted/retried clone-and-split.
-	if got := drv.sumCounts(); got != chunks {
-		t.Fatalf("group holds %d counts, want %d (lost or duplicated across failure)", got, chunks)
-	}
-	if got := drv.ringDrops(); got != 0 {
-		t.Fatalf("%d ring drops with no traffic", got)
-	}
-
-	// Goroutine hygiene across the whole bed: loop ticker, heartbeats,
-	// reconnect loops, spawned clones, failed replica's teardown.
-	drv.closeAll()
-	cl.Close()
-	hygiene := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+10 {
-			break
-		} else if time.Now().After(hygiene) {
-			t.Fatalf("goroutines leaked: %d before, %d after teardown", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestFlashCrowd closes the loop the paper leaves to the operator (it scales
 // instances by hand and measures the data-plane cost of one move, Figures
 // 7/10): a heavy-tailed workload ramps warm -> peak -> cool through the
@@ -603,16 +473,13 @@ func flashCrowd(t *testing.T, loopOn bool) {
 		{200, 1200 * time.Millisecond},  // cool
 	}
 
-	cl := core.NewCluster(core.ClusterOptions{
-		Replicas:   2,
-		Controller: core.Options{QuietPeriod: 50 * time.Millisecond},
-	})
+	cl := core.NewController(core.Options{QuietPeriod: 50 * time.Millisecond})
 	defer cl.Close()
 	tr := sbi.NewMemTransport()
-	if err := cl.Serve(tr, "cluster"); err != nil {
+	if err := cl.Serve(tr, "controller"); err != nil {
 		t.Fatal(err)
 	}
-	drv := newRangeDriver(t, cl, tr, false, perPacket, queueSize)
+	drv := newRangeDriver(t, tr, false, perPacket, queueSize)
 	defer drv.closeAll()
 	seed := drv.seed("fc0", nFlows)
 	if err := cl.WaitForMB("fc0", 5*time.Second); err != nil {
@@ -632,7 +499,6 @@ func flashCrowd(t *testing.T, loopOn bool) {
 			LowWindows:   3,
 			Cooldown:     150 * time.Millisecond,
 			MaxInstances: 4,
-			MigrateRatio: -1, // scale decisions only; no replica migration noise
 		}, src, act)
 		loop.Start()
 		defer loop.Close()
@@ -677,11 +543,8 @@ func flashCrowd(t *testing.T, loopOn bool) {
 	}
 
 	drops := drv.ringDrops()
-	var p99Move time.Duration
-	for i := 0; i < cl.Replicas(); i++ {
-		move, _, _ := cl.Replica(i).OpLatencies()
-		p99Move = max(p99Move, move.Quantile(0.99))
-	}
+	move, _, _ := cl.OpLatencies()
+	p99Move := move.Quantile(0.99)
 	var totalInjected, totalCounted uint64
 	for f := 0; f < nFlows; f++ {
 		totalInjected += injected[f]

@@ -1,18 +1,15 @@
 // Package elastic closes the feedback loop the paper's cloneSupport /
 // mergeInternal operations were designed for: a Stratos-style placement
 // controller that watches live load signals — per-instance packet rates,
-// ingress-ring depth and drops, per-replica control-plane traffic — scores
-// hotspots, and acts through the cluster's existing northbound API:
+// ingress-ring depth and drops — scores hotspots, and acts through the
+// controller's existing northbound API:
 //
 //   - scale-out: when one instance of an elastic group saturates, clone its
 //     shared supporting state (CloneSupport) onto a fresh instance and carve
 //     off part of its flowspace with a live per-flow move (MoveInternal with
 //     a FieldMatch), then repoint traffic;
 //   - scale-in: when load recedes, move the retiring instance's per-flow
-//     state back and merge its shared state (MergeInternal) into a survivor;
-//   - migrate: when one controller replica carries a disproportionate share
-//     of the control-plane load, hand its hottest middlebox to the coolest
-//     replica with the live freeze→transfer→switch handoff (Rebalance).
+//     state back and merge its shared state (MergeInternal) into a survivor.
 //
 // Decisions are pure functions of (previous sample, current sample, clock),
 // so the whole policy is deterministically testable: inject a scripted
@@ -21,11 +18,8 @@
 // hot for HighWindows consecutive samples, cold for LowWindows) and a
 // cooldown window after every action during which the loop only holds.
 //
-// The loop never holds its own lock across a cluster operation's internal
-// locking in a way that could invert the documented handoff lock order
-// (Cluster.mu → mbConn.handoffMu → Controller.mu → router shards): it calls
-// the northbound API exactly as a control application would, from a single
-// goroutine, owning no core lock.
+// The loop calls the northbound API exactly as a control application would,
+// from a single goroutine, owning no core lock.
 package elastic
 
 import (
@@ -54,13 +48,9 @@ func (realClock) Now() time.Time { return time.Now() }
 // its counters) to zero so a reset can never masquerade as a load spike.
 type InstanceSample struct {
 	// MB is the instance name; Group the elastic group it belongs to. An
-	// empty group means the instance is not elastically managed (it is
-	// still a migration candidate).
+	// empty group means the instance is not elastically managed.
 	MB    string
 	Group string
-	// Replica is the controller replica currently owning the instance's
-	// connection, or -1 when unknown (mid-handoff, mid-recovery).
-	Replica int
 	// Processed is the cumulative packet count through the instance.
 	Processed uint64
 	// RingDrops is the cumulative ingress-ring shed count.
@@ -72,22 +62,9 @@ type InstanceSample struct {
 	QueueLen, QueueCap int
 }
 
-// ReplicaSample is one controller replica's control-plane load snapshot;
-// all fields are cumulative.
-type ReplicaSample struct {
-	Replica int
-	// ControlFrames is the southbound frames received across the replica's
-	// connections; Events its forwarded reprocess events; Moves its
-	// started move transactions.
-	ControlFrames uint64
-	Events        uint64
-	Moves         uint64
-}
-
 // Sample is one observation of the whole deployment.
 type Sample struct {
 	Instances []InstanceSample
-	Replicas  []ReplicaSample
 }
 
 // Source produces load samples. Implementations must return internally
@@ -99,7 +76,7 @@ type Source interface {
 }
 
 // Actuator executes the loop's decisions. Implementations act through the
-// cluster northbound API; ClusterActuator is the standard one.
+// northbound API; ClusterActuator is the standard one.
 type Actuator interface {
 	// ScaleOut grows the group by one instance, splitting flowspace off
 	// the named hot instance.
@@ -107,8 +84,6 @@ type Actuator interface {
 	// ScaleIn shrinks the group by one instance, merging the retiring
 	// instance's state into a survivor.
 	ScaleIn(group string) error
-	// Migrate hands the middlebox to the target replica live.
-	Migrate(mb string, target int) error
 }
 
 // Op is a decision kind.
@@ -119,7 +94,6 @@ const (
 	Hold Op = iota
 	ScaleOut
 	ScaleIn
-	Migrate
 )
 
 func (o Op) String() string {
@@ -128,8 +102,6 @@ func (o Op) String() string {
 		return "scale-out"
 	case ScaleIn:
 		return "scale-in"
-	case Migrate:
-		return "migrate"
 	}
 	return "hold"
 }
@@ -137,9 +109,8 @@ func (o Op) String() string {
 // Decision is one tick's verdict.
 type Decision struct {
 	Op     Op
-	Group  string // scale decisions
-	MB     string // hot instance (scale-out) or migrating instance
-	Target int    // migrate target replica
+	Group  string
+	MB     string // hot instance (scale-out)
 	Reason string
 	// Err records the actuator failure when the action did not take; the
 	// decision still consumed the cooldown so a failing action cannot be
@@ -174,13 +145,6 @@ type Config struct {
 	// MaxInstances and MinInstances bound every group's size (defaults 4
 	// and 1).
 	MaxInstances, MinInstances int
-	// MigrateRatio is how many times the mean control-plane load of the
-	// other replicas one replica must carry before a migration fires
-	// (default 4; 0 disables migration). MigrateMin is the minimum
-	// absolute per-interval load on the hot replica (default 256), so an
-	// idle cluster's rounding noise never migrates anything.
-	MigrateRatio float64
-	MigrateMin   float64
 	// Clock overrides the loop's time source (nil = wall clock); tests
 	// inject a fake to drive hysteresis and cooldown deterministically.
 	Clock Clock
@@ -208,12 +172,6 @@ func (c *Config) setDefaults() {
 	if c.MinInstances <= 0 {
 		c.MinInstances = 1
 	}
-	if c.MigrateRatio == 0 {
-		c.MigrateRatio = 4
-	}
-	if c.MigrateMin == 0 {
-		c.MigrateMin = 256
-	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
 	}
@@ -221,7 +179,7 @@ func (c *Config) setDefaults() {
 
 // Totals is a snapshot of the loop's decision counters.
 type Totals struct {
-	ScaleOuts, ScaleIns, Migrations, Holds, Errors uint64
+	ScaleOuts, ScaleIns, Holds, Errors uint64
 }
 
 // Loop is the placement controller. Create with New, then either Start for
@@ -243,12 +201,11 @@ type Loop struct {
 	last          []Decision
 
 	// Decision counters, exported at /metrics as
-	// openmb_elastic_{scaleouts,scaleins,migrations,holds}_total.
-	scaleOuts  atomic.Uint64
-	scaleIns   atomic.Uint64
-	migrations atomic.Uint64
-	holds      atomic.Uint64
-	errors     atomic.Uint64
+	// openmb_elastic_{scaleouts,scaleins,holds,errors}_total.
+	scaleOuts atomic.Uint64
+	scaleIns  atomic.Uint64
+	holds     atomic.Uint64
+	errors    atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -301,11 +258,10 @@ func (l *Loop) Close() {
 // Totals returns the decision counters.
 func (l *Loop) Totals() Totals {
 	return Totals{
-		ScaleOuts:  l.scaleOuts.Load(),
-		ScaleIns:   l.scaleIns.Load(),
-		Migrations: l.migrations.Load(),
-		Holds:      l.holds.Load(),
-		Errors:     l.errors.Load(),
+		ScaleOuts: l.scaleOuts.Load(),
+		ScaleIns:  l.scaleIns.Load(),
+		Holds:     l.holds.Load(),
+		Errors:    l.errors.Load(),
 	}
 }
 
@@ -321,7 +277,6 @@ func (l *Loop) Collect(e *obs.Emitter) {
 	t := l.Totals()
 	e.Counter("openmb_elastic_scaleouts_total", "Scale-out actions taken by the elasticity loop.", t.ScaleOuts)
 	e.Counter("openmb_elastic_scaleins_total", "Scale-in actions taken by the elasticity loop.", t.ScaleIns)
-	e.Counter("openmb_elastic_migrations_total", "Live migrations taken by the elasticity loop.", t.Migrations)
 	e.Counter("openmb_elastic_holds_total", "Loop ticks that decided to take no action.", t.Holds)
 	e.Counter("openmb_elastic_errors_total", "Elasticity actions that failed.", t.Errors)
 }
@@ -352,11 +307,6 @@ func (l *Loop) Tick() []Decision {
 			d.Err = l.act.ScaleIn(d.Group)
 			if d.Err == nil {
 				l.scaleIns.Add(1)
-			}
-		case Migrate:
-			d.Err = l.act.Migrate(d.MB, d.Target)
-			if d.Err == nil {
-				l.migrations.Add(1)
 			}
 		}
 		if d.Err != nil {
@@ -390,8 +340,8 @@ type instDelta struct {
 // counterDelta differences two cumulative counters, clamping an apparent
 // decrease to zero. A reconnected southbound session or a replaced instance
 // restarts its counters at zero; the naive uint64 subtraction would wrap to
-// an enormous "rate" and trigger a spurious scale or migrate decision (the
-// regression tests pin this).
+// an enormous "rate" and trigger a spurious scale decision (the regression
+// tests pin this).
 func counterDelta(cur, prev uint64) uint64 {
 	if cur < prev {
 		return 0
@@ -400,8 +350,8 @@ func counterDelta(cur, prev uint64) uint64 {
 }
 
 // evaluate computes this tick's decisions from the previous and current
-// samples. Priority: scale-out beats scale-in beats migrate, one action per
-// tick; everything else is a hold.
+// samples. Priority: scale-out beats scale-in, one action per tick;
+// everything else is a hold.
 func (l *Loop) evaluate(now time.Time, cur Sample) []Decision {
 	elapsed := time.Duration(0)
 	if l.havePrev {
@@ -421,7 +371,6 @@ func (l *Loop) evaluate(now time.Time, cur Sample) []Decision {
 	// their history starts now.
 	byGroup := map[string][]instDelta{}
 	var groupNames []string
-	all := make([]instDelta, 0, len(cur.Instances))
 	for _, s := range cur.Instances {
 		d := instDelta{s: s}
 		if p, ok := prevInst[s.MB]; ok && secs > 0 {
@@ -436,7 +385,6 @@ func (l *Loop) evaluate(now time.Time, cur Sample) []Decision {
 				d.util = 1
 			}
 		}
-		all = append(all, d)
 		if s.Group != "" {
 			if _, ok := byGroup[s.Group]; !ok {
 				groupNames = append(groupNames, s.Group)
@@ -488,14 +436,6 @@ func (l *Loop) evaluate(now time.Time, cur Sample) []Decision {
 		}
 	}
 
-	// Migration: only when no scale action fired, at least two replicas
-	// reported, and one of them carries a disproportionate control load.
-	if len(decisions) == 0 && !cooling && l.havePrev && l.cfg.MigrateRatio > 0 && len(cur.Replicas) > 1 {
-		if d, ok := l.migration(cur, all); ok {
-			decisions = append(decisions, d)
-		}
-	}
-
 	if len(decisions) == 0 {
 		decisions = append(decisions, Decision{Op: Hold, Reason: "no hotspot"})
 	}
@@ -540,61 +480,4 @@ func (l *Loop) isCold(members []instDelta) bool {
 		}
 	}
 	return true
-}
-
-// migration looks for a replica whose control-plane load delta dwarfs its
-// peers' and proposes handing its busiest instance to the coolest replica.
-func (l *Loop) migration(cur Sample, insts []instDelta) (Decision, bool) {
-	prevRep := map[int]ReplicaSample{}
-	for _, r := range l.prev.Replicas {
-		prevRep[r.Replica] = r
-	}
-	type repLoad struct {
-		replica int
-		load    float64
-	}
-	loads := make([]repLoad, 0, len(cur.Replicas))
-	for _, r := range cur.Replicas {
-		p := prevRep[r.Replica]
-		load := float64(counterDelta(r.ControlFrames, p.ControlFrames) +
-			counterDelta(r.Events, p.Events) +
-			counterDelta(r.Moves, p.Moves))
-		loads = append(loads, repLoad{r.Replica, load})
-	}
-	if len(loads) < 2 {
-		return Decision{}, false
-	}
-	hotIdx, coolIdx := 0, 0
-	var total float64
-	for i, rl := range loads {
-		total += rl.load
-		if rl.load > loads[hotIdx].load {
-			hotIdx = i
-		}
-		if rl.load < loads[coolIdx].load {
-			coolIdx = i
-		}
-	}
-	hotLoad := loads[hotIdx].load
-	othersMean := (total - hotLoad) / float64(len(loads)-1)
-	if othersMean < 1 {
-		othersMean = 1
-	}
-	if hotLoad < l.cfg.MigrateMin || hotLoad < l.cfg.MigrateRatio*othersMean {
-		return Decision{}, false
-	}
-	// The busiest instance currently owned by the hot replica.
-	mb, best := "", -1.0
-	for _, d := range insts {
-		if d.s.Replica == loads[hotIdx].replica && d.rate > best {
-			mb, best = d.s.MB, d.rate
-		}
-	}
-	if mb == "" {
-		return Decision{}, false
-	}
-	return Decision{
-		Op: Migrate, MB: mb, Target: loads[coolIdx].replica,
-		Reason: fmt.Sprintf("replica %d load %.0f vs peer mean %.0f", loads[hotIdx].replica, hotLoad, othersMean),
-	}, true
 }

@@ -36,10 +36,9 @@ func (s *scriptSource) push(sm ...Sample) { s.samples = append(s.samples, sm...)
 
 // call records one actuator invocation.
 type call struct {
-	op     Op
-	group  string
-	mb     string
-	target int
+	op    Op
+	group string
+	mb    string
 }
 
 // recActuator records calls and returns scripted errors.
@@ -58,11 +57,6 @@ func (a *recActuator) ScaleIn(group string) error {
 	return a.err
 }
 
-func (a *recActuator) Migrate(mb string, target int) error {
-	a.calls = append(a.calls, call{op: Migrate, mb: mb, target: target})
-	return a.err
-}
-
 func testConfig(clk Clock) Config {
 	return Config{
 		HighUtil:     0.5,
@@ -72,8 +66,6 @@ func testConfig(clk Clock) Config {
 		LowWindows:   3,
 		Cooldown:     time.Second,
 		MaxInstances: 3,
-		MigrateRatio: 4,
-		MigrateMin:   100,
 		Clock:        clk,
 	}
 }
@@ -81,7 +73,7 @@ func testConfig(clk Clock) Config {
 // inst builds a group-member sample with the given ring fill percentage.
 func inst(mb string, processed uint64, utilPct int) InstanceSample {
 	return InstanceSample{
-		MB: mb, Group: "g", Replica: 0,
+		MB: mb, Group: "g",
 		Processed: processed,
 		QueueLen:  utilPct, QueueCap: 100,
 	}
@@ -241,7 +233,7 @@ func TestRateMarksHot(t *testing.T) {
 	clk := newFakeClock()
 	src := &scriptSource{}
 	mk := func(processed uint64) Sample {
-		return sample(InstanceSample{MB: "m0", Group: "g", Replica: 0, Processed: processed})
+		return sample(InstanceSample{MB: "m0", Group: "g", Processed: processed})
 	}
 	// 50ms ticks; +100 packets per tick = 2000 pps >= HighRate 1000.
 	src.push(mk(0), mk(100), mk(200))
@@ -255,87 +247,27 @@ func TestRateMarksHot(t *testing.T) {
 	}
 }
 
-// TestMigrateImbalance: one replica carrying MigrateRatio times its peers'
-// control load gets its busiest instance handed to the coolest replica.
-func TestMigrateImbalance(t *testing.T) {
-	clk := newFakeClock()
-	src := &scriptSource{}
-	mk := func(frames0, frames1 uint64, proc uint64) Sample {
-		return Sample{
-			Instances: []InstanceSample{
-				{MB: "busy", Replica: 0, Processed: proc},
-				{MB: "quiet", Replica: 0, Processed: proc / 10},
-				{MB: "other", Replica: 1},
-			},
-			Replicas: []ReplicaSample{
-				{Replica: 0, ControlFrames: frames0},
-				{Replica: 1, ControlFrames: frames1},
-			},
-		}
-	}
-	src.push(mk(0, 0, 0), mk(1000, 10, 500))
-	act := &recActuator{}
-	l := New(testConfig(clk), src, act)
-
-	tick(t, clk, l) // baseline
-	d := tick(t, clk, l)
-	if d[0].Op != Migrate || d[0].MB != "busy" || d[0].Target != 1 {
-		t.Fatalf("got %+v, want migrate busy -> replica 1", d[0])
-	}
-	if got := l.Totals().Migrations; got != 1 {
-		t.Fatalf("migrations = %d, want 1", got)
-	}
-}
-
-// TestMigrateNeedsMinLoad: the same imbalance ratio below MigrateMin
-// absolute load holds — an idle cluster's rounding noise moves nothing.
-func TestMigrateNeedsMinLoad(t *testing.T) {
-	clk := newFakeClock()
-	src := &scriptSource{}
-	mk := func(frames0 uint64) Sample {
-		return Sample{
-			Instances: []InstanceSample{{MB: "busy", Replica: 0}},
-			Replicas: []ReplicaSample{
-				{Replica: 0, ControlFrames: frames0},
-				{Replica: 1},
-			},
-		}
-	}
-	src.push(mk(0), mk(50)) // 50 < MigrateMin 100, ratio infinite
-	act := &recActuator{}
-	l := New(testConfig(clk), src, act)
-	tick(t, clk, l)
-	if d := tick(t, clk, l); d[0].Op != Hold {
-		t.Fatalf("got %v, want hold below MigrateMin", d[0].Op)
-	}
-}
-
 // TestCounterResetNoSpuriousDecision pins the torn-sample fix: a counter
 // that jumps backwards (a reconnected connection or respawned instance
 // restarts at zero) must difference to zero, not wrap to a huge uint64
-// "rate" that triggers a spurious scale-out or migration.
+// "rate" that triggers a spurious scale-out.
 func TestCounterResetNoSpuriousDecision(t *testing.T) {
 	clk := newFakeClock()
 	src := &scriptSource{}
-	mk := func(proc, drops, frames uint64) Sample {
-		s := sample(InstanceSample{MB: "m0", Group: "g", Replica: 0, Processed: proc, RingDrops: drops})
-		s.Replicas = []ReplicaSample{
-			{Replica: 0, ControlFrames: frames},
-			{Replica: 1, ControlFrames: 0},
-		}
-		return s
+	mk := func(proc, drops uint64) Sample {
+		return sample(InstanceSample{MB: "m0", Group: "g", Processed: proc, RingDrops: drops})
 	}
 	src.push(
-		mk(1_000_000, 50, 500_000), // established history
-		mk(120, 0, 300),            // reconnect: every counter reset near zero
-		mk(240, 0, 600),            // small real deltas after the reset
+		mk(1_000_000, 50), // established history
+		mk(120, 0),        // reconnect: every counter reset near zero
+		mk(240, 0),        // small real deltas after the reset
 	)
 	act := &recActuator{}
 	l := New(testConfig(clk), src, act)
 
 	tick(t, clk, l) // baseline
-	// The reset tick: naive subtraction would see ~2^64 rates and drop
-	// deltas on the instance AND a massive replica imbalance.
+	// The reset tick: naive subtraction would see ~2^64 rate and drop
+	// deltas on the instance.
 	if d := tick(t, clk, l); d[0].Op != Hold {
 		t.Fatalf("reset tick: got %+v, want hold", d[0])
 	}
@@ -378,12 +310,12 @@ func TestActuatorErrorCountsAndCoolsDown(t *testing.T) {
 	}
 }
 
-// TestUnmanagedGroupNeverScales: instances with Group "" are migration
-// candidates only; sustained heat on them produces no scale decision.
+// TestUnmanagedGroupNeverScales: instances with Group "" are sampled but not
+// managed; sustained heat on them produces no scale decision.
 func TestUnmanagedGroupNeverScales(t *testing.T) {
 	clk := newFakeClock()
 	src := &scriptSource{}
-	src.push(sample(InstanceSample{MB: "m0", Replica: 0, QueueLen: 90, QueueCap: 100}))
+	src.push(sample(InstanceSample{MB: "m0", QueueLen: 90, QueueCap: 100}))
 	act := &recActuator{}
 	l := New(testConfig(clk), src, act)
 	for i := 0; i < 6; i++ {
@@ -398,9 +330,9 @@ func TestUnmanagedGroupNeverScales(t *testing.T) {
 func TestScaleOutBeatsScaleIn(t *testing.T) {
 	clk := newFakeClock()
 	src := &scriptSource{}
-	hot := InstanceSample{MB: "h0", Group: "hotg", Replica: 0, QueueLen: 90, QueueCap: 100}
-	cold0 := InstanceSample{MB: "c0", Group: "coldg", Replica: 0, QueueCap: 100}
-	cold1 := InstanceSample{MB: "c1", Group: "coldg", Replica: 0, QueueCap: 100}
+	hot := InstanceSample{MB: "h0", Group: "hotg", QueueLen: 90, QueueCap: 100}
+	cold0 := InstanceSample{MB: "c0", Group: "coldg", QueueCap: 100}
+	cold1 := InstanceSample{MB: "c1", Group: "coldg", QueueCap: 100}
 	src.push(Sample{Instances: []InstanceSample{cold0, cold1, hot}})
 	act := &recActuator{}
 	l := New(testConfig(clk), src, act)

@@ -36,8 +36,8 @@ func (f CollectorFunc) Collect(e *Emitter) { f(e) }
 // Registry is a set of collectors rendered together on each scrape.
 // Registration order is preserved; a scrape walks collectors in order and
 // groups series by metric family so the output stays valid exposition even
-// when several collectors emit the same family (e.g. one collector per
-// cluster replica).
+// when several collectors emit the same family (e.g. a controller's and a
+// middlebox's connection counters).
 type Registry struct {
 	mu         sync.Mutex
 	collectors []Collector

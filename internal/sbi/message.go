@@ -65,12 +65,11 @@ const (
 	// called when events stop arriving").
 	OpEndTransaction Op = "endTransaction"
 
-	// OpTransferOwnership carries a controller-replica handoff: the frozen
-	// per-key routing state (outstanding put counts, buffered reprocess
-	// events, orphans) of one middlebox's flowspace, moving from the
-	// replica that owned it to the one taking over. It travels
-	// replica-to-replica, never controller-to-MB; see Message.Handoff and
-	// docs/SBI.md.
+	// OpTransferOwnership carries a node-to-node handoff: the per-key
+	// routing state (outstanding put counts, buffered reprocess events,
+	// orphans) of one middlebox's flowspace, moving from the node that
+	// owned it to the one taking over. It travels on peer links, never
+	// controller-to-MB; see Message.Handoff and docs/SBI.md.
 	OpTransferOwnership Op = "transferOwnership"
 
 	// OpPing is the controller's liveness probe: a MsgRequest sent when a
@@ -207,13 +206,13 @@ type Event struct {
 }
 
 // Handoff is the ownership-transfer payload of OpTransferOwnership: the
-// frozen routing state one controller replica holds for a middlebox's
-// flowspace, serialized so another replica can take over mid-transaction.
-// Each record is one flow key's worth of the buffer-until-ACK machinery a
-// move maintains (§4.2.1), lifted to replica scope: how many puts are still
-// unacknowledged and which reprocess events wait behind them. Transaction
-// identity travels as an index into the Txns table, whose entries are
-// cluster-wide registry IDs: the importer resolves each ID through its
+// routing state one node's controller holds for a middlebox's flowspace,
+// serialized so another node can take over mid-transaction. Each record is
+// one flow key's worth of the buffer-until-ACK machinery a move maintains
+// (§4.2.1), lifted to node scope: how many puts are still unacknowledged
+// and which reprocess events wait behind them. Transaction identity travels
+// as an index into the Txns table, whose entries are node-salted registry
+// IDs: the importer resolves each ID through its
 // transaction registry, so a handoff decoded on a fresh process reconstructs
 // txn bindings from bytes alone. IDs the importer's registry cannot resolve
 // belong to transactions that died with their coordinator; their keys are
@@ -224,7 +223,7 @@ type Handoff struct {
 	// Keys holds one record per in-transaction flow key plus one per
 	// orphan key (events that arrived before their registering chunk).
 	Keys []HandoffKey `json:"keys,omitempty"`
-	// Txns carries the cluster-wide transaction IDs of the sender's
+	// Txns carries the node-salted transaction IDs of the sender's
 	// transfer table, parallel to the 1-based Txn indices in Keys: entry
 	// i is the registry ID of transfer-table slot i+1. Receivers use the
 	// IDs to re-bind the imported keys to the same live transactions (and

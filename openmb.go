@@ -10,6 +10,9 @@
 //   - Controller: the OpenMB middlebox controller with the northbound API
 //     (ReadConfig, WriteConfig, Stats, MoveInternal, CloneSupport,
 //     MergeInternal) and introspection-event subscription;
+//   - Node: one controller per process of a distributed cluster, with peer
+//     links, a replicated middlebox directory, cross-node moves (Pull) and
+//     recovery of a move whose coordinator died (RecoverMove);
 //   - Runtime + Logic: the middlebox side — host any Logic implementation
 //     in a Runtime and connect it to a controller over TCP or in-memory
 //     transports;
@@ -59,34 +62,23 @@ type ControllerOptions = core.Options
 // NewController creates an OpenMB controller.
 func NewController(opts ControllerOptions) *Controller { return core.NewController(opts) }
 
-// Cluster is a replicated OpenMB controller: N controller replicas behind
-// one listener, middleboxes partitioned across them by a consistent-hash
-// directory, cross-partition operations proxied, and live rebalance/drain
-// via the ownership-handoff protocol (docs/ARCHITECTURE.md).
-type Cluster = core.Cluster
-
-// ClusterOptions configures a controller cluster (replica count plus the
-// per-replica ControllerOptions).
-type ClusterOptions = core.ClusterOptions
-
-// NewCluster creates a controller cluster. Replicas = 1 reproduces the
-// single-controller path.
-func NewCluster(opts ClusterOptions) *Cluster { return core.NewCluster(opts) }
-
-// Node is one controller process of a DISTRIBUTED cluster: it wraps a
-// Cluster with replica-to-replica SBI peer links, a replicated middlebox
-// directory with quorum-committed ownership changes, and cross-node
-// middlebox movement (Pull / the shadowed MoveInternal). Join an existing
-// cluster with Join; exit gracefully with Shutdown (drain, then announce
-// departure) or abruptly with Close (crash semantics — peers keep this node
-// in their quorum denominators).
+// Node is one controller process of a distributed cluster: exactly one
+// Controller plus node-to-node SBI peer links, a replicated middlebox
+// directory with quorum-committed ownership changes, cross-node middlebox
+// movement (Pull / the shadowed MoveInternal) and RecoverMove. Join an
+// existing cluster with Join; exit gracefully with Shutdown (drain, then
+// announce departure) or abruptly with Close (crash semantics — peers keep
+// this node in their quorum denominators).
 type Node = core.Node
 
-// NodeOptions configures a cluster node (name, advertised address, peer and
-// pull timeouts, and the embedded ClusterOptions).
+// NodeOptions configures a cluster node (name, advertised address, peer,
+// pull and find-retry timeouts, and its controller's ClusterOptions).
 type NodeOptions = core.NodeOptions
 
-// NewNode creates a distributed-cluster node wrapping a fresh Cluster.
+// ClusterOptions carries a Node's ControllerOptions (NodeOptions.Cluster).
+type ClusterOptions = core.ClusterOptions
+
+// NewNode creates a distributed-cluster node around a fresh controller.
 func NewNode(opts NodeOptions) *Node { return core.NewNode(opts) }
 
 // Runtime hosts one middlebox instance and implements its southbound API.
@@ -278,7 +270,7 @@ func NewTestbed(opts ControllerOptions) (*Testbed, error) { return bed.New(opts)
 // Observability plane (docs/ARCHITECTURE.md "Observability"): components
 // register collectors into a MetricsRegistry; internal/obs/obshttp (or the
 // daemons' -metrics flag) serves the registry as a Prometheus text-format
-// /metrics endpoint. Controller, Cluster, Runtime, Network, and Testbed all
+// /metrics endpoint. Controller, Node, Runtime, Network, and Testbed all
 // implement MetricsCollector.
 type (
 	// MetricsRegistry renders registered collectors as Prometheus text.
@@ -308,9 +300,9 @@ func ServeMetrics(addr string, reg *MetricsRegistry) (string, func(), error) {
 
 // Elasticity loop (docs/ARCHITECTURE.md "Elasticity loop"): a Stratos-style
 // placement controller that samples live load signals and acts through the
-// cluster northbound API — CloneSupport+MoveInternal scale-out,
-// MoveInternal+MergeInternal scale-in, Rebalance migration — with hysteresis
-// and cooldown damping.
+// northbound API — CloneSupport+MoveInternal scale-out,
+// MoveInternal+MergeInternal scale-in — with hysteresis and cooldown
+// damping.
 type (
 	// ElasticLoop is the placement controller; create with NewElasticLoop,
 	// run with Start or drive with Tick.
@@ -323,11 +315,12 @@ type (
 	ElasticSource = elastic.Source
 	// ElasticActuator executes the loop's decisions.
 	ElasticActuator = elastic.Actuator
-	// ElasticClusterSource samples a live Cluster (registered co-located
-	// runtimes directly, connection-only middleboxes via wire counters).
+	// ElasticClusterSource samples a live controller's registered
+	// instances (co-located runtimes directly, process members via wire
+	// counters).
 	ElasticClusterSource = elastic.ClusterSource
-	// ElasticClusterActuator acts on a live Cluster through the northbound
-	// operations; a nil GroupDriver selects migrate-only mode.
+	// ElasticClusterActuator acts on a live controller through the
+	// northbound operations and a GroupDriver.
 	ElasticClusterActuator = elastic.ClusterActuator
 	// ElasticGroupDriver supplies the deployment-specific halves of scaling:
 	// spawning/retiring instances and steering traffic.
@@ -347,15 +340,15 @@ func NewElasticLoop(cfg ElasticConfig, src ElasticSource, act ElasticActuator) *
 	return elastic.New(cfg, src, act)
 }
 
-// NewElasticClusterSource creates a load source sampling the cluster.
-func NewElasticClusterSource(cl *Cluster) *ElasticClusterSource {
-	return elastic.NewClusterSource(cl)
+// NewElasticClusterSource creates a load source sampling the controller.
+func NewElasticClusterSource(c *Controller) *ElasticClusterSource {
+	return elastic.NewClusterSource(c)
 }
 
-// NewElasticClusterActuator creates an actuator over the cluster. src may be
-// nil to skip sampling registration; drv nil means migrate-only.
-func NewElasticClusterActuator(cl *Cluster, src *ElasticClusterSource, drv ElasticGroupDriver) *ElasticClusterActuator {
-	return elastic.NewClusterActuator(cl, src, drv)
+// NewElasticClusterActuator creates an actuator over the controller, acting
+// through drv. src may be nil to skip sampling registration.
+func NewElasticClusterActuator(c *Controller, src *ElasticClusterSource, drv ElasticGroupDriver) *ElasticClusterActuator {
+	return elastic.NewClusterActuator(c, src, drv)
 }
 
 // NewElasticProcessDriver creates a GroupDriver spawning real openmb-mb
