@@ -1,14 +1,11 @@
 package core
 
 // Cluster tests: the in-process node rig, cross-node northbound operations,
-// the ownership-transfer codec round trip and aborted-remote import, and the
-// registration-storm test for the keyed waiter registry. CI runs this file
-// under -race.
+// and the registration-storm test for the keyed waiter registry. CI runs
+// this file under -race.
 
 import (
 	"fmt"
-	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +20,8 @@ import (
 
 // gateLogic wraps a CounterLogic so its per-flow supporting get signals the
 // test after a few chunks and then blocks until released — pinning a move
-// mid-stream so a forced handoff deterministically lands while the router
-// holds registered keys, pending puts, and buffered events.
+// mid-stream so a failure deterministically lands while the router holds
+// registered keys, pending puts, and buffered events.
 type gateLogic struct {
 	*mbtest.CounterLogic
 	after   int
@@ -215,150 +212,6 @@ func TestClusterCrossPartitionOps(t *testing.T) {
 	}
 	if !b.WaitTxns(10 * time.Second) {
 		t.Fatal("merge did not complete")
-	}
-}
-
-// TestHandoffMessageCodecRoundTrip proves the ownership-transfer payload
-// survives both SBI codecs byte-for-byte: a live export — registered keys,
-// pending puts, buffered events, orphans — is framed, round-tripped through
-// each codec over a real connection, imported from the DECODED payload, and
-// must then drain identically to the original.
-func TestHandoffMessageCodecRoundTrip(t *testing.T) {
-	for _, codec := range []sbi.Codec{sbi.CodecJSON, sbi.CodecBinary} {
-		t.Run(string(codec), func(t *testing.T) {
-			c := NewController(Options{Shards: 4})
-			src := newTestPeer(t, c, "src")
-			dst := newTestPeer(t, c, "dst")
-			tx := newTxn(c, src.mb, dst.mb)
-
-			// Routing state of every flavor.
-			tx.registerFrame(frame(key(1))) // pending put, one buffered event
-			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(1), Seq: 1, Packet: []byte{0xA}})
-			tx.registerFrame(frame(key(2)))                                                                        // pending put, empty buffer
-			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(9), Seq: 2, Packet: []byte{0xB}}) // orphan
-
-			h := c.router.exportHandoff(src.mb)
-			if len(h.Keys) != 3 {
-				t.Fatalf("export produced %d records, want 3: %+v", len(h.Keys), h)
-			}
-			// The payload must name its transactions by registry ID: that
-			// is what lets an importing node tell live transactions from
-			// ones that died with their coordinator.
-			if len(h.Txns) != 1 || h.Txns[0] != tx.id {
-				t.Fatalf("export carried txn IDs %v, want [%d]", h.Txns, tx.id)
-			}
-
-			// Round-trip the frame over a real connection pair.
-			a, b := net.Pipe()
-			left, right := sbi.NewConn(a), sbi.NewConn(b)
-			defer left.Close()
-			defer right.Close()
-			if err := left.Upgrade(codec); err != nil {
-				t.Fatal(err)
-			}
-			if err := right.Upgrade(codec); err != nil {
-				t.Fatal(err)
-			}
-			sendErr := make(chan error, 1)
-			go func() {
-				sendErr <- left.Send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpTransferOwnership, Handoff: h})
-			}()
-			decoded, err := right.Receive()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-sendErr; err != nil {
-				t.Fatal(err)
-			}
-			if decoded.Op != sbi.OpTransferOwnership || !reflect.DeepEqual(decoded.Handoff, h) {
-				t.Fatalf("%s round trip mutated the handoff:\n sent: %+v\n got:  %+v", codec, h, decoded.Handoff)
-			}
-
-			// Import the decoded payload into a second controller and drain:
-			// the ACKs must release the transferred buffers in order. The
-			// import resolves transactions from the decoded bytes through
-			// the exporter's registry; the transaction and its source then
-			// live at the importer.
-			c2 := NewController(Options{Shards: 8}) // different shard count on purpose
-			dropped, err := c2.router.importHandoff(src.mb, decoded.Handoff, c.registry)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dropped != 0 {
-				t.Fatalf("import dropped %d keys of a fully resolvable payload", dropped)
-			}
-			src.mb.ctrl, tx.ctrl = c2, c2
-			tx.ackFrame(frame(key(1)))
-			dst.expectReprocess(t, key(1))
-			tx.ackFrame(frame(key(2)))
-			dst.expectNothing(t)
-			// The orphan waits for its registering chunk, then its ACK.
-			tx.registerFrame(frame(key(9)))
-			tx.ackFrame(frame(key(9)))
-			dst.expectReprocess(t, key(9))
-			tx.detach()
-			assertRouterEmpty(t, c2.router)
-		})
-	}
-}
-
-// TestImportHandoffAbortedRemote: a handoff whose txn IDs the importer's
-// registry cannot resolve belongs to a coordinator that died with its
-// process. The import must drop those keys as aborted-remote — buffered
-// events discarded, conservation intact because live packets are always
-// counted at the source — while still installing orphan records, and must
-// never install a key with a dangling owner.
-func TestImportHandoffAbortedRemote(t *testing.T) {
-	c := NewController(Options{Shards: 4})
-	src := newTestPeer(t, c, "src")
-	dst := newTestPeer(t, c, "dst")
-	tx := newTxn(c, src.mb, dst.mb)
-	tx.registerFrame(frame(key(1)))
-	c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(1), Seq: 1, Packet: []byte{0xA}})
-	c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(9), Seq: 2, Packet: []byte{0xB}}) // orphan
-
-	h := c.router.exportHandoff(src.mb)
-
-	// A fresh controller models the recovering process: its registry has
-	// never seen the exporter's transaction.
-	c2 := NewController(Options{Shards: 2})
-	dropped, err := c2.router.importHandoff(src.mb, h, c2.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1 {
-		t.Fatalf("import dropped %d keys, want 1 (the dead coordinator's)", dropped)
-	}
-	keys, orphans := 0, 0
-	for i := range c2.router.shards {
-		sh := &c2.router.shards[i]
-		sh.mu.Lock()
-		keys += len(sh.keys)
-		orphans += len(sh.orphans)
-		sh.mu.Unlock()
-	}
-	if keys != 0 || orphans != 1 {
-		t.Fatalf("after aborted-remote import: keys=%d orphans=%d, want 0/1", keys, orphans)
-	}
-
-	// A corrupt index past the table must still be rejected outright.
-	bad := &sbi.Handoff{MB: "src", Keys: []sbi.HandoffKey{{Key: key(2), Txn: 7}}, Txns: []uint64{tx.id}}
-	if _, err := c2.router.importHandoff(src.mb, bad, c2.registry); err == nil {
-		t.Fatal("out-of-table txn index accepted")
-	}
-	tx.detach()
-}
-
-func assertRouterEmpty(t *testing.T, r *txnRouter) {
-	t.Helper()
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		nk, no := len(sh.keys), len(sh.orphans)
-		sh.mu.Unlock()
-		if nk != 0 || no != 0 {
-			t.Fatalf("shard %d not empty: keys=%d orphans=%d", i, nk, no)
-		}
 	}
 }
 

@@ -137,17 +137,12 @@ type Controller struct {
 	router    *txnRouter
 	completer *completer
 
-	// registry tracks live transactions under wire-visible IDs; a Node
-	// salts it before any txn exists.
+	// registry tracks live transactions; a Node salts it before any txn
+	// exists, so IDs are unique across the cluster.
 	registry *txnRegistry
 
 	mu  sync.Mutex
 	mbs map[string]*mbConn
-
-	// flusher is the cross-connection flush scheduler: southbound frames
-	// (requests, pings, reprocess forwards) encode deferred and one
-	// goroutine flushes every dirty connection per pass. See flusher.go.
-	flusher *connFlusher
 
 	// waiters blocks WaitForMB callers per name. It rides its own small
 	// lock rather than mu: a registration storm (many MBs connecting,
@@ -189,7 +184,6 @@ type Controller struct {
 func NewController(opts Options) *Controller {
 	opts.setDefaults()
 	c := &Controller{opts: opts, mbs: map[string]*mbConn{}, waiters: map[string][]chan struct{}{}}
-	c.flusher = newConnFlusher()
 	c.router = newTxnRouter(opts.Shards)
 	c.completer = newCompleter(c)
 	c.registry = newTxnRegistry()
@@ -569,10 +563,6 @@ func (c *Controller) Close() {
 	for _, mb := range mbs {
 		mb.conn.Close()
 	}
-	// The flush scheduler stops after the connections close: its final
-	// pass drains whatever was marked dirty (flushes on closed conns fail
-	// harmlessly), and later senders fall back to inline flushes.
-	c.flusher.close()
 	// Stop the completer last: pending completions dispatch immediately
 	// and their southbound calls fail fast on the closed connections.
 	c.completer.close()
@@ -600,9 +590,6 @@ type mbConn struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*call
-	// chanFree recycles one-slot reply channels for this connection's
-	// calls; see getCallChanLocked.
-	chanFree []chan *sbi.Message
 
 	// eventQ hands MsgEvent frames from the read loop to the connection's
 	// event-router goroutine (see eventRouter). Routing off the read loop
@@ -703,7 +690,7 @@ func (mb *mbConn) heartbeat(c *Controller) {
 			// At most HeartbeatMisses-1 of these can pile up on a dead
 			// peer before the close above releases them all.
 			go func() {
-				_ = mb.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpPing})
+				_ = mb.conn.Send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpPing})
 			}()
 		}
 	}
@@ -782,58 +769,25 @@ type call struct {
 	txn *txn
 	err error
 
-	// delivering serializes the read loop's delivery into ch against
-	// dropCall's recycling of ch: dropCall takes it after removing the call
-	// from pending, so once it holds the lock no sender references the
-	// channel. dropped tells a sender that grabbed the call just before it
-	// left pending to stand down.
+	// delivering serializes the read loop's delivery against dropCall:
+	// dropCall takes it after removing the call from pending, and dropped
+	// tells a delivery that looked the call up just before it left pending
+	// to stand down. Without it, a chunk of a get stream that arrived as
+	// the stream ended could register its keys with the stream's
+	// transaction after detach has released them, leaving router entries
+	// nothing would ever remove.
 	delivering sync.Mutex
 	dropped    bool
 }
 
-// callChanPoolMax bounds how many idle channels one connection retains;
-// the list naturally grows only to the connection's peak concurrent calls
-// (the put pipeline depth plus a few).
-const callChanPoolMax = 256
-
-// getCallChanLocked pops a recycled one-slot reply channel (LIFO, which
-// keeps reuse deterministic for the reuse-correctness tests) or allocates
-// one. The free list is per connection and rides mb.mu — which newCall holds
-// anyway — so recycling adds no cross-connection synchronization to the move
-// path.
-func (mb *mbConn) getCallChanLocked() chan *sbi.Message {
-	if n := len(mb.chanFree); n > 0 {
-		ch := mb.chanFree[n-1]
-		mb.chanFree[n-1] = nil
-		mb.chanFree = mb.chanFree[:n-1]
-		return ch
-	}
-	return make(chan *sbi.Message, 1)
-}
-
-// putCallChan returns a drained, never-closed channel to the free list.
-func (mb *mbConn) putCallChan(ch chan *sbi.Message) {
-	mb.mu.Lock()
-	if len(mb.chanFree) < callChanPoolMax {
-		mb.chanFree = append(mb.chanFree, ch)
-	}
-	mb.mu.Unlock()
-}
-
 // newCall registers a request that can have depth replies undelivered: a
-// call's one on a pooled channel, or a stream's window plus its done on a
-// channel that dies with the stream.
+// call's one, or a stream's window plus its done.
 func (mb *mbConn) newCall(t *txn, depth int) (uint64, *call) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.nextID++
 	id := mb.nextID
-	cl := &call{txn: t}
-	if depth > 1 {
-		cl.ch = make(chan *sbi.Message, depth)
-	} else {
-		cl.ch = mb.getCallChanLocked()
-	}
+	cl := &call{ch: make(chan *sbi.Message, depth), txn: t}
 	mb.pending[id] = cl
 	return id, cl
 }
@@ -844,25 +798,13 @@ func (mb *mbConn) dropCall(id uint64) {
 	delete(mb.pending, id)
 	mb.mu.Unlock()
 	if cl == nil {
-		// Taken over by failAll or overrun, which closed ch: a closed
-		// channel can never be recycled, so it is simply dropped.
-		return
+		return // taken over by failAll or overrun
 	}
-	// Barrier: a read-loop delivery that looked the call up before it left
-	// pending may still hold ch. Taking delivering guarantees it has let go
-	// before the channel is drained and recycled. Without this, a late
-	// reply could surface on a recycled channel inside a different call.
+	// Barrier: once it is taken, no delivery for the call is in progress
+	// and none will start (see call.delivering).
 	cl.delivering.Lock()
 	cl.dropped = true
 	cl.delivering.Unlock()
-	if cap(cl.ch) > 1 {
-		return // a stream's window-deep channel is not kept
-	}
-	select { // an unread reply: one at most, or the call would have failed
-	case <-cl.ch:
-	default:
-	}
-	mb.putCallChan(cl.ch)
 }
 
 // failAll aborts every outstanding call, recording err as the reason each
@@ -953,20 +895,12 @@ func (mb *mbConn) readLoop() error {
 	}
 }
 
-// send routes one southbound frame through the controller's flush
-// scheduler: the frame encodes immediately (deferred) and the connection is
-// flushed on the scheduler's next pass, so concurrent senders across all
-// connections share flushes instead of each paying its own.
-func (mb *mbConn) send(m *sbi.Message) error {
-	return mb.ctrl.flusher.send(mb.conn, m)
-}
-
 // call sends a request and waits for its single done/error reply.
 func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, error) {
 	id, cl := mb.newCall(nil, 1)
 	defer mb.dropCall(id)
 	req.ID = id
-	if err := mb.send(req); err != nil {
+	if err := mb.conn.Send(req); err != nil {
 		// Usually a dead connection, but the binary codec also rejects
 		// unencodable frames here — keep the underlying error visible.
 		return nil, fmt.Errorf("core: %s %s: send failed (middlebox disconnected?): %w", mb.name, req.Op, err)
@@ -977,12 +911,6 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 	case m, ok := <-cl.ch:
 		if !ok {
 			return nil, mb.abortErr(cl, req.Op)
-		}
-		if m.ID != id {
-			// Recycled-channel invariant: dropCall's barrier makes a
-			// foreign reply on this channel impossible; failing loudly
-			// beats silently completing with another call's result.
-			return nil, fmt.Errorf("core: %s %s: reply %d leaked into call %d", mb.name, req.Op, m.ID, id)
 		}
 		if m.Type == sbi.MsgError {
 			return nil, fmt.Errorf("core: %s %s: %s", mb.name, req.Op, m.Error)
@@ -1004,11 +932,11 @@ func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChun
 	id, cl := mb.newCall(t, req.Window+1)
 	defer mb.dropCall(id)
 	req.ID = id
-	if err := mb.send(req); err != nil {
+	if err := mb.conn.Send(req); err != nil {
 		return 0, fmt.Errorf("core: %s %s: send failed (middlebox disconnected?): %w", mb.name, req.Op, err)
 	}
 	if req.Window > 0 {
-		defer mb.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: id})
+		defer mb.conn.Send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: id})
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -1017,9 +945,6 @@ func (mb *mbConn) stream(t *txn, req *sbi.Message, timeout time.Duration, onChun
 		case m, ok := <-cl.ch:
 			if !ok {
 				return 0, mb.abortErr(cl, req.Op)
-			}
-			if m.ID != id {
-				return 0, fmt.Errorf("core: %s %s: reply %d leaked into call %d", mb.name, req.Op, m.ID, id)
 			}
 			switch m.Type {
 			case sbi.MsgChunk:

@@ -170,6 +170,12 @@ func TestNodePullMovesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	logic.Preload(10)
+	// Routing state at the old owner: an orphaned reprocess event.
+	mbA, err := a.Controller.mb("m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Controller.router.route(mbA, &sbi.Event{Kind: sbi.EventReprocess, Key: mbtest.FlowN(0), Seq: 1, Packet: []byte{1}})
 
 	if err := b.Pull("m1"); err != nil {
 		t.Fatal(err)
@@ -177,9 +183,17 @@ func TestNodePullMovesSession(t *testing.T) {
 	if _, err := b.Controller.mb("m1"); err != nil {
 		t.Fatalf("pulled middlebox not registered at b: %v", err)
 	}
+	// A release carries no routing state: the puller's router is as empty
+	// as before the pull, and the old owner's goes with the connection.
+	if n := RouterTablesForTest(b.Controller); n != 0 {
+		t.Fatalf("%d router shards at b hold tables right after the pull", n)
+	}
 	waitUntil(t, 5*time.Second, "deregistration at a", func() bool {
 		return len(a.Middleboxes()) == 0
 	})
+	if n := RouterTablesForTest(a.Controller); n != 0 {
+		t.Fatalf("%d router shards at a hold tables after m1 left", n)
+	}
 	for _, n := range []*Node{a, b} {
 		if owner, _ := n.Lookup("m1"); owner != "b" {
 			t.Fatalf("%s directory says %q owns m1, want b", n.Name(), owner)
@@ -217,8 +231,8 @@ func TestNodePullMovesSession(t *testing.T) {
 
 // TestNodeCrossNodeMoveConservation is the tentpole's conservation check: a
 // move whose endpoints start on different nodes, under live traffic, over
-// real TCP. The source is pulled across the node boundary (freeze, export
-// on the peer wire, redirect, re-register) and the move then runs locally;
+// real TCP. The source is pulled across the node boundary (release on the
+// peer wire, redirect, re-register) and the move then runs locally;
 // every preloaded count and every packet must land exactly once.
 func TestNodeCrossNodeMoveConservation(t *testing.T) {
 	const flows, rounds = 24, 4

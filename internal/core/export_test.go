@@ -15,19 +15,3 @@ func RouterTablesForTest(c *Controller) int {
 	}
 	return n
 }
-
-// FreeReplyDepthsForTest returns the capacity of every channel on the named
-// middlebox connection's reply free list.
-func FreeReplyDepthsForTest(c *Controller, name string) []int {
-	mb, err := c.mb(name)
-	if err != nil {
-		return nil
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	depths := make([]int, len(mb.chanFree))
-	for i, ch := range mb.chanFree {
-		depths[i] = cap(ch)
-	}
-	return depths
-}

@@ -29,12 +29,10 @@ import (
 //     therefore refuses to become an owner it could not prove — while dead
 //     nodes stay in the denominator, so a majority-side survivor keeps
 //     committing after a crash;
-//   - cross-node middlebox movement: Pull asks the owner to export the
-//     middlebox's routing state as the standard OpTransferOwnership
-//     payload and redirect the middlebox here; the
-//     payload's transaction table is resolved through the local registry by
-//     wire ID, with unresolvable (remote-coordinated) transactions dropped
-//     as aborted-remote;
+//   - cross-node middlebox movement: Pull asks the owner to redirect the
+//     middlebox here and waits for its quorum-committed re-registration;
+//     the old owner's routing state for it dies with the redirected
+//     connection;
 //   - RecoverMove, a survivor's restart of a move whose coordinator died.
 //
 // Node embeds the controller (through Cluster), so the whole northbound API
@@ -69,7 +67,7 @@ type Node struct {
 type NodeOptions struct {
 	// Name identifies this node cluster-wide; it must be unique among
 	// peers (default "node"). It also salts the transaction registry so
-	// wire-visible txn IDs never collide across processes.
+	// txn IDs never collide across processes.
 	Name string
 	// Advertise is the address peers and redirected middleboxes dial to
 	// reach this node; defaults to the Serve listener's address.
@@ -460,43 +458,38 @@ func (n *Node) servePeerRequest(p *peerConn, m *sbi.Message) {
 		n.mu.Unlock()
 		p.close()
 	case sbi.OpReleaseMB:
-		h, err := n.releaseMB(m.Name, m.Addr)
-		if err != nil {
+		if err := n.releaseMB(m.Name, m.Addr); err != nil {
 			p.reply(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
 			return
 		}
-		p.reply(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Handoff: h})
+		p.reply(&sbi.Message{Type: sbi.MsgDone, ID: m.ID})
 	default:
 		p.reply(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: fmt.Sprintf("core: unknown peer op %q", m.Op)})
 	}
 }
 
-// releaseMB gives up a locally registered middlebox to the node at toAddr:
-// export its routing state (the caller ships it back in the reply), then
-// redirect the middlebox so it redials its new owner. Nothing freezes the
-// connection, so events the middlebox raises between the export and the
-// redirect route here, land as orphans and die with the connection;
-// RecoverMove restores any move they belonged to.
-func (n *Node) releaseMB(mbName, toAddr string) (*sbi.Handoff, error) {
+// releaseMB gives up a locally registered middlebox to the node at toAddr by
+// redirecting it, so it redials its new owner. Its routing state here —
+// keys of transactions this node coordinates, orphaned events — goes
+// through purgeMB when the redirected connection closes, the path every
+// disconnect takes; RecoverMove restores any move it belonged to.
+func (n *Node) releaseMB(mbName, toAddr string) error {
 	c := n.Controller
 	mb, err := c.mb(mbName)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	h := c.router.exportHandoff(mb)
 	if toAddr != "" {
 		_, _ = mb.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpRedirect, Addr: toAddr}, c.opts.CallTimeout)
 	}
-	return h, nil
+	return nil
 }
 
 // Pull moves ownership of a middlebox to this node: ask the current owner
-// to release it (export + redirect), wait for the middlebox to redial here
-// (its registration quorum-commits the directory change), then import the
-// exported routing state from the wire payload through the local registry.
-// Remote-coordinated transactions resolve to nothing and drop as
-// aborted-remote; a subsequent RecoverMove restores any move they were
-// mid-flight on. Pulling an already-local middlebox is a no-op.
+// to release (redirect) it, then wait for the middlebox to redial here; its
+// registration quorum-commits the directory change. No routing state comes
+// along: a move the middlebox was in mid-flight is restored by RecoverMove.
+// Pulling an already-local middlebox is a no-op.
 func (n *Node) Pull(mbName string) error {
 	if _, err := n.Controller.mb(mbName); err == nil {
 		return nil
@@ -512,21 +505,11 @@ func (n *Node) Pull(mbName string) error {
 	if p == nil {
 		return fmt.Errorf("core: node %s: no live peer link to %q (owner of %q)", n.name, owner, mbName)
 	}
-	resp, err := p.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpReleaseMB, Name: mbName, Addr: n.Advertise()}, n.opts.PeerCallTimeout)
-	if err != nil {
+	if _, err := p.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpReleaseMB, Name: mbName, Addr: n.Advertise()}, n.opts.PeerCallTimeout); err != nil {
 		return err
 	}
 	if err := n.Controller.WaitForMB(mbName, n.opts.PullTimeout); err != nil {
 		return fmt.Errorf("core: node %s: released middlebox %q never redialed: %w", n.name, mbName, err)
-	}
-	if resp.Handoff != nil && len(resp.Handoff.Keys) > 0 {
-		mb, err := n.findRetry(mbName)
-		if err != nil {
-			return err
-		}
-		if _, err := n.Controller.router.importHandoff(mb, resp.Handoff, n.Controller.registry); err != nil {
-			return err
-		}
 	}
 	n.pulls.Add(1)
 	return nil
@@ -552,8 +535,8 @@ func (n *Node) findRetry(name string) (*mbConn, error) {
 }
 
 // MoveInternal shadows Controller.MoveInternal with cross-node awareness:
-// both endpoints are pulled local first (the wire handoff travels on the
-// peer link; the middlebox redials), then the move runs on this node's
+// both endpoints are pulled local first (the release travels on the peer
+// link; the middlebox redials), then the move runs on this node's
 // controller unchanged.
 func (n *Node) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
 	if err := n.Pull(srcMB); err != nil {

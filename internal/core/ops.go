@@ -156,7 +156,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	doPut := func(j putJob) {
 		// Credit the frame back to its get whatever becomes of the put: an
 		// uncredited frame would stall the stream, not fail it.
-		defer src.send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: j.frame.ID, Count: 1})
+		defer src.conn.Send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: j.frame.ID, Count: 1})
 		put := &sbi.Message{
 			Type: sbi.MsgRequest, Op: j.op,
 			Chunk: j.frame.Chunk, Chunks: j.frame.Chunks,

@@ -58,8 +58,18 @@ func TestHelperNodeProcess(t *testing.T) {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 3 && fields[0] == "move" {
 			go func(src, dst string) {
+				// The parent saw both registrations in another node's
+				// directory, which applies an entry when it acks it; this
+				// node registers the middlebox only after its own quorum
+				// round, so a move sent at once can find neither.
+				for _, name := range []string{src, dst} {
+					if err := n.WaitForMB(name, 10*time.Second); err != nil {
+						fmt.Fprintf(os.Stderr, "MOVERR %v\n", err)
+						return
+					}
+				}
 				if err := n.MoveInternal(src, dst, packet.MatchAll); err != nil {
-					fmt.Printf("MOVERR %v\n", err)
+					fmt.Fprintf(os.Stderr, "MOVERR %v\n", err)
 					return
 				}
 				fmt.Println("MOVED")
@@ -104,8 +114,8 @@ func spawnHelperNode(t *testing.T, name, join string) *helperNode {
 	})
 
 	// The child announces its listener with a LISTEN line; everything else
-	// on its stdout (go test chatter, MOVED/MOVERR results) is drained in
-	// the background.
+	// on its stdout (go test chatter, MOVED results) is drained in the
+	// background. MOVERR goes to stderr, so a failed move is visible.
 	lines := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -203,7 +213,7 @@ func TestProcessKillMidMove(t *testing.T) {
 	// The child coordinates the move; the gate pins it mid-data-phase —
 	// exported chunks in flight, marks set, events buffering — and then the
 	// coordinator is SIGKILLed. Everything it knew (its transaction
-	// registry, its routing state, its half of the handoff) dies with it.
+	// registry, its routing state) dies with it.
 	n1.send(t, "move src0 dst0")
 	gate.awaitReached(t, srcRT)
 	start := time.Now()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"openmb/internal/packet"
@@ -332,11 +331,10 @@ func (r *txnRouter) purgeMB(mb *mbConn) {
 // (up to the destination's announced batch) rather than one frame per
 // event, and one explicit flush for the whole forwarded batch rather than
 // one flush decision per frame. Destinations that did not announce event
-// batching in their hello get the per-event framing. The flush is inline
-// (not handed to the flush scheduler) on purpose: a drain blocking here
-// against a slow destination is the router's ordered-drain backpressure,
-// which eviction-during-drain correctness leans on. Never called with a
-// shard lock held.
+// batching in their hello get the per-event framing. The flush is inline on
+// purpose: a drain blocking here against a slow destination is the router's
+// ordered-drain backpressure, which eviction-during-drain correctness leans
+// on. Never called with a shard lock held.
 func forwardEvents(c *Controller, dst *mbConn, evs []*sbi.Event) {
 	if len(evs) == 0 {
 		return
@@ -378,96 +376,4 @@ func (c *Controller) notifyIntrospection(mbName string, ev *sbi.Event) {
 	for _, fn := range subs {
 		fn(mbName, ev)
 	}
-}
-
-// exportHandoff removes and returns every routing entry the router holds for
-// mb — in-transaction key states and orphaned events — rendered as the SBI
-// ownership-transfer payload. Transaction identity travels as registry IDs
-// in the payload's Txns table, so the result is self-contained: a receiving
-// node re-binds the keys from the bytes and its own registry alone. Each
-// shard is exported under its lock; nothing freezes the connection, so an
-// event routed after its shard was visited stays behind (Node.releaseMB).
-func (r *txnRouter) exportHandoff(mb *mbConn) *sbi.Handoff {
-	h := &sbi.Handoff{MB: mb.name}
-	var txns []*txn
-	index := map[*txn]uint64{}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for rk, ks := range sh.keys {
-			if rk.mb != mb {
-				continue
-			}
-			ti, ok := index[ks.owner]
-			if !ok {
-				txns = append(txns, ks.owner)
-				ti = uint64(len(txns))
-				index[ks.owner] = ti
-			}
-			h.Keys = append(h.Keys, sbi.HandoffKey{
-				Key: rk.key.Key(), Txn: ti, Pending: ks.pending, Events: ks.buffered,
-			})
-			delete(sh.keys, rk)
-		}
-		for rk, evs := range sh.orphans {
-			if rk.mb != mb {
-				continue
-			}
-			h.Keys = append(h.Keys, sbi.HandoffKey{Key: rk.key.Key(), Events: evs})
-			delete(sh.orphans, rk)
-		}
-		sh.release()
-		sh.mu.Unlock()
-	}
-	// Publish the transfer table's registry IDs on the wire payload, so a
-	// receiver (or an operator reading a handoff dump) can name the exact
-	// transactions being re-bound: Txns[i] is the ID of table slot i+1.
-	for _, t := range txns {
-		h.Txns = append(h.Txns, t.id)
-	}
-	return h
-}
-
-// importHandoff installs a transferred flowspace into this router, resolving
-// the payload's transfer table through reg by wire ID — the payload plus a
-// registry is the complete input. Shard counts may differ between nodes —
-// each router hashes the keys into its own shards.
-//
-// IDs reg cannot resolve name transactions that died with a remote
-// coordinator: their keys are dropped (buffered events discarded), the same
-// aborted-remote outcome a move rollback produces, and the count of dropped
-// keys is returned. Live packets are always counted at the source first, so
-// discarding the replay buffer loses no accepted packet.
-func (r *txnRouter) importHandoff(mb *mbConn, h *sbi.Handoff, reg *txnRegistry) (int, error) {
-	table := make([]*txn, len(h.Txns))
-	for i, id := range h.Txns {
-		table[i] = reg.find(id)
-	}
-	for i := range h.Keys {
-		hk := &h.Keys[i]
-		if hk.Txn > uint64(len(table)) {
-			return 0, fmt.Errorf("core: handoff for %q references transaction %d of %d", h.MB, hk.Txn, len(table))
-		}
-		if _, ok := hk.Key.ID(); !ok {
-			return 0, fmt.Errorf("core: handoff for %q carries non-IPv4 key %s", h.MB, hk.Key)
-		}
-	}
-	dropped := 0
-	for i := range h.Keys {
-		hk := &h.Keys[i]
-		id, _ := hk.Key.ID() // checked above
-		rk := routeKey{mb: mb, key: id}
-		sh := r.shard(id)
-		sh.mu.Lock()
-		sh.alloc()
-		if hk.Txn == 0 {
-			sh.orphans[rk] = append(sh.orphans[rk], hk.Events...)
-		} else if owner := table[hk.Txn-1]; owner != nil {
-			sh.keys[rk] = &keyState{owner: owner, pending: hk.Pending, buffered: hk.Events}
-		} else {
-			dropped++
-		}
-		sh.mu.Unlock()
-	}
-	return dropped, nil
 }

@@ -20,9 +20,8 @@ type txn struct {
 	src  *mbConn
 	dst  *mbConn
 
-	// id is the transaction ID the registry assigned (wire-visible:
-	// exported handoffs carry it in sbi.Handoff.Txns). Immutable after
-	// newTxn.
+	// id is the transaction ID the registry assigned, unique across the
+	// cluster's nodes. Immutable after newTxn.
 	id uint64
 
 	// lastEvent is the unix-nano time the source last raised an event for

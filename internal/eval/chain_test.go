@@ -105,9 +105,22 @@ func TestChainTracerHopSequence(t *testing.T) {
 				t.Fatalf("%s: %d %s records, want %d (all: %v)", name, perHop[h], h, packets, perHop)
 			}
 		}
-		// A packet must hit ingress before anything else records it.
+		// A packet must hit ingress before anything else records it: no
+		// prefix of the stream holds more dispatch records than ingress ones.
 		if len(recs) == 0 || recs[0].Hop != obs.HopIngress {
 			t.Fatalf("%s: first record is %v, want ingress", name, recs[0].Hop)
+		}
+		ingress, dispatch := 0, 0
+		for i, r := range recs {
+			switch r.Hop {
+			case obs.HopIngress:
+				ingress++
+			case obs.HopDispatch:
+				dispatch++
+			}
+			if dispatch > ingress {
+				t.Fatalf("%s: record %d is dispatch %d of %d ingress records", name, i, dispatch, ingress)
+			}
 		}
 	}
 	// The NAT rewrites the source to its external IP; egress records are

@@ -47,7 +47,7 @@ func (rt *Runtime) HandleBurst(ps []*packet.Packet) {
 		rt.handleBurstTraced(a, ps)
 		return
 	}
-	if rejected := rt.ring.tryPushBurst(ps); rejected > 0 {
+	if rejected := rt.ring.tryPushBurst(ps, nil); rejected > 0 {
 		rt.droppedPackets.Add(uint64(rejected))
 		rt.pending.Add(int64(-rejected))
 		for _, p := range ps[n-rejected:] {
@@ -59,28 +59,35 @@ func (rt *Runtime) HandleBurst(ps []*packet.Packet) {
 // handleBurstTraced is HandleBurst with the tracer armed: flow keys are
 // captured before the push (accepted packets may be processed and recycled
 // by the worker concurrently), then recorded with the ring's accept/drop
-// outcome per packet.
+// outcome per packet under the ring lock, ahead of any dispatch record.
 func (rt *Runtime) handleBurstTraced(a *obs.ArmedTrace, ps []*packet.Packet) {
 	n := len(ps)
 	keys := make([]packet.FlowID, n)
 	for i, p := range ps {
 		keys[i] = p.FlowID()
 	}
-	rejected := rt.ring.tryPushBurst(ps)
+	rejected := rt.ring.tryPushBurst(ps, func(accepted int) {
+		for i, key := range keys {
+			recordIngress(a, rt.name, key, i < accepted)
+		}
+	})
 	if rejected > 0 {
 		rt.droppedPackets.Add(uint64(rejected))
 		rt.pending.Add(int64(-rejected))
 	}
-	for i, key := range keys {
-		note := ""
-		if i >= n-rejected {
-			note = "drop:ring-full"
-		}
-		a.Record(rt.name, obs.HopIngress, key, note)
-	}
 	for _, p := range ps[n-rejected:] {
 		p.Release()
 	}
+}
+
+// recordIngress writes one packet's HopIngress record: accepted, or shed at
+// a full (or closed) ring.
+func recordIngress(a *obs.ArmedTrace, mb string, key packet.FlowID, accepted bool) {
+	note := ""
+	if !accepted {
+		note = "drop:ring-full"
+	}
+	a.Record(mb, obs.HopIngress, key, note)
 }
 
 // worker is the vectorized drain loop. Replayed packets (reprocess events)

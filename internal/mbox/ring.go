@@ -79,47 +79,45 @@ func newIngressRing(capacity int) *ingressRing {
 }
 
 // tryPush enqueues it, reporting false when the target queue is full or the
-// ring closed (the caller still owns the packet's borrow in that case).
-func (r *ingressRing) tryPush(it ingressItem) bool {
+// ring closed (the caller still owns the packet's borrow in that case). A
+// non-nil pushed runs with the outcome before the ring unlocks, so whatever
+// it records precedes anything the worker records after popping the item.
+func (r *ingressRing) tryPush(it ingressItem, pushed func(ok bool)) bool {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
 	q := &r.live
 	if it.replay {
 		q = &r.replay
 	}
 	wasEmpty := r.live.n+r.replay.n == 0
-	if !q.push(it) {
-		r.mu.Unlock()
-		return false
+	ok := !r.closed && q.push(it)
+	if pushed != nil {
+		pushed(ok)
 	}
 	r.mu.Unlock()
-	if wasEmpty {
+	if ok && wasEmpty {
 		r.notEmpty.Signal()
 	}
-	return true
+	return ok
 }
 
 // tryPushBurst enqueues live items for ps in order under a single lock
 // acquisition and at most one wakeup — the batched analogue of len(ps)
 // tryPush calls. It returns the number of trailing packets that did NOT fit
 // (queue full or ring closed); the caller still owns those borrows. Accepted
-// packets keep FIFO order.
-func (r *ingressRing) tryPushBurst(ps []*packet.Packet) int {
+// packets keep FIFO order. A non-nil pushed runs with the accepted count
+// before the ring unlocks, as tryPush's does.
+func (r *ingressRing) tryPushBurst(ps []*packet.Packet, pushed func(accepted int)) int {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return len(ps)
-	}
 	wasEmpty := r.live.n+r.replay.n == 0
 	accepted := 0
 	for _, p := range ps {
-		if !r.live.push(ingressItem{p: p}) {
+		if r.closed || !r.live.push(ingressItem{p: p}) {
 			break
 		}
 		accepted++
+	}
+	if pushed != nil {
+		pushed(accepted)
 	}
 	r.mu.Unlock()
 	if wasEmpty && accepted > 0 {

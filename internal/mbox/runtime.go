@@ -234,18 +234,17 @@ func (rt *Runtime) HandlePacket(p *packet.Packet) {
 		// Armed path: capture the flow before the push — once the ring
 		// owns the packet the worker may process and recycle it
 		// concurrently, so reading headers after a successful push races.
+		// The ingress record is written under the ring lock, so it always
+		// precedes the packet's dispatch record.
 		key := p.FlowID()
-		if !rt.ring.tryPush(ingressItem{p: p}) {
+		if !rt.ring.tryPush(ingressItem{p: p}, func(ok bool) { recordIngress(a, rt.name, key, ok) }) {
 			rt.droppedPackets.Add(1)
 			rt.pending.Add(-1)
-			a.Record(rt.name, obs.HopIngress, key, "drop:ring-full")
 			p.Release()
-			return
 		}
-		a.Record(rt.name, obs.HopIngress, key, "")
 		return
 	}
-	if !rt.ring.tryPush(ingressItem{p: p}) {
+	if !rt.ring.tryPush(ingressItem{p: p}, nil) {
 		rt.droppedPackets.Add(1)
 		rt.pending.Add(-1)
 		p.Release()

@@ -46,10 +46,10 @@ func ParseCodec(s string) (Codec, error) {
 
 // wireCodec frames Messages over buffered streams. Implementations are bound
 // to one Conn's reader/writer; encode and decode are each externally
-// serialized by the Conn's send/receive mutexes. encode appends the frame to
-// the buffered writer without flushing — when the bytes reach the transport
-// is the Conn's decision (see Conn's coalesced-flushing notes), not the
-// codec's.
+// serialized by the Conn's send/receive mutexes. The JSON codec's encode
+// appends the frame to the buffered writer and leaves the flush to the Conn
+// (see Conn's coalesced-flushing notes); the binary codec's encode writes the
+// frame through to the transport.
 type wireCodec interface {
 	name() Codec
 	encode(m *Message) error
@@ -132,7 +132,10 @@ const (
 	fStats
 	fEvent
 	fError
-	fHandoff
+	// fRetired keeps the bit of a field the protocol no longer carries, so
+	// the fields after it keep their positions. It is not in knownFields: a
+	// frame that sets it is rejected.
+	fRetired
 	fEvents
 	fAddr
 	fDir
@@ -140,8 +143,8 @@ const (
 )
 
 // knownFields masks every bit this implementation understands; frames with
-// other bits set are from a newer, incompatible binary protocol.
-const knownFields = fWindow<<1 - 1
+// other bits set are from a different, incompatible binary protocol.
+const knownFields = (fWindow<<1 - 1) &^ fRetired
 
 // Event-presence bits (one byte).
 const (
@@ -232,15 +235,6 @@ func (c *binaryCodec) encode(m *Message) error {
 	for _, ev := range m.Events {
 		keysOK = keysOK && flowKeyBinaryOK(ev.Key)
 	}
-	if m.Handoff != nil {
-		for i := range m.Handoff.Keys {
-			hk := &m.Handoff.Keys[i]
-			keysOK = keysOK && flowKeyBinaryOK(hk.Key)
-			for _, ev := range hk.Events {
-				keysOK = keysOK && flowKeyBinaryOK(ev.Key)
-			}
-		}
-	}
 	if !keysOK {
 		encBufPool.Put(bp)
 		return errKeyNotBinary
@@ -304,9 +298,6 @@ func (c *binaryCodec) encode(m *Message) error {
 	}
 	if m.Error != "" {
 		flags |= fError
-	}
-	if m.Handoff != nil {
-		flags |= fHandoff
 	}
 	if len(m.Events) > 0 {
 		flags |= fEvents
@@ -393,24 +384,6 @@ func (c *binaryCodec) encode(m *Message) error {
 	}
 	if flags&fError != 0 {
 		body = appendString(body, m.Error)
-	}
-	if flags&fHandoff != 0 {
-		body = appendString(body, m.Handoff.MB)
-		body = appendUvarint(body, uint64(len(m.Handoff.Keys)))
-		for i := range m.Handoff.Keys {
-			hk := &m.Handoff.Keys[i]
-			body = hk.Key.AppendBinary(body)
-			body = appendUvarint(body, hk.Txn)
-			body = appendUvarint(body, uint64(hk.Pending))
-			body = appendUvarint(body, uint64(len(hk.Events)))
-			for _, ev := range hk.Events {
-				body = appendEvent(body, ev)
-			}
-		}
-		body = appendUvarint(body, uint64(len(m.Handoff.Txns)))
-		for _, id := range m.Handoff.Txns {
-			body = appendUvarint(body, id)
-		}
 	}
 	if flags&fEvents != 0 {
 		body = appendUvarint(body, uint64(len(m.Events)))
@@ -712,41 +685,6 @@ func (c *binaryCodec) decode() (*Message, error) {
 	}
 	if flags&fError != 0 {
 		m.Error = r.string("error")
-	}
-	if flags&fHandoff != 0 {
-		h := &Handoff{MB: r.string("handoff mb")}
-		n := r.uvarint("handoff keys")
-		if r.err == nil && n > uint64(len(body)/packet.FlowKeyWireSize)+1 {
-			return nil, fmt.Errorf("sbi: binary decode: handoff key count %d exceeds frame", n)
-		}
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			hk := HandoffKey{Key: r.flowKey("handoff key")}
-			hk.Txn = r.uvarint("handoff txn")
-			hk.Pending = int(r.uvarint("handoff pending"))
-			ne := r.uvarint("handoff events")
-			if r.err == nil && ne > uint64(len(body))+1 {
-				return nil, fmt.Errorf("sbi: binary decode: handoff event count %d exceeds frame", ne)
-			}
-			for j := uint64(0); j < ne && r.err == nil; j++ {
-				ev, err := decodeEvent(r)
-				if err != nil {
-					return nil, err
-				}
-				hk.Events = append(hk.Events, ev)
-			}
-			h.Keys = append(h.Keys, hk)
-		}
-		nt := r.uvarint("handoff txns")
-		// Each txn ID costs at least one body byte.
-		if r.err == nil && nt > uint64(len(body)) {
-			return nil, fmt.Errorf("sbi: binary decode: handoff txn count %d exceeds frame", nt)
-		}
-		for i := uint64(0); i < nt && r.err == nil; i++ {
-			h.Txns = append(h.Txns, r.uvarint("handoff txns"))
-		}
-		if r.err == nil {
-			m.Handoff = h
-		}
 	}
 	if flags&fEvents != 0 {
 		n := r.uvarint("events")

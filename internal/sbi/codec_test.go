@@ -94,20 +94,8 @@ func testMessages() []*Message {
 			{Kind: EventReprocess, Key: k, Seq: 51, Class: state.Supporting, Packet: []byte{10}},
 		}},
 		{Type: MsgError, ID: 20, Error: "mbox: unknown op \"frobnicate\""},
-		{Type: MsgRequest, ID: 21, Op: OpTransferOwnership, Handoff: &Handoff{
-			MB: "prads1",
-			Keys: []HandoffKey{
-				{Key: k, Txn: 1, Pending: 2, Events: []*Event{
-					{Kind: EventReprocess, Key: k, Seq: 7, Class: state.Supporting, Packet: []byte{1, 2, 3}},
-					{Kind: EventReprocess, Key: k, Seq: 8, Class: state.Supporting, Packet: []byte{4}},
-				}},
-				{Key: k2, Txn: 2}, // registered, nothing outstanding
-				{Key: k2, Events: []*Event{ // orphan record
-					{Kind: EventReprocess, Key: k2, Seq: 9, Packet: []byte{5, 6}},
-				}},
-			},
-		}},
-		{Type: MsgRequest, ID: 22, Op: OpTransferOwnership, Handoff: &Handoff{MB: "empty"}},
+		{Type: MsgRequest, ID: 21, Op: OpEndTransaction, Match: match},
+		{Type: MsgRequest, ID: 22, Op: OpPeerLeave},
 		{Type: MsgHello, Name: "node-b", Kind: PeerKind, Codec: CodecBinary, Addr: "127.0.0.1:9754"}, // peer hello
 		{Type: MsgRequest, ID: 23, Op: OpDirUpdate, Dir: []DirEntry{
 			{Name: "prads1", Node: "node-a", Version: 3},
@@ -118,11 +106,7 @@ func testMessages() []*Message {
 			Values: []string{"node-a=127.0.0.1:9753", "node-b=127.0.0.1:9754"}}, // dirSync reply
 		{Type: MsgRequest, ID: 25, Op: OpRedirect, Addr: "127.0.0.1:9755"},
 		{Type: MsgRequest, ID: 26, Op: OpReleaseMB, Name: "prads1", Addr: "127.0.0.1:9755"},
-		{Type: MsgRequest, ID: 27, Op: OpTransferOwnership, Handoff: &Handoff{ // registry-ID txn table
-			MB:   "prads1",
-			Keys: []HandoffKey{{Key: k, Txn: 1, Pending: 1}, {Key: k2, Txn: 2}},
-			Txns: []uint64{0x0007_0000_0000_0042, 0x0007_0000_0000_0043},
-		}},
+		{Type: MsgRequest, ID: 27, Op: OpTraceFlow, Match: match, Enable: true, Count: 128},
 		{Type: MsgRequest, ID: 28, Op: OpGetSupportPerflow, Match: match, Batch: 32, Window: 64}, // windowed get
 		{Type: MsgRequest, ID: 28, Op: OpCredit, Count: 1},                                       // credit for it
 		{Type: MsgRequest, ID: 28, Op: OpCredit},                                                 // cancel it
@@ -296,6 +280,10 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	// Unknown (future) field bit 31 set.
 	if err := decode([]byte{0, 0, 0, 9, 4, 0x80, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("unknown field bits accepted")
+	}
+	// The retired field's bit 19 is no longer understood either.
+	if err := decode([]byte{0, 0, 0, 9, 4, 0, 0x08, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("retired field bit accepted")
 	}
 	// Chunk count claiming more chunks than the frame could hold.
 	body := []byte{3}                                // MsgChunk

@@ -36,6 +36,10 @@ import (
 //     auto-writes full buffers meanwhile, so long streams still make
 //     progress in buffer-sized blocks.
 //
+// These rules coalesce only JSON connections: the binary codec writes each
+// frame through to the transport at encode, so on a binary connection a
+// flush finds the buffer empty.
+//
 // A Conn starts in the JSON codec (newline-delimited JSON, the paper
 // prototype's format). After the hello exchange both ends may switch to the
 // binary codec with Upgrade; see the Codec field of MsgHello.
@@ -76,13 +80,19 @@ type Conn struct {
 
 // NewConn wraps a transport connection. The initial codec is JSON.
 func NewConn(raw net.Conn) *Conn {
-	c := &Conn{
-		raw: raw,
-		br:  bufio.NewReaderSize(raw, 64<<10),
-		bw:  bufio.NewWriterSize(raw, 64<<10),
-	}
+	c := &Conn{raw: raw, br: bufio.NewReaderSize(raw, 64<<10)}
+	c.bw = bufio.NewWriterSize(transportWriter{c}, 64<<10)
 	c.codec = newJSONCodec(c.br, c.bw)
 	return c
+}
+
+// transportWriter sits under the buffered writer and counts every write
+// that reaches the transport, whichever path issued it.
+type transportWriter struct{ c *Conn }
+
+func (w transportWriter) Write(p []byte) (int, error) {
+	w.c.flushes.Add(1)
+	return w.c.raw.Write(p)
 }
 
 // Codec returns the connection's current codec.
@@ -120,14 +130,13 @@ func (c *Conn) Upgrade(codec Codec) error {
 	return nil
 }
 
-// flushLocked flushes the buffered writer if it holds unflushed frames,
-// counting the flush. Caller holds sendMu.
+// flushLocked flushes the buffered writer if it holds unflushed frames.
+// Caller holds sendMu.
 func (c *Conn) flushLocked() error {
 	if !c.dirty {
 		return nil
 	}
 	c.dirty = false
-	c.flushes.Add(1)
 	return c.bw.Flush()
 }
 
@@ -227,15 +236,15 @@ func (c *Conn) Receive() (*Message, error) {
 }
 
 // Counters is a snapshot of a connection's wire counters. Sent/Flushes is
-// the frames-per-flush ratio the coalesced write path exists to raise: it
-// amortizes many frames per transport write.
+// the frames-per-write ratio the coalesced write path exists to raise on
+// JSON connections; a binary connection writes each frame through at encode,
+// so its ratio is about one.
 type Counters struct {
 	// Sent and Received count frames encoded and decoded.
 	Sent, Received uint64
-	// Flushes counts explicit buffered-writer flushes that published
-	// frames (empty flushes are not counted; neither are the writer's
-	// internal full-buffer writes, which cost a syscall but no latency
-	// decision).
+	// Flushes counts writes that reached the transport: explicit flushes,
+	// the binary codec's per-frame write-through, and the buffered writer's
+	// full-buffer writes alike.
 	Flushes uint64
 }
 

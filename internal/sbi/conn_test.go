@@ -168,6 +168,61 @@ func TestFlushOnIdleCoalescesContendingSenders(t *testing.T) {
 	}
 }
 
+// writeCounter wraps a net.Conn and counts the writes that reach it.
+type writeCounter struct {
+	net.Conn
+	mu     sync.Mutex
+	writes uint64
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes++
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
+
+// TestFlushesCountTransportWrites: Counters.Flushes is the number of writes
+// the transport saw, under either codec — a deferred stream plus one Flush
+// is one write on JSON and one write per frame on binary, which writes each
+// frame through at encode.
+func TestFlushesCountTransportWrites(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(string(codec), func(t *testing.T) {
+			a, b := net.Pipe()
+			wc := &writeCounter{Conn: a}
+			c1, c2 := NewConn(wc), NewConn(b)
+			defer c1.Close()
+			defer c2.Close()
+			if err := c1.Upgrade(codec); err != nil {
+				t.Fatal(err)
+			}
+			if err := c2.Upgrade(codec); err != nil {
+				t.Fatal(err)
+			}
+			const frames = 16
+			done := receiveAsync(t, c2, frames)
+			for i := 0; i < frames; i++ {
+				if err := c1.SendDeferred(&Message{Type: MsgChunk, ID: uint64(i + 1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c1.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			wc.mu.Lock()
+			writes := wc.writes
+			wc.mu.Unlock()
+			if got := c1.Counters().Flushes; got != writes {
+				t.Fatalf("Flushes = %d, the transport saw %d writes", got, writes)
+			}
+		})
+	}
+}
+
 // TestBatchedEventFrameOrder: a coalesced event frame decodes with its
 // events in seq order and EachEvent walks both representations.
 func TestBatchedEventFrameOrder(t *testing.T) {

@@ -69,8 +69,8 @@ func seedFrames() [][]byte {
 }
 
 // FuzzBinaryRoundTrip: any frame the decoder accepts must re-encode and
-// re-decode to the identical message — the stability property the handoff
-// and move paths rely on when they forward decoded frames onward.
+// re-decode to the identical message — the stability property the move
+// path relies on when they forward decoded frames onward.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -102,14 +102,6 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 func eachKey(m *Message, visit func(packet.FlowKey)) {
 	m.EachChunk(func(c *state.Chunk) { visit(c.Key) })
 	m.EachEvent(func(ev *Event) { visit(ev.Key) })
-	if m.Handoff != nil {
-		for _, hk := range m.Handoff.Keys {
-			visit(hk.Key)
-			for _, ev := range hk.Events {
-				visit(ev.Key)
-			}
-		}
-	}
 }
 
 // FuzzBinaryRejectsCorrupt: truncations and bit flips of valid frames must

@@ -65,13 +65,6 @@ const (
 	// called when events stop arriving").
 	OpEndTransaction Op = "endTransaction"
 
-	// OpTransferOwnership carries a node-to-node handoff: the per-key
-	// routing state (outstanding put counts, buffered reprocess events,
-	// orphans) of one middlebox's flowspace, moving from the node that
-	// owned it to the one taking over. It travels on peer links, never
-	// controller-to-MB; see Message.Handoff and docs/SBI.md.
-	OpTransferOwnership Op = "transferOwnership"
-
 	// OpPing is the controller's liveness probe: a MsgRequest sent when a
 	// connection has been quiet for a heartbeat interval. The middlebox
 	// answers with a MsgDone echoing the request ID and carrying Op=pong
@@ -132,11 +125,10 @@ const (
 	OpRedirect Op = "redirect"
 
 	// OpReleaseMB asks the owning node to give up the middlebox named in
-	// Name: freeze it, export its routing state, and redirect it to the
-	// requesting node's address (carried in Addr). The MsgDone reply
-	// carries the exported Handoff so the requester can re-import the
-	// frozen state once the middlebox re-registers. Travels node-to-node
-	// only.
+	// Name by redirecting it to the requesting node's address (carried in
+	// Addr). The MsgDone reply carries nothing: the old owner's routing
+	// state for the middlebox dies with the redirected connection. Travels
+	// node-to-node only.
 	OpReleaseMB Op = "releaseMB"
 )
 
@@ -203,49 +195,6 @@ type Event struct {
 	// controller buffers them against the shared put instead of a
 	// per-key put.
 	Shared bool `json:"shared,omitempty"`
-}
-
-// Handoff is the ownership-transfer payload of OpTransferOwnership: the
-// routing state one node's controller holds for a middlebox's flowspace,
-// serialized so another node can take over mid-transaction. Each record is
-// one flow key's worth of the buffer-until-ACK machinery a move maintains
-// (§4.2.1), lifted to node scope: how many puts are still unacknowledged
-// and which reprocess events wait behind them. Transaction identity travels
-// as an index into the Txns table, whose entries are node-salted registry
-// IDs: the importer resolves each ID through its
-// transaction registry, so a handoff decoded on a fresh process reconstructs
-// txn bindings from bytes alone. IDs the importer's registry cannot resolve
-// belong to transactions that died with their coordinator; their keys are
-// dropped as aborted-remote.
-type Handoff struct {
-	// MB names the middlebox instance whose flowspace is moving.
-	MB string `json:"mb"`
-	// Keys holds one record per in-transaction flow key plus one per
-	// orphan key (events that arrived before their registering chunk).
-	Keys []HandoffKey `json:"keys,omitempty"`
-	// Txns carries the node-salted transaction IDs of the sender's
-	// transfer table, parallel to the 1-based Txn indices in Keys: entry
-	// i is the registry ID of transfer-table slot i+1. Receivers use the
-	// IDs to re-bind the imported keys to the same live transactions (and
-	// a failure-recovery import uses them to tell which transactions were
-	// aborted), so an abort-and-restart is deterministic instead of
-	// guessing from key overlap. Empty on handoffs that predate the
-	// transaction registry.
-	Txns []uint64 `json:"txns,omitempty"`
-}
-
-// HandoffKey is one flow key's routing state inside a Handoff.
-type HandoffKey struct {
-	Key packet.FlowKey `json:"key"`
-	// Txn identifies the owning transaction in the sender's transfer
-	// table (1-based); 0 marks an orphan record — buffered events with no
-	// registered owner yet.
-	Txn uint64 `json:"txn,omitempty"`
-	// Pending is the key's unacknowledged put count.
-	Pending int `json:"pending,omitempty"`
-	// Events are the reprocess events buffered for the key (or the
-	// orphaned events, when Txn is 0), in arrival order.
-	Events []*Event `json:"events,omitempty"`
 }
 
 // StatsReply answers the northbound stats() call: how much shared and
@@ -328,9 +277,6 @@ type Message struct {
 	// A middlebox announces willingness to RECEIVE batched reprocess frames
 	// with the Batch field of its hello; see docs/SBI.md.
 	Events []*Event `json:"events,omitempty"`
-
-	// Handoff payload (OpTransferOwnership requests).
-	Handoff *Handoff `json:"handoff,omitempty"`
 
 	// Error payload (MsgError).
 	Error string `json:"error,omitempty"`
