@@ -251,6 +251,8 @@ func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	// The hello (always JSON) may announce a faster codec for everything
 	// after it; the controller's side of the connection follows suit.
 	if err := conn.Upgrade(hello.Codec); err != nil {
+		// Not registered yet, so this goroutine is the connection's only
+		// sender: the Send flushes its own frame before the Close.
 		_ = conn.Send(&sbi.Message{Type: sbi.MsgError, Error: err.Error()})
 		conn.Close()
 		return

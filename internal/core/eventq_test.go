@@ -80,3 +80,45 @@ func TestEventQueueBackpressuresReadLoop(t *testing.T) {
 	}
 	mb.dropCall(id)
 }
+
+// TestForwardedEventsFlushedPastEncodeError: on a binary connection, a
+// forwarded batch whose second frame cannot be encoded (binary rejects a
+// non-IPv4 key) still delivers its first frame, with no later send behind
+// it to carry the buffer out.
+func TestForwardedEventsFlushedPastEncodeError(t *testing.T) {
+	c := NewController(Options{Shards: 1})
+	defer c.Close()
+	ctrlSide, mbSide := net.Pipe()
+	dst := newMBConn("mb", "counter", sbi.NewConn(ctrlSide), c)
+	peer := sbi.NewConn(mbSide)
+	defer peer.Close()
+	defer dst.conn.Close()
+	for _, conn := range []*sbi.Conn{dst.conn, peer} {
+		if err := conn.Upgrade(sbi.CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst.eventBatch = 1
+	v4 := packet.FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstIP: netip.AddrFrom4([4]byte{1, 1, 1, 1}), Proto: packet.ProtoTCP, SrcPort: 1024, DstPort: 80}
+	v6 := v4
+	v6.SrcIP, v6.DstIP = netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+
+	got := make(chan *sbi.Message, 1)
+	go func() {
+		if m, err := peer.Receive(); err == nil {
+			got <- m
+		}
+	}()
+	forwardEvents(c, dst, []*sbi.Event{
+		{Kind: sbi.EventReprocess, Key: v4, Seq: 1},
+		{Kind: sbi.EventReprocess, Key: v6, Seq: 2},
+	})
+	select {
+	case m := <-got:
+		if m.Op != sbi.OpReprocess || m.EventCount() != 1 || m.Event.Seq != 1 {
+			t.Fatalf("received %+v, want the reprocess frame of event 1", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame 1 stayed buffered behind the frame that failed to encode")
+	}
+}

@@ -152,7 +152,7 @@ func budgetRig(t *testing.T, chunks int) (*rig, func() (allocs, bytes float64)) 
 		t.Fatal(err)
 	}
 	t.Cleanup(r.ctrl.Close)
-	for name, logic := range map[string]mbox.Logic{"src": r.src, "dst": r.dst} {
+	attach := func(name string, logic mbox.Logic) *mbox.Runtime {
 		rt := mbox.New(name, logic, mbox.Options{Codec: sbi.CodecBinary})
 		t.Cleanup(rt.Close)
 		if err := rt.Connect(r.tr, "ctrl"); err != nil {
@@ -161,7 +161,9 @@ func budgetRig(t *testing.T, chunks int) (*rig, func() (allocs, bytes float64)) 
 		if err := r.ctrl.WaitForMB(name, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
+		return rt
 	}
+	r.srcRT, r.dstRT = attach("src", r.src), attach("dst", r.dst)
 	r.src.Preload(chunks)
 	at := [2]string{"src", "dst"}
 	logics := [2]*mbtest.CounterLogic{r.src, r.dst}
@@ -214,6 +216,30 @@ func TestMoveAllocBudget(t *testing.T) {
 	}
 	if bytesPerChunk > moveBytesBudget {
 		t.Errorf("%.0f bytes allocated per chunk moved, budget is %d", bytesPerChunk, moveBytesBudget)
+	}
+}
+
+// moveFramesPerWrite bounds from below the frames the source runtime puts in
+// each transport write during a 20 000-chunk binary move: the get stream's
+// deferred chunk frames and the replies the serve loop coalesces share
+// writes. Measured at 4.4–5.6 under -cpu 1,2,4 on a 2-CPU box; a codec that
+// writes each frame through reads 1.0.
+const moveFramesPerWrite = 2.5
+
+// TestMoveCoalescesSourceWrites pins the write path at move level: on the
+// move-idle rig, the source's frames per transport write stay above
+// moveFramesPerWrite.
+func TestMoveCoalescesSourceWrites(t *testing.T) {
+	const chunks = 20000
+	r, move := budgetRig(t, chunks)
+	before := r.srcRT.WireCounters()
+	move()
+	after := r.srcRT.WireCounters()
+	sent, flushes := after.Sent-before.Sent, after.Flushes-before.Flushes
+	perWrite := float64(sent) / float64(flushes)
+	t.Logf("source sent %d frames in %d transport writes: %.2f frames per write", sent, flushes, perWrite)
+	if perWrite < moveFramesPerWrite {
+		t.Errorf("%.2f frames per transport write at the source, want at least %.1f", perWrite, moveFramesPerWrite)
 	}
 }
 

@@ -185,7 +185,9 @@ func (n *Node) acceptLoop(l net.Listener) {
 			// commit to the replicated directory under quorum before the
 			// connection is accepted. A partitioned node refuses here —
 			// the middlebox's reconnect machinery moves on to the next
-			// address in its list, which is a node that CAN commit.
+			// address in its list, which is a node that CAN commit. The
+			// connection is not registered yet, so this goroutine is its
+			// only sender: the Send flushes its own frame before the Close.
 			if err := n.commitOwnership(hello.Name); err != nil {
 				_ = conn.Send(&sbi.Message{Type: sbi.MsgError, Error: err.Error()})
 				conn.Close()

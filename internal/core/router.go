@@ -344,14 +344,14 @@ func forwardEvents(c *Controller, dst *mbConn, evs []*sbi.Event) {
 	if batch < 1 {
 		batch = 1
 	}
-	err := sbi.FrameEvents(evs, batch, func(frame []*sbi.Event) error {
+	// A frame that fails to encode ends the batch, but the frames before it
+	// are already buffered: flush them whatever the framing returned.
+	_ = sbi.FrameEvents(evs, batch, func(frame []*sbi.Event) error {
 		m := &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpReprocess}
 		m.SetEvents(frame)
 		return dst.conn.SendDeferred(m)
 	})
-	if err == nil {
-		_ = dst.conn.Flush()
-	}
+	_ = dst.conn.Flush()
 }
 
 // routeEvent dispatches an MB-raised event: introspection events go to the

@@ -9,6 +9,7 @@ package mbox
 
 import (
 	"io"
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -94,5 +95,45 @@ func TestReprocessEventEncodeAllocs(t *testing.T) {
 	// marshal buffer and lands at ~4+. The bound separates the two.
 	if allocs > 3.5 {
 		t.Errorf("reprocess event path: %.2f allocs/event, want <= 3.5 (is the encode buffer pooled?)", allocs)
+	}
+}
+
+// TestEventFramesFlushedPastEncodeError: on a binary connection, a drained
+// batch whose second frame cannot be encoded (binary rejects a non-IPv4 key)
+// still delivers its first frame, with no later send behind it to carry the
+// buffer out.
+func TestEventFramesFlushedPastEncodeError(t *testing.T) {
+	a, b := net.Pipe()
+	conn, peer := sbi.NewConn(a), sbi.NewConn(b)
+	defer conn.Close()
+	defer peer.Close()
+	for _, c := range []*sbi.Conn{conn, peer} {
+		if err := c.Upgrade(sbi.CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v4 := packet.FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstIP: netip.AddrFrom4([4]byte{1, 1, 1, 1}), Proto: packet.ProtoTCP, SrcPort: 4242, DstPort: 80}
+	batch := make([]*sbi.Event, sbi.MaxEventsPerFrame+1)
+	for i := range batch {
+		batch[i] = &sbi.Event{Kind: sbi.EventReprocess, Key: v4, Seq: uint64(i + 1)}
+	}
+	// The first event of the second frame.
+	batch[sbi.MaxEventsPerFrame].Key.SrcIP = netip.MustParseAddr("2001:db8::1")
+
+	got := make(chan *sbi.Message, 1)
+	go func() {
+		if m, err := peer.Receive(); err == nil {
+			got <- m
+		}
+	}()
+	rt := &Runtime{conn: conn}
+	rt.sendEventFrames(batch)
+	select {
+	case m := <-got:
+		if m.EventCount() != sbi.MaxEventsPerFrame {
+			t.Fatalf("frame 1 carries %d events, want %d", m.EventCount(), sbi.MaxEventsPerFrame)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame 1 stayed buffered behind the frame that failed to encode")
 	}
 }

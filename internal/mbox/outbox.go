@@ -222,18 +222,17 @@ func (rt *Runtime) sendEventFrames(batch []*sbi.Event) {
 	if conn == nil || len(batch) == 0 {
 		return
 	}
-	err := sbi.FrameEvents(batch, sbi.MaxEventsPerFrame, func(frame []*sbi.Event) error {
+	// Send errors mean the controller is gone or an event cannot be framed;
+	// the events from the failing frame on are dropped, as they would be on
+	// a failed TCP connection.
+	_ = sbi.FrameEvents(batch, sbi.MaxEventsPerFrame, func(frame []*sbi.Event) error {
 		m := &sbi.Message{Type: sbi.MsgEvent}
 		m.SetEvents(frame)
 		return conn.SendDeferred(m)
 	})
-	if err == nil {
-		// The events-path bounded-latency guarantee: one explicit flush
-		// per drain cycle, so a raised event reaches the transport within
-		// the coalescing window plus one framing pass.
-		err = conn.Flush()
-	}
-	// Send errors mean the controller is gone; the events are dropped, as
-	// they would be on a failed TCP connection.
-	_ = err
+	// The events-path bounded-latency guarantee: one explicit flush per
+	// drain cycle, so a raised event reaches the transport within the
+	// coalescing window plus one framing pass. It runs whatever the framing
+	// returned: the frames encoded before a failing one are in the buffer.
+	_ = conn.Flush()
 }

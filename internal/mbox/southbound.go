@@ -206,7 +206,8 @@ func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 				// Prefer a different candidate on the redial.
 				rt.rotateAddr()
 			}
-			// The loop is exiting with replies possibly still deferred;
+			// The loop is exiting with replies possibly still deferred
+			// (and other senders' frames left to a waiting flusher);
 			// publish them so a half-served pipeline is not lost with the
 			// buffer (a no-op on a closed transport). Then the session's
 			// gets stop before a redial can start the next session's.
@@ -370,9 +371,11 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, gets *getStreams, m *sbi.Message
 	case sbi.OpRedirect:
 		// Ownership moved across the cluster: reconnect to the named node.
 		// The ack must reach the wire before the connection drops (the old
-		// owner's release call is waiting on it), then the new address is
-		// promoted and the session closed — the serve loop's exit path
-		// redials, now preferring the new owner.
+		// owner's release call is waiting on it), so it is flushed
+		// explicitly: a get streamer or the event outbox may be sending
+		// too, and a Send could leave the ack to them. Then the new
+		// address is promoted and the session closed — the serve loop's
+		// exit path redials, now preferring the new owner.
 		if m.Addr == "" {
 			fail(fmt.Errorf("mbox: redirect without address"))
 			return

@@ -46,10 +46,9 @@ func ParseCodec(s string) (Codec, error) {
 
 // wireCodec frames Messages over buffered streams. Implementations are bound
 // to one Conn's reader/writer; encode and decode are each externally
-// serialized by the Conn's send/receive mutexes. The JSON codec's encode
-// appends the frame to the buffered writer and leaves the flush to the Conn
-// (see Conn's coalesced-flushing notes); the binary codec's encode writes the
-// frame through to the transport.
+// serialized by the Conn's send/receive mutexes. Both codecs' encode appends
+// the frame to the buffered writer and leaves the flush to the Conn (see
+// Conn's coalesced-flushing notes).
 type wireCodec interface {
 	name() Codec
 	encode(m *Message) error
@@ -414,10 +413,7 @@ func (c *binaryCodec) encode(m *Message) error {
 	_, err := c.bw.Write(body)
 	*bp = body
 	encBufPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return err
 }
 
 func appendEvent(b []byte, ev *Event) []byte {

@@ -36,9 +36,12 @@ import (
 //     auto-writes full buffers meanwhile, so long streams still make
 //     progress in buffer-sized blocks.
 //
-// These rules coalesce only JSON connections: the binary codec writes each
-// frame through to the transport at encode, so on a binary connection a
-// flush finds the buffer empty.
+// Both codecs only append to the buffer, so these rules are the one write
+// rule for every connection.
+//
+// A Send can return with its frame still buffered: a waiting flushing sender
+// inherits it. Code that closes a Conn right after sending must Flush first,
+// unless no other goroutine can be sending on it.
 //
 // A Conn starts in the JSON codec (newline-delimited JSON, the paper
 // prototype's format). After the hello exchange both ends may switch to the
@@ -236,15 +239,14 @@ func (c *Conn) Receive() (*Message, error) {
 }
 
 // Counters is a snapshot of a connection's wire counters. Sent/Flushes is
-// the frames-per-write ratio the coalesced write path exists to raise on
-// JSON connections; a binary connection writes each frame through at encode,
-// so its ratio is about one.
+// the frames-per-write ratio the coalesced write path exists to raise, on
+// either codec.
 type Counters struct {
 	// Sent and Received count frames encoded and decoded.
 	Sent, Received uint64
-	// Flushes counts writes that reached the transport: explicit flushes,
-	// the binary codec's per-frame write-through, and the buffered writer's
-	// full-buffer writes alike.
+	// Flushes counts writes that reached the transport: explicit and
+	// flush-on-idle flushes and the buffered writer's full-buffer writes
+	// alike.
 	Flushes uint64
 }
 
