@@ -1,14 +1,14 @@
 package openmb
 
 // Burst data-path tests. The equivalence suite runs every middlebox over
-// the same packet sequence twice — its native ProcessBurst fed whole bursts
-// by HandleBurst, versus the same logic behind perPacketOnly (only
-// mbox.Logic visible, so the runtime's per-packet Process shim runs it) fed
-// by HandlePacket — and requires identical emitted wire bytes, identical
-// middlebox state, and identical runtime metrics: a ProcessBurst that
-// diverges from its Process fails here. BenchmarkChainThroughput is a
-// monitor→NAT→IPS chain with direct co-located handoff, where ns/op is
-// ns/packet.
+// the same packet sequence twice — its ProcessBurst fed whole bursts by
+// HandleBurst, versus the same logic behind oneAtATime (ProcessBurst called
+// one packet at a time, so every burst-scoped lock, config parse and lookup
+// cache starts afresh per packet) fed by HandlePacket — and requires
+// identical emitted wire bytes, identical middlebox state, and identical
+// runtime metrics: a burst body whose packets leak into each other fails
+// here. BenchmarkChainThroughput is a monitor→NAT→IPS chain with direct
+// co-located handoff, where ns/op is ns/packet.
 
 import (
 	"bytes"
@@ -69,13 +69,18 @@ func (e *emitRecorder) bytes() [][]byte {
 	return append([][]byte(nil), e.pkts...)
 }
 
-// perPacketOnly hides a logic's ProcessBurst: the embedded interface exposes
-// only mbox.Logic's method set, so the runtime runs the logic through its
-// per-packet Process shim — the reference the native burst path must match.
-type perPacketOnly struct{ mbox.Logic }
+// oneAtATime runs the wrapped logic's ProcessBurst one packet at a time — the
+// reference the whole-burst path must match.
+type oneAtATime struct{ mbox.Logic }
 
-// runBurstMode hosts logic in a runtime — natively when burst is true, behind
-// perPacketOnly otherwise — feeds it clones of pkts (whole bursts of eqChunk
+func (l oneAtATime) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	for i := range pkts {
+		l.Logic.ProcessBurst(ctxs[i:i+1], pkts[i:i+1])
+	}
+}
+
+// runBurstMode hosts logic in a runtime — as is when burst is true, behind
+// oneAtATime otherwise — feeds it clones of pkts (whole bursts of eqChunk
 // when burst is on, per packet otherwise), drains, and returns the emit
 // record plus the runtime for state/metric inspection.
 const eqChunk = 16
@@ -90,7 +95,7 @@ func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Pac
 func newBurstModeRuntime(t *testing.T, burst bool, logic mbox.Logic) (*emitRecorder, *mbox.Runtime) {
 	t.Helper()
 	if !burst {
-		logic = perPacketOnly{logic}
+		logic = oneAtATime{logic}
 	}
 	rt := mbox.New("eq", logic, mbox.Options{})
 	t.Cleanup(rt.Close)
@@ -443,7 +448,7 @@ func TestBurstEquivalenceRE(t *testing.T) {
 		dec := re.NewDecoder(1 << 16)
 		var encLogic, decLogic mbox.Logic = enc, dec
 		if !burst {
-			encLogic, decLogic = perPacketOnly{enc}, perPacketOnly{dec}
+			encLogic, decLogic = oneAtATime{enc}, oneAtATime{dec}
 		}
 		rtE := mbox.New("enc", encLogic, mbox.Options{})
 		rtD := mbox.New("dec", decLogic, mbox.Options{})
@@ -532,14 +537,16 @@ func TestBurstSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// tapTwice is a tap-and-forward hop that emits the packet it is processing
-// twice (CounterLogic.Process emits it once already): the first Emit passes
-// the runtime's borrow on, the second has to take a reference of its own.
+// tapTwice is a tap-and-forward hop that emits each packet it processes
+// twice (CounterLogic emits it once already): the first Emit passes the
+// runtime's borrow on, the second has to take a reference of its own.
 type tapTwice struct{ *mbtest.CounterLogic }
 
-func (l tapTwice) Process(ctx *mbox.Context, p *packet.Packet) {
-	l.CounterLogic.Process(ctx, p)
-	ctx.Emit(p)
+func (l tapTwice) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	l.CounterLogic.ProcessBurst(ctxs, pkts)
+	for i, p := range pkts {
+		ctxs[i].Emit(p)
+	}
 }
 
 // dropOdd forwards every second packet and drops the rest, so one burst
@@ -550,9 +557,11 @@ type dropOdd struct {
 	seen int
 }
 
-func (l *dropOdd) Process(ctx *mbox.Context, p *packet.Packet) {
-	if l.seen++; l.seen%2 == 0 {
-		ctx.Emit(p)
+func (l *dropOdd) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	for i, p := range pkts {
+		if l.seen++; l.seen%2 == 0 {
+			ctxs[i].Emit(p)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ type gatedCounter struct {
 	armed atomic.Bool
 }
 
-func (l *gatedCounter) Process(ctx *mbox.Context, p *packet.Packet) {
-	l.CounterLogic.Process(ctx, p)
+func (l *gatedCounter) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	l.CounterLogic.ProcessBurst(ctxs, pkts)
 	if l.armed.CompareAndSwap(true, false) {
 		<-l.gate
 	}
@@ -163,7 +163,9 @@ type slowCounter struct {
 	wait time.Duration
 }
 
-func (l *slowCounter) Process(ctx *mbox.Context, p *packet.Packet) {
-	time.Sleep(l.wait)
-	l.CounterLogic.Process(ctx, p)
+func (l *slowCounter) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	for i := range pkts {
+		time.Sleep(l.wait)
+		l.CounterLogic.ProcessBurst(ctxs[i:i+1], pkts[i:i+1])
+	}
 }

@@ -46,9 +46,11 @@ type slowLogic struct {
 	cost time.Duration
 }
 
-func (l *slowLogic) Process(ctx *mbox.Context, p *packet.Packet) {
-	time.Sleep(l.cost)
-	l.CounterLogic.Process(ctx, p)
+func (l *slowLogic) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
+	for i := range pkts {
+		time.Sleep(l.cost)
+		l.CounterLogic.ProcessBurst(ctxs[i:i+1], pkts[i:i+1])
+	}
 }
 
 // rangeDriver is the test GroupDriver: buddy-system flowspace splitting

@@ -23,11 +23,6 @@ type fwdMonitor struct {
 	*monitor.Monitor
 }
 
-func (f *fwdMonitor) Process(ctx *mbox.Context, p *packet.Packet) {
-	f.Monitor.Process(ctx, p)
-	ctx.Emit(p)
-}
-
 func (f *fwdMonitor) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	f.Monitor.ProcessBurst(ctxs, pkts)
 	for i := range pkts {

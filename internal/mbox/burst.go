@@ -7,8 +7,8 @@ import (
 	"openmb/internal/packet"
 )
 
-// This file is the runtime's packet path: the vectorized worker that
-// partitions ingress batches into live bursts, the per-burst scratch state
+// This file is the runtime's packet path: the vectorized worker that runs
+// each popped ingress batch as one burst, the per-burst scratch state
 // contexts share, and the batched ingress/egress hand-offs (HandleBurst in,
 // flushEmits out).
 
@@ -34,9 +34,10 @@ func (bs *burstState) reset() {
 
 // HandleBurst implements netsim.BurstEndpoint: it enqueues a whole delivery
 // batch in one ring synchronization. Packets that do not fit (queue full, or
-// ring closed after Close) are dropped and their borrows released, exactly as
-// HandlePacket sheds them one at a time; the ring accepts a prefix in order,
-// so the rejects are the trailing packets.
+// ring closed after Close) are dropped and their borrows released, as a
+// loaded middlebox would shed them; the ring accepts a prefix in order, so
+// the rejects are the trailing packets. After Close every push is rejected,
+// so late link deliveries cannot strand a borrow.
 func (rt *Runtime) HandleBurst(ps []*packet.Packet) {
 	n := len(ps)
 	if n == 0 {
@@ -68,7 +69,11 @@ func (rt *Runtime) handleBurstTraced(a *obs.ArmedTrace, ps []*packet.Packet) {
 	}
 	rejected := rt.ring.tryPushBurst(ps, func(accepted int) {
 		for i, key := range keys {
-			recordIngress(a, rt.name, key, i < accepted)
+			note := ""
+			if i >= accepted {
+				note = "drop:ring-full"
+			}
+			a.Record(rt.name, obs.HopIngress, key, note)
 		}
 	})
 	if rejected > 0 {
@@ -80,30 +85,18 @@ func (rt *Runtime) handleBurstTraced(a *obs.ArmedTrace, ps []*packet.Packet) {
 	}
 }
 
-// recordIngress writes one packet's HopIngress record: accepted, or shed at
-// a full (or closed) ring.
-func recordIngress(a *obs.ArmedTrace, mb string, key packet.FlowID, accepted bool) {
-	note := ""
-	if !accepted {
-		note = "drop:ring-full"
-	}
-	a.Record(mb, obs.HopIngress, key, note)
-}
-
 // worker is the vectorized drain loop. Replayed packets (reprocess events)
 // and live packets are serialized through it, so logic observes a
 // single-threaded packet stream, as the paper's per-Connection mutex achieves
-// for Bro; the ring hands out replay items first (another middlebox waits on
-// them). Each popped batch is partitioned in order: replayed packets take
-// the per-packet processReplay path (they carry per-item suppression state
-// and are rare), and every maximal run of live packets becomes one burst
-// through processBurst — the logic still observes packets strictly in
-// arrival order. Contexts are reused across bursts (Logic must not retain
-// them past Process), so the steady-state path allocates nothing per packet.
+// for Bro. Each popped batch becomes one burst, in ring order — the ring
+// hands out replay items first (another middlebox waits on them) — and each
+// packet's Context carries its own replay flags, so replays take the same
+// ProcessBurst as live traffic with their side effects suppressed (§4.2.1).
+// Contexts are reused across bursts (Logic must not retain them past
+// ProcessBurst), so the steady-state path allocates nothing per packet.
 // After Close the ring's backlog is released undelivered.
 func (rt *Runtime) worker() {
 	defer rt.workersWG.Done()
-	var rctx Context
 	var bs burstState
 	ctxs := make([]Context, ingressBatch)
 	pkts := make([]*packet.Packet, ingressBatch)
@@ -113,42 +106,23 @@ func (rt *Runtime) worker() {
 		if len(batch) == 0 {
 			return
 		}
-		i := 0
-		for i < len(batch) {
-			if it := batch[i]; it.replay {
-				batch[i] = ingressItem{}
-				i++
-				select {
-				case <-rt.stop:
-					rt.pending.Add(-1)
-					it.p.Release()
-				default:
-					rt.processReplay(&rctx, it.p, it.shared)
-				}
-				continue
-			}
-			j := i
-			for j < len(batch) && !batch[j].replay {
-				pkts[j-i] = batch[j].p
-				batch[j] = ingressItem{}
-				j++
-			}
-			rt.processBurst(ctxs[:j-i], pkts[:j-i], &bs)
-			i = j
+		for i, it := range batch {
+			pkts[i] = it.p
+			ctxs[i] = Context{rt: rt, pkt: it.p, Replay: it.replay, replayShared: it.shared, burst: &bs}
+			batch[i] = ingressItem{}
 		}
+		rt.processBurst(ctxs[:len(batch)], pkts[:len(batch)], &bs)
 	}
 }
 
-// processBurst runs one run of live packets through the logic — natively via
-// ProcessBurst when the logic implements BurstLogic, otherwise through a
-// per-packet Process shim — then raises any reprocess events, flushes the
-// buffered emits downstream in one hand-off, and releases the runtime's
-// borrows on the packets the logic did not pass on. A packet whose borrow
-// Emit moved into the emit buffer belongs to the sink from flushEmits on
-// (it may already be recycled), so nothing below that call reads one. The
-// latency clock is read once per burst (not twice per packet)
-// and the mean attributed across the burst's packets, with the during-op /
-// normal split decided at burst start.
+// processBurst runs one burst through the logic, then raises any reprocess
+// events, flushes the buffered emits downstream in one hand-off, and
+// releases the runtime's borrows on the packets the logic did not pass on.
+// A packet whose borrow Emit moved into the emit buffer belongs to the sink
+// from flushEmits on (it may already be recycled), so nothing below that
+// call reads one. The latency clock is read once per burst (not twice per
+// packet) and the mean attributed across the burst's packets, with the
+// during-op / normal split decided at burst start.
 func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burstState) {
 	n := len(pkts)
 	select {
@@ -168,22 +142,17 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	rt.procSeq.Add(1)
 	tr := rt.tracer.Enabled()
 	if tr != nil {
-		for _, p := range pkts {
-			tr.Record(rt.name, obs.HopDispatch, p.FlowID(), "burst")
+		for i, p := range pkts {
+			note := "burst"
+			if ctxs[i].Replay {
+				note = "replay"
+			}
+			tr.Record(rt.name, obs.HopDispatch, p.FlowID(), note)
 		}
 	}
 	duringOp := rt.activeOps.Load() > 0
 	start := time.Now()
-	for i := range ctxs {
-		ctxs[i] = Context{rt: rt, pkt: pkts[i], burst: bs}
-	}
-	if rt.burstLogic != nil {
-		rt.burstLogic.ProcessBurst(ctxs, pkts)
-	} else {
-		for i := range ctxs {
-			rt.logic.Process(&ctxs[i], pkts[i])
-		}
-	}
+	rt.logic.ProcessBurst(ctxs, pkts)
 	if tr != nil {
 		for i := range ctxs {
 			tr.RecordEmits(rt.name, pkts[i].FlowID(), ctxs[i].emitted)
@@ -202,14 +171,19 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	}
 	rt.procSeq.Add(1)
 	rt.flushEmits(bs)
-	rt.processed.Add(uint64(n))
-	rt.pending.Add(int64(-n))
+	replays := 0
 	for i, p := range pkts {
+		if ctxs[i].Replay {
+			replays++
+		}
 		if !ctxs[i].moved {
 			p.Release()
 		}
 		pkts[i] = nil
 	}
+	rt.processed.Add(uint64(n - replays))
+	rt.replayed.Add(uint64(replays))
+	rt.pending.Add(int64(-n))
 }
 
 // flushEmits hands one burst's buffered emits downstream: through the

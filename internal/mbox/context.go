@@ -14,8 +14,8 @@ import (
 type Context struct {
 	rt *Runtime
 	// pkt is the packet being processed. The runtime owns its borrowed
-	// reference until the logic Emits this exact packet on the burst path:
-	// the first such Emit hands it downstream (moved), and the runtime then
+	// reference until the logic Emits this exact packet: the first such
+	// live Emit hands it downstream (moved), and the runtime then
 	// neither releases the packet nor reads it after the emits are flushed.
 	pkt   *packet.Packet
 	moved bool
@@ -37,11 +37,12 @@ type Context struct {
 	raiseShared bool
 	emitted     int
 
-	// burst is the scratch state a live burst's contexts share: Emit
-	// buffers into it (one downstream hand-off per burst instead of one
-	// per packet) and introspection filters are evaluated against a
-	// once-per-burst snapshot. Nil on replay and detached (NewBenchContext)
-	// contexts, whose side effects go nowhere.
+	// burst is the scratch state a burst's contexts share: Emit buffers
+	// into it (one downstream hand-off per burst instead of one per packet)
+	// and introspection filters are evaluated against a once-per-burst
+	// snapshot. Nil only on detached (NewBenchContext) contexts, whose side
+	// effects go nowhere; a replayed packet's side effects are suppressed
+	// before they reach it.
 	burst *burstState
 }
 
@@ -94,8 +95,7 @@ func (c *Context) TouchShared(class state.Class) {
 // packet Emit supplies the downstream's reference itself: the first Emit
 // passes on the runtime's own borrow, with no reference-count traffic for a
 // packet that just passes through; any further Emit of it retains. Either
-// way the logic may keep reading the packet until Process/ProcessBurst
-// returns.
+// way the logic may keep reading the packet until ProcessBurst returns.
 func (c *Context) Emit(p *packet.Packet) {
 	c.emitted++
 	if c.Replay {

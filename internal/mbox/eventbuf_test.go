@@ -24,8 +24,10 @@ import (
 type touchLogic struct{ cfg *state.ConfigTree }
 
 func (l *touchLogic) Kind() string { return "touch" }
-func (l *touchLogic) Process(ctx *Context, p *packet.Packet) {
-	ctx.Touch(state.Supporting, p.FlowID())
+func (l *touchLogic) ProcessBurst(ctxs []Context, pkts []*packet.Packet) {
+	for i, p := range pkts {
+		ctxs[i].Touch(state.Supporting, p.FlowID())
+	}
 }
 func (l *touchLogic) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
 	return nil
@@ -95,6 +97,37 @@ func TestReprocessEventEncodeAllocs(t *testing.T) {
 	// marshal buffer and lands at ~4+. The bound separates the two.
 	if allocs > 3.5 {
 		t.Errorf("reprocess event path: %.2f allocs/event, want <= 3.5 (is the encode buffer pooled?)", allocs)
+	}
+}
+
+// TestOutboxBarrierWaitsForQueuedEvents: barrier returns only once every
+// event queued before the call has been handed to the transport. The test
+// holds connMu's write lock, which the flusher's send needs, so the queued
+// event cannot leave until the test lets it.
+func TestOutboxBarrierWaitsForQueuedEvents(t *testing.T) {
+	rt := New("barrier", &touchLogic{cfg: state.NewConfigTree()}, Options{})
+	defer rt.Close()
+	rt.connMu.Lock()
+	rt.queueEvent(&sbi.Event{Kind: sbi.EventIntrospection, Code: "test", Seq: 1}, nil)
+	done := make(chan struct{})
+	go func() {
+		rt.outbox.barrier(time.Minute)
+		close(done)
+	}()
+	select {
+	case <-done:
+		rt.connMu.Unlock()
+		t.Fatal("barrier returned while its event was still queued")
+	case <-time.After(50 * time.Millisecond): // well past the 2 ms linger
+	}
+	rt.connMu.Unlock()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("barrier still waiting after the event was sent")
+	}
+	if n := rt.eventsQueued.Load(); n != 0 {
+		t.Fatalf("barrier returned with %d events not yet handed to the transport", n)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // Kind is the middlebox type name.
 const Kind = "ips"
 
-var _ mbox.BurstLogic = (*IPS)(nil)
+var _ mbox.Logic = (*IPS)(nil)
 
 // IPS is the middlebox logic. It implements mbox.Logic.
 type IPS struct {
@@ -107,35 +107,6 @@ func (i *IPS) table(proto uint8) map[packet.FlowID]*Conn {
 	return t
 }
 
-// Process implements mbox.Logic: the Bro packet path. It updates the
-// connection and its analyzer tree, evaluates signatures, feeds the scan
-// detector, and forwards the packet unless a drop rule fired.
-func (i *IPS) Process(ctx *mbox.Context, p *packet.Packet) {
-	i.mu.Lock()
-	if i.sigsDirty {
-		i.recompileLocked()
-	}
-	key, logLines, httpLines, drop, terminated := i.processLocked(ctx, p)
-	i.mu.Unlock()
-
-	for _, line := range httpLines {
-		ctx.Log("http", line)
-	}
-	for _, line := range logLines {
-		if strings.HasPrefix(line, "sig ") || strings.HasPrefix(line, "scan ") {
-			ctx.Log("alert", line)
-		} else {
-			ctx.Log("conn", line)
-		}
-	}
-	if terminated {
-		ctx.RaiseIntrospection("ips.conn.closed", key, nil)
-	}
-	if !drop {
-		ctx.Emit(p)
-	}
-}
-
 // ipsEffect records one packet's out-of-lock side effects from a burst: log
 // lines and the termination raise must run outside i.mu, so ProcessBurst
 // collects them and replays after the lock in packet order. The steady state
@@ -148,11 +119,12 @@ type ipsEffect struct {
 	terminated bool
 }
 
-// ProcessBurst implements mbox.BurstLogic: one mutex acquisition and at most
-// one signature recompilation cover the whole burst; the per-packet analyzer
-// path is processLocked, byte-identical to Process's. Emits are buffered by
-// the burst context, so they are appended in-loop under the lock in packet
-// order.
+// ProcessBurst implements mbox.Logic: the Bro packet path. Each packet
+// updates its connection and analyzer tree, evaluates signatures, feeds the
+// scan detector, and is forwarded unless a drop rule fired. One mutex
+// acquisition and at most one signature recompilation cover the whole burst.
+// Emits are buffered by the runtime, so they are appended in-loop under the
+// lock in packet order.
 func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var effects []ipsEffect
 	i.mu.Lock()
@@ -188,10 +160,10 @@ func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	}
 }
 
-// processLocked is the per-packet Bro path shared by Process and
-// ProcessBurst. Caller holds i.mu and has already handled lazy signature
-// recompilation. The flow's canonical ID, log lines and the termination flag
-// are returned for the caller to act on outside the lock.
+// processLocked is ProcessBurst's per-packet Bro path. Caller holds i.mu and
+// has already handled lazy signature recompilation. The flow's canonical ID,
+// log lines and the termination flag are returned for the caller to act on
+// outside the lock.
 func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet) (key packet.FlowID, logLines, httpLines []string, drop, terminated bool) {
 	flow := p.FlowID()
 	key, _ = flow.Canonical()

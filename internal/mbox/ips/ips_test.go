@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/state"
 	"openmb/internal/trace"
@@ -446,7 +447,7 @@ func BenchmarkProcessHTTP(b *testing.B) {
 	p := tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, packet.FlagACK, "GET /x HTTP/1.1\r\n")
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		i.Process(ctx, p)
+		mbtest.ProcessOne(i, ctx, p)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // Kind is the middlebox type name.
 const Kind = "lb"
 
-var _ mbox.BurstLogic = (*LB)(nil)
+var _ mbox.Logic = (*LB)(nil)
 
 // Backend is one load-balanced server.
 type Backend struct {
@@ -125,44 +125,6 @@ func (l *LB) applyConfigLocked() {
 	}
 }
 
-// Process implements mbox.Logic: bind new flows round-robin and rewrite the
-// destination to the assigned backend.
-func (l *LB) Process(ctx *mbox.Context, p *packet.Packet) {
-	if p.DstIP != l.vip || p.DstPort != l.vipPort {
-		ctx.Emit(p) // return traffic or unrelated: pass through
-		return
-	}
-	key := p.FlowID().SrcEndpoint()
-	l.mu.Lock()
-	if l.dirty {
-		l.applyConfigLocked()
-	}
-	if len(l.backends) == 0 {
-		l.mu.Unlock()
-		return // no backends: drop
-	}
-	a, ok := l.assigns[key]
-	assigned := false
-	if !ok {
-		a = &assignment{Backend: l.backends[l.rr%len(l.backends)]}
-		l.rr++
-		l.assigns[key] = a
-		assigned = true
-	}
-	a.Packets++
-	ctx.Touch(state.Supporting, key)
-	backend := a.Backend
-	l.mu.Unlock()
-
-	if assigned {
-		ctx.RaiseIntrospection("lb.assigned", key, map[string]string{"server": backend.String()})
-	}
-	out := p.Clone()
-	out.DstIP = backend.IP
-	out.DstPort = backend.Port
-	ctx.Emit(out)
-}
-
 // lbRaise is one deferred "lb.assigned" raise from a burst: raises must run
 // outside l.mu, so ProcessBurst collects them under the lock and replays
 // them after it in packet order.
@@ -172,11 +134,12 @@ type lbRaise struct {
 	backend Backend
 }
 
-// ProcessBurst implements mbox.BurstLogic: one mutex acquisition and at most
-// one config re-parse cover the whole burst, and consecutive packets from
-// the same source endpoint reuse the last assignment lookup. Emits are
-// buffered by the burst context, so they are appended in-loop under the lock
-// in packet order.
+// ProcessBurst implements mbox.Logic: bind new flows round-robin and rewrite
+// the destination to the assigned backend. One mutex acquisition and at most
+// one config re-parse cover the whole burst, and consecutive packets from the
+// same source endpoint reuse the last assignment lookup. Emits are buffered
+// by the runtime, so they are appended in-loop under the lock in packet
+// order.
 func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []lbRaise
 	var lastKey packet.FlowID

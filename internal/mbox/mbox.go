@@ -34,17 +34,35 @@ import (
 var ErrNoSharedState = errors.New("mbox: middlebox has no shared state of this class")
 
 // Logic is the contract a concrete middlebox implements. Implementations
-// must be safe for concurrent calls: the packet loop invokes Process while
-// the southbound loop invokes state operations. Hold locks per chunk, not
-// per operation, so that a long-running get does not stall the data path
+// must be safe for concurrent calls: the packet loop invokes ProcessBurst
+// while the southbound loop invokes state operations. Hold locks per chunk,
+// not per operation, so that a long-running get does not stall the data path
 // (the paper measures at most a 2% per-packet latency increase during gets).
 type Logic interface {
 	// Kind returns the middlebox type name, e.g. "ips" or "monitor".
 	Kind() string
 
-	// Process handles one packet. State touches and external side effects
-	// are reported through ctx; see Context.
-	Process(ctx *Context, p *packet.Packet)
+	// ProcessBurst handles a burst of packets in arrival order; ctxs[i] is
+	// the Context of pkts[i] (len(ctxs) == len(pkts)). It is the only way
+	// packets reach the logic, so one lock acquisition, config parse or
+	// table lookup can be amortized across the burst. State touches and
+	// external side effects are reported through each packet's Context.
+	//
+	// A burst may mix replayed and live packets (replays come first):
+	// consult each ctx — Replay, SkipShared, SkipPerflow — not the burst.
+	// The outcome must be the one len(pkts) bursts of one packet each would
+	// produce: the same state updates, Touch/TouchShared calls, Emits, Logs
+	// and raised events, in the same per-packet order.
+	//
+	// The logic owns no reference on pkts[i]: ctxs[i].Emit(pkts[i])
+	// supplies the downstream's reference (the first one by passing on the
+	// runtime's borrow), and the runtime releases what was not passed on
+	// after ProcessBurst returns. Emits are buffered by the Context and
+	// flushed downstream in one hand-off after the call, so Emit is safe —
+	// and intended — to call while holding the logic's own lock, and every
+	// packet stays readable until ProcessBurst returns. The runtime reuses
+	// ctxs across bursts: do not retain them past the call.
+	ProcessBurst(ctxs []Context, pkts []*packet.Packet)
 
 	// GetPerflow streams the plaintext chunks of the given class whose
 	// keys match m, at the middlebox's own keying granularity. If m is
@@ -65,7 +83,7 @@ type Logic interface {
 	// per-chunk lock acquisition.
 	//
 	// Keys cross this interface as FlowKeys; tables hold packet.FlowID.
-	// The runtime marks key.ID(), so Process must Touch with the ID of
+	// The runtime marks key.ID(), so ProcessBurst must Touch with the ID of
 	// the key the state is exported under, and a key with a non-IPv4
 	// address fails the get (the wire form cannot carry it).
 	GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error
@@ -98,29 +116,4 @@ type Logic interface {
 
 	// Config returns the middlebox's hierarchical configuration tree.
 	Config() *state.ConfigTree
-}
-
-// BurstLogic is optionally implemented by middlebox logic that can process a
-// whole ingress burst in one call, amortizing lock acquisitions, config
-// parses, and per-flow map lookups across the batch. ctxs[i] is the Context
-// for pkts[i] (len(ctxs) == len(pkts), all live — the runtime routes replayed
-// reprocess packets through Process individually).
-//
-// The contract matches Process per element: the implementation must produce
-// the same state updates, Touch/TouchShared calls, Emits, Logs, and raised
-// events — in the same per-packet order — as len(pkts) sequential Process
-// calls would. The logic owns no reference on pkts[i], exactly as in Process:
-// ctxs[i].Emit(pkts[i]) supplies the downstream's reference (the first one
-// by passing on the runtime's borrow) and the runtime releases what was not
-// passed on after ProcessBurst returns. Emits are buffered by the Context and
-// flushed downstream in one hand-off after the call, so Emit is safe — and
-// intended — to call while holding the logic's own lock, and every packet
-// stays readable until ProcessBurst returns.
-//
-// Logic that does not implement BurstLogic runs unchanged: the runtime falls
-// back to a per-packet Process loop (still amortizing the runtime-side costs:
-// one latency clock pair and one emit hand-off per burst).
-type BurstLogic interface {
-	Logic
-	ProcessBurst(ctxs []Context, pkts []*packet.Packet)
 }

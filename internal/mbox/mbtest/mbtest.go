@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"openmb/internal/mbox"
 	"openmb/internal/packet"
@@ -54,26 +55,40 @@ func NewCounterLogic(chunkBytes int) *CounterLogic {
 // Kind implements mbox.Logic.
 func (l *CounterLogic) Kind() string { return "counter" }
 
-// Process counts the packet per flow and globally.
-func (l *CounterLogic) Process(ctx *mbox.Context, p *packet.Packet) {
-	id, _ := p.FlowID().Canonical()
+// ProcessBurst counts each packet per flow and globally, forwards it, and
+// logs and announces its flow.
+func (l *CounterLogic) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	l.mu.Lock()
-	// Touch under the same lock that serializes exports, so the
-	// moved-mark check is atomic with the update (see mbox.Logic).
-	if !ctx.SkipPerflow() {
-		l.flows[id]++
-		ctx.Touch(state.Supporting, id)
-	}
-	if !ctx.SkipShared() {
-		l.sharedSupport++
-		l.sharedReport++
-		ctx.TouchShared(state.Supporting)
-		ctx.TouchShared(state.Reporting)
+	for i, p := range pkts {
+		ctx := &ctxs[i]
+		id, _ := p.FlowID().Canonical()
+		// Touch under the same lock that serializes exports, so the
+		// moved-mark check is atomic with the update (see mbox.Logic).
+		if !ctx.SkipPerflow() {
+			l.flows[id]++
+			ctx.Touch(state.Supporting, id)
+		}
+		if !ctx.SkipShared() {
+			l.sharedSupport++
+			l.sharedReport++
+			ctx.TouchShared(state.Supporting)
+			ctx.TouchShared(state.Reporting)
+		}
+		ctx.Emit(p)
 	}
 	l.mu.Unlock()
-	ctx.Emit(p)
-	ctx.Log("conn", id.String())
-	ctx.RaiseIntrospection("counter.flow.seen", id, nil)
+	for i, p := range pkts {
+		id, _ := p.FlowID().Canonical()
+		ctxs[i].Log("conn", id.String())
+		ctxs[i].RaiseIntrospection("counter.flow.seen", id, nil)
+	}
+}
+
+// ProcessOne runs p through l as a burst of one on ctx — typically a
+// detached mbox.NewBenchContext — for unit tests and benchmarks that drive a
+// logic without a runtime.
+func ProcessOne(l mbox.Logic, ctx *mbox.Context, p *packet.Packet) {
+	l.ProcessBurst(unsafe.Slice(ctx, 1), []*packet.Packet{p})
 }
 
 func (l *CounterLogic) encode(v uint64) []byte {

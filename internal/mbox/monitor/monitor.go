@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"openmb/internal/mbox"
 	"openmb/internal/packet"
@@ -34,7 +35,7 @@ import (
 // Kind is the middlebox type name.
 const Kind = "monitor"
 
-var _ mbox.BurstLogic = (*Monitor)(nil)
+var _ mbox.Logic = (*Monitor)(nil)
 
 // connRecord is the per-flow reporting state: PRADS's connection object.
 type connRecord struct {
@@ -218,17 +219,12 @@ func (m *Monitor) applyConfigLocked() {
 // Kind implements mbox.Logic.
 func (m *Monitor) Kind() string { return Kind }
 
-// Process implements mbox.Logic: update the flow's connection record and the
-// shared statistics.
+// Process runs p through ProcessBurst as a burst of one. It is not part of
+// mbox.Logic and the runtime never calls it; it exists only because the
+// benchmark module's tapMonitor (benchmark/chain.go) still calls it. Delete
+// it together with that caller.
 func (m *Monitor) Process(ctx *mbox.Context, p *packet.Packet) {
-	m.mu.Lock()
-	id, newService := m.processLocked(ctx, p, nil)
-	m.mu.Unlock()
-
-	if newService != "" {
-		ctx.RaiseIntrospection("monitor.asset.detected", id, map[string]string{"service": newService})
-	}
-	// A passive monitor taps traffic; it does not forward packets.
+	m.ProcessBurst(unsafe.Slice(ctx, 1), []*packet.Packet{p})
 }
 
 // recCache caches the last (canonical ID -> record) resolution within one
@@ -240,10 +236,9 @@ type recCache struct {
 	rec *connRecord
 }
 
-// processLocked is the per-packet body shared by Process and ProcessBurst.
-// Caller holds m.mu. It returns the packet's canonical ID and the newly
-// detected service name ("" if none) for the introspection raise, which must
-// happen outside the lock.
+// processLocked is ProcessBurst's per-packet body. Caller holds m.mu. It
+// returns the packet's canonical ID and the newly detected service name (""
+// if none) for the introspection raise, which must happen outside the lock.
 func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recCache) (packet.FlowID, string) {
 	id, reversed := p.FlowID().Canonical()
 	dir := 0
@@ -252,10 +247,8 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 	}
 	newService := ""
 	if !ctx.SkipPerflow() {
-		var rec *connRecord
-		if cache != nil && cache.rec != nil && cache.id == id {
-			rec = cache.rec
-		} else {
+		rec := cache.rec
+		if rec == nil || cache.id != id {
 			var ok bool
 			rec, ok = m.conns[id]
 			if !ok {
@@ -266,9 +259,7 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 					m.shared.Flows++
 				}
 			}
-			if cache != nil {
-				cache.id, cache.rec = id, rec
-			}
+			cache.id, cache.rec = id, rec
 		}
 		rec.LastSeen = p.Timestamp
 		rec.Packets[dir]++
@@ -304,11 +295,12 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 	return id, newService
 }
 
-// ProcessBurst implements mbox.BurstLogic: one mutex acquisition covers the
-// whole burst, and consecutive same-flow packets reuse the last record
-// lookup. Introspection raises are collected under the lock and raised after
-// it in packet order, exactly as the per-packet path orders them; the common
-// case (no new detections) allocates nothing.
+// ProcessBurst implements mbox.Logic: update each flow's connection record
+// and the shared statistics. A passive monitor taps traffic; it does not
+// forward packets. One mutex acquisition covers the whole burst, and
+// consecutive same-flow packets reuse the last record lookup. Introspection
+// raises are collected under the lock and raised after it in packet order;
+// the common case (no new detections) allocates nothing.
 func (m *Monitor) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	type detection struct {
 		idx     int

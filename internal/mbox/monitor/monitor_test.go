@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/state"
 	"openmb/internal/trace"
@@ -364,7 +365,7 @@ func BenchmarkProcess(b *testing.B) {
 	p := tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, packet.FlagACK, "GET / HTTP/1.1\r\n")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Process(ctx, p)
+		mbtest.ProcessOne(m, ctx, p)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/state"
 )
@@ -60,29 +61,29 @@ func TestImportedMappingNotBornExpired(t *testing.T) {
 	// Imported before the NAT has seen a packet: idles from the first one.
 	n := New(extIP)
 	put(n)
-	n.Process(ctx, outPkt(2, 2000, wall))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall))
 	if !lookup(n) {
 		t.Fatal("imported mapping expired by the first packet after import")
 	}
-	n.Process(ctx, outPkt(2, 2000, wall+timeout))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall+timeout))
 	if !lookup(n) {
 		t.Fatal("imported mapping expired before a full timeout had passed")
 	}
-	n.Process(ctx, outPkt(2, 2000, wall+timeout+1))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall+timeout+1))
 	if lookup(n) {
 		t.Fatal("imported mapping still live one timeout after the first packet")
 	}
 
 	// Imported into a NAT already carrying traffic: idles from the import.
 	n = New(extIP)
-	n.Process(ctx, outPkt(2, 2000, wall))
-	n.Process(ctx, outPkt(2, 2000, wall+timeout/2))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall+timeout/2))
 	put(n)
-	n.Process(ctx, outPkt(2, 2000, wall+timeout/2+timeout))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall+timeout/2+timeout))
 	if !lookup(n) {
 		t.Fatal("imported mapping expired before a full timeout after import")
 	}
-	n.Process(ctx, outPkt(2, 2000, wall+timeout/2+timeout+1))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, wall+timeout/2+timeout+1))
 	if lookup(n) {
 		t.Fatal("imported mapping still live one timeout after import")
 	}
@@ -93,8 +94,8 @@ func TestImportedMappingNotBornExpired(t *testing.T) {
 func TestLiveConfigChange(t *testing.T) {
 	ctx := mbox.NewBenchContext()
 	n := New(extIP)
-	n.Process(ctx, outPkt(1, 1000, 0))
-	n.Process(ctx, outPkt(2, 2000, 500))
+	mbtest.ProcessOne(n, ctx, outPkt(1, 1000, 0))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, 500))
 	if n.MappingCount() != 2 {
 		t.Fatalf("mappings: %d", n.MappingCount())
 	}
@@ -102,7 +103,7 @@ func TestLiveConfigChange(t *testing.T) {
 	if err := n.Config().Set("idle_timeout_ns", []string{"100"}); err != nil {
 		t.Fatal(err)
 	}
-	n.Process(ctx, outPkt(2, 2000, 550))
+	mbtest.ProcessOne(n, ctx, outPkt(2, 2000, 550))
 	if _, ok := n.Lookup(netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1000, packet.ProtoTCP); ok {
 		t.Fatal("idle head survived a live idle_timeout_ns shrink")
 	}
@@ -113,7 +114,7 @@ func TestLiveConfigChange(t *testing.T) {
 	if err := n.Config().Set("idle_timeout_ns", []string{"soon"}); err != nil {
 		t.Fatal(err)
 	}
-	n.Process(ctx, outPkt(3, 3000, 100000))
+	mbtest.ProcessOne(n, ctx, outPkt(3, 3000, 100000))
 	if n.MappingCount() != 2 {
 		t.Fatalf("bad idle_timeout_ns did not fall back to the default: %d mappings", n.MappingCount())
 	}
@@ -152,10 +153,10 @@ func TestLiveConfigChange(t *testing.T) {
 func TestUnmappedInboundCounted(t *testing.T) {
 	ctx := mbox.NewBenchContext()
 	n := New(extIP)
-	n.Process(ctx, outPkt(1, 1000, 0))
-	n.Process(ctx, inPkt(firstPort, 1))
-	n.Process(ctx, inPkt(33333, 2))
-	n.Process(ctx, inPkt(33334, 3))
+	mbtest.ProcessOne(n, ctx, outPkt(1, 1000, 0))
+	mbtest.ProcessOne(n, ctx, inPkt(firstPort, 1))
+	mbtest.ProcessOne(n, ctx, inPkt(33333, 2))
+	mbtest.ProcessOne(n, ctx, inPkt(33334, 3))
 	if d := n.Drops(); d != (Drops{NoMapping: 2}) {
 		t.Fatalf("drops: %+v, want 2 NoMapping", d)
 	}
@@ -172,14 +173,14 @@ func TestPortExhaustion(t *testing.T) {
 	}
 	flow := func(i int, ts int64) *packet.Packet { return outPkt(1, uint16(i), ts) }
 	for i := 0; i < portPoolSize; i++ {
-		n.Process(ctx, flow(i, 0))
+		mbtest.ProcessOne(n, ctx, flow(i, 0))
 	}
 	if n.MappingCount() != portPoolSize {
 		t.Fatalf("mappings: %d, want the whole pool (%d)", n.MappingCount(), portPoolSize)
 	}
 	cursor := n.nextPort
 	for i := 0; i < 3; i++ {
-		n.Process(ctx, flow(portPoolSize+i, 1))
+		mbtest.ProcessOne(n, ctx, flow(portPoolSize+i, 1))
 	}
 	if d := n.Drops(); d != (Drops{PortExhausted: 3}) {
 		t.Fatalf("drops: %+v, want 3 PortExhausted", d)
@@ -188,12 +189,12 @@ func TestPortExhaustion(t *testing.T) {
 		t.Fatalf("exhausted allocation moved the cursor (%d -> %d) or the table (%d)", cursor, n.nextPort, n.MappingCount())
 	}
 	// An established flow is unaffected by the full pool.
-	n.Process(ctx, flow(5, 2))
+	mbtest.ProcessOne(n, ctx, flow(5, 2))
 	if d := n.Drops(); d.PortExhausted != 3 {
 		t.Fatalf("established flow dropped on a full pool: %+v", d)
 	}
 	// Past the timeout everything but flow 5 (touched at 2) has expired.
-	n.Process(ctx, flow(portPoolSize, 1002))
+	mbtest.ProcessOne(n, ctx, flow(portPoolSize, 1002))
 	if n.MappingCount() != 2 {
 		t.Fatalf("mappings after expiry: %d, want 2", n.MappingCount())
 	}

@@ -32,7 +32,7 @@ import (
 // Kind is the middlebox type name.
 const Kind = "nat"
 
-var _ mbox.BurstLogic = (*NAT)(nil)
+var _ mbox.Logic = (*NAT)(nil)
 
 // mapping is one NAT binding. External IP/port are CRITICAL state (must
 // survive failover); LastActive is non-critical bookkeeping reset on import.
@@ -166,25 +166,11 @@ type lastFlow struct {
 	m   *mapping
 }
 
-// Process implements mbox.Logic: translate and forward.
-func (n *NAT) Process(ctx *mbox.Context, p *packet.Packet) {
-	var last lastFlow
-	n.mu.Lock()
-	out, raises := n.translateLocked(ctx, p, 0, nil, &last)
-	n.mu.Unlock()
-	for _, r := range raises {
-		n.raise(ctx, r)
-	}
-	if out != nil {
-		ctx.Emit(out)
-	}
-}
-
-// ProcessBurst implements mbox.BurstLogic. Every packet runs the same
-// translateLocked as Process — including its own idle-expiry check, which
-// costs one comparison when nothing is due — so the two paths have identical
-// side effects; the burst path takes the mutex once for the whole burst and
-// lets consecutive outbound packets of one flow reuse the mapping lookup.
+// ProcessBurst implements mbox.Logic: translate and forward. Every packet
+// runs translateLocked — including its own idle-expiry check, which costs one
+// comparison when nothing is due — so a burst has the side effects of its
+// packets one at a time; the mutex is taken once for the whole burst and
+// consecutive outbound packets of one flow reuse the mapping lookup.
 func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []natRaise
 	var last lastFlow
@@ -193,7 +179,7 @@ func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 		var out *packet.Packet
 		out, raises = n.translateLocked(&ctxs[i], p, i, raises, &last)
 		if out != nil {
-			ctxs[i].Emit(out) // buffered on the burst path: safe under n.mu
+			ctxs[i].Emit(out) // buffered by the runtime: safe under n.mu
 		}
 	}
 	n.mu.Unlock()
@@ -202,10 +188,10 @@ func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	}
 }
 
-// translateLocked is the per-packet body shared by Process and ProcessBurst.
-// Caller holds n.mu. It returns the packet to emit — a rewritten clone, p
-// itself for traffic that is not the NAT's to translate, nil for a drop —
-// and raises with this packet's introspection raises appended.
+// translateLocked is ProcessBurst's per-packet body. Caller holds n.mu. It
+// returns the packet to emit — a rewritten clone, p itself for traffic that
+// is not the NAT's to translate, nil for a drop — and raises with this
+// packet's introspection raises appended.
 func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, raises []natRaise, last *lastFlow) (*packet.Packet, []natRaise) {
 	outbound := n.internal.Contains(p.SrcIP)
 	if !outbound && p.DstIP != n.extIP {

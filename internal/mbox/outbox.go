@@ -8,21 +8,23 @@ import (
 	"openmb/internal/sbi"
 )
 
-// defaultEventWindow is the event coalescing window: after the first event
-// of a burst wakes the flusher, it waits this long for burst-mates before
-// framing, ClickOS-style interrupt coalescing for the southbound wire. The
-// added delivery latency is negligible against the controller's quiet
-// period (50 ms in benchmarks, 5 s in the paper) and the buffer-until-ACK
-// discipline — the controller parks in-transaction events anyway — while a
-// 2 ms window turns a 2500 pps move's per-event frames-and-flushes into
-// ~5-event batches.
-const defaultEventWindow = 2 * time.Millisecond
+// startEventWindow is the event coalescing window the flusher starts at:
+// after the first event of a burst wakes the flusher, it waits this long for
+// burst-mates before framing, ClickOS-style interrupt coalescing for the
+// southbound wire. The added delivery latency is negligible against the
+// controller's quiet period (50 ms in benchmarks, 5 s in the paper) and the
+// buffer-until-ACK discipline — the controller parks in-transaction events
+// anyway — while a 2 ms window turns a 2500 pps move's per-event
+// frames-and-flushes into ~5-event batches.
+const startEventWindow = 2 * time.Millisecond
 
-// maxEventWindow caps Options.EventWindow. Outbox residence time is
-// invisible to the controller's quiescence accounting, so the window must
-// stay a small fraction of the tightest quiet period in use (50 ms in the
-// benchmark rigs; 5 s in the paper's deployment default) — see the
-// Options.EventWindow doc.
+// maxEventWindow caps the adaptive window. Outbox residence time is
+// invisible to the controller's quiescence accounting (it can only see
+// events that reached the wire), so the window must stay a small fraction of
+// the tightest quiet period in use (50 ms in the benchmark rigs; 5 s in the
+// paper's deployment default) — a window at or past it would let
+// transactions complete while count-bearing events are still parked
+// source-side.
 const maxEventWindow = 10 * time.Millisecond
 
 // minEventWindow is the floor the adaptive coalescing window shrinks to
@@ -56,9 +58,12 @@ type eventOutbox struct {
 	closed  bool
 	// draining is true while the flusher is framing a swapped-out batch;
 	// gen counts completed drain cycles. Together they let barrier wait
-	// until everything queued before the call is on the wire.
+	// until everything queued before the call is on the wire. drained is
+	// closed, and cleared, at each gen++ and at close; a waiting barrier
+	// makes it, so a drain cycle nobody waits on allocates nothing.
 	draining bool
 	gen      uint64
+	drained  chan struct{}
 }
 
 func (ob *eventOutbox) init() {
@@ -117,24 +122,39 @@ func (ob *eventOutbox) barrier(timeout time.Duration) {
 		ob.mu.Unlock()
 		return
 	}
-	ob.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for {
-		ob.mu.Lock()
-		done := ob.gen >= target || ob.closed
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for ob.gen < target && !ob.closed {
+		if ob.drained == nil {
+			ob.drained = make(chan struct{})
+		}
+		drained := ob.drained
 		ob.mu.Unlock()
-		if done || !time.Now().Before(deadline) {
+		select {
+		case <-drained:
+		case <-timer.C:
 			return
 		}
-		time.Sleep(50 * time.Microsecond)
+		ob.mu.Lock()
+	}
+	ob.mu.Unlock()
+}
+
+// wakeBarriers releases every barrier waiting for the next drain cycle.
+// Caller holds ob.mu.
+func (ob *eventOutbox) wakeBarriers() {
+	if ob.drained != nil {
+		close(ob.drained)
+		ob.drained = nil
 	}
 }
 
 // close wakes the flusher to drain the backlog and exit, and releases any
-// raiser blocked on the bound.
+// raiser blocked on the bound and any barrier.
 func (ob *eventOutbox) close() {
 	ob.mu.Lock()
 	ob.closed = true
+	ob.wakeBarriers()
 	ob.mu.Unlock()
 	ob.cond.Broadcast()
 	ob.notFull.Broadcast()
@@ -149,15 +169,15 @@ func (ob *eventOutbox) close() {
 // The window is adaptive, NAPI-style: a drain that fills half a frame or
 // more stretches the next linger (×2, capped at maxEventWindow — sustained
 // bursts buy bigger batches per flush), while a near-empty drain shrinks it
-// (÷2, floored at minEventWindow — light load buys latency). The configured
-// Options.EventWindow is the starting point.
+// (÷2, floored at minEventWindow — light load buys latency), starting from
+// startEventWindow.
 func (rt *Runtime) eventFlusher() {
 	defer rt.workersWG.Done()
 	ob := &rt.outbox
 	var spareJobs []*sbi.Event
 	var spareArena []byte
 	lastBatch := 0
-	window := rt.eventWindow
+	window := startEventWindow
 	for {
 		ob.mu.Lock()
 		for len(ob.jobs) == 0 && !ob.closed {
@@ -174,8 +194,7 @@ func (rt *Runtime) eventFlusher() {
 		// worth is flowing per cycle, batching has nothing left to gain
 		// and the sleep would only throttle the pipeline below the wire's
 		// capacity (the raiser is blocked on the backlog bound meanwhile).
-		if !closed && window > 0 &&
-			pending < sbi.MaxEventsPerFrame && lastBatch < sbi.MaxEventsPerFrame {
+		if !closed && pending < sbi.MaxEventsPerFrame && lastBatch < sbi.MaxEventsPerFrame {
 			time.Sleep(window)
 		}
 		ob.mu.Lock()
@@ -190,22 +209,21 @@ func (rt *Runtime) eventFlusher() {
 		ob.mu.Lock()
 		ob.draining = false
 		ob.gen++
+		ob.wakeBarriers()
 		ob.mu.Unlock()
 		lastBatch = len(batch)
 		for i := range batch {
 			batch[i] = nil
 		}
 		spareJobs, spareArena = batch, arena
-		if rt.eventWindow > 0 {
-			switch {
-			case lastBatch >= sbi.MaxEventsPerFrame/2:
-				if window *= 2; window > maxEventWindow {
-					window = maxEventWindow
-				}
-			case lastBatch <= 2:
-				if window /= 2; window < minEventWindow {
-					window = minEventWindow
-				}
+		switch {
+		case lastBatch >= sbi.MaxEventsPerFrame/2:
+			if window *= 2; window > maxEventWindow {
+				window = maxEventWindow
+			}
+		case lastBatch <= 2:
+			if window /= 2; window < minEventWindow {
+				window = minEventWindow
 			}
 		}
 	}

@@ -34,8 +34,8 @@ const (
 )
 
 var (
-	_ mbox.BurstLogic = (*Encoder)(nil)
-	_ mbox.BurstLogic = (*Decoder)(nil)
+	_ mbox.Logic = (*Encoder)(nil)
+	_ mbox.Logic = (*Decoder)(nil)
 )
 
 // DefaultCacheSize is the default ring capacity (the paper uses 500 MB;
@@ -157,41 +157,12 @@ func (e *Encoder) cacheFor(dst netip.Addr) *Cache {
 	return e.caches[0]
 }
 
-// Process implements mbox.Logic: encode the payload against the cache for
-// the packet's destination and forward the encoded packet.
-func (e *Encoder) Process(ctx *mbox.Context, p *packet.Packet) {
-	if len(p.Payload) == 0 || ctx.SkipShared() {
-		ctx.Emit(p)
-		return
-	}
-	e.mu.Lock()
-	if e.dirty {
-		e.applyConfigLocked()
-	}
-	cache := e.cacheFor(p.DstIP)
-	insertInto := []*Cache{cache}
-	if e.mirror {
-		insertInto = e.caches
-	}
-	encoded, st := encode(p.Payload, cache, insertInto)
-	e.report.InputBytes += uint64(len(p.Payload))
-	e.report.OutputBytes += uint64(len(encoded))
-	e.report.MatchBytes += st.MatchBytes
-	e.report.Matches += st.Matches
-	ctx.TouchShared(state.Supporting)
-	ctx.TouchShared(state.Reporting)
-	e.mu.Unlock()
-
-	out := p.Clone()
-	out.Payload = encoded
-	ctx.Emit(out)
-}
-
-// ProcessBurst implements mbox.BurstLogic: one mutex acquisition and at most
-// one config re-parse cover the whole burst, and the single-cache insert
-// list is a reused stack buffer instead of a fresh slice per packet. Emits
-// are buffered by the burst context, so they are appended in-loop under the
-// lock in packet order.
+// ProcessBurst implements mbox.Logic: encode each payload against the cache
+// for the packet's destination and forward the encoded packet. One mutex
+// acquisition and at most one config re-parse cover the whole burst, and the
+// single-cache insert list is a reused stack buffer instead of a fresh slice
+// per packet. Emits are buffered by the runtime, so they are appended in-loop
+// under the lock in packet order.
 func (e *Encoder) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var single [1]*Cache
 	e.mu.Lock()
@@ -354,38 +325,10 @@ func NewDecoder(capacity int) *Decoder {
 // Kind implements mbox.Logic.
 func (d *Decoder) Kind() string { return DecoderKind }
 
-// Process implements mbox.Logic: reconstruct encoded payloads and forward
-// the original packet. Non-encoded packets pass through.
-func (d *Decoder) Process(ctx *mbox.Context, p *packet.Packet) {
-	if !IsEncoded(p.Payload) {
-		ctx.Emit(p)
-		return
-	}
-	if ctx.SkipShared() {
-		return
-	}
-	d.mu.Lock()
-	payload, st, err := decode(p.Payload, d.cache)
-	d.report.InputBytes += uint64(len(p.Payload))
-	d.report.OutputBytes += uint64(len(payload))
-	d.report.MatchBytes += st.MatchBytes
-	d.report.Matches += st.Matches
-	d.report.UndecodableBytes += st.UndecodableBytes
-	d.report.Failures += st.Failures
-	ctx.TouchShared(state.Supporting)
-	ctx.TouchShared(state.Reporting)
-	d.mu.Unlock()
-	if err != nil {
-		return // malformed encoding: drop
-	}
-	out := p.Clone()
-	out.Payload = payload
-	ctx.Emit(out)
-}
-
-// ProcessBurst implements mbox.BurstLogic: one mutex acquisition covers the
-// whole burst. Emits are buffered by the burst context, so they are appended
-// in-loop under the lock in packet order.
+// ProcessBurst implements mbox.Logic: reconstruct encoded payloads and
+// forward the original packets; non-encoded packets pass through. One mutex
+// acquisition covers the whole burst. Emits are buffered by the runtime, so
+// they are appended in-loop under the lock in packet order.
 func (d *Decoder) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	d.mu.Lock()
 	for i, p := range pkts {

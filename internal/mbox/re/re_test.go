@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/state"
 	"openmb/internal/trace"
@@ -374,7 +375,7 @@ func TestMirrorKeepsCachesInSync(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ctx := mbox.NewBenchContext()
 	for i := 0; i < 5; i++ {
-		enc.Process(ctx, payloadPkt("1.1.1.5", randBytes(r, 300)))
+		mbtest.ProcessOne(enc, ctx, payloadPkt("1.1.1.5", randBytes(r, 300)))
 	}
 	enc.mu.Lock()
 	pos0, pos1 := enc.caches[0].InsertPos(), enc.caches[1].InsertPos()
@@ -384,7 +385,7 @@ func TestMirrorKeepsCachesInSync(t *testing.T) {
 	}
 	// After CacheFlows, inserts split.
 	enc.Config().Set("CacheFlows", []string{"1.1.1.0/24", "1.1.2.0/24"})
-	enc.Process(ctx, payloadPkt("1.1.1.5", randBytes(r, 300)))
+	mbtest.ProcessOne(enc, ctx, payloadPkt("1.1.1.5", randBytes(r, 300)))
 	enc.mu.Lock()
 	pos0b, pos1b := enc.caches[0].InsertPos(), enc.caches[1].InsertPos()
 	enc.mu.Unlock()

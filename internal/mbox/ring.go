@@ -78,21 +78,13 @@ func newIngressRing(capacity int) *ingressRing {
 	return r
 }
 
-// tryPush enqueues it, reporting false when the target queue is full or the
-// ring closed (the caller still owns the packet's borrow in that case). A
-// non-nil pushed runs with the outcome before the ring unlocks, so whatever
-// it records precedes anything the worker records after popping the item.
-func (r *ingressRing) tryPush(it ingressItem, pushed func(ok bool)) bool {
+// tryPushReplay enqueues a replayed reprocess packet, reporting false when
+// the replay queue is full or the ring closed (the caller still owns the
+// packet's borrow in that case).
+func (r *ingressRing) tryPushReplay(p *packet.Packet, shared bool) bool {
 	r.mu.Lock()
-	q := &r.live
-	if it.replay {
-		q = &r.replay
-	}
 	wasEmpty := r.live.n+r.replay.n == 0
-	ok := !r.closed && q.push(it)
-	if pushed != nil {
-		pushed(ok)
-	}
+	ok := !r.closed && r.replay.push(ingressItem{p: p, replay: true, shared: shared})
 	r.mu.Unlock()
 	if ok && wasEmpty {
 		r.notEmpty.Signal()
@@ -101,11 +93,11 @@ func (r *ingressRing) tryPush(it ingressItem, pushed func(ok bool)) bool {
 }
 
 // tryPushBurst enqueues live items for ps in order under a single lock
-// acquisition and at most one wakeup — the batched analogue of len(ps)
-// tryPush calls. It returns the number of trailing packets that did NOT fit
-// (queue full or ring closed); the caller still owns those borrows. Accepted
-// packets keep FIFO order. A non-nil pushed runs with the accepted count
-// before the ring unlocks, as tryPush's does.
+// acquisition and at most one wakeup. It returns the number of trailing
+// packets that did NOT fit (queue full or ring closed); the caller still owns
+// those borrows. Accepted packets keep FIFO order. A non-nil pushed runs with
+// the accepted count before the ring unlocks, so whatever it records precedes
+// anything the worker records after popping the items.
 func (r *ingressRing) tryPushBurst(ps []*packet.Packet, pushed func(accepted int)) int {
 	r.mu.Lock()
 	wasEmpty := r.live.n+r.replay.n == 0

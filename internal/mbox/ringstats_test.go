@@ -17,7 +17,7 @@ import (
 	"openmb/internal/state"
 )
 
-// gateLogic blocks every Process call until the gate opens, wedging the
+// gateLogic blocks every ProcessBurst call until the gate opens, wedging the
 // worker so tests control queue depth exactly.
 type gateLogic struct {
 	gate chan struct{}
@@ -28,8 +28,8 @@ func newGateLogic() *gateLogic {
 	return &gateLogic{gate: make(chan struct{}), cfg: state.NewConfigTree()}
 }
 
-func (l *gateLogic) Kind() string                           { return "gate" }
-func (l *gateLogic) Process(ctx *Context, p *packet.Packet) { <-l.gate }
+func (l *gateLogic) Kind() string                                       { return "gate" }
+func (l *gateLogic) ProcessBurst(ctxs []Context, pkts []*packet.Packet) { <-l.gate }
 func (l *gateLogic) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
 	return nil
 }

@@ -14,10 +14,6 @@ import (
 
 // Options configures a Runtime.
 type Options struct {
-	// Sealer encrypts exported state chunks. Defaults to a sealer derived
-	// from the logic's Kind, so all instances of one middlebox type share
-	// a key and the controller cannot inspect blobs.
-	Sealer state.BlobSealer
 	// QueueSize bounds the ingress packet queue (default 8192).
 	QueueSize int
 	// Forward receives packets the logic emits (external side effects).
@@ -30,17 +26,6 @@ type Options struct {
 	// hello. sbi.CodecJSON keeps the paper's newline-delimited JSON, the
 	// compatibility and debugging path.
 	Codec sbi.Codec
-	// EventWindow is the event coalescing window: how long the outbox
-	// flusher lingers after a burst's first event before framing, so
-	// events raised close together share one frame and one flush. 0
-	// selects the default (2 ms); negative disables the linger (events
-	// still batch when they outpace the flusher). Values are clamped to
-	// 10 ms: events lingering in the outbox are invisible to the
-	// controller's quiescence accounting (it can only see events that
-	// reached the wire), so the window must stay well below any quiet
-	// period — a window at or past it would let transactions complete
-	// while count-bearing events are still parked source-side.
-	EventWindow time.Duration
 	// Reconnect enables southbound resilience: when the controller
 	// connection drops, the runtime redials with exponential backoff plus
 	// deterministic jitter (seeded from the instance name, so a flap storm
@@ -60,9 +45,12 @@ type Options struct {
 // connection, and its packet loop. It implements netsim.Endpoint so it can
 // be attached directly to the simulated network.
 type Runtime struct {
-	name   string
-	logic  Logic
-	sealer state.BlobSealer
+	name  string
+	logic Logic
+	// sealer encrypts exported state chunks with a key derived from the
+	// logic's Kind, so all instances of one middlebox type share it and the
+	// controller cannot inspect blobs.
+	sealer *state.Sealer
 	codec  sbi.Codec
 
 	// ring is the ingress queue: live and replayed packets behind one
@@ -72,13 +60,7 @@ type Runtime struct {
 	stopOnce  sync.Once
 	workersWG sync.WaitGroup
 
-	eventWindow time.Duration
-
-	// burstLogic is non-nil when the logic natively implements BurstLogic
-	// (otherwise the worker shims ProcessBurst with a per-packet Process
-	// loop).
-	burstLogic BurstLogic
-	outbox     eventOutbox
+	outbox eventOutbox
 	// eventsQueued counts events raised but not yet handed to the
 	// transport; Drain waits for it so "drained" still means every raised
 	// event is on the wire.
@@ -173,20 +155,11 @@ type eventFilter struct {
 // starts immediately; connect it to a controller with Connect and to a
 // network with netsim's Attach.
 func New(name string, logic Logic, opts Options) *Runtime {
-	if opts.Sealer == nil {
-		opts.Sealer = state.NewSealer("openmb-mbtype-" + logic.Kind())
-	}
 	if opts.QueueSize == 0 {
 		opts.QueueSize = 8192
 	}
 	if opts.Codec == "" {
 		opts.Codec = sbi.CodecBinary
-	}
-	if opts.EventWindow == 0 {
-		opts.EventWindow = defaultEventWindow
-	}
-	if opts.EventWindow > maxEventWindow {
-		opts.EventWindow = maxEventWindow
 	}
 	if opts.ReconnectMin <= 0 {
 		opts.ReconnectMin = 50 * time.Millisecond
@@ -197,11 +170,10 @@ func New(name string, logic Logic, opts Options) *Runtime {
 	rt := &Runtime{
 		name:         name,
 		logic:        logic,
-		sealer:       opts.Sealer,
+		sealer:       state.NewSealer("openmb-mbtype-" + logic.Kind()),
 		codec:        opts.Codec,
 		ring:         newIngressRing(opts.QueueSize),
 		stop:         make(chan struct{}),
-		eventWindow:  opts.EventWindow,
 		forward:      opts.Forward,
 		reconnect:    opts.Reconnect,
 		reconnectMin: opts.ReconnectMin,
@@ -209,7 +181,6 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		sharedMoved:  map[state.Class]bool{},
 		logs:         map[string][]string{},
 	}
-	rt.burstLogic, _ = logic.(BurstLogic)
 	rt.outbox.init()
 	rt.workersWG.Add(2)
 	go rt.worker()
@@ -224,31 +195,9 @@ func (rt *Runtime) Name() string { return rt.name }
 func (rt *Runtime) Logic() Logic { return rt.logic }
 
 // HandlePacket implements netsim.Endpoint: it enqueues the packet for
-// processing. If the queue is full the packet is dropped (and its borrowed
-// reference released), as a loaded middlebox would; after Close the ring
-// rejects the push the same way, so late link deliveries cannot strand a
-// borrow.
+// processing as a delivery batch of one (see HandleBurst).
 func (rt *Runtime) HandlePacket(p *packet.Packet) {
-	rt.pending.Add(1)
-	if a := rt.tracer.Enabled(); a != nil {
-		// Armed path: capture the flow before the push — once the ring
-		// owns the packet the worker may process and recycle it
-		// concurrently, so reading headers after a successful push races.
-		// The ingress record is written under the ring lock, so it always
-		// precedes the packet's dispatch record.
-		key := p.FlowID()
-		if !rt.ring.tryPush(ingressItem{p: p}, func(ok bool) { recordIngress(a, rt.name, key, ok) }) {
-			rt.droppedPackets.Add(1)
-			rt.pending.Add(-1)
-			p.Release()
-		}
-		return
-	}
-	if !rt.ring.tryPush(ingressItem{p: p}, nil) {
-		rt.droppedPackets.Add(1)
-		rt.pending.Add(-1)
-		p.Release()
-	}
+	rt.HandleBurst([]*packet.Packet{p})
 }
 
 // SetForward replaces the emitted-packet sink.
@@ -271,35 +220,6 @@ func (rt *Runtime) SetForwardBurst(fn func(ps []*packet.Packet)) {
 // ingressBatch is how many queued packets the worker takes per ring
 // synchronization.
 const ingressBatch = 64
-
-// processReplay runs one replayed reprocess packet through the logic — state
-// updates apply, side effects are suppressed (Context.Replay) — and then
-// releases the runtime's borrowed reference.
-func (rt *Runtime) processReplay(ctx *Context, p *packet.Packet, replayShared bool) {
-	rt.procSeq.Add(1)
-	defer rt.procSeq.Add(1)
-	defer rt.pending.Add(-1)
-	defer p.Release()
-	tr := rt.tracer.Enabled()
-	if tr != nil {
-		tr.Record(rt.name, obs.HopDispatch, p.FlowID(), "replay")
-	}
-	start := time.Now()
-	*ctx = Context{rt: rt, pkt: p, Replay: true, replayShared: replayShared}
-	rt.logic.Process(ctx, p)
-	if tr != nil {
-		tr.RecordEmits(rt.name, p.FlowID(), ctx.emitted)
-	}
-	elapsed := time.Since(start)
-	if rt.activeOps.Load() > 0 {
-		rt.latDuringOpNS.Add(int64(elapsed))
-		rt.latDuringOpN.Add(1)
-	} else {
-		rt.latNormalNS.Add(int64(elapsed))
-		rt.latNormalN.Add(1)
-	}
-	rt.replayed.Add(1)
-}
 
 // maybeRaiseReprocess implements step 2 of §4.2.1: if the packet updated
 // state that is part of an in-progress move or clone (decided at Touch time,
@@ -342,7 +262,7 @@ func (rt *Runtime) emitIntrospection(code string, key packet.FlowKey, values map
 
 // eventSyncTimeout caps how long a mark-clearing op will wait for the
 // worker's in-flight packet and the outbox drain. The cap only matters with
-// pathological logic (a Process wedged mid-packet); in that case the op
+// pathological logic (a ProcessBurst wedged mid-burst); in that case the op
 // proceeds and accepts the pre-fix one-packet race rather than wedging the
 // southbound serve loop.
 const eventSyncTimeout = time.Second
@@ -625,7 +545,7 @@ func (rt *Runtime) Collect(e *obs.Emitter) {
 // worker, which releases the backlog (stop is already closed), and a
 // delivery racing Close either lands in the ring before that drain or has
 // its push rejected by the closed ring and releases its own borrow in
-// HandlePacket — no packet is stranded either way.
+// HandleBurst — no packet is stranded either way.
 func (rt *Runtime) Close() {
 	rt.stopOnce.Do(func() {
 		close(rt.stop)
@@ -638,7 +558,7 @@ func (rt *Runtime) Close() {
 		rt.connMu.Unlock()
 	})
 	rt.workersWG.Wait()
-	// Bounded wait for in-flight HandlePacket racers: they incremented
+	// Bounded wait for in-flight HandleBurst racers: they incremented
 	// pending before their push was rejected and release their own borrow
 	// right after.
 	deadline := time.Now().Add(time.Second)

@@ -716,7 +716,7 @@ func (rt *Runtime) servePutShared(conn *sbi.Conn, m *sbi.Message, class state.Cl
 
 func (rt *Runtime) enqueueReplay(p *packet.Packet, shared bool) {
 	rt.pending.Add(1)
-	if !rt.ring.tryPush(ingressItem{p: p, replay: true, shared: shared}, nil) {
+	if !rt.ring.tryPushReplay(p, shared) {
 		rt.droppedReplays.Add(1)
 		rt.pending.Add(-1)
 		p.Release()

@@ -177,12 +177,3 @@ func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	cipher.NewCTR(s.block, body[:sealIVLen]).XORKeyStream(pt, body[sealIVLen:])
 	return pt, nil
 }
-
-// BlobSealer is what middlebox runtimes seal exported state with; *Sealer
-// unless mbox.Options supplies another.
-type BlobSealer interface {
-	Seal(plaintext []byte) []byte
-	Open(sealed []byte) ([]byte, error)
-}
-
-var _ BlobSealer = (*Sealer)(nil)
