@@ -80,9 +80,11 @@ func (l oneAtATime) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 }
 
 // runBurstMode hosts logic in a runtime — as is when burst is true, behind
-// oneAtATime otherwise — feeds it clones of pkts (whole bursts of eqChunk
-// when burst is on, per packet otherwise), drains, and returns the emit
-// record plus the runtime for state/metric inspection.
+// oneAtATime otherwise — feeds it pooled clones of pkts (whole bursts of
+// eqChunk when burst is on, per packet otherwise), drains, checks the pool
+// for leaks, and returns the emit record plus the runtime for state/metric
+// inspection. The clones are pooled so a rewriting logic takes its in-place
+// path (Context.Rewrite) on both sides of the comparison.
 const eqChunk = 16
 
 func runBurstMode(t *testing.T, burst bool, logic mbox.Logic, pkts []*packet.Packet) (*emitRecorder, *mbox.Runtime) {
@@ -107,6 +109,7 @@ func newBurstModeRuntime(t *testing.T, burst bool, logic mbox.Logic) (*emitRecor
 
 func feedBurstMode(t *testing.T, burst bool, rt *mbox.Runtime, pkts []*packet.Packet) {
 	t.Helper()
+	pool := packet.NewPool(packet.PoolOptions{Accounting: true})
 	if burst {
 		for i := 0; i < len(pkts); i += eqChunk {
 			j := i + eqChunk
@@ -115,17 +118,20 @@ func feedBurstMode(t *testing.T, burst bool, rt *mbox.Runtime, pkts []*packet.Pa
 			}
 			batch := make([]*packet.Packet, j-i)
 			for k := i; k < j; k++ {
-				batch[k-i] = pkts[k].Clone()
+				batch[k-i] = pool.Clone(pkts[k])
 			}
 			rt.HandleBurst(batch)
 		}
 	} else {
 		for _, p := range pkts {
-			rt.HandlePacket(p.Clone())
+			rt.HandlePacket(pool.Clone(p))
 		}
 	}
 	if !rt.Drain(30 * time.Second) {
 		t.Fatal("runtime did not drain")
+	}
+	if err := pool.CheckLeaks(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,6 +21,10 @@ type burstState struct {
 	fsnap  []eventFilter
 	fnow   time.Time
 	fvalid bool
+	// ids holds each packet's flow ID as dispatched while the tracer is
+	// armed: its verdict is recorded under that ID, whatever the logic
+	// rewrote in place.
+	ids []packet.FlowID
 }
 
 func (bs *burstState) reset() {
@@ -142,20 +146,23 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	rt.procSeq.Add(1)
 	tr := rt.tracer.Enabled()
 	if tr != nil {
+		bs.ids = bs.ids[:0]
 		for i, p := range pkts {
 			note := "burst"
 			if ctxs[i].Replay {
 				note = "replay"
 			}
-			tr.Record(rt.name, obs.HopDispatch, p.FlowID(), note)
+			id := p.FlowID()
+			bs.ids = append(bs.ids, id)
+			tr.Record(rt.name, obs.HopDispatch, id, note)
 		}
 	}
 	duringOp := rt.activeOps.Load() > 0
 	start := time.Now()
 	rt.logic.ProcessBurst(ctxs, pkts)
 	if tr != nil {
-		for i := range ctxs {
-			tr.RecordEmits(rt.name, pkts[i].FlowID(), ctxs[i].emitted)
+		for i, id := range bs.ids {
+			tr.RecordEmits(rt.name, id, ctxs[i].emitted)
 		}
 	}
 	elapsed := time.Since(start)

@@ -19,6 +19,9 @@ type Context struct {
 	// neither releases the packet nor reads it after the emits are flushed.
 	pkt   *packet.Packet
 	moved bool
+	// rewritten latches a Rewrite granted in place: pkt no longer holds
+	// the bytes that arrived, so no reprocess event may be raised for it.
+	rewritten bool
 	// Replay is true when the packet is being re-processed from an event
 	// raised by a peer middlebox. Logic may consult it for rare cases
 	// (e.g. suppressing retransmission heuristics) but normally need not.
@@ -67,6 +70,7 @@ func (c *Context) Touch(class state.Class, id packet.FlowID) {
 		return
 	}
 	if c.rt.marked(class, id) {
+		c.mustNotBeRewritten()
 		c.raise, c.raiseID, c.raiseClass, c.raiseShared = true, id, class, false
 	}
 }
@@ -82,20 +86,50 @@ func (c *Context) TouchShared(class state.Class) {
 	moved := c.rt.sharedMoved[class]
 	c.rt.marksMu.Unlock()
 	if moved {
+		c.mustNotBeRewritten()
 		c.raise = true
 		c.raiseClass = class
 		c.raiseShared = true
 	}
 }
 
+// mustNotBeRewritten guards a raise: a reprocess event carries the packet as
+// it arrived, which a packet rewritten in place no longer is. Logic must
+// Touch everything a packet updates before it Rewrites it; a raise decided
+// after a granted in-place Rewrite is a bug in the logic.
+func (c *Context) mustNotBeRewritten() {
+	if c.rewritten {
+		panic("mbox: Touch would raise a reprocess event for a packet already rewritten in place; Touch before Rewrite")
+	}
+}
+
+// Rewrite returns the packet the logic may modify and emit in place of p:
+// p itself when the rewrite can happen in place, else p.Clone(). In place
+// requires all of: p is the packet this context is processing, the runtime's
+// borrow on it is its only reference (Packet.Exclusive), it is not a replay,
+// no reprocess event is pending for it (the event must carry the packet as it
+// arrived) and it has not been emitted yet. Call it after every Touch for the
+// packet: a granted in-place Rewrite latches, and a later Touch that would
+// raise panics. Emitting the result passes the runtime's borrow on when it
+// is p, or hands the copy off when it is not — either way one Emit; a packet
+// that is not emitted is released by the runtime as usual.
+func (c *Context) Rewrite(p *packet.Packet) *packet.Packet {
+	if p != c.pkt || c.Replay || c.raise || c.moved || !p.Exclusive() {
+		return p.Clone()
+	}
+	c.rewritten = true
+	return p
+}
+
 // Emit sends a packet onward into the network — an external side effect,
 // suppressed during replay. Emit consumes one reference on p: emit a packet
-// the logic created (e.g. a Clone it rewrote) to hand it off entirely, or
-// emit the packet currently being processed to pass it through. For that
-// packet Emit supplies the downstream's reference itself: the first Emit
-// passes on the runtime's own borrow, with no reference-count traffic for a
-// packet that just passes through; any further Emit of it retains. Either
-// way the logic may keep reading the packet until ProcessBurst returns.
+// the logic created (a copy Rewrite returned, say) to hand it off entirely,
+// or emit the packet currently being processed — passed through, or
+// rewritten in place — to send it on. For that packet Emit supplies the
+// downstream's reference itself: the first Emit passes on the runtime's own
+// borrow, with no reference-count traffic for a packet that just passes
+// through; any further Emit of it retains. Either way the logic may keep
+// reading the packet until ProcessBurst returns.
 func (c *Context) Emit(p *packet.Packet) {
 	c.emitted++
 	if c.Replay {

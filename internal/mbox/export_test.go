@@ -1,5 +1,7 @@
 package mbox
 
+import "openmb/internal/packet"
+
 // Test hooks exposing internals to the external test package.
 
 // SetActiveOpsForTest adjusts the active-operation counter, letting tests
@@ -24,6 +26,11 @@ func MarkCountForTest(rt *Runtime) (count int64, marks int) {
 	}
 	return rt.markCount.Load(), marks
 }
+
+// EnqueueReplayForTest queues p as a replayed reprocess packet, as a
+// reprocess frame from the controller would, so tests can replay a pooled
+// packet (the southbound decodes replays to the heap).
+func EnqueueReplayForTest(rt *Runtime, p *packet.Packet, shared bool) { rt.enqueueReplay(p, shared) }
 
 // CreditPeakForTest returns the most chunk frames any get of rt has had sent
 // beyond the credit the controller had returned.

@@ -139,7 +139,9 @@ type lbRaise struct {
 // one config re-parse cover the whole burst, and consecutive packets from the
 // same source endpoint reuse the last assignment lookup. Emits are buffered
 // by the runtime, so they are appended in-loop under the lock in packet
-// order.
+// order. The destination is rewritten through ctx.Rewrite after the packet's
+// Touch: in place when the runtime's borrow is the only reference and no
+// reprocess event needs the original.
 func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []lbRaise
 	var lastKey packet.FlowID
@@ -174,7 +176,7 @@ func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 		}
 		a.Packets++
 		ctx.Touch(state.Supporting, key)
-		out := p.Clone()
+		out := ctx.Rewrite(p)
 		out.DstIP = a.Backend.IP
 		out.DstPort = a.Backend.Port
 		ctx.Emit(out)

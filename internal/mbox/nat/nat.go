@@ -189,9 +189,11 @@ func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 }
 
 // translateLocked is ProcessBurst's per-packet body. Caller holds n.mu. It
-// returns the packet to emit — a rewritten clone, p itself for traffic that
-// is not the NAT's to translate, nil for a drop — and raises with this
-// packet's introspection raises appended.
+// returns the packet to emit — the translated ctx.Rewrite(p) (p itself,
+// rewritten in place, unless the context needs the original kept), p
+// untouched for traffic that is not the NAT's to translate, nil for a drop —
+// and raises with this packet's introspection raises appended. Every Touch
+// precedes the Rewrite, so a reprocess event still carries p as it arrived.
 func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, raises []natRaise, last *lastFlow) (*packet.Packet, []natRaise) {
 	outbound := n.internal.Contains(p.SrcIP)
 	if !outbound && p.DstIP != n.extIP {
@@ -210,7 +212,7 @@ func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, rais
 		}
 		n.touchLocked(m)
 		ctx.Touch(state.Supporting, m.Internal)
-		out := p.Clone()
+		out := ctx.Rewrite(p)
 		out.DstIP = m.Internal.SrcAddr()
 		out.DstPort = m.Internal.SrcPort()
 		return out, raises
@@ -237,7 +239,7 @@ func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, rais
 	}
 	n.touchLocked(m)
 	ctx.Touch(state.Supporting, key)
-	out := p.Clone()
+	out := ctx.Rewrite(p)
 	out.SrcIP = n.extIP
 	out.SrcPort = m.ExtPort
 	return out, raises

@@ -140,10 +140,10 @@ func (p *Packet) Unmarshal(b []byte) error {
 	return nil
 }
 
-// Clone returns a deep copy of p, including the payload. Middleboxes clone
-// packets before attaching them to reprocess events so later in-place reuse
-// of trace buffers cannot corrupt the event. A pooled packet clones from its
-// pool (the copy holds one reference); a heap packet clones to the heap.
+// Clone returns a deep copy of p, including the payload: the copy a holder
+// writes when others may still read p (duplication on a link or a mirror
+// port, a rewrite that cannot happen in place). A pooled packet clones from
+// its pool (the copy holds one reference); a heap packet clones to the heap.
 func (p *Packet) Clone() *Packet {
 	if p.pool != nil {
 		return p.pool.Clone(p)

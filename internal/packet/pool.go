@@ -246,6 +246,11 @@ func (pl *Pool) CheckLeaks() error {
 // the borrow/release discipline).
 func (p *Packet) Pooled() bool { return p.pool != nil }
 
+// Exclusive reports whether p is pooled and holds exactly one reference: the
+// caller's borrow is the only one, so no other holder can observe a write to
+// p. A heap packet is never exclusive — nothing counts its holders.
+func (p *Packet) Exclusive() bool { return p.pool != nil && atomic.LoadInt32(&p.refs) == 1 }
+
 // Retain takes an additional reference on a pooled packet, for holders that
 // keep it beyond the hand-off that delivered it. No-op for heap packets.
 func (p *Packet) Retain() {
