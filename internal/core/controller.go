@@ -173,8 +173,8 @@ type Controller struct {
 
 	// Operation-window latency histograms (zero-alloc record path; see
 	// internal/obs): the whole move window (freeze -> transfer -> switch,
-	// i.e. moveConns start to last put ACK), each southbound get stream,
-	// and each put-ACK round trip.
+	// i.e. a move's transaction start to last put ACK), each southbound get
+	// stream, and each put-ACK round trip.
 	histMove obs.Histogram
 	histGet  obs.Histogram
 	histPut  obs.Histogram
@@ -573,9 +573,9 @@ func (c *Controller) Close() {
 // mbConn is the controller's view of one connected middlebox. The paper's
 // prototype dedicates one thread per MB to operations and one to events;
 // here a single reader goroutine dispatches responses to per-call channels
-// and events to the sharded transaction router. Per-flow routing state lives
-// in the controller's router (see router.go); the connection itself keeps
-// only the shared-state owner and a live-transaction count.
+// and events to the sharded transaction router. Routing state, per-flow and
+// shared, lives in the controller's router (see router.go); the connection
+// itself keeps only a live-transaction count.
 type mbConn struct {
 	name string
 	kind string
@@ -627,9 +627,6 @@ type mbConn struct {
 	pingStop chan struct{}
 	pingWG   sync.WaitGroup
 
-	// sharedTxn is the transaction that currently owns this MB's shared
-	// state: at most one clone/merge per source runs at a time.
-	sharedTxn atomic.Pointer[txn]
 	// liveTxns counts transactions with this MB as their source; when it
 	// drops to zero the router discards the MB's orphaned events.
 	liveTxns atomic.Int64

@@ -328,28 +328,185 @@ func TestCloneForwardsEventsUntilQuiet(t *testing.T) {
 	}
 }
 
+// TestMergeInternal: a merge sums both shared classes into the destination.
+// Traffic at the source during the transaction window reaches the merged
+// copy as replayed events, as a clone's does; once the transaction ends it
+// no longer does.
 func TestMergeInternal(t *testing.T) {
-	r := newRig(t, core.Options{QuietPeriod: 60 * time.Millisecond})
-	for i := 0; i < 10; i++ {
-		r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+	for _, traffic := range []int{0, 15} {
+		t.Run(fmt.Sprintf("traffic=%d", traffic), func(t *testing.T) {
+			r := newRig(t, core.Options{QuietPeriod: 100 * time.Millisecond})
+			for i := 0; i < 10; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			for i := 0; i < 7; i++ {
+				r.dstRT.HandlePacket(mbtest.PacketForFlow(100 + i))
+			}
+			r.srcRT.Drain(time.Second)
+			r.dstRT.Drain(time.Second)
+			if err := r.ctrl.MergeInternal("src", "dst"); err != nil {
+				t.Fatal(err)
+			}
+			// A merge returns only once both shared puts are ACKed.
+			if got := r.dst.SharedSupport(); got != 17 {
+				t.Fatalf("merged shared supporting at return: %d, want 17", got)
+			}
+			if got := r.dst.SharedReport(); got != 17 {
+				t.Fatalf("merged shared reporting at return: %d, want 17", got)
+			}
+			for i := 0; i < traffic; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			r.srcRT.Drain(time.Second)
+			if !r.ctrl.WaitTxns(10 * time.Second) {
+				t.Fatal("merge transaction did not complete")
+			}
+			// The source's state is summed in, and with it every
+			// update made during the transaction window.
+			r.dstRT.Drain(time.Second)
+			want := uint64(17 + traffic)
+			if got := r.dst.SharedSupport(); got != want {
+				t.Fatalf("merged shared supporting: %d, want %d", got, want)
+			}
+			if got := r.dst.SharedReport(); got != want {
+				t.Fatalf("merged shared reporting: %d, want %d", got, want)
+			}
+			r.srcRT.HandlePacket(mbtest.PacketForFlow(0))
+			r.srcRT.Drain(time.Second)
+			time.Sleep(20 * time.Millisecond)
+			r.dstRT.Drain(time.Second)
+			if got := r.dst.SharedSupport(); got != want {
+				t.Fatalf("events still forwarded after transaction end: dst=%d", got)
+			}
+		})
 	}
-	for i := 0; i < 7; i++ {
-		r.dstRT.HandlePacket(mbtest.PacketForFlow(100 + i))
+}
+
+// TestFailedCloneClearsSourceSharedMark: a clone or merge that fails ends
+// its transaction at the source, as a failed move does. Here the put fails
+// because the destination is a middlebox of another kind, which cannot open
+// the source's sealed blob. The source must come out with no shared mark:
+// a marked source raises a reprocess event for every packet that touches
+// its shared state, and no transaction would ever route them.
+func TestFailedCloneClearsSourceSharedMark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *core.Controller, src, dst string) error
+	}{
+		{"clone", (*core.Controller).CloneSupport},
+		{"merge", (*core.Controller).MergeInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, core.Options{QuietPeriod: 40 * time.Millisecond})
+			r.attach(t, "mon", monitor.New())
+			for i := 0; i < 10; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			r.srcRT.Drain(time.Second)
+			err := tc.op(r.ctrl, "src", "mon")
+			if err == nil || !strings.Contains(err.Error(), "authentication") {
+				t.Fatalf("%s into a monitor: %v, want a sealed-blob refusal", tc.name, err)
+			}
+			before := r.srcRT.Metrics().EventsRaised
+			for i := 0; i < 100; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			r.srcRT.Drain(time.Second)
+			if got := r.srcRT.Metrics().EventsRaised - before; got != 0 {
+				t.Fatalf("the source raised %d reprocess events for 100 packets after a failed %s", got, tc.name)
+			}
+			if !r.ctrl.WaitTxns(5 * time.Second) {
+				t.Fatalf("transactions did not settle after a failed %s", tc.name)
+			}
+			if got := r.ctrl.LiveTxns(); got != 0 {
+				t.Fatalf("%d transactions leaked", got)
+			}
+		})
 	}
-	r.srcRT.Drain(time.Second)
-	r.dstRT.Drain(time.Second)
-	if err := r.ctrl.MergeInternal("src", "dst"); err != nil {
-		t.Fatal(err)
-	}
-	// Merge sums both shared supporting and shared reporting state.
-	if got := r.dst.SharedSupport(); got != 17 {
-		t.Fatalf("merged shared supporting: %d, want 17", got)
-	}
-	if got := r.dst.SharedReport(); got != 17 {
-		t.Fatalf("merged shared reporting: %d, want 17", got)
-	}
-	if !r.ctrl.WaitTxns(5 * time.Second) {
-		t.Fatal("merge transaction did not complete")
+}
+
+// refusingLogic is a counter middlebox that refuses every shared put. The
+// first one waits for release, so a test can run traffic at the source while
+// a clone or merge into it is in flight.
+type refusingLogic struct {
+	*mbtest.CounterLogic
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (l *refusingLogic) PutShared(state.Class, []byte) error {
+	l.once.Do(func() {
+		close(l.entered)
+		<-l.release
+	})
+	return fmt.Errorf("shared put refused")
+}
+
+// TestRefusedSharedPutForwardsNoEvents: the shared events a source raises
+// while a clone or merge is in flight are held until the put is ACKed. If
+// the put is refused they are dropped: the destination never got the
+// snapshot they update, so its shared state must not move.
+func TestRefusedSharedPutForwardsNoEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *core.Controller, src, dst string) error
+	}{
+		{"clone", (*core.Controller).CloneSupport},
+		{"merge", (*core.Controller).MergeInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, core.Options{QuietPeriod: 40 * time.Millisecond})
+			dst := &refusingLogic{
+				CounterLogic: mbtest.NewCounterLogic(16),
+				entered:      make(chan struct{}),
+				release:      make(chan struct{}),
+			}
+			dstRT := r.attach(t, "refuser", dst)
+			for i := 0; i < 7; i++ {
+				dstRT.HandlePacket(mbtest.PacketForFlow(100 + i))
+			}
+			for i := 0; i < 10; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			r.srcRT.Drain(time.Second)
+			dstRT.Drain(time.Second)
+
+			errc := make(chan error, 1)
+			go func() { errc <- tc.op(r.ctrl, "src", "refuser") }()
+			select {
+			case <-dst.entered:
+			case err := <-errc:
+				t.Fatalf("%s returned before its put reached the destination: %v", tc.name, err)
+			}
+			// The source is marked: each packet raises a shared event,
+			// which the controller buffers behind the outstanding put.
+			before := r.ctrl.Metrics().EventsBuffered
+			for i := 0; i < 20; i++ {
+				r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+			}
+			r.srcRT.Drain(time.Second)
+			for deadline := time.Now().Add(5 * time.Second); r.ctrl.Metrics().EventsBuffered-before < 20; {
+				if time.Now().After(deadline) {
+					t.Fatalf("buffered %d of 20 shared events", r.ctrl.Metrics().EventsBuffered-before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(dst.release)
+			if err := <-errc; err == nil || !strings.Contains(err.Error(), "refused") {
+				t.Fatalf("%s into a refusing destination: %v, want the refusal", tc.name, err)
+			}
+			if !r.ctrl.WaitTxns(5 * time.Second) {
+				t.Fatalf("transactions did not settle after a refused %s", tc.name)
+			}
+			time.Sleep(20 * time.Millisecond)
+			dstRT.Drain(time.Second)
+			if got := dst.SharedSupport(); got != 7 {
+				t.Fatalf("destination shared supporting after a refused %s: %d, want 7", tc.name, got)
+			}
+			if got := dst.SharedReport(); got != 7 {
+				t.Fatalf("destination shared reporting after a refused %s: %d, want 7", tc.name, got)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"openmb/internal/obs"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
 	"openmb/internal/state"
@@ -114,10 +115,38 @@ func chunkKeys(m *sbi.Message) []packet.FlowID {
 }
 
 // putJob is one received chunk frame (with its keys and its get's ID) to
-// forward to a move's destination.
+// forward to a transaction's destination.
 type putJob struct {
 	op    sbi.Op
 	frame *sbi.Message
+}
+
+// opPair is one get/put pair of a transaction: a per-flow state class,
+// streamed in chunk frames under the transaction's match, or (shared) one
+// class of shared state, got and put as one blob.
+type opPair struct {
+	get, put sbi.Op
+	shared   bool
+}
+
+var (
+	movePairs = []opPair{
+		{sbi.OpGetSupportPerflow, sbi.OpPutSupportPerflow, false},
+		{sbi.OpGetReportPerflow, sbi.OpPutReportPerflow, false},
+	}
+	clonePairs = []opPair{{sbi.OpGetSupportShared, sbi.OpPutSupportShared, true}}
+	mergePairs = []opPair{clonePairs[0], {sbi.OpGetReportShared, sbi.OpPutReportShared, true}}
+)
+
+// transfer is what one operation hands the transaction engine: its pairs,
+// the request that ends its transaction at the source if it fails, and the
+// requests that complete it once the source has gone quiet.
+type transfer struct {
+	m      packet.FieldMatch
+	pairs  []opPair
+	window *obs.Histogram // observes the data phase, when set
+	abort  *sbi.Message
+	finish []*sbi.Message
 }
 
 // MoveInternal implements moveInternal(SrcMB, DstMB, HeaderFieldList):
@@ -139,10 +168,70 @@ func (c *Controller) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) erro
 }
 
 // moveConns is MoveInternal on resolved connections; a Node calls it after
-// resolving names with find-retry.
+// resolving names with find-retry. A failed move clears the source's marks
+// under m; a completed one deletes the moved state there, which clears them
+// too.
 func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	c.movesStarted.Add(1)
-	moveStart := time.Now()
+	return c.transact(src, dst, transfer{
+		m: m, pairs: movePairs, window: &c.histMove,
+		abort: &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m},
+		finish: []*sbi.Message{
+			{Type: sbi.MsgRequest, Op: sbi.OpDelSupportPerflow, Match: m},
+			{Type: sbi.MsgRequest, Op: sbi.OpDelReportPerflow, Match: m},
+		},
+	})
+}
+
+// CloneSupport implements cloneSupport(SrcMB, DstMB): copy the shared
+// supporting state from src to dst (§5). Reprocess events raised by the
+// source while the clone is in progress are forwarded so the copy stays
+// up to date (§6.1); no delete is issued when events stop — the source
+// keeps its state. The transaction ends (marks cleared at the source) after
+// the quiet period.
+func (c *Controller) CloneSupport(srcMB, dstMB string) error {
+	return c.transactShared(srcMB, dstMB, clonePairs)
+}
+
+// MergeInternal implements mergeInternal(SrcMB, DstMB): merge the shared
+// supporting and reporting state of src into dst. The destination applies
+// its own merge semantics (§4.1.2, §4.1.3) — e.g. summing counters. No
+// delete is issued; the source is typically deprecated by the application
+// afterwards (scale-down, §6.2).
+func (c *Controller) MergeInternal(srcMB, dstMB string) error {
+	return c.transactShared(srcMB, dstMB, mergePairs)
+}
+
+// transactShared runs a clone or a merge. It deletes nothing: ending the
+// transaction clears the source's shared mark, on failure and at completion
+// alike.
+func (c *Controller) transactShared(srcMB, dstMB string, pairs []opPair) error {
+	src, err := c.mb(srcMB)
+	if err != nil {
+		return err
+	}
+	dst, err := c.mb(dstMB)
+	if err != nil {
+		return err
+	}
+	end := &sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Enable: true}
+	return c.transact(src, dst, transfer{pairs: pairs, abort: end, finish: []*sbi.Message{end}})
+}
+
+// transact is the one transaction engine (§4.2.1) behind moves, clones and
+// merges. It runs every pair of tr from src to dst at once. The router holds
+// the source's events for each get's state from before they can arrive until
+// that state's put is ACKed, then forwards them to dst in order. If a get or
+// a put fails, the transaction ends at once: tr.abort goes to the source, the
+// events it raised before that are routed, and the routing is detached, which
+// drops the events still held for a failed shared put. The destination keeps
+// what it installed, since it may hold state of its own: a merge whose two
+// shared pairs run at once can leave either class merged without the other.
+// Otherwise transact returns once every put is ACKed, and tr.finish goes to
+// the source in the background, once the source has been quiet for the
+// configured period.
+func (c *Controller) transact(src, dst *mbConn, tr transfer) error {
+	start := time.Now()
 	t := newTxn(c, src, dst)
 
 	errCh := make(chan error, 1)
@@ -176,10 +265,10 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	// goroutine anyway) fed by a FIFO of one credit window per get stream,
 	// which a source keeping its window cannot fill (ARCHITECTURE.md,
 	// "Credit-windowed gets"). The pool spawns on the first frame, all
-	// workers at once — a move that exports nothing pays for no goroutines,
-	// and spawning per frame measurably delays pipeline fill-up.
+	// workers at once — a transaction that streams nothing pays for no
+	// goroutines, and spawning per frame measurably delays pipeline fill-up.
 	window := c.opts.PutWorkers
-	puts := make(chan putJob, 2*window)
+	puts := make(chan putJob, len(tr.pairs)*window)
 	var putWG sync.WaitGroup
 	var poolOnce sync.Once
 	enqueue := func(j putJob) {
@@ -197,14 +286,14 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		puts <- j
 	}
 
-	// One get per state class; the read loop registers each streamed
-	// chunk (so events start buffering), then the chunks are put to the
-	// destination — one put per received frame, so a batched get yields
-	// batched puts; ACKs release the buffered events for every key in
-	// the frame.
-	movePair := func(getOp, putOp sbi.Op) {
+	// A per-flow pair is one get stream; the read loop registers each
+	// streamed chunk (so events start buffering), then the chunks are put
+	// to the destination — one put per received frame, so a batched get
+	// yields batched puts; ACKs release the buffered events for every key
+	// in the frame.
+	streamPair := func(p opPair) {
 		get := &sbi.Message{
-			Type: sbi.MsgRequest, Op: getOp, Match: m,
+			Type: sbi.MsgRequest, Op: p.get, Match: tr.m,
 			Compressed: c.opts.Compress, Batch: c.opts.BatchSize, Window: window,
 		}
 		getStart := time.Now()
@@ -213,7 +302,7 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 			chunk.EachChunk(func(ch *state.Chunk) { bytes += uint64(len(ch.Blob)) })
 			c.chunksMoved.Add(uint64(len(chunk.Keys)))
 			c.bytesMoved.Add(bytes)
-			enqueue(putJob{op: putOp, frame: chunk})
+			enqueue(putJob{op: p.put, frame: chunk})
 			return nil
 		})
 		// Get-stream duration: first request frame to the stream's done.
@@ -223,109 +312,71 @@ func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 		}
 	}
 
+	// A shared pair is one blob each way, routed under packet.SharedID. It
+	// registers before its get is sent: the source marks its shared state
+	// while serving the get, and the events that mark raises may reach the
+	// router ahead of the reply. A source with no shared state of the class
+	// answers Count 0 and sets no mark. Only a put that succeeded is ACKed:
+	// the destination of a failed one never got the snapshot, so the events
+	// buffered against it stay pending until detach drops them.
+	sharedPair := func(p opPair) {
+		keys := []packet.FlowID{packet.SharedID}
+		t.registerFrame(keys)
+		reply, err := src.call(&sbi.Message{Type: sbi.MsgRequest, Op: p.get, Compressed: c.opts.Compress}, c.opts.CallTimeout)
+		if err == nil && (reply.Count > 0 || len(reply.Blob) > 0) {
+			c.bytesMoved.Add(uint64(len(reply.Blob)))
+			_, err = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: p.put, Blob: reply.Blob, Compressed: reply.Compressed}, c.opts.CallTimeout)
+		}
+		if err != nil {
+			fail(err)
+			return
+		}
+		t.ackFrame(keys)
+	}
+
 	var getWG sync.WaitGroup
-	getWG.Add(2)
-	go func() { defer getWG.Done(); movePair(sbi.OpGetSupportPerflow, sbi.OpPutSupportPerflow) }()
-	go func() { defer getWG.Done(); movePair(sbi.OpGetReportPerflow, sbi.OpPutReportPerflow) }()
+	for _, p := range tr.pairs {
+		getWG.Add(1)
+		go func() {
+			defer getWG.Done()
+			if p.shared {
+				sharedPair(p)
+			} else {
+				streamPair(p)
+			}
+		}()
+	}
 	getWG.Wait()
 	close(puts)
 	putWG.Wait()
-	// The move window closes here: every chunk is exported and its put
-	// ACKed, so the destination owns the state (the quiet-period delete at
-	// the source is background completion, not part of the window).
-	c.histMove.Observe(time.Since(moveStart))
+	// The data phase ends here: every get is done and its put ACKed, so the
+	// destination holds the state (completion at the source is background
+	// work, not part of the window).
+	if tr.window != nil {
+		tr.window.Observe(time.Since(start))
+	}
 
 	select {
 	case err := <-errCh:
-		// A failed move ends its transaction at the source, or the source
-		// keeps every exported key marked and raising reprocess events no
-		// transaction routes. Events raised before the clear route first;
-		// the destination keeps what it installed, since it may hold state
-		// of its own under m.
-		_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m}, c.opts.CallTimeout)
+		// Without the end, the source would keep its exported state marked
+		// and raise reprocess events no transaction routes.
+		_, _ = src.call(tr.abort, c.opts.CallTimeout)
 		src.drainEvents(c.opts.CallTimeout)
 		t.detach()
 		return err
 	default:
 	}
 
-	// Background completion: wait for event quiescence, then delete the
-	// moved state at the source (which also clears its transaction
-	// marks), and detach the event routing.
 	c.finishAfterQuiet(t, func() {
-		_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelSupportPerflow, Match: m}, c.opts.CallTimeout)
-		_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelReportPerflow, Match: m}, c.opts.CallTimeout)
-		// The deletes above destroyed the source's post-snapshot updates for
-		// marked packets that were still draining off its ingress ring; the
-		// source flushed their reprocess events ahead of the delete acks.
-		// Route them all (they forward to the destination for replay) before
-		// tearing down the routing entries — detaching first would orphan
-		// them and lose those packets from the moved state.
-		src.drainEvents(c.opts.CallTimeout)
-		t.detach()
-	})
-	return nil
-}
-
-// CloneSupport implements cloneSupport(SrcMB, DstMB): copy the shared
-// supporting state from src to dst (§5). Reprocess events raised by the
-// source while the clone is in progress are forwarded so the copy stays
-// up to date (§6.1); no delete is issued when events stop — the source
-// keeps its state. The transaction ends (marks cleared at the source) after
-// the quiet period.
-func (c *Controller) CloneSupport(srcMB, dstMB string) error {
-	return c.sharedTransfer(srcMB, dstMB, []sbi.Op{sbi.OpGetSupportShared}, []sbi.Op{sbi.OpPutSupportShared})
-}
-
-// MergeInternal implements mergeInternal(SrcMB, DstMB): merge the shared
-// supporting and reporting state of src into dst. The destination applies
-// its own merge semantics (§4.1.2, §4.1.3) — e.g. summing counters. No
-// delete is issued; the source is typically deprecated by the application
-// afterwards (scale-down, §6.2).
-func (c *Controller) MergeInternal(srcMB, dstMB string) error {
-	return c.sharedTransfer(srcMB, dstMB,
-		[]sbi.Op{sbi.OpGetSupportShared, sbi.OpGetReportShared},
-		[]sbi.Op{sbi.OpPutSupportShared, sbi.OpPutReportShared})
-}
-
-func (c *Controller) sharedTransfer(srcMB, dstMB string, getOps, putOps []sbi.Op) error {
-	src, err := c.mb(srcMB)
-	if err != nil {
-		return err
-	}
-	dst, err := c.mb(dstMB)
-	if err != nil {
-		return err
-	}
-	t := newTxn(c, src, dst)
-	for i, getOp := range getOps {
-		t.registerShared()
-		reply, err := src.call(&sbi.Message{Type: sbi.MsgRequest, Op: getOp, Compressed: c.opts.Compress}, c.opts.CallTimeout)
-		if err != nil {
-			t.detach()
-			return err
+		for _, req := range tr.finish {
+			_, _ = src.call(req, c.opts.CallTimeout)
 		}
-		if reply.Count == 0 && len(reply.Blob) == 0 {
-			// The source maintains no shared state of this class:
-			// nothing to transfer (and no mark was set).
-			t.ackSharedPut()
-			continue
-		}
-		c.bytesMoved.Add(uint64(len(reply.Blob)))
-		_, err = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: putOps[i], Blob: reply.Blob, Compressed: reply.Compressed}, c.opts.CallTimeout)
-		if err != nil {
-			t.detach()
-			return err
-		}
-		t.ackSharedPut()
-	}
-	// Background completion: after quiescence, end the transaction at the
-	// source so it stops raising events; state is left in place.
-	c.finishAfterQuiet(t, func() {
-		_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Enable: true}, c.opts.CallTimeout)
-		// Shared events flushed ahead of the end-transaction ack still need
-		// routing (they forward to the destination, which replays them into
-		// its shared copy only — Context.SkipPerflow); detach after.
+		// The source flushed every event it raised under its old marks
+		// ahead of these acks. Route them all (they forward to the
+		// destination) before tearing down the routing entries, which
+		// would orphan them. For a move they are the only record of the
+		// updates its deletes destroyed: those of marked packets still
+		// draining off the source's ingress ring.
 		src.drainEvents(c.opts.CallTimeout)
 		t.detach()
 	})

@@ -160,7 +160,7 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 		if ks == nil || ks.owner != t {
 			if ks != nil {
 				// A newer transaction claims a key an older one never
-				// released (overlapping moves from the same source).
+				// released (overlapping transactions from one source).
 				// Hand the old owner its outstanding put count and
 				// buffer, so its remaining ACKs still release its
 				// events toward its own destination. If nothing is
@@ -225,19 +225,15 @@ func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowID) {
 
 // route dispatches one reprocess event from src: buffer while the key's puts
 // are outstanding, forward (in order) otherwise, or hold as an orphan when
-// the registering chunk has not arrived yet. Shared-state events bypass the
-// shards entirely — at most one clone/merge owns a source's shared state, so
-// a per-MB atomic pointer suffices.
+// the registering chunk has not arrived yet.
 func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
-	if ev.Shared {
-		if t := src.sharedTxn.Load(); t != nil {
-			t.handleSharedEvent(ev)
-		}
-		return
-	}
-	// An event names its state by FlowKey; a key no table can hold (a
+	// An event names its state by FlowKey, or the source's shared state,
+	// which routes under packet.SharedID; a key no table can hold (a
 	// non-IPv4 address) names no registered state and is dropped.
 	id, ok := ev.Key.ID()
+	if ev.Shared {
+		id, ok = packet.SharedID, true
+	}
 	if !ok {
 		return
 	}
@@ -246,7 +242,11 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 	sh.mu.Lock()
 	ks := sh.keys[rk]
 	if ks == nil {
-		if ev.Kind == sbi.EventReprocess && len(sh.orphans[rk]) < maxOrphansPerKey {
+		// A shared event is never held: its key registers before the get
+		// that marks the state is sent, so no owner means none is coming,
+		// and a later clone adopting the event would replay — double-count
+		// — a packet its own snapshot holds.
+		if ev.Kind == sbi.EventReprocess && !ev.Shared && len(sh.orphans[rk]) < maxOrphansPerKey {
 			sh.alloc()
 			sh.orphans[rk] = append(sh.orphans[rk], ev)
 		}
@@ -279,7 +279,6 @@ func (r *txnRouter) detach(t *txn) {
 			}
 		})
 	}
-	t.src.sharedTxn.CompareAndSwap(t, nil)
 	if t.src.liveTxns.Add(-1) == 0 {
 		r.purgeOrphanMatch(t.src, packet.MatchAll)
 	}

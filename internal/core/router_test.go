@@ -174,21 +174,81 @@ func TestOrphanAdoptionAcrossShards(t *testing.T) {
 }
 
 // TestOrphansAreBounded: stragglers for a never-registered key stop
-// accumulating at maxOrphansPerKey.
+// accumulating at maxOrphansPerKey, and a shared event with no owner is
+// never held at all: a later clone adopting it would replay a packet its own
+// snapshot holds.
 func TestOrphansAreBounded(t *testing.T) {
-	c := NewController(Options{Shards: 2})
+	for _, tc := range []struct {
+		name   string
+		shared bool
+		want   int
+	}{
+		{"per-flow", false, maxOrphansPerKey},
+		{"shared", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewController(Options{Shards: 2})
+			src := newTestPeer(t, c, "src")
+			for i := 0; i < maxOrphansPerKey+100; i++ {
+				c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(7), Shared: tc.shared})
+			}
+			n := 0
+			for i := range c.router.shards {
+				sh := &c.router.shards[i]
+				sh.mu.Lock()
+				for _, evs := range sh.orphans {
+					n += len(evs)
+				}
+				sh.mu.Unlock()
+			}
+			if n != tc.want {
+				t.Fatalf("orphans held = %d, want %d", n, tc.want)
+			}
+		})
+	}
+}
+
+// TestSharedEventsBufferUntilPutAck: shared events, whatever flow raised
+// them, route under packet.SharedID. While the shared put is outstanding
+// they are buffered; its ACK forwards them in Seq order, and later ones go
+// straight through.
+func TestSharedEventsBufferUntilPutAck(t *testing.T) {
+	c := NewController(Options{Shards: 4})
 	src := newTestPeer(t, c, "src")
-	k := key(7)
-	for i := 0; i < maxOrphansPerKey+100; i++ {
-		c.router.route(src.mb, reprocessEvent(k))
+	dst := newTestPeer(t, c, "dst")
+	tx := newTxn(c, src.mb, dst.mb)
+	shared := []packet.FlowID{packet.SharedID}
+	ev := func(seq uint64) {
+		c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(int(seq)), Shared: true, Seq: seq})
 	}
-	sh := c.router.shard(frame(k)[0])
-	sh.mu.Lock()
-	n := len(sh.orphans[routeKey{mb: src.mb, key: frame(k)[0]}])
-	sh.mu.Unlock()
-	if n != maxOrphansPerKey {
-		t.Fatalf("orphans held = %d, want %d", n, maxOrphansPerKey)
+	expect := func(seq uint64) {
+		t.Helper()
+		select {
+		case m := <-dst.recv:
+			if m.Event == nil || !m.Event.Shared || m.Event.Seq != seq {
+				t.Fatalf("dst received %+v, want shared seq %d", m, seq)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("dst missing shared seq %d", seq)
+		}
 	}
+	tx.registerFrame(shared)
+	for seq := uint64(1); seq <= 8; seq++ {
+		ev(seq)
+	}
+	dst.expectNothing(t)
+	tx.ackFrame(shared)
+	for seq := uint64(1); seq <= 8; seq++ {
+		expect(seq)
+	}
+	ev(9)
+	expect(9)
+	if m := c.Metrics(); m.EventsBuffered != 8 || m.EventsForwarded != 9 {
+		t.Fatalf("EventsBuffered = %d, EventsForwarded = %d; want 8 and 9", m.EventsBuffered, m.EventsForwarded)
+	}
+	tx.detach()
+	ev(10) // no owner once detached: dropped
+	dst.expectNothing(t)
 }
 
 // TestOverlappingTxnOwnership: when a newer transaction claims a key an

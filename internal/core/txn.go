@@ -9,12 +9,13 @@ import (
 	"openmb/internal/sbi"
 )
 
-// txn tracks one move/clone/merge transaction. Per-flow routing state
-// (outstanding puts and buffered events per key) lives in the controller's
-// sharded router; the txn itself holds only what is inherently per
-// transaction — the endpoints, the activity clock the completer watches,
-// the keys it registered (so detach touches exactly the shards it
-// used), and the shared-state transfer bookkeeping.
+// txn tracks one move, clone or merge transaction. Its routing state
+// (outstanding puts and buffered events per key, shared state under
+// packet.SharedID) lives in the controller's sharded router; the txn itself
+// holds only what is inherently per transaction — the endpoints, the
+// activity clock the completer watches, the keys it registered (so detach
+// touches exactly the shards it used), and the stale state of keys a newer
+// transaction took over.
 type txn struct {
 	ctrl *Controller
 	src  *mbConn
@@ -33,16 +34,10 @@ type txn struct {
 	// frame, for detach.
 	frames [][]packet.FlowID
 	// stale holds put counts and buffered events for keys this
-	// transaction lost to a newer one (overlapping moves); its remaining
-	// ACKs release them toward its own destination.
-	stale map[packet.FlowID]*staleKey
-	// sharedPending counts unacknowledged shared puts; sharedBuffered
-	// holds shared-state events meanwhile, and sharedFlushing marks an
-	// ordered drain in progress (see keyState.flushing).
-	sharedPending  int
-	sharedBuffered []*sbi.Event
-	sharedFlushing bool
-	detached       bool
+	// transaction lost to a newer one (overlapping transactions); its
+	// remaining ACKs release them toward its own destination.
+	stale    map[packet.FlowID]*staleKey
+	detached bool
 }
 
 // staleKey is the outstanding state for a key whose routing entry a newer
@@ -68,9 +63,10 @@ func (t *txn) touch() { t.lastEvent.Store(time.Now().UnixNano()) }
 func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64(d) }
 
 // registerFrame attaches the txn to the router for every key of one chunk
-// frame and adopts any orphaned events that raced ahead of it. Called from
-// the source's read loop, before the frame is delivered to the move consumer,
-// so event routing can never miss the registration. keys belongs to the
+// frame (or the shared pair's packet.SharedID) and adopts any orphaned events
+// that raced ahead of it. Called from the source's read loop before a chunk
+// frame is delivered to its consumer, or before a shared get is sent, so
+// event routing can never miss the registration. keys belongs to the
 // transaction afterwards.
 func (t *txn) registerFrame(keys []packet.FlowID) { t.ctrl.router.registerFrame(t, keys) }
 
@@ -167,55 +163,6 @@ func (t *txn) ackStale(key packet.FlowID) {
 	}
 	t.mu.Unlock()
 	forwardEvents(t.ctrl, t.dst, flush)
-}
-
-// registerShared claims the source's shared state for this transaction and
-// counts one more outstanding shared put. sharedTxn is a per-MB atomic
-// pointer rather than router state: at most one clone/merge owns a source's
-// shared state at a time.
-func (t *txn) registerShared() {
-	t.src.sharedTxn.Store(t)
-	t.mu.Lock()
-	t.sharedPending++
-	t.mu.Unlock()
-}
-
-// ackSharedPut marks one shared put acknowledged; the last outstanding one
-// drains buffered shared-state events in order (same flushing discipline as
-// txnRouter.ackFrame).
-func (t *txn) ackSharedPut() {
-	t.mu.Lock()
-	t.sharedPending--
-	if t.sharedPending > 0 || t.sharedFlushing || len(t.sharedBuffered) == 0 {
-		t.mu.Unlock()
-		return
-	}
-	t.sharedFlushing = true
-	for t.sharedPending <= 0 && len(t.sharedBuffered) > 0 {
-		flush := t.sharedBuffered
-		t.sharedBuffered = nil
-		t.mu.Unlock()
-		forwardEvents(t.ctrl, t.dst, flush)
-		t.mu.Lock()
-	}
-	t.sharedFlushing = false
-	t.mu.Unlock()
-}
-
-// handleSharedEvent buffers one shared-state reprocess event while the
-// shared put is outstanding (or a drain is in flight), and forwards it
-// otherwise.
-func (t *txn) handleSharedEvent(ev *sbi.Event) {
-	t.touch()
-	t.mu.Lock()
-	if t.sharedPending > 0 || len(t.sharedBuffered) > 0 || t.sharedFlushing {
-		t.sharedBuffered = append(t.sharedBuffered, ev)
-		t.ctrl.eventsBuffered.Add(1)
-		t.mu.Unlock()
-		return
-	}
-	t.mu.Unlock()
-	forwardEvents(t.ctrl, t.dst, []*sbi.Event{ev})
 }
 
 // detach removes the txn from its controller's routing tables. Idempotent.

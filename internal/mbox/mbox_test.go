@@ -345,8 +345,8 @@ func TestSharedMarkRaisesEvents(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no event for cloned shared state")
 	}
-	// A del with Enable=true ends the shared transaction.
-	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 2, Op: sbi.OpDelReportPerflow, Match: packet.MatchAll, Enable: true})
+	// endTransaction with Enable ends the shared transaction.
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 2, Op: sbi.OpEndTransaction, Enable: true})
 	h.reply(t)
 	h.rt.HandlePacket(pkt(3, 3000))
 	h.rt.Drain(time.Second)

@@ -348,17 +348,15 @@ func (rt *Runtime) markShared(class state.Class) {
 }
 
 // clearMarks removes transaction marks for keys matching m (either
-// direction) in the given class, plus the shared mark if clearShared.
-func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class, clearShared bool) {
+// direction) in the given class. Shared marks clear only on
+// sbi.OpEndTransaction with Enable.
+func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class) {
 	im := m.ForID()
 	rt.updateMarks(func() {
 		for _, r := range rt.marks {
 			if r.class == class {
 				r.ids = slices.DeleteFunc(r.ids, im.MatchEither)
 			}
-		}
-		if clearShared {
-			delete(rt.sharedMoved, class)
 		}
 	})
 }

@@ -402,8 +402,8 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, gets *getStreams, m *sbi.Message
 			rt.updateMarks(func() { clear(rt.sharedMoved) })
 		} else {
 			gets.settle(m.Match)
-			rt.clearMarks(m.Match, state.Supporting, false)
-			rt.clearMarks(m.Match, state.Reporting, false)
+			rt.clearMarks(m.Match, state.Supporting)
+			rt.clearMarks(m.Match, state.Reporting)
 		}
 		// Events decided against the old marks must reach the wire before
 		// the ack: the controller detaches the transaction's routing once
@@ -667,9 +667,8 @@ func (rt *Runtime) serveDelPerflow(conn *sbi.Conn, gets *getStreams, m *sbi.Mess
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
 		return
 	}
-	// Completing a move ends the transaction for these keys; Enable
-	// doubles as "also clear the shared mark" for clone/merge endings.
-	rt.clearMarks(m.Match, class, m.Enable)
+	// Completing a move ends the transaction for these keys.
+	rt.clearMarks(m.Match, class)
 	// The delete above destroyed state that includes updates from marked
 	// packets still draining off the ingress ring; their reprocess events
 	// are the only surviving record. Publish them all before the ack so

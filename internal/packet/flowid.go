@@ -20,6 +20,11 @@ import (
 // middleboxes (NAT, LB) are the same ID on both sides of the wire.
 type FlowID struct{ src, dst uint64 }
 
+// SharedID is a reserved ID no IPv4 flow produces (its top bit lies above
+// the 56-bit endpoint words): the controller's router keys a middlebox's
+// shared state under it, beside the per-flow keys of the same source.
+var SharedID = FlowID{src: 1 << 63}
+
 func endpoint(addr uint32, port uint16) uint64 { return uint64(addr)<<24 | uint64(port)<<8 }
 
 // addr4 returns a's IPv4 value; the unset Addr is the wildcard 0. It reports

@@ -57,12 +57,12 @@ const (
 	OpCredit Op = "credit"
 
 	// OpEndTransaction tells a source MB that a controller transaction
-	// has finished, clearing its moved/cloned marks so it stops raising
+	// has ended, clearing its moved/cloned marks so it stops raising
 	// reprocess events. With Enable set it clears shared-state marks;
-	// otherwise it clears per-flow marks matching Match. For moves the
-	// del operations already clear marks; this op exists for clones and
-	// merges, which must not delete state (§5: "no delete operation is
-	// called when events stop arriving").
+	// otherwise it clears per-flow marks matching Match. It ends every
+	// failed transaction, and completes clones and merges, which must not
+	// delete state (§5: "no delete operation is called when events stop
+	// arriving"); a completed move's del operations clear its marks.
 	OpEndTransaction Op = "endTransaction"
 
 	// OpPing is the controller's liveness probe: a MsgRequest sent when a
@@ -232,7 +232,8 @@ type Message struct {
 	Values []string          `json:"values,omitempty"`
 	Match  packet.FieldMatch `json:"match,omitempty"`
 	Blob   []byte            `json:"blob,omitempty"`
-	// Enable applies to OpSetEventFilter and OpTraceFlow (arm/disarm).
+	// Enable applies to OpSetEventFilter and OpTraceFlow (arm/disarm),
+	// and selects the shared-state marks on OpEndTransaction.
 	Enable bool `json:"enable,omitempty"`
 	// TTLNanos bounds an event filter's lifetime (§4.2.2: "receive all
 	// events only for a limited period of time"); 0 means no expiry.
