@@ -132,14 +132,16 @@ type Controller struct {
 	opts     Options
 	listener net.Listener
 
-	// router shards transaction routing state (see router.go); completer
-	// finishes quiescent transactions (see completer.go).
-	router    *txnRouter
-	completer *completer
+	// router shards transaction routing state (see router.go).
+	router *txnRouter
 
 	// registry tracks live transactions; a Node salts it before any txn
 	// exists, so IDs are unique across the cluster.
 	registry *txnRegistry
+
+	// admit, when set, runs after a connection's hello and takes over the
+	// connection; a Node sets it to accept peers and commit ownership.
+	admit func(conn *sbi.Conn, hello *sbi.Message)
 
 	mu  sync.Mutex
 	mbs map[string]*mbConn
@@ -156,8 +158,6 @@ type Controller struct {
 
 	introMu   sync.Mutex
 	introSubs []func(mb string, ev *sbi.Event)
-
-	txnWG sync.WaitGroup
 
 	closed atomic.Bool
 
@@ -185,7 +185,6 @@ func NewController(opts Options) *Controller {
 	opts.setDefaults()
 	c := &Controller{opts: opts, mbs: map[string]*mbConn{}, waiters: map[string][]chan struct{}{}}
 	c.router = newTxnRouter(opts.Shards)
-	c.completer = newCompleter(c)
 	c.registry = newTxnRegistry()
 	return c
 }
@@ -193,16 +192,6 @@ func NewController(opts Options) *Controller {
 // Shards reports the resolved router shard count (after defaulting and
 // power-of-two rounding).
 func (c *Controller) Shards() int { return c.opts.Shards }
-
-// finishAfterQuiet arranges for fn to run, on the completer, once t's source
-// has been quiet for the configured period.
-func (c *Controller) finishAfterQuiet(t *txn, fn func()) {
-	c.txnWG.Add(1)
-	c.completer.schedule(t, func() {
-		defer c.txnWG.Done()
-		fn()
-	})
-}
 
 // Serve starts accepting middlebox connections on addr over the given
 // transport. It returns once the listener is ready; accepting continues in
@@ -239,14 +228,16 @@ func (c *Controller) handleConn(conn *sbi.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	if c.admit != nil {
+		c.admit(conn, hello)
+		return
+	}
 	c.serveMB(conn, hello)
 }
 
 // serveMB upgrades the connection to the hello's codec, registers the
-// middlebox, and runs its read loop until disconnect. The controller's
-// accept path calls it after receiving the hello itself; a Node receives the
-// hello in its own accept loop (to commit ownership first) and hands the
-// connection over here.
+// middlebox, and runs its read loop until disconnect. handleConn calls it
+// after the hello, or a Node's admission step after committing ownership.
 func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	// The hello (always JSON) may announce a faster codec for everything
 	// after it; the controller's side of the connection follows suit.
@@ -436,17 +427,12 @@ func (c *Controller) SetEventFilterFor(mbName, codePrefix string, m packet.Field
 	return err
 }
 
-// WaitTxns blocks until all in-flight transactions (including their
-// quiet-period completions) have finished, or the timeout elapses. Intended
-// for tests and benchmarks that need deterministic completion.
+// WaitTxns blocks until no transaction is live, or the timeout elapses: every
+// transaction's data phase and quiet-period completion have finished and its
+// routing is released. Intended for tests, benchmarks and graceful shutdown.
 func (c *Controller) WaitTxns(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		c.txnWG.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-c.registry.idleCh():
 		return true
 	case <-time.After(timeout):
 		return false
@@ -565,9 +551,11 @@ func (c *Controller) Close() {
 	for _, mb := range mbs {
 		mb.conn.Close()
 	}
-	// Stop the completer last: pending completions dispatch immediately
-	// and their southbound calls fail fast on the closed connections.
-	c.completer.close()
+	// Armed completions dispatch immediately, and later ones as they arm;
+	// their southbound calls fail fast on the closed connections.
+	for _, t := range c.registry.snapshot() {
+		t.flush()
+	}
 }
 
 // mbConn is the controller's view of one connected middlebox. The paper's
@@ -609,9 +597,9 @@ type mbConn struct {
 	// difference is the connection's in-flight event pipeline, and
 	// transaction quiescence requires it to be empty: with routing
 	// decoupled from receiving, "no events for a quiet period" must mean
-	// no events *anywhere*, or a descheduled router would let the
-	// completer end a transaction whose count-bearing events are still
-	// queued (clearing source marks early and orphaning the replays).
+	// no events *anywhere*, or a descheduled router would let a
+	// completion timer end a transaction whose count-bearing events are
+	// still queued (clearing source marks early and orphaning the replays).
 	eventsRecv   atomic.Uint64
 	eventsRouted atomic.Uint64
 	// drained holds a token the event router posts whenever the pipeline

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -48,11 +47,10 @@ type Node struct {
 
 	repdir *repDirectory
 
-	mu       sync.Mutex
-	peers    map[string]*peerConn // live links, by remote node name
-	known    map[string]string    // every non-departed node ever seen (name → addr), self excluded
-	listener net.Listener
-	closed   atomic.Bool
+	mu     sync.Mutex
+	peers  map[string]*peerConn // live links, by remote node name
+	known  map[string]string    // every non-departed node ever seen (name → addr), self excluded
+	closed atomic.Bool
 
 	dirCommits     atomic.Uint64
 	dirRefusals    atomic.Uint64
@@ -111,7 +109,7 @@ func NewNode(opts NodeOptions) *Node {
 	}
 	cl := NewCluster(opts.Cluster)
 	cl.registry.seed(nodeSalt(opts.Name))
-	return &Node{
+	n := &Node{
 		Cluster:   cl,
 		name:      opts.Name,
 		advertise: opts.Advertise,
@@ -120,38 +118,29 @@ func NewNode(opts NodeOptions) *Node {
 		peers:     map[string]*peerConn{},
 		known:     map[string]string{},
 	}
+	cl.admit = n.admit
+	return n
 }
 
 // Name returns the node's cluster-wide name.
 func (n *Node) Name() string { return n.name }
 
-// Serve starts the node's accept loop: middlebox hellos are quorum-committed
-// into the replicated directory and handed to the controller; peer hellos
-// are answered and become node-to-node links.
+// Serve starts the controller's accept loop (Controller.Serve), which hands
+// each hello to the node's admission step. Addr, promoted from the
+// controller, returns the listener's address.
 func (n *Node) Serve(tr sbi.Transport, addr string) error {
-	l, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("core: node %s listen %q: %w", n.name, addr, err)
-	}
-	n.mu.Lock()
-	n.tr = tr
-	n.listener = l
-	if n.advertise == "" {
-		n.advertise = l.Addr().String()
-	}
-	n.mu.Unlock()
-	go n.acceptLoop(l)
-	return nil
-}
-
-// Addr returns the node listener's address, or "" before Serve.
-func (n *Node) Addr() string {
+	// Admission takes mu, so no hello is admitted before the advertised
+	// address is known.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.listener == nil {
-		return ""
+	if err := n.Controller.Serve(tr, addr); err != nil {
+		return err
 	}
-	return n.listener.Addr().String()
+	n.tr = tr
+	if n.advertise == "" {
+		n.advertise = n.Controller.Addr()
+	}
+	return nil
 }
 
 // Advertise returns the address this node announces to peers and redirected
@@ -162,40 +151,31 @@ func (n *Node) Advertise() string {
 	return n.advertise
 }
 
-func (n *Node) acceptLoop(l net.Listener) {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			conn := sbi.NewConn(raw)
-			_ = conn.SetReadDeadline(time.Now().Add(n.Controller.opts.HelloTimeout))
-			hello, err := conn.Receive()
-			if err != nil || hello.Type != sbi.MsgHello || hello.Name == "" {
-				conn.Close()
-				return
-			}
-			_ = conn.SetReadDeadline(time.Time{})
-			if hello.Kind == sbi.PeerKind {
-				n.acceptPeer(conn, hello)
-				return
-			}
-			// Middlebox registration is an ownership change: it must
-			// commit to the replicated directory under quorum before the
-			// connection is accepted. A partitioned node refuses here —
-			// the middlebox's reconnect machinery moves on to the next
-			// address in its list, which is a node that CAN commit. The
-			// connection is not registered yet, so this goroutine is its
-			// only sender: the Send flushes its own frame before the Close.
-			if err := n.commitOwnership(hello.Name); err != nil {
-				_ = conn.Send(&sbi.Message{Type: sbi.MsgError, Error: err.Error()})
-				conn.Close()
-				return
-			}
-			n.Controller.serveMB(conn, hello)
-		}()
+// admit is the node's admission step, run on the controller's accept path
+// after a connection's hello: a peer hello is answered and becomes a
+// node-to-node link; a middlebox hello is quorum-committed into the
+// replicated directory before the controller registers it.
+func (n *Node) admit(conn *sbi.Conn, hello *sbi.Message) {
+	if n.closed.Load() {
+		conn.Close()
+		return
 	}
+	if hello.Kind == sbi.PeerKind {
+		n.acceptPeer(conn, hello)
+		return
+	}
+	// Middlebox registration is an ownership change: it must commit to the
+	// replicated directory under quorum before the connection is accepted.
+	// A partitioned node refuses here — the middlebox's reconnect machinery
+	// moves on to the next address in its list, which is a node that CAN
+	// commit. The connection is not registered yet, so this goroutine is its
+	// only sender: the Send flushes its own frame before the Close.
+	if err := n.commitOwnership(hello.Name); err != nil {
+		_ = conn.Send(&sbi.Message{Type: sbi.MsgError, Error: err.Error()})
+		conn.Close()
+		return
+	}
+	n.Controller.serveMB(conn, hello)
 }
 
 // ---------------------------------------------------------------------------
@@ -643,7 +623,7 @@ func (n *Node) Shutdown(timeout time.Duration) {
 	n.Close()
 }
 
-// Close stops the node: listener, peer links, then the controller. Peers
+// Close stops the node: peer links, then the controller and its listener. Peers
 // are NOT notified (that is Shutdown) — a closed-without-leave node stays in
 // its peers' quorum denominators, like a crash.
 func (n *Node) Close() {
@@ -651,15 +631,11 @@ func (n *Node) Close() {
 		return
 	}
 	n.mu.Lock()
-	l := n.listener
 	links := make([]*peerConn, 0, len(n.peers))
 	for _, p := range n.peers {
 		links = append(links, p)
 	}
 	n.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
 	for _, p := range links {
 		p.close()
 	}

@@ -367,7 +367,7 @@ func (c *Controller) transact(src, dst *mbConn, tr transfer) error {
 	default:
 	}
 
-	c.finishAfterQuiet(t, func() {
+	t.armQuiet(func() {
 		for _, req := range tr.finish {
 			_, _ = src.call(req, c.opts.CallTimeout)
 		}

@@ -2,7 +2,9 @@ package core
 
 import "sync"
 
-// txnRegistry assigns transaction IDs and tracks every live transaction.
+// txnRegistry assigns transaction IDs and is the one record of live
+// transactions: a transaction is tracked from newTxn until detach, data phase
+// and quiet-period completion alike.
 // A Node salts its controller's registry (seed), so IDs minted by different
 // processes never collide: a txn ID names one transaction cluster-wide, the
 // key cross-node traces are to be joined on.
@@ -10,15 +12,22 @@ type txnRegistry struct {
 	mu     sync.Mutex
 	nextID uint64
 	live   map[uint64]*txn
+	// idle is closed while live is empty; add replaces a closed one.
+	idle chan struct{}
 }
 
 func newTxnRegistry() *txnRegistry {
-	return &txnRegistry{live: map[uint64]*txn{}}
+	r := &txnRegistry{live: map[uint64]*txn{}, idle: make(chan struct{})}
+	close(r.idle)
+	return r
 }
 
 // add assigns t the next ID and tracks it until detach removes it.
 func (r *txnRegistry) add(t *txn) {
 	r.mu.Lock()
+	if len(r.live) == 0 {
+		r.idle = make(chan struct{})
+	}
 	r.nextID++
 	t.id = r.nextID
 	r.live[t.id] = t
@@ -37,12 +46,33 @@ func (r *txnRegistry) seed(salt uint64) {
 
 // remove untracks a detached transaction. Idempotent.
 func (r *txnRegistry) remove(t *txn) {
-	if t.id == 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.live[t.id]; !ok {
 		return
 	}
-	r.mu.Lock()
 	delete(r.live, t.id)
-	r.mu.Unlock()
+	if len(r.live) == 0 {
+		close(r.idle)
+	}
+}
+
+// idleCh returns a channel that is closed once no transaction is live.
+func (r *txnRegistry) idleCh() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.idle
+}
+
+// snapshot returns the live transactions.
+func (r *txnRegistry) snapshot() []*txn {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*txn, 0, len(r.live))
+	for _, t := range r.live {
+		out = append(out, t)
+	}
+	return out
 }
 
 // Live reports how many transactions are currently tracked; recovery tests

@@ -1,10 +1,11 @@
 package core
 
-// White-box tests for the sharded transaction router and the completer:
-// shard selection (power-of-two rounding, FlowID.Hash symmetry), orphan
-// adoption when events beat their registering chunk, ownership guards when
-// transactions overlap on a key, detach cleanup, and quiescence-driven
-// completion. End-to-end behaviour (moves under traffic, shards=1 vs
+// White-box tests for the sharded transaction router and each transaction's
+// completion timer: shard selection (power-of-two rounding, FlowID.Hash
+// symmetry), orphan adoption when events beat their registering chunk,
+// ownership guards when transactions overlap on a key, detach cleanup, and
+// quiescence-driven completion (armQuiet: first check at lastEvent +
+// QuietPeriod, re-armed while events keep arriving, flushed at Close). End-to-end behaviour (moves under traffic, shards=1 vs
 // shards=N equivalence) is covered in core_test and fastpath_test.
 
 import (
@@ -388,7 +389,7 @@ func TestCompleterWaitsForQuiescence(t *testing.T) {
 
 	start := time.Now()
 	done := make(chan time.Duration, 1)
-	c.finishAfterQuiet(tx, func() {
+	tx.armQuiet(func() {
 		done <- time.Since(start)
 		tx.detach()
 	})
@@ -408,20 +409,55 @@ func TestCompleterWaitsForQuiescence(t *testing.T) {
 	}
 }
 
-// TestCompleterCloseFlushes: closing the controller dispatches pending
-// completions immediately instead of leaking them.
+// TestQuiescentTxnFinishesAtOnce: the first check is due at lastEvent +
+// QuietPeriod, not a full period after the data phase, so a transaction
+// whose source has been quiet for longer than the period finishes at once.
+func TestQuiescentTxnFinishesAtOnce(t *testing.T) {
+	const quiet = time.Second
+	c := NewController(Options{Shards: 2, QuietPeriod: quiet})
+	src := newTestPeer(t, c, "src")
+	dst := newTestPeer(t, c, "dst")
+	tx := newTxn(c, src.mb, dst.mb)
+	tx.lastEvent.Store(time.Now().Add(-2 * quiet).UnixNano())
+
+	start := time.Now()
+	done := make(chan time.Duration, 1)
+	tx.armQuiet(func() {
+		done <- time.Since(start)
+		tx.detach()
+	})
+	select {
+	case elapsed := <-done:
+		if elapsed >= 250*time.Millisecond {
+			t.Fatalf("a transaction quiet for 2 periods finished %v after arming, want < 250ms", elapsed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("completion never fired")
+	}
+}
+
+// TestCompleterCloseFlushes: closing the controller dispatches armed
+// completions immediately instead of leaking them, and a transaction still
+// in its data phase at Close finishes as soon as it arms.
 func TestCompleterCloseFlushes(t *testing.T) {
 	c := NewController(Options{Shards: 2, QuietPeriod: time.Hour})
 	src := newTestPeer(t, c, "src")
 	dst := newTestPeer(t, c, "dst")
-	tx := newTxn(c, src.mb, dst.mb)
-	done := make(chan struct{})
-	c.finishAfterQuiet(tx, func() { close(done); tx.detach() })
+	armed, late := newTxn(c, src.mb, dst.mb), newTxn(c, src.mb, dst.mb)
+	done := make(chan struct{}, 2)
+	finish := func(tx *txn) func() { return func() { done <- struct{}{}; tx.detach() } }
+	armed.armQuiet(finish(armed))
 	c.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending completion not dispatched at Close")
+	late.armQuiet(finish(late))
+	for range 2 {
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("pending completion not dispatched at Close")
+		}
+	}
+	if !c.WaitTxns(2 * time.Second) {
+		t.Fatalf("%d transactions live after Close flushed them", c.LiveTxns())
 	}
 }
 

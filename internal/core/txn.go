@@ -13,9 +13,9 @@ import (
 // (outstanding puts and buffered events per key, shared state under
 // packet.SharedID) lives in the controller's sharded router; the txn itself
 // holds only what is inherently per transaction — the endpoints, the
-// activity clock the completer watches, the keys it registered (so detach
-// touches exactly the shards it used), and the stale state of keys a newer
-// transaction took over.
+// activity clock its completion timer watches, the keys it registered (so
+// detach touches exactly the shards it used), and the stale state of keys a
+// newer transaction took over.
 type txn struct {
 	ctrl *Controller
 	src  *mbConn
@@ -26,7 +26,7 @@ type txn struct {
 	id uint64
 
 	// lastEvent is the unix-nano time the source last raised an event for
-	// this transaction; the completer reads it to detect quiescence.
+	// this transaction; its completion timer reads it to detect quiescence.
 	lastEvent atomic.Int64
 
 	mu sync.Mutex
@@ -38,6 +38,11 @@ type txn struct {
 	// remaining ACKs release them toward its own destination.
 	stale    map[packet.FlowID]*staleKey
 	detached bool
+	// timer runs finish once the source has gone quiet (armQuiet);
+	// flushed is set by Controller.Close, after which finish runs at once.
+	timer   *time.Timer
+	finish  func()
+	flushed bool
 }
 
 // staleKey is the outstanding state for a key whose routing entry a newer
@@ -58,9 +63,68 @@ func newTxn(c *Controller, src, dst *mbConn) *txn {
 // touch records source activity, pushing quiescence out.
 func (t *txn) touch() { t.lastEvent.Store(time.Now().UnixNano()) }
 
-// quietAt returns the earliest unix-nano instant the transaction can
-// complete if no further events arrive.
-func (t *txn) quietAt(d time.Duration) int64 { return t.lastEvent.Load() + int64(d) }
+// untilQuiet returns how long until the source will have raised no events
+// for the controller's quiet period; zero or less means it already has.
+func (t *txn) untilQuiet() time.Duration {
+	return time.Duration(t.lastEvent.Load() + int64(t.ctrl.opts.QuietPeriod) - time.Now().UnixNano())
+}
+
+// armQuiet arranges for finish to run once, on a timer goroutine, when the
+// source has been quiet for the controller's period. The first check is due
+// at lastEvent + QuietPeriod, which for a transaction that saw no events is
+// already past. A transaction the controller's Close has flushed finishes at
+// once.
+func (t *txn) armQuiet(finish func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.finish = finish
+	if t.flushed || t.ctrl.closed.Load() {
+		go finish()
+		return
+	}
+	t.timer = time.AfterFunc(t.untilQuiet(), t.checkQuiet)
+}
+
+// checkQuiet runs when the timer fires. Quiet means no events for the period
+// AND the source's event pipeline drained: events the read loop accepted but
+// the router has not routed will touch the clock when they route, and
+// finishing past them would clear source marks early and orphan their
+// replays, so it checks again a fifth of a period later. The pipeline check
+// runs FIRST: if it reads empty at some instant, every routed event's touch
+// happened before that instant and is visible to the lastEvent read that
+// follows; the reverse order races a router draining its backlog between the
+// two loads and reports quiet right after a burst. Events that pushed the
+// deadline out re-arm the timer to the new deadline.
+func (t *txn) checkQuiet() {
+	wait := t.ctrl.opts.QuietPeriod / 5
+	if t.src.eventsInFlight() == 0 {
+		wait = t.untilQuiet()
+	}
+	t.mu.Lock()
+	if wait > 0 && !t.flushed {
+		t.timer.Reset(wait)
+		t.mu.Unlock()
+		return
+	}
+	finish := t.finish
+	t.mu.Unlock()
+	finish()
+}
+
+// flush is Controller.Close's end for a live transaction: an armed finish
+// whose timer it stops runs at once, and one armed later runs as soon as it
+// is armed. A timer it cannot stop has already fired, and its check finishes
+// instead of re-arming.
+func (t *txn) flush() {
+	t.mu.Lock()
+	t.flushed = true
+	stopped := t.timer != nil && t.timer.Stop()
+	finish := t.finish
+	t.mu.Unlock()
+	if stopped {
+		go finish()
+	}
+}
 
 // registerFrame attaches the txn to the router for every key of one chunk
 // frame (or the shared pair's packet.SharedID) and adopts any orphaned events
@@ -165,7 +229,8 @@ func (t *txn) ackStale(key packet.FlowID) {
 	forwardEvents(t.ctrl, t.dst, flush)
 }
 
-// detach removes the txn from its controller's routing tables. Idempotent.
+// detach drops the txn's routing, then untracks it, so a WaitTxns that sees
+// the registry empty also sees every router table released. Idempotent.
 func (t *txn) detach() {
 	t.mu.Lock()
 	if t.detached {
@@ -174,6 +239,6 @@ func (t *txn) detach() {
 	}
 	t.detached = true
 	t.mu.Unlock()
-	t.ctrl.registry.remove(t)
 	t.ctrl.router.detach(t)
+	t.ctrl.registry.remove(t)
 }
