@@ -33,11 +33,12 @@ func TestFailedMoveClearsSourceMarks(t *testing.T) {
 	var mu sync.Mutex
 	var out1 []*packet.Packet
 	nat1, nat2 := nat.New(netip.MustParseAddr("198.51.100.1")), nat.New(netip.MustParseAddr("198.51.100.2"))
-	rt1 := mbox.New("nat1", nat1, mbox.Options{Forward: func(p *packet.Packet) {
+	rt1 := mbox.New("nat1", nat1, mbox.Options{})
+	rt1.SetForward(func(p *packet.Packet) {
 		mu.Lock()
 		out1 = append(out1, p)
 		mu.Unlock()
-	}})
+	})
 	rt2 := mbox.New("nat2", nat2, mbox.Options{})
 	defer rt1.Close()
 	defer rt2.Close()

@@ -41,7 +41,9 @@ func NewHaltBuffer(forward func(p *packet.Packet)) *HaltBuffer {
 	return &HaltBuffer{forward: forward}
 }
 
-// HandlePacket implements netsim.Endpoint.
+// HandlePacket queues p while the valve is halted and forwards it
+// otherwise. Callers feed the valve directly; it is never attached to a
+// network.
 func (h *HaltBuffer) HandlePacket(p *packet.Packet) {
 	h.mu.Lock()
 	if h.halted {

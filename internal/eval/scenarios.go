@@ -397,10 +397,12 @@ func runConfigRouteMigration(trc *trace.Trace, half int) (uint64, uint64, error)
 		}
 		rtDecB.HandlePacket(p)
 	}
-	rtEncA := mbox.New("encA", encA, mbox.Options{Forward: rtDecA.HandlePacket})
+	rtEncA := mbox.New("encA", encA, mbox.Options{})
 	defer rtEncA.Close()
-	rtEncB := mbox.New("encB", encB, mbox.Options{Forward: routeB})
+	rtEncA.SetForwardBurst(rtDecA.HandleBurst)
+	rtEncB := mbox.New("encB", encB, mbox.Options{})
 	defer rtEncB.Close()
+	rtEncB.SetForward(routeB)
 
 	if err := baseline.ConfigRouteMigrate(encA, encB); err != nil {
 		return 0, 0, err

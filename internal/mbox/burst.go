@@ -36,7 +36,7 @@ func (bs *burstState) reset() {
 	bs.fvalid = false
 }
 
-// HandleBurst implements netsim.BurstEndpoint: it enqueues a whole delivery
+// HandleBurst implements netsim.Endpoint: it enqueues a whole delivery
 // batch in one ring synchronization. Packets that do not fit (queue full, or
 // ring closed after Close) are dropped and their borrows released, as a
 // loaded middlebox would shed them; the ring accepts a prefix in order, so
@@ -193,10 +193,8 @@ func (rt *Runtime) processBurst(ctxs []Context, pkts []*packet.Packet, bs *burst
 	rt.pending.Add(int64(-n))
 }
 
-// flushEmits hands one burst's buffered emits downstream: through the
-// SetForwardBurst sink in a single call when one is wired (the co-located
-// handoff), else through the per-packet forward sink in order. Reference
-// ownership transfers with the hand-off.
+// flushEmits hands one burst's buffered emits downstream to the forward
+// sink in a single call. Reference ownership transfers with the hand-off.
 func (rt *Runtime) flushEmits(bs *burstState) {
 	if len(bs.emits) == 0 {
 		return
@@ -209,22 +207,17 @@ func (rt *Runtime) flushEmits(bs *burstState) {
 		}
 	}
 	rt.forwardMu.RLock()
-	fb, fn := rt.forwardBurst, rt.forward
+	fwd := rt.forward
 	rt.forwardMu.RUnlock()
-	switch {
-	case fb != nil:
-		fb(bs.emits)
-	case fn != nil:
-		for _, p := range bs.emits {
-			fn(p)
-		}
-	default:
+	if fwd == nil {
 		// No sink: the emits are counted but go nowhere, so their
 		// references are released here.
 		for _, p := range bs.emits {
 			p.Release()
 		}
+		return
 	}
+	fwd(bs.emits)
 }
 
 // filterAllowsBurst evaluates the introspection filters against the burst's

@@ -136,7 +136,8 @@ func TestSignatureAlertAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var emitted int
-	rt := mbox.New("ips1", i, mbox.Options{Forward: func(*packet.Packet) { emitted++ }})
+	rt := mbox.New("ips1", i, mbox.Options{})
+	rt.SetForward(func(*packet.Packet) { emitted++ })
 	defer rt.Close()
 	rt.HandlePacket(tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, packet.FlagACK, "an evil payload"))
 	rt.HandlePacket(tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, packet.FlagACK, "an attack payload"))

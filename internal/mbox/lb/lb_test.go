@@ -30,7 +30,8 @@ func clientPkt(srcLast byte, srcPort uint16) *packet.Packet {
 func runLB(t *testing.T, l *LB) (*mbox.Runtime, *[]*packet.Packet) {
 	t.Helper()
 	var out []*packet.Packet
-	rt := mbox.New("lb1", l, mbox.Options{Forward: func(p *packet.Packet) { out = append(out, p) }})
+	rt := mbox.New("lb1", l, mbox.Options{})
+	rt.SetForward(func(p *packet.Packet) { out = append(out, p) })
 	t.Cleanup(rt.Close)
 	return rt, &out
 }

@@ -142,11 +142,12 @@ func TestPacketLoopAndMetrics(t *testing.T) {
 	logic := mbtest.NewCounterLogic(8)
 	var forwarded int
 	var mu sync.Mutex
-	rt := mbox.New("mb1", logic, mbox.Options{Forward: func(p *packet.Packet) {
+	rt := mbox.New("mb1", logic, mbox.Options{})
+	rt.SetForward(func(p *packet.Packet) {
 		mu.Lock()
 		forwarded++
 		mu.Unlock()
-	}})
+	})
 	defer rt.Close()
 	for i := 0; i < 10; i++ {
 		rt.HandlePacket(pkt(1, 1000))

@@ -23,7 +23,8 @@ func outPkt(srcLast byte, srcPort uint16, ts int64) *packet.Packet {
 func runNAT(t *testing.T, n *NAT) (*mbox.Runtime, *[]*packet.Packet) {
 	t.Helper()
 	var out []*packet.Packet
-	rt := mbox.New("nat1", n, mbox.Options{Forward: func(p *packet.Packet) { out = append(out, p) }})
+	rt := mbox.New("nat1", n, mbox.Options{})
+	rt.SetForward(func(p *packet.Packet) { out = append(out, p) })
 	t.Cleanup(rt.Close)
 	return rt, &out
 }

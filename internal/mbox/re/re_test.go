@@ -289,7 +289,8 @@ func TestEncoderDecoderEndToEnd(t *testing.T) {
 	decRT.SetForward(func(p *packet.Packet) {
 		got = append(got, append([]byte(nil), p.Payload...))
 	})
-	encRT := mbox.New("enc", enc, mbox.Options{Forward: decRT.HandlePacket})
+	encRT := mbox.New("enc", enc, mbox.Options{})
+	encRT.SetForward(decRT.HandlePacket)
 	defer encRT.Close()
 
 	tr := trace.Redundant(trace.RedundantConfig{Seed: 9, Flows: 6})
@@ -329,7 +330,8 @@ func TestDecoderCloneViaSharedState(t *testing.T) {
 	// Drive encoder->oldDec through runtimes for realism.
 	oldRT := mbox.New("old", oldDec, mbox.Options{})
 	defer oldRT.Close()
-	encRT := mbox.New("enc", enc, mbox.Options{Forward: oldRT.HandlePacket})
+	encRT := mbox.New("enc", enc, mbox.Options{})
+	encRT.SetForward(oldRT.HandlePacket)
 	defer encRT.Close()
 	block := randBytes(r, 700)
 	for i := 0; i < 10; i++ {

@@ -16,9 +16,6 @@ import (
 type Options struct {
 	// QueueSize bounds the ingress packet queue (default 8192).
 	QueueSize int
-	// Forward receives packets the logic emits (external side effects).
-	// Typically wired to a netsim port. Nil counts but discards.
-	Forward func(p *packet.Packet)
 	// Codec selects the southbound wire codec, announced in the hello
 	// frame (which itself is always JSON, so any controller can read the
 	// announcement). Empty selects sbi.CodecBinary, the length-prefixed
@@ -75,13 +72,10 @@ type Runtime struct {
 	// packet whose Touch may have seen marks a clearing op just removed.
 	procSeq atomic.Uint64
 
+	// forward receives each burst's emits in one call (SetForwardBurst,
+	// or SetForward's per-packet adapter). Nil counts but discards.
 	forwardMu sync.RWMutex
-	forward   func(p *packet.Packet)
-	// forwardBurst, when set, receives whole emitted bursts in one call —
-	// the direct co-located handoff (typically a peer Runtime's
-	// HandleBurst, pushing the burst into its ingress ring in a single
-	// synchronization). The per-packet forward sink is the fallback.
-	forwardBurst func(ps []*packet.Packet)
+	forward   func(ps []*packet.Packet)
 
 	// conn is the live southbound connection; tr and addrs remember how it
 	// was dialed so the reconnect loop can redial. addrs is the candidate
@@ -152,8 +146,9 @@ type eventFilter struct {
 }
 
 // New creates a runtime for the given logic. The runtime's packet worker
-// starts immediately; connect it to a controller with Connect and to a
-// network with netsim's Attach.
+// starts immediately; connect it to a controller with Connect, to a network
+// with netsim's Attach, and give it an emit sink with SetForwardBurst or
+// SetForward.
 func New(name string, logic Logic, opts Options) *Runtime {
 	if opts.QueueSize == 0 {
 		opts.QueueSize = 8192
@@ -174,7 +169,6 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		codec:        opts.Codec,
 		ring:         newIngressRing(opts.QueueSize),
 		stop:         make(chan struct{}),
-		forward:      opts.Forward,
 		reconnect:    opts.Reconnect,
 		reconnectMin: opts.ReconnectMin,
 		reconnectMax: opts.ReconnectMax,
@@ -194,26 +188,35 @@ func (rt *Runtime) Name() string { return rt.name }
 // Logic returns the hosted middlebox logic.
 func (rt *Runtime) Logic() Logic { return rt.logic }
 
-// HandlePacket implements netsim.Endpoint: it enqueues the packet for
-// processing as a delivery batch of one (see HandleBurst).
+// HandlePacket enqueues one packet for processing: a delivery batch of one
+// (see HandleBurst).
 func (rt *Runtime) HandlePacket(p *packet.Packet) {
 	rt.HandleBurst([]*packet.Packet{p})
 }
 
-// SetForward replaces the emitted-packet sink.
+// SetForward replaces the emitted-packet sink with one that takes the
+// burst's emits one packet at a time, in order: an adapter onto
+// SetForwardBurst. Nil removes the sink.
 func (rt *Runtime) SetForward(fn func(p *packet.Packet)) {
-	rt.forwardMu.Lock()
-	rt.forward = fn
-	rt.forwardMu.Unlock()
+	if fn == nil {
+		rt.SetForwardBurst(nil)
+		return
+	}
+	rt.SetForwardBurst(func(ps []*packet.Packet) {
+		for _, p := range ps {
+			fn(p)
+		}
+	})
 }
 
-// SetForwardBurst installs a burst-capable emitted-packet sink — the direct
-// co-located handoff. A whole burst's emits are handed to fn in one call
-// (packet references transfer with the call; fn must not retain the slice
-// past its return). While it is set the SetForward sink is not consulted.
+// SetForwardBurst replaces the emitted-packet sink. A whole burst's emits
+// are handed to fn in one call (packet references transfer with the call;
+// fn must not retain the slice past its return) — typically a netsim
+// SendBurst, or a co-located peer Runtime's HandleBurst. Nil removes the
+// sink: emits are then counted and released.
 func (rt *Runtime) SetForwardBurst(fn func(ps []*packet.Packet)) {
 	rt.forwardMu.Lock()
-	rt.forwardBurst = fn
+	rt.forward = fn
 	rt.forwardMu.Unlock()
 }
 

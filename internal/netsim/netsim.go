@@ -14,9 +14,9 @@
 //
 //   - Send and Inject consume the caller's reference: on success it travels
 //     with the packet, on error it is released.
-//   - Endpoint.HandlePacket receives a borrowed packet and owns its one
-//     reference: it must Release it, pass it on (a further Send transfers
-//     ownership), or Retain it to keep it past return.
+//   - Endpoint.HandleBurst receives borrowed packets and owns one reference
+//     to each: it must Release it, pass it on (a further Send transfers
+//     ownership), or keep it past return. The slice is the link's.
 //   - Fault hooks run before delivery and must not retain the packet;
 //     duplication clones via the packet's pool.
 //
@@ -37,24 +37,13 @@ import (
 )
 
 // Endpoint is anything attachable to the network: a switch, a host, or a
-// middlebox adapter. HandlePacket is invoked on a link-delivery goroutine
-// and must not block indefinitely. The packet is borrowed: the endpoint owns
-// exactly one reference and must Release it, forward it (transferring
-// ownership), or Retain it to keep it beyond return.
-type Endpoint interface {
-	HandlePacket(p *packet.Packet)
-}
-
-// BurstEndpoint is optionally implemented by endpoints that accept whole
-// delivery batches in one call (middlebox runtimes, switches, hosts). A
-// latency-free fault-free link pump hands its entire popped batch to
-// HandleBurst — one endpoint lookup and one hand-off per batch instead of
-// one per packet. Each packet in the slice is borrowed under the
-// Endpoint.HandlePacket contract (the endpoint owns one reference per
-// packet); the slice itself is the pump's and must not be retained past the
+// middlebox runtime. HandleBurst is invoked on a link-delivery goroutine with
+// a batch of packets in link order and must not block indefinitely. Each
+// packet is borrowed: the endpoint owns exactly one reference per packet and
+// must Release it, forward it (transferring ownership), or keep it beyond
+// return. The slice itself is the link's and must not be retained past the
 // call.
-type BurstEndpoint interface {
-	Endpoint
+type Endpoint interface {
 	HandleBurst(ps []*packet.Packet)
 }
 
@@ -92,6 +81,9 @@ type Network struct {
 	// inflight counts packets queued on links plus deliveries in
 	// progress; Quiesce waits for it to reach zero.
 	inflight atomic.Int64
+	// idle holds a token posted whenever inflight reaches zero; Quiesce
+	// waits on it instead of polling.
+	idle chan struct{}
 	// delivered counts total link deliveries.
 	delivered atomic.Uint64
 	// dropped counts fault-injected drops.
@@ -110,6 +102,7 @@ func NewWithOptions(opts Options) *Network {
 		opts:      opts,
 		endpoints: map[string]Endpoint{},
 		links:     map[string]map[string]*link{},
+		idle:      make(chan struct{}, 1),
 	}
 }
 
@@ -135,13 +128,6 @@ func (n *Network) Attach(name string, ep Endpoint) {
 	if !n.stopped {
 		n.addLink(Ingress, name, 0)
 	}
-}
-
-// Endpoint returns the endpoint attached under name, or nil.
-func (n *Network) Endpoint(name string) Endpoint {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.endpoints[name]
 }
 
 // Connect creates a bidirectional link between two attached endpoints with
@@ -197,29 +183,18 @@ func (n *Network) linkLocked(from, to string) *link {
 	return nil
 }
 
-// Send queues p on the from->to link. The packet is delivered to the remote
-// endpoint after the link latency. Send consumes the caller's reference: on
-// success it travels with the packet, on error it is released.
+// Send queues p on the from->to link: a burst of one through SendBurst. The
+// packet is delivered to the remote endpoint after the link latency. Like
+// SendBurst, Send consumes the caller's reference.
 func (n *Network) Send(from, to string, p *packet.Packet) error {
-	n.mu.RLock()
-	l := n.linkLocked(from, to)
-	stopped := n.stopped
-	n.mu.RUnlock()
-	if stopped {
-		p.Release()
-		return errStopped
-	}
-	if l == nil {
-		p.Release()
-		return fmt.Errorf("%w: %s->%s", ErrNoLink, from, to)
-	}
-	return n.enqueue(l, p)
+	return n.SendBurst(from, to, []*packet.Packet{p})
 }
 
 // SendBurst queues a whole batch on the from->to link in one ring
-// synchronization. Like Send it consumes the caller's
-// references: on success they travel with the packets, on error the
-// undelivered tail is released. The slice itself stays the caller's.
+// synchronization, blocking while the link queue is full (link-level
+// backpressure). It consumes the caller's references: on success they
+// travel with the packets, on error the undelivered tail is released. The
+// slice itself stays the caller's.
 func (n *Network) SendBurst(from, to string, ps []*packet.Packet) error {
 	if len(ps) == 0 {
 		return nil
@@ -239,69 +214,65 @@ func (n *Network) SendBurst(from, to string, ps []*packet.Packet) error {
 	}
 	n.inflight.Add(int64(len(ps)))
 	if rejected := l.ring.pushBatch(ps); rejected > 0 {
-		n.inflight.Add(int64(-rejected))
 		for _, p := range ps[len(ps)-rejected:] {
 			p.Release()
 		}
+		n.retire(rejected)
 		return errLinkClosed
 	}
 	return nil
 }
 
 // Inject delivers p to the named endpoint, modeling an external packet
-// arrival (trace replay at a host or border port). It enqueues on the
-// endpoint's ingress link and therefore shares Send's delivery path: the
+// arrival (trace replay at a host or border port). It is a burst of one on
+// the endpoint's ingress link and therefore shares Send's delivery path: the
 // packet arrives asynchronously on the link pump goroutine, after any
 // SetFault(Ingress, at, ...) hook. Like Send, Inject consumes the caller's
 // reference.
 func (n *Network) Inject(at string, p *packet.Packet) error {
-	n.mu.RLock()
-	ep := n.endpoints[at]
-	l := n.linkLocked(Ingress, at)
-	stopped := n.stopped
-	n.mu.RUnlock()
-	if stopped {
-		p.Release()
-		return errStopped
-	}
-	if ep == nil || l == nil {
-		p.Release()
+	err := n.SendBurst(Ingress, at, []*packet.Packet{p})
+	if errors.Is(err, ErrNoLink) {
+		// Attach creates every endpoint's ingress link, so a missing
+		// one means a missing endpoint.
 		return fmt.Errorf("%w: %q", ErrNoSuchEndpoint, at)
 	}
-	return n.enqueue(l, p)
+	return err
 }
 
-// enqueue puts p on l, blocking while the link queue is full (link-level
-// backpressure).
-func (n *Network) enqueue(l *link, p *packet.Packet) error {
-	n.inflight.Add(1)
-	if !l.ring.push(p) {
-		n.inflight.Add(-1)
-		p.Release()
-		return errLinkClosed
+// retire takes k packets out of the in-flight count, posting the idle token
+// when the count reaches zero.
+func (n *Network) retire(k int) {
+	if n.inflight.Add(int64(-k)) == 0 {
+		n.signalIdle()
 	}
-	return nil
+}
+
+func (n *Network) signalIdle() {
+	select {
+	case n.idle <- struct{}{}:
+	default:
+	}
 }
 
 // Quiesce blocks until no packets are queued or being delivered, or the
 // timeout elapses. It returns true if the network went idle. Endpoints with
 // internal queues (middlebox runtimes) have their own drain methods; harness
-// code alternates between the two until stable.
+// code alternates between the two until stable. The idle token is posted
+// when the in-flight count reaches zero, so a waiter that saw packets in
+// flight finds it; one that sees the network idle passes it on to the next
+// waiter.
 func (n *Network) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	idleStreak := 0
-	for time.Now().Before(deadline) {
-		if n.inflight.Load() == 0 {
-			idleStreak++
-			if idleStreak >= 3 {
-				return true
-			}
-		} else {
-			idleStreak = 0
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for n.inflight.Load() != 0 {
+		select {
+		case <-n.idle:
+		case <-deadline.C:
+			return n.inflight.Load() == 0
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
-	return n.inflight.Load() == 0
+	n.signalIdle()
+	return true
 }
 
 // Delivered returns the count of link deliveries since creation.
@@ -346,6 +317,10 @@ type link struct {
 // ringBatch is how many packets the pump takes per ring synchronization.
 const ringBatch = 64
 
+// pump drains the link's ring one popped batch at a time. A latency-free,
+// fault-free link hands the batch over as it is; any other link runs
+// latency and verdicts per packet (process). Every batch is retired from
+// the in-flight count in one step, after its delivery.
 func (l *link) pump() {
 	batch := make([]*packet.Packet, ringBatch)
 	for {
@@ -353,101 +328,85 @@ func (l *link) pump() {
 		if k == 0 {
 			return // closed and drained
 		}
-		// Burst fast path: a latency-free, fault-free link hands the whole
-		// popped batch to a burst-capable endpoint in one call. Latency or
-		// an installed fault hook need the per-packet process loop (sleeps
-		// and verdicts are per packet by contract).
-		if !closed && l.latency == 0 && !l.hasFault() {
-			if l.deliverBurst(batch[:k]) {
-				continue
-			}
-		}
-		for i := 0; i < k; i++ {
-			p := batch[i]
-			batch[i] = nil
-			if closed {
+		switch {
+		case closed:
+			for _, p := range batch[:k] {
 				p.Release()
-			} else {
-				l.process(p)
 			}
-			l.net.inflight.Add(-1)
+		case l.latency == 0 && l.hook() == nil:
+			l.deliver(batch[:k])
+		default:
+			l.process(batch[:k])
 		}
+		clear(batch[:k])
+		l.net.retire(k)
 	}
 }
 
-func (l *link) hasFault() bool {
-	h := l.fault.Load()
-	return h != nil && *h != nil
+func (l *link) hook() func(*packet.Packet) Fault {
+	if h := l.fault.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
-// deliverBurst hands a whole batch (and its references) to the destination
-// in one endpoint lookup, reporting whether it disposed of the batch. A
-// destination that is not burst-capable returns false and the caller runs
-// the per-packet path; a missing destination releases the batch, as deliver
-// does per packet.
-func (l *link) deliverBurst(ps []*packet.Packet) bool {
-	l.net.mu.RLock()
-	ep := l.net.endpoints[l.to]
-	l.net.mu.RUnlock()
-	be, ok := ep.(BurstEndpoint)
-	if !ok {
-		if ep != nil {
-			return false
+// process applies latency and the fault hook to each packet of ps in order,
+// compacting the survivors in place, and delivers them. A duplicate's clone
+// starts the next run, right after its original; on a latency link each
+// packet goes out alone, once its own delay has elapsed. It owns the
+// references in ps and disposes of each on every path.
+func (l *link) process(ps []*packet.Packet) {
+	out := ps[:0] // len(out) never passes the read index
+	for _, p := range ps {
+		if l.latency > 0 {
+			time.Sleep(l.latency)
 		}
-		for i, p := range ps {
+		verdict := FaultNone
+		if h := l.hook(); h != nil {
+			verdict = h(p)
+		}
+		switch verdict {
+		case FaultDrop:
+			l.net.dropped.Add(1)
 			p.Release()
-			ps[i] = nil
+			continue
+		case FaultDuplicate:
+			// Clone before the original is delivered: delivering
+			// transfers ownership, and a pooled packet may be released
+			// and recycled by the endpoint before a later Clone would
+			// run.
+			dup := p.Clone()
+			l.deliver(append(out, p))
+			out = append(out[:0], dup)
+		default:
+			out = append(out, p)
 		}
-		l.net.inflight.Add(int64(-len(ps)))
-		return true
+		if l.latency > 0 {
+			l.deliver(out)
+			out = out[:0]
+		}
 	}
-	n := len(ps)
-	be.HandleBurst(ps)
-	for i := range ps {
-		ps[i] = nil
-	}
-	l.net.delivered.Add(uint64(n))
-	l.net.inflight.Add(int64(-n))
-	return true
+	l.deliver(out)
 }
 
-// process applies latency and the fault hook to one dequeued packet, then
-// delivers it. It owns p's reference and disposes of it on every path.
-func (l *link) process(p *packet.Packet) {
-	if l.latency > 0 {
-		time.Sleep(l.latency)
+// deliver hands ps (and their references) to the link's destination in one
+// HandleBurst call, or releases them when nothing is attached under its
+// name.
+func (l *link) deliver(ps []*packet.Packet) {
+	if len(ps) == 0 {
+		return
 	}
-	verdict := FaultNone
-	if h := l.fault.Load(); h != nil && *h != nil {
-		verdict = (*h)(p)
-	}
-	switch verdict {
-	case FaultDrop:
-		l.net.dropped.Add(1)
-		p.Release()
-	case FaultDuplicate:
-		// Clone before the first delivery: delivering transfers
-		// ownership, and a pooled packet may be released and recycled by
-		// the endpoint before a later Clone would run.
-		dup := p.Clone()
-		l.deliver(p)
-		l.deliver(dup)
-	default:
-		l.deliver(p)
-	}
-}
-
-// deliver hands p (and its reference) to the link's destination endpoint.
-func (l *link) deliver(p *packet.Packet) {
 	l.net.mu.RLock()
 	ep := l.net.endpoints[l.to]
 	l.net.mu.RUnlock()
 	if ep == nil {
-		p.Release()
+		for _, p := range ps {
+			p.Release()
+		}
 		return
 	}
-	ep.HandlePacket(p)
-	l.net.delivered.Add(1)
+	ep.HandleBurst(ps)
+	l.net.delivered.Add(uint64(len(ps)))
 }
 
 // DropFraction returns a fault hook dropping packets with probability p,

@@ -333,11 +333,11 @@ func BenchmarkSwitchLookup(b *testing.B) {
 		sw.Install(Rule{Priority: 100 - i, Match: m, OutPorts: []string{"sink"}})
 	}
 	sw.Install(Rule{Priority: 1, Match: packet.MatchAll, OutPorts: []string{"sink"}})
-	p := mkPacket(1, 80)
+	burst := []*packet.Packet{mkPacket(1, 80)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.HandlePacket(p)
+		sw.HandleBurst(burst)
 	}
 }
 

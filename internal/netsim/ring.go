@@ -30,31 +30,10 @@ func newPktRing(capacity int) *pktRing {
 	return r
 }
 
-// push enqueues p, blocking while the ring is full. It reports false when
-// the ring closed (the packet was not enqueued).
-func (r *pktRing) push(p *packet.Packet) bool {
-	r.mu.Lock()
-	for r.n == len(r.buf) && !r.closed {
-		r.notFull.Wait()
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
-	r.n++
-	if r.n == 1 {
-		r.notEmpty.Signal()
-	}
-	r.mu.Unlock()
-	return true
-}
-
-// pushBatch enqueues all of ps in order, blocking while the ring is full —
-// the batched analogue of len(ps) push calls, paying one lock acquisition
-// and one wakeup per chunk that fits instead of one per packet. It returns
-// the number of trailing packets not enqueued because the ring closed (the
-// caller still owns those references).
+// pushBatch enqueues all of ps in order, blocking while the ring is full,
+// and pays one lock acquisition and one wakeup per chunk that fits instead
+// of one per packet. It returns the number of trailing packets not enqueued
+// because the ring closed (the caller still owns those references).
 func (r *pktRing) pushBatch(ps []*packet.Packet) int {
 	pushed := 0
 	r.mu.Lock()

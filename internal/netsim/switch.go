@@ -117,17 +117,6 @@ func (s *Switch) TableMisses() uint64 { return s.tableMisses.Load() }
 // Forwarded returns the count of packet forwards (one per output port).
 func (s *Switch) Forwarded() uint64 { return s.forwarded.Load() }
 
-// HandlePacket looks up the flow table and forwards the packet. Within a
-// priority class the most recently installed matching rule wins. The
-// borrowed reference is passed on with the forwarded packet (mirror ports
-// get clones) or released on a table miss.
-func (s *Switch) HandlePacket(p *packet.Packet) {
-	s.mu.RLock()
-	hit := s.classifyLocked(p.FlowID())
-	s.mu.RUnlock()
-	s.forwardHit(hit, p)
-}
-
 // classifyLocked scans the flow table for the winning rule (priority desc;
 // within a priority class the most recently installed matching rule wins).
 // Caller holds mu for read.
@@ -176,11 +165,14 @@ func (s *Switch) forwardHit(hit *InstalledRule, p *packet.Packet) {
 	}
 }
 
-// HandleBurst implements BurstEndpoint: the whole batch is classified under
-// one flow-table read lock, then forwarded with runs of consecutive packets
-// that matched the same single-port rule sent downstream as one SendBurst —
-// one link synchronization per run instead of one per packet. Misses, drops,
-// and mirror rules take the per-packet verdict path.
+// HandleBurst implements Endpoint: the whole batch is classified under one
+// flow-table read lock (within a priority class the most recently installed
+// matching rule wins), then forwarded with runs of consecutive packets that
+// matched the same single-port rule sent downstream as one SendBurst — one
+// link synchronization per run instead of one per packet. Misses, drops,
+// and mirror rules take the per-packet verdict path: the borrowed reference
+// is passed on with the forwarded packet (mirror ports get clones) or
+// released on a table miss.
 func (s *Switch) HandleBurst(ps []*packet.Packet) {
 	for len(ps) > 0 {
 		n := len(ps)
@@ -243,7 +235,7 @@ type Host struct {
 
 	// OnPacket, if non-nil, runs for every delivered packet before it is
 	// recorded. Set it before traffic starts. The packet is the live
-	// borrow: it may be pooled and recycled the moment HandlePacket
+	// borrow: it may be pooled and recycled the moment HandleBurst
 	// disposes of it, so the callback must not retain it or any of its
 	// slices past its return. Callbacks that keep packets (queues,
 	// assertions resolved later) should use OnPacketCopy.
@@ -276,40 +268,14 @@ func NewHost(n *Network, name string, limit int) *Host {
 // Name returns the host's network name.
 func (h *Host) Name() string { return h.name }
 
-// HandlePacket records the packet and disposes of the borrow. Pooled
-// packets are copied out — a detached heap copy goes into the record and
-// the original returns to its pool immediately — so a recording host never
-// pins pool capacity for its own lifetime (heap packets are recorded as-is;
-// nothing else owns them and their Release is a no-op). Packets beyond the
-// record limit are counted and released.
-func (h *Host) HandlePacket(p *packet.Packet) {
-	if h.OnPacket != nil {
-		h.OnPacket(p)
-	}
-	if h.OnPacketCopy != nil {
-		h.OnPacketCopy(p.CloneDetached())
-	}
-	h.mu.Lock()
-	h.count++
-	if len(h.received) < h.limit {
-		rec := p
-		if p.Pooled() {
-			rec = p.CloneDetached()
-		}
-		h.received = append(h.received, rec)
-		h.mu.Unlock()
-		if rec != p {
-			p.Release()
-		}
-		return
-	}
-	h.mu.Unlock()
-	p.Release()
-}
-
-// HandleBurst implements BurstEndpoint: per-packet hooks run exactly as in
-// HandlePacket, but the record/count bookkeeping takes the host lock once
-// per burst instead of once per packet.
+// HandleBurst implements Endpoint: it records the packets and disposes of
+// the borrows. Pooled packets are copied out — a detached heap copy goes
+// into the record and the original returns to its pool immediately — so a
+// recording host never pins pool capacity for its own lifetime (heap packets
+// are recorded as-is; nothing else owns them and their Release is a no-op).
+// Packets beyond the record limit are counted and released. The hooks run
+// per packet; the record/count bookkeeping takes the host lock once per
+// burst.
 func (h *Host) HandleBurst(ps []*packet.Packet) {
 	if h.OnPacket != nil || h.OnPacketCopy != nil {
 		for _, p := range ps {
@@ -361,7 +327,7 @@ func (h *Host) Count() uint64 {
 }
 
 // Reset clears the recorded packets and count. Records are host-owned
-// copies (see HandlePacket), so there are no pool references to return —
+// copies (see HandleBurst), so there are no pool references to return —
 // dropping them is enough.
 func (h *Host) Reset() {
 	h.mu.Lock()

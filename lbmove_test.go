@@ -51,11 +51,12 @@ func lbMoveOverWire(t *testing.T, codec sbi.Codec) {
 	var out2 []*packet.Packet
 	lb1, lb2 := lb.New(vip, 80, backends), lb.New(vip, 80, backends)
 	rt1 := mbox.New("lb1", lb1, mbox.Options{Codec: codec})
-	rt2 := mbox.New("lb2", lb2, mbox.Options{Codec: codec, Forward: func(p *packet.Packet) {
+	rt2 := mbox.New("lb2", lb2, mbox.Options{Codec: codec})
+	rt2.SetForward(func(p *packet.Packet) {
 		mu.Lock()
 		out2 = append(out2, p)
 		mu.Unlock()
-	}})
+	})
 	defer rt1.Close()
 	defer rt2.Close()
 	for name, rt := range map[string]*mbox.Runtime{"lb1": rt1, "lb2": rt2} {
