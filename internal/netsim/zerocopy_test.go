@@ -8,131 +8,148 @@ import (
 	"openmb/internal/packet"
 )
 
+// ringMode runs a delivery-ordering property on the one link implementation.
+// It was two subtests while the copying channel links existed; the surviving
+// one keeps its name so test history stays continuous.
+func ringMode(t *testing.T, run func(t *testing.T, opts Options)) {
+	t.Helper()
+	t.Run("zerocopy", func(t *testing.T) { run(t, Options{}) })
+}
+
 // TestInjectDeliversOffCallerGoroutine pins the Send/Inject symmetry fix:
 // Inject must hand the packet to a link pump, not run the endpoint's
 // HandleBurst on the caller's goroutine.
 func TestInjectDeliversOffCallerGoroutine(t *testing.T) {
-	n := New()
-	defer n.Stop()
-	callerDone := make(chan struct{})
-	sawCallerDone := make(chan bool, 1)
-	h := NewHost(n, "h", 0)
-	h.OnPacket = func(*packet.Packet) {
-		// If delivery were synchronous (the old Inject), the caller
-		// could not have returned yet and this would time out.
-		select {
-		case <-callerDone:
-			sawCallerDone <- true
-		case <-time.After(2 * time.Second):
-			sawCallerDone <- false
+	ringMode(t, func(t *testing.T, opts Options) {
+		n := NewWithOptions(opts)
+		defer n.Stop()
+		callerDone := make(chan struct{})
+		sawCallerDone := make(chan bool, 1)
+		h := NewHost(n, "h", 0)
+		h.OnPacket = func(*packet.Packet) {
+			// If delivery were synchronous (the old Inject), the
+			// caller could not have returned yet and this would time
+			// out.
+			select {
+			case <-callerDone:
+				sawCallerDone <- true
+			case <-time.After(2 * time.Second):
+				sawCallerDone <- false
+			}
 		}
-	}
-	if err := n.Inject("h", mkPacket(1, 80)); err != nil {
-		t.Fatal(err)
-	}
-	close(callerDone)
-	if !<-sawCallerDone {
-		t.Fatal("Inject delivered synchronously on the caller's goroutine")
-	}
+		if err := n.Inject("h", mkPacket(1, 80)); err != nil {
+			t.Fatal(err)
+		}
+		close(callerDone)
+		if !<-sawCallerDone {
+			t.Fatal("Inject delivered synchronously on the caller's goroutine")
+		}
+	})
 }
 
 // TestInjectPreservesFIFO pins per-endpoint FIFO ordering of injected
 // packets — the property trace replay depends on.
 func TestInjectPreservesFIFO(t *testing.T) {
-	n := New()
-	defer n.Stop()
-	h := NewHost(n, "h", 4096)
-	const count = 500
-	for i := 0; i < count; i++ {
-		p := mkPacket(1, 80)
-		p.ID = uint16(i)
-		if err := n.Inject("h", p); err != nil {
-			t.Fatal(err)
+	ringMode(t, func(t *testing.T, opts Options) {
+		n := NewWithOptions(opts)
+		defer n.Stop()
+		h := NewHost(n, "h", 4096)
+		const count = 500
+		for i := 0; i < count; i++ {
+			p := mkPacket(1, 80)
+			p.ID = uint16(i)
+			if err := n.Inject("h", p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !n.Quiesce(5 * time.Second) {
-		t.Fatal("quiesce")
-	}
-	recv := h.Received()
-	if len(recv) != count {
-		t.Fatalf("received %d, want %d", len(recv), count)
-	}
-	for i, p := range recv {
-		if p.ID != uint16(i) {
-			t.Fatalf("reordered at %d: got ID %d", i, p.ID)
+		if !n.Quiesce(5 * time.Second) {
+			t.Fatal("quiesce")
 		}
-	}
+		recv := h.Received()
+		if len(recv) != count {
+			t.Fatalf("received %d, want %d", len(recv), count)
+		}
+		for i, p := range recv {
+			if p.ID != uint16(i) {
+				t.Fatalf("reordered at %d: got ID %d", i, p.ID)
+			}
+		}
+	})
 }
 
 // TestInjectRunsFaultHooks pins the other half of the asymmetry fix: fault
 // hooks installed on the ingress pseudo-link apply to injected packets,
 // which the old synchronous Inject silently skipped.
 func TestInjectRunsFaultHooks(t *testing.T) {
-	n := New()
-	defer n.Stop()
-	h := NewHost(n, "h", 0)
-	if err := n.SetFault(Ingress, "h", func(*packet.Packet) Fault { return FaultDrop }); err != nil {
-		t.Fatal(err)
-	}
-	n.Inject("h", mkPacket(1, 80))
-	n.Quiesce(time.Second)
-	if h.Count() != 0 || n.Dropped() != 1 {
-		t.Fatalf("ingress drop fault ignored: count=%d dropped=%d", h.Count(), n.Dropped())
-	}
-	n.SetFault(Ingress, "h", func(*packet.Packet) Fault { return FaultDuplicate })
-	n.Inject("h", mkPacket(1, 80))
-	n.Quiesce(time.Second)
-	if h.Count() != 2 {
-		t.Fatalf("ingress duplicate fault ignored: count=%d", h.Count())
-	}
+	ringMode(t, func(t *testing.T, opts Options) {
+		n := NewWithOptions(opts)
+		defer n.Stop()
+		h := NewHost(n, "h", 0)
+		if err := n.SetFault(Ingress, "h", func(*packet.Packet) Fault { return FaultDrop }); err != nil {
+			t.Fatal(err)
+		}
+		n.Inject("h", mkPacket(1, 80))
+		n.Quiesce(time.Second)
+		if h.Count() != 0 || n.Dropped() != 1 {
+			t.Fatalf("ingress drop fault ignored: count=%d dropped=%d", h.Count(), n.Dropped())
+		}
+		n.SetFault(Ingress, "h", func(*packet.Packet) Fault { return FaultDuplicate })
+		n.Inject("h", mkPacket(1, 80))
+		n.Quiesce(time.Second)
+		if h.Count() != 2 {
+			t.Fatalf("ingress duplicate fault ignored: count=%d", h.Count())
+		}
+	})
 }
 
-// TestInjectAndSendShareDeliveryPath: injected packets ride a real link, so
-// the delivery pipeline (latency included, when one is configured) applies.
+// TestInjectHonorsIngressLatency: injected packets ride a real link, so the
+// delivery pipeline (latency included, when one is configured) applies.
 func TestInjectAndSendShareDeliveryPath(t *testing.T) {
-	n := New()
-	defer n.Stop()
-	a := NewHost(n, "a", 0)
-	b := NewHost(n, "b", 4096)
-	if err := n.Connect("a", "b", 0); err != nil {
-		t.Fatal(err)
-	}
-	// Interleave Send and Inject toward the same endpoint; each path
-	// must stay FIFO within itself and nothing may be lost.
-	const per = 200
-	for i := 0; i < per; i++ {
-		ps := mkPacket(1, 80)
-		ps.ID = uint16(i)
-		if err := a.Send("b", ps); err != nil {
+	ringMode(t, func(t *testing.T, opts Options) {
+		n := NewWithOptions(opts)
+		defer n.Stop()
+		a := NewHost(n, "a", 0)
+		b := NewHost(n, "b", 4096)
+		if err := n.Connect("a", "b", 0); err != nil {
 			t.Fatal(err)
 		}
-		pi := mkPacket(2, 80)
-		pi.ID = uint16(i)
-		if err := n.Inject("b", pi); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !n.Quiesce(5 * time.Second) {
-		t.Fatal("quiesce")
-	}
-	if b.Count() != 2*per {
-		t.Fatalf("delivered %d, want %d", b.Count(), 2*per)
-	}
-	nextSent, nextInjected := uint16(0), uint16(0)
-	for _, p := range b.Received() {
-		switch p.SrcIP.As4()[3] {
-		case 1:
-			if p.ID != nextSent {
-				t.Fatalf("sent stream reordered: got %d want %d", p.ID, nextSent)
+		// Interleave Send and Inject toward the same endpoint; each path
+		// must stay FIFO within itself and nothing may be lost.
+		const per = 200
+		for i := 0; i < per; i++ {
+			ps := mkPacket(1, 80)
+			ps.ID = uint16(i)
+			if err := a.Send("b", ps); err != nil {
+				t.Fatal(err)
 			}
-			nextSent++
-		case 2:
-			if p.ID != nextInjected {
-				t.Fatalf("injected stream reordered: got %d want %d", p.ID, nextInjected)
+			pi := mkPacket(2, 80)
+			pi.ID = uint16(i)
+			if err := n.Inject("b", pi); err != nil {
+				t.Fatal(err)
 			}
-			nextInjected++
 		}
-	}
+		if !n.Quiesce(5 * time.Second) {
+			t.Fatal("quiesce")
+		}
+		if b.Count() != 2*per {
+			t.Fatalf("delivered %d, want %d", b.Count(), 2*per)
+		}
+		nextSent, nextInjected := uint16(0), uint16(0)
+		for _, p := range b.Received() {
+			switch p.SrcIP.As4()[3] {
+			case 1:
+				if p.ID != nextSent {
+					t.Fatalf("sent stream reordered: got %d want %d", p.ID, nextSent)
+				}
+				nextSent++
+			case 2:
+				if p.ID != nextInjected {
+					t.Fatalf("injected stream reordered: got %d want %d", p.ID, nextInjected)
+				}
+				nextInjected++
+			}
+		}
+	})
 }
 
 // endpointFunc adapts a func to the Endpoint interface.
