@@ -4,21 +4,21 @@
 // exposed programmatically (package openmb); this daemon exists to
 // demonstrate the multi-process deployment of the southbound protocol.
 //
-// With -node NAME (and -join ADDR for every member after the first) the
-// daemon becomes one node of a DISTRIBUTED cluster — still one controller,
-// now linked to the other nodes over SBI peer connections, replicating the
-// middlebox directory with quorum-committed ownership changes, and moving
-// middleboxes across process boundaries (docs/ARCHITECTURE.md "Distributed
-// cluster"). -admin serves a minimal HTTP control surface (/move, /pull,
-// /owner, /mbs, /peers, /health) for scripting cross-node operations.
+// The controller is always one node of a cluster, named by -node (default
+// "node"). Alone it is a one-node cluster; with -join ADDR (for every member
+// after the first) it links to the other nodes over SBI peer connections,
+// replicates the middlebox directory with quorum-committed ownership
+// changes, and moves middleboxes across process boundaries
+// (docs/ARCHITECTURE.md "Distributed cluster"). -admin serves a minimal
+// HTTP control surface (/move, /pull, /owner, /mbs, /peers, /health) for
+// scripting operations.
 //
 // With -elastic-mb-bin the daemon arms the elasticity loop, which spawns
 // and retires openmb-mb processes as scale-out group members.
 //
 // SIGTERM and SIGINT both shut the daemon down gracefully: in-flight
-// transactions drain, spawned elastic children retire, and (in node mode)
-// the node announces its departure so peers shrink their quorum
-// denominators.
+// transactions drain, spawned elastic children retire, and the node
+// announces its departure so peers shrink their quorum denominators.
 package main
 
 import (
@@ -55,67 +55,46 @@ func main() {
 	elasticMBBin := flag.String("elastic-mb-bin", os.Getenv("OPENMB_ELASTIC_MB_BIN"), "openmb-mb binary the elasticity loop spawns as scale-out group members (empty = no elasticity loop; default from OPENMB_ELASTIC_MB_BIN)")
 	elasticMBKind := flag.String("elastic-mb-kind", "monitor", "middlebox -kind for spawned group members")
 	elasticMBController := flag.String("elastic-mb-controller", "", "comma-separated -controller list handed to spawned members (empty = this daemon's listen address)")
-	nodeName := flag.String("node", os.Getenv("OPENMB_NODE"), "run as the named node of a distributed cluster (empty = standalone; default from OPENMB_NODE)")
+	nodeName := flag.String("node", os.Getenv("OPENMB_NODE"), "this controller's cluster-wide node name (empty = \"node\"; default from OPENMB_NODE)")
 	advertise := flag.String("advertise", "", "address peers and redirected middleboxes dial to reach this node (empty = the listen address)")
-	join := flag.String("join", "", "comma-separated addresses of existing cluster nodes to join (implies node mode)")
-	admin := flag.String("admin", "", "address for the admin HTTP endpoint — /move /pull /owner /mbs /peers /health (node mode only; empty = none)")
-	findRetry := flag.Duration("find-retry", 0, "how long node-mode moves wait for an unregistered middlebox name (0 = default 2s)")
+	join := flag.String("join", "", "comma-separated addresses of existing cluster nodes to join (empty = a one-node cluster)")
+	admin := flag.String("admin", "", "address for the admin HTTP endpoint — /move /pull /owner /mbs /peers /health (empty = none)")
+	findRetry := flag.Duration("find-retry", 0, "how long moves, clones and merges wait for a middlebox this node owns to reconnect (0 = default 2s)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound on draining in-flight transactions")
 	flag.Parse()
 
-	ctrlOpts := openmb.ControllerOptions{
-		QuietPeriod:       *quiet,
-		Compress:          *compress,
-		BatchSize:         *batch,
-		Shards:            *shards,
-		HeartbeatInterval: *heartbeat,
-		HeartbeatMisses:   *misses,
-		HelloTimeout:      *helloTimeout,
-	}
-
-	// Node mode puts the controller inside a distributed-cluster Node;
-	// standalone serves the bare controller. Either way `ctrl` drives the
-	// shared paths (introspection, metrics, elasticity).
-	var node *openmb.Node
-	var ctrl *openmb.Controller
-	if *nodeName != "" || *join != "" {
-		if *nodeName == "" {
-			*nodeName = "node"
-		}
-		node = openmb.NewNode(openmb.NodeOptions{
-			Name:            *nodeName,
-			Advertise:       *advertise,
-			FindRetryWindow: *findRetry,
-			Cluster:         openmb.ClusterOptions{Controller: ctrlOpts},
-		})
-		ctrl = node.Controller
-	} else {
-		ctrl = openmb.NewController(ctrlOpts)
-	}
+	// The controller is always a cluster node: with no -join it is a
+	// one-node cluster, which behaves as a standalone controller.
+	node := openmb.NewNode(openmb.NodeOptions{
+		Name:            *nodeName,
+		Advertise:       *advertise,
+		FindRetryWindow: *findRetry,
+		Cluster: openmb.ClusterOptions{Controller: openmb.ControllerOptions{
+			QuietPeriod:       *quiet,
+			Compress:          *compress,
+			BatchSize:         *batch,
+			Shards:            *shards,
+			HeartbeatInterval: *heartbeat,
+			HeartbeatMisses:   *misses,
+			HelloTimeout:      *helloTimeout,
+		}},
+	})
 	if *events {
-		ctrl.SubscribeIntrospection(func(mb string, ev *openmb.Event) {
+		node.SubscribeIntrospection(func(mb string, ev *openmb.Event) {
 			log.Printf("event from %s: code=%s key=%s values=%v", mb, ev.Code, ev.Key, ev.Values)
 		})
 	}
-	if node != nil {
-		if err := node.Serve(openmb.TCPTransport{}, *listen); err != nil {
-			log.Fatal(err)
+	if err := node.Serve(openmb.TCPTransport{}, *listen); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("openmb-controller node %q listening on %s (advertise %s, quiet period %v, compress=%v, batch=%d (0 = library default), shards=%d, heartbeat=%v)",
+		node.Name(), node.Addr(), node.Advertise(), *quiet, *compress, *batch, node.Shards(), *heartbeat)
+	for _, addr := range splitList(*join) {
+		if err := joinRetry(node, addr); err != nil {
+			log.Printf("join %s: %v (will rely on peer redial)", addr, err)
+			continue
 		}
-		log.Printf("openmb-controller node %q listening on %s (advertise %s, quiet period %v)",
-			node.Name(), node.Addr(), node.Advertise(), *quiet)
-		for _, addr := range splitList(*join) {
-			if err := joinRetry(node, addr); err != nil {
-				log.Printf("join %s: %v (will rely on peer redial)", addr, err)
-				continue
-			}
-			log.Printf("joined cluster via %s (peers: %v, known nodes: %d)", addr, node.Peers(), node.KnownNodes())
-		}
-	} else {
-		if err := ctrl.Serve(openmb.TCPTransport{}, *listen); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("openmb-controller listening on %s (quiet period %v, compress=%v, batch=%d (0 = library default), shards=%d, heartbeat=%v)",
-			*listen, *quiet, *compress, *batch, ctrl.Shards(), *heartbeat)
+		log.Printf("joined cluster via %s (peers: %v, known nodes: %d)", addr, node.Peers(), node.KnownNodes())
 	}
 
 	// Elasticity loop, armed by -elastic-mb-bin: scale-outs spawn real
@@ -134,8 +113,8 @@ func main() {
 			Controller: ctrlList,
 			Kind:       *elasticMBKind,
 		})
-		src := openmb.NewElasticClusterSource(ctrl)
-		act = openmb.NewElasticClusterActuator(ctrl, src, drv)
+		src := openmb.NewElasticClusterSource(node)
+		act = openmb.NewElasticClusterActuator(node, src, drv)
 		loop = openmb.NewElasticLoop(openmb.ElasticConfig{
 			Interval: *elasticInterval,
 			Cooldown: *elasticCooldown,
@@ -146,11 +125,7 @@ func main() {
 
 	if *metrics != "" {
 		reg := openmb.NewMetricsRegistry()
-		if node != nil {
-			reg.Register(node)
-		} else {
-			reg.Register(ctrl)
-		}
+		reg.Register(node)
 		if loop != nil {
 			reg.Register(loop)
 			reg.Register(act)
@@ -165,9 +140,6 @@ func main() {
 	}
 
 	if *admin != "" {
-		if node == nil {
-			log.Fatal("openmb-controller: -admin requires node mode (-node or -join)")
-		}
 		addr, err := serveAdmin(*admin, node)
 		if err != nil {
 			log.Fatalf("admin endpoint: %v", err)
@@ -178,7 +150,7 @@ func main() {
 	// Periodically report the registered middleboxes.
 	go func() {
 		for range time.Tick(5 * time.Second) {
-			names := ctrl.Middleboxes()
+			names := node.Middleboxes()
 			sort.Strings(names)
 			log.Printf("registered middleboxes: %v", names)
 		}
@@ -194,14 +166,9 @@ func main() {
 		// window) before the controller stops serving their reconnects.
 		drv.Close()
 	}
-	if node != nil {
-		// Graceful departure: drain transactions, announce OpPeerLeave to
-		// every peer (shrinking their quorum denominators), then close.
-		node.Shutdown(*drain)
-	} else {
-		ctrl.WaitTxns(*drain)
-		ctrl.Close()
-	}
+	// Graceful departure: drain transactions, announce OpPeerLeave to every
+	// peer (shrinking their quorum denominators), then close.
+	node.Shutdown(*drain)
 }
 
 // serveAdmin starts the minimal HTTP control surface for a cluster node.

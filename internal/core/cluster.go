@@ -1,8 +1,6 @@
 package core
 
-import "fmt"
-
-// ClusterOptions configures a Node's controller. It exists because
+// ClusterOptions configures a node's controller. It exists because
 // benchmark/moves.go builds nodes with NodeOptions.Cluster and
 // ClusterOptions{Replicas, Controller}; it goes in ROADMAP item 1's
 // benchmark PR, the one PR that may change benchmark/.
@@ -13,21 +11,13 @@ type ClusterOptions struct {
 	Controller Options
 }
 
-// Cluster holds a node's one Controller. Like ClusterOptions it exists for
-// benchmark/moves.go, which reads Node.Cluster and Cluster.Replica(0), and
-// goes in ROADMAP item 1's benchmark PR.
+// Cluster is the controller's back-pointer to itself (Controller.Cluster).
+// Like ClusterOptions it exists for benchmark/moves.go, which reads
+// Node.Cluster and Cluster.Replica(0), and goes in ROADMAP item 1's
+// benchmark PR.
 type Cluster struct {
 	*Controller
 }
 
-// NewCluster creates the holder. More than one replica panics: a node is
-// one controller.
-func NewCluster(opts ClusterOptions) *Cluster {
-	if opts.Replicas > 1 {
-		panic(fmt.Sprintf("core: %d replicas: a node is one controller", opts.Replicas))
-	}
-	return &Cluster{NewController(opts.Controller)}
-}
-
 // Replica returns the controller; benchmark/moves.go asks for replica 0.
-func (cl *Cluster) Replica(int) *Controller { return cl.Controller }
+func (cl Cluster) Replica(int) *Controller { return cl.Controller }

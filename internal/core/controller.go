@@ -127,21 +127,46 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Controller is the OpenMB middlebox controller.
+// Controller is the OpenMB middlebox controller: one node of a cluster. With
+// no peers it is a one-node cluster: every registration commits to its own
+// directory under a quorum of one, and pulling a local middlebox does
+// nothing. Joined to fellow nodes over SBI peer links (peer.go), it adds:
+//
+//   - a replicated middlebox directory (repdir.go): every node holds a full
+//     name → owning-node copy, updated by versioned OpDirUpdate peer ops
+//     under a deterministic conflict rule, so lookups never cross the wire
+//     and keep answering (stale but safe) under partition;
+//   - quorum-committed ownership: registering a middlebox bumps its
+//     directory entry and requires acknowledgments from a majority of known
+//     nodes. A partitioned minority node refuses registrations — and
+//     therefore refuses to become an owner it could not prove — while dead
+//     nodes stay in the denominator, so a majority-side survivor keeps
+//     committing after a crash;
+//   - cross-node middlebox movement: MoveInternal, CloneSupport and
+//     MergeInternal pull a middlebox another node owns (Pull asks the owner
+//     to redirect it here and waits for its quorum-committed
+//     re-registration; the old owner's routing state for it dies with the
+//     redirected connection);
+//   - RecoverMove, a survivor's restart of a move whose coordinator died.
 type Controller struct {
 	opts     Options
+	nodeOpts NodeOptions
+	name     string
 	listener net.Listener
+
+	// Cluster points back at the controller itself. benchmark/moves.go
+	// reads Node.Cluster and Cluster.Replica(0); it goes in ROADMAP item
+	// 1's benchmark PR.
+	Cluster Cluster
 
 	// router shards transaction routing state (see router.go).
 	router *txnRouter
 
-	// registry tracks live transactions; a Node salts it before any txn
-	// exists, so IDs are unique across the cluster.
+	// registry tracks live transactions, salted by the node name so IDs
+	// are unique across the cluster.
 	registry *txnRegistry
 
-	// admit, when set, runs after a connection's hello and takes over the
-	// connection; a Node sets it to accept peers and commit ownership.
-	admit func(conn *sbi.Conn, hello *sbi.Message)
+	repdir *repDirectory
 
 	mu  sync.Mutex
 	mbs map[string]*mbConn
@@ -159,6 +184,13 @@ type Controller struct {
 	introMu   sync.Mutex
 	introSubs []func(mb string, ev *sbi.Event)
 
+	// peerMu guards the peer mesh and what a peer hello announces.
+	peerMu    sync.Mutex
+	tr        sbi.Transport
+	advertise string
+	peers     map[string]*peerConn // live links, by remote node name
+	known     map[string]string    // every non-departed node ever seen (name → addr), self excluded
+
 	closed atomic.Bool
 
 	// Metrics.
@@ -170,6 +202,13 @@ type Controller struct {
 	pingsSent       atomic.Uint64
 	pongsRecv       atomic.Uint64
 	heartbeatDeaths atomic.Uint64
+	dirCommits      atomic.Uint64
+	dirRefusals     atomic.Uint64
+	peerReconnects  atomic.Uint64
+	pulls           atomic.Uint64
+	// dirMissRetries counts findRetry lookups that found the name
+	// unregistered and had to wait for it.
+	dirMissRetries atomic.Uint64
 
 	// Operation-window latency histograms (zero-alloc record path; see
 	// internal/obs): the whole move window (freeze -> transfer -> switch,
@@ -180,27 +219,31 @@ type Controller struct {
 	histPut  obs.Histogram
 }
 
-// NewController creates a controller with the given options.
+// NewController creates a one-node cluster named "node" with the given
+// options.
 func NewController(opts Options) *Controller {
-	opts.setDefaults()
-	c := &Controller{opts: opts, mbs: map[string]*mbConn{}, waiters: map[string][]chan struct{}{}}
-	c.router = newTxnRouter(opts.Shards)
-	c.registry = newTxnRegistry()
-	return c
+	return NewNode(NodeOptions{Cluster: ClusterOptions{Controller: opts}})
 }
 
 // Shards reports the resolved router shard count (after defaulting and
 // power-of-two rounding).
 func (c *Controller) Shards() int { return c.opts.Shards }
 
-// Serve starts accepting middlebox connections on addr over the given
-// transport. It returns once the listener is ready; accepting continues in
-// the background until Close.
+// Serve starts accepting middlebox and peer connections on addr over the
+// given transport. It returns once the listener is ready; accepting
+// continues in the background until Close.
 func (c *Controller) Serve(tr sbi.Transport, addr string) error {
 	l, err := tr.Listen(addr)
 	if err != nil {
 		return fmt.Errorf("core: listen %q: %w", addr, err)
 	}
+	// Set before the accept loop starts: a peer hello is answered with it.
+	c.peerMu.Lock()
+	c.tr = tr
+	if c.advertise == "" {
+		c.advertise = l.Addr().String()
+	}
+	c.peerMu.Unlock()
 	c.mu.Lock()
 	c.listener = l
 	c.mu.Unlock()
@@ -228,16 +271,12 @@ func (c *Controller) handleConn(conn *sbi.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	if c.admit != nil {
-		c.admit(conn, hello)
-		return
-	}
-	c.serveMB(conn, hello)
+	c.admit(conn, hello)
 }
 
 // serveMB upgrades the connection to the hello's codec, registers the
-// middlebox, and runs its read loop until disconnect. handleConn calls it
-// after the hello, or a Node's admission step after committing ownership.
+// middlebox, and runs its read loop until disconnect. The admission step
+// calls it once the registration has committed ownership.
 func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	// The hello (always JSON) may announce a faster codec for everything
 	// after it; the controller's side of the connection follows suit.
@@ -498,8 +537,8 @@ func (c *Controller) OpLatencies() (move, get, put obs.HistogramSnapshot) {
 // nothing.
 func (c *Controller) LiveTxns() int { return c.registry.Live() }
 
-// Collect implements obs.Collector: controller counters, the three
-// operation-window histograms, and per-connection wire counters.
+// Collect implements obs.Collector: controller and node-layer counters, the
+// three operation-window histograms, and per-connection wire counters.
 func (c *Controller) Collect(e *obs.Emitter) {
 	m := c.Metrics()
 	e.Counter("openmb_moves_started_total", "State-move transactions started.", m.MovesStarted)
@@ -513,6 +552,11 @@ func (c *Controller) Collect(e *obs.Emitter) {
 	e.Histogram("openmb_move_duration_seconds", "Move window: freeze through transfer to last put ACK.", &c.histMove)
 	e.Histogram("openmb_get_duration_seconds", "Southbound get stream duration (first request to done).", &c.histGet)
 	e.Histogram("openmb_put_ack_duration_seconds", "Put round trip: request to installation ACK.", &c.histPut)
+	e.Counter("openmb_node_dir_commits_total", "Replicated-directory ownership changes committed under quorum.", c.dirCommits.Load())
+	e.Counter("openmb_node_dir_refusals_total", "Ownership changes refused for lack of quorum (partitioned minority).", c.dirRefusals.Load())
+	e.Counter("openmb_node_peer_reconnects_total", "Peer links re-established after loss.", c.peerReconnects.Load())
+	e.Counter("openmb_node_pulls_total", "Middleboxes pulled from other nodes.", c.pulls.Load())
+	e.Counter("openmb_directory_miss_retries_total", "Northbound lookups that found a middlebox name unregistered and waited for it.", c.dirMissRetries.Load())
 
 	c.mu.Lock()
 	type connRow struct {
@@ -533,10 +577,16 @@ func (c *Controller) Collect(e *obs.Emitter) {
 	}
 }
 
-// Close stops the accept loop and disconnects all middleboxes.
+// Close stops the node: peer links, then the accept loop and every
+// middlebox connection. Peers are NOT notified (that is Shutdown) — a
+// closed-without-leave node stays in its peers' quorum denominators, like a
+// crash.
 func (c *Controller) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
+	}
+	for _, p := range c.peerLinks() {
+		p.close()
 	}
 	c.mu.Lock()
 	l := c.listener

@@ -3,15 +3,18 @@ package core_test
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"openmb/internal/core"
+	"openmb/internal/faults"
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/mbox/monitor"
+	"openmb/internal/obs"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
 	"openmb/internal/state"
@@ -832,6 +835,53 @@ func TestMoveErrors(t *testing.T) {
 	m, _ := packet.ParseFieldMatch("[tp_dst=80]")
 	if err := r.ctrl.MoveInternal("src", "dst", m); err == nil {
 		t.Fatal("finer-than-keying move should fail")
+	}
+}
+
+// TestMoveRidesOutLocalReconnect moves state out of a middlebox whose
+// connection was cut and that is still backing off before its redial. The
+// directory names this controller as its owner, so the move waits for the
+// reconnect (find-retry) instead of failing at once or asking itself to
+// release the middlebox.
+func TestMoveRidesOutLocalReconnect(t *testing.T) {
+	r := newRig(t, core.Options{})
+	ft := faults.New(r.tr, faults.Options{})
+	logic := mbtest.NewCounterLogic(16)
+	logic.Preload(100)
+	rt := mbox.New("flap", logic, mbox.Options{Reconnect: true, ReconnectMin: 300 * time.Millisecond})
+	t.Cleanup(rt.Close)
+	if err := rt.Connect(ft, "ctrl"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.WaitForMB("flap", 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ft.KillAll() == 0 {
+		t.Fatal("no connection to cut")
+	}
+	for deadline := time.Now().Add(2 * time.Second); slices.Contains(r.ctrl.Middleboxes(), "flap"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("cut middlebox never deregistered")
+		}
+	}
+	if err := r.ctrl.MoveInternal("flap", "dst", packet.MatchAll); err != nil {
+		t.Fatalf("move during the reconnect: %v", err)
+	}
+	if r.dst.Flows() != 100 || r.dst.SumCounts() != 100 {
+		t.Fatalf("dst flows=%d sum=%d, want 100/100", r.dst.Flows(), r.dst.SumCounts())
+	}
+	reg := obs.NewRegistry()
+	reg.Register(r.ctrl)
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series, err := obs.ParseSeries(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := series["openmb_directory_miss_retries_total"]; got < 1 {
+		t.Fatalf("openmb_directory_miss_retries_total = %v, want >= 1", got)
 	}
 }
 

@@ -171,27 +171,27 @@ func TestNodePullMovesSession(t *testing.T) {
 	}
 	logic.Preload(10)
 	// Routing state at the old owner: an orphaned reprocess event.
-	mbA, err := a.Controller.mb("m1")
+	mbA, err := a.mb("m1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Controller.router.route(mbA, &sbi.Event{Kind: sbi.EventReprocess, Key: mbtest.FlowN(0), Seq: 1, Packet: []byte{1}})
+	a.router.route(mbA, &sbi.Event{Kind: sbi.EventReprocess, Key: mbtest.FlowN(0), Seq: 1, Packet: []byte{1}})
 
 	if err := b.Pull("m1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Controller.mb("m1"); err != nil {
+	if _, err := b.mb("m1"); err != nil {
 		t.Fatalf("pulled middlebox not registered at b: %v", err)
 	}
 	// A release carries no routing state: the puller's router is as empty
 	// as before the pull, and the old owner's goes with the connection.
-	if n := RouterTablesForTest(b.Controller); n != 0 {
+	if n := RouterTablesForTest(b); n != 0 {
 		t.Fatalf("%d router shards at b hold tables right after the pull", n)
 	}
 	waitUntil(t, 5*time.Second, "deregistration at a", func() bool {
 		return len(a.Middleboxes()) == 0
 	})
-	if n := RouterTablesForTest(a.Controller); n != 0 {
+	if n := RouterTablesForTest(a); n != 0 {
 		t.Fatalf("%d router shards at a hold tables after m1 left", n)
 	}
 	for _, n := range []*Node{a, b} {
@@ -297,7 +297,7 @@ func TestNodeCrossNodeMoveConservation(t *testing.T) {
 	if got := dst.Flows(); got != flows {
 		t.Fatalf("destination holds %d flows, want %d", got, flows)
 	}
-	assertRoutersQuiescent(t, b.Controller)
+	assertRoutersQuiescent(t, b)
 	if got := b.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked at b", got)
 	}

@@ -151,7 +151,7 @@ func failReplicaMidMove(t *testing.T, tr sbi.Transport) {
 			t.Fatalf("pair %d: destination holds %d flows, want %d", i, got, flows)
 		}
 	}
-	assertRoutersQuiescent(t, b.Controller)
+	assertRoutersQuiescent(t, b)
 	if got := b.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked in the registry", got)
 	}

@@ -151,26 +151,22 @@ type transfer struct {
 
 // MoveInternal implements moveInternal(SrcMB, DstMB, HeaderFieldList):
 // move all per-flow supporting and reporting state matching m from src to
-// dst, per the Figure 5 sequence. It returns once every exported chunk has
+// dst, per the Figure 5 sequence. Both endpoints are resolved wherever the
+// cluster holds them (resolve). It returns once every exported chunk has
 // been installed (put-ACKed) at the destination. Event forwarding continues
 // in the background; once the source goes quiet for the configured period,
 // the controller deletes the moved state at the source, completing the move.
 func (c *Controller) MoveInternal(srcMB, dstMB string, m packet.FieldMatch) error {
-	src, err := c.mb(srcMB)
-	if err != nil {
-		return err
-	}
-	dst, err := c.mb(dstMB)
+	src, dst, err := c.resolvePair(srcMB, dstMB, c.resolve)
 	if err != nil {
 		return err
 	}
 	return c.moveConns(src, dst, m)
 }
 
-// moveConns is MoveInternal on resolved connections; a Node calls it after
-// resolving names with find-retry. A failed move clears the source's marks
-// under m; a completed one deletes the moved state there, which clears them
-// too.
+// moveConns is MoveInternal on resolved connections; RecoverMove calls it
+// too. A failed move clears the source's marks under m; a completed one
+// deletes the moved state there, which clears them too.
 func (c *Controller) moveConns(src, dst *mbConn, m packet.FieldMatch) error {
 	c.movesStarted.Add(1)
 	return c.transact(src, dst, transfer{
@@ -202,15 +198,11 @@ func (c *Controller) MergeInternal(srcMB, dstMB string) error {
 	return c.transactShared(srcMB, dstMB, mergePairs)
 }
 
-// transactShared runs a clone or a merge. It deletes nothing: ending the
-// transaction clears the source's shared mark, on failure and at completion
-// alike.
+// transactShared runs a clone or a merge between endpoints resolved as
+// MoveInternal resolves them. It deletes nothing: ending the transaction
+// clears the source's shared mark, on failure and at completion alike.
 func (c *Controller) transactShared(srcMB, dstMB string, pairs []opPair) error {
-	src, err := c.mb(srcMB)
-	if err != nil {
-		return err
-	}
-	dst, err := c.mb(dstMB)
+	src, dst, err := c.resolvePair(srcMB, dstMB, c.resolve)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ type peerConn struct {
 	name string // remote node's name, learned from its hello
 	addr string // remote node's advertised address, for redials
 	conn *sbi.Conn
-	node *Node
+	node *Controller
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -27,7 +27,7 @@ type peerConn struct {
 	closed  bool
 }
 
-func newPeerConn(node *Node, name, addr string, conn *sbi.Conn) *peerConn {
+func newPeerConn(node *Controller, name, addr string, conn *sbi.Conn) *peerConn {
 	return &peerConn{node: node, name: name, addr: addr, conn: conn, pending: map[uint64]chan *sbi.Message{}}
 }
 

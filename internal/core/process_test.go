@@ -271,7 +271,7 @@ func TestProcessKillMidMove(t *testing.T) {
 	if got := dst.Flows(); got != flows {
 		t.Fatalf("destination holds %d flows, want %d", got, flows)
 	}
-	assertRoutersQuiescent(t, n0.Controller)
+	assertRoutersQuiescent(t, n0)
 	if got := n0.LiveTxns(); got != 0 {
 		t.Fatalf("%d transactions leaked in the survivor's registry", got)
 	}

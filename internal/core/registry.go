@@ -5,9 +5,9 @@ import "sync"
 // txnRegistry assigns transaction IDs and is the one record of live
 // transactions: a transaction is tracked from newTxn until detach, data phase
 // and quiet-period completion alike.
-// A Node salts its controller's registry (seed), so IDs minted by different
-// processes never collide: a txn ID names one transaction cluster-wide, the
-// key cross-node traces are to be joined on.
+// IDs start at a node-specific salt in the high bits (nodeSalt), so IDs
+// minted by different processes never collide: a txn ID names one
+// transaction cluster-wide, the key cross-node traces are to be joined on.
 type txnRegistry struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -16,8 +16,8 @@ type txnRegistry struct {
 	idle chan struct{}
 }
 
-func newTxnRegistry() *txnRegistry {
-	r := &txnRegistry{live: map[uint64]*txn{}, idle: make(chan struct{})}
+func newTxnRegistry(salt uint64) *txnRegistry {
+	r := &txnRegistry{nextID: salt, live: map[uint64]*txn{}, idle: make(chan struct{})}
 	close(r.idle)
 	return r
 }
@@ -31,16 +31,6 @@ func (r *txnRegistry) add(t *txn) {
 	r.nextID++
 	t.id = r.nextID
 	r.live[t.id] = t
-	r.mu.Unlock()
-}
-
-// seed offsets the ID counter by a node-specific salt in the high bits, so
-// transaction IDs minted by different cluster processes never collide and an
-// ID names its minting node unambiguously. Must be called before the
-// first add; a zero salt leaves the single-process numbering unchanged.
-func (r *txnRegistry) seed(salt uint64) {
-	r.mu.Lock()
-	r.nextID = salt
 	r.mu.Unlock()
 }
 

@@ -12,7 +12,7 @@ import (
 // are always local (and therefore stale-but-safe under partition — a
 // partitioned node keeps answering from its last synchronized view). Writes
 // propagate as versioned sbi.OpDirUpdate peer ops; the quorum discipline
-// that makes a write durable lives in Node.commitOwnership, not here.
+// that makes a write durable lives in Controller.commitOwnership, not here.
 //
 // The conflict rule is a deterministic last-writer-wins merge: the entry
 // with the higher version wins, and equal versions break toward the
@@ -45,7 +45,7 @@ func (d *repDirectory) version(name string) uint64 {
 
 // next renders the entry a local ownership commit proposes: the current
 // version plus one, owned by node. It does NOT apply the entry — a commit
-// only becomes visible once its quorum is in (Node.commitOwnership calls
+// only becomes visible once its quorum is in (Controller.commitOwnership calls
 // apply after counting acks), so a refused commit leaves the stale view
 // untouched.
 func (d *repDirectory) next(name, node string) sbi.DirEntry {

@@ -64,6 +64,7 @@ func (l *slowLogic) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 type rangeDriver struct {
 	t         *testing.T
 	tr        sbi.Transport
+	addr      string // where instances connect
 	reconnect bool
 	perPacket time.Duration
 	queueSize int
@@ -81,7 +82,7 @@ type rangeDriver struct {
 
 func newRangeDriver(t *testing.T, tr sbi.Transport, reconnect bool, perPacket time.Duration, queueSize int) *rangeDriver {
 	return &rangeDriver{
-		t: t, tr: tr, reconnect: reconnect,
+		t: t, tr: tr, addr: "controller", reconnect: reconnect,
 		perPacket: perPacket, queueSize: queueSize,
 		spawned:    make(chan string, 16),
 		logics:     map[string]*mbtest.CounterLogic{},
@@ -118,7 +119,7 @@ func (d *rangeDriver) connect(name string, logic *mbtest.CounterLogic) *mbox.Run
 		opts.ReconnectMax = 40 * time.Millisecond
 	}
 	rt := mbox.New(name, &slowLogic{CounterLogic: logic, cost: d.perPacket}, opts)
-	if err := rt.Connect(d.tr, "controller"); err != nil {
+	if err := rt.Connect(d.tr, d.addr); err != nil {
 		d.t.Errorf("connect %s: %v", name, err)
 		rt.Close()
 		return rt
@@ -343,6 +344,55 @@ func TestCloneMergeRoundTripEquivalence(t *testing.T) {
 	if err := cl.WaitForMB("m0", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	cloneMergeRoundTrip(t, cl, drv, seed)
+}
+
+// TestClusterActuatorAcrossNodes runs the round trip from one node of a
+// two-node cluster on a group whose seed instance registered at the other:
+// the clone, the split move, the move back and the merge each pull the seed
+// across, and the per-flow state must still match the never-scaled control.
+func TestClusterActuatorAcrossNodes(t *testing.T) {
+	tr := sbi.NewMemTransport()
+	var nodes [2]*core.Controller
+	for i, name := range []string{"a", "b"} {
+		nodes[i] = core.NewNode(core.NodeOptions{
+			Name:    name,
+			Cluster: core.ClusterOptions{Controller: core.Options{QuietPeriod: 50 * time.Millisecond}},
+		})
+		defer nodes[i].Close()
+		if err := nodes[i].Serve(tr, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := nodes[0], nodes[1]
+	if err := b.Join(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(a.Peers()) != 1 || len(b.Peers()) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node mesh did not form")
+		}
+	}
+
+	drv := newRangeDriver(t, tr, true, 0, 0)
+	defer drv.closeAll()
+	drv.addr = "b"
+	seed := drv.seed("m0", nFlows)
+	if err := b.WaitForMB("m0", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	drv.addr = "a" // clones register at the actuator's node
+	cloneMergeRoundTrip(t, a, drv, seed)
+	if owner, _ := a.Lookup("m0"); owner != "a" {
+		t.Fatalf("m0 is owned by %q after the round trip, want a (pulled across)", owner)
+	}
+}
+
+// cloneMergeRoundTrip drives the group seeded by seed through one scale-out
+// and one scale-in with an actuator on cl, under the injector's live
+// traffic, then checks the survivor against a never-scaled control run.
+func cloneMergeRoundTrip(t *testing.T, cl *core.Controller, drv *rangeDriver, seed *Member) {
+	t.Helper()
 	src := NewClusterSource(cl)
 	act := NewClusterActuator(cl, src, drv)
 	act.Seed("g", seed)

@@ -9,9 +9,9 @@
 //
 //   - Controller: the OpenMB middlebox controller with the northbound API
 //     (ReadConfig, WriteConfig, Stats, MoveInternal, CloneSupport,
-//     MergeInternal) and introspection-event subscription;
-//   - Node: one controller per process of a distributed cluster, with peer
-//     links, a replicated middlebox directory, cross-node moves (Pull) and
+//     MergeInternal) and introspection-event subscription. Every controller
+//     is one node of a cluster (alone, a one-node cluster), with peer links,
+//     a replicated middlebox directory, cross-node operations (Pull) and
 //     recovery of a move whose coordinator died (RecoverMove);
 //   - Runtime + Logic: the middlebox side — host any Logic implementation
 //     in a Runtime and connect it to a controller over TCP or in-memory
@@ -51,34 +51,38 @@ import (
 )
 
 // Controller is the OpenMB middlebox controller (the paper's primary
-// contribution). Create with NewController, start with Serve, and drive it
-// through the northbound API.
+// contribution), and one node of a cluster. Create with NewController (a
+// one-node cluster named "node") or NewNode (a named node), start with
+// Serve, and drive it through the northbound API. MoveInternal,
+// CloneSupport and MergeInternal find their middleboxes the same way on
+// every controller: a middlebox another node owns is pulled here (Pull), and
+// one this node owns but that is reconnecting is waited for (find-retry).
+// Join links it to an existing cluster's peers, over which it replicates a
+// middlebox directory with quorum-committed ownership changes; RecoverMove
+// restarts a move whose coordinator died. Exit gracefully with Shutdown
+// (drain, then announce departure) or abruptly with Close (crash semantics —
+// peers keep this node in their quorum denominators).
 type Controller = core.Controller
 
 // ControllerOptions tunes the controller (quiet period, compression, chunk
 // batch size, transaction-router shards, put pipeline depth).
 type ControllerOptions = core.Options
 
-// NewController creates an OpenMB controller.
+// NewController creates an OpenMB controller: a one-node cluster.
 func NewController(opts ControllerOptions) *Controller { return core.NewController(opts) }
 
-// Node is one controller process of a distributed cluster: exactly one
-// Controller plus node-to-node SBI peer links, a replicated middlebox
-// directory with quorum-committed ownership changes, cross-node middlebox
-// movement (Pull / the shadowed MoveInternal) and RecoverMove. Join an
-// existing cluster with Join; exit gracefully with Shutdown (drain, then
-// announce departure) or abruptly with Close (crash semantics — peers keep
-// this node in their quorum denominators).
+// Node is the controller's cluster-node name, the same type as Controller.
 type Node = core.Node
 
-// NodeOptions configures a cluster node (name, advertised address, peer,
-// pull and find-retry timeouts, and its controller's ClusterOptions).
+// NodeOptions configures a controller as a named cluster node (name,
+// advertised address, peer, pull and find-retry timeouts, and its
+// ControllerOptions under Cluster).
 type NodeOptions = core.NodeOptions
 
-// ClusterOptions carries a Node's ControllerOptions (NodeOptions.Cluster).
+// ClusterOptions carries a node's ControllerOptions (NodeOptions.Cluster).
 type ClusterOptions = core.ClusterOptions
 
-// NewNode creates a distributed-cluster node around a fresh controller.
+// NewNode creates a controller as a named cluster node.
 func NewNode(opts NodeOptions) *Node { return core.NewNode(opts) }
 
 // Runtime hosts one middlebox instance and implements its southbound API.
@@ -270,7 +274,7 @@ func NewTestbed(opts ControllerOptions) (*Testbed, error) { return bed.New(opts)
 // Observability plane (docs/ARCHITECTURE.md "Observability"): components
 // register collectors into a MetricsRegistry; internal/obs/obshttp (or the
 // daemons' -metrics flag) serves the registry as a Prometheus text-format
-// /metrics endpoint. Controller, Node, Runtime, Network, and Testbed all
+// /metrics endpoint. Controller (Node), Runtime, Network, and Testbed all
 // implement MetricsCollector.
 type (
 	// MetricsRegistry renders registered collectors as Prometheus text.
