@@ -1,6 +1,9 @@
 package mbox
 
-import "openmb/internal/packet"
+import (
+	"openmb/internal/packet"
+	"openmb/internal/state"
+)
 
 // Test hooks exposing internals to the external test package.
 
@@ -35,3 +38,7 @@ func EnqueueReplayForTest(rt *Runtime, p *packet.Packet, shared bool) { rt.enque
 // CreditPeakForTest returns the most chunk frames any get of rt has had sent
 // beyond the credit the controller had returned.
 func CreditPeakForTest(rt *Runtime) int { return int(rt.creditPeak.Load()) }
+
+// IndexForTest returns the table's flow index, nil until a prefix-constrained
+// match has built it.
+func (t *Table[V]) IndexForTest() *state.FlowIndex { return t.index }

@@ -13,8 +13,10 @@
 //     termination and response completion — the artifacts the correctness
 //     experiment (§8.2) diffs between an unmodified and an OpenMB-enabled
 //     run;
-//   - a linear-scan get over the connection tables (one per transport, as
-//     in Bro) with per-connection serialization under a short lock.
+//   - a linear-scan get over the connections with per-connection
+//     serialization under a short lock. Bro keeps one table per transport;
+//     here every transport shares one mbox.Table under canonical flow IDs,
+//     whose flow index answers prefix-constrained gets.
 package ips
 
 import (
@@ -40,10 +42,6 @@ const (
 	StateRSTO ConnState = "RSTO"
 	// StateOTH: midstream traffic, no SYN seen.
 	StateOTH ConnState = "OTH"
-	// StateMOVED: internal marker — state departed via the southbound
-	// API; never logged (the moved flag of §7 prevents Bro from logging
-	// errors when state is deleted after a successful move).
-	StateMOVED ConnState = "MOVED"
 )
 
 // EndpointStats tracks one direction of a connection.

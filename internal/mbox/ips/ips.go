@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"openmb/internal/mbox"
 	"openmb/internal/packet"
@@ -20,13 +19,9 @@ var _ mbox.Logic = (*IPS)(nil)
 
 // IPS is the middlebox logic. It implements mbox.Logic.
 type IPS struct {
-	mu sync.Mutex
-	// tables holds connections per transport protocol, as Bro stores
-	// Connection objects in one of three hash tables (§7).
-	tables map[uint8]map[packet.FlowID]*Conn
-	// index spans all three tables so prefix-constrained gets avoid the
-	// full linear scan (state.FlowIndex; footnote 6 of the paper).
-	index  *state.FlowIndex
+	// Table holds the connections under canonical flow IDs, every transport
+	// in one table. Its lock is the IPS's lock.
+	mbox.Table[*Conn]
 	scans  *scanTracker
 	report reportCounters
 	sigs   []*signature
@@ -47,23 +42,16 @@ type reportCounters struct {
 // New returns an IPS with default configuration: scan threshold 10, no
 // signature rules.
 func New() *IPS {
-	ips := &IPS{
-		tables: map[uint8]map[packet.FlowID]*Conn{
-			packet.ProtoTCP:  {},
-			packet.ProtoUDP:  {},
-			packet.ProtoICMP: {},
-		},
-		index:  state.NewFlowIndex(),
-		config: state.NewConfigTree(),
-	}
+	ips := &IPS{config: state.NewConfigTree()}
+	ips.Init(Kind, state.Supporting, mbox.Canonical, connCodec{})
 	if err := ips.config.Set("scan/port_threshold", []string{"10"}); err != nil {
 		panic("ips: default config: " + err.Error())
 	}
 	ips.scans = newScanTracker(10)
 	ips.config.Watch(func(path string) {
-		ips.mu.Lock()
+		ips.Lock()
 		ips.sigsDirty = true
-		ips.mu.Unlock()
+		ips.Unlock()
 	})
 	ips.recompileLocked()
 	return ips
@@ -73,7 +61,7 @@ func New() *IPS {
 func (i *IPS) Kind() string { return Kind }
 
 // recompileLocked re-reads rules and tuning from the config tree. Callers
-// hold i.mu (or are the constructor).
+// hold the lock (or are the constructor).
 func (i *IPS) recompileLocked() {
 	i.sigsDirty = false
 	i.sigs = i.sigs[:0]
@@ -98,17 +86,8 @@ func (i *IPS) recompileLocked() {
 	}
 }
 
-func (i *IPS) table(proto uint8) map[packet.FlowID]*Conn {
-	t, ok := i.tables[proto]
-	if !ok {
-		t = map[packet.FlowID]*Conn{}
-		i.tables[proto] = t
-	}
-	return t
-}
-
 // ipsEffect records one packet's out-of-lock side effects from a burst: log
-// lines and the termination raise must run outside i.mu, so ProcessBurst
+// lines and the termination raise must run outside the lock, so ProcessBurst
 // collects them and replays after the lock in packet order. The steady state
 // (no alerts, no terminations) appends nothing.
 type ipsEffect struct {
@@ -121,13 +100,13 @@ type ipsEffect struct {
 
 // ProcessBurst implements mbox.Logic: the Bro packet path. Each packet
 // updates its connection and analyzer tree, evaluates signatures, feeds the
-// scan detector, and is forwarded unless a drop rule fired. One mutex
+// scan detector, and is forwarded unless a drop rule fired. One lock
 // acquisition and at most one signature recompilation cover the whole burst.
 // Emits are buffered by the runtime, so they are appended in-loop under the
 // lock in packet order.
 func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var effects []ipsEffect
-	i.mu.Lock()
+	i.Lock()
 	if i.sigsDirty {
 		i.recompileLocked()
 	}
@@ -141,7 +120,7 @@ func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 			effects = append(effects, ipsEffect{idx: idx, key: key, logLines: logLines, httpLines: httpLines, terminated: terminated})
 		}
 	}
-	i.mu.Unlock()
+	i.Unlock()
 	for _, e := range effects {
 		ctx := &ctxs[e.idx]
 		for _, line := range e.httpLines {
@@ -160,7 +139,7 @@ func (i *IPS) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	}
 }
 
-// processLocked is ProcessBurst's per-packet Bro path. Caller holds i.mu and
+// processLocked is ProcessBurst's per-packet Bro path. Caller holds the lock and
 // has already handled lazy signature recompilation. The flow's canonical ID,
 // log lines and the termination flag are returned for the caller to act on
 // outside the lock.
@@ -168,12 +147,10 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet) (key packet.Flo
 	flow := p.FlowID()
 	key, _ = flow.Canonical()
 	if !ctx.SkipPerflow() {
-		tbl := i.table(p.Proto)
-		conn, ok := tbl[key]
+		conn, ok := i.Touch(ctx, key)
 		if !ok {
 			conn = newConn(flow, p.Timestamp)
-			tbl[key] = conn
-			i.index.InsertID(key)
+			i.Insert(ctx, key, conn)
 			// A new flow opening feeds the scan detector (shared
 			// supporting state).
 			if p.Proto == packet.ProtoTCP && p.Flags&packet.FlagSYN != 0 && p.Flags&packet.FlagACK == 0 && !ctx.SkipShared() {
@@ -224,11 +201,9 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet) (key packet.Flo
 			}
 		}
 
-		ctx.Touch(state.Supporting, key)
 		if terminated {
 			logLines = append(logLines, conn.logLine())
-			delete(tbl, key)
-			i.index.RemoveID(key)
+			i.Remove(key)
 			if !ctx.SkipShared() {
 				i.report.ConnsLogged++
 				ctx.TouchShared(state.Reporting)
@@ -252,19 +227,16 @@ func (i *IPS) processLocked(ctx *mbox.Context, p *packet.Packet) (key packet.Flo
 // migrated flow that terminates abruptly at the wrong instance logs a
 // non-SF entry. Returns the log lines emitted.
 func (i *IPS) SweepIdle(cutoff int64, log func(stream, line string)) []string {
-	i.mu.Lock()
+	i.Lock()
 	var lines []string
-	for _, tbl := range i.tables {
-		for k, conn := range tbl {
-			if conn.Last < cutoff {
-				lines = append(lines, conn.logLine())
-				delete(tbl, k)
-				i.index.RemoveID(k)
-				i.report.ConnsLogged++
-			}
+	for k, conn := range i.All() {
+		if conn.Last < cutoff {
+			lines = append(lines, conn.logLine())
+			i.Remove(k)
+			i.report.ConnsLogged++
 		}
 	}
-	i.mu.Unlock()
+	i.Unlock()
 	sort.Strings(lines)
 	if log != nil {
 		for _, l := range lines {
@@ -280,117 +252,59 @@ func (i *IPS) FlushAll(log func(stream, line string)) []string {
 	return i.SweepIdle(int64(^uint64(0)>>1), log)
 }
 
-// GetPerflow implements mbox.Logic: collect the matching keys — via the
-// flow index for prefix-constrained matches, else a linear scan over the
-// connection tables — then serialize each matching connection's full
-// analyzer tree under a short lock (the per-Connection mutex of §7).
-func (i *IPS) GetPerflow(class state.Class, match packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != state.Supporting {
-		return nil // Bro's movable per-flow state is supporting state
-	}
-	i.mu.Lock()
-	keys, ok := i.index.LookupIDs(match)
-	if !ok {
-		im := match.ForID()
-		for _, tbl := range i.tables {
-			for k := range tbl {
-				if im.MatchEither(k) {
-					keys = append(keys, k)
-				}
-			}
-		}
-	}
-	i.mu.Unlock()
-	packet.SortIDs(keys)
-	for _, key := range keys {
-		err := emit(key.Key(), func(mark func()) ([]byte, error) {
-			i.mu.Lock()
-			defer i.mu.Unlock()
-			mark()
-			conn, ok := i.table(key.Proto())[key]
-			if !ok {
-				conn = newConn(key, 0)
-				conn.State = StateMOVED
-			}
-			conn.KeyS = conn.Key.String()
-			return json.Marshal(conn)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// connCodec is the IPS's per-flow Codec: a connection's whole analyzer tree
+// as JSON, the originator's key inside.
+type connCodec struct{}
+
+func (connCodec) Append(b []byte, conn *Conn) []byte {
+	conn.KeyS = conn.Key.String()
+	j, _ := json.Marshal(conn) // Conn holds nothing JSON cannot encode
+	return append(b, j...)
 }
 
-// PutPerflow implements mbox.Logic: install a connection moved from a peer.
-// If the flow already exists here (it started while the move was in flight),
-// the peer's record is authoritative for structure; endpoint counters sum.
-func (i *IPS) PutPerflow(class state.Class, c state.Chunk) error {
-	if class != state.Supporting {
-		return fmt.Errorf("ips: no per-flow %v state", class)
-	}
-	var conn Conn
-	if err := json.Unmarshal(c.Blob, &conn); err != nil {
-		return fmt.Errorf("ips: decode connection: %w", err)
+func (connCodec) Decode(_ packet.FlowID, b []byte) (*Conn, error) {
+	conn := &Conn{}
+	if err := json.Unmarshal(b, conn); err != nil {
+		return nil, fmt.Errorf("ips: decode connection: %w", err)
 	}
 	key, err := packet.ParseFlowKey(conn.KeyS)
 	if err != nil {
-		return fmt.Errorf("ips: decode connection key: %w", err)
+		return nil, fmt.Errorf("ips: decode connection key: %w", err)
 	}
 	orig, ok := key.ID()
 	if !ok {
-		return fmt.Errorf("ips: connection key %s is not IPv4", key)
+		return nil, fmt.Errorf("ips: connection key %s is not IPv4", key)
 	}
 	conn.Key, conn.orig = key, orig
-	canon, _ := orig.Canonical()
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	tbl := i.table(canon.Proto())
-	if existing, ok := tbl[canon]; ok {
-		conn.Orig.Packets += existing.Orig.Packets
-		conn.Orig.Bytes += existing.Orig.Bytes
-		conn.Resp.Packets += existing.Resp.Packets
-		conn.Resp.Bytes += existing.Resp.Bytes
-		if existing.Start < conn.Start {
-			conn.Start = existing.Start
-		}
-		if existing.Last > conn.Last {
-			conn.Last = existing.Last
-		}
-		conn.SigMatches += existing.SigMatches
-	}
-	tbl[canon] = &conn
-	i.index.InsertID(canon)
-	return nil
+	return conn, nil
 }
 
-// DelPerflow implements mbox.Logic: silent removal — no conn.log entries
-// (the moved flag of §7).
-func (i *IPS) DelPerflow(class state.Class, match packet.FieldMatch) (int, error) {
-	if class != state.Supporting {
-		return 0, nil
+// Put takes the peer's connection as authoritative for structure; if the
+// flow already exists here (it started while the move was in flight), the
+// endpoint counters sum.
+func (connCodec) Put(id packet.FlowID, in, cur *Conn, has bool) (*Conn, error) {
+	if canon, _ := in.orig.Canonical(); canon != id {
+		return nil, fmt.Errorf("ips: connection %s exported under key %s", in.Key, id)
 	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	im := match.ForID()
-	n := 0
-	for _, tbl := range i.tables {
-		for k := range tbl {
-			if im.MatchEither(k) {
-				delete(tbl, k)
-				i.index.RemoveID(k)
-				n++
-			}
-		}
+	if has {
+		in.Orig.Packets += cur.Orig.Packets
+		in.Orig.Bytes += cur.Orig.Bytes
+		in.Resp.Packets += cur.Resp.Packets
+		in.Resp.Bytes += cur.Resp.Bytes
+		in.Start = min(in.Start, cur.Start)
+		in.Last = max(in.Last, cur.Last)
+		in.SigMatches += cur.SigMatches
 	}
-	return n, nil
+	return in, nil
 }
+
+func (connCodec) Drop(packet.FlowID, *Conn) {}
 
 // GetShared implements mbox.Logic: the scan tracker (supporting) or the
 // alert counters (reporting).
 func (i *IPS) GetShared(class state.Class, mark func()) ([]byte, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+	i.Lock()
+	defer i.Unlock()
 	mark()
 	switch class {
 	case state.Supporting:
@@ -404,8 +318,8 @@ func (i *IPS) GetShared(class state.Class, mark func()) ([]byte, error) {
 // PutShared implements mbox.Logic with MB-specific merge semantics: scan
 // records union; report counters sum.
 func (i *IPS) PutShared(class state.Class, blob []byte) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+	i.Lock()
+	defer i.Unlock()
 	switch class {
 	case state.Supporting:
 		return i.scans.mergeFrom(blob)
@@ -425,20 +339,9 @@ func (i *IPS) PutShared(class state.Class, blob []byte) error {
 
 // Stats implements mbox.Logic.
 func (i *IPS) Stats(match packet.FieldMatch) sbi.StatsReply {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	var s sbi.StatsReply
-	im := match.ForID()
-	for _, tbl := range i.tables {
-		for k, conn := range tbl {
-			if im.MatchEither(k) {
-				s.SupportPerflowChunks++
-				if b, err := json.Marshal(conn); err == nil {
-					s.SupportPerflowBytes += len(b)
-				}
-			}
-		}
-	}
+	s := i.Table.Stats(match)
+	i.Lock()
+	defer i.Unlock()
 	if b, err := i.scans.marshal(); err == nil {
 		s.SupportSharedBytes = len(b)
 	}
@@ -453,21 +356,17 @@ func (i *IPS) Config() *state.ConfigTree { return i.config }
 
 // ConnCount returns the number of live connections.
 func (i *IPS) ConnCount() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	n := 0
-	for _, tbl := range i.tables {
-		n += len(tbl)
-	}
-	return n
+	i.Lock()
+	defer i.Unlock()
+	return i.Len()
 }
 
 // Connection returns a copy of the live connection for key, if present.
 func (i *IPS) Connection(key packet.FlowKey) (Conn, bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+	i.Lock()
+	defer i.Unlock()
 	id, _ := key.Canonical().ID()
-	conn, ok := i.table(id.Proto())[id]
+	conn, ok := i.Get(id)
 	if !ok {
 		return Conn{}, false
 	}
@@ -477,14 +376,14 @@ func (i *IPS) Connection(key packet.FlowKey) (Conn, bool) {
 
 // Report returns a copy of the shared reporting counters.
 func (i *IPS) Report() (alerts, dropped, connsLogged, scanAlerts uint64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+	i.Lock()
+	defer i.Unlock()
 	return i.report.Alerts, i.report.Dropped, i.report.ConnsLogged, i.report.ScanAlerts
 }
 
 // ScanSources returns the tracked scan sources, for tests.
 func (i *IPS) ScanSources() []string {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+	i.Lock()
+	defer i.Unlock()
 	return i.scans.sortedSources()
 }

@@ -12,15 +12,14 @@
 package lb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 
 	"openmb/internal/mbox"
 	"openmb/internal/packet"
-	"openmb/internal/sbi"
 	"openmb/internal/state"
 )
 
@@ -64,12 +63,42 @@ type assignment struct {
 	Packets uint64
 }
 
+// assignmentCodec is the balancer's per-flow Codec: packet count (8 bytes),
+// backend port (2) and backend address (4 or 16).
+type assignmentCodec struct{}
+
+func (assignmentCodec) Append(b []byte, a *assignment) []byte {
+	b = binary.BigEndian.AppendUint64(b, a.Packets)
+	b = binary.BigEndian.AppendUint16(b, a.Backend.Port)
+	return append(b, a.Backend.IP.AsSlice()...)
+}
+
+func (assignmentCodec) Decode(_ packet.FlowID, b []byte) (*assignment, error) {
+	if len(b) >= 10 {
+		if ip, ok := netip.AddrFromSlice(b[10:]); ok {
+			return &assignment{Packets: binary.BigEndian.Uint64(b), Backend: Backend{IP: ip, Port: binary.BigEndian.Uint16(b[8:])}}, nil
+		}
+	}
+	return nil, fmt.Errorf("lb: malformed assignment blob (%d bytes)", len(b))
+}
+
+// Put keeps the incoming backend for a flow that raced the move and was
+// assigned here too — an in-progress transaction must not switch servers
+// (§2, R4) — and sums the packet counts.
+func (assignmentCodec) Put(_ packet.FlowID, in, cur *assignment, has bool) (*assignment, error) {
+	if has {
+		in.Packets += cur.Packets
+	}
+	return in, nil
+}
+
+func (assignmentCodec) Drop(packet.FlowID, *assignment) {}
+
 // LB is the middlebox logic. It implements mbox.Logic.
 type LB struct {
-	mu sync.Mutex
-	// assigns is keyed by source endpoint only (FlowID.SrcEndpoint): dst
-	// fields zero, on both sides of a move.
-	assigns  map[packet.FlowID]*assignment
+	// Table is keyed by source endpoint only (FlowID.SrcEndpoint): dst
+	// fields zero, on both sides of a move. Its lock is the balancer's lock.
+	mbox.Table[*assignment]
 	backends []Backend
 	rr       int
 	vip      netip.Addr
@@ -81,12 +110,12 @@ type LB struct {
 // New returns a load balancer fronting vip:vipPort with the given backends.
 func New(vip netip.Addr, vipPort uint16, backends []Backend) *LB {
 	l := &LB{
-		assigns:  map[packet.FlowID]*assignment{},
 		backends: append([]Backend(nil), backends...),
 		vip:      vip,
 		vipPort:  vipPort,
 		config:   state.NewConfigTree(),
 	}
+	l.Init(Kind, state.Supporting, mbox.SrcEndpoint, assignmentCodec{})
 	values := make([]string, len(backends))
 	for i, b := range backends {
 		values[i] = b.String()
@@ -95,9 +124,9 @@ func New(vip netip.Addr, vipPort uint16, backends []Backend) *LB {
 		panic("lb: default config: " + err.Error())
 	}
 	l.config.Watch(func(string) {
-		l.mu.Lock()
+		l.Lock()
 		l.dirty = true
-		l.mu.Unlock()
+		l.Unlock()
 	})
 	return l
 }
@@ -126,7 +155,7 @@ func (l *LB) applyConfigLocked() {
 }
 
 // lbRaise is one deferred "lb.assigned" raise from a burst: raises must run
-// outside l.mu, so ProcessBurst collects them under the lock and replays
+// outside the lock, so ProcessBurst collects them under the lock and replays
 // them after it in packet order.
 type lbRaise struct {
 	idx     int
@@ -135,18 +164,15 @@ type lbRaise struct {
 }
 
 // ProcessBurst implements mbox.Logic: bind new flows round-robin and rewrite
-// the destination to the assigned backend. One mutex acquisition and at most
-// one config re-parse cover the whole burst, and consecutive packets from the
-// same source endpoint reuse the last assignment lookup. Emits are buffered
+// the destination to the assigned backend. One lock acquisition and at most
+// one config re-parse cover the whole burst. Emits are buffered
 // by the runtime, so they are appended in-loop under the lock in packet
 // order. The destination is rewritten through ctx.Rewrite after the packet's
 // Touch: in place when the runtime's borrow is the only reference and no
 // reprocess event needs the original.
 func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []lbRaise
-	var lastKey packet.FlowID
-	var lastA *assignment
-	l.mu.Lock()
+	l.Lock()
 	if l.dirty {
 		l.applyConfigLocked()
 	}
@@ -160,123 +186,23 @@ func (l *LB) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 			continue // no backends: drop
 		}
 		key := p.FlowID().SrcEndpoint()
-		var a *assignment
-		if lastA != nil && lastKey == key {
-			a = lastA
-		} else {
-			var ok bool
-			a, ok = l.assigns[key]
-			if !ok {
-				a = &assignment{Backend: l.backends[l.rr%len(l.backends)]}
-				l.rr++
-				l.assigns[key] = a
-				raises = append(raises, lbRaise{idx: i, key: key, backend: a.Backend})
-			}
-			lastKey, lastA = key, a
+		a, ok := l.Touch(ctx, key)
+		if !ok {
+			a = &assignment{Backend: l.backends[l.rr%len(l.backends)]}
+			l.rr++
+			l.Insert(ctx, key, a)
+			raises = append(raises, lbRaise{idx: i, key: key, backend: a.Backend})
 		}
 		a.Packets++
-		ctx.Touch(state.Supporting, key)
 		out := ctx.Rewrite(p)
 		out.DstIP = a.Backend.IP
 		out.DstPort = a.Backend.Port
 		ctx.Emit(out)
 	}
-	l.mu.Unlock()
+	l.Unlock()
 	for _, r := range raises {
 		ctxs[r.idx].RaiseIntrospection("lb.assigned", r.key, map[string]string{"server": r.backend.String()})
 	}
-}
-
-// GetPerflow implements mbox.Logic. Destination constraints are rejected:
-// they are finer than the balancer's source-endpoint keying (§4.1.2:
-// "requests for per-flow state at a granularity finer than the MB uses will
-// return an error").
-func (l *LB) GetPerflow(class state.Class, match packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != state.Supporting {
-		return nil
-	}
-	if match.ConstrainsDst() {
-		return fmt.Errorf("lb: per-flow state is keyed by source IP/port only; destination constraints are finer than the keying granularity")
-	}
-	im := match.ForID()
-	l.mu.Lock()
-	keys := make([]packet.FlowID, 0, len(l.assigns))
-	for k := range l.assigns {
-		if im.Match(k) {
-			keys = append(keys, k)
-		}
-	}
-	l.mu.Unlock()
-	packet.SortIDs(keys)
-	for _, key := range keys {
-		err := emit(key.Key(), func(mark func()) ([]byte, error) {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			mark()
-			a, ok := l.assigns[key]
-			if !ok {
-				return nil, fmt.Errorf("lb: assignment for %s vanished during get", key)
-			}
-			return []byte(fmt.Sprintf("%s %d", a.Backend, a.Packets)), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PutPerflow implements mbox.Logic.
-func (l *LB) PutPerflow(class state.Class, c state.Chunk) error {
-	if class != state.Supporting {
-		return fmt.Errorf("lb: no per-flow %v state", class)
-	}
-	parts := strings.Fields(string(c.Blob))
-	if len(parts) != 2 {
-		return fmt.Errorf("lb: malformed assignment blob %q", c.Blob)
-	}
-	b, err := ParseBackend(parts[0])
-	if err != nil {
-		return err
-	}
-	pkts, err := strconv.ParseUint(parts[1], 10, 64)
-	if err != nil {
-		return fmt.Errorf("lb: malformed packet count %q", parts[1])
-	}
-	id, ok := c.Key.ID()
-	if !ok {
-		return fmt.Errorf("lb: flow key %s is not IPv4", c.Key)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if existing, ok := l.assigns[id]; ok {
-		// The flow raced the move and was assigned here too; the
-		// incoming (original) binding wins — an in-progress
-		// transaction must not switch servers (§2, R4).
-		existing.Backend = b
-		existing.Packets += pkts
-		return nil
-	}
-	l.assigns[id] = &assignment{Backend: b, Packets: pkts}
-	return nil
-}
-
-// DelPerflow implements mbox.Logic.
-func (l *LB) DelPerflow(class state.Class, match packet.FieldMatch) (int, error) {
-	if class != state.Supporting {
-		return 0, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	im := match.ForID()
-	n := 0
-	for k := range l.assigns {
-		if im.Match(k) {
-			delete(l.assigns, k)
-			n++
-		}
-	}
-	return n, nil
 }
 
 // GetShared implements mbox.Logic: the balancer has no shared state worth
@@ -290,30 +216,15 @@ func (l *LB) PutShared(class state.Class, blob []byte) error {
 	return mbox.ErrNoSharedState
 }
 
-// Stats implements mbox.Logic.
-func (l *LB) Stats(match packet.FieldMatch) sbi.StatsReply {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var s sbi.StatsReply
-	im := match.ForID()
-	for k, a := range l.assigns {
-		if im.Match(k) {
-			s.SupportPerflowChunks++
-			s.SupportPerflowBytes += len(a.Backend.String()) + 8
-		}
-	}
-	return s
-}
-
 // Config implements mbox.Logic.
 func (l *LB) Config() *state.ConfigTree { return l.config }
 
 // Assignment returns the backend bound to a source endpoint.
 func (l *LB) Assignment(srcIP netip.Addr, srcPort uint16, proto uint8) (Backend, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	id, _ := packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto}.ID()
-	a, ok := l.assigns[id]
+	a, ok := l.Get(id)
 	if !ok {
 		return Backend{}, false
 	}
@@ -322,17 +233,17 @@ func (l *LB) Assignment(srcIP netip.Addr, srcPort uint16, proto uint8) (Backend,
 
 // AssignmentCount returns the number of bound flows.
 func (l *LB) AssignmentCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.assigns)
+	l.Lock()
+	defer l.Unlock()
+	return l.Len()
 }
 
 // BackendLoads returns the number of flows bound to each backend.
 func (l *LB) BackendLoads() map[string]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	loads := map[string]int{}
-	for _, a := range l.assigns {
+	for _, a := range l.All() {
 		loads[a.Backend.String()]++
 	}
 	return loads

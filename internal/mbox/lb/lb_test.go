@@ -148,7 +148,8 @@ func TestPutMergePrefersIncomingBackend(t *testing.T) {
 	rt.Drain(5 * time.Second)
 	incoming := Backend{IP: netip.MustParseAddr("1.1.1.12"), Port: 8080}
 	key := packet.FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), SrcPort: 1000, Proto: packet.ProtoTCP}
-	if err := dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: []byte(incoming.String() + " 7")}); err != nil {
+	blob := assignmentCodec{}.Append(nil, &assignment{Backend: incoming, Packets: 7})
+	if err := dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := dst.Assignment(netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1000, packet.ProtoTCP)
@@ -202,10 +203,14 @@ func TestNoSharedState(t *testing.T) {
 func TestPutBlobErrors(t *testing.T) {
 	l := New(vip, 80, backends)
 	key := packet.FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), SrcPort: 1, Proto: packet.ProtoTCP}
-	for _, blob := range []string{"", "garbage", "1.1.1.1:80", "notanip:80 5", "1.1.1.1:80 notanumber"} {
+	for _, blob := range []string{"garbage", "1.1.1.1:80", "notanip:80 5", "1.1.1.1:80 notanumber", "\x00\x00\x00\x00\x00\x00\x00\x07\x1f\x90\x01\x01\x01"} {
 		if err := l.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: []byte(blob)}); err == nil {
 			t.Errorf("%q: expected error", blob)
 		}
+	}
+	// A zero-length blob is a tombstone: accepted, and installs nothing.
+	if err := l.PutPerflow(state.Supporting, state.Chunk{Key: key}); err != nil || l.AssignmentCount() != 0 {
+		t.Fatalf("tombstone put: err %v, %d assignments", err, l.AssignmentCount())
 	}
 }
 

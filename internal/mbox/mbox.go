@@ -2,7 +2,8 @@
 // middlebox. It implements the mechanics of the southbound API (§4 of the
 // paper) once, so that concrete middleboxes (internal/mbox/ips, monitor, re,
 // nat, lb) only supply their packet-processing logic and state
-// serialization:
+// serialization — per-flow state through one Table, whose Codec is all a
+// middlebox writes of the per-flow southbound calls:
 //
 //   - a packet loop decoupling link delivery from processing;
 //   - the moved-flag registry and the three-step reprocess-event scheme of
@@ -68,6 +69,11 @@ type Logic interface {
 	// keys match m, at the middlebox's own keying granularity. If m is
 	// finer than that granularity, return an error (§4.1.2).
 	//
+	// Table implements GetPerflow, PutPerflow, DelPerflow and the per-flow
+	// half of Stats once, to this contract; a middlebox that embeds one
+	// supplies only its value's Codec. The rest of this comment is what the
+	// table does, for a logic that does not use one.
+	//
 	// For each matching chunk, call emit with the chunk's key and a
 	// build function that snapshots the chunk's state. build receives a
 	// mark callback and MUST invoke it while holding the lock that
@@ -80,7 +86,8 @@ type Logic interface {
 	//
 	// Implementations should collect matching keys under their lock,
 	// then emit each chunk with build serializing under a short
-	// per-chunk lock acquisition.
+	// per-chunk lock acquisition. A key whose state left in between is
+	// still marked and exported, as a zero-length blob (a tombstone).
 	//
 	// Keys cross this interface as FlowKeys; tables hold packet.FlowID.
 	// The runtime marks key.ID(), so ProcessBurst must Touch with the ID of
@@ -90,7 +97,7 @@ type Logic interface {
 
 	// PutPerflow installs one chunk previously exported by a peer
 	// instance of the same kind, under c.Key.ID(); a key whose ID reports
-	// false is rejected.
+	// false is rejected. A tombstone (zero-length blob) installs nothing.
 	PutPerflow(class state.Class, c state.Chunk) error
 
 	// DelPerflow removes matching state without side effects (no log

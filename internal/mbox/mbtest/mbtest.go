@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -29,8 +28,9 @@ type CounterLogic struct {
 	// ChunkBytes is the exported chunk payload size (min 8).
 	ChunkBytes int
 
-	mu            sync.Mutex
-	flows         map[packet.FlowID]uint64
+	// Table holds the per-flow counts under canonical flow IDs; gets may not
+	// constrain the destination. Its lock is the logic's lock.
+	mbox.Table[uint64]
 	sharedSupport uint64
 	sharedReport  uint64
 	config        *state.ConfigTree
@@ -45,11 +45,9 @@ func NewCounterLogic(chunkBytes int) *CounterLogic {
 	if chunkBytes < 8 {
 		chunkBytes = 8
 	}
-	return &CounterLogic{
-		ChunkBytes: chunkBytes,
-		flows:      map[packet.FlowID]uint64{},
-		config:     state.NewConfigTree(),
-	}
+	l := &CounterLogic{ChunkBytes: chunkBytes, config: state.NewConfigTree()}
+	l.Init("counter", state.Supporting, mbox.CanonicalSrcOnly, (*countCodec)(l))
+	return l
 }
 
 // Kind implements mbox.Logic.
@@ -58,15 +56,13 @@ func (l *CounterLogic) Kind() string { return "counter" }
 // ProcessBurst counts each packet per flow and globally, forwards it, and
 // logs and announces its flow.
 func (l *CounterLogic) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
-	l.mu.Lock()
+	l.Lock()
 	for i, p := range pkts {
 		ctx := &ctxs[i]
 		id, _ := p.FlowID().Canonical()
-		// Touch under the same lock that serializes exports, so the
-		// moved-mark check is atomic with the update (see mbox.Logic).
 		if !ctx.SkipPerflow() {
-			l.flows[id]++
-			ctx.Touch(state.Supporting, id)
+			n, _ := l.Touch(ctx, id)
+			l.Insert(ctx, id, n+1)
 		}
 		if !ctx.SkipShared() {
 			l.sharedSupport++
@@ -76,7 +72,7 @@ func (l *CounterLogic) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) 
 		}
 		ctx.Emit(p)
 	}
-	l.mu.Unlock()
+	l.Unlock()
 	for i, p := range pkts {
 		id, _ := p.FlowID().Canonical()
 		ctxs[i].Log("conn", id.String())
@@ -92,86 +88,36 @@ func ProcessOne(l mbox.Logic, ctx *mbox.Context, p *packet.Packet) {
 }
 
 func (l *CounterLogic) encode(v uint64) []byte {
-	b := make([]byte, l.ChunkBytes)
-	binary.BigEndian.PutUint64(b, v)
-	return b
+	return (*countCodec)(l).Append(nil, v)
 }
 
-// GetPerflow implements mbox.Logic: per-flow state exists only in the
-// Supporting class. Requests constraining destination fields are rejected as
-// finer than the keying granularity.
-func (l *CounterLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != state.Supporting {
-		return nil
-	}
-	if m.ConstrainsDst() {
-		return fmt.Errorf("counter: requested granularity finer than per-flow keying")
-	}
-	im := m.ForID()
-	l.mu.Lock()
-	ids := make([]packet.FlowID, 0, len(l.flows))
-	for id := range l.flows {
-		if im.MatchEither(id) {
-			ids = append(ids, id)
-		}
-	}
-	l.mu.Unlock()
-	packet.SortIDs(ids)
-	for _, id := range ids {
-		err := emit(id.Key(), func(mark func()) ([]byte, error) {
-			l.mu.Lock()
-			mark() // atomic with the snapshot: see mbox.Logic
-			v := l.flows[id]
-			l.mu.Unlock()
-			return l.encode(v), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// countCodec is the counter's per-flow Codec: the count, padded to
+// ChunkBytes. Any blob of at least 8 bytes decodes.
+type countCodec CounterLogic
+
+func (c *countCodec) Append(b []byte, v uint64) []byte {
+	b = binary.BigEndian.AppendUint64(b, v)
+	return append(b, make([]byte, c.ChunkBytes-8)...)
 }
 
-// PutPerflow merges the incoming count into any existing record.
-func (l *CounterLogic) PutPerflow(class state.Class, c state.Chunk) error {
-	if class != state.Supporting {
-		return fmt.Errorf("counter: no per-flow %v state", class)
+func (*countCodec) Decode(_ packet.FlowID, b []byte) (uint64, error) {
+	if len(b) < 8 {
+		return 0, fmt.Errorf("counter: short blob (%d bytes)", len(b))
 	}
-	if len(c.Blob) < 8 {
-		return fmt.Errorf("counter: short blob (%d bytes)", len(c.Blob))
-	}
-	id, ok := c.Key.ID()
-	if !ok {
-		return fmt.Errorf("counter: flow key %s is not IPv4", c.Key)
-	}
-	l.mu.Lock()
-	l.flows[id] += binary.BigEndian.Uint64(c.Blob)
-	l.mu.Unlock()
-	return nil
+	return binary.BigEndian.Uint64(b), nil
 }
 
-// DelPerflow removes matching per-flow records.
-func (l *CounterLogic) DelPerflow(class state.Class, m packet.FieldMatch) (int, error) {
-	if class != state.Supporting {
-		return 0, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	im := m.ForID()
-	n := 0
-	for id := range l.flows {
-		if im.MatchEither(id) {
-			delete(l.flows, id)
-			n++
-		}
-	}
-	return n, nil
+// Put sums the incoming count into any existing record.
+func (*countCodec) Put(_ packet.FlowID, in, cur uint64, _ bool) (uint64, error) {
+	return cur + in, nil
 }
+
+func (*countCodec) Drop(packet.FlowID, uint64) {}
 
 // GetShared exports the shared counter of the class.
 func (l *CounterLogic) GetShared(class state.Class, mark func()) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	mark() // atomic with the snapshot: see mbox.Logic
 	switch class {
 	case state.Supporting:
@@ -188,8 +134,8 @@ func (l *CounterLogic) PutShared(class state.Class, blob []byte) error {
 		return fmt.Errorf("counter: short shared blob")
 	}
 	v := binary.BigEndian.Uint64(blob)
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	switch class {
 	case state.Supporting:
 		l.sharedSupport += v
@@ -203,16 +149,7 @@ func (l *CounterLogic) PutShared(class state.Class, blob []byte) error {
 
 // Stats implements mbox.Logic.
 func (l *CounterLogic) Stats(m packet.FieldMatch) sbi.StatsReply {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var s sbi.StatsReply
-	im := m.ForID()
-	for id := range l.flows {
-		if im.MatchEither(id) {
-			s.SupportPerflowChunks++
-			s.SupportPerflowBytes += l.ChunkBytes
-		}
-	}
+	s := l.Table.Stats(m)
 	s.SupportSharedBytes = l.ChunkBytes
 	s.ReportSharedBytes = l.ChunkBytes
 	return s
@@ -223,39 +160,40 @@ func (l *CounterLogic) Config() *state.ConfigTree { return l.config }
 
 // Count returns the per-flow count for key (canonicalized).
 func (l *CounterLogic) Count(key packet.FlowKey) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	id, _ := key.Canonical().ID()
-	return l.flows[id]
+	n, _ := l.Get(id)
+	return n
 }
 
 // SharedSupport returns the shared supporting counter.
 func (l *CounterLogic) SharedSupport() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	return l.sharedSupport
 }
 
 // SharedReport returns the shared reporting counter.
 func (l *CounterLogic) SharedReport() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	return l.sharedReport
 }
 
 // Flows returns the number of per-flow records.
 func (l *CounterLogic) Flows() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.flows)
+	l.Lock()
+	defer l.Unlock()
+	return l.Len()
 }
 
 // SumCounts returns the sum of all per-flow counts.
 func (l *CounterLogic) SumCounts() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	var sum uint64
-	for _, v := range l.flows {
+	for _, v := range l.All() {
 		sum += v
 	}
 	return sum
@@ -266,12 +204,13 @@ func (l *CounterLogic) SumCounts() uint64 {
 // the dummy state the controller benchmarks move around.
 func (l *CounterLogic) Preload(n int) []packet.FlowKey {
 	keys := make([]packet.FlowKey, n)
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	ctx := mbox.NewBenchContext()
+	l.Lock()
+	defer l.Unlock()
 	for i := 0; i < n; i++ {
 		k := FlowN(i)
 		id, _ := k.Canonical().ID()
-		l.flows[id] = 1
+		l.Insert(ctx, id, 1)
 		keys[i] = k
 	}
 	return keys

@@ -11,19 +11,19 @@
 //   - passive asset detection: service fingerprints recognized from payload
 //     prefixes, raising introspection events on first detection.
 //
-// Prefix-constrained gets use a flow-keyed index (state.FlowIndex — the
-// wildcard-match structure of the paper's footnote 6) so their cost is
-// O(matched), not O(resident). Full-wildcard gets (and any match the index
-// cannot answer) scan the whole table, reproducing the get/put cost asymmetry
-// measured in Figure 9 (the paper attributes the ~6x gap to PRADS's and
-// Bro's linear search).
+// The records live in an mbox.Table under canonical flow IDs, which also
+// answers the southbound get, put and delete. A prefix-constrained get uses
+// the table's flow index (the wildcard-match structure of the paper's
+// footnote 6), so its cost is O(matched), not O(resident); a full-wildcard
+// get scans the whole table, reproducing the get/put cost asymmetry measured
+// in Figure 9 (the paper attributes the ~6x gap to PRADS's and Bro's linear
+// search).
 package monitor
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"openmb/internal/mbox"
@@ -54,46 +54,71 @@ type connRecord struct {
 
 // recordWireSize is the fixed binary encoding size of a connRecord minus the
 // variable-length strings.
-const recordWireSize = 8 + 8 + 4*8 + 2 + 2
+const recordWireSize = 8 + 8 + 4*8 + 2
 
-func (c *connRecord) marshal() []byte {
-	b := make([]byte, 0, recordWireSize+len(c.Service)+len(c.OS))
-	var tmp [8]byte
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:], v)
-		b = append(b, tmp[:8]...)
+// recordCodec is the monitor's per-flow Codec.
+type recordCodec Monitor
+
+func (*recordCodec) Append(b []byte, c *connRecord) []byte {
+	for _, v := range [...]uint64{uint64(c.FirstSeen), uint64(c.LastSeen), c.Packets[0], c.Packets[1], c.Bytes[0], c.Bytes[1]} {
+		b = binary.BigEndian.AppendUint64(b, v)
 	}
-	put64(uint64(c.FirstSeen))
-	put64(uint64(c.LastSeen))
-	put64(c.Packets[0])
-	put64(c.Packets[1])
-	put64(c.Bytes[0])
-	put64(c.Bytes[1])
 	b = append(b, byte(len(c.Service)), byte(len(c.OS)))
 	b = append(b, c.Service...)
-	b = append(b, c.OS...)
-	return b
+	return append(b, c.OS...)
 }
 
-func (c *connRecord) unmarshal(b []byte) error {
-	if len(b) < recordWireSize-2 {
-		return fmt.Errorf("monitor: short record (%d bytes)", len(b))
+// Decode parses a record exported under id; a reversed id swaps the
+// per-direction counters, so the record reads in its canonical direction.
+func (*recordCodec) Decode(id packet.FlowID, b []byte) (*connRecord, error) {
+	if len(b) < recordWireSize {
+		return nil, fmt.Errorf("monitor: short record (%d bytes)", len(b))
 	}
-	c.FirstSeen = int64(binary.BigEndian.Uint64(b[0:8]))
-	c.LastSeen = int64(binary.BigEndian.Uint64(b[8:16]))
-	c.Packets[0] = binary.BigEndian.Uint64(b[16:24])
-	c.Packets[1] = binary.BigEndian.Uint64(b[24:32])
-	c.Bytes[0] = binary.BigEndian.Uint64(b[32:40])
-	c.Bytes[1] = binary.BigEndian.Uint64(b[40:48])
+	var v [6]uint64
+	for i := range v {
+		v[i] = binary.BigEndian.Uint64(b[i*8:])
+	}
+	c := &connRecord{FirstSeen: int64(v[0]), LastSeen: int64(v[1]), Packets: [2]uint64{v[2], v[3]}, Bytes: [2]uint64{v[4], v[5]}}
 	sl, ol := int(b[48]), int(b[49])
-	rest := b[50:]
+	rest := b[recordWireSize:]
 	if len(rest) < sl+ol {
-		return fmt.Errorf("monitor: truncated record strings")
+		return nil, fmt.Errorf("monitor: truncated record strings")
 	}
 	c.Service = string(rest[:sl])
 	c.OS = string(rest[sl : sl+ol])
-	return nil
+	if _, reversed := id.Canonical(); reversed {
+		c.Packets[0], c.Packets[1] = c.Packets[1], c.Packets[0]
+		c.Bytes[0], c.Bytes[1] = c.Bytes[1], c.Bytes[0]
+	}
+	return c, nil
 }
+
+// Put sums an incoming record into one already here (the flow started at
+// this instance while the move was in flight): reporting state merges
+// additively. A new record counts as a flow in the shared statistics.
+func (c *recordCodec) Put(_ packet.FlowID, in, cur *connRecord, has bool) (*connRecord, error) {
+	if !has {
+		c.shared.Flows++
+		return in, nil
+	}
+	cur.Packets[0] += in.Packets[0]
+	cur.Packets[1] += in.Packets[1]
+	cur.Bytes[0] += in.Bytes[0]
+	cur.Bytes[1] += in.Bytes[1]
+	cur.FirstSeen = min(cur.FirstSeen, in.FirstSeen)
+	cur.LastSeen = max(cur.LastSeen, in.LastSeen)
+	if cur.Service == "" {
+		cur.Service = in.Service
+	}
+	if cur.OS == "" {
+		cur.OS = in.OS
+	}
+	return cur, nil
+}
+
+// Drop keeps the shared flow counter: the flows were observed here, and the
+// state accounting for them now lives elsewhere.
+func (*recordCodec) Drop(packet.FlowID, *connRecord) {}
 
 // sharedStat is the shared reporting state: PRADS's prads_stat.
 type sharedStat struct {
@@ -172,14 +197,11 @@ func detectService(payload []byte) string {
 
 // Monitor is the middlebox logic. It implements mbox.Logic.
 type Monitor struct {
-	mu     sync.Mutex
-	conns  map[packet.FlowID]*connRecord
+	// Table holds the connection records under canonical flow IDs. Its
+	// lock is the monitor's lock.
+	mbox.Table[*connRecord]
 	shared sharedStat
 	config *state.ConfigTree
-	// index is the flow-keyed index behind prefix-constrained gets — the
-	// wildcard-match structure of the paper's footnote 6. It holds exactly
-	// the keys of conns.
-	index *state.FlowIndex
 	// serviceOn caches the "service_detection" knob: reading the config
 	// tree costs per-packet allocations (path splitting), which the
 	// zero-copy data path cannot afford. Refreshed by the config watcher.
@@ -188,11 +210,8 @@ type Monitor struct {
 
 // New returns an empty monitor with default configuration.
 func New() *Monitor {
-	m := &Monitor{
-		conns:  map[packet.FlowID]*connRecord{},
-		config: state.NewConfigTree(),
-		index:  state.NewFlowIndex(),
-	}
+	m := &Monitor{config: state.NewConfigTree()}
+	m.Init(Kind, state.Reporting, mbox.Canonical, (*recordCodec)(m))
 	// Default PRADS-style configuration knobs; control applications clone
 	// and adjust these (§6.2 step 1).
 	if err := m.config.Set("service_detection", []string{"on"}); err != nil {
@@ -202,9 +221,9 @@ func New() *Monitor {
 		panic("monitor: default config: " + err.Error())
 	}
 	m.config.Watch(func(string) {
-		m.mu.Lock()
+		m.Lock()
 		m.applyConfigLocked()
-		m.mu.Unlock()
+		m.Unlock()
 	})
 	m.serviceOn = true
 	return m
@@ -227,19 +246,10 @@ func (m *Monitor) Process(ctx *mbox.Context, p *packet.Packet) {
 	m.ProcessBurst(unsafe.Slice(ctx, 1), []*packet.Packet{p})
 }
 
-// recCache caches the last (canonical ID -> record) resolution within one
-// burst, so consecutive packets of the same flow — the common arrival
-// pattern — skip the connection-table lookup. Only valid while m.mu is held
-// continuously (ProcessBurst holds it for the whole burst).
-type recCache struct {
-	id  packet.FlowID
-	rec *connRecord
-}
-
-// processLocked is ProcessBurst's per-packet body. Caller holds m.mu. It
+// processLocked is ProcessBurst's per-packet body. Caller holds the lock. It
 // returns the packet's canonical ID and the newly detected service name (""
 // if none) for the introspection raise, which must happen outside the lock.
-func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recCache) (packet.FlowID, string) {
+func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet) (packet.FlowID, string) {
 	id, reversed := p.FlowID().Canonical()
 	dir := 0
 	if reversed {
@@ -247,19 +257,13 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 	}
 	newService := ""
 	if !ctx.SkipPerflow() {
-		rec := cache.rec
-		if rec == nil || cache.id != id {
-			var ok bool
-			rec, ok = m.conns[id]
-			if !ok {
-				rec = &connRecord{FirstSeen: p.Timestamp}
-				m.conns[id] = rec
-				m.index.InsertID(id)
-				if !ctx.SkipShared() {
-					m.shared.Flows++
-				}
+		rec, ok := m.Touch(ctx, id)
+		if !ok {
+			rec = &connRecord{FirstSeen: p.Timestamp}
+			m.Insert(ctx, id, rec)
+			if !ctx.SkipShared() {
+				m.shared.Flows++
 			}
-			cache.id, cache.rec = id, rec
 		}
 		rec.LastSeen = p.Timestamp
 		rec.Packets[dir]++
@@ -276,7 +280,6 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 		if rec.OS == "" && p.Flags&packet.FlagSYN != 0 && p.Flags&packet.FlagACK == 0 {
 			rec.OS = osFromTTL(p.TTL)
 		}
-		ctx.Touch(state.Reporting, id)
 	}
 
 	if !ctx.SkipShared() {
@@ -297,8 +300,7 @@ func (m *Monitor) processLocked(ctx *mbox.Context, p *packet.Packet, cache *recC
 
 // ProcessBurst implements mbox.Logic: update each flow's connection record
 // and the shared statistics. A passive monitor taps traffic; it does not
-// forward packets. One mutex acquisition covers the whole burst, and
-// consecutive same-flow packets reuse the last record lookup. Introspection
+// forward packets. One lock acquisition covers the whole burst. Introspection
 // raises are collected under the lock and raised after it in packet order;
 // the common case (no new detections) allocates nothing.
 func (m *Monitor) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
@@ -308,14 +310,13 @@ func (m *Monitor) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 		service string
 	}
 	var found []detection
-	var cache recCache
-	m.mu.Lock()
+	m.Lock()
 	for i, p := range pkts {
-		if id, svc := m.processLocked(&ctxs[i], p, &cache); svc != "" {
+		if id, svc := m.processLocked(&ctxs[i], p); svc != "" {
 			found = append(found, detection{idx: i, id: id, service: svc})
 		}
 	}
-	m.mu.Unlock()
+	m.Unlock()
 	for _, d := range found {
 		ctxs[d.idx].RaiseIntrospection("monitor.asset.detected", d.id, map[string]string{"service": d.service})
 	}
@@ -333,129 +334,13 @@ func osFromTTL(ttl uint8) string {
 	}
 }
 
-// GetPerflow implements mbox.Logic. Per-flow state is reporting state;
-// prefix-constrained matches use the flow index, everything else scans the
-// connection table linearly, as in PRADS (§7).
-func (m *Monitor) GetPerflow(class state.Class, match packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != state.Reporting {
-		return nil // PRADS has no per-flow supporting state
-	}
-	for _, id := range m.scanKeys(match) {
-		err := emit(id.Key(), func(mark func()) ([]byte, error) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			mark()
-			rec, ok := m.conns[id]
-			if !ok {
-				// Deleted between scan and serialize: an empty
-				// record is correct (events cover any updates).
-				rec = &connRecord{}
-			}
-			return rec.marshal(), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanKeys collects the keys matching match: via the flow index when it can
-// answer (a prefix-constrained match), else the full-table linear search of
-// PRADS — the behaviour footnote 6 of the paper points at.
-func (m *Monitor) scanKeys(match packet.FieldMatch) []packet.FlowID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids, ok := m.index.LookupIDs(match)
-	if !ok {
-		im := match.ForID()
-		for id := range m.conns {
-			if im.MatchEither(id) {
-				ids = append(ids, id)
-			}
-		}
-	}
-	packet.SortIDs(ids)
-	return ids
-}
-
-// PutPerflow implements mbox.Logic: install a record moved from a peer. If a
-// record already exists (the flow started at this instance while the move
-// was in flight), counters are summed — reporting state merges additively.
-// The record installs under the canonical ID whichever direction the peer's
-// key names; a reversed key's per-direction counters swap with it.
-func (m *Monitor) PutPerflow(class state.Class, c state.Chunk) error {
-	if class != state.Reporting {
-		return fmt.Errorf("monitor: no per-flow %v state", class)
-	}
-	var rec connRecord
-	if err := rec.unmarshal(c.Blob); err != nil {
-		return err
-	}
-	id, ok := c.Key.ID()
-	if !ok {
-		return fmt.Errorf("monitor: flow key %s is not IPv4", c.Key)
-	}
-	id, reversed := id.Canonical()
-	if reversed {
-		rec.Packets[0], rec.Packets[1] = rec.Packets[1], rec.Packets[0]
-		rec.Bytes[0], rec.Bytes[1] = rec.Bytes[1], rec.Bytes[0]
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if existing, ok := m.conns[id]; ok {
-		existing.Packets[0] += rec.Packets[0]
-		existing.Packets[1] += rec.Packets[1]
-		existing.Bytes[0] += rec.Bytes[0]
-		existing.Bytes[1] += rec.Bytes[1]
-		if rec.FirstSeen < existing.FirstSeen {
-			existing.FirstSeen = rec.FirstSeen
-		}
-		if rec.LastSeen > existing.LastSeen {
-			existing.LastSeen = rec.LastSeen
-		}
-		if existing.Service == "" {
-			existing.Service = rec.Service
-		}
-		if existing.OS == "" {
-			existing.OS = rec.OS
-		}
-		return nil
-	}
-	m.conns[id] = &rec
-	m.index.InsertID(id)
-	m.shared.Flows++
-	return nil
-}
-
-// DelPerflow implements mbox.Logic: remove without reporting side effects.
-// The shared flow counter is NOT decremented: the flows were observed here,
-// and the state accounting for them now lives elsewhere.
-func (m *Monitor) DelPerflow(class state.Class, match packet.FieldMatch) (int, error) {
-	if class != state.Reporting {
-		return 0, nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	im := match.ForID()
-	n := 0
-	for id := range m.conns {
-		if im.MatchEither(id) {
-			delete(m.conns, id)
-			m.index.RemoveID(id)
-			n++
-		}
-	}
-	return n, nil
-}
-
 // GetShared implements mbox.Logic: export the prads_stat counters.
 func (m *Monitor) GetShared(class state.Class, mark func()) ([]byte, error) {
 	if class != state.Reporting {
 		return nil, mbox.ErrNoSharedState
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock()
+	defer m.Unlock()
 	mark()
 	return m.shared.marshal(), nil
 }
@@ -467,23 +352,14 @@ func (m *Monitor) PutShared(class state.Class, blob []byte) error {
 	if class != state.Reporting {
 		return mbox.ErrNoSharedState
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock()
+	defer m.Unlock()
 	return m.shared.unmarshalAdd(blob)
 }
 
 // Stats implements mbox.Logic.
 func (m *Monitor) Stats(match packet.FieldMatch) sbi.StatsReply {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s sbi.StatsReply
-	im := match.ForID()
-	for id, rec := range m.conns {
-		if im.MatchEither(id) {
-			s.ReportPerflowChunks++
-			s.ReportPerflowBytes += recordWireSize + len(rec.Service) + len(rec.OS)
-		}
-	}
+	s := m.Table.Stats(match)
 	s.ReportSharedBytes = sharedWireSize
 	return s
 }
@@ -503,8 +379,8 @@ type Snapshot struct {
 
 // Snapshot returns a copy of the monitor's counters.
 func (m *Monitor) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock()
+	defer m.Unlock()
 	var s Snapshot
 	s.Shared.Packets = m.shared.Packets
 	s.Shared.Bytes = m.shared.Bytes
@@ -513,16 +389,16 @@ func (m *Monitor) Snapshot() Snapshot {
 	s.Shared.ICMP = m.shared.ICMP
 	s.Shared.Flows = m.shared.Flows
 	s.Shared.AssetsFound = m.shared.AssetsFound
-	s.Flows = len(m.conns)
+	s.Flows = m.Len()
 	return s
 }
 
 // FlowRecord returns a copy of the record for key, if present.
 func (m *Monitor) FlowRecord(key packet.FlowKey) (connRecord, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock()
+	defer m.Unlock()
 	id, _ := key.Canonical().ID()
-	rec, ok := m.conns[id]
+	rec, ok := m.Get(id)
 	if !ok {
 		return connRecord{}, false
 	}
@@ -531,19 +407,19 @@ func (m *Monitor) FlowRecord(key packet.FlowKey) (connRecord, bool) {
 
 // FlowCount returns the number of per-flow records.
 func (m *Monitor) FlowCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.conns)
+	m.Lock()
+	defer m.Unlock()
+	return m.Len()
 }
 
 // TotalPerflowPackets sums packet counters across all per-flow records —
 // the quantity that must be conserved across moves (no over/under
 // reporting).
 func (m *Monitor) TotalPerflowPackets() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock()
+	defer m.Unlock()
 	var sum uint64
-	for _, rec := range m.conns {
+	for _, rec := range m.All() {
 		sum += rec.Packets[0] + rec.Packets[1]
 	}
 	return sum

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +129,14 @@ func TestOSDetectionFromSYN(t *testing.T) {
 	}
 }
 
+// marshal and unmarshal are the record codec's two directions, for a record
+// exported under its canonical key.
+func marshal(c *connRecord) []byte { return (*recordCodec)(nil).Append(nil, c) }
+
+func unmarshal(b []byte) (*connRecord, error) {
+	return (*recordCodec)(nil).Decode(packet.FlowID{}, b)
+}
+
 func TestRecordMarshalRoundTrip(t *testing.T) {
 	f := func(p0, p1, b0, b1 uint64, first, last int64, svcIdx uint8) bool {
 		services := []string{"", "http", "ssh", "smtp"}
@@ -138,8 +145,8 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 			Packets: [2]uint64{p0, p1}, Bytes: [2]uint64{b0, b1},
 			Service: services[int(svcIdx)%len(services)], OS: "linux/unix",
 		}
-		var got connRecord
-		if err := got.unmarshal(rec.marshal()); err != nil {
+		got, err := unmarshal(marshal(&rec))
+		if err != nil {
 			return false
 		}
 		return got.Packets == rec.Packets && got.Bytes == rec.Bytes &&
@@ -152,12 +159,11 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 }
 
 func TestRecordUnmarshalErrors(t *testing.T) {
-	var rec connRecord
-	if err := rec.unmarshal(make([]byte, 10)); err == nil {
+	if _, err := unmarshal(make([]byte, 10)); err == nil {
 		t.Fatal("short record should fail")
 	}
-	good := (&connRecord{Service: "http"}).marshal()
-	if err := rec.unmarshal(good[:len(good)-2]); err == nil {
+	good := marshal(&connRecord{Service: "http"})
+	if _, err := unmarshal(good[:len(good)-2]); err == nil {
 		t.Fatal("truncated strings should fail")
 	}
 }
@@ -199,7 +205,7 @@ func TestPutMergesExistingRecord(t *testing.T) {
 	p := tcpPkt("10.0.0.1", "1.1.1.1", 1234, 80, packet.FlagACK, "x")
 	process(t, m, p)
 	incoming := connRecord{FirstSeen: -100, LastSeen: 999, Packets: [2]uint64{5, 3}, Bytes: [2]uint64{50, 30}, Service: "http"}
-	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: p.Flow().Canonical(), Blob: incoming.marshal()}); err != nil {
+	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: p.Flow().Canonical(), Blob: marshal(&incoming)}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := m.FlowRecord(p.Flow())
@@ -223,7 +229,7 @@ func TestPutMergesExistingRecord(t *testing.T) {
 		t.Fatal("test packet's flow is already canonical")
 	}
 	reversed := connRecord{FirstSeen: 5, LastSeen: 6, Packets: [2]uint64{2, 7}, Bytes: [2]uint64{20, 70}}
-	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: p.Flow(), Blob: reversed.marshal()}); err != nil {
+	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: p.Flow(), Blob: marshal(&reversed)}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ = m.FlowRecord(p.Flow())
@@ -386,95 +392,6 @@ func BenchmarkLinearScanGet(b *testing.B) {
 			_, err := build(func() {})
 			return err
 		})
-	}
-}
-
-func TestIndexedGetEquivalence(t *testing.T) {
-	// Gets answered by the flow index must return exactly the keys a
-	// brute-force MatchEither scan of the table finds, in the same (sorted)
-	// order, for matches in either direction.
-	tr := trace.Cloud(trace.CloudConfig{Seed: 70, Flows: 60})
-	mon := New()
-	rt := mbox.New("a", mon, mbox.Options{})
-	defer rt.Close()
-	for _, p := range tr.Packets {
-		rt.HandlePacket(p)
-	}
-	rt.Drain(10e9)
-
-	for _, spec := range []string{
-		"[nw_src=10.1.0.0/17]",
-		"[nw_src=10.1.0.0/16]",
-		"[nw_dst=52.20.0.0/16]", // reverse-direction prefix
-		"[nw_src=10.1.0.0/17,nw_proto=tcp]",
-	} {
-		m, err := packet.ParseFieldMatch(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := mon.index.Lookup(m); !ok {
-			t.Fatalf("%s: the index cannot answer this match, so the get below would not exercise it", spec)
-		}
-		var want []packet.FlowKey
-		for id := range mon.conns {
-			if k := id.Key(); m.MatchEither(k) {
-				want = append(want, k)
-			}
-		}
-		slices.SortFunc(want, packet.FlowKey.Compare)
-		if len(want) == 0 {
-			t.Fatalf("%s: matches none of %d flows", spec, len(mon.conns))
-		}
-		var got []packet.FlowKey
-		err = mon.GetPerflow(state.Reporting, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-			if _, err := build(func() {}); err != nil {
-				return err
-			}
-			got = append(got, key)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: scan=%d indexed=%d", spec, len(want), len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: key %d differs: %s vs %s", spec, i, want[i], got[i])
-			}
-		}
-	}
-}
-
-func TestIndexMaintainedAcrossPutDel(t *testing.T) {
-	m := New()
-	process(t, m,
-		tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, 0, "x"),
-		tcpPkt("10.0.0.2", "1.1.1.1", 2, 80, 0, "x"))
-	if m.index.Len() != 2 {
-		t.Fatalf("index size: %d", m.index.Len())
-	}
-	match, _ := packet.ParseFieldMatch("[nw_src=10.0.0.1]")
-	if _, err := m.DelPerflow(state.Reporting, match); err != nil {
-		t.Fatal(err)
-	}
-	if m.index.Len() != 1 {
-		t.Fatalf("index after del: %d", m.index.Len())
-	}
-	// Put re-indexes.
-	rec := connRecord{Packets: [2]uint64{1, 0}}
-	key := tcpPkt("10.0.0.9", "1.1.1.1", 9, 80, 0, "").Flow().Canonical()
-	if err := m.PutPerflow(state.Reporting, state.Chunk{Key: key, Blob: rec.marshal()}); err != nil {
-		t.Fatal(err)
-	}
-	if m.index.Len() != 2 {
-		t.Fatalf("index after put: %d", m.index.Len())
-	}
-	// A full wildcard is not the index's to answer; the scan still works.
-	s := m.Stats(packet.MatchAll)
-	if s.ReportPerflowChunks != 2 {
-		t.Fatalf("stats over the full table: %+v", s)
 	}
 }
 

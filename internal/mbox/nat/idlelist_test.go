@@ -207,19 +207,20 @@ func TestPortExhaustion(t *testing.T) {
 	checkIdleList(t, n)
 }
 
-// checkIdleList asserts the idle list's invariants against both maps.
+// checkIdleList asserts the idle list's invariants against the table and
+// the port map.
 func checkIdleList(t *testing.T, n *NAT) {
 	t.Helper()
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.Lock()
+	defer n.Unlock()
 	if err := idleListError(n); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func idleListError(n *NAT) error {
-	if len(n.byInternal) != len(n.byExtPort) {
-		return fmt.Errorf("len(byInternal)=%d != len(byExtPort)=%d", len(n.byInternal), len(n.byExtPort))
+	if n.Len() != len(n.byExtPort) {
+		return fmt.Errorf("table has %d mappings, byExtPort %d", n.Len(), len(n.byExtPort))
 	}
 	if n.head != nil && n.head.prev != nil {
 		return fmt.Errorf("head has a predecessor")
@@ -230,8 +231,8 @@ func idleListError(n *NAT) error {
 	count := 0
 	var prev *mapping
 	for m := n.head; m != nil; prev, m = m, m.next {
-		if count++; count > len(n.byInternal) {
-			return fmt.Errorf("idle list longer than the %d-entry table", len(n.byInternal))
+		if count++; count > n.Len() {
+			return fmt.Errorf("idle list longer than the %d-entry table", n.Len())
 		}
 		if m.prev != prev {
 			return fmt.Errorf("%s: prev link does not point at the predecessor", m.Internal)
@@ -242,15 +243,15 @@ func idleListError(n *NAT) error {
 		if m.LastActive > n.now {
 			return fmt.Errorf("%s: LastActive %d ahead of the clock %d", m.Internal, m.LastActive, n.now)
 		}
-		if n.byInternal[m.Internal] != m || n.byExtPort[m.ExtPort] != m {
-			return fmt.Errorf("%s:%d on the idle list but not (or not the same mapping) in the maps", m.Internal, m.ExtPort)
+		if tm, _ := n.Get(m.Internal); tm != m || n.byExtPort[m.ExtPort] != m {
+			return fmt.Errorf("%s:%d on the idle list but not (or not the same mapping) in the table and port map", m.Internal, m.ExtPort)
 		}
 	}
 	if prev != n.tail {
 		return fmt.Errorf("tail is not the last list element")
 	}
-	if count != len(n.byInternal) {
-		return fmt.Errorf("idle list has %d entries, table %d", count, len(n.byInternal))
+	if count != n.Len() {
+		return fmt.Errorf("idle list has %d entries, table %d", count, n.Len())
 	}
 	return nil
 }
@@ -431,7 +432,6 @@ func runIdleListSequence(seed int64, steps int) error {
 	}
 	// Timestamps on a zero-based or a wall-clock epoch.
 	clock := []int64{0, 1_758_000_000_000_000_000}[rng.Intn(2)]
-	var last lastFlow
 
 	for step := 0; step < steps; step++ {
 		var desc string
@@ -449,9 +449,6 @@ func runIdleListSequence(seed int64, steps int) error {
 				clock += 800 + int64(rng.Intn(600))
 				ts = clock
 			}
-			if rng.Intn(4) == 0 {
-				last = lastFlow{} // burst boundary
-			}
 			var p *packet.Packet
 			var wantOK, wantCreated bool
 			var wantPort uint16
@@ -468,9 +465,9 @@ func runIdleListSequence(seed int64, steps int) error {
 				wantKey, wantOK, wantExpired = ref.inbound(p.DstPort, ts)
 				desc = fmt.Sprintf("inbound :%d ts=%d", p.DstPort, ts)
 			}
-			n.mu.Lock()
-			out, raises := n.translateLocked(ctx, p, 0, nil, &last)
-			n.mu.Unlock()
+			n.Lock()
+			out, raises := n.translateLocked(ctx, p, 0, nil)
+			n.Unlock()
 			gotExpired = map[expiry]bool{}
 			gotCreated, expiredRaises := false, 0
 			for i, r := range raises {
@@ -506,7 +503,6 @@ func runIdleListSequence(seed int64, steps int) error {
 			if want := ref.put(k, extPort); (err == nil) != want {
 				return fmt.Errorf("step %d (%s): err=%v, reference accepted=%v", step, desc, err, want)
 			}
-			last = lastFlow{}
 		case op < 94:
 			m := packet.MatchAll
 			if rng.Intn(4) > 0 {
@@ -517,7 +513,6 @@ func runIdleListSequence(seed int64, steps int) error {
 			if want := ref.del(m); err != nil || got != want {
 				return fmt.Errorf("step %d (%s): deleted %d (err %v), reference %d", step, desc, got, err, want)
 			}
-			last = lastFlow{}
 		default:
 			v := []string{"50", "200", "1000", "never"}[rng.Intn(4)]
 			desc = "idle_timeout_ns=" + v
@@ -534,23 +529,23 @@ func runIdleListSequence(seed int64, steps int) error {
 				return fmt.Errorf("step %d (%s): expired %v, reference %v", step, desc, gotExpired, wantExpired)
 			}
 		}
-		n.mu.Lock()
+		n.Lock()
 		err := idleListError(n)
-		if err == nil && len(n.byInternal) != len(ref.byInternal) {
-			err = fmt.Errorf("%d live mappings, reference %d", len(n.byInternal), len(ref.byInternal))
+		if err == nil && n.Len() != len(ref.byInternal) {
+			err = fmt.Errorf("%d live mappings, reference %d", n.Len(), len(ref.byInternal))
 		}
 		for k, want := range ref.byInternal {
 			if err != nil {
 				break
 			}
-			if m := n.byInternal[idOf(k)]; m == nil || m.ExtPort != want.extPort || m.LastActive != want.lastActive {
+			if m, _ := n.Get(idOf(k)); m == nil || m.ExtPort != want.extPort || m.LastActive != want.lastActive {
 				err = fmt.Errorf("mapping %s = %+v, reference %+v", k, m, *want)
 			}
 		}
 		if err == nil && (n.nextPort != ref.nextPort || n.drops != ref.drops) {
 			err = fmt.Errorf("cursor %d drops %+v, reference cursor %d drops %+v", n.nextPort, n.drops, ref.nextPort, ref.drops)
 		}
-		n.mu.Unlock()
+		n.Unlock()
 		if err != nil {
 			return fmt.Errorf("step %d (%s): %v", step, desc, err)
 		}

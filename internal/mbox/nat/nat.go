@@ -18,10 +18,10 @@ package nat
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"strconv"
-	"sync"
 
 	"openmb/internal/mbox"
 	"openmb/internal/packet"
@@ -67,12 +67,11 @@ type Drops struct {
 
 // NAT is the middlebox logic. It implements mbox.Logic.
 type NAT struct {
-	mu sync.Mutex
-	// byInternal maps internal (src IP, src port, proto) to mapping. The
-	// key is a masked FlowID (FlowID.SrcEndpoint): destination fields zero —
-	// the NAT's keying granularity, coarser than a 5-tuple (§4.1.2).
-	byInternal map[packet.FlowID]*mapping
-	byExtPort  map[uint16]*mapping
+	// Table maps internal (src IP, src port, proto) to mapping: a source
+	// endpoint key, destination fields zero — the NAT's keying granularity,
+	// coarser than a 5-tuple (§4.1.2). Its lock is the NAT's lock.
+	mbox.Table[*mapping]
+	byExtPort map[uint16]*mapping
 	// head/tail are the idle list: every live mapping exactly once, in
 	// non-decreasing LastActive order, so idle expiry pops from the head and
 	// stops at the first mapping still within the timeout. Every touch
@@ -101,16 +100,16 @@ type NAT struct {
 // New returns a NAT translating to the given external IP.
 func New(extIP netip.Addr) *NAT {
 	n := &NAT{
-		byInternal: map[packet.FlowID]*mapping{},
-		byExtPort:  map[uint16]*mapping{},
-		nextPort:   firstPort,
-		extIP:      extIP,
-		config:     state.NewConfigTree(),
+		byExtPort: map[uint16]*mapping{},
+		nextPort:  firstPort,
+		extIP:     extIP,
+		config:    state.NewConfigTree(),
 	}
+	n.Init(Kind, state.Supporting, mbox.SrcEndpoint, (*mappingCodec)(n))
 	n.config.Watch(func(string) {
-		n.mu.Lock()
+		n.Lock()
 		n.applyConfigLocked()
-		n.mu.Unlock()
+		n.Unlock()
 	})
 	if err := n.config.Set("idle_timeout_ns", []string{strconv.FormatInt(defaultIdleTimeout, 10)}); err != nil {
 		panic("nat: default config: " + err.Error())
@@ -142,7 +141,7 @@ func (n *NAT) applyConfigLocked() {
 func (n *NAT) Kind() string { return Kind }
 
 // natRaise is one deferred introspection raise: raises must run outside
-// n.mu, so translateLocked collects them under the lock and the caller
+// the lock, so translateLocked collects them under it and the caller
 // replays them after it in packet order (expiries before the creation they
 // preceded). idx is the packet's position in its burst.
 type natRaise struct {
@@ -158,87 +157,69 @@ func (n *NAT) raise(ctx *mbox.Context, r natRaise) {
 	})
 }
 
-// lastFlow remembers the previous outbound packet's mapping so consecutive
-// packets of one flow skip the table lookup. Only valid while n.mu is held
-// continuously (ProcessBurst holds it for the whole burst).
-type lastFlow struct {
-	key packet.FlowID
-	m   *mapping
-}
-
 // ProcessBurst implements mbox.Logic: translate and forward. Every packet
 // runs translateLocked — including its own idle-expiry check, which costs one
 // comparison when nothing is due — so a burst has the side effects of its
-// packets one at a time; the mutex is taken once for the whole burst and
-// consecutive outbound packets of one flow reuse the mapping lookup.
+// packets one at a time; the lock is taken once for the whole burst.
 func (n *NAT) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	var raises []natRaise
-	var last lastFlow
-	n.mu.Lock()
+	n.Lock()
 	for i, p := range pkts {
 		var out *packet.Packet
-		out, raises = n.translateLocked(&ctxs[i], p, i, raises, &last)
+		out, raises = n.translateLocked(&ctxs[i], p, i, raises)
 		if out != nil {
-			ctxs[i].Emit(out) // buffered by the runtime: safe under n.mu
+			ctxs[i].Emit(out) // buffered by the runtime: safe under the lock
 		}
 	}
-	n.mu.Unlock()
+	n.Unlock()
 	for _, r := range raises {
 		n.raise(&ctxs[r.idx], r)
 	}
 }
 
-// translateLocked is ProcessBurst's per-packet body. Caller holds n.mu. It
+// translateLocked is ProcessBurst's per-packet body. Caller holds the lock. It
 // returns the packet to emit — the translated ctx.Rewrite(p) (p itself,
 // rewritten in place, unless the context needs the original kept), p
 // untouched for traffic that is not the NAT's to translate, nil for a drop —
 // and raises with this packet's introspection raises appended. Every Touch
 // precedes the Rewrite, so a reprocess event still carries p as it arrived.
-func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, raises []natRaise, last *lastFlow) (*packet.Packet, []natRaise) {
+func (n *NAT) translateLocked(ctx *mbox.Context, p *packet.Packet, idx int, raises []natRaise) (*packet.Packet, []natRaise) {
 	outbound := n.internal.Contains(p.SrcIP)
 	if !outbound && p.DstIP != n.extIP {
 		return p, raises
 	}
-	live := len(raises)
 	raises = n.expireLocked(p.Timestamp, idx, raises)
-	if len(raises) != live {
-		*last = lastFlow{} // the remembered mapping may be among the expired
-	}
 	if !outbound {
 		m, ok := n.byExtPort[p.DstPort]
 		if !ok {
 			n.drops.NoMapping++
 			return nil, raises
 		}
+		n.Touch(ctx, m.Internal)
 		n.touchLocked(m)
-		ctx.Touch(state.Supporting, m.Internal)
 		out := ctx.Rewrite(p)
 		out.DstIP = m.Internal.SrcAddr()
 		out.DstPort = m.Internal.SrcPort()
 		return out, raises
 	}
 	key := p.FlowID().SrcEndpoint()
-	m := last.m
-	if m == nil || last.key != key {
-		var ok bool
-		if m, ok = n.byInternal[key]; !ok {
-			if ctx.SkipPerflow() {
-				return nil, raises
-			}
-			port, ok := n.allocPortLocked()
-			if !ok {
-				n.drops.PortExhausted++
-				return nil, raises
-			}
-			m = &mapping{Internal: key, ExtPort: port, Created: p.Timestamp}
-			n.insertLocked(m)
-			ctx.TouchShared(state.Supporting) // port allocator advanced
-			raises = append(raises, natRaise{idx: idx, code: "nat.mapping.created", key: key, ext: port})
+	m, ok := n.Touch(ctx, key)
+	if !ok {
+		if ctx.SkipPerflow() {
+			return nil, raises
 		}
-		*last = lastFlow{key: key, m: m}
+		port, ok := n.allocPortLocked()
+		if !ok {
+			n.drops.PortExhausted++
+			return nil, raises
+		}
+		ctx.TouchShared(state.Supporting) // port allocator advanced
+		m = &mapping{Internal: key, ExtPort: port, Created: p.Timestamp}
+		n.Insert(ctx, key, m)
+		n.bindLocked(m)
+		raises = append(raises, natRaise{idx: idx, code: "nat.mapping.created", key: key, ext: port})
 	}
 	n.touchLocked(m)
-	ctx.Touch(state.Supporting, key)
 	out := ctx.Rewrite(p)
 	out.SrcIP = n.extIP
 	out.SrcPort = m.ExtPort
@@ -257,26 +238,18 @@ func (n *NAT) expireLocked(ts int64, idx int, raises []natRaise) []natRaise {
 		n.started, n.start = true, n.now
 	}
 	for m := n.head; m != nil && n.now-max(m.LastActive, n.start) > n.timeout; m = n.head {
-		n.removeLocked(m)
+		n.Remove(m.Internal)
 		raises = append(raises, natRaise{idx: idx, code: "nat.mapping.expired", key: m.Internal, ext: m.ExtPort})
 	}
 	return raises
 }
 
-// insertLocked adds m to both maps and to the tail of the idle list, its
+// bindLocked binds m's port and puts it at the tail of the idle list, its
 // idle clock starting now.
-func (n *NAT) insertLocked(m *mapping) {
-	n.byInternal[m.Internal] = m
+func (n *NAT) bindLocked(m *mapping) {
 	n.byExtPort[m.ExtPort] = m
 	m.LastActive = n.now
 	n.pushBackLocked(m)
-}
-
-// removeLocked takes m out of both maps and the idle list.
-func (n *NAT) removeLocked(m *mapping) {
-	delete(n.byInternal, m.Internal)
-	delete(n.byExtPort, m.ExtPort)
-	n.unlinkLocked(m)
 }
 
 // touchLocked restarts m's idle clock and moves it to the tail of the idle
@@ -332,95 +305,48 @@ func (n *NAT) allocPortLocked() (uint16, bool) {
 	}
 }
 
-// GetPerflow implements mbox.Logic: mappings serialize only critical fields
-// (external port + creation time); idle timers reset on import.
-func (n *NAT) GetPerflow(class state.Class, match packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != state.Supporting {
-		return nil
-	}
-	if match.ConstrainsDst() {
-		return fmt.Errorf("nat: mappings are keyed by internal endpoint; destination constraints are finer than keying granularity")
-	}
-	im := match.ForID()
-	n.mu.Lock()
-	keys := make([]packet.FlowID, 0, len(n.byInternal))
-	for k := range n.byInternal {
-		if im.MatchEither(k) {
-			keys = append(keys, k)
-		}
-	}
-	n.mu.Unlock()
-	packet.SortIDs(keys)
-	for _, key := range keys {
-		err := emit(key.Key(), func(mark func()) ([]byte, error) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			mark()
-			m, ok := n.byInternal[key]
-			if !ok {
-				return nil, fmt.Errorf("nat: mapping for %s expired during get", key)
-			}
-			b := make([]byte, mappingWireSize)
-			binary.BigEndian.PutUint16(b[0:2], m.ExtPort)
-			binary.BigEndian.PutUint64(b[2:10], uint64(m.Created))
-			return b, nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// ErrPortBound refuses a put whose external port another internal endpoint
+// already holds here.
+var ErrPortBound = errors.New("nat: external port already bound")
+
+// mappingCodec is the NAT's per-flow Codec. A mapping serializes only its
+// critical fields (external port and creation time); its idle timer resets
+// on import — the failure-recovery semantics of §2.
+type mappingCodec NAT
+
+func (*mappingCodec) Append(dst []byte, m *mapping) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, m.ExtPort)
+	return binary.BigEndian.AppendUint64(dst, uint64(m.Created))
 }
 
-// PutPerflow implements mbox.Logic: restore a mapping with its non-critical
-// field (LastActive) reset to the default — the failure-recovery semantics of
-// §2. The imported mapping gets a full idle timeout, counted from the NAT's
-// packet clock at import or, on a NAT that has translated nothing yet, from
-// its first packet. A chunk for a key already present replaces that mapping.
-func (n *NAT) PutPerflow(class state.Class, c state.Chunk) error {
-	if class != state.Supporting {
-		return fmt.Errorf("nat: no per-flow %v state", class)
+func (*mappingCodec) Decode(_ packet.FlowID, b []byte) (*mapping, error) {
+	if len(b) != mappingWireSize {
+		return nil, fmt.Errorf("nat: mapping blob is %d bytes, want %d", len(b), mappingWireSize)
 	}
-	if len(c.Blob) < mappingWireSize {
-		return fmt.Errorf("nat: short mapping blob (%d bytes)", len(c.Blob))
-	}
-	id, ok := c.Key.ID()
-	if !ok {
-		return fmt.Errorf("nat: flow key %s is not IPv4", c.Key)
-	}
-	m := &mapping{
-		Internal: id,
-		ExtPort:  binary.BigEndian.Uint16(c.Blob[0:2]),
-		Created:  int64(binary.BigEndian.Uint64(c.Blob[2:10])),
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if old, ok := n.byExtPort[m.ExtPort]; ok && old.Internal != m.Internal {
-		return fmt.Errorf("nat: external port %d already bound", m.ExtPort)
-	}
-	if old, ok := n.byInternal[m.Internal]; ok {
-		n.removeLocked(old)
-	}
-	n.insertLocked(m)
-	return nil
+	return &mapping{ExtPort: binary.BigEndian.Uint16(b), Created: int64(binary.BigEndian.Uint64(b[2:]))}, nil
 }
 
-// DelPerflow implements mbox.Logic.
-func (n *NAT) DelPerflow(class state.Class, match packet.FieldMatch) (int, error) {
-	if class != state.Supporting {
-		return 0, nil
+// Put replaces any mapping of the endpoint. The imported mapping gets a full
+// idle timeout, counted from the NAT's packet clock at import or, on a NAT
+// that has translated nothing yet, from its first packet.
+func (c *mappingCodec) Put(id packet.FlowID, in, cur *mapping, has bool) (*mapping, error) {
+	n := (*NAT)(c)
+	if old, ok := n.byExtPort[in.ExtPort]; ok && old.Internal != id {
+		return nil, fmt.Errorf("%w: port %d", ErrPortBound, in.ExtPort)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	im := match.ForID()
-	count := 0
-	for k, m := range n.byInternal {
-		if im.MatchEither(k) {
-			n.removeLocked(m)
-			count++
-		}
+	if has {
+		c.Drop(id, cur)
 	}
-	return count, nil
+	in.Internal = id
+	n.bindLocked(in)
+	return in, nil
+}
+
+// Drop unbinds the mapping's port and unlinks it from the idle list.
+func (c *mappingCodec) Drop(_ packet.FlowID, m *mapping) {
+	n := (*NAT)(c)
+	delete(n.byExtPort, m.ExtPort)
+	n.unlinkLocked(m)
 }
 
 // GetShared implements mbox.Logic: the port allocator cursor.
@@ -428,8 +354,8 @@ func (n *NAT) GetShared(class state.Class, mark func()) ([]byte, error) {
 	if class != state.Supporting {
 		return nil, mbox.ErrNoSharedState
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.Lock()
+	defer n.Unlock()
 	mark()
 	b := make([]byte, 2)
 	binary.BigEndian.PutUint16(b, n.nextPort)
@@ -446,8 +372,8 @@ func (n *NAT) PutShared(class state.Class, blob []byte) error {
 		return fmt.Errorf("nat: short allocator blob")
 	}
 	port := binary.BigEndian.Uint16(blob)
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.Lock()
+	defer n.Unlock()
 	if port > n.nextPort {
 		n.nextPort = port
 	}
@@ -456,16 +382,7 @@ func (n *NAT) PutShared(class state.Class, blob []byte) error {
 
 // Stats implements mbox.Logic.
 func (n *NAT) Stats(match packet.FieldMatch) sbi.StatsReply {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var s sbi.StatsReply
-	im := match.ForID()
-	for k := range n.byInternal {
-		if im.MatchEither(k) {
-			s.SupportPerflowChunks++
-			s.SupportPerflowBytes += mappingWireSize
-		}
-	}
+	s := n.Table.Stats(match)
 	s.SupportSharedBytes = 2
 	return s
 }
@@ -475,24 +392,24 @@ func (n *NAT) Config() *state.ConfigTree { return n.config }
 
 // Drops returns the packets discarded so far, by reason.
 func (n *NAT) Drops() Drops {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.Lock()
+	defer n.Unlock()
 	return n.drops
 }
 
 // MappingCount returns the number of live mappings.
 func (n *NAT) MappingCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.byInternal)
+	n.Lock()
+	defer n.Unlock()
+	return n.Len()
 }
 
 // Lookup returns the external port bound to an internal endpoint.
 func (n *NAT) Lookup(srcIP netip.Addr, srcPort uint16, proto uint8) (uint16, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.Lock()
+	defer n.Unlock()
 	id, _ := packet.FlowKey{SrcIP: srcIP, SrcPort: srcPort, Proto: proto}.ID()
-	m, ok := n.byInternal[id]
+	m, ok := n.Get(id)
 	if !ok {
 		return 0, false
 	}

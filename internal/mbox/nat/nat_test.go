@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -169,8 +170,8 @@ func TestPortCollisionOnPut(t *testing.T) {
 	blob[0] = byte(extPort >> 8)
 	blob[1] = byte(extPort)
 	other := packet.FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 99}), SrcPort: 9, Proto: packet.ProtoTCP, DstIP: netip.AddrFrom4([4]byte{})}
-	if err := n.PutPerflow(state.Supporting, state.Chunk{Key: other, Blob: blob}); err == nil {
-		t.Fatal("conflicting put accepted")
+	if err := n.PutPerflow(state.Supporting, state.Chunk{Key: other, Blob: blob}); !errors.Is(err, ErrPortBound) {
+		t.Fatalf("conflicting put: %v, want ErrPortBound", err)
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 
 	"openmb/internal/core"
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/ips"
+	"openmb/internal/mbox/lb"
+	"openmb/internal/mbox/mbtest"
+	"openmb/internal/mbox/monitor"
+	"openmb/internal/mbox/nat"
 	"openmb/internal/packet"
 )
 
@@ -31,9 +36,10 @@ func pointerFields(t reflect.Type) []string {
 
 // TestTableKeysAreCompact pins what the move's memory rests on — the key
 // types of the standing per-key tables, read off the tables themselves: the
-// flow ID is at most 16 bytes, the runtime's mark runs hold at most 24
-// pointer-free bytes a key, and the controller router's tables on at most 24 bytes
-// whose only pointer is the source connection.
+// flow ID is at most 16 bytes, every middlebox's per-flow table (mbox.Table)
+// is keyed by it, the runtime's mark runs hold at most 24 pointer-free bytes
+// a key, and the controller router's tables on at most 24 bytes whose only
+// pointer is the source connection.
 func TestTableKeysAreCompact(t *testing.T) {
 	// field follows a chain of struct fields, stepping through pointers and
 	// slices on the way.
@@ -53,6 +59,11 @@ func TestTableKeysAreCompact(t *testing.T) {
 	flowID := reflect.TypeOf(packet.FlowID{})
 	if flowID.Size() > 16 || pointerFields(flowID) != nil || !flowID.Comparable() {
 		t.Errorf("packet.FlowID: %d bytes, pointer fields %q", flowID.Size(), pointerFields(flowID))
+	}
+	for _, nf := range []any{(*nat.NAT)(nil), (*lb.LB)(nil), (*monitor.Monitor)(nil), (*ips.IPS)(nil), (*mbtest.CounterLogic)(nil)} {
+		if tbl := field(reflect.TypeOf(nf), "Table", "m"); tbl.Key() != flowID {
+			t.Errorf("%T: per-flow table %v is not keyed by packet.FlowID", nf, tbl)
+		}
 	}
 	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "marks", "ids")
 	if ref := marks.Elem(); ref.Size() > 24 || pointerFields(ref) != nil {
