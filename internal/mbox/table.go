@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"iter"
-	"maps"
 	"sync"
 
 	"openmb/internal/packet"
@@ -64,7 +63,7 @@ type Table[V any] struct {
 	class      state.Class
 	keying     Keying
 	codec      Codec[V]
-	m          map[packet.FlowID]V
+	m          flowTable[V]
 	// index answers prefix-constrained matches (the wildcard-match structure
 	// of the paper's footnote 6). It is built by the first such match and
 	// kept up to date from then on; a table no prefix match has asked
@@ -76,13 +75,13 @@ type Table[V any] struct {
 // given kind (named in errors).
 func (t *Table[V]) Init(kind string, class state.Class, keying Keying, codec Codec[V]) {
 	t.kind, t.class, t.keying, t.codec = kind, class, keying, codec
-	t.m = map[packet.FlowID]V{}
+	t.m = flowTable[V]{}
 }
 
 // Touch returns the entry under id, which must already be keyed, and, if
 // there is one, reports the update the caller is about to make to it.
 func (t *Table[V]) Touch(ctx *Context, id packet.FlowID) (V, bool) {
-	v, ok := t.m[id]
+	v, ok := t.m.get(id)
 	if ok {
 		ctx.Touch(t.class, id)
 	}
@@ -92,7 +91,7 @@ func (t *Table[V]) Touch(ctx *Context, id packet.FlowID) (V, bool) {
 // Insert stores v under id, which must already be keyed, replacing any entry
 // there, and reports the update.
 func (t *Table[V]) Insert(ctx *Context, id packet.FlowID, v V) {
-	t.m[id] = v
+	t.m.put(id, v)
 	if t.index != nil {
 		t.index.InsertID(id)
 	}
@@ -100,18 +99,14 @@ func (t *Table[V]) Insert(ctx *Context, id packet.FlowID, v V) {
 }
 
 // Get returns the entry under id without reporting an update: for readers.
-func (t *Table[V]) Get(id packet.FlowID) (V, bool) {
-	v, ok := t.m[id]
-	return v, ok
-}
+func (t *Table[V]) Get(id packet.FlowID) (V, bool) { return t.m.get(id) }
 
 // Remove deletes the entry under id, if any, and tells the codec.
 func (t *Table[V]) Remove(id packet.FlowID) {
-	v, ok := t.m[id]
+	v, ok := t.m.remove(id)
 	if !ok {
 		return
 	}
-	delete(t.m, id)
 	if t.index != nil {
 		t.index.RemoveID(id)
 	}
@@ -119,11 +114,12 @@ func (t *Table[V]) Remove(id packet.FlowID) {
 }
 
 // Len returns the number of entries.
-func (t *Table[V]) Len() int { return len(t.m) }
+func (t *Table[V]) Len() int { return t.m.n }
 
 // All iterates over the entries in no particular order. The loop body may
-// Remove the entry it is visiting.
-func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return maps.All(t.m) }
+// Remove the entry it is visiting; it may not Insert, nor Remove any other
+// key.
+func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return t.m.all() }
 
 // matchLocked returns the keys matching m in either direction: from the
 // index when m constrains an address prefix (building the index on the
@@ -131,7 +127,7 @@ func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return maps.All(t.m) }
 func (t *Table[V]) matchLocked(m packet.FieldMatch) []packet.FlowID {
 	if t.index == nil && (m.SrcPrefix.IsValid() || m.DstPrefix.IsValid()) {
 		t.index = state.NewFlowIndex()
-		for id := range t.m {
+		for id := range t.m.all() {
 			t.index.InsertID(id)
 		}
 	}
@@ -141,8 +137,8 @@ func (t *Table[V]) matchLocked(m packet.FieldMatch) []packet.FlowID {
 		}
 	}
 	im := m.ForID()
-	ids := make([]packet.FlowID, 0, len(t.m))
-	for id := range t.m {
+	ids := make([]packet.FlowID, 0, t.m.n)
+	for id := range t.m.all() {
 		if im.MatchEither(id) {
 			ids = append(ids, id)
 		}
@@ -173,7 +169,7 @@ func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(
 			t.Lock()
 			defer t.Unlock()
 			mark()
-			v, ok := t.m[id]
+			v, ok := t.m.get(id)
 			if !ok {
 				return nil, nil
 			}
@@ -211,12 +207,12 @@ func (t *Table[V]) PutPerflow(class state.Class, c state.Chunk) error {
 	}
 	t.Lock()
 	defer t.Unlock()
-	cur, has := t.m[id]
+	cur, has := t.m.get(id)
 	v, err := t.codec.Put(id, in, cur, has)
 	if err != nil {
 		return err
 	}
-	t.m[id] = v
+	t.m.put(id, v)
 	if !has && t.index != nil {
 		t.index.InsertID(id)
 	}
@@ -247,7 +243,8 @@ func (t *Table[V]) Stats(m packet.FieldMatch) sbi.StatsReply {
 	var buf []byte
 	size := 0
 	for _, id := range ids {
-		buf = t.codec.Append(buf[:0], t.m[id])
+		v, _ := t.m.get(id)
+		buf = t.codec.Append(buf[:0], v)
 		size += len(buf)
 	}
 	var s sbi.StatsReply

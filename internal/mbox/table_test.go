@@ -2,6 +2,7 @@ package mbox_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"slices"
 	"testing"
@@ -251,4 +252,29 @@ func FuzzTableCodec(f *testing.F) {
 			t.Fatalf("%s: export %q, after a round trip %q (%v)", c.name, first[0], second, err)
 		}
 	})
+}
+
+// BenchmarkTableTouch is one per-flow lookup through Table.Touch, visiting
+// the flows in round-robin order as the chain workloads do: at 256 flows the
+// table sits in cache, at 16384 most probes miss it.
+func BenchmarkTableTouch(b *testing.B) {
+	for _, flows := range []int{256, 16384} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			l := mbtest.NewCounterLogic(8)
+			ids := make([]packet.FlowID, flows)
+			for i, k := range l.Preload(flows) {
+				ids[i], _ = k.Canonical().ID()
+			}
+			ctx := mbox.NewBenchContext()
+			l.Lock()
+			defer l.Unlock()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := l.Touch(ctx, ids[i%flows]); !ok {
+					b.Fatal("preloaded flow missing")
+				}
+			}
+		})
+	}
 }

@@ -37,7 +37,7 @@ func pointerFields(t reflect.Type) []string {
 // TestTableKeysAreCompact pins what the move's memory rests on — the key
 // types of the standing per-key tables, read off the tables themselves: the
 // flow ID is at most 16 bytes, every middlebox's per-flow table (mbox.Table)
-// is keyed by it, the runtime's mark runs hold at most 24 pointer-free bytes
+// is keyed by it in slots of at most 24 bytes, the runtime's mark runs hold at most 24 pointer-free bytes
 // a key, and the controller router's tables on at most 24 bytes whose only
 // pointer is the source connection.
 func TestTableKeysAreCompact(t *testing.T) {
@@ -60,9 +60,15 @@ func TestTableKeysAreCompact(t *testing.T) {
 	if flowID.Size() > 16 || pointerFields(flowID) != nil || !flowID.Comparable() {
 		t.Errorf("packet.FlowID: %d bytes, pointer fields %q", flowID.Size(), pointerFields(flowID))
 	}
+	// The record middleboxes store a pointer a flow, the counter a uint64:
+	// either way a slot of the flat table is the key and one word.
 	for _, nf := range []any{(*nat.NAT)(nil), (*lb.LB)(nil), (*monitor.Monitor)(nil), (*ips.IPS)(nil), (*mbtest.CounterLogic)(nil)} {
-		if tbl := field(reflect.TypeOf(nf), "Table", "m"); tbl.Key() != flowID {
-			t.Errorf("%T: per-flow table %v is not keyed by packet.FlowID", nf, tbl)
+		slot := field(reflect.TypeOf(nf), "Table", "m", "slots").Elem()
+		if key := field(slot, "id"); key != flowID {
+			t.Errorf("%T: per-flow table slot %v is keyed by %v, not packet.FlowID", nf, slot, key)
+		}
+		if slot.Size() > 24 {
+			t.Errorf("%T: per-flow table slot %v is %d bytes, want at most 24", nf, slot, slot.Size())
 		}
 	}
 	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "marks", "ids")
