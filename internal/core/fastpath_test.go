@@ -272,14 +272,13 @@ func TestTransactionTablesReleasedAfterMove(t *testing.T) {
 	}
 }
 
-// markCapacity reads how many keys and runs rt's per-flow mark storage has
-// room for, off the runtime's own fields (nothing else may touch them here:
-// the runtime is idle).
+// markCapacity reads how many keys rt's per-flow mark sets have slots for,
+// off the runtime's own fields (nothing else may touch them here: the
+// runtime is idle).
 func markCapacity(rt *mbox.Runtime) int {
-	marks := reflect.ValueOf(rt).Elem().FieldByName("marks")
-	n := marks.Cap()
-	for i := 0; i < marks.Len(); i++ {
-		n += marks.Index(i).Elem().FieldByName("ids").Cap()
+	n := 0
+	for it := reflect.ValueOf(rt).Elem().FieldByName("marks").MapRange(); it.Next(); {
+		n += it.Value().Elem().FieldByName("slots").Cap()
 	}
 	return n
 }

@@ -27,7 +27,7 @@ func TestRewriteInPlaceLatchesTouch(t *testing.T) {
 	c.Touch(state.Supporting, p.FlowID()) // nothing marked: no raise, no panic
 	rt.markShared(state.Supporting)
 	for name, touch := range map[string]func(){
-		"Touch":       func() { rt.markKey(&markRun{class: state.Reporting}, p.FlowID()); c.Touch(state.Reporting, p.FlowID()) },
+		"Touch":       func() { rt.markKey(state.Reporting, p.FlowID()); c.Touch(state.Reporting, p.FlowID()) },
 		"TouchShared": func() { c.TouchShared(state.Supporting) },
 	} {
 		func() {

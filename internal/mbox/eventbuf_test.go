@@ -74,7 +74,7 @@ func TestReprocessEventEncodeAllocs(t *testing.T) {
 		Proto: packet.ProtoTCP, SrcPort: 4242, DstPort: 80,
 		Payload: make([]byte, 4096),
 	}
-	rt.markKey(&markRun{class: state.Supporting}, pkt.FlowID())
+	rt.markKey(state.Supporting, pkt.FlowID())
 
 	send := func() {
 		raised := rt.Metrics().EventsRaised

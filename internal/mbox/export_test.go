@@ -1,9 +1,6 @@
 package mbox
 
-import (
-	"openmb/internal/packet"
-	"openmb/internal/state"
-)
+import "openmb/internal/packet"
 
 // Test hooks exposing internals to the external test package.
 
@@ -24,8 +21,8 @@ func MarkCountForTest(rt *Runtime) (count int64, marks int) {
 	rt.marksMu.Lock()
 	defer rt.marksMu.Unlock()
 	marks = len(rt.sharedMoved)
-	for _, r := range rt.marks {
-		marks += len(r.ids)
+	for _, set := range rt.marks {
+		marks += set.n
 	}
 	return rt.markCount.Load(), marks
 }
@@ -38,7 +35,3 @@ func EnqueueReplayForTest(rt *Runtime, p *packet.Packet, shared bool) { rt.enque
 // CreditPeakForTest returns the most chunk frames any get of rt has had sent
 // beyond the credit the controller had returned.
 func CreditPeakForTest(rt *Runtime) int { return int(rt.creditPeak.Load()) }
-
-// IndexForTest returns the table's flow index, nil until a prefix-constrained
-// match has built it.
-func (t *Table[V]) IndexForTest() *state.FlowIndex { return t.index }

@@ -9,10 +9,11 @@ import (
 // flowSlot is one slot of a flowTable. An empty slot's id is
 // packet.SharedID, which no IPv4 flow's key produces, so a slot needs no used
 // flag: with a pointer or a uint64 value it is 24 bytes, where a flag would
-// pad it to 32.
+// pad it to 32. The value comes first so that a zero-size one (the runtime's
+// mark sets) adds no trailing padding: such a slot is the 16-byte key alone.
 type flowSlot[V any] struct {
-	id packet.FlowID
 	v  V
+	id packet.FlowID
 }
 
 // flowTable is the map under Table: open addressing with linear probing on
@@ -67,7 +68,7 @@ func (t *flowTable[V]) put(id packet.FlowID, v V) {
 		t.grow()
 	}
 	i, ok := t.find(id)
-	t.slots[i] = flowSlot[V]{id, v}
+	t.slots[i] = flowSlot[V]{v, id}
 	if !ok {
 		t.n++
 	}

@@ -75,7 +75,8 @@ type Logic interface {
 	// table does, for a logic that does not use one.
 	//
 	// For each matching chunk, call emit with the chunk's key and a
-	// build function that snapshots the chunk's state. build receives a
+	// build function that snapshots the chunk's state, in any order of
+	// keys (the runtime's marks are a set). build receives a
 	// mark callback and MUST invoke it while holding the lock that
 	// serializes this chunk against packet processing, immediately
 	// before serializing. This makes the moved-mark and the snapshot
@@ -102,7 +103,8 @@ type Logic interface {
 
 	// DelPerflow removes matching state without side effects (no log
 	// entries, no alerts: the state has moved, not terminated). Returns
-	// the number of chunks removed.
+	// the number of chunks removed. A match GetPerflow refuses is refused
+	// here too, and counts no per-flow chunks in Stats.
 	DelPerflow(class state.Class, m packet.FieldMatch) (int, error)
 
 	// GetShared exports the shared state of the given class as a single

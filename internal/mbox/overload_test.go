@@ -77,7 +77,7 @@ func TestOutboxBlocksRaiserAtBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ringPacket(1)
-	rt.markKey(&markRun{class: state.Supporting}, p.FlowID())
+	rt.markKey(state.Supporting, p.FlowID())
 	backlog := func() int {
 		rt.outbox.mu.Lock()
 		defer rt.outbox.mu.Unlock()

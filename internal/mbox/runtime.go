@@ -1,7 +1,6 @@
 package mbox
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,12 +93,12 @@ type Runtime struct {
 	reconnectMin, reconnectMax time.Duration
 	reconnects                 atomic.Uint64
 
-	// marks is the moved/cloned registry: per-flow keys (one run per get)
+	// marks is the moved/cloned registry: per-flow keys (one set per class)
 	// and shared classes currently part of a controller transaction.
 	// markCount is their total, kept by updateMarks and read without the
 	// lock by Touch/TouchShared.
 	marksMu     sync.Mutex
-	marks       []*markRun
+	marks       map[state.Class]*flowTable[struct{}]
 	sharedMoved map[state.Class]bool
 	markCount   atomic.Int64
 	// creditPeak is the most frames any get has had beyond its credit.
@@ -172,6 +171,7 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		reconnect:    opts.Reconnect,
 		reconnectMin: opts.ReconnectMin,
 		reconnectMax: opts.ReconnectMax,
+		marks:        map[state.Class]*flowTable[struct{}]{},
 		sharedMoved:  map[state.Class]bool{},
 		logs:         map[string][]string{},
 	}
@@ -300,36 +300,32 @@ func (rt *Runtime) queueEvent(ev *sbi.Event, p *packet.Packet) {
 	}
 }
 
-// markRun is one get's per-flow marks, in export order, which the get holds
-// to ascending FlowID order: 16 bytes a key, found by binary search. A run
-// is listed while it marks anything and dropped whole once emptied.
-type markRun struct {
-	class state.Class
-	ids   []packet.FlowID
-}
-
 // updateMarks is the only writer of the mark tables: it runs change under
-// marksMu, drops emptied runs, and republishes markCount before unlocking.
+// marksMu, drops emptied sets with their slots, and republishes markCount
+// before unlocking.
 func (rt *Runtime) updateMarks(change func()) {
 	rt.marksMu.Lock()
 	change()
 	n := len(rt.sharedMoved)
-	rt.marks = slices.DeleteFunc(rt.marks, func(r *markRun) bool { n += len(r.ids); return len(r.ids) == 0 })
-	if len(rt.marks) == 0 {
-		rt.marks = nil
+	for class, set := range rt.marks {
+		if set.n == 0 {
+			delete(rt.marks, class)
+		}
+		n += set.n
 	}
 	rt.markCount.Store(int64(n))
 	rt.marksMu.Unlock()
 }
 
-// markKey records that per-flow state id of r's class is part of a
-// transaction; the get has checked that id ascends.
-func (rt *Runtime) markKey(r *markRun, id packet.FlowID) {
+// markKey records that per-flow state id of class is part of a transaction.
+func (rt *Runtime) markKey(class state.Class, id packet.FlowID) {
 	rt.updateMarks(func() {
-		if len(r.ids) == 0 { // r's first mark, or a clear emptied it
-			rt.marks = append(rt.marks, r)
+		set := rt.marks[class]
+		if set == nil {
+			set = &flowTable[struct{}]{}
+			rt.marks[class] = set
 		}
-		r.ids = append(r.ids, id)
+		set.put(id, struct{}{})
 	})
 }
 
@@ -337,12 +333,12 @@ func (rt *Runtime) markKey(r *markRun, id packet.FlowID) {
 func (rt *Runtime) marked(class state.Class, id packet.FlowID) bool {
 	rt.marksMu.Lock()
 	defer rt.marksMu.Unlock()
-	for _, r := range rt.marks {
-		if _, ok := slices.BinarySearchFunc(r.ids, id, packet.FlowID.Compare); ok && r.class == class {
-			return true
-		}
+	set := rt.marks[class]
+	if set == nil {
+		return false
 	}
-	return false
+	_, ok := set.get(id)
+	return ok
 }
 
 // markShared records that shared state of class is part of a transaction.
@@ -356,16 +352,20 @@ func (rt *Runtime) markShared(class state.Class) {
 func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class) {
 	im := m.ForID()
 	rt.updateMarks(func() {
-		for _, r := range rt.marks {
-			if r.class == class {
-				r.ids = slices.DeleteFunc(r.ids, im.MatchEither)
+		set := rt.marks[class]
+		if set == nil {
+			return
+		}
+		for id := range set.all() {
+			if im.MatchEither(id) {
+				set.remove(id)
 			}
 		}
 	})
 }
 
-// MarkedKeys returns the number of per-flow keys currently in transactions
-// (a key two gets exported counts twice).
+// MarkedKeys returns the number of distinct per-flow keys currently in
+// transactions.
 func (rt *Runtime) MarkedKeys() int {
 	rt.marksMu.Lock()
 	defer rt.marksMu.Unlock()

@@ -562,9 +562,7 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	if batch < 1 {
 		batch = 1
 	}
-	run := &markRun{class: class}
 	count := 0
-	var last packet.FlowID
 	var pending []state.Chunk
 	flush := func() error {
 		if len(pending) == 0 {
@@ -584,16 +582,11 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		if !ok {
 			return fmt.Errorf("mbox: exported flow key %s is not IPv4", key)
 		}
-		// The marks are a sorted run, so the export must ascend.
-		if count > 0 && id.Compare(last) <= 0 {
-			return fmt.Errorf("mbox: %s get exported %s after %s; keys must ascend in FlowID order", rt.logic.Kind(), key, last)
-		}
-		last = id
 		// build invokes mark under the logic's lock immediately before
 		// serializing, so the moved-mark and the snapshot are atomic:
 		// every packet update is either inside the blob or covered by
 		// a reprocess event, never both and never neither.
-		blob, err := build(func() { rt.markKey(run, id) })
+		blob, err := build(func() { rt.markKey(class, id) })
 		if err != nil {
 			return err
 		}

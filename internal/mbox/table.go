@@ -64,11 +64,6 @@ type Table[V any] struct {
 	keying     Keying
 	codec      Codec[V]
 	m          flowTable[V]
-	// index answers prefix-constrained matches (the wildcard-match structure
-	// of the paper's footnote 6). It is built by the first such match and
-	// kept up to date from then on; a table no prefix match has asked
-	// about carries none.
-	index *state.FlowIndex
 }
 
 // Init readies an empty table of the given class for a middlebox of the
@@ -92,9 +87,6 @@ func (t *Table[V]) Touch(ctx *Context, id packet.FlowID) (V, bool) {
 // there, and reports the update.
 func (t *Table[V]) Insert(ctx *Context, id packet.FlowID, v V) {
 	t.m.put(id, v)
-	if t.index != nil {
-		t.index.InsertID(id)
-	}
 	ctx.Touch(t.class, id)
 }
 
@@ -104,13 +96,9 @@ func (t *Table[V]) Get(id packet.FlowID) (V, bool) { return t.m.get(id) }
 // Remove deletes the entry under id, if any, and tells the codec.
 func (t *Table[V]) Remove(id packet.FlowID) {
 	v, ok := t.m.remove(id)
-	if !ok {
-		return
+	if ok {
+		t.codec.Drop(id, v)
 	}
-	if t.index != nil {
-		t.index.RemoveID(id)
-	}
-	t.codec.Drop(id, v)
 }
 
 // Len returns the number of entries.
@@ -121,20 +109,13 @@ func (t *Table[V]) Len() int { return t.m.n }
 // key.
 func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return t.m.all() }
 
-// matchLocked returns the keys matching m in either direction: from the
-// index when m constrains an address prefix (building the index on the
-// first such match), else from a scan of the whole table.
-func (t *Table[V]) matchLocked(m packet.FieldMatch) []packet.FlowID {
-	if t.index == nil && (m.SrcPrefix.IsValid() || m.DstPrefix.IsValid()) {
-		t.index = state.NewFlowIndex()
-		for id := range t.m.all() {
-			t.index.InsertID(id)
-		}
-	}
-	if t.index != nil {
-		if ids, ok := t.index.LookupIDs(m); ok {
-			return ids
-		}
+// matchLocked returns the keys matching m in either direction, in table
+// order, from one scan of the table. It holds the keying rule for the get,
+// the delete and the stats alike: a table not keyed canonically refuses a
+// match that constrains the destination, which is finer than its keys.
+func (t *Table[V]) matchLocked(m packet.FieldMatch) ([]packet.FlowID, error) {
+	if t.keying != Canonical && m.ConstrainsDst() {
+		return nil, fmt.Errorf("%s: destination constraints are finer than the per-flow keying granularity", t.kind)
 	}
 	im := m.ForID()
 	ids := make([]packet.FlowID, 0, t.m.n)
@@ -143,29 +124,28 @@ func (t *Table[V]) matchLocked(m packet.FieldMatch) []packet.FlowID {
 			ids = append(ids, id)
 		}
 	}
-	return ids
+	return ids, nil
 }
 
-// GetPerflow implements Logic. Keys are collected under the lock, then each
-// chunk is marked and serialized under its own short hold of it. A key that
-// left the table in between exports a tombstone, a zero-length blob: it is
-// still marked, so its chunk still registers it at the destination, and a
-// packet that re-creates the flow here replays there; the put installs
-// nothing for it.
+// GetPerflow implements Logic. Keys are collected under the lock, in table
+// order, then each chunk is marked and serialized under its own short hold
+// of it. A key that left the table in between exports a tombstone, a
+// zero-length blob: it is still marked, so its chunk still registers it at
+// the destination, and a packet that re-creates the flow here replays there;
+// the put installs nothing for it.
 func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
 	if class != t.class {
 		return nil
 	}
-	if t.keying != Canonical && m.ConstrainsDst() {
-		return fmt.Errorf("%s: destination constraints are finer than the per-flow keying granularity", t.kind)
-	}
 	t.Lock()
-	ids := t.matchLocked(m)
+	ids, err := t.matchLocked(m)
 	t.Unlock()
-	packet.SortIDs(ids)
+	if err != nil {
+		return err
+	}
 	var buf []byte // the codec appends here; each blob is one exact copy
 	for _, id := range ids {
-		err := emit(id.Key(), func(mark func()) ([]byte, error) {
+		err = emit(id.Key(), func(mark func()) ([]byte, error) {
 			t.Lock()
 			defer t.Unlock()
 			mark()
@@ -213,21 +193,21 @@ func (t *Table[V]) PutPerflow(class state.Class, c state.Chunk) error {
 		return err
 	}
 	t.m.put(id, v)
-	if !has && t.index != nil {
-		t.index.InsertID(id)
-	}
 	return nil
 }
 
 // DelPerflow implements Logic: the matching entries go without side effects
-// beyond the codec's Drop.
+// beyond the codec's Drop. It refuses the matches GetPerflow refuses.
 func (t *Table[V]) DelPerflow(class state.Class, m packet.FieldMatch) (int, error) {
 	if class != t.class {
 		return 0, nil
 	}
 	t.Lock()
 	defer t.Unlock()
-	ids := t.matchLocked(m)
+	ids, err := t.matchLocked(m)
+	if err != nil {
+		return 0, err
+	}
 	for _, id := range ids {
 		t.Remove(id)
 	}
@@ -235,11 +215,12 @@ func (t *Table[V]) DelPerflow(class state.Class, m packet.FieldMatch) (int, erro
 }
 
 // Stats implements Logic for the table's class: the matching entries and
-// their wire bytes. A middlebox with shared state adds its own fields.
+// their wire bytes. A match GetPerflow refuses counts none. A middlebox with
+// shared state adds its own fields.
 func (t *Table[V]) Stats(m packet.FieldMatch) sbi.StatsReply {
 	t.Lock()
 	defer t.Unlock()
-	ids := t.matchLocked(m)
+	ids, _ := t.matchLocked(m)
 	var buf []byte
 	size := 0
 	for _, id := range ids {

@@ -3,11 +3,13 @@ package mbox_test
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"testing"
 
 	"openmb/internal/mbox"
+	"openmb/internal/mbox/lb"
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/mbox/monitor"
 	"openmb/internal/mbox/nat"
@@ -28,31 +30,14 @@ func tableKeys[V any](tbl *mbox.Table[V]) []packet.FlowID {
 	return ids
 }
 
-// indexKeys returns every key the table's index holds, sorted, or false if
-// the table has no index.
-func indexKeys[V any](tbl *mbox.Table[V]) ([]packet.FlowID, bool) {
-	tbl.Lock()
-	defer tbl.Unlock()
-	ix := tbl.IndexForTest()
-	if ix == nil {
-		return nil, false
-	}
-	ids, _ := ix.LookupIDs(packet.FieldMatch{SrcPrefix: netip.MustParsePrefix("0.0.0.0/0")})
-	packet.SortIDs(ids)
-	return ids, true
-}
-
-// getKeys runs a get and returns the keys it exported, in export order.
-func getKeys(t *testing.T, l mbox.Logic, class state.Class, m packet.FieldMatch) []packet.FlowID {
+// getChunks runs a get and returns the chunks it exported, in export order.
+func getChunks(t *testing.T, l mbox.Logic, class state.Class, m packet.FieldMatch) []state.Chunk {
 	t.Helper()
-	var got []packet.FlowID
+	var got []state.Chunk
 	err := l.GetPerflow(class, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		if _, err := build(func() {}); err != nil {
-			return err
-		}
-		id, _ := key.ID()
-		got = append(got, id)
-		return nil
+		blob, err := build(func() {})
+		got = append(got, state.Chunk{Key: key, Blob: blob})
+		return err
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", m, err)
@@ -60,55 +45,96 @@ func getKeys(t *testing.T, l mbox.Logic, class state.Class, m packet.FieldMatch)
 	return got
 }
 
-// checkIndexedGet: gets answered by the flow index return exactly the keys a
-// brute-force MatchEither scan of the table finds, in the same (sorted)
-// order. The index does not exist until the first prefix-constrained get,
-// and then holds exactly the table's keys.
-func checkIndexedGet[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], class state.Class, specs []string) {
-	if _, ok := indexKeys(tbl); ok {
-		t.Fatal("index built before any prefix-constrained get")
+// chunkIDs returns the chunks' keys as IDs, sorted.
+func chunkIDs(chunks []state.Chunk) []packet.FlowID {
+	ids := make([]packet.FlowID, len(chunks))
+	for i, c := range chunks {
+		ids[i], _ = c.Key.ID()
 	}
-	getKeys(t, l, class, packet.MatchAll)
-	if _, ok := indexKeys(tbl); ok {
-		t.Fatal("a full-wildcard get built the index")
+	packet.SortIDs(ids)
+	return ids
+}
+
+// matchEither returns the keys of all that m matches in either direction:
+// the brute-force answer every prefix match must give.
+func matchEither(all []packet.FlowID, m packet.FieldMatch) []packet.FlowID {
+	var want []packet.FlowID
+	for _, id := range all {
+		if m.ForID().MatchEither(id) {
+			want = append(want, id)
+		}
 	}
+	return want
+}
+
+// checkPrefixMatches: under each match, a get exports and Stats counts
+// exactly the table's keys a brute-force MatchEither finds.
+func checkPrefixMatches[V any](t *testing.T, when string, l mbox.Logic, tbl *mbox.Table[V], class state.Class, matches []packet.FieldMatch) {
+	t.Helper()
 	all := tableKeys(tbl)
+	for _, m := range matches {
+		want := matchEither(all, m)
+		if got := chunkIDs(getChunks(t, l, class, m)); !slices.Equal(got, want) {
+			t.Fatalf("%s: get %s exported %v, MatchEither finds %v", when, m, got, want)
+		}
+		if s := l.Stats(m); s.SupportPerflowChunks+s.ReportPerflowChunks != len(want) {
+			t.Fatalf("%s: stats %s count %+v, MatchEither finds %d", when, m, s, len(want))
+		}
+	}
+}
+
+// checkTableMatch drives a table through a delete, a put and a new flow,
+// and after each checks that prefix gets, Stats and the delete itself cover
+// exactly the MatchEither set of the table's keys.
+func checkTableMatch[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], class state.Class, specs []string, del string, newFlow *packet.Packet) {
+	var matches []packet.FieldMatch
 	for _, spec := range specs {
 		m, err := packet.ParseFieldMatch(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []packet.FlowID
-		for _, id := range all {
-			if m.ForID().MatchEither(id) {
-				want = append(want, id)
-			}
+		if n := len(matchEither(tableKeys(tbl), m)); n == 0 || n == tbl.Len() {
+			t.Fatalf("%s: matches %d of %d flows, want some but not all", spec, n, tbl.Len())
 		}
-		if len(want) == 0 {
-			t.Fatalf("%s: matches none of %d flows", spec, len(all))
-		}
-		got := getKeys(t, l, class, m)
-		tbl.Lock()
-		answered := false
-		if ix := tbl.IndexForTest(); ix != nil {
-			_, answered = ix.LookupIDs(m)
-		}
-		tbl.Unlock()
-		if !answered {
-			t.Fatalf("%s: the index cannot answer this match, so the get did not use it", spec)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: indexed get %v, scan %v", spec, got, want)
+		matches = append(matches, m)
+	}
+	checkPrefixMatches(t, "loaded", l, tbl, class, matches)
+
+	all := tableKeys(tbl)
+	dm, _ := packet.ParseFieldMatch(del)
+	want := matchEither(all, dm)
+	moved := getChunks(t, l, class, dm)
+	if n, err := l.DelPerflow(class, dm); err != nil || n != len(want) {
+		t.Fatalf("del %s: %d, %v; MatchEither finds %d", del, n, err, len(want))
+	}
+	if left := tableKeys(tbl); len(left) != len(all)-len(want) || len(matchEither(left, dm)) != 0 {
+		t.Fatalf("del %s left %d of %d keys, %d of them matching", del, len(left), len(all), len(matchEither(left, dm)))
+	}
+	checkPrefixMatches(t, "after a delete", l, tbl, class, matches)
+
+	for _, c := range moved {
+		if err := l.PutPerflow(class, c); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if ix, _ := indexKeys(tbl); !slices.Equal(ix, all) {
-		t.Fatalf("index holds %d keys, table %d", len(ix), len(all))
+	if got := tableKeys(tbl); !slices.Equal(got, all) {
+		t.Fatalf("after the put back: %d keys, want %d", len(got), len(all))
 	}
+	checkPrefixMatches(t, "after a put", l, tbl, class, matches)
+
+	mbtest.ProcessOne(l, mbox.NewBenchContext(), newFlow)
+	if tbl.Len() != len(all)+1 {
+		t.Fatalf("a new flow left %d keys, want %d", tbl.Len(), len(all)+1)
+	}
+	checkPrefixMatches(t, "after a new flow", l, tbl, class, matches)
 }
 
-func TestIndexedGetEquivalence(t *testing.T) {
+// TestTableMatchScansEitherDirection: every match a table answers is one
+// scan of its keys filtered by MatchEither, on the canonical (monitor) and
+// the source-endpoint (NAT) table alike.
+func TestTableMatchScansEitherDirection(t *testing.T) {
 	tr := trace.Cloud(trace.CloudConfig{Seed: 70, Flows: 60})
-	run := func(l mbox.Logic) {
+	load := func(l mbox.Logic) {
 		rt := mbox.New("a", l, mbox.Options{})
 		defer rt.Close()
 		for _, p := range tr.Packets {
@@ -118,82 +144,68 @@ func TestIndexedGetEquivalence(t *testing.T) {
 	}
 	t.Run("canonical", func(t *testing.T) {
 		m := monitor.New()
-		run(m)
-		checkIndexedGet(t, m, &m.Table, state.Reporting, []string{
+		load(m)
+		checkTableMatch(t, m, &m.Table, state.Reporting, []string{
 			"[nw_src=10.1.0.0/17]",
-			"[nw_src=10.1.0.0/16]",
-			"[nw_dst=52.20.0.0/16]", // reverse-direction prefix
 			"[nw_src=10.1.0.0/17,nw_proto=tcp]",
-		})
+			"[nw_dst=10.1.0.0/17]",  // the client end, reversed
+			"[nw_src=52.20.0.0/17]", // the server end, reversed
+			"[nw_dst=52.20.0.0/17]",
+		}, "[nw_dst=10.1.0.0/17]", tcp("10.1.0.200", 4321, "52.20.0.9", 443, packet.FlagACK))
 	})
 	t.Run("source-endpoint", func(t *testing.T) {
 		n := nat.New(natIP)
-		run(n)
-		checkIndexedGet(t, n, &n.Table, state.Supporting, []string{
+		load(n)
+		checkTableMatch(t, n, &n.Table, state.Supporting, []string{
 			"[nw_src=10.1.0.0/17]",
-			"[nw_src=10.1.0.0/16]",
+			"[nw_src=10.1.128.0/17]",
 			"[nw_src=10.1.0.0/17,nw_proto=tcp]",
+		}, "[nw_src=10.1.0.0/17]", tcp("10.1.0.200", 4321, "52.20.0.9", 443, packet.FlagACK))
+	})
+}
+
+// TestTableKeyingRuleRefusesEverywhere: a table not keyed canonically
+// refuses a match that constrains the destination, and Stats and DelPerflow
+// refuse it exactly as the get does: they count and delete nothing, where
+// matching the reversed key would hit every flow whose source lies in the
+// destination prefix.
+func TestTableKeyingRuleRefusesEverywhere(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		new    func() mbox.Logic
+		client string // the flows' source /24, the match's destination
+		dst    string
+	}{
+		{"nat", func() mbox.Logic { return nat.New(natIP) }, "10.0.0", "1.1.1.1"},
+		{"lb", func() mbox.Logic {
+			return lb.New(lbVIP, 80, []lb.Backend{{IP: netip.MustParseAddr("10.9.0.1"), Port: 8080}})
+		}, "192.0.2", lbVIP.String()},
+		{"counter", func() mbox.Logic { return mbtest.NewCounterLogic(0) }, "10.0.0", "1.1.1.1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := c.new()
+			for i := 1; i <= 3; i++ {
+				mbtest.ProcessOne(l, mbox.NewBenchContext(), tcp(fmt.Sprintf("%s.%d", c.client, i), 1000+uint16(i), c.dst, 80, packet.FlagACK))
+			}
+			if n := perflowChunks(l); n != 3 {
+				t.Fatalf("%d per-flow entries, want 3", n)
+			}
+			m, _ := packet.ParseFieldMatch("[nw_dst=" + c.client + ".0/24]")
+			err := l.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil })
+			if err == nil {
+				t.Fatalf("get %s: no error", m)
+			}
+			if s := l.Stats(m); s.SupportPerflowChunks != 0 || s.SupportPerflowBytes != 0 {
+				t.Errorf("stats %s: %d chunks, %d bytes; want none", m, s.SupportPerflowChunks, s.SupportPerflowBytes)
+			}
+			if n, err := l.DelPerflow(state.Supporting, m); err == nil || n != 0 {
+				t.Errorf("del %s: %d deleted, error %v; want the get's refusal", m, n, err)
+			}
+			if n := perflowChunks(l); n != 3 {
+				t.Errorf("%d per-flow entries after the refused delete, want 3", n)
+			}
 		})
-	})
-}
-
-// checkIndexMaintained: once built, the index follows every way a key enters
-// or leaves the table — a delete, a put, a packet that creates a flow — and
-// a full wildcard, which the index does not answer, still scans.
-func checkIndexMaintained[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], class state.Class) {
-	pkt := func(host byte) *packet.Packet {
-		return tcp(netip.AddrFrom4([4]byte{10, 0, 0, host}).String(), 1000+uint16(host), "1.1.1.1", 80, packet.FlagACK)
 	}
-	ctx := mbox.NewBenchContext()
-	mbtest.ProcessOne(l, ctx, pkt(1))
-	mbtest.ProcessOne(l, ctx, pkt(2))
-	check := func(when string, n int) {
-		t.Helper()
-		all := tableKeys(tbl)
-		ix, ok := indexKeys(tbl)
-		if !ok || !slices.Equal(ix, all) || len(all) != n {
-			t.Fatalf("%s: index %v (built %v), table %v; want %d keys", when, ix, ok, all, n)
-		}
-	}
-	match, _ := packet.ParseFieldMatch("[nw_src=10.0.0.1]")
-	if n, err := l.DelPerflow(class, match); err != nil || n != 1 {
-		t.Fatalf("del: %d, %v", n, err)
-	}
-	check("after del", 1)
-	// Export the remaining key, delete it, and put it back.
-	var chunk state.Chunk
-	err := l.GetPerflow(class, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		chunk = state.Chunk{Key: key, Blob: blob}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.DelPerflow(class, packet.MatchAll); err != nil {
-		t.Fatal(err)
-	}
-	check("after a full-wildcard del", 0)
-	if err := l.PutPerflow(class, chunk); err != nil {
-		t.Fatal(err)
-	}
-	check("after put", 1)
-	mbtest.ProcessOne(l, ctx, pkt(3))
-	check("after a new flow", 2)
-	if s := l.Stats(packet.MatchAll); s.SupportPerflowChunks+s.ReportPerflowChunks != 2 {
-		t.Fatalf("stats over the full table: %+v", s)
-	}
-}
-
-func TestIndexMaintainedAcrossPutDel(t *testing.T) {
-	t.Run("canonical", func(t *testing.T) {
-		m := monitor.New()
-		checkIndexMaintained(t, m, &m.Table, state.Reporting)
-	})
-	t.Run("source-endpoint", func(t *testing.T) {
-		n := nat.New(natIP)
-		checkIndexMaintained(t, n, &n.Table, state.Supporting)
-	})
 }
 
 // exportAll returns the blobs of every chunk a get over the whole table
@@ -276,5 +288,32 @@ func BenchmarkTableTouch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTableMatch is one prefix-constrained get's match, a scan of the
+// whole table, over 8192 and 16384 resident flows: at half the table (the
+// split a scale-up moves) and at 1/128 of it.
+func BenchmarkTableMatch(b *testing.B) {
+	for _, flows := range []int{8192, 16384} {
+		l := mbtest.NewCounterLogic(8)
+		l.Preload(flows)
+		hostBits := bits.Len(uint(flows)) - 1 // Preload's sources are 10.0.0.0 + i
+		for _, share := range []int{2, 128} {
+			m := packet.FieldMatch{SrcPrefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10}), 32-hostBits+bits.Len(uint(share))-1)}
+			b.Run(fmt.Sprintf("flows=%d/share=1:%d", flows, share), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n := 0
+					err := l.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error {
+						n++
+						return nil
+					})
+					if err != nil || n != flows/share {
+						b.Fatalf("%s matched %d of %d flows (%v), want %d", m, n, flows, err, flows/share)
+					}
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mbox_test
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -205,7 +206,7 @@ func TestSessionEndStopsItsGets(t *testing.T) {
 	}
 }
 
-// reversedLogic exports a CounterLogic's keys in descending order.
+// reversedLogic exports a CounterLogic's keys in descending FlowID order.
 type reversedLogic struct{ *mbtest.CounterLogic }
 
 func (l reversedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
@@ -218,28 +219,69 @@ func (l reversedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit f
 		all = append(all, chunk{key, build})
 		return nil
 	})
-	for i := len(all) - 1; i >= 0 && err == nil; i-- {
+	slices.SortFunc(all, func(a, b chunk) int { return b.key.Compare(a.key) })
+	for i := 0; i < len(all) && err == nil; i++ {
 		err = emit(all[i].key, all[i].build)
 	}
 	return err
 }
 
-// TestGetRejectsUnsortedExport: the marks are a sorted run, so a get whose
-// logic exports out of FlowID order fails instead of being sorted behind the
-// logic's back.
-func TestGetRejectsUnsortedExport(t *testing.T) {
-	logic := reversedLogic{mbtest.NewCounterLogic(16)}
-	logic.Preload(3)
+// TestGetMarksAnyExportOrder: the marks are a set, so a get whose logic
+// exports in descending order succeeds and marks every key it exported. A
+// packet on each key raises one reprocess event, and the delete that ends
+// the move clears every mark, though its match names the flows by their
+// source, the reverse of the counter's canonical keys.
+func TestGetMarksAnyExportOrder(t *testing.T) {
+	logic := reversedLogic{mbtest.NewCounterLogic(8)}
 	h := newHarness(t, logic)
-	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 1, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
-	for {
-		m := h.reply(t)
-		if m.Type == sbi.MsgChunk {
-			continue
-		}
-		if m.Type != sbi.MsgError || !strings.Contains(m.Error, "ascend") {
-			t.Fatalf("descending export ended with %+v, want an ordering error", m)
-		}
-		return
+	const flows = 3
+	for i := byte(1); i <= flows; i++ {
+		h.rt.HandlePacket(pkt(i, 1000*uint16(i)))
 	}
+	h.rt.Drain(time.Second)
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 1, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
+	chunks, count := h.collectGet(t, 1)
+	if count != flows || len(chunks) != flows {
+		t.Fatalf("descending export: %d chunks, count %d; want %d", len(chunks), count, flows)
+	}
+	for i := 1; i < len(chunks); i++ {
+		if chunks[i].Key.Compare(chunks[i-1].Key) >= 0 {
+			t.Fatalf("export order %v is not descending", chunks)
+		}
+	}
+	if n := h.rt.MarkedKeys(); n != flows {
+		t.Fatalf("%d keys marked, want %d", n, flows)
+	}
+	noEvent := func(when string) {
+		t.Helper()
+		select {
+		case ev := <-h.events:
+			t.Fatalf("%s: unexpected event %+v", when, ev.Event)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	for i := byte(1); i <= flows; i++ {
+		h.rt.HandlePacket(pkt(i, 1000*uint16(i)))
+		h.rt.Drain(time.Second)
+		select {
+		case ev := <-h.events:
+			if ev.Event.Kind != sbi.EventReprocess {
+				t.Fatalf("flow %d: event %+v", i, ev.Event)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("flow %d: no reprocess event", i)
+		}
+	}
+	noEvent("after one packet a flow")
+	m, _ := packet.ParseFieldMatch("[nw_src=10.0.0.0/24]")
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 2, Op: sbi.OpDelSupportPerflow, Match: m})
+	if r := h.reply(t); r.Type != sbi.MsgDone || r.Count != flows {
+		t.Fatalf("del ack: %+v", r)
+	}
+	if n := h.rt.MarkedKeys(); n != 0 {
+		t.Fatalf("%d keys marked after the delete", n)
+	}
+	h.rt.HandlePacket(pkt(1, 1000))
+	h.rt.Drain(time.Second)
+	noEvent("after the delete")
 }

@@ -104,9 +104,9 @@ func (id FlowID) Compare(o FlowID) int {
 	return cmp.Compare(id.dst, o.dst)
 }
 
-// SortIDs sorts IDs in place under Compare. Every per-flow get sorts its
-// keys so that exports — and everything downstream of their order — are
-// deterministic across runs.
+// SortIDs sorts IDs in place under Compare, for callers that want keys in
+// FlowKey order (the flow index's sorted views, tests comparing key sets).
+// Per-flow gets do not sort: they export in table order.
 func SortIDs(ids []FlowID) { slices.SortFunc(ids, FlowID.Compare) }
 
 // Hash returns a well-mixed symmetric 64-bit hash: id and id.Reverse() hash

@@ -37,15 +37,16 @@ func pointerFields(t reflect.Type) []string {
 // TestTableKeysAreCompact pins what the move's memory rests on — the key
 // types of the standing per-key tables, read off the tables themselves: the
 // flow ID is at most 16 bytes, every middlebox's per-flow table (mbox.Table)
-// is keyed by it in slots of at most 24 bytes, the runtime's mark runs hold at most 24 pointer-free bytes
-// a key, and the controller router's tables on at most 24 bytes whose only
-// pointer is the source connection.
+// is keyed by it in slots of at most 24 bytes, the runtime's mark sets are
+// keyed by it in pointer-free slots of at most 16 bytes, and the controller
+// router's tables on at most 24 bytes whose only pointer is the source
+// connection.
 func TestTableKeysAreCompact(t *testing.T) {
-	// field follows a chain of struct fields, stepping through pointers and
-	// slices on the way.
+	// field follows a chain of struct fields, stepping through pointers,
+	// slices and map values on the way.
 	field := func(t reflect.Type, names ...string) reflect.Type {
 		for _, name := range names {
-			for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+			for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
 				t = t.Elem()
 			}
 			f, ok := t.FieldByName(name)
@@ -71,9 +72,12 @@ func TestTableKeysAreCompact(t *testing.T) {
 			t.Errorf("%T: per-flow table slot %v is %d bytes, want at most 24", nf, slot, slot.Size())
 		}
 	}
-	marks := field(reflect.TypeOf((*mbox.Runtime)(nil)), "marks", "ids")
-	if ref := marks.Elem(); ref.Size() > 24 || pointerFields(ref) != nil {
-		t.Errorf("marks table %v: key is %d bytes, pointer fields %q", marks, ref.Size(), pointerFields(ref))
+	mark := field(reflect.TypeOf((*mbox.Runtime)(nil)), "marks", "slots").Elem()
+	if key := field(mark, "id"); key != flowID {
+		t.Errorf("mark set slot %v is keyed by %v, not packet.FlowID", mark, key)
+	}
+	if mark.Size() > 16 || pointerFields(mark) != nil {
+		t.Errorf("mark set slot %v: %d bytes, pointer fields %q; want at most 16, none", mark, mark.Size(), pointerFields(mark))
 	}
 	for _, table := range []string{"keys", "orphans"} {
 		m := field(reflect.TypeOf((*core.Controller)(nil)), "router", "shards", table)
