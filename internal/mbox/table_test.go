@@ -83,10 +83,10 @@ func checkPrefixMatches[V any](t *testing.T, when string, l mbox.Logic, tbl *mbo
 	}
 }
 
-// checkTableMatch drives a table through a delete, a put and a new flow,
-// and after each checks that prefix gets, Stats and the delete itself cover
-// exactly the MatchEither set of the table's keys.
-func checkTableMatch[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], class state.Class, specs []string, del string, newFlow *packet.Packet) {
+// parseSomeMatches parses specs, each of which must match some but not all
+// of the table's keys in either direction.
+func parseSomeMatches[V any](t *testing.T, tbl *mbox.Table[V], specs []string) []packet.FieldMatch {
+	t.Helper()
 	var matches []packet.FieldMatch
 	for _, spec := range specs {
 		m, err := packet.ParseFieldMatch(spec)
@@ -98,8 +98,14 @@ func checkTableMatch[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], clas
 		}
 		matches = append(matches, m)
 	}
-	checkPrefixMatches(t, "loaded", l, tbl, class, matches)
+	return matches
+}
 
+// checkMaintained drives a table through a delete, a put and a new flow,
+// and after each checks that prefix gets, Stats and the delete itself cover
+// exactly the MatchEither set of the table's keys.
+func checkMaintained[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], class state.Class, specs []string, del string, newFlow *packet.Packet) {
+	matches := parseSomeMatches(t, tbl, specs)
 	all := tableKeys(tbl)
 	dm, _ := packet.ParseFieldMatch(del)
 	want := matchEither(all, dm)
@@ -129,38 +135,65 @@ func checkTableMatch[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], clas
 	checkPrefixMatches(t, "after a new flow", l, tbl, class, matches)
 }
 
-// TestTableMatchScansEitherDirection: every match a table answers is one
-// scan of its keys filtered by MatchEither, on the canonical (monitor) and
-// the source-endpoint (NAT) table alike.
-func TestTableMatchScansEitherDirection(t *testing.T) {
+// loadCloud runs a 60-flow cloud trace through l.
+func loadCloud(l mbox.Logic) {
 	tr := trace.Cloud(trace.CloudConfig{Seed: 70, Flows: 60})
-	load := func(l mbox.Logic) {
-		rt := mbox.New("a", l, mbox.Options{})
-		defer rt.Close()
-		for _, p := range tr.Packets {
-			rt.HandlePacket(p)
-		}
-		rt.Drain(10e9)
+	rt := mbox.New("a", l, mbox.Options{})
+	defer rt.Close()
+	for _, p := range tr.Packets {
+		rt.HandlePacket(p)
 	}
+	rt.Drain(10e9)
+}
+
+// The prefix matches the two tests below put to the canonical (monitor)
+// and the source-endpoint (NAT) table.
+var (
+	canonicalMatches = []string{
+		"[nw_src=10.1.0.0/17]",
+		"[nw_src=10.1.0.0/17,nw_proto=tcp]",
+		"[nw_dst=10.1.0.0/17]",  // the client end, reversed
+		"[nw_src=52.20.0.0/17]", // the server end, reversed
+		"[nw_dst=52.20.0.0/17]",
+	}
+	srcEndpointMatches = []string{
+		"[nw_src=10.1.0.0/17]",
+		"[nw_src=10.1.128.0/17]",
+		"[nw_src=10.1.0.0/17,nw_proto=tcp]",
+	}
+)
+
+// TestIndexedGetEquivalence: the flat table is the only index a prefix get
+// has, and every match it answers is one scan of its keys filtered by
+// MatchEither, on the canonical (monitor) and the source-endpoint (NAT)
+// table alike.
+func TestIndexedGetEquivalence(t *testing.T) {
 	t.Run("canonical", func(t *testing.T) {
 		m := monitor.New()
-		load(m)
-		checkTableMatch(t, m, &m.Table, state.Reporting, []string{
-			"[nw_src=10.1.0.0/17]",
-			"[nw_src=10.1.0.0/17,nw_proto=tcp]",
-			"[nw_dst=10.1.0.0/17]",  // the client end, reversed
-			"[nw_src=52.20.0.0/17]", // the server end, reversed
-			"[nw_dst=52.20.0.0/17]",
-		}, "[nw_dst=10.1.0.0/17]", tcp("10.1.0.200", 4321, "52.20.0.9", 443, packet.FlagACK))
+		loadCloud(m)
+		checkPrefixMatches(t, "loaded", m, &m.Table, state.Reporting, parseSomeMatches(t, &m.Table, canonicalMatches))
 	})
 	t.Run("source-endpoint", func(t *testing.T) {
 		n := nat.New(natIP)
-		load(n)
-		checkTableMatch(t, n, &n.Table, state.Supporting, []string{
-			"[nw_src=10.1.0.0/17]",
-			"[nw_src=10.1.128.0/17]",
-			"[nw_src=10.1.0.0/17,nw_proto=tcp]",
-		}, "[nw_src=10.1.0.0/17]", tcp("10.1.0.200", 4321, "52.20.0.9", 443, packet.FlagACK))
+		loadCloud(n)
+		checkPrefixMatches(t, "loaded", n, &n.Table, state.Supporting, parseSomeMatches(t, &n.Table, srcEndpointMatches))
+	})
+}
+
+// TestIndexMaintainedAcrossPutDel: prefix gets, Stats and deletes keep
+// matching the MatchEither scan as keys leave and enter the table — a
+// delete, a put, a packet that creates a flow.
+func TestIndexMaintainedAcrossPutDel(t *testing.T) {
+	newFlow := tcp("10.1.0.200", 4321, "52.20.0.9", 443, packet.FlagACK)
+	t.Run("canonical", func(t *testing.T) {
+		m := monitor.New()
+		loadCloud(m)
+		checkMaintained(t, m, &m.Table, state.Reporting, canonicalMatches, "[nw_dst=10.1.0.0/17]", newFlow)
+	})
+	t.Run("source-endpoint", func(t *testing.T) {
+		n := nat.New(natIP)
+		loadCloud(n)
+		checkMaintained(t, n, &n.Table, state.Supporting, srcEndpointMatches, "[nw_src=10.1.0.0/17]", newFlow)
 	})
 }
 
