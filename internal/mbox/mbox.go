@@ -99,6 +99,8 @@ type Logic interface {
 	// PutPerflow installs one chunk previously exported by a peer
 	// instance of the same kind, under c.Key.ID(); a key whose ID reports
 	// false is rejected. A tombstone (zero-length blob) installs nothing.
+	// The runtime opens c.Blob in place, so it may alias the received
+	// frame; the runtime never reuses a frame, so a logic may keep it.
 	PutPerflow(class state.Class, c state.Chunk) error
 
 	// DelPerflow removes matching state without side effects (no log

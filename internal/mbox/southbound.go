@@ -563,7 +563,12 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		batch = 1
 	}
 	count := 0
+	// The get's blobs are one CTR stream, sealed into one slab; a frame's
+	// chunks and its slab are reused once SendDeferred has encoded it.
+	fs := rt.sealer.Frame()
+	defer fs.Release()
 	var pending []state.Chunk
+	var slab []byte
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -573,8 +578,9 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		}
 		out := &sbi.Message{Type: sbi.MsgChunk, ID: m.ID, Compressed: m.Compressed}
 		out.SetChunks(pending)
-		pending = nil
-		return conn.SendDeferred(out)
+		err := conn.SendDeferred(out)
+		pending, slab = pending[:0], slab[:0]
+		return err
 	}
 	err := rt.logic.GetPerflow(class, m.Match, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
 		// A key enters the runtime's tables here, as an ID.
@@ -595,11 +601,13 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		}
 		count++
 		if pending == nil {
-			// One allocation per frame at the usual batch sizes; the
+			// One allocation per get at the usual batch sizes; the
 			// request's batch alone never sizes an allocation.
 			pending = make([]state.Chunk, 0, min(batch, 64))
 		}
-		pending = append(pending, state.Chunk{Key: key, Blob: rt.sealer.Seal(blob)})
+		n := len(slab)
+		slab = fs.AppendSeal(slab, blob)
+		pending = append(pending, state.Chunk{Key: key, Blob: slab[n:len(slab):len(slab)]})
 		if len(pending) >= batch {
 			return flush()
 		}
@@ -626,12 +634,17 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	}
 	installed := 0
 	var err error
+	// The controller forwards each get frame as one put, in order, so the
+	// frame's blobs continue one CTR stream. They open in place: the frame
+	// is this runtime's own, freshly decoded, and never reused.
+	fs := rt.sealer.Frame()
+	defer fs.Release()
 	m.EachChunk(func(c *state.Chunk) {
 		if err != nil {
 			return
 		}
 		var blob []byte
-		blob, err = rt.sealer.Open(c.Blob)
+		blob, err = fs.Open(c.Blob)
 		if err == nil && m.Compressed {
 			blob, err = inflate(blob)
 		}

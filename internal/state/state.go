@@ -19,9 +19,12 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"openmb/internal/packet"
@@ -96,28 +99,37 @@ func (c Chunk) Size() int { return packet.FlowKeyWireSize + len(c.Blob) }
 // key, so a blob sealed by one instance opens at its peer but nowhere else.
 //
 // The construction is AES-128-CTR with an HMAC-SHA256 tag over iv || ct
-// (encrypt-then-MAC); a sealed blob is iv(16) || ct || tag(32). Everything
-// that depends only on the secret is built once: the AES key schedule in
-// NewSealer, and keyed HMAC states that Seal and Open borrow from a pool and
-// Reset, so a call allocates only its output and the CTR stream. A Sealer is
-// safe for concurrent use and must not be copied.
+// (encrypt-then-MAC); a sealed blob is iv(16) || ct || tag(32), and every
+// blob opens alone. Everything that depends only on the secret is built
+// once: the AES key schedule in NewSealer, and keyed HMAC states held by the
+// FrameSealers that Seal, Open and Frame borrow from a pool. A Sealer is safe
+// for concurrent use and must not be copied.
 type Sealer struct {
-	block cipher.Block
-	macs  sync.Pool // *sealMAC, keyed
+	block  cipher.Block
+	frames sync.Pool // *FrameSealer, keyed
 }
 
-// sealMAC is one reusable keyed HMAC state and the buffer Open sums into.
-type sealMAC struct {
-	h   hash.Hash
-	sum [sealTagLen]byte
-}
-
-// tag appends the HMAC of body to dst and leaves m ready for the next blob.
-func (m *sealMAC) tag(dst, body []byte) []byte {
-	m.h.Write(body)
-	dst = m.h.Sum(dst)
-	m.h.Reset()
-	return dst
+// FrameSealer seals or opens a run of blobs — one per-flow get, one put
+// frame — as one AES-CTR message. The first blob it seals takes a fresh
+// random IV; each later blob's IV is the counter block where its ciphertext
+// starts. After each blob the counter advances by max(1, ⌈len/16⌉) blocks
+// and the unused tail of the last keystream block is discarded, so no
+// counter block is used twice and no two blobs of a run share an IV. That
+// is all CTR asks of its IVs: counter blocks that never repeat under the
+// key, not unpredictable ones. The blobs are byte for byte what Seal would
+// produce for the same IVs.
+//
+// A FrameSealer is borrowed with Sealer.Frame, used by one goroutine, and
+// given back with Release. Sealing after an Open starts a fresh random
+// stream: continuing an opened stream would reuse the peer's counter blocks.
+type FrameSealer struct {
+	s       *Sealer
+	mac     hash.Hash // keyed HMAC-SHA256, Reset after every blob
+	sum     [sealTagLen]byte
+	stream  cipher.Stream // nil until the first blob
+	at      [sealIVLen]byte
+	sealing bool                // the stream is one AppendSeal started
+	pad     [aes.BlockSize]byte // keystream discarded at the end of a blob
 }
 
 // NewSealer derives a sealer from a shared secret. Deriving rather than
@@ -131,49 +143,122 @@ func NewSealer(secret string) *Sealer {
 	}
 	s.block = block
 	macKey := sha256.Sum256([]byte("openmb-mac:" + secret))
-	s.macs.New = func() any { return &sealMAC{h: hmac.New(sha256.New, macKey[:])} }
+	s.frames.New = func() any { return &FrameSealer{s: s, mac: hmac.New(sha256.New, macKey[:])} }
 	return s
 }
 
 const (
 	sealIVLen  = aes.BlockSize
 	sealTagLen = sha256.Size
+	// sealOverhead is the bytes a sealed blob adds to its plaintext.
+	sealOverhead = sealIVLen + sealTagLen
 )
 
 // ErrSealOpen is returned when a sealed blob fails authentication.
 var ErrSealOpen = errors.New("state: sealed blob failed authentication")
 
-// Seal encrypts plaintext and returns iv || ciphertext || tag.
+// Frame borrows a FrameSealer with no stream started.
+func (s *Sealer) Frame() *FrameSealer { return s.frames.Get().(*FrameSealer) }
+
+// Release ends f's stream and gives f back to its Sealer.
+func (f *FrameSealer) Release() {
+	f.stream, f.sealing = nil, false
+	f.s.frames.Put(f)
+}
+
+// Seal encrypts plaintext and returns iv || ciphertext || tag, under a fresh
+// random IV.
 func (s *Sealer) Seal(plaintext []byte) []byte {
-	n := sealIVLen + len(plaintext)
-	out := make([]byte, n, n+sealTagLen)
-	iv := out[:sealIVLen]
-	if _, err := rand.Read(iv); err != nil {
-		// crypto/rand failure is unrecoverable and cannot be handled
-		// meaningfully by callers moving state.
-		panic("state: crypto/rand: " + err.Error())
-	}
-	cipher.NewCTR(s.block, iv).XORKeyStream(out[sealIVLen:], plaintext)
-	m := s.macs.Get().(*sealMAC)
-	out = m.tag(out, out)
-	s.macs.Put(m)
+	f := s.Frame()
+	out := f.AppendSeal(make([]byte, 0, len(plaintext)+sealOverhead), plaintext)
+	f.Release()
 	return out
 }
 
-// Open authenticates and decrypts a blob produced by Seal. The tag is
-// checked, in constant time, before anything is decrypted.
+// Open authenticates and decrypts a blob produced by Seal into a new slice,
+// leaving sealed as it was. The tag is checked, in constant time, before
+// anything is decrypted.
 func (s *Sealer) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < sealIVLen+sealTagLen {
+	f := s.Frame()
+	defer f.Release()
+	ct, err := f.verify(sealed)
+	if err != nil {
+		return nil, err
+	}
+	pt := make([]byte, len(ct))
+	f.xor(sealed[:sealIVLen], pt, ct)
+	return pt, nil
+}
+
+// AppendSeal appends iv || ciphertext || tag for plaintext to dst and
+// returns the extended slice; plaintext must not overlap dst's spare
+// capacity. With room in dst it allocates nothing after f's first blob.
+func (f *FrameSealer) AppendSeal(dst, plaintext []byte) []byte {
+	if !f.sealing {
+		if _, err := rand.Read(f.at[:]); err != nil {
+			// crypto/rand failure is unrecoverable and cannot be handled
+			// meaningfully by callers moving state.
+			panic("state: crypto/rand: " + err.Error())
+		}
+		f.stream, f.sealing = nil, true
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, len(plaintext)+sealOverhead)
+	dst = append(dst, f.at[:]...)
+	ct := dst[len(dst) : len(dst)+len(plaintext)]
+	f.xor(dst[start:len(dst)], ct, plaintext)
+	dst = dst[:len(dst)+len(plaintext)]
+	f.mac.Write(dst[start:])
+	dst = f.mac.Sum(dst)
+	f.mac.Reset()
+	return dst
+}
+
+// Open authenticates a sealed blob and decrypts it in place, returning the
+// plaintext as a subslice of sealed. The tag is checked, in constant time,
+// before anything is decrypted; a blob that fails is left untouched. A blob
+// whose IV is the counter f's stream stands at continues the stream; any
+// other starts a new stream at its IV, so blobs open in any order.
+func (f *FrameSealer) Open(sealed []byte) ([]byte, error) {
+	ct, err := f.verify(sealed)
+	if err != nil {
+		return nil, err
+	}
+	f.sealing = false
+	f.xor(sealed[:sealIVLen], ct, ct)
+	return ct, nil
+}
+
+// verify checks sealed's tag and returns its ciphertext.
+func (f *FrameSealer) verify(sealed []byte) ([]byte, error) {
+	if len(sealed) < sealOverhead {
 		return nil, ErrSealOpen
 	}
 	body := sealed[:len(sealed)-sealTagLen]
-	m := s.macs.Get().(*sealMAC)
-	ok := hmac.Equal(sealed[len(body):], m.tag(m.sum[:0], body))
-	s.macs.Put(m)
+	f.mac.Write(body)
+	ok := hmac.Equal(sealed[len(body):], f.mac.Sum(f.sum[:0]))
+	f.mac.Reset()
 	if !ok {
 		return nil, ErrSealOpen
 	}
-	pt := make([]byte, len(body)-sealIVLen)
-	cipher.NewCTR(s.block, body[:sealIVLen]).XORKeyStream(pt, body[sealIVLen:])
-	return pt, nil
+	return body[sealIVLen:], nil
+}
+
+// xor applies the keystream for a blob at iv to src, into dst, and advances
+// the stream past the blob: ⌈len/16⌉ blocks, at least one, the rest of the
+// last block discarded.
+func (f *FrameSealer) xor(iv, dst, src []byte) {
+	if f.stream == nil || [sealIVLen]byte(iv) != f.at {
+		f.at = [sealIVLen]byte(iv)
+		f.stream = cipher.NewCTR(f.s.block, f.at[:])
+	}
+	f.stream.XORKeyStream(dst, src)
+	blocks := max(1, (len(src)+aes.BlockSize-1)/aes.BlockSize)
+	if tail := blocks*aes.BlockSize - len(src); tail > 0 {
+		f.stream.XORKeyStream(f.pad[:tail], f.pad[:tail])
+	}
+	hi, lo := binary.BigEndian.Uint64(f.at[:8]), binary.BigEndian.Uint64(f.at[8:])
+	lo, carry := bits.Add64(lo, uint64(blocks), 0)
+	binary.BigEndian.PutUint64(f.at[:8], hi+carry)
+	binary.BigEndian.PutUint64(f.at[8:], lo)
 }

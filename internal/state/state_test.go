@@ -6,8 +6,10 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	mrand "math/rand"
 	"sync"
 	"testing"
@@ -228,8 +230,115 @@ func TestSealerConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// addCounter returns the counter block n blocks after iv.
+func addCounter(iv [sealIVLen]byte, n int) [sealIVLen]byte {
+	hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:])
+	lo, carry := bits.Add64(lo, uint64(n), 0)
+	binary.BigEndian.PutUint64(iv[:8], hi+carry)
+	binary.BigEndian.PutUint64(iv[8:], lo)
+	return iv
+}
+
+// TestFrameSealerCounters pins the counter rule of one sealed stream: every
+// blob is a standalone blob for the IV it carries, each IV is the previous
+// one plus max(1, ⌈len/16⌉) blocks so no counter block is used twice, and an
+// opener continues the stream only where a blob's IV says so.
+func TestFrameSealerCounters(t *testing.T) {
+	const secret = "openmb-frame"
+	s := NewSealer(secret)
+	rng := mrand.New(mrand.NewSource(40))
+	sizes := append(sealSizes(rng), 0, 0, 16, 0, 17, 4096, 0)
+	seal := func(f *FrameSealer) (blobs, pts [][]byte) {
+		for _, n := range sizes {
+			pt := make([]byte, n)
+			rng.Read(pt)
+			blobs = append(blobs, f.AppendSeal(nil, pt))
+			pts = append(pts, pt)
+		}
+		return blobs, pts
+	}
+	f, g := s.Frame(), s.Frame()
+	defer f.Release()
+	defer g.Release()
+	blobs, pts := seal(f)
+	blobs2, pts2 := seal(g)
+
+	used := make(map[[sealIVLen]byte]int) // counter block -> blob
+	var next [sealIVLen]byte
+	for i, b := range blobs {
+		if got, err := refOpen(secret, b); err != nil || !bytes.Equal(got, pts[i]) {
+			t.Fatalf("blob %d (%d B) does not open alone: %v", i, len(pts[i]), err)
+		}
+		if want := refSeal(secret, b[:sealIVLen], pts[i]); !bytes.Equal(b, want) {
+			t.Fatalf("blob %d (%d B) differs from the reference for its IV", i, len(pts[i]))
+		}
+		iv := [sealIVLen]byte(b[:sealIVLen])
+		if i > 0 && iv != next {
+			t.Fatalf("blob %d (%d B): IV %x, want the previous IV plus its blocks, %x", i, len(pts[i]), iv, next)
+		}
+		blocks := max(1, (len(pts[i])+15)/16)
+		for k := 0; k < blocks; k++ {
+			c := addCounter(iv, k)
+			if j, dup := used[c]; dup {
+				t.Fatalf("blobs %d and %d share counter block %x", j, i, c)
+			}
+			used[c] = i
+		}
+		next = addCounter(iv, blocks)
+	}
+
+	// One opener, in place, over copies: in order, reversed, and
+	// interleaved with the second stream.
+	type blob struct{ sealed, pt []byte }
+	var inOrder, reversed, interleaved []blob
+	for i := range blobs {
+		inOrder = append(inOrder, blob{blobs[i], pts[i]})
+		reversed = append(reversed, blob{blobs[len(blobs)-1-i], pts[len(blobs)-1-i]})
+		interleaved = append(interleaved, blob{blobs[i], pts[i]}, blob{blobs2[i], pts2[i]})
+	}
+	o := s.Frame()
+	defer o.Release()
+	for _, run := range []struct {
+		name  string
+		blobs []blob
+	}{{"in order", inOrder}, {"reversed", reversed}, {"interleaved", interleaved}} {
+		for i, b := range run.blobs {
+			sealed := bytes.Clone(b.sealed)
+			got, err := o.Open(sealed)
+			if err != nil || !bytes.Equal(got, b.pt) {
+				t.Fatalf("%s: blob %d (%d B) does not open: %v", run.name, i, len(b.pt), err)
+			}
+			if len(got) > 0 && &got[0] != &sealed[sealIVLen] {
+				t.Fatalf("%s: blob %d was not opened in place", run.name, i)
+			}
+		}
+	}
+	// A corrupt blob fails, untouched, and the stream goes on past it.
+	bad := bytes.Clone(blobs[1])
+	bad[len(bad)-1] ^= 1
+	want := bytes.Clone(bad)
+	if got, err := o.Open(bad); err != ErrSealOpen || got != nil || !bytes.Equal(bad, want) {
+		t.Fatalf("corrupt blob: Open returned %d bytes, %v, blob changed %v", len(got), err, !bytes.Equal(bad, want))
+	}
+	for i := range blobs[:3] {
+		if got, err := o.Open(bytes.Clone(blobs[i])); err != nil || !bytes.Equal(got, pts[i]) {
+			t.Fatalf("after a corrupt blob: blob %d does not open: %v", i, err)
+		}
+	}
+	// A sealer that opens a blob of another stream seals its next blob on
+	// a fresh stream, not at the counter where the other stream goes on.
+	if _, err := f.Open(bytes.Clone(blobs2[0])); err != nil {
+		t.Fatal(err)
+	}
+	if iv := f.AppendSeal(nil, pts[1])[:sealIVLen]; bytes.Equal(iv, blobs2[1][:sealIVLen]) {
+		t.Fatal("sealing after an Open continued the opened stream")
+	}
+}
+
 // TestSealAllocBudget pins the per-call allocations at the benchmark's chunk
-// size: the output and the CTR stream, nothing that is constant per sealer.
+// size: Seal and Open allocate their output and the CTR stream, nothing that
+// is constant per sealer; a FrameSealer sealing into a slab with room, and
+// opening in place, allocates nothing per blob after its first.
 func TestSealAllocBudget(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -242,6 +351,31 @@ func TestSealAllocBudget(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { sealSink, _ = s.Open(sealed) }); n > 2 {
 		t.Errorf("Open(202 B): %.1f allocs, want <= 2", n)
+	}
+
+	const runs = 1000
+	f := s.Frame()
+	defer f.Release()
+	slab := make([]byte, 0, 4*(len(pt)+sealOverhead))
+	if n := testing.AllocsPerRun(runs, func() { sealSink = f.AppendSeal(slab[:0], pt) }); n != 0 {
+		t.Errorf("FrameSealer.AppendSeal(202 B) into a slab with room: %.2f allocs per blob, want 0", n)
+	}
+	blobs := make([][]byte, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range blobs {
+		blobs[i] = f.AppendSeal(nil, pt)
+	}
+	o := s.Frame()
+	defer o.Release()
+	var i int
+	var err error
+	n := testing.AllocsPerRun(runs, func() {
+		if sealSink, err = o.Open(blobs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if n != 0 {
+		t.Errorf("FrameSealer.Open(202 B) in place: %.2f allocs per blob, want 0", n)
 	}
 }
 
@@ -266,6 +400,33 @@ func BenchmarkSealOpen(b *testing.B) {
 			}
 		})
 	}
+	// frame32 is one 32-chunk frame of 202 B blobs as the move path runs
+	// it: sealed into one slab by a get's FrameSealer, opened in place by a
+	// put's.
+	b.Run("frame32", func(b *testing.B) {
+		const chunks, n = 32, 202
+		s := NewSealer("k")
+		pt := make([]byte, n)
+		slab := make([]byte, 0, chunks*(n+sealOverhead))
+		b.SetBytes(chunks * n)
+		b.ReportAllocs()
+		for b.Loop() {
+			seal, open := s.Frame(), s.Frame()
+			slab = slab[:0]
+			for range chunks {
+				slab = seal.AppendSeal(slab, pt)
+			}
+			for off := 0; off < len(slab); off += n + sealOverhead {
+				out, err := open.Open(slab[off : off+n+sealOverhead])
+				if err != nil {
+					b.Fatal(err)
+				}
+				sealSink = out
+			}
+			seal.Release()
+			open.Release()
+		}
+	})
 }
 
 func TestConfigTreeSetGet(t *testing.T) {
