@@ -66,24 +66,6 @@ func (e *Env) MigrateRE(origDec, newDec, encoder string, cacheFlows []string, up
 	return nil
 }
 
-// MigrateFlows performs a per-flow-state live migration (the Bro variant of
-// the migration scenario, used by the snapshot comparison in §8.1.2): move
-// all state matching m from one middlebox to another, then update routing.
-func (e *Env) MigrateFlows(src, dst string, m packet.FieldMatch, updateRouting func() error) error {
-	if err := e.MB.CloneConfig(src, dst); err != nil {
-		return fmt.Errorf("apps: migrate config: %w", err)
-	}
-	if err := e.MB.MoveInternal(src, dst, m); err != nil {
-		return fmt.Errorf("apps: migrate move: %w", err)
-	}
-	if updateRouting != nil {
-		if err := updateRouting(); err != nil {
-			return fmt.Errorf("apps: migrate routing: %w", err)
-		}
-	}
-	return nil
-}
-
 // ScaleUp performs the scale-up half of §6.2 (Figure 6(b)):
 //  1. duplicate the configuration from the existing instance;
 //  2. query how much per-flow state exists for the subnets being

@@ -131,8 +131,8 @@ func TestMoveWithEventsBatchedBinary(t *testing.T) {
 // per 202-byte chunk moved, across every layer in the process: MB export and
 // seal, codec, controller registration and put path, MB open and import,
 // ACK. docs/ARCHITECTURE.md ("Move path: the per-chunk budget") has the
-// per-layer table behind it. A get and a put frame each seal or open as one
-// CTR stream, so the measured value is 4.0.
+// per-layer table behind it. A get and a put frame each seal or open through
+// one FrameSealer, so the measured value is 3.9.
 const moveAllocBudget = 6
 
 // moveBytesBudget is the same budget in heap bytes allocated per chunk moved

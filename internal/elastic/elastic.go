@@ -198,7 +198,6 @@ type Loop struct {
 	havePrev      bool
 	groups        map[string]*groupState
 	cooldownUntil time.Time
-	last          []Decision
 
 	// Decision counters, exported at /metrics as
 	// openmb_elastic_{scaleouts,scaleins,holds,errors}_total.
@@ -265,13 +264,6 @@ func (l *Loop) Totals() Totals {
 	}
 }
 
-// LastDecisions returns the decisions of the most recent tick.
-func (l *Loop) LastDecisions() []Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Decision(nil), l.last...)
-}
-
 // Collect implements obs.Collector: the loop's decision counters.
 func (l *Loop) Collect(e *obs.Emitter) {
 	t := l.Totals()
@@ -324,7 +316,6 @@ func (l *Loop) Tick() []Decision {
 	if !acted {
 		l.holds.Add(1)
 	}
-	l.last = decisions
 	return decisions
 }
 

@@ -183,18 +183,6 @@ func (d *ProcessDriver) Retire(group string, m *Member) {
 	}
 }
 
-// Procs reports the live child processes by member name (for tests and the
-// daemon's shutdown path).
-func (d *ProcessDriver) Procs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.procs))
-	for name := range d.procs {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Close retires every live child (used on daemon shutdown).
 func (d *ProcessDriver) Close() {
 	d.mu.Lock()

@@ -380,10 +380,3 @@ func (i *IPS) Report() (alerts, dropped, connsLogged, scanAlerts uint64) {
 	defer i.Unlock()
 	return i.report.Alerts, i.report.Dropped, i.report.ConnsLogged, i.report.ScanAlerts
 }
-
-// ScanSources returns the tracked scan sources, for tests.
-func (i *IPS) ScanSources() []string {
-	i.Lock()
-	defer i.Unlock()
-	return i.scans.sortedSources()
-}

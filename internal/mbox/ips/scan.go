@@ -3,7 +3,6 @@ package ips
 import (
 	"encoding/json"
 	"net/netip"
-	"sort"
 )
 
 // scanTracker is the IPS's shared supporting state: per-source-host records
@@ -93,14 +92,4 @@ func (t *scanTracker) mergeFrom(blob []byte) error {
 		mine.Alerted = mine.Alerted || rec.Alerted
 	}
 	return nil
-}
-
-// sortedSources returns source IPs in deterministic order (for tests).
-func (t *scanTracker) sortedSources() []string {
-	out := make([]string, 0, len(t.Sources))
-	for s := range t.Sources {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

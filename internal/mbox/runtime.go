@@ -185,9 +185,6 @@ func New(name string, logic Logic, opts Options) *Runtime {
 // Name returns the instance name (e.g. "prads1").
 func (rt *Runtime) Name() string { return rt.name }
 
-// Logic returns the hosted middlebox logic.
-func (rt *Runtime) Logic() Logic { return rt.logic }
-
 // HandlePacket enqueues one packet for processing: a delivery batch of one
 // (see HandleBurst).
 func (rt *Runtime) HandlePacket(p *packet.Packet) {
@@ -511,9 +508,6 @@ func (rt *Runtime) ArmTrace(spec obs.TraceSpec) { rt.tracer.Arm(spec) }
 
 // DisarmTrace stops capturing; records stay retrievable via TraceRecords.
 func (rt *Runtime) DisarmTrace() { rt.tracer.Disarm() }
-
-// TraceArmed reports whether the flow tracer is currently capturing.
-func (rt *Runtime) TraceArmed() bool { return rt.tracer.IsArmed() }
 
 // TraceRecords returns the newest trace session's captured records.
 func (rt *Runtime) TraceRecords() []obs.TraceRecord { return rt.tracer.Records() }

@@ -12,11 +12,11 @@ import (
 	"openmb/internal/state"
 )
 
-// TestSealedStreamsOpenAlone: a get seals its chunks as one CTR stream, yet
-// every blob it exports opens alone under a fresh one-blob Sealer.Open and
-// carries an IV no other blob of this get or the next one carries; and a put
-// frame installs every chunk whatever the order of its blobs, even when they
-// come from two gets.
+// TestSealedStreamsOpenAlone: a get seals its chunks as one run of nonces,
+// yet every blob it exports opens alone under a fresh one-blob Sealer.Open
+// and carries a nonce no other blob of this get or the next one carries; and
+// a put frame installs every chunk whatever the order of its blobs, even
+// when they come from two gets.
 func TestSealedStreamsOpenAlone(t *testing.T) {
 	const flows, batch = 100, 32 // frames of 32, 32, 32, 4
 	for _, compressed := range []bool{false, true} {
@@ -52,15 +52,15 @@ func TestSealedStreamsOpenAlone(t *testing.T) {
 			// Every preloaded flow's record: a count of 1, padded to 202 B.
 			plain := binary.BigEndian.AppendUint64(make([]byte, 0, 202), 1)[:202]
 			opener := state.NewSealer("openmb-mbtype-counter")
-			ivs := make(map[string]uint64)
+			nonces := make(map[string]uint64)
 			for g, frames := range gets {
 				for _, frame := range frames {
 					for _, c := range frame {
-						iv := string(c.Blob[:16])
-						if prev, dup := ivs[iv]; dup {
-							t.Fatalf("get %d repeats an IV of get %d", g+1, prev)
+						nonce := string(c.Blob[:12])
+						if prev, dup := nonces[nonce]; dup {
+							t.Fatalf("get %d repeats a nonce of get %d", g+1, prev)
 						}
-						ivs[iv] = uint64(g + 1)
+						nonces[nonce] = uint64(g + 1)
 						pt, err := opener.Open(c.Blob)
 						if err == nil && compressed {
 							pt, err = mbox.InflateForTest(pt)

@@ -563,7 +563,7 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		batch = 1
 	}
 	count := 0
-	// The get's blobs are one CTR stream, sealed into one slab; a frame's
+	// The get's blobs are one run of nonces, sealed into one slab; a frame's
 	// chunks and its slab are reused once SendDeferred has encoded it.
 	fs := rt.sealer.Frame()
 	defer fs.Release()
@@ -634,9 +634,9 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	}
 	installed := 0
 	var err error
-	// The controller forwards each get frame as one put, in order, so the
-	// frame's blobs continue one CTR stream. They open in place: the frame
-	// is this runtime's own, freshly decoded, and never reused.
+	// One FrameSealer opens the whole frame, reusing its scratch buffer.
+	// The blobs open in place: the frame is this runtime's own, freshly
+	// decoded, and never reused.
 	fs := rt.sealer.Frame()
 	defer fs.Release()
 	m.EachChunk(func(c *state.Chunk) {

@@ -104,13 +104,6 @@ func (s *Switch) Remove(id string) bool {
 	return false
 }
 
-// Rules returns a snapshot of the flow table in match order.
-func (s *Switch) Rules() []*InstalledRule {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*InstalledRule(nil), s.rules...)
-}
-
 // TableMisses returns the count of packets that matched no rule.
 func (s *Switch) TableMisses() uint64 { return s.tableMisses.Load() }
 

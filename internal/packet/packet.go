@@ -36,12 +36,8 @@ const (
 	FlagURG = 1 << 5
 )
 
-// Errors returned by Parse.
-var (
-	ErrTruncated   = errors.New("packet: truncated")
-	ErrBadVersion  = errors.New("packet: bad IP version")
-	ErrBadChecksum = errors.New("packet: bad checksum")
-)
+// ErrTruncated is returned when a buffer is too short for what it must hold.
+var ErrTruncated = errors.New("packet: truncated")
 
 // Packet is a decoded packet. Header fields are stored unpacked so that
 // middlebox logic can inspect them without re-parsing; Payload aliases the

@@ -16,14 +16,10 @@ package state
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -98,76 +94,70 @@ func (c Chunk) Size() int { return packet.FlowKeyWireSize + len(c.Blob) }
 // supporting state before exporting"). All instances of one MB type share a
 // key, so a blob sealed by one instance opens at its peer but nowhere else.
 //
-// The construction is AES-128-CTR with an HMAC-SHA256 tag over iv || ct
-// (encrypt-then-MAC); a sealed blob is iv(16) || ct || tag(32), and every
-// blob opens alone. Everything that depends only on the secret is built
-// once: the AES key schedule in NewSealer, and keyed HMAC states held by the
-// FrameSealers that Seal, Open and Frame borrow from a pool. A Sealer is safe
-// for concurrent use and must not be copied.
+// The construction is AES-128-GCM; a sealed blob is nonce(12) || ct ||
+// tag(16), and every blob opens alone. The key schedule and GCM's tables
+// are built once, in NewSealer; the nonce state and Open's scratch buffer
+// live on the FrameSealers that Seal and Frame borrow from a pool. A Sealer
+// is safe for concurrent use and must not be copied.
 type Sealer struct {
-	block  cipher.Block
-	frames sync.Pool // *FrameSealer, keyed
+	aead   cipher.AEAD
+	frames sync.Pool // *FrameSealer
 }
 
 // FrameSealer seals or opens a run of blobs — one per-flow get, one put
-// frame — as one AES-CTR message. The first blob it seals takes a fresh
-// random IV; each later blob's IV is the counter block where its ciphertext
-// starts. After each blob the counter advances by max(1, ⌈len/16⌉) blocks
-// and the unused tail of the last keystream block is discarded, so no
-// counter block is used twice and no two blobs of a run share an IV. That
-// is all CTR asks of its IVs: counter blocks that never repeat under the
-// key, not unpredictable ones. The blobs are byte for byte what Seal would
-// produce for the same IVs.
+// frame. The first blob it seals takes a fresh random 96-bit nonce; each
+// later blob's nonce is the previous one plus 1. That is all GCM asks of its
+// nonces: none may repeat under the key, and none need be unpredictable.
 //
 // A FrameSealer is borrowed with Sealer.Frame, used by one goroutine, and
 // given back with Release. Sealing after an Open starts a fresh random
-// stream: continuing an opened stream would reuse the peer's counter blocks.
+// nonce: a FrameSealer that opened blobs serves a put, not the get whose
+// nonces it sealed.
 type FrameSealer struct {
 	s       *Sealer
-	mac     hash.Hash // keyed HMAC-SHA256, Reset after every blob
-	sum     [sealTagLen]byte
-	stream  cipher.Stream // nil until the first blob
-	at      [sealIVLen]byte
-	sealing bool                // the stream is one AppendSeal started
-	pad     [aes.BlockSize]byte // keystream discarded at the end of a blob
+	nonce   [sealNonceLen]byte // the next blob's nonce, once sealing
+	sealing bool               // nonce continues a run AppendSeal started
+	scratch []byte             // Open's plaintext, before it replaces the ciphertext
 }
 
 // NewSealer derives a sealer from a shared secret. Deriving rather than
 // using the secret directly lets tests use short human-readable secrets.
 func NewSealer(secret string) *Sealer {
-	s := &Sealer{}
-	encKey := sha256.Sum256([]byte("openmb-enc:" + secret))
-	block, err := aes.NewCipher(encKey[:16])
+	key := sha256.Sum256([]byte("openmb-enc:" + secret))
+	block, err := aes.NewCipher(key[:16])
 	if err != nil {
 		panic("state: aes: " + err.Error())
 	}
-	s.block = block
-	macKey := sha256.Sum256([]byte("openmb-mac:" + secret))
-	s.frames.New = func() any { return &FrameSealer{s: s, mac: hmac.New(sha256.New, macKey[:])} }
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic("state: gcm: " + err.Error())
+	}
+	s := &Sealer{aead: aead}
+	s.frames.New = func() any { return &FrameSealer{s: s} }
 	return s
 }
 
 const (
-	sealIVLen  = aes.BlockSize
-	sealTagLen = sha256.Size
+	sealNonceLen = 12
+	sealTagLen   = 16
 	// sealOverhead is the bytes a sealed blob adds to its plaintext.
-	sealOverhead = sealIVLen + sealTagLen
+	sealOverhead = sealNonceLen + sealTagLen
 )
 
 // ErrSealOpen is returned when a sealed blob fails authentication.
 var ErrSealOpen = errors.New("state: sealed blob failed authentication")
 
-// Frame borrows a FrameSealer with no stream started.
+// Frame borrows a FrameSealer with no run started.
 func (s *Sealer) Frame() *FrameSealer { return s.frames.Get().(*FrameSealer) }
 
-// Release ends f's stream and gives f back to its Sealer.
+// Release ends f's run and gives f back to its Sealer.
 func (f *FrameSealer) Release() {
-	f.stream, f.sealing = nil, false
+	f.sealing = false
 	f.s.frames.Put(f)
 }
 
-// Seal encrypts plaintext and returns iv || ciphertext || tag, under a fresh
-// random IV.
+// Seal encrypts plaintext and returns nonce || ciphertext || tag, under a
+// fresh random nonce.
 func (s *Sealer) Seal(plaintext []byte) []byte {
 	f := s.Frame()
 	out := f.AppendSeal(make([]byte, 0, len(plaintext)+sealOverhead), plaintext)
@@ -176,89 +166,57 @@ func (s *Sealer) Seal(plaintext []byte) []byte {
 }
 
 // Open authenticates and decrypts a blob produced by Seal into a new slice,
-// leaving sealed as it was. The tag is checked, in constant time, before
-// anything is decrypted.
-func (s *Sealer) Open(sealed []byte) ([]byte, error) {
-	f := s.Frame()
-	defer f.Release()
-	ct, err := f.verify(sealed)
-	if err != nil {
-		return nil, err
+// leaving sealed as it was.
+func (s *Sealer) Open(sealed []byte) ([]byte, error) { return s.open(nil, sealed) }
+
+// open authenticates and decrypts sealed, appending the plaintext to dst.
+func (s *Sealer) open(dst, sealed []byte) ([]byte, error) {
+	if len(sealed) < sealOverhead {
+		return nil, ErrSealOpen
 	}
-	pt := make([]byte, len(ct))
-	f.xor(sealed[:sealIVLen], pt, ct)
+	pt, err := s.aead.Open(dst, sealed[:sealNonceLen], sealed[sealNonceLen:], nil)
+	if err != nil {
+		return nil, ErrSealOpen
+	}
 	return pt, nil
 }
 
-// AppendSeal appends iv || ciphertext || tag for plaintext to dst and
+// AppendSeal appends nonce || ciphertext || tag for plaintext to dst and
 // returns the extended slice; plaintext must not overlap dst's spare
-// capacity. With room in dst it allocates nothing after f's first blob.
+// capacity. With room in dst it allocates nothing.
 func (f *FrameSealer) AppendSeal(dst, plaintext []byte) []byte {
 	if !f.sealing {
-		if _, err := rand.Read(f.at[:]); err != nil {
+		if _, err := rand.Read(f.nonce[:]); err != nil {
 			// crypto/rand failure is unrecoverable and cannot be handled
 			// meaningfully by callers moving state.
 			panic("state: crypto/rand: " + err.Error())
 		}
-		f.stream, f.sealing = nil, true
+		f.sealing = true
 	}
-	start := len(dst)
 	dst = slices.Grow(dst, len(plaintext)+sealOverhead)
-	dst = append(dst, f.at[:]...)
-	ct := dst[len(dst) : len(dst)+len(plaintext)]
-	f.xor(dst[start:len(dst)], ct, plaintext)
-	dst = dst[:len(dst)+len(plaintext)]
-	f.mac.Write(dst[start:])
-	dst = f.mac.Sum(dst)
-	f.mac.Reset()
+	dst = f.s.aead.Seal(append(dst, f.nonce[:]...), f.nonce[:], plaintext, nil)
+	// The next blob's nonce is this one plus 1, over all 96 bits.
+	for i := len(f.nonce) - 1; i >= 0; i-- {
+		if f.nonce[i]++; f.nonce[i] != 0 {
+			break
+		}
+	}
 	return dst
 }
 
 // Open authenticates a sealed blob and decrypts it in place, returning the
-// plaintext as a subslice of sealed. The tag is checked, in constant time,
-// before anything is decrypted; a blob that fails is left untouched. A blob
-// whose IV is the counter f's stream stands at continues the stream; any
-// other starts a new stream at its IV, so blobs open in any order.
+// plaintext as a subslice of sealed; a blob that fails is left untouched.
+// GCM clears its output on a failed tag, so the plaintext goes to f's
+// scratch buffer first and replaces the ciphertext only once it is
+// authentic. Blobs open in any order.
 func (f *FrameSealer) Open(sealed []byte) ([]byte, error) {
-	ct, err := f.verify(sealed)
+	f.sealing = false
+	pt, err := f.s.open(f.scratch[:0], sealed)
 	if err != nil {
 		return nil, err
 	}
-	f.sealing = false
-	f.xor(sealed[:sealIVLen], ct, ct)
-	return ct, nil
-}
-
-// verify checks sealed's tag and returns its ciphertext.
-func (f *FrameSealer) verify(sealed []byte) ([]byte, error) {
-	if len(sealed) < sealOverhead {
-		return nil, ErrSealOpen
-	}
-	body := sealed[:len(sealed)-sealTagLen]
-	f.mac.Write(body)
-	ok := hmac.Equal(sealed[len(body):], f.mac.Sum(f.sum[:0]))
-	f.mac.Reset()
-	if !ok {
-		return nil, ErrSealOpen
-	}
-	return body[sealIVLen:], nil
-}
-
-// xor applies the keystream for a blob at iv to src, into dst, and advances
-// the stream past the blob: ⌈len/16⌉ blocks, at least one, the rest of the
-// last block discarded.
-func (f *FrameSealer) xor(iv, dst, src []byte) {
-	if f.stream == nil || [sealIVLen]byte(iv) != f.at {
-		f.at = [sealIVLen]byte(iv)
-		f.stream = cipher.NewCTR(f.s.block, f.at[:])
-	}
-	f.stream.XORKeyStream(dst, src)
-	blocks := max(1, (len(src)+aes.BlockSize-1)/aes.BlockSize)
-	if tail := blocks*aes.BlockSize - len(src); tail > 0 {
-		f.stream.XORKeyStream(f.pad[:tail], f.pad[:tail])
-	}
-	hi, lo := binary.BigEndian.Uint64(f.at[:8]), binary.BigEndian.Uint64(f.at[8:])
-	lo, carry := bits.Add64(lo, uint64(blocks), 0)
-	binary.BigEndian.PutUint64(f.at[:8], hi+carry)
-	binary.BigEndian.PutUint64(f.at[8:], lo)
+	f.scratch = pt
+	out := sealed[sealNonceLen : sealNonceLen+len(pt)]
+	copy(out, pt)
+	return out, nil
 }

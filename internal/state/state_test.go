@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 	mrand "math/rand"
 	"sync"
 	"testing"
@@ -70,50 +68,42 @@ func TestSealOpaqueness(t *testing.T) {
 	if bytes.Contains(sealed, pt[:16]) {
 		t.Fatal("sealed blob leaks plaintext")
 	}
-	// Two seals of the same plaintext differ (fresh IV).
+	// Two seals of the same plaintext differ (fresh nonce).
 	if bytes.Equal(sealed, s.Seal(pt)) {
-		t.Fatal("sealing is deterministic; IV reuse")
+		t.Fatal("sealing is deterministic; nonce reuse")
 	}
 }
 
-// refSeal and refOpen are Seal and Open as they stood before the key schedule
-// and the HMAC states were cached: every primitive built per call, the IV
-// supplied by the caller. They define the sealed format; the live code must
-// produce and accept exactly these bytes.
-func refSeal(secret string, iv, plaintext []byte) []byte {
-	encKey := sha256.Sum256([]byte("openmb-enc:" + secret))
-	macKey := sha256.Sum256([]byte("openmb-mac:" + secret))
-	out := make([]byte, sealIVLen+len(plaintext)+sealTagLen)
-	copy(out, iv)
-	block, err := aes.NewCipher(encKey[:16])
+// refAEAD, refSeal and refOpen define the sealed format with every
+// primitive built per call and the nonce supplied by the caller: AES-128-GCM
+// under the first 16 bytes of SHA-256("openmb-enc:" + secret), a blob being
+// nonce(12) || ct || tag(16). The live code must produce and accept exactly
+// these bytes.
+func refAEAD(secret string) cipher.AEAD {
+	key := sha256.Sum256([]byte("openmb-enc:" + secret))
+	block, err := aes.NewCipher(key[:16])
 	if err != nil {
 		panic(err)
 	}
-	cipher.NewCTR(block, out[:sealIVLen]).XORKeyStream(out[sealIVLen:sealIVLen+len(plaintext)], plaintext)
-	mac := hmac.New(sha256.New, macKey[:])
-	mac.Write(out[:sealIVLen+len(plaintext)])
-	copy(out[sealIVLen+len(plaintext):], mac.Sum(nil))
-	return out
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return aead
+}
+
+func refSeal(secret string, nonce, plaintext []byte) []byte {
+	return refAEAD(secret).Seal(bytes.Clone(nonce), nonce, plaintext, nil)
 }
 
 func refOpen(secret string, sealed []byte) ([]byte, error) {
-	encKey := sha256.Sum256([]byte("openmb-enc:" + secret))
-	macKey := sha256.Sum256([]byte("openmb-mac:" + secret))
-	if len(sealed) < sealIVLen+sealTagLen {
+	if len(sealed) < 12+16 {
 		return nil, ErrSealOpen
 	}
-	body := sealed[:len(sealed)-sealTagLen]
-	mac := hmac.New(sha256.New, macKey[:])
-	mac.Write(body)
-	if !hmac.Equal(sealed[len(body):], mac.Sum(nil)) {
-		return nil, ErrSealOpen
-	}
-	block, err := aes.NewCipher(encKey[:16])
+	pt, err := refAEAD(secret).Open(nil, sealed[:12], sealed[12:], nil)
 	if err != nil {
-		panic(err)
+		return nil, ErrSealOpen
 	}
-	pt := make([]byte, len(body)-sealIVLen)
-	cipher.NewCTR(block, body[:sealIVLen]).XORKeyStream(pt, body[sealIVLen:])
 	return pt, nil
 }
 
@@ -131,8 +121,8 @@ func sealSizes(rng *mrand.Rand) []int {
 }
 
 // TestSealMatchesReference: blobs sealed by the live code open under the
-// reference and yield, for the IV they carry, exactly the reference's bytes;
-// blobs sealed by the reference open under the live code.
+// reference and yield, for the nonce they carry, exactly the reference's
+// bytes; blobs sealed by the reference open under the live code.
 func TestSealMatchesReference(t *testing.T) {
 	const secret = "openmb-mbtype-counter"
 	s := NewSealer(secret)
@@ -141,31 +131,32 @@ func TestSealMatchesReference(t *testing.T) {
 		pt := make([]byte, n)
 		rng.Read(pt)
 		sealed := s.Seal(pt)
-		if len(sealed) != n+sealIVLen+sealTagLen {
-			t.Fatalf("size %d: sealed to %d bytes, want %d", n, len(sealed), n+sealIVLen+sealTagLen)
+		if len(sealed) != n+12+16 {
+			t.Fatalf("size %d: sealed to %d bytes, want %d", n, len(sealed), n+12+16)
 		}
-		if want := refSeal(secret, sealed[:sealIVLen], pt); !bytes.Equal(sealed, want) {
-			t.Fatalf("size %d: sealed bytes differ from the reference for the same IV", n)
+		if want := refSeal(secret, sealed[:12], pt); !bytes.Equal(sealed, want) {
+			t.Fatalf("size %d: sealed bytes differ from the reference for the same nonce", n)
 		}
 		if got, err := refOpen(secret, sealed); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("size %d: reference cannot open a live blob: %v", n, err)
 		}
-		iv := make([]byte, sealIVLen)
-		rng.Read(iv)
-		if got, err := s.Open(refSeal(secret, iv, pt)); err != nil || !bytes.Equal(got, pt) {
+		nonce := make([]byte, 12)
+		rng.Read(nonce)
+		if got, err := s.Open(refSeal(secret, nonce, pt)); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("size %d: live code cannot open a reference blob: %v", n, err)
 		}
 	}
 }
 
-// TestSealGoldenFromParent opens blobs sealed by the commit before the sealer
-// was rewritten (9d5d3ba): the wire format did not move.
+// TestSealGoldenFromParent opens blobs sealed by the first AES-128-GCM
+// sealer, the commit that replaced AES-CTR + HMAC-SHA256: the wire format
+// does not move again unannounced.
 func TestSealGoldenFromParent(t *testing.T) {
 	s := NewSealer("openmb-golden")
 	for _, g := range []struct{ hex, want string }{
-		{"8f4f97338bc77f3b4d35fc3b01db620134f7bb482985d24bf697a57318a036d724a11c322863a4d1b8c5dd78b104d7c900d0ce02be1d1e96216e6c156401328e8340c91e7801787595410481ad8703c3d5e09fce3487a5c887c6",
-			"openmb golden plaintext: sealed at 9d5d3ba"},
-		{"4a4d72e27b02021a164f23c9af4af313fca8ab46c450933c577527e8939bbfcb27f966157a22dd7e775f4f63306928e0", ""},
+		{"2ee1d41a53727df12da5c184308426d30e1b81d3d502d0eec9dc67e33fe89a32d973692c764398f7e96748f4bf840a50c5ce46b745247d5cde4ef9bd89b759d3738cb22357cc5025fa210fc7",
+			"openmb golden plaintext: sealed with AES-128-GCM"},
+		{"6da92691de0dc64b0ff43d1e9444612f94cef4052debcc19bf18d090", ""},
 	} {
 		sealed, err := hex.DecodeString(g.hex)
 		if err != nil {
@@ -178,7 +169,7 @@ func TestSealGoldenFromParent(t *testing.T) {
 	}
 }
 
-// TestSealRejectsEveryCorruption: any single flipped byte (IV, ciphertext or
+// TestSealRejectsEveryCorruption: any single flipped byte (nonce, ciphertext or
 // tag), any truncation, and any other secret fail authentication and return
 // no plaintext.
 func TestSealRejectsEveryCorruption(t *testing.T) {
@@ -208,8 +199,8 @@ func TestSealRejectsEveryCorruption(t *testing.T) {
 }
 
 // TestSealerConcurrentUse hammers one Sealer from several goroutines; under
-// -race it is the check that the shared key schedule and the pooled HMAC
-// states are used safely.
+// -race it is the check that the shared AEAD and the pooled FrameSealers are
+// used safely.
 func TestSealerConcurrentUse(t *testing.T) {
 	s := NewSealer("shared")
 	var wg sync.WaitGroup
@@ -230,19 +221,21 @@ func TestSealerConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// addCounter returns the counter block n blocks after iv.
-func addCounter(iv [sealIVLen]byte, n int) [sealIVLen]byte {
-	hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:])
-	lo, carry := bits.Add64(lo, uint64(n), 0)
-	binary.BigEndian.PutUint64(iv[:8], hi+carry)
-	binary.BigEndian.PutUint64(iv[8:], lo)
-	return iv
+// nextNonce returns n plus 1 as a 96-bit big-endian number.
+func nextNonce(n [sealNonceLen]byte) [sealNonceLen]byte {
+	hi, lo := binary.BigEndian.Uint32(n[:4]), binary.BigEndian.Uint64(n[4:])
+	if lo++; lo == 0 {
+		hi++
+	}
+	binary.BigEndian.PutUint32(n[:4], hi)
+	binary.BigEndian.PutUint64(n[4:], lo)
+	return n
 }
 
-// TestFrameSealerCounters pins the counter rule of one sealed stream: every
-// blob is a standalone blob for the IV it carries, each IV is the previous
-// one plus max(1, ⌈len/16⌉) blocks so no counter block is used twice, and an
-// opener continues the stream only where a blob's IV says so.
+// TestFrameSealerCounters pins the nonce rule of one sealing run: every
+// blob is a standalone blob for the nonce it carries, each nonce is the
+// previous one plus 1 over 96 bits, no nonce repeats across two runs, blobs
+// open in place in any order, and sealing after an Open starts afresh.
 func TestFrameSealerCounters(t *testing.T) {
 	const secret = "openmb-frame"
 	s := NewSealer(secret)
@@ -263,32 +256,49 @@ func TestFrameSealerCounters(t *testing.T) {
 	blobs, pts := seal(f)
 	blobs2, pts2 := seal(g)
 
-	used := make(map[[sealIVLen]byte]int) // counter block -> blob
-	var next [sealIVLen]byte
-	for i, b := range blobs {
-		if got, err := refOpen(secret, b); err != nil || !bytes.Equal(got, pts[i]) {
-			t.Fatalf("blob %d (%d B) does not open alone: %v", i, len(pts[i]), err)
-		}
-		if want := refSeal(secret, b[:sealIVLen], pts[i]); !bytes.Equal(b, want) {
-			t.Fatalf("blob %d (%d B) differs from the reference for its IV", i, len(pts[i]))
-		}
-		iv := [sealIVLen]byte(b[:sealIVLen])
-		if i > 0 && iv != next {
-			t.Fatalf("blob %d (%d B): IV %x, want the previous IV plus its blocks, %x", i, len(pts[i]), iv, next)
-		}
-		blocks := max(1, (len(pts[i])+15)/16)
-		for k := 0; k < blocks; k++ {
-			c := addCounter(iv, k)
-			if j, dup := used[c]; dup {
-				t.Fatalf("blobs %d and %d share counter block %x", j, i, c)
+	used := make(map[[sealNonceLen]byte]string)
+	for run, bs := range map[string][][]byte{"first": blobs, "second": blobs2} {
+		ps := map[string][][]byte{"first": pts, "second": pts2}[run]
+		var next [sealNonceLen]byte
+		for i, b := range bs {
+			if got, err := refOpen(secret, b); err != nil || !bytes.Equal(got, ps[i]) {
+				t.Fatalf("%s run, blob %d (%d B) does not open alone: %v", run, i, len(ps[i]), err)
 			}
-			used[c] = i
+			if want := refSeal(secret, b[:sealNonceLen], ps[i]); !bytes.Equal(b, want) {
+				t.Fatalf("%s run, blob %d (%d B) differs from the reference for its nonce", run, i, len(ps[i]))
+			}
+			nonce := [sealNonceLen]byte(b[:sealNonceLen])
+			if i > 0 && nonce != next {
+				t.Fatalf("%s run, blob %d: nonce %x, want the previous nonce plus 1, %x", run, i, nonce, next)
+			}
+			if other, dup := used[nonce]; dup {
+				t.Fatalf("%s run, blob %d repeats a nonce of the %s run", run, i, other)
+			}
+			used[nonce] = run
+			next = nextNonce(nonce)
 		}
-		next = addCounter(iv, blocks)
+	}
+
+	// The increment carries across all 96 bits, and wraps.
+	for _, c := range []struct{ at, want string }{
+		{"00000001ffffffffffffffff", "000000020000000000000000"},
+		{"0000000000000000000000ff", "000000000000000000000100"},
+		{"ffffffffffffffffffffffff", "000000000000000000000000"},
+	} {
+		h := s.Frame()
+		h.AppendSeal(nil, nil)
+		hex.Decode(h.nonce[:], []byte(c.at))
+		if n := h.AppendSeal(nil, pts[1])[:sealNonceLen]; hex.EncodeToString(n) != c.at {
+			t.Fatalf("sealed at nonce %x, want %s", n, c.at)
+		}
+		if n := h.AppendSeal(nil, pts[1])[:sealNonceLen]; hex.EncodeToString(n) != c.want {
+			t.Fatalf("after %s: nonce %x, want %s", c.at, n, c.want)
+		}
+		h.Release()
 	}
 
 	// One opener, in place, over copies: in order, reversed, and
-	// interleaved with the second stream.
+	// interleaved with the second run.
 	type blob struct{ sealed, pt []byte }
 	var inOrder, reversed, interleaved []blob
 	for i := range blobs {
@@ -308,12 +318,12 @@ func TestFrameSealerCounters(t *testing.T) {
 			if err != nil || !bytes.Equal(got, b.pt) {
 				t.Fatalf("%s: blob %d (%d B) does not open: %v", run.name, i, len(b.pt), err)
 			}
-			if len(got) > 0 && &got[0] != &sealed[sealIVLen] {
+			if len(got) > 0 && &got[0] != &sealed[sealNonceLen] {
 				t.Fatalf("%s: blob %d was not opened in place", run.name, i)
 			}
 		}
 	}
-	// A corrupt blob fails, untouched, and the stream goes on past it.
+	// A corrupt blob fails, untouched, and the opener goes on past it.
 	bad := bytes.Clone(blobs[1])
 	bad[len(bad)-1] ^= 1
 	want := bytes.Clone(bad)
@@ -325,20 +335,21 @@ func TestFrameSealerCounters(t *testing.T) {
 			t.Fatalf("after a corrupt blob: blob %d does not open: %v", i, err)
 		}
 	}
-	// A sealer that opens a blob of another stream seals its next blob on
-	// a fresh stream, not at the counter where the other stream goes on.
+	// A sealer that opens a blob seals its next blob under a fresh random
+	// nonce, not the one its own run would go on with.
+	last := [sealNonceLen]byte(blobs[len(blobs)-1][:sealNonceLen])
 	if _, err := f.Open(bytes.Clone(blobs2[0])); err != nil {
 		t.Fatal(err)
 	}
-	if iv := f.AppendSeal(nil, pts[1])[:sealIVLen]; bytes.Equal(iv, blobs2[1][:sealIVLen]) {
-		t.Fatal("sealing after an Open continued the opened stream")
+	if n := [sealNonceLen]byte(f.AppendSeal(nil, pts[1])[:sealNonceLen]); n == nextNonce(last) {
+		t.Fatal("sealing after an Open continued the sealer's run")
 	}
 }
 
 // TestSealAllocBudget pins the per-call allocations at the benchmark's chunk
-// size: Seal and Open allocate their output and the CTR stream, nothing that
-// is constant per sealer; a FrameSealer sealing into a slab with room, and
-// opening in place, allocates nothing per blob after its first.
+// size: Seal and Open allocate their output and nothing that is constant
+// per sealer; a FrameSealer sealing into a slab with room, and opening in
+// place, allocates nothing per blob after its first.
 func TestSealAllocBudget(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -346,11 +357,11 @@ func TestSealAllocBudget(t *testing.T) {
 	s := NewSealer("k")
 	pt := make([]byte, 202)
 	sealed := s.Seal(pt)
-	if n := testing.AllocsPerRun(1000, func() { sealSink = s.Seal(pt) }); n > 2 {
-		t.Errorf("Seal(202 B): %.1f allocs, want <= 2", n)
+	if n := testing.AllocsPerRun(1000, func() { sealSink = s.Seal(pt) }); n > 1 {
+		t.Errorf("Seal(202 B): %.1f allocs, want <= 1", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { sealSink, _ = s.Open(sealed) }); n > 2 {
-		t.Errorf("Open(202 B): %.1f allocs, want <= 2", n)
+	if n := testing.AllocsPerRun(1000, func() { sealSink, _ = s.Open(sealed) }); n > 1 {
+		t.Errorf("Open(202 B): %.1f allocs, want <= 1", n)
 	}
 
 	const runs = 1000
@@ -377,6 +388,46 @@ func TestSealAllocBudget(t *testing.T) {
 	if n != 0 {
 		t.Errorf("FrameSealer.Open(202 B) in place: %.2f allocs per blob, want 0", n)
 	}
+}
+
+// FuzzSealOpen feeds arbitrary bytes to both openers, as a put feeds wire
+// bytes to FrameSealer.Open. Neither may panic, and each must return
+// ErrSealOpen, leaving its input untouched, unless the bytes are a blob
+// sealed under the key — which the reference decides — and then both must
+// return its plaintext. The seeds are such blobs, sealed by one run.
+func FuzzSealOpen(f *testing.F) {
+	const secret = "openmb-fuzz"
+	s := NewSealer(secret)
+	fs := s.Frame()
+	for _, pt := range []string{"", "x", "per-flow state", string(make([]byte, 202)), string(bytes.Repeat([]byte("conn"), 300))} {
+		f.Add(fs.AppendSeal(nil, []byte(pt)))
+	}
+	fs.Release()
+	f.Add([]byte{})
+	f.Add(make([]byte, sealOverhead))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, refErr := refOpen(secret, b)
+		in := bytes.Clone(b)
+		got, err := s.Open(in)
+		if !bytes.Equal(in, b) {
+			t.Fatal("Sealer.Open changed its input")
+		}
+		o := s.Frame()
+		defer o.Release()
+		got2, err2 := o.Open(in)
+		if refErr != nil {
+			if err != ErrSealOpen || got != nil || err2 != ErrSealOpen || got2 != nil {
+				t.Fatalf("not a sealed blob: Sealer.Open %d B, %v; FrameSealer.Open %d B, %v", len(got), err, len(got2), err2)
+			}
+			if !bytes.Equal(in, b) {
+				t.Fatal("FrameSealer.Open changed a blob that failed")
+			}
+			return
+		}
+		if err != nil || !bytes.Equal(got, want) || err2 != nil || !bytes.Equal(got2, want) {
+			t.Fatalf("a sealed blob: Sealer.Open %v, FrameSealer.Open %v, or a plaintext differs", err, err2)
+		}
+	})
 }
 
 var sealSink []byte
