@@ -55,7 +55,8 @@ func Snapshot(logic mbox.Logic) (*Image, error) {
 			if err != nil {
 				return err
 			}
-			chunks = append(chunks, state.Chunk{Key: key, Blob: blob})
+			// The image keeps the blob; build reuses its buffer.
+			chunks = append(chunks, state.Chunk{Key: key, Blob: bytes.Clone(blob)})
 			return nil
 		})
 		return chunks, err

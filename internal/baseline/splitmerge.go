@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -136,7 +137,8 @@ func Move(valve *HaltBuffer, src, dst mbox.Logic, m packet.FieldMatch, releaseTo
 			if err != nil {
 				return err
 			}
-			if err := dst.PutPerflow(class, state.Chunk{Key: key, Blob: blob}); err != nil {
+			// PutPerflow may keep its chunk; build reuses its buffer.
+			if err := dst.PutPerflow(class, state.Chunk{Key: key, Blob: bytes.Clone(blob)}); err != nil {
 				return err
 			}
 			res.ChunksMoved++

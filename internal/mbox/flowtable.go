@@ -2,6 +2,7 @@ package mbox
 
 import (
 	"iter"
+	"math/rand/v2"
 
 	"openmb/internal/packet"
 )
@@ -17,13 +18,17 @@ type flowSlot[V any] struct {
 }
 
 // flowTable is the map under Table: open addressing with linear probing on
-// FlowID.Hash over a power-of-two slice of slots. The slice doubles when an
-// insert would take it above 3/4 full, and never shrinks. A delete shifts the
-// later entries of its run back into the hole, so there are no tombstones and
-// a lookup stops at the first empty slot.
+// FlowID.HashSeed(seed) over a power-of-two slice of slots. The slice doubles
+// when an insert would take it above 3/4 full, and never shrinks. A delete
+// shifts the later entries of its run back into the hole, so there are no
+// tombstones and a lookup stops at the first empty slot. A table with seed 0
+// draws its own seed when it first allocates slots: filling a table in
+// another's slot order (an export into a mark set, a put at the destination)
+// then scatters instead of piling up on one run.
 type flowTable[V any] struct {
 	slots []flowSlot[V]
 	n     int
+	seed  uint64
 }
 
 const flowTableMinSlots = 8
@@ -41,7 +46,7 @@ func emptySlots[V any](n int) []flowSlot[V] {
 // whether id is there. The table must have slots.
 func (t *flowTable[V]) find(id packet.FlowID) (int, bool) {
 	mask := len(t.slots) - 1
-	for i := int(id.Hash()) & mask; ; i = (i + 1) & mask {
+	for i := int(id.HashSeed(t.seed)) & mask; ; i = (i + 1) & mask {
 		switch t.slots[i].id {
 		case id:
 			return i, true
@@ -74,9 +79,12 @@ func (t *flowTable[V]) put(id packet.FlowID, v V) {
 	}
 }
 
-// grow doubles the slice (or allocates the first one) and reinserts every
-// entry.
+// grow doubles the slice (or allocates the first one, drawing the seed if
+// there is none) and reinserts every entry.
 func (t *flowTable[V]) grow() {
+	if t.seed == 0 {
+		t.seed = rand.Uint64()
+	}
 	old := t.slots
 	t.slots = emptySlots[V](max(2*len(old), flowTableMinSlots))
 	for _, s := range old {
@@ -103,7 +111,7 @@ func (t *flowTable[V]) remove(id packet.FlowID) (V, bool) {
 	// moves to j.
 	mask := len(t.slots) - 1
 	for j := (hole + 1) & mask; t.slots[j].id != packet.SharedID; j = (j + 1) & mask {
-		home := int(t.slots[j].id.Hash()) & mask
+		home := int(t.slots[j].id.HashSeed(t.seed)) & mask
 		if (j-home)&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
 			hole = j

@@ -83,7 +83,10 @@ type Logic interface {
 	// atomic with respect to packets: an update that lands before the
 	// snapshot is in the blob and raises no event; an update after it
 	// raises a reprocess event. State is transferred exactly once —
-	// atomicity requirements (ii) and (iii) of §4.2.1.
+	// atomicity requirements (ii) and (iii) of §4.2.1. build is valid only
+	// during the emit call that received it. Its blob is valid until the
+	// next build or until GetPerflow returns, so a caller copies what it
+	// keeps.
 	//
 	// Implementations should collect matching keys under their lock,
 	// then emit each chunk with build serializing under a short

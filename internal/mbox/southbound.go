@@ -582,17 +582,20 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		pending, slab = pending[:0], slab[:0]
 		return err
 	}
+	// build invokes mark under the logic's lock immediately before
+	// serializing, so the moved-mark and the snapshot are atomic: every
+	// packet update is either inside the blob or covered by a reprocess
+	// event, never both and never neither. One mark serves the get, marking
+	// the key last emitted.
+	var cur packet.FlowID
+	mark := func() { rt.markKey(class, cur) }
 	err := rt.logic.GetPerflow(class, m.Match, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
 		// A key enters the runtime's tables here, as an ID.
-		id, ok := key.ID()
-		if !ok {
+		var ok bool
+		if cur, ok = key.ID(); !ok {
 			return fmt.Errorf("mbox: exported flow key %s is not IPv4", key)
 		}
-		// build invokes mark under the logic's lock immediately before
-		// serializing, so the moved-mark and the snapshot are atomic:
-		// every packet update is either inside the blob or covered by
-		// a reprocess event, never both and never neither.
-		blob, err := build(func() { rt.markKey(class, id) })
+		blob, err := build(mark)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package mbox
 
 import (
-	"bytes"
 	"fmt"
 	"iter"
 	"sync"
@@ -132,7 +131,8 @@ func (t *Table[V]) matchLocked(m packet.FieldMatch) ([]packet.FlowID, error) {
 // of it. A key that left the table in between exports a tombstone, a
 // zero-length blob: it is still marked, so its chunk still registers it at
 // the destination, and a packet that re-creates the flow here replays there;
-// the put installs nothing for it.
+// the put installs nothing for it. One build serves the whole get: it
+// snapshots the key last emitted into one reused buffer.
 func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
 	if class != t.class {
 		return nil
@@ -143,20 +143,21 @@ func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(
 	if err != nil {
 		return err
 	}
-	var buf []byte // the codec appends here; each blob is one exact copy
-	for _, id := range ids {
-		err = emit(id.Key(), func(mark func()) ([]byte, error) {
-			t.Lock()
-			defer t.Unlock()
-			mark()
-			v, ok := t.m.get(id)
-			if !ok {
-				return nil, nil
-			}
-			buf = t.codec.Append(buf[:0], v)
-			return bytes.Clone(buf), nil
-		})
-		if err != nil {
+	var cur packet.FlowID
+	var buf []byte
+	build := func(mark func()) ([]byte, error) {
+		t.Lock()
+		defer t.Unlock()
+		mark()
+		v, ok := t.m.get(cur)
+		if !ok {
+			return nil, nil
+		}
+		buf = t.codec.Append(buf[:0], v)
+		return buf, nil
+	}
+	for _, cur = range ids {
+		if err = emit(cur.Key(), build); err != nil {
 			return err
 		}
 	}

@@ -36,7 +36,7 @@ func getChunks(t *testing.T, l mbox.Logic, class state.Class, m packet.FieldMatc
 	var got []state.Chunk
 	err := l.GetPerflow(class, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
 		blob, err := build(func() {})
-		got = append(got, state.Chunk{Key: key, Blob: blob})
+		got = append(got, state.Chunk{Key: key, Blob: bytes.Clone(blob)})
 		return err
 	})
 	if err != nil {
@@ -247,7 +247,7 @@ func exportAll(l mbox.Logic, class state.Class) ([][]byte, error) {
 	var blobs [][]byte
 	err := l.GetPerflow(class, packet.MatchAll, func(_ packet.FlowKey, build func(func()) ([]byte, error)) error {
 		blob, err := build(func() {})
-		blobs = append(blobs, blob)
+		blobs = append(blobs, bytes.Clone(blob))
 		return err
 	})
 	return blobs, err

@@ -1,6 +1,7 @@
 package mbox_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"slices"
@@ -206,22 +207,33 @@ func TestSessionEndStopsItsGets(t *testing.T) {
 	}
 }
 
-// reversedLogic exports a CounterLogic's keys in descending FlowID order.
+// reversedLogic exports a CounterLogic's keys in descending FlowID order. A
+// build is valid only during its emit, so it collects the keys with a get
+// that builds nothing, then snapshots each key itself as the table does:
+// mark and serialize under the lock.
 type reversedLogic struct{ *mbtest.CounterLogic }
 
 func (l reversedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	type chunk struct {
-		key   packet.FlowKey
-		build func(mark func()) ([]byte, error)
-	}
-	var all []chunk
-	err := l.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
-		all = append(all, chunk{key, build})
+	var keys []packet.FlowKey
+	err := l.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, _ func(mark func()) ([]byte, error)) error {
+		keys = append(keys, key)
 		return nil
 	})
-	slices.SortFunc(all, func(a, b chunk) int { return b.key.Compare(a.key) })
-	for i := 0; i < len(all) && err == nil; i++ {
-		err = emit(all[i].key, all[i].build)
+	slices.SortFunc(keys, func(a, b packet.FlowKey) int { return b.Compare(a) })
+	for i := 0; i < len(keys) && err == nil; i++ {
+		id, _ := keys[i].ID()
+		err = emit(keys[i], func(mark func()) ([]byte, error) {
+			l.Lock()
+			defer l.Unlock()
+			mark()
+			n, ok := l.Get(id)
+			if !ok {
+				return nil, nil
+			}
+			blob := make([]byte, l.ChunkBytes)
+			binary.BigEndian.PutUint64(blob, n)
+			return blob, nil
+		})
 	}
 	return err
 }

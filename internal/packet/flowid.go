@@ -111,9 +111,14 @@ func SortIDs(ids []FlowID) { slices.SortFunc(ids, FlowID.Compare) }
 
 // Hash returns a well-mixed symmetric 64-bit hash: id and id.Reverse() hash
 // equal, so sharding by it keeps both directions of a connection together.
-func (id FlowID) Hash() uint64 {
+func (id FlowID) Hash() uint64 { return id.HashSeed(0) }
+
+// HashSeed is Hash under a seed, XORed in before the finalizer, so that two
+// seeds give unrelated hashes: tables with their own seeds do not share an
+// order, and filling one in another's slot order does not pile up.
+func (id FlowID) HashSeed(seed uint64) uint64 {
 	c, _ := id.Canonical()
-	h := c.src*0x9e3779b97f4a7c15 ^ c.dst
+	h := c.src*0x9e3779b97f4a7c15 ^ c.dst ^ seed
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -116,6 +116,10 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		if id.Hash() != id.Reverse().Hash() || k.FastHash() != k.Reverse().FastHash() {
 			t.Fatalf("%v: hash is not symmetric", k)
 		}
+		const seed = 0x5eed
+		if id.HashSeed(seed) != id.Reverse().HashSeed(seed) || id.HashSeed(0) != id.Hash() || id.HashSeed(seed) == id.Hash() {
+			t.Fatalf("%v: seeded hash is not symmetric, or HashSeed(0) is not Hash, or the seed is ignored", k)
+		}
 		other := k
 		other.Proto ^= 1
 		if id.Hash() == mustID(t, other).Hash() {
