@@ -84,13 +84,9 @@ func (g *gateLogic) awaitReached(t *testing.T, src *mbox.Runtime) {
 // every buffer drained, every detach purged.
 func assertRoutersQuiescent(t *testing.T, c *Controller) {
 	t.Helper()
-	for si := range c.router.shards {
-		sh := &c.router.shards[si]
-		sh.mu.Lock()
-		nk, no := len(sh.keys), len(sh.orphans)
-		sh.mu.Unlock()
-		if nk != 0 || no != 0 {
-			t.Fatalf("shard %d not quiescent: keys=%d orphans=%d", si, nk, no)
+	for _, r := range connRouters(c) {
+		if nk, no := routerCounts(r); nk != 0 || no != 0 {
+			t.Fatalf("router not quiescent: %d keys owned, %d orphaned events", nk, no)
 		}
 	}
 }

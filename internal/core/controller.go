@@ -48,11 +48,11 @@ type Options struct {
 	// per put. 0 selects the default (32); 1 is one chunk per frame, the
 	// paper's framing.
 	BatchSize int
-	// Shards is the number of transaction-router shards event routing,
-	// chunk registration, and put acknowledgment are partitioned over,
-	// rounded up to a power of two. 0 (or a negative value) selects a
-	// default derived from GOMAXPROCS (minimum 2). Shards = 1 is a
-	// one-shard router: every key behind one lock, same lifecycle.
+	// Shards is the number of shards each source connection's transaction
+	// router partitions event routing, chunk registration, and put
+	// acknowledgment over, rounded up to a power of two. 0 (or a negative
+	// value) selects a default derived from GOMAXPROCS (minimum 2). Shards
+	// = 1 is a one-shard router: every key behind one lock, same lifecycle.
 	Shards int
 	// PutWorkers bounds how many puts one MoveInternal keeps in flight
 	// (default 64 — deep enough to hide the put ACK round trip, measured
@@ -159,9 +159,6 @@ type Controller struct {
 	// 1's benchmark PR.
 	Cluster Cluster
 
-	// router shards transaction routing state (see router.go).
-	router *txnRouter
-
 	// registry tracks live transactions, salted by the node name so IDs
 	// are unique across the cluster.
 	registry *txnRegistry
@@ -225,8 +222,8 @@ func NewController(opts Options) *Controller {
 	return NewNode(NodeOptions{Cluster: ClusterOptions{Controller: opts}})
 }
 
-// Shards reports the resolved router shard count (after defaulting and
-// power-of-two rounding).
+// Shards reports the resolved shard count of each connection's router
+// (after defaulting and power-of-two rounding).
 func (c *Controller) Shards() int { return c.opts.Shards }
 
 // Serve starts accepting middlebox and peer connections on addr over the
@@ -306,13 +303,11 @@ func (c *Controller) serveMB(conn *sbi.Conn, hello *sbi.Message) {
 	close(mb.pingStop)
 	mb.pingWG.Wait()
 	// The MB disconnected: drain the event router (queued events route
-	// against whatever transactions remain — the purge below cleans up),
-	// fail outstanding calls with the reason, drop the routing state, and
-	// deregister.
+	// against whatever transactions remain), fail outstanding calls with
+	// the reason, and deregister; the routing state goes with mb.
 	close(mb.eventQ)
 	mb.eventWG.Wait()
 	mb.failAll(fmt.Errorf("middlebox disconnected: %w", err))
-	c.router.purgeMB(mb)
 	c.mu.Lock()
 	if c.mbs[mb.name] == mb {
 		delete(c.mbs, mb.name)
@@ -611,9 +606,9 @@ func (c *Controller) Close() {
 // mbConn is the controller's view of one connected middlebox. The paper's
 // prototype dedicates one thread per MB to operations and one to events;
 // here a single reader goroutine dispatches responses to per-call channels
-// and events to the sharded transaction router. Routing state, per-flow and
-// shared, lives in the controller's router (see router.go); the connection
-// itself keeps only a live-transaction count.
+// and events to the connection's sharded transaction router, which holds
+// the routing state, per-flow and shared, of every transaction with this MB
+// as its source (see router.go).
 type mbConn struct {
 	name string
 	kind string
@@ -623,9 +618,10 @@ type mbConn struct {
 	// registration); <= 1 keeps the per-event framing.
 	eventBatch int
 
-	// ctrl is the controller that registered the connection and owns its
-	// routing state.
+	// ctrl is the controller that registered the connection.
 	ctrl *Controller
+	// router routes this MB's events; it dies with the connection.
+	router *txnRouter
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -684,6 +680,7 @@ const eventQueueDepth = 32
 func newMBConn(name, kind string, conn *sbi.Conn, c *Controller) *mbConn {
 	mb := &mbConn{
 		name: name, kind: kind, conn: conn, ctrl: c,
+		router:   newTxnRouter(c.opts.Shards),
 		pending:  map[uint64]*call{},
 		eventQ:   make(chan *sbi.Message, eventQueueDepth),
 		drained:  make(chan struct{}, 1),

@@ -175,7 +175,7 @@ func TestNodePullMovesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.router.route(mbA, &sbi.Event{Kind: sbi.EventReprocess, Key: mbtest.FlowN(0), Seq: 1, Packet: []byte{1}})
+	mbA.router.route(&sbi.Event{Kind: sbi.EventReprocess, Key: mbtest.FlowN(0), Seq: 1, Packet: []byte{1}})
 
 	if err := b.Pull("m1"); err != nil {
 		t.Fatal(err)

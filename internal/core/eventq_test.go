@@ -24,7 +24,7 @@ func TestEventQueueBackpressuresReadLoop(t *testing.T) {
 	defer peer.Close()
 	defer mb.conn.Close()
 	// Hold the one router shard: the router stalls on the first event.
-	sh := &c.router.shards[0]
+	sh := &mb.router.shards[0]
 	sh.mu.Lock()
 	mb.eventWG.Add(1)
 	go mb.eventRouter()

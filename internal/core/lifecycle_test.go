@@ -198,12 +198,16 @@ func TestTransactionTablesReleasedBesideLiveClone(t *testing.T) {
 	if n := RouterTablesForTest(c); n != 1 {
 		t.Errorf("%d router shards keep tables beside the live clone, want 1 (packet.SharedID's)", n)
 	}
-	sh := c.router.shard(packet.SharedID)
+	srcMB, err := c.mb("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := srcMB.router.shard(packet.SharedID)
 	sh.mu.Lock()
-	held := sh.keys != nil
+	held := sh.shared != nil
 	sh.mu.Unlock()
 	if !held {
-		t.Error("the live clone's packet.SharedID shard holds no table")
+		t.Error("the live clone's packet.SharedID shard holds no shared entry")
 	}
 
 	cloneDst.release()

@@ -73,7 +73,6 @@ func NewNode(opts NodeOptions) *Controller {
 	copts.setDefaults()
 	c := &Controller{
 		opts: copts, nodeOpts: opts, name: opts.Name, advertise: opts.Advertise,
-		router:   newTxnRouter(copts.Shards),
 		registry: newTxnRegistry(nodeSalt(opts.Name)),
 		repdir:   newRepDirectory(),
 		mbs:      map[string]*mbConn{},
@@ -408,9 +407,10 @@ func (c *Controller) servePeerRequest(p *peerConn, m *sbi.Message) {
 
 // releaseMB gives up a locally registered middlebox to the node at toAddr by
 // redirecting it, so it redials its new owner. Its routing state here —
-// keys of transactions this node coordinates, orphaned events — goes
-// through purgeMB when the redirected connection closes, the path every
-// disconnect takes; RecoverMove restores any move it belonged to.
+// keys of transactions this node coordinates, orphaned events — lives in
+// the connection's router and goes with it when the redirected connection
+// closes, the path every disconnect takes; RecoverMove restores any move it
+// belonged to.
 func (c *Controller) releaseMB(mbName, toAddr string) error {
 	mb, err := c.mb(mbName)
 	if err != nil {
@@ -544,7 +544,7 @@ func (c *Controller) RecoverMove(srcMB, dstMB string, m packet.FieldMatch) error
 //     already forwarded may still be in the destination's ingress ring (the
 //     timing argument the normal completion path's quiet period rests on);
 //  3. drain the source's event pipeline (received-but-unrouted events), so
-//     every stale event has landed in an orphan list;
+//     every stale event has landed in an orphan entry;
 //  4. purge those orphans: their packets' increments are inside the
 //     restart's snapshot, so letting the restart adopt and replay them
 //     would double-count;
@@ -556,7 +556,7 @@ func (c *Controller) rollbackMove(src, dst *mbConn, m packet.FieldMatch) {
 	_, _ = src.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpEndTransaction, Match: m}, timeout)
 	time.Sleep(c.opts.QuietPeriod)
 	src.drainEvents(timeout)
-	c.router.purgeOrphanMatch(src, m)
+	src.router.purgeOrphanMatch(m)
 	_, _ = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelSupportPerflow, Match: m}, timeout)
 	_, _ = dst.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpDelReportPerflow, Match: m}, timeout)
 }

@@ -7,13 +7,13 @@ import (
 	"openmb/internal/sbi"
 )
 
-// This file implements the sharded transaction router: the controller-global
-// structure that connects reprocess events raised by a source middlebox to
-// the transaction that owns the state they touched. The seed kept this state
-// as two maps behind a single per-MB mutex; every event route, chunk
-// registration, and put acknowledgment serialized on it. The router
-// partitions the key space into N power-of-two shards by FlowID.Hash(),
-// each with its own mutex, so those operations only ever take one shard lock.
+// This file implements the sharded transaction router, which connects the
+// reprocess events a source middlebox raises to the transaction that owns
+// the state they touched. Each source connection has its own router
+// (mbConn.router), so a routing key is the flow's packet.FlowID alone. It
+// partitions the keys into N power-of-two shards by FlowID.Hash(), each with
+// its own mutex, so an event route, chunk registration or put
+// acknowledgment only ever takes one shard lock.
 //
 // The hash is symmetric — id and id.Reverse() hash equal — so both directions
 // of a connection land in the same shard. That property is load-bearing: a
@@ -26,20 +26,11 @@ import (
 // stragglers from completed transactions cannot accumulate.
 const maxOrphansPerKey = 256
 
-// routeKey names one flow key on one source middlebox. Routing state is
-// controller-global, so entries are qualified by the source connection:
-// different MBs routinely hold state for identical flow keys (e.g. replicas
-// fed the same trace). Keys enter as FlowKeys on chunks and events and are
-// held here as IDs: the connection is the entry's only pointer
-// (TestTableKeysAreCompact).
-type routeKey struct {
-	mb  *mbConn
-	key packet.FlowID
-}
-
 // keyState is a shard's record for one in-transaction flow key: the owning
 // transaction, how many of its puts are unacknowledged, and the events
-// buffered until those puts are ACKed.
+// buffered until those puts are ACKed. An orphan entry has no owner: its
+// events (at most maxOrphansPerKey) beat the chunk that registers their key
+// on the wire, and the registering transaction adopts them.
 type keyState struct {
 	owner    *txn
 	pending  int
@@ -52,35 +43,43 @@ type keyState struct {
 	flushing bool
 }
 
-// routerShard owns one slice of the key space. Its tables are nil while
-// both are empty: Go maps never shrink, so kept tables would stay the size
-// of the largest move ever made.
+// routerShard owns one slice of a source's key space: a flat table of
+// entries, and beside it the entry of packet.SharedID, the table's empty
+// marker. Deletes that empty the table drop its slots.
 type routerShard struct {
-	mu   sync.Mutex
-	keys map[routeKey]*keyState
-	// orphans holds reprocess events that arrived before the chunk that
-	// registers their key: a packet processed between a chunk's snapshot
-	// and the chunk's transmission puts its event ahead of the chunk on
-	// the wire. The registering transaction adopts them.
-	orphans map[routeKey][]*sbi.Event
+	mu     sync.Mutex
+	keys   packet.FlowTable[*keyState]
+	shared *keyState
 }
 
-// alloc readies the tables for an insert; release drops them once the
-// caller's deletes have emptied both.
-func (sh *routerShard) alloc() {
-	if sh.keys == nil {
-		sh.keys, sh.orphans = map[routeKey]*keyState{}, map[routeKey][]*sbi.Event{}
+// entry returns id's entry, or nil.
+func (sh *routerShard) entry(id packet.FlowID) *keyState {
+	if id == packet.SharedID {
+		return sh.shared
 	}
+	ks, _ := sh.keys.Get(id)
+	return ks
 }
 
+// slot returns where id's entry lives, inserting a nil entry the caller must
+// fill if there is none.
+func (sh *routerShard) slot(id packet.FlowID) **keyState {
+	if id == packet.SharedID {
+		return &sh.shared
+	}
+	p, _ := sh.keys.Slot(id)
+	return p
+}
+
+// release drops the table's slots once it is empty: never inside a walk.
 func (sh *routerShard) release() {
-	if len(sh.keys)+len(sh.orphans) == 0 {
-		sh.keys, sh.orphans = nil, nil
+	if sh.keys.Len() == 0 {
+		sh.keys = packet.FlowTable[*keyState]{}
 	}
 }
 
-// txnRouter shards transaction routing by FlowID.Hash(). Shard count is
-// a power of two so the hash maps to a shard with a mask.
+// txnRouter shards one source's routing by FlowID.Hash(). Shard count is a
+// power of two so the hash maps to a shard with a mask.
 type txnRouter struct {
 	shards []routerShard
 	mask   uint64
@@ -142,11 +141,11 @@ func (r *txnRouter) eachShard(keys []packet.FlowID, visit func(sh *routerShard, 
 }
 
 // registerFrame records t as the owner of every key of one chunk frame on
-// t.src, each with one more outstanding put, and adopts any orphaned events
-// that raced ahead of their chunk. Called from the source's read loop, before
-// the frame is delivered to the move consumer, so event routing can never
-// miss the registration. The frame's key states come from one slab, and keys
-// is retained for detach: the caller must not modify it afterwards.
+// t.src, each with one more outstanding put, in one find-or-insert a key,
+// adopting an orphan entry's events. Called from the source's read loop,
+// before the frame is delivered to the move consumer, so event routing can
+// never miss the registration. The frame's key states come from one slab,
+// and keys is retained for detach: the caller must not modify it afterwards.
 func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 	slab := make([]keyState, len(keys))
 	type eviction struct {
@@ -155,32 +154,30 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 	}
 	var evicted []eviction
 	r.eachShard(keys, func(sh *routerShard, i int) {
-		rk := routeKey{mb: t.src, key: keys[i]}
-		ks := sh.keys[rk]
-		if ks == nil || ks.owner != t {
-			if ks != nil {
-				// A newer transaction claims a key an older one never
-				// released (overlapping transactions from one source).
-				// Hand the old owner its outstanding put count and
-				// buffer, so its remaining ACKs still release its
-				// events toward its own destination. If nothing is
-				// outstanding, the buffer is due now, and goes out
-				// below, outside the shard locks.
-				if evs := ks.owner.adoptStale(keys[i], ks); len(evs) > 0 {
-					evicted = append(evicted, eviction{ks.owner.dst, evs})
-				}
+		p := sh.slot(keys[i])
+		ks := *p
+		if ks != nil && ks.owner == nil {
+			// An orphan entry: its events beat this chunk.
+			ks.owner = t
+			t.ctrl.eventsBuffered.Add(uint64(len(ks.buffered)))
+		} else if ks != nil && ks.owner != t {
+			// A newer transaction claims a key an older one never
+			// released (overlapping transactions from one source).
+			// Hand the old owner its outstanding put count and buffer,
+			// so its remaining ACKs still release its events toward its
+			// own destination. If nothing is outstanding, the buffer is
+			// due now, and goes out below, outside the shard locks.
+			if evs := ks.owner.adoptStale(keys[i], ks); len(evs) > 0 {
+				evicted = append(evicted, eviction{ks.owner.dst, evs})
 			}
+			ks = nil
+		}
+		if ks == nil {
 			ks = &slab[i]
 			ks.owner = t
-			sh.alloc()
-			sh.keys[rk] = ks
+			*p = ks
 		}
 		ks.pending++
-		if adopted := sh.orphans[rk]; len(adopted) > 0 {
-			delete(sh.orphans, rk)
-			ks.buffered = append(ks.buffered, adopted...)
-			t.ctrl.eventsBuffered.Add(uint64(len(adopted)))
-		}
 	})
 	for _, e := range evicted {
 		forwardEvents(t.ctrl, e.dst, e.evs)
@@ -195,7 +192,7 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowID) {
 	var stale []int
 	r.eachShard(keys, func(sh *routerShard, i int) {
-		ks := sh.keys[routeKey{mb: t.src, key: keys[i]}]
+		ks := sh.entry(keys[i])
 		if ks == nil || ks.owner != t {
 			stale = append(stale, i)
 			return
@@ -223,10 +220,10 @@ func (r *txnRouter) ackFrame(t *txn, keys []packet.FlowID) {
 	}
 }
 
-// route dispatches one reprocess event from src: buffer while the key's puts
-// are outstanding, forward (in order) otherwise, or hold as an orphan when
-// the registering chunk has not arrived yet.
-func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
+// route dispatches one reprocess event from the router's source: buffer
+// while the key's puts are outstanding, forward (in order) otherwise, or hold
+// in an orphan entry when the registering chunk has not arrived yet.
+func (r *txnRouter) route(ev *sbi.Event) {
 	// An event names its state by FlowKey, or the source's shared state,
 	// which routes under packet.SharedID; a key no table can hold (a
 	// non-IPv4 address) names no registered state and is dropped.
@@ -237,18 +234,22 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 	if !ok {
 		return
 	}
-	rk := routeKey{mb: src, key: id}
 	sh := r.shard(id)
 	sh.mu.Lock()
-	ks := sh.keys[rk]
-	if ks == nil {
+	ks := sh.entry(id)
+	if ks == nil || ks.owner == nil {
 		// A shared event is never held: its key registers before the get
 		// that marks the state is sent, so no owner means none is coming,
 		// and a later clone adopting the event would replay — double-count
 		// — a packet its own snapshot holds.
-		if ev.Kind == sbi.EventReprocess && !ev.Shared && len(sh.orphans[rk]) < maxOrphansPerKey {
-			sh.alloc()
-			sh.orphans[rk] = append(sh.orphans[rk], ev)
+		if ev.Kind == sbi.EventReprocess && !ev.Shared {
+			if ks == nil {
+				ks = &keyState{}
+				*sh.slot(id) = ks
+			}
+			if len(ks.buffered) < maxOrphansPerKey {
+				ks.buffered = append(ks.buffered, ev)
+			}
 		}
 		sh.mu.Unlock()
 		return
@@ -266,59 +267,40 @@ func (r *txnRouter) route(src *mbConn, ev *sbi.Event) {
 }
 
 // detach removes every routing entry t owns, touching only the shards its
-// keys hash to. When the source MB has no other live transactions, its
-// orphaned events are discarded — stragglers from the finished transactions
-// that nothing will ever adopt.
+// keys hash to, each in the one probe that finds it. When the source MB has
+// no other live transactions, its orphan entries are discarded — stragglers
+// from the finished transactions that nothing will ever adopt.
 func (r *txnRouter) detach(t *txn) {
+	owned := func(ks *keyState) bool { return ks.owner == t }
 	for _, keys := range t.takeFrames() {
 		r.eachShard(keys, func(sh *routerShard, i int) {
-			rk := routeKey{mb: t.src, key: keys[i]}
-			if ks := sh.keys[rk]; ks != nil && ks.owner == t {
-				delete(sh.keys, rk)
+			if keys[i] != packet.SharedID {
+				sh.keys.Remove(keys[i], owned)
 				sh.release()
+			} else if sh.shared != nil && owned(sh.shared) {
+				sh.shared = nil
 			}
 		})
 	}
 	if t.src.liveTxns.Add(-1) == 0 {
-		r.purgeOrphanMatch(t.src, packet.MatchAll)
+		r.purgeOrphanMatch(packet.MatchAll)
 	}
 }
 
-// purgeOrphanMatch discards orphaned events held for mb whose key falls
+// purgeOrphanMatch discards the source's orphan entries whose key falls
 // under m (either direction, matching the clear-marks semantics on the
 // middlebox side). Move rollback uses it: orphans raised under an aborted
 // transfer's match describe packets the restarted transfer's snapshot will
 // already contain, so letting the restart adopt them would replay — and
 // double-count — those packets at the destination.
-func (r *txnRouter) purgeOrphanMatch(mb *mbConn, m packet.FieldMatch) {
+func (r *txnRouter) purgeOrphanMatch(m packet.FieldMatch) {
 	im := m.ForID()
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for rk := range sh.orphans {
-			if rk.mb == mb && im.MatchEither(rk.key) {
-				delete(sh.orphans, rk)
-			}
-		}
-		sh.release()
-		sh.mu.Unlock()
-	}
-}
-
-// purgeMB drops all routing state for a disconnected middlebox so entries
-// cannot leak past the connection's lifetime.
-func (r *txnRouter) purgeMB(mb *mbConn) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for rk := range sh.keys {
-			if rk.mb == mb {
-				delete(sh.keys, rk)
-			}
-		}
-		for rk := range sh.orphans {
-			if rk.mb == mb {
-				delete(sh.orphans, rk)
+		for id, ks := range sh.keys.All() {
+			if ks.owner == nil && im.MatchEither(id) {
+				sh.keys.Remove(id, nil)
 			}
 		}
 		sh.release()
@@ -354,8 +336,8 @@ func forwardEvents(c *Controller, dst *mbConn, evs []*sbi.Event) {
 }
 
 // routeEvent dispatches an MB-raised event: introspection events go to the
-// controller's subscribers; reprocess events go to its sharded transaction
-// router.
+// controller's subscribers; reprocess events go to the connection's sharded
+// transaction router.
 func (mb *mbConn) routeEvent(ev *sbi.Event) {
 	if ev == nil {
 		return
@@ -364,7 +346,7 @@ func (mb *mbConn) routeEvent(ev *sbi.Event) {
 		mb.ctrl.notifyIntrospection(mb.name, ev)
 		return
 	}
-	mb.ctrl.router.route(mb, ev)
+	mb.router.route(ev)
 }
 
 // notifyIntrospection fans one introspection event out to subscribers.

@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ type testPeer struct {
 	recv chan *sbi.Message
 }
 
-func newTestPeer(t *testing.T, c *Controller, name string) *testPeer {
+func newTestPeer(t testing.TB, c *Controller, name string) *testPeer {
 	p, release := newHeldTestPeer(t, c, name)
 	release()
 	return p
@@ -40,7 +41,7 @@ func newTestPeer(t *testing.T, c *Controller, name string) *testPeer {
 // newHeldTestPeer returns a peer whose reader does not start until release
 // is called — sends toward it block (net.Pipe is synchronous), which lets
 // tests freeze an ordered drain mid-forward.
-func newHeldTestPeer(t *testing.T, c *Controller, name string) (*testPeer, func()) {
+func newHeldTestPeer(t testing.TB, c *Controller, name string) (*testPeer, func()) {
 	t.Helper()
 	ctrlSide, mbSide := net.Pipe()
 	p := &testPeer{
@@ -159,7 +160,7 @@ func TestOrphanAdoptionAcrossShards(t *testing.T) {
 		keys[i] = key(i)
 	}
 	for _, k := range keys {
-		c.router.route(src.mb, reprocessEvent(k)) // beats its chunk: orphaned
+		src.mb.router.route(reprocessEvent(k)) // beats its chunk: orphaned
 	}
 	dst.expectNothing(t)
 	tx.registerFrame(frame(keys...)) // one frame spanning the shards adopts every orphan
@@ -191,18 +192,9 @@ func TestOrphansAreBounded(t *testing.T) {
 			c := NewController(Options{Shards: 2})
 			src := newTestPeer(t, c, "src")
 			for i := 0; i < maxOrphansPerKey+100; i++ {
-				c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(7), Shared: tc.shared})
+				src.mb.router.route(&sbi.Event{Kind: sbi.EventReprocess, Key: key(7), Shared: tc.shared})
 			}
-			n := 0
-			for i := range c.router.shards {
-				sh := &c.router.shards[i]
-				sh.mu.Lock()
-				for _, evs := range sh.orphans {
-					n += len(evs)
-				}
-				sh.mu.Unlock()
-			}
-			if n != tc.want {
+			if _, n := routerCounts(src.mb.router); n != tc.want {
 				t.Fatalf("orphans held = %d, want %d", n, tc.want)
 			}
 		})
@@ -220,7 +212,7 @@ func TestSharedEventsBufferUntilPutAck(t *testing.T) {
 	tx := newTxn(c, src.mb, dst.mb)
 	shared := []packet.FlowID{packet.SharedID}
 	ev := func(seq uint64) {
-		c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(int(seq)), Shared: true, Seq: seq})
+		src.mb.router.route(&sbi.Event{Kind: sbi.EventReprocess, Key: key(int(seq)), Shared: true, Seq: seq})
 	}
 	expect := func(seq uint64) {
 		t.Helper()
@@ -266,14 +258,14 @@ func TestOverlappingTxnOwnership(t *testing.T) {
 
 	t1 := newTxn(c, src.mb, dst1.mb)
 	t1.registerFrame(frame(k))
-	c.router.route(src.mb, reprocessEvent(k)) // buffered against t1's put
+	src.mb.router.route(reprocessEvent(k)) // buffered against t1's put
 
 	t2 := newTxn(c, src.mb, dst2.mb)
 	t2.registerFrame(frame(k)) // takes over routing; t1's buffer goes stale
 	dst1.expectNothing(t)
 
-	c.router.route(src.mb, reprocessEvent(k)) // buffered against t2's put
-	t1.ackFrame(frame(k))                     // releases t1's stale buffer, not t2's
+	src.mb.router.route(reprocessEvent(k)) // buffered against t2's put
+	t1.ackFrame(frame(k))                  // releases t1's stale buffer, not t2's
 	dst1.expectReprocess(t, k)
 	dst2.expectNothing(t)
 	t2.ackFrame(frame(k))
@@ -298,8 +290,8 @@ func TestEvictionDuringDrain(t *testing.T) {
 	ev := func(seq uint64) *sbi.Event {
 		return &sbi.Event{Kind: sbi.EventReprocess, Key: k, Seq: seq}
 	}
-	c.router.route(src.mb, ev(1))
-	c.router.route(src.mb, ev(2))
+	src.mb.router.route(ev(1))
+	src.mb.router.route(ev(2))
 
 	// The ACK starts the drain, which blocks sending toward the held
 	// dst1. Run it on its own goroutine and wait until the drain has
@@ -307,11 +299,11 @@ func TestEvictionDuringDrain(t *testing.T) {
 	// first forward), so the next event deterministically lands mid-drain.
 	drainDone := make(chan struct{})
 	go func() { t1.ackFrame(frame(k)); close(drainDone) }()
-	sh := c.router.shard(frame(k)[0])
-	rk := routeKey{mb: src.mb, key: frame(k)[0]}
+	id := frame(k)[0]
+	sh := src.mb.router.shard(id)
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		sh.mu.Lock()
-		flushing := sh.keys[rk] != nil && sh.keys[rk].flushing
+		flushing := sh.entry(id) != nil && sh.entry(id).flushing
 		sh.mu.Unlock()
 		if flushing {
 			break
@@ -321,11 +313,11 @@ func TestEvictionDuringDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	c.router.route(src.mb, ev(3)) // arrives mid-drain: must queue behind 1,2
+	src.mb.router.route(ev(3)) // arrives mid-drain: must queue behind 1,2
 
 	t2 := newTxn(c, src.mb, dst2.mb)
 	t2.registerFrame(frame(k)) // eviction while t1's drain is frozen
-	c.router.route(src.mb, ev(4))
+	src.mb.router.route(ev(4))
 
 	release1()
 	<-drainDone
@@ -354,28 +346,55 @@ func TestEvictionDuringDrain(t *testing.T) {
 	t2.detach()
 }
 
-// TestDetachPurges: detach removes only the transaction's own entries, and
-// the last detach on a source discards its orphans.
+// TestDetachPurges: detach removes only the transaction's own entries, not
+// a key a newer transaction took over; orphans stay while a transaction of
+// their source lives, and the last detach discards them and the tables'
+// slots.
 func TestDetachPurges(t *testing.T) {
 	c := NewController(Options{Shards: 4})
 	src := newTestPeer(t, c, "src")
 	dst := newTestPeer(t, c, "dst")
-	tx := newTxn(c, src.mb, dst.mb)
+	tx, newer := newTxn(c, src.mb, dst.mb), newTxn(c, src.mb, dst.mb)
 	for i := 0; i < 16; i++ {
 		tx.registerFrame(frame(key(i)))
 	}
-	c.router.route(src.mb, reprocessEvent(key(99))) // unregistered: orphaned
+	newer.registerFrame(frame(key(3)))           // takes key 3 over
+	src.mb.router.route(reprocessEvent(key(99))) // unregistered: orphaned
 	tx.detach()
 	tx.detach() // idempotent
-	for i := range c.router.shards {
-		sh := &c.router.shards[i]
-		sh.mu.Lock()
-		nk, no := len(sh.keys), len(sh.orphans)
-		sh.mu.Unlock()
-		if nk != 0 || no != 0 {
-			t.Fatalf("shard %d not purged: keys=%d orphans=%d", i, nk, no)
-		}
+	if nk, no := routerCounts(src.mb.router); nk != 1 || no != 1 {
+		t.Fatalf("after the older detach: %d keys owned, %d orphaned events; want the newer transaction's key and the orphan", nk, no)
 	}
+	newer.detach()
+	if nk, no := routerCounts(src.mb.router); nk != 0 || no != 0 {
+		t.Fatalf("router not purged: %d keys owned, %d orphaned events", nk, no)
+	}
+	if n := routerTables(src.mb.router); n != 0 {
+		t.Fatalf("%d router shards keep tables after the detach", n)
+	}
+}
+
+// routerCounts returns how many of r's entries have an owner and how many
+// events its orphan entries hold, the shared entries included.
+func routerCounts(r *txnRouter) (owned, orphaned int) {
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		for _, ks := range sh.keys.All() {
+			if ks.owner != nil {
+				owned++
+			} else {
+				orphaned += len(ks.buffered)
+			}
+		}
+		if ks := sh.shared; ks != nil && ks.owner != nil {
+			owned++
+		} else if ks != nil {
+			orphaned += len(ks.buffered)
+		}
+		sh.mu.Unlock()
+	}
+	return owned, orphaned
 }
 
 // TestCompleterWaitsForQuiescence: a completion fires only after the full
@@ -475,8 +494,8 @@ type routerOutcome struct {
 
 // collectOutcome drains what the destinations received (every forwarded
 // event is one frame here: the test peers announce no event batching) and
-// snapshots the router.
-func collectOutcome(t *testing.T, c *Controller, dsts ...*testPeer) routerOutcome {
+// snapshots the source's router.
+func collectOutcome(t *testing.T, c *Controller, src *testPeer, dsts ...*testPeer) routerOutcome {
 	t.Helper()
 	o := routerOutcome{received: map[string][]uint64{}, pending: map[packet.FlowKey]int{}}
 	m := c.Metrics()
@@ -506,11 +525,17 @@ func collectOutcome(t *testing.T, c *Controller, dsts ...*testPeer) routerOutcom
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	for i := range c.router.shards {
-		sh := &c.router.shards[i]
+	r := src.mb.router
+	for i := range r.shards {
+		sh := &r.shards[i]
 		sh.mu.Lock()
-		for rk, ks := range sh.keys {
-			o.pending[rk.key.Key()] = ks.pending
+		for id, ks := range sh.keys.All() {
+			if ks.owner != nil {
+				o.pending[id.Key()] = ks.pending
+			}
+		}
+		if sh.shared != nil {
+			o.pending[packet.SharedID.Key()] = sh.shared.pending
 		}
 		sh.mu.Unlock()
 	}
@@ -558,7 +583,7 @@ func seededFrameScript(t *testing.T, seed int64, calls frameCalls) routerOutcome
 		switch op := rng.Intn(10); {
 		case op < 4:
 			seq++
-			c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: key(rng.Intn(8)), Seq: seq})
+			src.mb.router.route(&sbi.Event{Kind: sbi.EventReprocess, Key: key(rng.Intn(8)), Seq: seq})
 		case op < 7:
 			keys := make([]packet.FlowID, 1+rng.Intn(6))
 			for i := range keys {
@@ -571,7 +596,7 @@ func seededFrameScript(t *testing.T, seed int64, calls frameCalls) routerOutcome
 			unacked[x] = unacked[x][1:]
 		}
 	}
-	return collectOutcome(t, c, dsts...)
+	return collectOutcome(t, c, src, dsts...)
 }
 
 // midDrainScript: both state classes register one frame's keys (two puts
@@ -585,7 +610,7 @@ func midDrainScript(t *testing.T, calls frameCalls) routerOutcome {
 	tx := newTxn(c, src.mb, dst.mb)
 	keys := frame(key(1), key(2), key(3))
 	ev := func(k packet.FlowKey, seq uint64) {
-		c.router.route(src.mb, &sbi.Event{Kind: sbi.EventReprocess, Key: k, Seq: seq})
+		src.mb.router.route(&sbi.Event{Kind: sbi.EventReprocess, Key: k, Seq: seq})
 	}
 	calls.register(tx, keys)
 	calls.register(tx, keys)
@@ -596,10 +621,10 @@ func midDrainScript(t *testing.T, calls frameCalls) routerOutcome {
 
 	drained := make(chan struct{})
 	go func() { calls.ack(tx, keys); close(drained) }()
-	sh, rk := c.router.shard(keys[0]), routeKey{mb: src.mb, key: keys[0]}
+	sh := src.mb.router.shard(keys[0])
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		sh.mu.Lock()
-		flushing := sh.keys[rk].flushing
+		flushing := sh.entry(keys[0]).flushing
 		sh.mu.Unlock()
 		if flushing {
 			break
@@ -613,7 +638,7 @@ func midDrainScript(t *testing.T, calls frameCalls) routerOutcome {
 	calls.ack(tx, frame(key(1))) // lands mid-drain: must not start a second drain
 	release()
 	<-drained
-	return collectOutcome(t, c, dst)
+	return collectOutcome(t, c, src, dst)
 }
 
 // TestFrameCallsMatchPerKeyCalls: registerFrame and ackFrame are N per-key
@@ -639,4 +664,39 @@ func TestFrameCallsMatchPerKeyCalls(t *testing.T) {
 	if got := midDrainScript(t, frameCalls{}).received; !reflect.DeepEqual(got, want) {
 		t.Fatalf("mid-drain delivery %v, want %v", got, want)
 	}
+}
+
+// BenchmarkRouterFrames is the router's share of a move: it registers, ACKs
+// and detaches 20 000 keys in 32-key frames on one source connection, with no
+// events, and reports ns/key and allocs/key.
+func BenchmarkRouterFrames(b *testing.B) {
+	const keys, batch = 20000, 32
+	c := NewController(Options{})
+	src, dst := newTestPeer(b, c, "src"), newTestPeer(b, c, "dst")
+	var frames [][]packet.FlowID
+	for i := 0; i < keys; i += batch {
+		f := make([]packet.FlowID, 0, batch)
+		for j := i; j < min(i+batch, keys); j++ {
+			f = append(f, frame(key(j))[0])
+		}
+		frames = append(frames, f)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		tx := newTxn(c, src.mb, dst.mb)
+		for _, f := range frames {
+			tx.registerFrame(f)
+		}
+		for _, f := range frames {
+			tx.ackFrame(f)
+		}
+		tx.detach()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * keys)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/key")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/key")
 }

@@ -11,7 +11,7 @@ import (
 
 // txn tracks one move, clone or merge transaction. Its routing state
 // (outstanding puts and buffered events per key, shared state under
-// packet.SharedID) lives in the controller's sharded router; the txn itself
+// packet.SharedID) lives in its source connection's sharded router; the txn
 // holds only what is inherently per transaction — the endpoints, the
 // activity clock its completion timer watches, the keys it registered (so
 // detach touches exactly the shards it used), and the stale state of keys a
@@ -132,11 +132,11 @@ func (t *txn) flush() {
 // frame is delivered to its consumer, or before a shared get is sent, so
 // event routing can never miss the registration. keys belongs to the
 // transaction afterwards.
-func (t *txn) registerFrame(keys []packet.FlowID) { t.ctrl.router.registerFrame(t, keys) }
+func (t *txn) registerFrame(keys []packet.FlowID) { t.src.router.registerFrame(t, keys) }
 
 // ackFrame marks one put acknowledged for every key of a frame; see
 // txnRouter.ackFrame.
-func (t *txn) ackFrame(keys []packet.FlowID) { t.ctrl.router.ackFrame(t, keys) }
+func (t *txn) ackFrame(keys []packet.FlowID) { t.src.router.ackFrame(t, keys) }
 
 // noteFrame remembers a registered frame's keys for detach.
 func (t *txn) noteFrame(keys []packet.FlowID) {
@@ -239,6 +239,6 @@ func (t *txn) detach() {
 	}
 	t.detached = true
 	t.mu.Unlock()
-	t.ctrl.router.detach(t)
+	t.src.router.detach(t)
 	t.ctrl.registry.remove(t)
 }

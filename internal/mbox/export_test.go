@@ -22,7 +22,7 @@ func MarkCountForTest(rt *Runtime) (count int64, marks int) {
 	defer rt.marksMu.Unlock()
 	marks = len(rt.sharedMoved)
 	for _, set := range rt.marks {
-		marks += set.n
+		marks += set.Len()
 	}
 	return rt.markCount.Load(), marks
 }

@@ -95,10 +95,10 @@ type Runtime struct {
 
 	// marks is the moved/cloned registry: per-flow keys (one set per class)
 	// and shared classes currently part of a controller transaction.
-	// markCount is their total, kept by updateMarks and read without the
-	// lock by Touch/TouchShared.
+	// markCount is their total, kept by markKey and updateMarks and read
+	// without the lock by Touch/TouchShared.
 	marksMu     sync.Mutex
-	marks       map[state.Class]*flowTable[struct{}]
+	marks       map[state.Class]*packet.FlowTable[struct{}]
 	sharedMoved map[state.Class]bool
 	markCount   atomic.Int64
 	// creditPeak is the most frames any get has had beyond its credit.
@@ -171,7 +171,7 @@ func New(name string, logic Logic, opts Options) *Runtime {
 		reconnect:    opts.Reconnect,
 		reconnectMin: opts.ReconnectMin,
 		reconnectMax: opts.ReconnectMax,
-		marks:        map[state.Class]*flowTable[struct{}]{},
+		marks:        map[state.Class]*packet.FlowTable[struct{}]{},
 		sharedMoved:  map[state.Class]bool{},
 		logs:         map[string][]string{},
 	}
@@ -297,33 +297,35 @@ func (rt *Runtime) queueEvent(ev *sbi.Event, p *packet.Packet) {
 	}
 }
 
-// updateMarks is the only writer of the mark tables: it runs change under
-// marksMu, drops emptied sets with their slots, and republishes markCount
-// before unlocking.
+// updateMarks runs a clear or a shared mark under marksMu, drops emptied
+// sets with their slots, and republishes markCount before unlocking.
 func (rt *Runtime) updateMarks(change func()) {
 	rt.marksMu.Lock()
 	change()
 	n := len(rt.sharedMoved)
 	for class, set := range rt.marks {
-		if set.n == 0 {
+		if set.Len() == 0 {
 			delete(rt.marks, class)
 		}
-		n += set.n
+		n += set.Len()
 	}
 	rt.markCount.Store(int64(n))
 	rt.marksMu.Unlock()
 }
 
-// markKey records that per-flow state id of class is part of a transaction.
+// markKey records that per-flow state id of class is part of a transaction:
+// one insert into the class's set, counted in markCount if it added the key.
 func (rt *Runtime) markKey(class state.Class, id packet.FlowID) {
-	rt.updateMarks(func() {
-		set := rt.marks[class]
-		if set == nil {
-			set = &flowTable[struct{}]{}
-			rt.marks[class] = set
-		}
-		set.put(id, struct{}{})
-	})
+	rt.marksMu.Lock()
+	set := rt.marks[class]
+	if set == nil {
+		set = &packet.FlowTable[struct{}]{}
+		rt.marks[class] = set
+	}
+	if set.Put(id, struct{}{}) {
+		rt.markCount.Add(1)
+	}
+	rt.marksMu.Unlock()
 }
 
 // marked reports whether per-flow state (id, class) is in a transaction.
@@ -334,7 +336,7 @@ func (rt *Runtime) marked(class state.Class, id packet.FlowID) bool {
 	if set == nil {
 		return false
 	}
-	_, ok := set.get(id)
+	_, ok := set.Get(id)
 	return ok
 }
 
@@ -353,9 +355,9 @@ func (rt *Runtime) clearMarks(m packet.FieldMatch, class state.Class) {
 		if set == nil {
 			return
 		}
-		for id := range set.all() {
+		for id := range set.All() {
 			if im.MatchEither(id) {
-				set.remove(id)
+				set.Remove(id, nil)
 			}
 		}
 	})

@@ -62,20 +62,20 @@ type Table[V any] struct {
 	class      state.Class
 	keying     Keying
 	codec      Codec[V]
-	m          flowTable[V]
+	m          packet.FlowTable[V]
 }
 
 // Init readies an empty table of the given class for a middlebox of the
 // given kind (named in errors).
 func (t *Table[V]) Init(kind string, class state.Class, keying Keying, codec Codec[V]) {
 	t.kind, t.class, t.keying, t.codec = kind, class, keying, codec
-	t.m = flowTable[V]{}
+	t.m = packet.FlowTable[V]{}
 }
 
 // Touch returns the entry under id, which must already be keyed, and, if
 // there is one, reports the update the caller is about to make to it.
 func (t *Table[V]) Touch(ctx *Context, id packet.FlowID) (V, bool) {
-	v, ok := t.m.get(id)
+	v, ok := t.m.Get(id)
 	if ok {
 		ctx.Touch(t.class, id)
 	}
@@ -85,28 +85,28 @@ func (t *Table[V]) Touch(ctx *Context, id packet.FlowID) (V, bool) {
 // Insert stores v under id, which must already be keyed, replacing any entry
 // there, and reports the update.
 func (t *Table[V]) Insert(ctx *Context, id packet.FlowID, v V) {
-	t.m.put(id, v)
+	t.m.Put(id, v)
 	ctx.Touch(t.class, id)
 }
 
 // Get returns the entry under id without reporting an update: for readers.
-func (t *Table[V]) Get(id packet.FlowID) (V, bool) { return t.m.get(id) }
+func (t *Table[V]) Get(id packet.FlowID) (V, bool) { return t.m.Get(id) }
 
 // Remove deletes the entry under id, if any, and tells the codec.
 func (t *Table[V]) Remove(id packet.FlowID) {
-	v, ok := t.m.remove(id)
+	v, ok := t.m.Remove(id, nil)
 	if ok {
 		t.codec.Drop(id, v)
 	}
 }
 
 // Len returns the number of entries.
-func (t *Table[V]) Len() int { return t.m.n }
+func (t *Table[V]) Len() int { return t.m.Len() }
 
 // All iterates over the entries in no particular order. The loop body may
 // Remove the entry it is visiting; it may not Insert, nor Remove any other
 // key.
-func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return t.m.all() }
+func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return t.m.All() }
 
 // matchLocked returns the keys matching m in either direction, in table
 // order, from one scan of the table. It holds the keying rule for the get,
@@ -117,8 +117,8 @@ func (t *Table[V]) matchLocked(m packet.FieldMatch) ([]packet.FlowID, error) {
 		return nil, fmt.Errorf("%s: destination constraints are finer than the per-flow keying granularity", t.kind)
 	}
 	im := m.ForID()
-	ids := make([]packet.FlowID, 0, t.m.n)
-	for id := range t.m.all() {
+	ids := make([]packet.FlowID, 0, t.m.Len())
+	for id := range t.m.All() {
 		if im.MatchEither(id) {
 			ids = append(ids, id)
 		}
@@ -149,7 +149,7 @@ func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(
 		t.Lock()
 		defer t.Unlock()
 		mark()
-		v, ok := t.m.get(cur)
+		v, ok := t.m.Get(cur)
 		if !ok {
 			return nil, nil
 		}
@@ -188,12 +188,12 @@ func (t *Table[V]) PutPerflow(class state.Class, c state.Chunk) error {
 	}
 	t.Lock()
 	defer t.Unlock()
-	cur, has := t.m.get(id)
+	cur, has := t.m.Get(id)
 	v, err := t.codec.Put(id, in, cur, has)
 	if err != nil {
 		return err
 	}
-	t.m.put(id, v)
+	t.m.Put(id, v)
 	return nil
 }
 
@@ -225,7 +225,7 @@ func (t *Table[V]) Stats(m packet.FieldMatch) sbi.StatsReply {
 	var buf []byte
 	size := 0
 	for _, id := range ids {
-		v, _ := t.m.get(id)
+		v, _ := t.m.Get(id)
 		buf = t.codec.Append(buf[:0], v)
 		size += len(buf)
 	}

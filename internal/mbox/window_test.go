@@ -238,6 +238,27 @@ func (l reversedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit f
 	return err
 }
 
+// TestMarkCountsDistinctKeys: a key two gets export is one mark. The mark
+// count Touch reads without a lock grows only when a mark adds a key, so it
+// still equals the marks it stands for.
+func TestMarkCountsDistinctKeys(t *testing.T) {
+	h := newHarness(t, mbtest.NewCounterLogic(8))
+	h.rt.HandlePacket(pkt(1, 1000))
+	h.rt.Drain(time.Second)
+	for id := uint64(1); id <= 2; id++ {
+		h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: id, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
+		if chunks, count := h.collectGet(t, id); count != 1 || len(chunks) != 1 {
+			t.Fatalf("get %d: %d chunks, count %d; want 1", id, len(chunks), count)
+		}
+	}
+	if n := h.rt.MarkedKeys(); n != 1 {
+		t.Fatalf("%d keys marked after two gets of one key, want 1", n)
+	}
+	if count, marks := mbox.MarkCountForTest(h.rt); count != int64(marks) {
+		t.Fatalf("mark count %d, marks %d", count, marks)
+	}
+}
+
 // TestGetMarksAnyExportOrder: the marks are a set, so a get whose logic
 // exports in descending order succeeds and marks every key it exported. A
 // packet on each key raises one reprocess event, and the delete that ends

@@ -1,23 +1,19 @@
-package mbox
+package packet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"slices"
 	"testing"
-
-	"openmb/internal/packet"
-	"openmb/internal/state"
 )
 
 // testFlowID returns the canonical ID of the i-th synthetic TCP flow.
-func testFlowID(i int) packet.FlowID {
-	k := packet.FlowKey{
+func testFlowID(i int) FlowID {
+	k := FlowKey{
 		SrcIP:   netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
 		DstIP:   netip.AddrFrom4([4]byte{1, 1, 1, 1}),
-		Proto:   packet.ProtoTCP,
+		Proto:   ProtoTCP,
 		SrcPort: uint16(1024 + i%60000),
 		DstPort: 80,
 	}
@@ -33,8 +29,8 @@ var tableSeeds = []uint64{0x9e3779b97f4a7c15, 0x0123456789abcdef}
 // homeKeys returns n distinct flow IDs whose home slot in a table of the
 // given size and seed is home, so they collide there and, when home is the
 // last slot, their run wraps past the end of the slice.
-func homeKeys(seed uint64, n, slots, home int) []packet.FlowID {
-	var ids []packet.FlowID
+func homeKeys(seed uint64, n, slots, home int) []FlowID {
+	var ids []FlowID
 	for i := 0; len(ids) < n; i++ {
 		if id := testFlowID(i); int(id.HashSeed(seed))&(slots-1) == home {
 			ids = append(ids, id)
@@ -43,36 +39,52 @@ func homeKeys(seed uint64, n, slots, home int) []packet.FlowID {
 	return ids
 }
 
-// flowModel runs operations against a flowTable and a Go map side by side.
+// flowModel runs operations against a FlowTable and a Go map side by side.
 type flowModel struct {
 	t   testing.TB
-	ft  flowTable[uint64]
-	ref map[packet.FlowID]uint64
+	ft  FlowTable[uint64]
+	ref map[FlowID]uint64
 }
 
 func newFlowModel(t testing.TB, seed uint64) *flowModel {
-	return &flowModel{t: t, ft: flowTable[uint64]{seed: seed}, ref: map[packet.FlowID]uint64{}}
+	return &flowModel{t: t, ft: FlowTable[uint64]{seed: seed}, ref: map[FlowID]uint64{}}
 }
 
-func (m *flowModel) put(id packet.FlowID, v uint64) {
-	m.ft.put(id, v)
+func (m *flowModel) put(id FlowID, v uint64) {
+	_, had := m.ref[id]
+	if added := m.ft.Put(id, v); added == had {
+		m.t.Fatalf("put %v: added %v, reference held it %v", id, added, had)
+	}
 	m.ref[id] = v
 	if m.ft.n != len(m.ref) {
 		m.t.Fatalf("put %v: table holds %d entries, reference %d", id, m.ft.n, len(m.ref))
 	}
 }
 
-func (m *flowModel) remove(id packet.FlowID) {
+func (m *flowModel) remove(id FlowID) {
 	want, had := m.ref[id]
-	if v, ok := m.ft.remove(id); ok != had || v != want {
+	if v, ok := m.ft.Remove(id, nil); ok != had || v != want {
 		m.t.Fatalf("remove %v: got (%d, %v), reference (%d, %v)", id, v, ok, want, had)
 	}
 	delete(m.ref, id)
 }
 
-func (m *flowModel) get(id packet.FlowID) {
+// removeIf removes id under a condition, that its value is odd, as the
+// router removes a key only if the detaching transaction owns it.
+func (m *flowModel) removeIf(id FlowID) {
 	want, had := m.ref[id]
-	if v, ok := m.ft.get(id); ok != had || v != want {
+	hit := had && want%2 == 1
+	if v, got := m.ft.Remove(id, func(v uint64) bool { return v%2 == 1 }); got != hit || hit && v != want {
+		m.t.Fatalf("removeIf %v: removed (%d, %v), reference (%d, %v)", id, v, got, want, had)
+	}
+	if hit {
+		delete(m.ref, id)
+	}
+}
+
+func (m *flowModel) get(id FlowID) {
+	want, had := m.ref[id]
+	if v, ok := m.ft.Get(id); ok != had || v != want {
 		m.t.Fatalf("get %v: got (%d, %v), reference (%d, %v)", id, v, ok, want, had)
 	}
 }
@@ -94,9 +106,9 @@ func (m *flowModel) check() {
 // step, and checks that each entry resident when the walk began is visited
 // exactly once, with its value.
 func (m *flowModel) sweep() {
-	seen := map[packet.FlowID]bool{}
+	seen := map[FlowID]bool{}
 	step := 0
-	for id, v := range m.ft.all() {
+	for id, v := range m.ft.All() {
 		if want, ok := m.ref[id]; !ok || v != want || seen[id] {
 			m.t.Fatalf("walk visits %v=%d: reference (%d, %v), seen before %v", id, v, want, ok, seen[id])
 		}
@@ -117,10 +129,10 @@ func (m *flowModel) sweep() {
 }
 
 // TestFlowTableMatchesMap runs seeded operation sequences against a Go map,
-// each under every one of tableSeeds: inserts, overwrites, gets and deletes
-// through at least four doublings; keys that collide and whose runs wrap past
-// the end of the slice; and walks that remove the visited entry on every
-// other step.
+// each under every one of tableSeeds: inserts, overwrites, gets, deletes and
+// conditional deletes through at least four doublings; keys that collide and
+// whose runs wrap past the end of the slice; and walks that remove the
+// visited entry on every other step.
 func TestFlowTableMatchesMap(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		for _, ts := range tableSeeds {
@@ -133,6 +145,8 @@ func TestFlowTableMatchesMap(t *testing.T) {
 					switch r := rng.Intn(10); {
 					case r < 5:
 						m.put(id, rng.Uint64())
+					case r < 6:
+						m.removeIf(id)
 					case r < 7:
 						m.remove(id)
 					default:
@@ -209,27 +223,13 @@ func TestFlowTableMatchesMap(t *testing.T) {
 
 // displacement returns how far, in slots, id sits from its home slot in t:
 // right after id's insert, the slots that insert probed past.
-func displacement[V any](t *flowTable[V], id packet.FlowID) int {
+func displacement[V any](t *FlowTable[V], id FlowID) int {
 	i, _ := t.find(id)
 	return (i - int(id.HashSeed(t.seed))) & (len(t.slots) - 1)
 }
 
-// u64Codec is a Codec for plain uint64 values: eight bytes, the incoming
-// value wins.
-type u64Codec struct{}
-
-func (u64Codec) Append(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func (u64Codec) Decode(_ packet.FlowID, b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("blob of %d bytes, want 8", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-func (u64Codec) Put(_ packet.FlowID, in, _ uint64, _ bool) (uint64, error) { return in, nil }
-func (u64Codec) Drop(packet.FlowID, uint64)                                {}
-
 // TestFlowTableFillInTableOrder fills fresh tables in a 20 000-key table's
-// export order, as a get fills the runtime's mark set and a put the
+// slot order, as a get fills the runtime's mark set and a put the
 // destination's table, and bounds each insert's displacement from its home
 // slot. Under one hash for every table, a table that is still smaller than
 // the source homes that order's second half on slots its first half already
@@ -238,33 +238,19 @@ func (u64Codec) Drop(packet.FlowID, uint64)                                {}
 // about one slot from home.
 func TestFlowTableFillInTableOrder(t *testing.T) {
 	const keys = 20000
-	var src, dst Table[uint64]
-	src.Init("fill", state.Supporting, Canonical, u64Codec{})
-	dst.Init("fill", state.Supporting, Canonical, u64Codec{})
+	var src, dst FlowTable[uint64]
 	for i := range keys {
-		src.m.put(testFlowID(i), uint64(i))
+		src.Put(testFlowID(i), uint64(i))
 	}
-	var marks flowTable[struct{}]
+	var marks FlowTable[struct{}]
 	markSum, dstSum := 0, 0
-	err := src.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		id, _ := key.ID()
-		blob, err := build(func() {
-			marks.put(id, struct{}{})
-			markSum += displacement(&marks, id)
-		})
-		if err != nil {
-			return err
-		}
-		if err := dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob}); err != nil {
-			return err
-		}
-		dstSum += displacement(&dst.m, id)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for id, v := range src.All() {
+		marks.Put(id, struct{}{})
+		markSum += displacement(&marks, id)
+		dst.Put(id, v)
+		dstSum += displacement(&dst, id)
 	}
-	for id, v := range src.m.all() {
+	for id, v := range src.All() {
 		if got, ok := dst.Get(id); !ok || got != v {
 			t.Fatalf("%v: destination holds (%d, %v), want %d", id, got, ok, v)
 		}
@@ -272,7 +258,7 @@ func TestFlowTableFillInTableOrder(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		n, sum int
-	}{{"mark set", marks.n, markSum}, {"destination table", dst.Len(), dstSum}} {
+	}{{"mark set", marks.Len(), markSum}, {"destination table", dst.Len(), dstSum}} {
 		mean := float64(c.sum) / keys
 		t.Logf("%s: %d keys, mean displacement at insert %.2f slots", c.name, c.n, mean)
 		if c.n != keys || mean > 4 {
@@ -287,32 +273,32 @@ func TestFlowTableFillInTableOrder(t *testing.T) {
 // up; with a seed per table the two read alike. Each reports the mean
 // displacement at insert of one more fill beside the time.
 func BenchmarkFlowTableRefill(b *testing.B) {
-	var src flowTable[struct{}]
+	var src FlowTable[struct{}]
 	for i := range 20000 {
-		src.put(testFlowID(i), struct{}{})
+		src.Put(testFlowID(i), struct{}{})
 	}
-	var inOrder []packet.FlowID
-	for id := range src.all() {
+	var inOrder []FlowID
+	for id := range src.All() {
 		inOrder = append(inOrder, id)
 	}
 	shuffled := slices.Clone(inOrder)
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	for _, c := range []struct {
 		name string
-		ids  []packet.FlowID
+		ids  []FlowID
 	}{{"order=table", inOrder}, {"order=shuffled", shuffled}} {
 		b.Run(c.name, func(b *testing.B) {
 			for range b.N {
-				var t flowTable[struct{}]
+				var t FlowTable[struct{}]
 				for _, id := range c.ids {
-					t.put(id, struct{}{})
+					t.Put(id, struct{}{})
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.ids)), "ns/key")
-			var t flowTable[struct{}]
+			var t FlowTable[struct{}]
 			sum := 0
 			for _, id := range c.ids {
-				t.put(id, struct{}{})
+				t.Put(id, struct{}{})
 				sum += displacement(&t, id)
 			}
 			b.ReportMetric(float64(sum)/float64(len(c.ids)), "displacement/insert")
@@ -320,13 +306,14 @@ func BenchmarkFlowTableRefill(b *testing.B) {
 	}
 }
 
-// FuzzFlowTableOps drives a flowTable with byte-coded operations over a small
+// FuzzFlowTableOps drives a FlowTable with byte-coded operations over a small
 // pool of keys (many of them colliding) and checks it against a Go map
 // operation by operation. The first eight bytes are the table's seed (made
 // non-zero, so the table never draws its own and a failure replays), and
 // the colliding keys are picked under it. Then two bytes an operation: the
-// first chooses put (and its value), remove, get or a walk that removes
-// every other entry, the second the key.
+// first chooses put (and its value), remove (a conditional one when its bit
+// 2 is set), get or a walk that removes every other entry, the second the
+// key.
 func FuzzFlowTableOps(f *testing.F) {
 	f.Add(append(binary.BigEndian.AppendUint64(nil, tableSeeds[0]), 0, 1, 0, 2, 0, 3, 1, 2, 2, 1, 3, 0))
 	f.Add(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, tableSeeds[1]), 0x0001000200030004))
@@ -345,7 +332,11 @@ func FuzzFlowTableOps(f *testing.F) {
 			case 0:
 				m.put(id, uint64(ops[i]))
 			case 1:
-				m.remove(id)
+				if ops[i]&4 != 0 {
+					m.removeIf(id)
+				} else {
+					m.remove(id)
+				}
 			case 2:
 				m.get(id)
 			case 3:

@@ -38,9 +38,9 @@ func pointerFields(t reflect.Type) []string {
 // types of the standing per-key tables, read off the tables themselves: the
 // flow ID is at most 16 bytes, every middlebox's per-flow table (mbox.Table)
 // is keyed by it in slots of at most 24 bytes, the runtime's mark sets are
-// keyed by it in pointer-free slots of at most 16 bytes, and the controller
-// router's tables on at most 24 bytes whose only pointer is the source
-// connection.
+// keyed by it in pointer-free slots of at most 16 bytes, and each source
+// connection's router table is keyed by it in slots of at most 24 bytes whose
+// only pointer is the entry's.
 func TestTableKeysAreCompact(t *testing.T) {
 	// field follows a chain of struct fields, stepping through pointers,
 	// slices and map values on the way.
@@ -79,11 +79,15 @@ func TestTableKeysAreCompact(t *testing.T) {
 	if mark.Size() > 16 || pointerFields(mark) != nil {
 		t.Errorf("mark set slot %v: %d bytes, pointer fields %q; want at most 16, none", mark, mark.Size(), pointerFields(mark))
 	}
-	for _, table := range []string{"keys", "orphans"} {
-		m := field(reflect.TypeOf((*core.Controller)(nil)), "router", "shards", table)
-		rk := m.Key()
-		if ptrs := pointerFields(rk); rk.Size() > 24 || !reflect.DeepEqual(ptrs, []string{"mb"}) || field(rk, "mb").Kind() != reflect.Pointer {
-			t.Errorf("router table %v: key is %d bytes, pointer fields %q (want only the connection)", m, rk.Size(), ptrs)
-		}
+	// Each source connection's router keeps one flat table a shard: the
+	// key is the flow ID alone, and the entry pointer is the slot's only
+	// pointer.
+	route := field(reflect.TypeOf((*core.Controller)(nil)), "mbs", "router", "shards", "keys", "slots").Elem()
+	key := field(route, "id")
+	if key != flowID || pointerFields(key) != nil {
+		t.Errorf("router table slot %v is keyed by %v (pointer fields %q), not packet.FlowID", route, key, pointerFields(key))
+	}
+	if ptrs := pointerFields(route); route.Size() > 24 || !reflect.DeepEqual(ptrs, []string{"v"}) || field(route, "v").Kind() != reflect.Pointer {
+		t.Errorf("router table slot %v: %d bytes, pointer fields %q; want at most 24, only the entry pointer", route, route.Size(), ptrs)
 	}
 }
