@@ -247,6 +247,9 @@ func (c *Controller) transact(src, dst *mbConn, tr transfer) error {
 		if _, perr := dst.call(put, c.opts.CallTimeout); perr != nil {
 			fail(perr)
 		}
+		// call encodes the put before it returns, so nothing reads the
+		// received frame's chunks after this; its Keys are not pooled.
+		j.frame.Release()
 		// Put-ACK round trip, observed on success and failure alike (a
 		// timed-out put is the tail the histogram exists to expose).
 		c.histPut.Observe(time.Since(putStart))

@@ -102,8 +102,13 @@ type Logic interface {
 	// PutPerflow installs one chunk previously exported by a peer
 	// instance of the same kind, under c.Key.ID(); a key whose ID reports
 	// false is rejected. A tombstone (zero-length blob) installs nothing.
-	// The runtime opens c.Blob in place, so it may alias the received
-	// frame; the runtime never reuses a frame, so a logic may keep it.
+	// The runtime opens c.Blob in place in the received frame, which it
+	// reuses for a later frame once the put is ACKed: c.Blob is valid only
+	// during the call, and a logic copies what it keeps, as GetPerflow's
+	// build returns a buffer valid only during its emit. Every codec under
+	// Table copies out of the blob (binary reads, netip.AddrFromSlice,
+	// string conversions, json.Unmarshal), and the RE boxes refuse per-flow
+	// puts.
 	PutPerflow(class state.Class, c state.Chunk) error
 
 	// DelPerflow removes matching state without side effects (no log

@@ -639,7 +639,9 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	var err error
 	// One FrameSealer opens the whole frame, reusing its scratch buffer.
 	// The blobs open in place: the frame is this runtime's own, freshly
-	// decoded, and never reused.
+	// decoded. It goes back to the codec's pool once the reply is encoded,
+	// so PutPerflow copies what it keeps (see Logic).
+	defer m.Release()
 	fs := rt.sealer.Frame()
 	defer fs.Release()
 	m.EachChunk(func(c *state.Chunk) {

@@ -103,8 +103,9 @@ func (c *jsonCodec) decode() (*Message, error) {
 //
 // Strings and byte fields are uvarint-length-prefixed; blobs and packets are
 // raw bytes (no base64). Flow keys use packet.FlowKey's fixed 13-byte form.
-// Encode buffers are pooled; decoded messages own their frame buffer, so
-// blob slices alias it safely.
+// Encode buffers are pooled. A decoded message's blobs and packets alias its
+// frame body; a frame of at least pooledFrameMin bytes borrows that body and
+// its chunk slice from framePool, and Message.Release gives them back.
 
 // maxBinaryFrame bounds a frame body so a corrupt or hostile length prefix
 // cannot force an arbitrary allocation.
@@ -182,6 +183,31 @@ var byteToMsgType = map[byte]MsgType{
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
+
+// A received frame's body and the chunk slice decoded from it come from
+// framePool when the body is at least pooledFrameMin bytes: the chunk
+// frames of a move, which a consumer releases once it has put or installed
+// them. Smaller frames (ACKs, credits, most events) are made fresh: nobody
+// releases them, and borrowing for them would only drain the pool. A body
+// that grew past maxPooledFrame is left to the collector rather than kept
+// at up to maxBinaryFrame.
+const (
+	pooledFrameMin = 1 << 10
+	maxPooledFrame = 1 << 20
+)
+
+// framePoison overwrites a released body under the race detector, so a read
+// after Release fails loudly (a sealed blob no longer opens) instead of
+// seeing whatever frame reused the body.
+const framePoison = 0xA5
+
+// frameBuf is one pooled frame's storage.
+type frameBuf struct {
+	body   []byte
+	chunks []state.Chunk
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 type binaryCodec struct {
 	bw *bufio.Writer
@@ -556,7 +582,18 @@ func (c *binaryCodec) decode() (*Message, error) {
 	if n > maxBinaryFrame {
 		return nil, fmt.Errorf("sbi: binary decode: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	m := &Message{}
+	var body []byte
+	if n >= pooledFrameMin {
+		fb := framePool.Get().(*frameBuf)
+		if cap(fb.body) < int(n) {
+			fb.body = make([]byte, n)
+		}
+		fb.body = fb.body[:n]
+		body, m.frame = fb.body, fb
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -565,7 +602,6 @@ func (c *binaryCodec) decode() (*Message, error) {
 	}
 	r := &binReader{b: body}
 
-	m := &Message{}
 	mt, ok := byteToMsgType[r.byte("type")]
 	if !ok {
 		return nil, fmt.Errorf("sbi: binary decode: unknown message type")
@@ -639,7 +675,14 @@ func (c *binaryCodec) decode() (*Message, error) {
 			return nil, fmt.Errorf("sbi: binary decode: chunk count %d exceeds frame", n)
 		}
 		if r.err == nil && n > 0 {
-			m.Chunks = make([]state.Chunk, 0, n)
+			if fb := m.frame; fb != nil {
+				if uint64(cap(fb.chunks)) < n {
+					fb.chunks = make([]state.Chunk, 0, n)
+				}
+				m.Chunks = fb.chunks[:0]
+			} else {
+				m.Chunks = make([]state.Chunk, 0, n)
+			}
 		}
 		for i := uint64(0); i < n && r.err == nil; i++ {
 			m.Chunks = append(m.Chunks, r.chunk("chunks"))

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"openmb/internal/packet"
+	"openmb/internal/racedetect"
 	"openmb/internal/state"
 )
 
@@ -39,6 +40,18 @@ func roundTrip(t *testing.T, codec Codec, m *Message) *Message {
 		t.Fatalf("%s decode: %v", codec, err)
 	}
 	return got
+}
+
+// sameMessage reports whether a and b are deeply equal in every field but
+// the pooled frame a binary-decoded message borrows, which is storage, not
+// content.
+func sameMessage(a, b *Message) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	x, y := *a, *b
+	x.frame, y.frame = nil, nil
+	return reflect.DeepEqual(x, y)
 }
 
 func testMessages() []*Message {
@@ -120,7 +133,7 @@ func TestCodecEquivalence(t *testing.T) {
 	for i, m := range testMessages() {
 		viaJSON := roundTrip(t, CodecJSON, m)
 		viaBinary := roundTrip(t, CodecBinary, m)
-		if !reflect.DeepEqual(viaJSON, viaBinary) {
+		if !sameMessage(viaJSON, viaBinary) {
 			t.Errorf("message %d (%s): codecs disagree\n json:   %+v\n binary: %+v", i, m.Type, viaJSON, viaBinary)
 		}
 		if !reflect.DeepEqual(viaBinary.Event, m.Event) {
@@ -191,9 +204,82 @@ func TestCodecEquivalenceRandom(t *testing.T) {
 		}
 		viaJSON := roundTrip(t, CodecJSON, m)
 		viaBinary := roundTrip(t, CodecBinary, m)
-		if !reflect.DeepEqual(viaJSON, viaBinary) {
+		if !sameMessage(viaJSON, viaBinary) {
 			t.Fatalf("iteration %d: codecs disagree\n json:   %+v\n binary: %+v", i, viaJSON, viaBinary)
 		}
+	}
+}
+
+// TestReleasedFrameIsReused pins the received-frame pool: a chunk frame
+// decoded after a Release reuses the released body, a message nobody
+// released keeps its bytes through later decodes and releases, and Release
+// on a JSON-decoded message changes nothing.
+func TestReleasedFrameIsReused(t *testing.T) {
+	k, _ := packet.ParseFlowKey("10.0.0.1:1234>192.168.1.2:80/tcp")
+	frame := func(fill byte) *Message { // 32 chunks of 189 B, well over pooledFrameMin
+		m := &Message{Type: MsgChunk, ID: 1}
+		for i := 0; i < 32; i++ {
+			m.Chunks = append(m.Chunks, state.Chunk{Key: k, Blob: bytes.Repeat([]byte{fill}, 189)})
+		}
+		return m
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	c := newBinaryCodec(bufio.NewReader(&buf), bw)
+	next := func(fill byte) *Message {
+		t.Helper()
+		if err := c.encode(frame(fill)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	// sync.Pool may drop what is put back (the race detector makes it do
+	// so at random), so the reuse gets several tries.
+	reused := false
+	for i := 0; i < 64 && !reused; i++ {
+		a := next(1)
+		blob := a.Chunks[0].Blob
+		a.Release()
+		if a.Chunk != nil || a.Chunks != nil || a.Blob != nil {
+			t.Fatalf("released message still carries its payload: %+v", a)
+		}
+		if racedetect.Enabled && blob[0] != framePoison {
+			t.Fatalf("released body reads %#x under the race detector, want the poison %#x", blob[0], framePoison)
+		}
+		b := next(2)
+		reused = &b.Chunks[0].Blob[0] == &blob[0]
+		b.Release()
+	}
+	if !reused {
+		t.Fatal("no frame decoded after a Release reused the released body")
+	}
+
+	kept := next(3)
+	want := frame(3)
+	for i := 0; i < 16; i++ {
+		next(byte(4 + i)).Release()
+	}
+	if len(kept.Chunks) != len(want.Chunks) {
+		t.Fatalf("kept message has %d chunks, want %d", len(kept.Chunks), len(want.Chunks))
+	}
+	for i := range kept.Chunks {
+		if !bytes.Equal(kept.Chunks[i].Blob, want.Chunks[i].Blob) {
+			t.Fatalf("chunk %d of an unreleased message was overwritten by a later frame", i)
+		}
+	}
+
+	viaJSON := roundTrip(t, CodecJSON, frame(5))
+	viaJSON.Release()
+	if !sameMessage(viaJSON, roundTrip(t, CodecJSON, frame(5))) {
+		t.Fatal("Release changed a JSON-decoded message")
 	}
 }
 
@@ -371,9 +457,11 @@ func benchCodec(b *testing.B, codec Codec, m *Message) {
 		if err := bw.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.decode(); err != nil {
+		got, err := c.decode()
+		if err != nil {
 			b.Fatal(err)
 		}
+		got.Release()
 	}
 	b.SetBytes(int64(buf.Len()))
 }
@@ -392,7 +480,9 @@ func benchChunkMessage(batch int) *Message {
 
 // BenchmarkCodecJSON and BenchmarkCodecBinary measure one encode+decode of a
 // representative 189-byte chunk frame (the paper's PRADS chunk size) under
-// each codec, alone and batched 32 to a frame.
+// each codec, alone and batched 32 to a frame. Each decoded message is
+// released, as the move's consumers release theirs, so the binary batch
+// reuses one pooled frame.
 func BenchmarkCodecJSON(b *testing.B)   { benchCodec(b, CodecJSON, benchChunkMessage(1)) }
 func BenchmarkCodecBinary(b *testing.B) { benchCodec(b, CodecBinary, benchChunkMessage(1)) }
 func BenchmarkCodecJSONBatch32(b *testing.B) {

@@ -12,6 +12,7 @@ package sbi
 
 import (
 	"openmb/internal/packet"
+	"openmb/internal/racedetect"
 	"openmb/internal/state"
 )
 
@@ -290,6 +291,34 @@ type Message struct {
 	// Dir carries replicated-directory entries (OpDirUpdate requests and
 	// OpDirSync replies).
 	Dir []DirEntry `json:"dir,omitempty"`
+
+	// frame is the pooled storage a binary-decoded message borrowed, nil
+	// for small frames and JSON; Release returns it.
+	frame *frameBuf
+}
+
+// Release returns the frame buffer m borrowed when it was received, and
+// clears Chunk, Chunks and Blob, which alias it. The caller promises that
+// nothing reads m's blobs, packets or chunk slice any more: a later frame
+// may overwrite them. It is a no-op for a message that borrowed nothing (a
+// small or JSON-decoded frame, or one built to be sent), and a message never
+// released is simply collected. The move's two chunk consumers release: the
+// controller's put worker once the put is sent, and the middlebox once the
+// put is installed and ACKed.
+func (m *Message) Release() {
+	fb := m.frame
+	if fb == nil {
+		return
+	}
+	m.frame, m.Chunk, m.Chunks, m.Blob = nil, nil, nil, nil
+	if racedetect.Enabled {
+		for i := range fb.body {
+			fb.body[i] = framePoison
+		}
+	}
+	if cap(fb.body) <= maxPooledFrame {
+		framePool.Put(fb)
+	}
 }
 
 // DirEntry is one replicated-directory record: which cluster node owns a
