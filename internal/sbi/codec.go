@@ -104,8 +104,8 @@ func (c *jsonCodec) decode() (*Message, error) {
 // Strings and byte fields are uvarint-length-prefixed; blobs and packets are
 // raw bytes (no base64). Flow keys use packet.FlowKey's fixed 13-byte form.
 // Encode buffers are pooled. A decoded message's blobs and packets alias its
-// frame body; a frame of at least pooledFrameMin bytes borrows that body and
-// its chunk slice from framePool, and Message.Release gives them back.
+// frame body; a frame that carries chunks borrows that body and its chunk
+// slice from framePool, and Message.Release gives them back.
 
 // maxBinaryFrame bounds a frame body so a corrupt or hostile length prefix
 // cannot force an arbitrary allocation.
@@ -185,16 +185,14 @@ var encBufPool = sync.Pool{
 }
 
 // A received frame's body and the chunk slice decoded from it come from
-// framePool when the body is at least pooledFrameMin bytes: the chunk
-// frames of a move, which a consumer releases once it has put or installed
-// them. Smaller frames (ACKs, credits, most events) are made fresh: nobody
-// releases them, and borrowing for them would only drain the pool. A body
-// that grew past maxPooledFrame is left to the collector rather than kept
-// at up to maxBinaryFrame.
-const (
-	pooledFrameMin = 1 << 10
-	maxPooledFrame = 1 << 20
-)
+// framePool, one process-wide pool, when the frame carries chunks: a
+// MsgChunk frame or a per-flow put, whose consumers release it once they
+// have put or installed its chunks. Every other frame (ACKs, credits,
+// events, which the event router may hold) is made fresh: nobody releases
+// it, and borrowing for it would only drain the pool and pin a pooled body
+// for as long as it is held. A body that grew past maxPooledFrame is left
+// to the collector rather than kept at up to maxBinaryFrame.
+const maxPooledFrame = 1 << 20
 
 // framePoison overwrites a released body under the race detector, so a read
 // after Release fails loudly (a sealed blob no longer opens) instead of
@@ -573,6 +571,17 @@ func (r *binReader) chunk(what string) state.Chunk {
 	return state.Chunk{Key: key, Blob: blob}
 }
 
+// carriesChunks reports whether the n-byte frame body next in br sets a
+// chunk field, by peeking its type byte and field bitmap without consuming
+// them. A body too short to hold them is left to decode to reject.
+func carriesChunks(br *bufio.Reader, n uint32) bool {
+	if n < 5 {
+		return false
+	}
+	h, err := br.Peek(5)
+	return err == nil && binary.BigEndian.Uint32(h[1:])&(fChunk|fChunks) != 0
+}
+
 func (c *binaryCodec) decode() (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -584,7 +593,7 @@ func (c *binaryCodec) decode() (*Message, error) {
 	}
 	m := &Message{}
 	var body []byte
-	if n >= pooledFrameMin {
+	if carriesChunks(c.br, n) {
 		fb := framePool.Get().(*frameBuf)
 		if cap(fb.body) < int(n) {
 			fb.body = make([]byte, n)

@@ -212,11 +212,12 @@ func TestCodecEquivalenceRandom(t *testing.T) {
 
 // TestReleasedFrameIsReused pins the received-frame pool: a chunk frame
 // decoded after a Release reuses the released body, a message nobody
-// released keeps its bytes through later decodes and releases, and Release
-// on a JSON-decoded message changes nothing.
+// released keeps its bytes through later decodes and releases, only frames
+// that carry chunks borrow, whatever their size, and Release on a
+// JSON-decoded message changes nothing.
 func TestReleasedFrameIsReused(t *testing.T) {
 	k, _ := packet.ParseFlowKey("10.0.0.1:1234>192.168.1.2:80/tcp")
-	frame := func(fill byte) *Message { // 32 chunks of 189 B, well over pooledFrameMin
+	frame := func(fill byte) *Message { // 32 chunks of 189 B
 		m := &Message{Type: MsgChunk, ID: 1}
 		for i := 0; i < 32; i++ {
 			m.Chunks = append(m.Chunks, state.Chunk{Key: k, Blob: bytes.Repeat([]byte{fill}, 189)})
@@ -226,9 +227,9 @@ func TestReleasedFrameIsReused(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	c := newBinaryCodec(bufio.NewReader(&buf), bw)
-	next := func(fill byte) *Message {
+	next := func(out *Message) *Message {
 		t.Helper()
-		if err := c.encode(frame(fill)); err != nil {
+		if err := c.encode(out); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
@@ -245,7 +246,7 @@ func TestReleasedFrameIsReused(t *testing.T) {
 	// so at random), so the reuse gets several tries.
 	reused := false
 	for i := 0; i < 64 && !reused; i++ {
-		a := next(1)
+		a := next(frame(1))
 		blob := a.Chunks[0].Blob
 		a.Release()
 		if a.Chunk != nil || a.Chunks != nil || a.Blob != nil {
@@ -254,7 +255,7 @@ func TestReleasedFrameIsReused(t *testing.T) {
 		if racedetect.Enabled && blob[0] != framePoison {
 			t.Fatalf("released body reads %#x under the race detector, want the poison %#x", blob[0], framePoison)
 		}
-		b := next(2)
+		b := next(frame(2))
 		reused = &b.Chunks[0].Blob[0] == &blob[0]
 		b.Release()
 	}
@@ -262,10 +263,10 @@ func TestReleasedFrameIsReused(t *testing.T) {
 		t.Fatal("no frame decoded after a Release reused the released body")
 	}
 
-	kept := next(3)
+	kept := next(frame(3))
 	want := frame(3)
 	for i := 0; i < 16; i++ {
-		next(byte(4 + i)).Release()
+		next(frame(byte(4 + i))).Release()
 	}
 	if len(kept.Chunks) != len(want.Chunks) {
 		t.Fatalf("kept message has %d chunks, want %d", len(kept.Chunks), len(want.Chunks))
@@ -275,6 +276,18 @@ func TestReleasedFrameIsReused(t *testing.T) {
 			t.Fatalf("chunk %d of an unreleased message was overwritten by a later frame", i)
 		}
 	}
+
+	// An event frame the event router may hold borrows nothing, however
+	// large; a one-chunk put, which the middlebox releases, borrows.
+	ev := next(&Message{Type: MsgEvent, Event: &Event{Kind: EventReprocess, Key: k, Packet: bytes.Repeat([]byte{6}, 4096)}})
+	if ev.frame != nil {
+		t.Fatal("an event frame borrowed from the frame pool")
+	}
+	put := next(&Message{Type: MsgRequest, Op: OpPutSupportPerflow, ID: 2, Chunk: &state.Chunk{Key: k, Blob: []byte{7}}})
+	if put.frame == nil {
+		t.Fatal("a one-chunk put did not borrow from the frame pool")
+	}
+	put.Release()
 
 	viaJSON := roundTrip(t, CodecJSON, frame(5))
 	viaJSON.Release()

@@ -292,8 +292,8 @@ type Message struct {
 	// OpDirSync replies).
 	Dir []DirEntry `json:"dir,omitempty"`
 
-	// frame is the pooled storage a binary-decoded message borrowed, nil
-	// for small frames and JSON; Release returns it.
+	// frame is the pooled storage a binary-decoded chunk frame borrowed,
+	// nil for every other frame and for JSON; Release returns it.
 	frame *frameBuf
 }
 
@@ -301,10 +301,10 @@ type Message struct {
 // clears Chunk, Chunks and Blob, which alias it. The caller promises that
 // nothing reads m's blobs, packets or chunk slice any more: a later frame
 // may overwrite them. It is a no-op for a message that borrowed nothing (a
-// small or JSON-decoded frame, or one built to be sent), and a message never
-// released is simply collected. The move's two chunk consumers release: the
-// controller's put worker once the put is sent, and the middlebox once the
-// put is installed and ACKed.
+// frame without chunks, a JSON-decoded one, or one built to be sent), and a
+// message never released is simply collected. The move's two chunk
+// consumers release: the controller's put worker once the put is sent, and
+// the middlebox once the put is installed and ACKed.
 func (m *Message) Release() {
 	fb := m.frame
 	if fb == nil {
