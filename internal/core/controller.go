@@ -626,6 +626,7 @@ type mbConn struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*call
+	free    []*call // dropped single-reply calls, for reuse
 
 	// eventQ hands MsgEvent frames from the read loop to the connection's
 	// event-router goroutine (see eventRouter). Routing off the read loop
@@ -797,21 +798,23 @@ func (mb *mbConn) drainEvents(timeout time.Duration) {
 // are part of a transaction, txn is set so the read loop can register
 // streamed keys (sbi.Message.Keys) before any later event is dispatched. err
 // records why the call was aborted; it is written before ch closes, so the
-// channel close publishes it to the waiter.
+// channel close publishes it to the waiter. Once dropped, a single-reply
+// call's entry, channel and deadline serve later calls.
 type call struct {
-	ch  chan *sbi.Message
-	txn *txn
-	err error
+	ch       chan *sbi.Message
+	txn      *txn
+	err      error
+	deadline *time.Timer
 
-	// delivering serializes the read loop's delivery against dropCall:
-	// dropCall takes it after removing the call from pending, and dropped
-	// tells a delivery that looked the call up just before it left pending
-	// to stand down. Without it, a chunk of a get stream that arrived as
-	// the stream ended could register its keys with the stream's
-	// transaction after detach has released them, leaving router entries
-	// nothing would ever remove.
+	// delivering serializes the read loop's delivery against dropCall,
+	// which zeroes id under it after removing the call from pending: a
+	// delivery that looked the call up just before then finds another id
+	// and stands down, even once the entry serves a later request.
+	// Without it, a chunk of a get stream that arrived as the stream ended
+	// could register its keys with the stream's transaction after detach
+	// has released them, or a late reply reach a later call.
 	delivering sync.Mutex
-	dropped    bool
+	id         atomic.Uint64
 }
 
 // newCall registers a request that can have depth replies undelivered: a
@@ -821,7 +824,14 @@ func (mb *mbConn) newCall(t *txn, depth int) (uint64, *call) {
 	defer mb.mu.Unlock()
 	mb.nextID++
 	id := mb.nextID
-	cl := &call{ch: make(chan *sbi.Message, depth), txn: t}
+	var cl *call
+	if n := len(mb.free); depth == 1 && n > 0 {
+		cl, mb.free = mb.free[n-1], mb.free[:n-1]
+	} else {
+		cl = &call{ch: make(chan *sbi.Message, depth)}
+	}
+	cl.txn = t
+	cl.id.Store(id) // publishes txn to the delivery that loads id
 	mb.pending[id] = cl
 	return id, cl
 }
@@ -837,8 +847,19 @@ func (mb *mbConn) dropCall(id uint64) {
 	// Barrier: once it is taken, no delivery for the call is in progress
 	// and none will start (see call.delivering).
 	cl.delivering.Lock()
-	cl.dropped = true
+	cl.id.Store(0)
 	cl.delivering.Unlock()
+	if cap(cl.ch) != 1 {
+		return
+	}
+	select { // a reply that beat the barrier to an abandoned call is nobody's
+	case m := <-cl.ch:
+		m.Release()
+	default:
+	}
+	mb.mu.Lock()
+	mb.free = append(mb.free, cl)
+	mb.mu.Unlock()
 }
 
 // failAll aborts every outstanding call, recording err as the reason each
@@ -878,6 +899,7 @@ func (mb *mbConn) abortErr(cl *call, op sbi.Op) error {
 }
 
 func (mb *mbConn) readLoop() error {
+	var keys []packet.FlowID // a chunk frame's keys, copied by registerFrame
 	for {
 		m, err := mb.conn.Receive()
 		if err != nil {
@@ -908,12 +930,12 @@ func (mb *mbConn) readLoop() error {
 				continue
 			}
 			cl.delivering.Lock()
-			if !cl.dropped {
+			if cl.id.Load() == m.ID {
 				if m.Type == sbi.MsgChunk && cl.txn != nil {
 					// Register on the read loop, so any later
 					// event for these keys finds the transaction.
-					m.Keys = chunkKeys(m)
-					cl.txn.registerFrame(m.Keys)
+					keys = chunkKeys(keys[:0], m)
+					m.Keys = cl.txn.registerFrame(keys)
 				}
 				// Never blocks: a call's channel holds its reply, a
 				// stream's its window plus the done. A peer past that
@@ -939,8 +961,12 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 		// unencodable frames here — keep the underlying error visible.
 		return nil, fmt.Errorf("core: %s %s: send failed (middlebox disconnected?): %w", mb.name, req.Op, err)
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	if cl.deadline == nil {
+		cl.deadline = time.NewTimer(timeout)
+	} else {
+		cl.deadline.Reset(timeout)
+	}
+	defer cl.deadline.Stop()
 	select {
 	case m, ok := <-cl.ch:
 		if !ok {
@@ -950,7 +976,7 @@ func (mb *mbConn) call(req *sbi.Message, timeout time.Duration) (*sbi.Message, e
 			return nil, fmt.Errorf("core: %s %s: %s", mb.name, req.Op, m.Error)
 		}
 		return m, nil
-	case <-deadline.C:
+	case <-cl.deadline.C:
 		return nil, fmt.Errorf("core: %s %s timed out", mb.name, req.Op)
 	}
 }

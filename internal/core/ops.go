@@ -101,12 +101,11 @@ func (c *Controller) FlowTraceRecords(mbName string) ([]string, error) {
 	return reply.Values, nil
 }
 
-// chunkKeys returns the flow keys of a chunk frame as IDs, in frame order.
-// A key no ID can hold only comes from a middlebox that skipped its own
-// export check; it routes as its wire encoding would (the address as 0) and
-// the put that follows fails on it.
-func chunkKeys(m *sbi.Message) []packet.FlowID {
-	keys := make([]packet.FlowID, 0, m.ChunkCount())
+// chunkKeys appends the flow keys of a chunk frame to keys as IDs, in frame
+// order. A key no ID can hold only comes from a middlebox that skipped its
+// own export check; it routes as its wire encoding would (the address as 0)
+// and the put that follows fails on it.
+func chunkKeys(keys []packet.FlowID, m *sbi.Message) []packet.FlowID {
 	m.EachChunk(func(ch *state.Chunk) {
 		id, _ := ch.Key.ID()
 		keys = append(keys, id)
@@ -234,26 +233,30 @@ func (c *Controller) transact(src, dst *mbConn, tr transfer) error {
 		}
 	}
 
-	doPut := func(j putJob) {
-		// Credit the frame back to its get whatever becomes of the put: an
-		// uncredited frame would stall the stream, not fail it.
-		defer src.conn.Send(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: j.frame.ID, Count: 1})
-		put := &sbi.Message{
+	// A put worker sends its puts and credits from one message out: Send
+	// encodes before it returns.
+	doPut := func(j putJob, out *sbi.Message) {
+		keys, id := j.frame.Keys, j.frame.ID // before the frame is released
+		*out = sbi.Message{
 			Type: sbi.MsgRequest, Op: j.op,
 			Chunk: j.frame.Chunk, Chunks: j.frame.Chunks,
 			Compressed: j.frame.Compressed,
 		}
 		putStart := time.Now()
-		if _, perr := dst.call(put, c.opts.CallTimeout); perr != nil {
+		if ack, perr := dst.call(out, c.opts.CallTimeout); perr != nil {
 			fail(perr)
+		} else {
+			ack.Release()
 		}
-		// call encodes the put before it returns, so nothing reads the
-		// received frame's chunks after this; its Keys are not pooled.
-		j.frame.Release()
+		j.frame.Release() // nothing reads it once the put is encoded
 		// Put-ACK round trip, observed on success and failure alike (a
 		// timed-out put is the tail the histogram exists to expose).
 		c.histPut.Observe(time.Since(putStart))
-		t.ackFrame(j.frame.Keys)
+		t.ackFrame(keys)
+		// Credit the frame back to its get whatever became of the put: an
+		// uncredited frame would stall the stream, not fail it.
+		*out = sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpCredit, ID: id, Count: 1}
+		_ = src.conn.Send(out)
 	}
 
 	// Puts run on PutWorkers goroutines (the destination installs on one
@@ -272,8 +275,9 @@ func (c *Controller) transact(src, dst *mbConn, tr transfer) error {
 			for i := 0; i < c.opts.PutWorkers; i++ {
 				go func() {
 					defer putWG.Done()
+					var out sbi.Message
 					for j := range puts {
-						doPut(j)
+						doPut(j, &out)
 					}
 				}()
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"openmb/internal/packet"
@@ -45,7 +46,7 @@ type keyState struct {
 
 // routerShard owns one slice of a source's key space: a flat table of
 // entries, and beside it the entry of packet.SharedID, the table's empty
-// marker. Deletes that empty the table drop its slots.
+// marker. Deletes that empty the table give its slots to routerSlots.
 type routerShard struct {
 	mu     sync.Mutex
 	keys   packet.FlowTable[*keyState]
@@ -71,12 +72,8 @@ func (sh *routerShard) slot(id packet.FlowID) **keyState {
 	return p
 }
 
-// release drops the table's slots once it is empty: never inside a walk.
-func (sh *routerShard) release() {
-	if sh.keys.Len() == 0 {
-		sh.keys = packet.FlowTable[*keyState]{}
-	}
-}
+// routerSlots lends router shards the slots emptied tables gave back.
+var routerSlots packet.SlotPool[*keyState]
 
 // txnRouter shards one source's routing by FlowID.Hash(). Shard count is a
 // power of two so the hash maps to a shard with a mask.
@@ -86,7 +83,11 @@ type txnRouter struct {
 }
 
 func newTxnRouter(shards int) *txnRouter {
-	return &txnRouter{shards: make([]routerShard, shards), mask: uint64(shards - 1)}
+	r := &txnRouter{shards: make([]routerShard, shards), mask: uint64(shards - 1)}
+	for i := range r.shards {
+		r.shards[i].keys.Recycle(&routerSlots) // the first fill takes slots from it
+	}
+	return r
 }
 
 // mix64 is a splitmix-style avalanche finisher: FNV-family hashes of
@@ -140,14 +141,30 @@ func (r *txnRouter) eachShard(keys []packet.FlowID, visit func(sh *routerShard, 
 	}
 }
 
+// keyFrame is one registered frame's copy of its keys and the slab its new
+// key states come from, recycled once detach has removed them. Nothing
+// points into it then: only the frame's transaction owns its slab entries
+// (a takeover makes its own, an adopted orphan is in none), so detach
+// removes all; an eviction to stale copies under the shard lock; and the
+// ordered drain in ackFrame ends before the put worker, which detach waits.
+type keyFrame struct {
+	keys []packet.FlowID
+	slab []keyState
+}
+
+var keyFrames = sync.Pool{New: func() any { return new(keyFrame) }}
+
 // registerFrame records t as the owner of every key of one chunk frame on
 // t.src, each with one more outstanding put, in one find-or-insert a key,
 // adopting an orphan entry's events. Called from the source's read loop,
 // before the frame is delivered to the move consumer, so event routing can
-// never miss the registration. The frame's key states come from one slab,
-// and keys is retained for detach: the caller must not modify it afterwards.
-func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
-	slab := make([]keyState, len(keys))
+// never miss the registration. It returns the router's copy of keys, valid
+// until t detaches.
+func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) []packet.FlowID {
+	f := keyFrames.Get().(*keyFrame)
+	f.keys = append(f.keys[:0], keys...)
+	f.slab = slices.Grow(f.slab[:0], len(keys))[:len(keys)]
+	keys, slab := f.keys, f.slab
 	type eviction struct {
 		dst *mbConn
 		evs []*sbi.Event
@@ -182,7 +199,8 @@ func (r *txnRouter) registerFrame(t *txn, keys []packet.FlowID) {
 	for _, e := range evicted {
 		forwardEvents(t.ctrl, e.dst, e.evs)
 	}
-	t.noteFrame(keys)
+	t.noteFrame(f)
+	return keys
 }
 
 // ackFrame marks one put acknowledged for every key of a frame and, for each
@@ -272,15 +290,18 @@ func (r *txnRouter) route(ev *sbi.Event) {
 // from the finished transactions that nothing will ever adopt.
 func (r *txnRouter) detach(t *txn) {
 	owned := func(ks *keyState) bool { return ks.owner == t }
-	for _, keys := range t.takeFrames() {
+	for _, f := range t.takeFrames() {
+		keys := f.keys
 		r.eachShard(keys, func(sh *routerShard, i int) {
 			if keys[i] != packet.SharedID {
 				sh.keys.Remove(keys[i], owned)
-				sh.release()
+				sh.keys.Recycle(&routerSlots)
 			} else if sh.shared != nil && owned(sh.shared) {
 				sh.shared = nil
 			}
 		})
+		clear(f.slab)
+		keyFrames.Put(f)
 	}
 	if t.src.liveTxns.Add(-1) == 0 {
 		r.purgeOrphanMatch(packet.MatchAll)
@@ -303,7 +324,7 @@ func (r *txnRouter) purgeOrphanMatch(m packet.FieldMatch) {
 				sh.keys.Remove(id, nil)
 			}
 		}
-		sh.release()
+		sh.keys.Recycle(&routerSlots)
 		sh.mu.Unlock()
 	}
 }

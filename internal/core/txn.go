@@ -30,9 +30,8 @@ type txn struct {
 	lastEvent atomic.Int64
 
 	mu sync.Mutex
-	// frames are the key slices registered with the router, one per chunk
-	// frame, for detach.
-	frames [][]packet.FlowID
+	// frames are the frames registered with the router, for detach.
+	frames []*keyFrame
 	// stale holds put counts and buffered events for keys this
 	// transaction lost to a newer one (overlapping transactions); its
 	// remaining ACKs release them toward its own destination.
@@ -130,23 +129,25 @@ func (t *txn) flush() {
 // frame (or the shared pair's packet.SharedID) and adopts any orphaned events
 // that raced ahead of it. Called from the source's read loop before a chunk
 // frame is delivered to its consumer, or before a shared get is sent, so
-// event routing can never miss the registration. keys belongs to the
-// transaction afterwards.
-func (t *txn) registerFrame(keys []packet.FlowID) { t.src.router.registerFrame(t, keys) }
+// event routing can never miss the registration. The router's copy of
+// keys, which it returns, lives until the transaction detaches.
+func (t *txn) registerFrame(keys []packet.FlowID) []packet.FlowID {
+	return t.src.router.registerFrame(t, keys)
+}
 
 // ackFrame marks one put acknowledged for every key of a frame; see
 // txnRouter.ackFrame.
 func (t *txn) ackFrame(keys []packet.FlowID) { t.src.router.ackFrame(t, keys) }
 
-// noteFrame remembers a registered frame's keys for detach.
-func (t *txn) noteFrame(keys []packet.FlowID) {
+// noteFrame remembers a registered frame for detach.
+func (t *txn) noteFrame(f *keyFrame) {
 	t.mu.Lock()
-	t.frames = append(t.frames, keys)
+	t.frames = append(t.frames, f)
 	t.mu.Unlock()
 }
 
-// takeFrames returns and clears the registered-key list.
-func (t *txn) takeFrames() [][]packet.FlowID {
+// takeFrames returns and clears the registered-frame list.
+func (t *txn) takeFrames() []*keyFrame {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	frames := t.frames

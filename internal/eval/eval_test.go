@@ -144,9 +144,13 @@ var shapes = map[string]func(*testing.T, *Table){
 	},
 	"f9c": eventsGrowWithRate,
 	"f9d": eventsGrowWithRate,
+	// The quick sizes are 16x apart: a move whose time grows with its
+	// chunks reads at least twice as long at the larger (5-10x measured),
+	// one whose time does not reads about the same. Sizes 4x apart with a
+	// bare hi > lo lost to scheduler noise once moves got cheap.
 	"f10a": func(t *testing.T, tbl *Table) {
-		if lo, hi := duration(t, tbl, 0, 1), duration(t, tbl, 1, 1); hi <= lo {
-			t.Fatalf("move time not growing with chunks: %v vs %v", lo, hi)
+		if lo, hi := duration(t, tbl, 0, 1), duration(t, tbl, 1, 1); hi < 2*lo {
+			t.Fatalf("move time not growing with chunks: %v at %s chunks, %v at %s", lo, cell(t, tbl, 0, 0), hi, cell(t, tbl, 1, 0))
 		}
 	},
 	"f10b": wantRows(2),

@@ -44,7 +44,7 @@ var Ledger = []Entry{
 		return figure9EventsSweep("f9d", true, full)
 	}},
 	{"f10a", "Figure 10(a): time per moveInternal vs chunks", func(full bool) (*Table, error) {
-		return figure10aSingleMove(pick(full, []int{1000, 5000, 10000, 15000, 20000, 25000}, []int{300, 1200}))
+		return figure10aSingleMove(pick(full, []int{1000, 5000, 10000, 15000, 20000, 25000}, []int{300, 4800}))
 	}},
 	{"f10b", "Figure 10(b): time per moveInternal vs simultaneous moves", func(full bool) (*Table, error) {
 		return figure10bConcurrentMoves(

@@ -297,16 +297,17 @@ func (rt *Runtime) queueEvent(ev *sbi.Event, p *packet.Packet) {
 	}
 }
 
-// updateMarks runs a clear or a shared mark under marksMu, drops emptied
-// sets with their slots, and republishes markCount before unlocking.
+// markSlots lends mark sets the slots emptied sets gave back.
+var markSlots packet.SlotPool[struct{}]
+
+// updateMarks runs a clear or a shared mark under marksMu, gives emptied
+// sets' slots back, and republishes markCount before unlocking.
 func (rt *Runtime) updateMarks(change func()) {
 	rt.marksMu.Lock()
 	change()
 	n := len(rt.sharedMoved)
-	for class, set := range rt.marks {
-		if set.Len() == 0 {
-			delete(rt.marks, class)
-		}
+	for _, set := range rt.marks {
+		set.Recycle(&markSlots)
 		n += set.Len()
 	}
 	rt.markCount.Store(int64(n))

@@ -300,11 +300,12 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, gets *getStreams, m *sbi.Message
 		rt.startGet(conn, gets, m, state.Reporting)
 	case sbi.OpCredit:
 		gets.credit(m.ID, m.Count)
+		m.Release()
 
 	case sbi.OpPutSupportPerflow:
-		rt.servePutPerflow(conn, m, state.Supporting)
+		rt.servePutPerflow(conn, m, state.Supporting, &gets.ack)
 	case sbi.OpPutReportPerflow:
-		rt.servePutPerflow(conn, m, state.Reporting)
+		rt.servePutPerflow(conn, m, state.Reporting, &gets.ack)
 
 	case sbi.OpDelSupportPerflow:
 		rt.serveDelPerflow(conn, gets, m, state.Supporting)
@@ -495,6 +496,7 @@ func (g *getStream) acquire(conn *sbi.Conn, peak *atomic.Int64) bool {
 type getStreams struct {
 	mu   sync.Mutex
 	live map[uint64]*getStream
+	ack  sbi.Message // the serve loop's put ACK, reused: SendDeferred encodes it
 }
 
 // credit frees n frames of get id's window; n <= 0 cancels the get.
@@ -564,11 +566,12 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	}
 	count := 0
 	// The get's blobs are one run of nonces, sealed into one slab; a frame's
-	// chunks and its slab are reused once SendDeferred has encoded it.
+	// message, chunks and slab are reused once SendDeferred has encoded it.
 	fs := rt.sealer.Frame()
 	defer fs.Release()
 	var pending []state.Chunk
 	var slab []byte
+	out := &sbi.Message{Type: sbi.MsgChunk, ID: m.ID, Compressed: m.Compressed}
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -576,7 +579,6 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		if !g.acquire(conn, &rt.creditPeak) {
 			return errors.New("mbox: get cancelled")
 		}
-		out := &sbi.Message{Type: sbi.MsgChunk, ID: m.ID, Compressed: m.Compressed}
 		out.SetChunks(pending)
 		err := conn.SendDeferred(out)
 		pending, slab = pending[:0], slab[:0]
@@ -628,7 +630,7 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	_ = conn.Send(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: count})
 }
 
-func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class) {
+func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.Class, ack *sbi.Message) {
 	rt.activeOps.Add(1)
 	defer rt.activeOps.Add(-1)
 	if m.ChunkCount() == 0 {
@@ -666,7 +668,8 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	}
 	// The put's ACK: every chunk in the frame is installed and replayed
 	// events for their keys may now be applied.
-	_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: installed})
+	*ack = sbi.Message{Type: sbi.MsgDone, ID: m.ID, Count: installed}
+	_ = conn.SendDeferred(ack)
 }
 
 func (rt *Runtime) serveDelPerflow(conn *sbi.Conn, gets *getStreams, m *sbi.Message, class state.Class) {

@@ -3,6 +3,8 @@ package packet
 import (
 	"iter"
 	"math/rand/v2"
+	"sync"
+	"weak"
 )
 
 // flowSlot is one slot of a FlowTable. An empty slot's id is SharedID, which
@@ -19,16 +21,42 @@ type flowSlot[V any] struct {
 // controller's router: open addressing with linear probing on
 // FlowID.HashSeed(seed) over a power-of-two slice of slots. The slice doubles
 // when an insert would take it above 3/4 full, and never shrinks (assign the
-// zero FlowTable to drop it). A delete shifts the later entries of its run
-// back into the hole, so there are no tombstones and a lookup stops at the
-// first empty slot. A table with seed 0 draws its own seed when it first
-// allocates slots: filling a table in another's slot order (an export into a
-// mark set, a put at the destination) then scatters instead of piling up on
-// one run. SharedID marks an empty slot and cannot be stored.
+// zero FlowTable, or Recycle it, to drop it). A delete shifts the later
+// entries of its run back into the hole, so there are no tombstones and a
+// lookup stops at the first empty slot. A table with seed 0 draws its own
+// seed when it first allocates slots: filling a table in another's slot order
+// (an export into a mark set, a put at the destination) then scatters instead
+// of piling up on one run. SharedID marks an empty slot and cannot be stored.
 type FlowTable[V any] struct {
 	slots []flowSlot[V]
 	n     int
 	seed  uint64
+	pool  *SlotPool[V]
+}
+
+// SlotPool lends the slot arrays of emptied FlowTables of one value type to
+// tables that start from nothing again, instead of regrowing from
+// flowTableMinSlots; an emptied array is all empty slots already. It holds
+// them weakly: one nobody borrows before the next collection is freed, so
+// idle arrays never count toward the live heap that sets the next goal.
+type SlotPool[V any] struct {
+	mu   sync.Mutex
+	free []weak.Pointer[[]flowSlot[V]]
+}
+
+// Recycle gives an empty table's slots to p, and t takes its slots from p
+// (any size, under a fresh seed) whenever it starts from nothing again. A
+// table holding entries keeps them. Never call it inside a walk.
+func (t *FlowTable[V]) Recycle(p *SlotPool[V]) {
+	if t.n > 0 {
+		return
+	}
+	if s := t.slots; s != nil {
+		p.mu.Lock()
+		p.free = append(p.free, weak.Make(&s))
+		p.mu.Unlock()
+	}
+	*t = FlowTable[V]{pool: p}
 }
 
 const flowTableMinSlots = 8
@@ -93,13 +121,25 @@ func (t *FlowTable[V]) Put(id FlowID, v V) bool {
 	return !had
 }
 
-// grow doubles the slice (or allocates the first one, drawing the seed if
-// there is none) and reinserts every entry.
+// grow doubles the slice (or takes the first one from the table's pool or
+// allocates it, drawing the seed if there is none) and reinserts every entry.
 func (t *FlowTable[V]) grow() {
 	if t.seed == 0 {
 		t.seed = rand.Uint64()
 	}
 	old := t.slots
+	if p := t.pool; old == nil && p != nil {
+		p.mu.Lock()
+		for ; t.slots == nil && len(p.free) > 0; p.free = p.free[:len(p.free)-1] {
+			if s := p.free[len(p.free)-1].Value(); s != nil {
+				t.slots = *s
+			}
+		}
+		p.mu.Unlock()
+		if t.slots != nil {
+			return
+		}
+	}
 	t.slots = emptySlots[V](max(2*len(old), flowTableMinSlots))
 	for _, s := range old {
 		if s.id != SharedID {

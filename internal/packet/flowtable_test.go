@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -219,6 +220,65 @@ func TestFlowTableMatchesMap(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFlowTableRecycle pins the slot pool: a table keeps its slots while it
+// holds entries; emptied and recycled, it gives them back; a table that then
+// starts from nothing takes that array as it is, under a fresh seed, and
+// works; and an array nobody borrows again is freed by the next collection.
+func TestFlowTableRecycle(t *testing.T) {
+	var pool SlotPool[uint64]
+	var a FlowTable[uint64]
+	a.Recycle(&pool)
+	for i := 0; i < 1000; i++ {
+		a.Put(testFlowID(i), uint64(i))
+	}
+	a.Recycle(&pool)
+	if a.Len() != 1000 || a.slots == nil {
+		t.Fatalf("Recycle took the slots of a table holding %d entries", a.Len())
+	}
+	slots, seed := a.slots, a.seed
+	for i := 0; i < 1000; i++ {
+		a.Remove(testFlowID(i), nil)
+	}
+	a.Recycle(&pool)
+	if a.slots != nil || a.seed != 0 {
+		t.Fatal("an emptied table kept its slots or its seed after Recycle")
+	}
+
+	b := FlowTable[uint64]{}
+	b.Recycle(&pool)
+	m := newFlowModel(t, 0)
+	m.ft = b
+	m.put(testFlowID(5000), 1)
+	if &m.ft.slots[0] != &slots[0] {
+		t.Fatal("a table starting from nothing did not take the recycled array")
+	}
+	if m.ft.seed == 0 || m.ft.seed == seed {
+		t.Fatalf("a table took a recycled array under seed %#x (the old one %#x); want a fresh one", m.ft.seed, seed)
+	}
+	for i := 0; i < 2000; i++ {
+		m.put(testFlowID(i), uint64(i))
+		if i%3 == 0 {
+			m.remove(testFlowID(i / 2))
+		}
+	}
+	m.check()
+
+	slots = nil
+	for i := 0; i < 8; i++ {
+		var c FlowTable[uint64]
+		c.Recycle(&pool)
+		c.Put(testFlowID(i), 1)
+		c.Remove(testFlowID(i), nil)
+		c.Recycle(&pool)
+	}
+	runtime.GC()
+	for _, w := range pool.free {
+		if s := w.Value(); s != nil {
+			t.Fatalf("a pooled array of %d slots survived a collection nobody borrowed it through", len(*s))
+		}
+	}
 }
 
 // displacement returns how far, in slots, id sits from its home slot in t:

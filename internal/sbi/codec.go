@@ -104,8 +104,8 @@ func (c *jsonCodec) decode() (*Message, error) {
 // Strings and byte fields are uvarint-length-prefixed; blobs and packets are
 // raw bytes (no base64). Flow keys use packet.FlowKey's fixed 13-byte form.
 // Encode buffers are pooled. A decoded message's blobs and packets alias its
-// frame body; a frame that carries chunks borrows that body and its chunk
-// slice from framePool, and Message.Release gives them back.
+// frame body; a frame without events is decoded into a Message, body and
+// chunk slice from framePools, and Message.Release gives them back.
 
 // maxBinaryFrame bounds a frame body so a corrupt or hostile length prefix
 // cannot force an arbitrary allocation.
@@ -184,32 +184,50 @@ var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// A received frame's body and the chunk slice decoded from it come from
-// framePool, one process-wide pool, when the frame carries chunks: a
-// MsgChunk frame or a per-flow put, whose consumers release it once they
-// have put or installed its chunks. Every other frame (ACKs, credits,
-// events, which the event router may hold) is made fresh: nobody releases
-// it, and borrowing for it would only drain the pool and pin a pooled body
-// for as long as it is held. A body that grew past maxPooledFrame is left
-// to the collector rather than kept at up to maxBinaryFrame.
-const maxPooledFrame = 1 << 20
+// A received frame's Message, body and chunk slice come from framePools
+// unless it carries events, which the event router may hold for a whole
+// transaction. A frame nobody releases is collected, and one of up to
+// smallFrame bytes takes only a small body with it. A body past
+// maxPooledFrame is left to the collector.
+const smallFrame, maxPooledFrame = 256, 1 << 20
 
-// framePoison overwrites a released body under the race detector, so a read
-// after Release fails loudly (a sealed blob no longer opens) instead of
-// seeing whatever frame reused the body.
+// framePoison overwrites a released body, and releasedMessage the Message,
+// under the race detector, so a read after Release fails loudly (a sealed
+// blob no longer opens) instead of seeing whatever frame reused them.
 const framePoison = 0xA5
+
+var releasedMessage = Message{Type: "released", ID: ^uint64(0), Op: "released", Count: -1, Error: "released"}
 
 // frameBuf is one pooled frame's storage.
 type frameBuf struct {
+	msg    Message
 	body   []byte
 	chunks []state.Chunk
 }
 
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+// knownOps interns the op names, so decoding a request's op allocates nothing.
+var knownOps = map[string]Op{}
+
+func init() {
+	for _, op := range []Op{OpGetConfig, OpSetConfig, OpDelConfig, OpGetSupportPerflow, OpPutSupportPerflow,
+		OpDelSupportPerflow, OpGetSupportShared, OpPutSupportShared, OpGetReportPerflow, OpPutReportPerflow,
+		OpDelReportPerflow, OpGetReportShared, OpPutReportShared, OpStats, OpSetEventFilter, OpReprocess, OpCredit,
+		OpEndTransaction, OpPing, OpPong, OpTraceFlow, OpTraceDump, OpDirUpdate, OpDirSync, OpPeerLeave, OpRedirect, OpReleaseMB} {
+		knownOps[string(op)] = op
+	}
+}
+
+// framePools[0] lends frames of up to smallFrame bytes, [1] larger ones.
+var framePools = [2]sync.Pool{{New: newFrameBuf}, {New: newFrameBuf}}
+
+func newFrameBuf() any { return new(frameBuf) }
+
+func framePool(n int) *sync.Pool { return &framePools[min(n/(smallFrame+1), 1)] }
 
 type binaryCodec struct {
-	bw *bufio.Writer
-	br *bufio.Reader
+	bw  *bufio.Writer
+	br  *bufio.Reader
+	hdr [4]byte // the length prefix decode reads
 }
 
 func newBinaryCodec(br *bufio.Reader, bw *bufio.Writer) *binaryCodec {
@@ -571,37 +589,37 @@ func (r *binReader) chunk(what string) state.Chunk {
 	return state.Chunk{Key: key, Blob: blob}
 }
 
-// carriesChunks reports whether the n-byte frame body next in br sets a
-// chunk field, by peeking its type byte and field bitmap without consuming
-// them. A body too short to hold them is left to decode to reject.
-func carriesChunks(br *bufio.Reader, n uint32) bool {
+// carriesEvents reports whether the n-byte frame body next in br sets an
+// event field, by peeking its type byte and field bitmap without consuming
+// them. A body too short to hold them, which decode rejects, counts as one.
+func carriesEvents(br *bufio.Reader, n uint32) bool {
 	if n < 5 {
-		return false
+		return true
 	}
 	h, err := br.Peek(5)
-	return err == nil && binary.BigEndian.Uint32(h[1:])&(fChunk|fChunks) != 0
+	return err != nil || binary.BigEndian.Uint32(h[1:])&(fEvent|fEvents) != 0
 }
 
 func (c *binaryCodec) decode() (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.hdr[:])
 	if n > maxBinaryFrame {
 		return nil, fmt.Errorf("sbi: binary decode: frame of %d bytes exceeds limit", n)
 	}
-	m := &Message{}
+	var m *Message
 	var body []byte
-	if carriesChunks(c.br, n) {
-		fb := framePool.Get().(*frameBuf)
+	if carriesEvents(c.br, n) {
+		m, body = &Message{}, make([]byte, n)
+	} else {
+		fb := framePool(int(n)).Get().(*frameBuf)
 		if cap(fb.body) < int(n) {
-			fb.body = make([]byte, n)
+			fb.body = make([]byte, n, max(n, smallFrame))
 		}
 		fb.body = fb.body[:n]
-		body, m.frame = fb.body, fb
-	} else {
-		body = make([]byte, n)
+		fb.msg = Message{frame: fb}
+		m, body = &fb.msg, fb.body
 	}
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		if err == io.EOF {
@@ -636,7 +654,10 @@ func (c *binaryCodec) decode() (*Message, error) {
 		m.Codec = Codec(r.string("codec"))
 	}
 	if flags&fOp != 0 {
-		m.Op = Op(r.string("op"))
+		b := r.bytes("op")
+		if m.Op = knownOps[string(b)]; m.Op == "" {
+			m.Op = Op(b)
+		}
 	}
 	if flags&fPath != 0 {
 		m.Path = r.string("path")

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"openmb/internal/packet"
@@ -296,6 +297,110 @@ func TestReleasedFrameIsReused(t *testing.T) {
 	}
 }
 
+// encodeFrame returns m's binary frame, length prefix included.
+func encodeFrame(tb testing.TB, m *Message) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := newBinaryCodec(nil, bw).encode(m); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// frameDecoder decodes the same frame again and again, with no allocation
+// of its own after the first.
+type frameDecoder struct {
+	frame []byte
+	r     bytes.Reader
+	br    *bufio.Reader
+	c     *binaryCodec
+}
+
+func newFrameDecoder(frame []byte) *frameDecoder {
+	d := &frameDecoder{frame: frame, br: bufio.NewReader(nil)}
+	d.c = newBinaryCodec(d.br, nil)
+	return d
+}
+
+func (d *frameDecoder) next(tb testing.TB) *Message {
+	d.r.Reset(d.frame)
+	d.br.Reset(&d.r)
+	m, err := d.c.decode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestReleasedMessageIsPoisoned pins what Release takes back: the whole
+// Message, not only its body. A released message holds nothing, Keys
+// included, and under the race detector its fields and its old body read as
+// poison, so a consumer that reads a frame after releasing it fails the race
+// job's moves instead of reading whatever frame was decoded into the same
+// storage next.
+func TestReleasedMessageIsPoisoned(t *testing.T) {
+	d := newFrameDecoder(encodeFrame(t, benchChunkMessage(32)))
+	m := d.next(t)
+	id, _ := m.Chunks[0].Key.ID()
+	m.Keys = []packet.FlowID{id}
+	body := m.frame.body
+	m.Release()
+	if m.frame != nil || m.Chunk != nil || m.Chunks != nil || m.Blob != nil || m.Keys != nil {
+		t.Fatalf("a released message still holds what it carried: %+v", m)
+	}
+	if !racedetect.Enabled {
+		return
+	}
+	if m.Type != releasedMessage.Type || m.ID != releasedMessage.ID || m.Op != releasedMessage.Op || m.Count != releasedMessage.Count {
+		t.Fatalf("released message reads type %q id %d op %q count %d under the race detector, want the poison", m.Type, m.ID, m.Op, m.Count)
+	}
+	for i, b := range body {
+		if b != framePoison {
+			t.Fatalf("byte %d of a released body reads %#x under the race detector, want the poison %#x", i, b, framePoison)
+		}
+	}
+}
+
+// TestDecodeRecyclesWholeFrames: the frames of a move (a 32-chunk frame, a
+// put's ACK, a credit) are decoded into recycled storage, the Message
+// itself included, so once released they cost no allocation at all, the
+// request's op name included.
+func TestDecodeRecyclesWholeFrames(t *testing.T) {
+	for name, m := range map[string]*Message{
+		"chunks": benchChunkMessage(32),
+		"ack":    {Type: MsgDone, ID: 7, Count: 32},
+		"credit": {Type: MsgRequest, Op: OpCredit, ID: 7, Count: 1},
+	} {
+		d := newFrameDecoder(encodeFrame(t, m))
+		// sync.Pool may drop what is put back (the race detector makes it
+		// do so at random), so the reuse gets several tries.
+		reused := false
+		for i := 0; i < 64 && !reused; i++ {
+			a := d.next(t)
+			a.Release()
+			b := d.next(t)
+			reused = a == b
+			b.Release()
+		}
+		if !reused {
+			t.Fatalf("%s: no frame decoded after a Release reused the released Message", name)
+		}
+		if got := d.next(t); got.Type != m.Type || got.Op != m.Op || got.Count != m.Count || got.ChunkCount() != m.ChunkCount() {
+			t.Fatalf("%s: decoded %+v from a recycled frame", name, got)
+		}
+		if racedetect.Enabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { d.next(t).Release() }); n != 0 {
+			t.Fatalf("%s: decoding and releasing a frame costs %.0f allocations, want 0", name, n)
+		}
+	}
+}
+
 // TestUpgradeNegotiation exercises the full hello handshake: JSON hello
 // announcing the binary codec, then binary frames in both directions.
 func TestUpgradeNegotiation(t *testing.T) {
@@ -501,6 +606,30 @@ func BenchmarkCodecBinary(b *testing.B) { benchCodec(b, CodecBinary, benchChunkM
 func BenchmarkCodecJSONBatch32(b *testing.B) {
 	benchCodec(b, CodecJSON, benchChunkMessage(32))
 }
+
+// BenchmarkDecodeChunkFrame decodes and releases the move's frame, 32
+// chunks of 202-byte blobs, as the controller's read loop and put worker
+// do, and reports allocs/frame and ns/chunk.
+func BenchmarkDecodeChunkFrame(b *testing.B) {
+	k, _ := packet.ParseFlowKey("10.0.0.1:1234>192.168.1.2:80/tcp")
+	m := &Message{Type: MsgChunk, ID: 1}
+	for i := 0; i < 32; i++ {
+		m.Chunks = append(m.Chunks, state.Chunk{Key: k, Blob: bytes.Repeat([]byte{byte(i)}, 202)})
+	}
+	d := newFrameDecoder(encodeFrame(b, m))
+	d.next(b).Release()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		d.next(b).Release()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/frame")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.Chunks)), "ns/chunk")
+}
+
 func BenchmarkCodecBinaryBatch32(b *testing.B) {
 	benchCodec(b, CodecBinary, benchChunkMessage(32))
 }

@@ -292,32 +292,35 @@ type Message struct {
 	// OpDirSync replies).
 	Dir []DirEntry `json:"dir,omitempty"`
 
-	// frame is the pooled storage a binary-decoded chunk frame borrowed,
-	// nil for every other frame and for JSON; Release returns it.
+	// frame is the pooled storage a binary-decoded frame borrowed, m
+	// being its msg; Release returns it.
 	frame *frameBuf
 }
 
-// Release returns the frame buffer m borrowed when it was received, and
-// clears Chunk, Chunks and Blob, which alias it. The caller promises that
-// nothing reads m's blobs, packets or chunk slice any more: a later frame
-// may overwrite them. It is a no-op for a message that borrowed nothing (a
-// frame without chunks, a JSON-decoded one, or one built to be sent), and a
-// message never released is simply collected. The move's two chunk
-// consumers release: the controller's put worker once the put is sent, and
-// the middlebox once the put is installed and ACKed.
+// Release gives a received message back to the codec's frame pool whole:
+// the Message, its body (which its blobs and packets alias) and its chunk
+// slice. The receiver owns a message until it releases it, once; after
+// that nothing may read or write m or what it held, Keys included, since a
+// later frame is decoded into the same storage, so a consumer takes what it
+// still needs (an ID, a key slice) first. The race build poisons m and its
+// body. It is a no-op for a message that borrowed nothing (an event frame,
+// a JSON-decoded one, one built to be sent); one never released is
+// collected. A move's put worker releases its chunk frames and the puts'
+// ACKs, the middlebox the puts and credits.
 func (m *Message) Release() {
 	fb := m.frame
 	if fb == nil {
 		return
 	}
-	m.frame, m.Chunk, m.Chunks, m.Blob = nil, nil, nil, nil
+	fb.msg = Message{}
 	if racedetect.Enabled {
 		for i := range fb.body {
 			fb.body[i] = framePoison
 		}
+		fb.msg = releasedMessage
 	}
 	if cap(fb.body) <= maxPooledFrame {
-		framePool.Put(fb)
+		framePool(cap(fb.body)).Put(fb)
 	}
 }
 
