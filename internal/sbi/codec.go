@@ -185,10 +185,12 @@ var encBufPool = sync.Pool{
 }
 
 // A received frame's Message, body and chunk slice come from framePools
-// unless it carries events, which the event router may hold for a whole
-// transaction. A frame nobody releases is collected, and one of up to
-// smallFrame bytes takes only a small body with it. A body past
-// maxPooledFrame is left to the collector.
+// unless it carries events, which the event router may hold. The frames
+// nobody releases (requests but puts and credits, replies but put ACKs)
+// were all 6–109 bytes, 0.3 % of those lent on move-idle and 2.8 % on
+// scaleup-live; so those of up to smallFrame bytes use framePools[0] and
+// take no 3–8 KB chunk frame body with them (one shared pool read 12 % more
+// bytes a chunk on move-idle). Bodies past maxPooledFrame are dropped.
 const smallFrame, maxPooledFrame = 256, 1 << 20
 
 // framePoison overwrites a released body, and releasedMessage the Message,
@@ -217,11 +219,9 @@ func init() {
 	}
 }
 
-// framePools[0] lends frames of up to smallFrame bytes, [1] larger ones.
 var framePools = [2]sync.Pool{{New: newFrameBuf}, {New: newFrameBuf}}
 
-func newFrameBuf() any { return new(frameBuf) }
-
+func newFrameBuf() any           { return new(frameBuf) }
 func framePool(n int) *sync.Pool { return &framePools[min(n/(smallFrame+1), 1)] }
 
 type binaryCodec struct {

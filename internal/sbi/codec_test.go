@@ -399,6 +399,17 @@ func TestDecodeRecyclesWholeFrames(t *testing.T) {
 			t.Fatalf("%s: decoding and releasing a frame costs %.0f allocations, want 0", name, n)
 		}
 	}
+	// The frames nobody releases are small, so a small frame never takes a
+	// released chunk frame's holder: it would carry the body off with it.
+	chunks := newFrameDecoder(encodeFrame(t, benchChunkMessage(32)))
+	get := newFrameDecoder(encodeFrame(t, &Message{Type: MsgRequest, Op: OpGetSupportPerflow, ID: 9, Match: packet.MatchAll}))
+	for i := 0; i < 64; i++ {
+		a := chunks.next(t)
+		a.Release()
+		if b := get.next(t); b == a {
+			t.Fatal("a small request was decoded into a released chunk frame's holder")
+		}
+	}
 }
 
 // TestUpgradeNegotiation exercises the full hello handshake: JSON hello
