@@ -189,11 +189,3 @@ func (s *MappingShadow) Counts() (created, expired uint64) {
 	defer s.mu.Unlock()
 	return s.created, s.expired
 }
-
-// External returns the shadowed external endpoint for a flow key string.
-func (s *MappingShadow) External(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.mappings[key]
-	return v, ok
-}

@@ -42,16 +42,3 @@ func DrainTime(flows []trace.FlowInfo, rerouteAt time.Duration) time.Duration {
 	}
 	return time.Duration(lastEnd - reroute)
 }
-
-// ActiveAt counts flows in progress at t — the state the deprecated
-// middlebox still carries.
-func ActiveAt(flows []trace.FlowInfo, t time.Duration) int {
-	at := int64(t)
-	n := 0
-	for _, f := range flows {
-		if f.Start <= at && f.End > at {
-			n++
-		}
-	}
-	return n
-}

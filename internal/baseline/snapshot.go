@@ -117,9 +117,6 @@ func (img *Image) Size() (int, error) {
 	return buf.Len(), nil
 }
 
-// Chunks returns the number of per-flow chunks of both classes.
-func (img *Image) Chunks() int { return len(img.SupportPerflow) + len(img.ReportPerflow) }
-
 // PerflowBytes sums the per-flow blob sizes matching m (both classes);
 // with MatchAll it measures the state SDMBN would move, for the
 // "8.1 MB moved vs 22 MB snapshot delta" style comparison.

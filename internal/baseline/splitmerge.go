@@ -116,14 +116,6 @@ type MoveResult struct {
 	AddedLatency time.Duration
 }
 
-// AvgAddedLatency returns the mean buffering delay per buffered packet.
-func (r MoveResult) AvgAddedLatency() time.Duration {
-	if r.Buffered == 0 {
-		return 0
-	}
-	return r.AddedLatency / time.Duration(r.Buffered)
-}
-
 // Move performs a Split/Merge-style migration: halt traffic at the valve,
 // transfer all matching per-flow state from src to dst synchronously, then
 // release the valve toward the destination.

@@ -528,8 +528,8 @@ func (c *Controller) OpLatencies() (move, get, put obs.HistogramSnapshot) {
 }
 
 // LiveTxns reports how many transactions are in flight; zero after WaitTxns
-// returns true. Tests use it to prove failed and aborted operations leak
-// nothing.
+// returns true. The openmb_txns_live gauge reports it, and tests use it to
+// prove failed and aborted operations leak nothing.
 func (c *Controller) LiveTxns() int { return c.registry.Live() }
 
 // Collect implements obs.Collector: controller and node-layer counters, the
@@ -564,6 +564,7 @@ func (c *Controller) Collect(e *obs.Emitter) {
 	}
 	c.mu.Unlock()
 	e.Gauge("openmb_mbs_registered", "Middlebox connections currently registered.", float64(len(rows)))
+	e.Gauge("openmb_txns_live", "Transactions (moves, clones, merges) in flight.", float64(c.LiveTxns()))
 	for _, r := range rows {
 		lbl := []string{"conn", r.name, "side", "controller"}
 		e.Counter("openmb_conn_sent_frames_total", "SBI frames sent on the southbound connection.", r.wc.Sent, lbl...)

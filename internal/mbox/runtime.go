@@ -532,6 +532,7 @@ func (rt *Runtime) Collect(e *obs.Emitter) {
 	e.Gauge("openmb_mb_pending_packets", "Packets queued or in process on the ingress path.", float64(rt.pending.Load()), "mb", mb, "kind", kind)
 	rs := rt.RingStats()
 	e.Gauge("openmb_mb_ring_depth", "Packets queued in the ingress ring (live + replay).", float64(rs.Live+rs.Replay), "mb", mb, "kind", kind)
+	e.Gauge("openmb_mb_marked_keys", "Per-flow keys marked by in-flight transactions.", float64(rt.MarkedKeys()), "mb", mb, "kind", kind)
 	wc := rt.WireCounters()
 	e.Counter("openmb_conn_sent_frames_total", "SBI frames sent on the southbound connection.", wc.Sent, "conn", mb, "side", "mb")
 	e.Counter("openmb_conn_received_frames_total", "SBI frames received on the southbound connection.", wc.Received, "conn", mb, "side", "mb")

@@ -13,7 +13,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -207,26 +206,4 @@ func ParseSeries(text string) (map[string]float64, error) {
 		out[ln[:sp]] = v
 	}
 	return out, nil
-}
-
-// SortedSeriesNames returns the distinct family names present in a parsed
-// series map (label sets and _bucket/_sum/_count suffixes stripped), sorted.
-func SortedSeriesNames(series map[string]float64) []string {
-	seen := map[string]bool{}
-	for k := range series {
-		name := k
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			name = strings.TrimSuffix(name, suf)
-		}
-		seen[name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

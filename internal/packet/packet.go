@@ -5,12 +5,12 @@
 //
 // The design follows the conventions of mature Go packet libraries: layers
 // are decoded into preallocated structs, flows and endpoints are comparable
-// values usable as map keys, and a symmetric FastHash supports load
-// balancing where A->B and B->A must land in the same bucket.
+// values usable as map keys, and a flow's ID hashes symmetrically
+// (FlowID.Hash) for load balancing where A->B and B->A must land in the same
+// bucket.
 package packet
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,9 +91,6 @@ func (p *Packet) copyFieldsTo(q *Packet) {
 // headerLen is the fixed encoding size before the payload: a 2-byte length
 // prefix is not included here; see Marshal.
 const headerLen = 1 + 4 + 4 + 2 + 2 + 4 + 4 + 1 + 1 + 2 // 25
-
-// MarshaledSize returns the exact length of Marshal's output.
-func (p *Packet) MarshaledSize() int { return headerLen + len(p.Payload) }
 
 // Marshal appends the wire form of p to b and returns the extended slice.
 // The format is a compact fixed header followed by the payload; it is the
@@ -227,33 +224,6 @@ func endpointLess(aIP netip.Addr, aPort uint16, bIP netip.Addr, bPort uint16) bo
 		return false
 	}
 	return aPort < bPort
-}
-
-// FastHash returns a symmetric 64-bit hash: k and k.Reverse() hash equal.
-// It is the hash of the key's ID, suitable for sharding flows across workers
-// while keeping both directions together.
-func (k FlowKey) FastHash() uint64 {
-	id, _ := k.ID()
-	return id.Hash()
-}
-
-// Compare orders keys by source endpoint, destination endpoint, then
-// protocol: a total order (zero only for equal keys) computed from the
-// fields, for callers that need a deterministic iteration order.
-func (k FlowKey) Compare(o FlowKey) int {
-	if c := k.SrcIP.Compare(o.SrcIP); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(k.SrcPort, o.SrcPort); c != 0 {
-		return c
-	}
-	if c := k.DstIP.Compare(o.DstIP); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(k.DstPort, o.DstPort); c != 0 {
-		return c
-	}
-	return cmp.Compare(k.Proto, o.Proto)
 }
 
 // String renders the key as "src:port>dst:port/proto".

@@ -30,8 +30,8 @@ func samplePacket() *Packet {
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	p := samplePacket()
 	b := p.Marshal(nil)
-	if len(b) != p.MarshaledSize() {
-		t.Fatalf("MarshaledSize=%d, got %d bytes", p.MarshaledSize(), len(b))
+	if len(b) != headerLen+len(p.Payload) {
+		t.Fatalf("header+payload=%d, got %d bytes", headerLen+len(p.Payload), len(b))
 	}
 	var q Packet
 	if err := q.Unmarshal(b); err != nil {
@@ -93,7 +93,9 @@ func TestFastHashSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := randomKey(r)
-		return k.FastHash() == k.Reverse().FastHash()
+		id, _ := k.ID()
+		rid, _ := k.Reverse().ID()
+		return id.Hash() == rid.Hash()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestFieldMatchBasics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.spec, err)
 		}
-		if got := m.Match(k); got != c.want {
+		if got := matches(m, k); got != c.want {
 			t.Errorf("%q.Match(%v) = %v, want %v", c.spec, k, got, c.want)
 		}
 	}
@@ -197,7 +199,7 @@ func TestFieldMatchBasics(t *testing.T) {
 func TestFieldMatchEither(t *testing.T) {
 	k := FlowKey{SrcIP: addr("1.1.1.5"), DstIP: addr("2.2.2.2"), Proto: ProtoTCP, SrcPort: 1234, DstPort: 80}
 	m, _ := ParseFieldMatch("[nw_src=2.2.2.0/24]")
-	if m.Match(k) {
+	if matches(m, k) {
 		t.Fatal("forward direction should not match")
 	}
 	if !m.MatchEither(k) {
@@ -258,22 +260,6 @@ func TestFieldMatchParseErrors(t *testing.T) {
 	}
 }
 
-func TestGranularityOrdering(t *testing.T) {
-	all, _ := ParseFieldMatch("[*]")
-	subnet, _ := ParseFieldMatch("[nw_src=1.1.1.0/24]")
-	host, _ := ParseFieldMatch("[nw_src=1.1.1.5]")
-	conn, _ := ParseFieldMatch("[nw_src=1.1.1.5,nw_dst=2.2.2.2,nw_proto=tcp,tp_src=9,tp_dst=80]")
-	if !(all.Granularity() < subnet.Granularity()) {
-		t.Error("subnet should be finer than wildcard")
-	}
-	if !(subnet.Granularity() < host.Granularity()) {
-		t.Error("host should be finer than subnet")
-	}
-	if !(host.Granularity() < conn.Granularity()) {
-		t.Error("5-tuple should be finer than host")
-	}
-}
-
 func TestConstrainsDst(t *testing.T) {
 	m1, _ := ParseFieldMatch("[nw_src=1.1.1.0/24]")
 	m2, _ := ParseFieldMatch("[nw_dst=2.2.2.2]")
@@ -295,10 +281,10 @@ func TestMatchSubsetProperty(t *testing.T) {
 		k := randomKey(r)
 		k.SrcIP = netip.AddrFrom4([4]byte{1, 1, 1, last})
 		host, _ := ParseFieldMatch("[nw_src=" + k.SrcIP.String() + "]")
-		if !host.Match(k) {
+		if !matches(host, k) {
 			return false
 		}
-		return subnet.Match(k)
+		return matches(subnet, k)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -307,7 +293,7 @@ func TestMatchSubsetProperty(t *testing.T) {
 
 func BenchmarkMarshal(b *testing.B) {
 	p := samplePacket()
-	buf := make([]byte, 0, p.MarshaledSize())
+	buf := make([]byte, 0, headerLen+len(p.Payload))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = p.Marshal(buf[:0])
@@ -326,21 +312,18 @@ func BenchmarkUnmarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkFastHash(b *testing.B) {
-	k := samplePacket().Flow()
-	b.ReportAllocs()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += k.FastHash()
-	}
-	_ = sink
-}
-
 func BenchmarkFieldMatch(b *testing.B) {
 	m, _ := ParseFieldMatch("[nw_src=10.0.0.0/8,nw_proto=tcp,tp_dst=80]")
 	k := samplePacket().Flow()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Match(k)
+		matches(m, k)
 	}
+}
+
+// matches reports whether k satisfies every predicate of m; a key the ID
+// form cannot hold (a non-IPv4 address) matches nothing.
+func matches(m FieldMatch, k FlowKey) bool {
+	id, ok := k.ID()
+	return ok && m.ForID().Match(id)
 }

@@ -689,9 +689,16 @@ func (c *binaryCodec) decode() (*Message, error) {
 	if flags&fBatch != 0 {
 		m.Batch = int(r.uvarint("batch"))
 	}
+	// A pooled frame's chunks live in its chunk slice: the lone chunk of a
+	// one-chunk frame first, then a batch's.
+	lone := 0
 	if flags&fChunk != 0 {
-		ch := r.chunk("chunk")
-		if r.err == nil {
+		if fb := m.frame; fb != nil {
+			fb.chunks = append(fb.chunks[:0], r.chunk("chunk"))
+			if r.err == nil {
+				m.Chunk, lone = &fb.chunks[0], 1
+			}
+		} else if ch := r.chunk("chunk"); r.err == nil {
 			m.Chunk = &ch
 		}
 	}
@@ -706,10 +713,13 @@ func (c *binaryCodec) decode() (*Message, error) {
 		}
 		if r.err == nil && n > 0 {
 			if fb := m.frame; fb != nil {
-				if uint64(cap(fb.chunks)) < n {
-					fb.chunks = make([]state.Chunk, 0, n)
+				if uint64(cap(fb.chunks)-lone) < n {
+					fb.chunks = append(make([]state.Chunk, 0, uint64(lone)+n), fb.chunks[:lone]...)
+					if lone == 1 {
+						m.Chunk = &fb.chunks[0]
+					}
 				}
-				m.Chunks = fb.chunks[:0]
+				m.Chunks = fb.chunks[lone:lone]
 			} else {
 				m.Chunks = make([]state.Chunk, 0, n)
 			}

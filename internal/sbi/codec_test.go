@@ -365,15 +365,16 @@ func TestReleasedMessageIsPoisoned(t *testing.T) {
 	}
 }
 
-// TestDecodeRecyclesWholeFrames: the frames of a move (a 32-chunk frame, a
-// put's ACK, a credit) are decoded into recycled storage, the Message
-// itself included, so once released they cost no allocation at all, the
-// request's op name included.
+// TestDecodeRecyclesWholeFrames: the frames of a move (a 32-chunk frame, the
+// paper's one-chunk frame, a put's ACK, a credit) are decoded into recycled
+// storage, the Message itself included, so once released they cost no
+// allocation at all, the request's op name included.
 func TestDecodeRecyclesWholeFrames(t *testing.T) {
 	for name, m := range map[string]*Message{
-		"chunks": benchChunkMessage(32),
-		"ack":    {Type: MsgDone, ID: 7, Count: 32},
-		"credit": {Type: MsgRequest, Op: OpCredit, ID: 7, Count: 1},
+		"chunks":    benchChunkMessage(32),
+		"one chunk": benchChunkMessage(1),
+		"ack":       {Type: MsgDone, ID: 7, Count: 32},
+		"credit":    {Type: MsgRequest, Op: OpCredit, ID: 7, Count: 1},
 	} {
 		d := newFrameDecoder(encodeFrame(t, m))
 		// sync.Pool may drop what is put back (the race detector makes it
@@ -409,6 +410,22 @@ func TestDecodeRecyclesWholeFrames(t *testing.T) {
 		if b := get.next(t); b == a {
 			t.Fatal("a small request was decoded into a released chunk frame's holder")
 		}
+	}
+}
+
+// TestDecodeLoneChunkBesideBatch: a frame carrying both a lone chunk and a
+// batch decodes both intact into one pooled chunk slice, whether the frame's
+// slice must grow (a fresh frame) or is large enough (a recycled one).
+func TestDecodeLoneChunkBesideBatch(t *testing.T) {
+	m := benchChunkMessage(3)
+	m.Chunk = benchChunkMessage(1).Chunk
+	both := newFrameDecoder(encodeFrame(t, m))
+	for i := 0; i < 8; i++ {
+		got := both.next(t)
+		if !reflect.DeepEqual(got.Chunk, m.Chunk) || !reflect.DeepEqual(got.Chunks, m.Chunks) {
+			t.Fatalf("decoded chunk %+v and batch %+v, want %+v and %+v", got.Chunk, got.Chunks, m.Chunk, m.Chunks)
+		}
+		got.Release()
 	}
 }
 

@@ -98,13 +98,6 @@ func (w transportWriter) Write(p []byte) (int, error) {
 	return w.c.raw.Write(p)
 }
 
-// Codec returns the connection's current codec.
-func (c *Conn) Codec() Codec {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	return c.codec.name()
-}
-
 // Upgrade switches the connection to the named codec. Call it only at a
 // protocol quiescence point — immediately after sending or receiving the
 // hello — so no frame straddles the switch.

@@ -209,9 +209,6 @@ type StatsReply struct {
 	ReportSharedBytes    int `json:"reportSharedBytes"`
 }
 
-// Total returns the total number of per-flow chunks counted.
-func (s StatsReply) Total() int { return s.SupportPerflowChunks + s.ReportPerflowChunks }
-
 // Message is the single wire frame. Fields are populated according to Type;
 // unused fields are omitted from the JSON encoding.
 type Message struct {

@@ -276,13 +276,6 @@ func TestFlowKeyStringParseProperty(t *testing.T) {
 	}
 }
 
-func TestStatsReplyTotal(t *testing.T) {
-	s := StatsReply{SupportPerflowChunks: 3, ReportPerflowChunks: 4}
-	if s.Total() != 7 {
-		t.Fatalf("total: %d", s.Total())
-	}
-}
-
 func TestParseFlowKeyErrors(t *testing.T) {
 	bad := []string{
 		"",

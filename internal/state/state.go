@@ -85,9 +85,6 @@ type Chunk struct {
 	Blob []byte         `json:"blob"`
 }
 
-// Size returns the wire footprint of the chunk in bytes (key plus blob).
-func (c Chunk) Size() int { return packet.FlowKeyWireSize + len(c.Blob) }
-
 // Sealer encrypts and authenticates state blobs before they leave a
 // middlebox, so that supporting state remains opaque to the controller and
 // control applications (§4.1.2: "MBs can encrypt chunks of per-flow

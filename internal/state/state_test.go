@@ -670,14 +670,6 @@ func TestConfigTreeConcurrency(t *testing.T) {
 	<-done
 }
 
-func TestChunkSize(t *testing.T) {
-	c := Chunk{Blob: make([]byte, 189)}
-	if c.Size() != 202 {
-		// 13-byte key + 189-byte blob = the paper's 202-byte dummy state.
-		t.Fatalf("chunk size: got %d want 202", c.Size())
-	}
-}
-
 func BenchmarkConfigExport(b *testing.B) {
 	tr := NewConfigTree()
 	for i := 0; i < 100; i++ {

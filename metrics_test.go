@@ -178,6 +178,9 @@ func TestMetricsEndpointDuringMoves(t *testing.T) {
 	if got := sum("openmb_mbs_registered"); got != 2 {
 		t.Errorf("mbs_registered = %v, want 2", got)
 	}
+	if _, ok := final["openmb_txns_live"]; !ok {
+		t.Error("no openmb_txns_live gauge")
+	}
 	if sum("openmb_conn_sent_frames_total") == 0 || sum("openmb_conn_received_frames_total") == 0 {
 		t.Error("conn counters missing")
 	}

@@ -1,0 +1,142 @@
+package openmb
+
+// The lists TestRepoRules reads. Each may only shrink: an entry that no
+// longer matches anything fails the test until it is taken off.
+
+// sleepAllowlist names the functions that may call time.Sleep outside tests,
+// with how many calls each may hold and what they wait for. The target is a
+// list of waits that model time (latency, pacing, backoff), none that poll
+// for a condition.
+var sleepAllowlist = map[string]allowedSleeps{
+	"internal/core.Controller.redialLoop":   {1, "peer redial backoff"},
+	"internal/core.Controller.rollbackMove": {1, "polls: one quiet period for the source's last events"},
+	"internal/mbox.Runtime.eventFlusher":    {1, "the event coalescing window"},
+	"internal/mbox.Runtime.syncEvents":      {1, "polls: the worker's parity clock"},
+	"internal/mbox.Runtime.Drain":           {1, "polls: an idle streak of the ingress path"},
+	"internal/mbox.Runtime.Close":           {1, "polls: in-flight HandleBurst racers"},
+	"internal/netsim.link.process":          {1, "simulated link latency"},
+	"internal/sdn.Controller.Route":         {1, "simulated rule-install delay"},
+	"internal/bed.Bed.InjectTrace":          {1, "trace replay pacing"},
+	"internal/mbox/mbtest.Pace":             {1, "trace replay pacing"},
+	"internal/faults.conn.Write":            {1, "injected write delay"},
+	"internal/eval.countMoveEvents":         {1, "the measured window between get and reroute"},
+	"internal/eval.splitMergeBuffering":     {1, "polls: the halt valve's first buffered packet"},
+	"internal/eval.figure7ScaleUpTimeline":  {2, "the scenario's timeline"},
+	"cmd/openmb-controller.joinRetry":       {1, "join retry backoff"},
+	"cmd/openmb-mb.main":                    {1, "trace replay pacing"},
+	"examples/failover.main":                {1, "polls: events are asynchronous"},
+}
+
+type allowedSleeps struct {
+	n      int    // time.Sleep calls the function may hold
+	reason string // what they wait for
+}
+
+// exportedAllowlist names the exported names under internal/ that have no
+// non-test caller in either module, each with its reason: public API (a
+// method or field of a type the root package's API reaches, which its users
+// may call), test infrastructure, or the roadmap item that wires it.
+// Everything else without a caller is deleted, or moves to its package's
+// export_test.go when only that package's tests read it and the root
+// package's API does not reach it.
+var exportedAllowlist = map[string]string{
+	"internal/core.Controller.DelConfig":              "public API: openmb.Controller's delConfig, the paper's northbound call (§5)",
+	"internal/elastic.ClusterActuator.Seed":           "public API: openmb.ElasticClusterActuator; gives a group its base member, without which ScaleOut cannot act",
+	"internal/elastic.ClusterActuator.Members":        "public API: openmb.ElasticClusterActuator's group members",
+	"internal/apps.MappingShadow.Len":                 "public API: openmb.MappingShadow's live mapping count",
+	"internal/mbox/ips.IPS.Connection":                "public API: openmb.IPS's per-connection state",
+	"internal/mbox/ips.IPS.Report":                    "public API: openmb.IPS's reporting counters",
+	"internal/mbox/lb.LB.Assignment":                  "public API: openmb.LoadBalancer's binding of a source endpoint",
+	"internal/mbox/lb.LB.AssignmentCount":             "public API: openmb.LoadBalancer's bound flow count",
+	"internal/mbox/lb.LB.BackendLoads":                "public API: openmb.LoadBalancer's flows per backend",
+	"internal/mbox/monitor.Monitor.FlowRecord":        "public API: openmb.Monitor's per-flow record",
+	"internal/mbox/nat.NAT.Drops":                     "public API: openmb.NAT's drops by reason",
+	"internal/mbox/re.Encoder.CacheCount":             "public API: openmb.REEncoder's per-decoder cache count",
+	"internal/netsim.Host.Name":                       "public API: openmb.Host",
+	"internal/netsim.Host.Send":                       "public API: openmb.Host",
+	"internal/netsim.Host.Reset":                      "public API: openmb.Host",
+	"internal/netsim.InstalledRule.Packets":           "public API: the rule openmb.Switch.Install returns",
+	"internal/netsim.Switch.TableMisses":              "public API: openmb.Switch's counters",
+	"internal/netsim.Switch.Forwarded":                "public API: openmb.Switch's counters",
+	"internal/netsim.Network.SetFault":                "public API: openmb.Network's packet fault hook (openmb.Fault, openmb.Ingress)",
+	"internal/obs.Histogram.Count":                    "public API: the histograms openmb's collectors emit",
+	"internal/obs.HistogramSnapshot.Mean":             "public API: the snapshots openmb.Controller.OpLatencies returns",
+	"internal/obs.HistogramSnapshot.Quantile":         "public API: the snapshots openmb.Controller.OpLatencies returns",
+	"internal/packet.Pool.CheckLeaks":                 "public API: openmb.PacketPool's accounting-mode leak report",
+	"internal/sdn.Controller.Updates":                 "public API: openmb.SDNController's update count",
+	"internal/state.ConfigTree.Version":               "public API: the config tree a Logic's Config returns",
+	"internal/bed.Bed.AddStandaloneMB":                "test infrastructure: the testbed",
+	"internal/bed.Bed.Colocate":                       "test infrastructure: the testbed",
+	"internal/bed.Bed.MB":                             "test infrastructure: the testbed",
+	"internal/eval.NewChainRig":                       "test infrastructure: the chain rig",
+	"internal/eval.ChainRig.Close":                    "test infrastructure: the chain rig",
+	"internal/eval.ChainRig.Delivered":                "test infrastructure: the chain rig",
+	"internal/eval.ChainRig.Inject":                   "test infrastructure: the chain rig",
+	"internal/eval.ChainRig.Runtime":                  "test infrastructure: the chain rig",
+	"internal/faults.New":                             "test infrastructure: the fault-injecting transport",
+	"internal/faults.Transport.Conns":                 "test infrastructure: the fault-injecting transport",
+	"internal/faults.Transport.KillAll":               "test infrastructure: the fault-injecting transport",
+	"internal/faults.Transport.SetPartition":          "test infrastructure: the fault-injecting transport",
+	"internal/mbox/mbtest.ProcessOne":                 "test infrastructure: drives a logic without a runtime",
+	"internal/mbox/mbtest.CounterLogic.Count":         "test infrastructure: the counter middlebox",
+	"internal/mbox/mbtest.CounterLogic.SharedReport":  "test infrastructure: the counter middlebox",
+	"internal/mbox/mbtest.CounterLogic.SharedSupport": "test infrastructure: the counter middlebox",
+	"internal/state.ConfigTree.Equal":                 "test infrastructure: the config-clone checks of core, state and baseline",
+	"internal/core.Controller.RecoverMove":            "ROADMAP item 5: the daemon's recovery path calls it",
+	"internal/sdn.Controller.Barrier":                 "ROADMAP item 9: the fenced hand-over makes it real",
+	"internal/core.Controller.ArmFlowTrace":           "ROADMAP item 7: transaction-scoped flow traces",
+	"internal/core.Controller.DisarmFlowTrace":        "ROADMAP item 7: transaction-scoped flow traces",
+	"internal/core.Controller.FlowTraceRecords":       "ROADMAP item 7: transaction-scoped flow traces",
+	"internal/packet.FlagURG":                         "ROADMAP item 18: the TCP flag set stays whole",
+	"internal/state.FlowIndex.Len":                    "ROADMAP item 1(a): FlowIndex goes whole with the benchmark's index probe",
+	"internal/state.FlowIndex.RemoveID":               "ROADMAP item 1(a): FlowIndex goes whole with the benchmark's index probe",
+}
+
+// optionsList names every settable field of the library's config structs
+// (see modPkg.options). docs/ARCHITECTURE.md's "Tuning knobs" table lists
+// exactly these.
+var optionsList = []string{
+	"core.ClusterOptions.Controller",
+	"core.ClusterOptions.Replicas",
+	"core.NodeOptions.Advertise",
+	"core.NodeOptions.Cluster",
+	"core.NodeOptions.FindRetryWindow",
+	"core.NodeOptions.Name",
+	"core.NodeOptions.PeerCallTimeout",
+	"core.NodeOptions.PullTimeout",
+	"core.Options.BatchSize",
+	"core.Options.CallTimeout",
+	"core.Options.Compress",
+	"core.Options.HeartbeatInterval",
+	"core.Options.HeartbeatMisses",
+	"core.Options.HelloTimeout",
+	"core.Options.PutWorkers",
+	"core.Options.QuietPeriod",
+	"core.Options.Shards",
+	"elastic.Config.Clock",
+	"elastic.Config.Cooldown",
+	"elastic.Config.HighRate",
+	"elastic.Config.HighUtil",
+	"elastic.Config.HighWindows",
+	"elastic.Config.Interval",
+	"elastic.Config.LowRate",
+	"elastic.Config.LowWindows",
+	"elastic.Config.MaxInstances",
+	"elastic.Config.MinInstances",
+	"elastic.ProcessConfig.Bin",
+	"elastic.ProcessConfig.Controller",
+	"elastic.ProcessConfig.ExtraArgs",
+	"elastic.ProcessConfig.FlowSpace",
+	"elastic.ProcessConfig.GraceTimeout",
+	"elastic.ProcessConfig.Kind",
+	"elastic.ProcessConfig.Route",
+	"elastic.ProcessConfig.Stderr",
+	"mbox.Options.Codec",
+	"mbox.Options.QueueSize",
+	"mbox.Options.Reconnect",
+	"mbox.Options.ReconnectMax",
+	"mbox.Options.ReconnectMin",
+	"netsim.Options.RingSize",
+	"packet.PoolOptions.Accounting",
+	"packet.PoolOptions.PayloadCap",
+}
