@@ -13,12 +13,9 @@
 // HTTP control surface (/move, /pull, /owner, /mbs, /peers, /health) for
 // scripting operations.
 //
-// With -elastic-mb-bin the daemon arms the elasticity loop, which spawns
-// and retires openmb-mb processes as scale-out group members.
-//
 // SIGTERM and SIGINT both shut the daemon down gracefully: in-flight
-// transactions drain, spawned elastic children retire, and the node
-// announces its departure so peers shrink their quorum denominators.
+// transactions drain, and the node announces its departure so peers shrink
+// their quorum denominators.
 package main
 
 import (
@@ -50,11 +47,6 @@ func main() {
 	helloTimeout := flag.Duration("hello-timeout", 0, "read deadline for a new connection's hello frame (0 = default 10s)")
 	events := flag.Bool("log-events", true, "log introspection events")
 	metrics := flag.String("metrics", os.Getenv("OPENMB_METRICS"), "address to serve the Prometheus /metrics endpoint on (empty = no endpoint; default from OPENMB_METRICS)")
-	elasticInterval := flag.Duration("elastic-interval", 0, "elasticity sampling period (0 = default 50ms)")
-	elasticCooldown := flag.Duration("elastic-cooldown", 0, "quiet window after each elasticity action (0 = default 500ms)")
-	elasticMBBin := flag.String("elastic-mb-bin", os.Getenv("OPENMB_ELASTIC_MB_BIN"), "openmb-mb binary the elasticity loop spawns as scale-out group members (empty = no elasticity loop; default from OPENMB_ELASTIC_MB_BIN)")
-	elasticMBKind := flag.String("elastic-mb-kind", "monitor", "middlebox -kind for spawned group members")
-	elasticMBController := flag.String("elastic-mb-controller", "", "comma-separated -controller list handed to spawned members (empty = this daemon's listen address)")
 	nodeName := flag.String("node", os.Getenv("OPENMB_NODE"), "this controller's cluster-wide node name (empty = \"node\"; default from OPENMB_NODE)")
 	advertise := flag.String("advertise", "", "address peers and redirected middleboxes dial to reach this node (empty = the listen address)")
 	join := flag.String("join", "", "comma-separated addresses of existing cluster nodes to join (empty = a one-node cluster)")
@@ -97,39 +89,9 @@ func main() {
 		log.Printf("joined cluster via %s (peers: %v, known nodes: %d)", addr, node.Peers(), node.KnownNodes())
 	}
 
-	// Elasticity loop, armed by -elastic-mb-bin: scale-outs spawn real
-	// openmb-mb processes pointed back at this controller (or the explicit
-	// -elastic-mb-controller list, for failover across nodes).
-	var loop *openmb.ElasticLoop
-	var drv *openmb.ElasticProcessDriver
-	var act *openmb.ElasticClusterActuator
-	if *elasticMBBin != "" {
-		ctrlList := *elasticMBController
-		if ctrlList == "" {
-			ctrlList = *listen
-		}
-		drv = openmb.NewElasticProcessDriver(openmb.ElasticProcessConfig{
-			Bin:        *elasticMBBin,
-			Controller: ctrlList,
-			Kind:       *elasticMBKind,
-		})
-		src := openmb.NewElasticClusterSource(node)
-		act = openmb.NewElasticClusterActuator(node, src, drv)
-		loop = openmb.NewElasticLoop(openmb.ElasticConfig{
-			Interval: *elasticInterval,
-			Cooldown: *elasticCooldown,
-		}, src, act)
-		loop.Start()
-		log.Printf("elasticity loop armed (process driver %s, kind %s; interval=%v cooldown=%v)", *elasticMBBin, *elasticMBKind, *elasticInterval, *elasticCooldown)
-	}
-
 	if *metrics != "" {
 		reg := openmb.NewMetricsRegistry()
 		reg.Register(node)
-		if loop != nil {
-			reg.Register(loop)
-			reg.Register(act)
-		}
 		addr, _, err := openmb.ServeMetrics(*metrics, reg)
 		if err != nil {
 			// A bad metrics address should kill the daemon at startup,
@@ -160,12 +122,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("received %v: shutting down\n", s)
-	if loop != nil {
-		loop.Close()
-		// Retire spawned children (SIGTERM, then SIGKILL after their grace
-		// window) before the controller stops serving their reconnects.
-		drv.Close()
-	}
 	// Graceful departure: drain transactions, announce OpPeerLeave to every
 	// peer (shrinking their quorum denominators), then close.
 	node.Shutdown(*drain)

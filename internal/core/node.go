@@ -29,9 +29,6 @@ type NodeOptions struct {
 	// PeerCallTimeout bounds one peer round trip (default 3s). It doubles
 	// as the partition detector: a timed-out call closes the link.
 	PeerCallTimeout time.Duration
-	// PullTimeout bounds how long a Pull waits for the released middlebox
-	// to redial this node (default 10s).
-	PullTimeout time.Duration
 	// FindRetryWindow bounds how long MoveInternal, CloneSupport,
 	// MergeInternal and RecoverMove wait for a middlebox this node owns but
 	// that is not registered (mid-pull, mid-recovery, mid-reconnect) before
@@ -42,6 +39,10 @@ type NodeOptions struct {
 	// the name until ROADMAP item 1's benchmark PR.
 	Cluster ClusterOptions
 }
+
+// pullTimeout bounds how long a Pull waits for the released middlebox to
+// redial this node.
+const pullTimeout = 10 * time.Second
 
 // nodeSalt derives the registry ID salt from the node name: 16 well-mixed
 // bits in the high half, leaving 2^48 IDs per node before any overlap.
@@ -62,9 +63,6 @@ func NewNode(opts NodeOptions) *Controller {
 	}
 	if opts.PeerCallTimeout <= 0 {
 		opts.PeerCallTimeout = 3 * time.Second
-	}
-	if opts.PullTimeout <= 0 {
-		opts.PullTimeout = 10 * time.Second
 	}
 	if opts.FindRetryWindow <= 0 {
 		opts.FindRetryWindow = 2 * time.Second
@@ -450,7 +448,7 @@ func (c *Controller) pullFrom(owner, mbName string) error {
 	if _, err := p.call(&sbi.Message{Type: sbi.MsgRequest, Op: sbi.OpReleaseMB, Name: mbName, Addr: c.Advertise()}, c.nodeOpts.PeerCallTimeout); err != nil {
 		return err
 	}
-	if err := c.WaitForMB(mbName, c.nodeOpts.PullTimeout); err != nil {
+	if err := c.WaitForMB(mbName, pullTimeout); err != nil {
 		return fmt.Errorf("core: node %s: released middlebox %q never redialed: %w", c.name, mbName, err)
 	}
 	c.pulls.Add(1)

@@ -24,16 +24,11 @@ const spawnWait = 2 * time.Second
 // destroy, so scale-in refuses to re-import state until the registry drains.
 const txnSettle = 15 * time.Second
 
-// ClusterSource samples a live controller's middleboxes for the loop.
-// Co-located middlebox runtimes registered with Register are sampled
-// directly — their ingress ring via the tear-proof mbox.Runtime.RingStats
-// and their packet counters via mbox.Runtime.Metrics. A member registered
-// without a runtime (a process-driver member living in another OS process)
-// is sampled through its southbound connection: Processed is the
-// connection's received-frame counter, and its ring depth is unknown.
+// ClusterSource samples the co-located middlebox runtimes registered with
+// Register: their ingress ring via the tear-proof mbox.Runtime.RingStats and
+// their packet counters via mbox.Runtime.Metrics. A member registered
+// without a runtime is not sampled.
 type ClusterSource struct {
-	c *core.Controller
-
 	mu    sync.Mutex
 	insts map[string]regEntry
 }
@@ -43,14 +38,13 @@ type regEntry struct {
 	rt    *mbox.Runtime
 }
 
-// NewClusterSource creates a source over the controller.
-func NewClusterSource(c *core.Controller) *ClusterSource {
-	return &ClusterSource{c: c, insts: map[string]regEntry{}}
+// NewClusterSource creates an empty source.
+func NewClusterSource() *ClusterSource {
+	return &ClusterSource{insts: map[string]regEntry{}}
 }
 
-// Register makes the runtime an elastically managed instance of the group;
-// a nil runtime samples the instance through its connection. Group ""
-// registers it for sampling without scale management.
+// Register makes the runtime an elastically managed instance of the group.
+// Group "" registers it for sampling without scale management.
 func (s *ClusterSource) Register(group, name string, rt *mbox.Runtime) {
 	s.mu.Lock()
 	s.insts[name] = regEntry{group: group, rt: rt}
@@ -70,11 +64,12 @@ func (s *ClusterSource) Sample() Sample {
 	s.mu.Lock()
 	reg := make(map[string]regEntry, len(s.insts))
 	for name, e := range s.insts {
-		reg[name] = e
+		if e.rt != nil {
+			reg[name] = e
+		}
 	}
 	s.mu.Unlock()
 
-	conns := s.c.ConnCounters()
 	names := make([]string, 0, len(reg))
 	for name := range reg {
 		names = append(names, name)
@@ -83,14 +78,6 @@ func (s *ClusterSource) Sample() Sample {
 	var out Sample
 	for _, name := range names {
 		e := reg[name]
-		if e.rt == nil {
-			wc, ok := conns[name]
-			if !ok {
-				continue // not registered (yet, or any more)
-			}
-			out.Instances = append(out.Instances, InstanceSample{MB: name, Group: e.group, Processed: wc.Received})
-			continue
-		}
 		m := e.rt.Metrics()
 		rs := e.rt.RingStats()
 		out.Instances = append(out.Instances, InstanceSample{

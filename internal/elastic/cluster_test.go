@@ -393,7 +393,7 @@ func TestClusterActuatorAcrossNodes(t *testing.T) {
 // traffic, then checks the survivor against a never-scaled control run.
 func cloneMergeRoundTrip(t *testing.T, cl *core.Controller, drv *rangeDriver, seed *Member) {
 	t.Helper()
-	src := NewClusterSource(cl)
+	src := NewClusterSource()
 	act := NewClusterActuator(cl, src, drv)
 	act.Seed("g", seed)
 
@@ -488,6 +488,35 @@ func cloneMergeRoundTrip(t *testing.T, cl *core.Controller, drv *rangeDriver, se
 	}
 }
 
+// TestClusterSourceSkipsMembersWithoutRuntime: the source samples the
+// runtimes registered with it; a member registered without one is not
+// sampled, even while its name has a live connection to the controller.
+func TestClusterSourceSkipsMembersWithoutRuntime(t *testing.T) {
+	cl := core.NewController(core.Options{})
+	defer cl.Close()
+	tr := sbi.NewMemTransport()
+	if err := cl.Serve(tr, "controller"); err != nil {
+		t.Fatal(err)
+	}
+	drv := newRangeDriver(t, tr, false, 0, 0)
+	defer drv.closeAll()
+	rt := drv.connect("m0", mbtest.NewCounterLogic(0))
+	drv.connect("m1", mbtest.NewCounterLogic(0))
+	for _, name := range []string{"m0", "m1"} {
+		if err := cl.WaitForMB(name, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	src := NewClusterSource()
+	src.Register("g", "m0", rt)
+	src.Register("g", "m1", nil)
+	got := src.Sample().Instances
+	if len(got) != 1 || got[0].MB != "m0" || got[0].Group != "g" || got[0].QueueCap == 0 {
+		t.Fatalf("sampled %+v, want m0 of group g alone, with its ring", got)
+	}
+}
+
 // TestFlashCrowd closes the loop the paper leaves to the operator (it scales
 // instances by hand and measures the data-plane cost of one move, Figures
 // 7/10): a heavy-tailed workload ramps warm -> peak -> cool through the
@@ -537,7 +566,7 @@ func flashCrowd(t *testing.T, loopOn bool) {
 	if err := cl.WaitForMB("fc0", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	src := NewClusterSource(cl)
+	src := NewClusterSource()
 	act := NewClusterActuator(cl, src, drv)
 	act.Seed("fc", seed)
 

@@ -56,9 +56,9 @@ type InstanceSample struct {
 	// RingDrops is the cumulative ingress-ring shed count.
 	RingDrops uint64
 	// QueueLen and QueueCap describe the ingress ring: queued packets and
-	// ring capacity. QueueCap 0 means depth is unknown (a cross-process
-	// instance sampled only through its connection) and utilization-based
-	// scoring is skipped for the instance.
+	// ring capacity. QueueCap 0 means depth is unknown (a Source that
+	// cannot see the ring) and utilization-based scoring is skipped for the
+	// instance.
 	QueueLen, QueueCap int
 }
 
@@ -125,8 +125,8 @@ type Config struct {
 	// 50 ms). Tick-driven tests ignore it.
 	Interval time.Duration
 	// HighUtil is the ingress-ring utilization (queued/capacity) at or
-	// above which an instance counts as hot (default 0.5; instances with
-	// unknown ring depth are never util-hot).
+	// above which an instance counts as hot (default 0.5; an instance from
+	// a Source that cannot see the ring is never util-hot).
 	HighUtil float64
 	// HighRate is the per-instance packet rate (pps) at or above which an
 	// instance counts as hot (0 = rate never marks hot).
@@ -142,13 +142,16 @@ type Config struct {
 	// Cooldown is the quiet window after any action (including a failed
 	// one) during which the loop only holds (default 500 ms).
 	Cooldown time.Duration
-	// MaxInstances and MinInstances bound every group's size (defaults 4
-	// and 1).
-	MaxInstances, MinInstances int
+	// MaxInstances bounds every group's size (default 4); no group scales
+	// in below one instance.
+	MaxInstances int
 	// Clock overrides the loop's time source (nil = wall clock); tests
 	// inject a fake to drive hysteresis and cooldown deterministically.
 	Clock Clock
 }
+
+// minInstances is the size below which a group never scales in.
+const minInstances = 1
 
 func (c *Config) setDefaults() {
 	if c.Interval <= 0 {
@@ -168,9 +171,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxInstances <= 0 {
 		c.MaxInstances = 4
-	}
-	if c.MinInstances <= 0 {
-		c.MinInstances = 1
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -419,7 +419,7 @@ func (l *Loop) evaluate(now time.Time, cur Sample) []Decision {
 				Op: ScaleOut, Group: name, MB: hotMB,
 				Reason: fmt.Sprintf("%s hot %d windows (%s)", hotMB, g.hotStreak, hotWhy),
 			})
-		case g.coldStreak >= l.cfg.LowWindows && !cooling && len(members) > l.cfg.MinInstances:
+		case g.coldStreak >= l.cfg.LowWindows && !cooling && len(members) > minInstances:
 			decisions = append(decisions, Decision{
 				Op: ScaleIn, Group: name,
 				Reason: fmt.Sprintf("group cold %d windows", g.coldStreak),

@@ -33,7 +33,6 @@ const (
 	FlagRST = 1 << 2
 	FlagPSH = 1 << 3
 	FlagACK = 1 << 4
-	FlagURG = 1 << 5
 )
 
 // ErrTruncated is returned when a buffer is too short for what it must hold.

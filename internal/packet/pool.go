@@ -25,7 +25,6 @@ import (
 // discipline: Retain and Release on them are no-ops, so code written against
 // the borrow contract handles them unchanged.
 type Pool struct {
-	opts PoolOptions
 	// live tracks outstanding reference counts in accounting mode, under mu:
 	// the checker behind the leak/double-release tests. Every Retain and
 	// Release reads the pointer, so it stays off the lines the sides write.
@@ -59,18 +58,16 @@ type PoolOptions struct {
 	// for tests; the fast path keeps the count in the packet and takes only
 	// its own side's lock.
 	Accounting bool
-	// PayloadCap preallocates this much payload capacity in fresh packets
-	// (default 256), so pooled clones of typical trace payloads never grow
-	// their buffer after warm-up.
-	PayloadCap int
 }
+
+// payloadCap is the payload capacity preallocated in fresh packets, so
+// pooled clones of typical trace payloads never grow their buffer after
+// warm-up.
+const payloadCap = 256
 
 // NewPool creates an empty pool.
 func NewPool(opts PoolOptions) *Pool {
-	if opts.PayloadCap <= 0 {
-		opts.PayloadCap = 256
-	}
-	p := &Pool{opts: opts}
+	p := &Pool{}
 	if opts.Accounting {
 		p.live = map[*Packet]int32{}
 	}
@@ -94,7 +91,7 @@ func (pl *Pool) Get() *Packet {
 		pl.free = pl.free[:n-1]
 	} else {
 		pl.news++
-		p = &Packet{Payload: make([]byte, 0, pl.opts.PayloadCap)}
+		p = &Packet{Payload: make([]byte, 0, payloadCap)}
 		p.pool = pl
 	}
 	if pl.live != nil {

@@ -319,9 +319,8 @@ type (
 	ElasticSource = elastic.Source
 	// ElasticActuator executes the loop's decisions.
 	ElasticActuator = elastic.Actuator
-	// ElasticClusterSource samples a live controller's registered
-	// instances (co-located runtimes directly, process members via wire
-	// counters).
+	// ElasticClusterSource samples the co-located runtimes registered
+	// with it.
 	ElasticClusterSource = elastic.ClusterSource
 	// ElasticClusterActuator acts on a live controller through the
 	// northbound operations and a GroupDriver.
@@ -331,12 +330,6 @@ type (
 	ElasticGroupDriver = elastic.GroupDriver
 	// ElasticMember is one instance of an elastic group.
 	ElasticMember = elastic.Member
-	// ElasticProcessDriver is a GroupDriver running each group member as a
-	// real openmb-mb OS process (spawn on scale-out, SIGTERM→SIGKILL retire
-	// on scale-in, prefix-halving flowspace splits).
-	ElasticProcessDriver = elastic.ProcessDriver
-	// ElasticProcessConfig configures an ElasticProcessDriver.
-	ElasticProcessConfig = elastic.ProcessConfig
 )
 
 // NewElasticLoop creates a placement controller over the source and actuator.
@@ -344,21 +337,16 @@ func NewElasticLoop(cfg ElasticConfig, src ElasticSource, act ElasticActuator) *
 	return elastic.New(cfg, src, act)
 }
 
-// NewElasticClusterSource creates a load source sampling the controller.
-func NewElasticClusterSource(c *Controller) *ElasticClusterSource {
-	return elastic.NewClusterSource(c)
+// NewElasticClusterSource creates a load source sampling the runtimes
+// registered with it.
+func NewElasticClusterSource() *ElasticClusterSource {
+	return elastic.NewClusterSource()
 }
 
 // NewElasticClusterActuator creates an actuator over the controller, acting
 // through drv. src may be nil to skip sampling registration.
 func NewElasticClusterActuator(c *Controller, src *ElasticClusterSource, drv ElasticGroupDriver) *ElasticClusterActuator {
 	return elastic.NewClusterActuator(c, src, drv)
-}
-
-// NewElasticProcessDriver creates a GroupDriver spawning real openmb-mb
-// processes.
-func NewElasticProcessDriver(cfg ElasticProcessConfig) *ElasticProcessDriver {
-	return elastic.NewProcessDriver(cfg)
 }
 
 // Trace is a time-ordered synthetic packet trace.

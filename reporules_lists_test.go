@@ -43,6 +43,8 @@ var exportedAllowlist = map[string]string{
 	"internal/core.Controller.DelConfig":              "public API: openmb.Controller's delConfig, the paper's northbound call (§5)",
 	"internal/elastic.ClusterActuator.Seed":           "public API: openmb.ElasticClusterActuator; gives a group its base member, without which ScaleOut cannot act",
 	"internal/elastic.ClusterActuator.Members":        "public API: openmb.ElasticClusterActuator's group members",
+	"internal/elastic.Loop.Start":                     "public API: openmb.ElasticLoop's background sampling loop",
+	"internal/elastic.Loop.Close":                     "public API: stops openmb.ElasticLoop's background sampling loop",
 	"internal/apps.MappingShadow.Len":                 "public API: openmb.MappingShadow's live mapping count",
 	"internal/mbox/ips.IPS.Connection":                "public API: openmb.IPS's per-connection state",
 	"internal/mbox/ips.IPS.Report":                    "public API: openmb.IPS's reporting counters",
@@ -87,7 +89,6 @@ var exportedAllowlist = map[string]string{
 	"internal/core.Controller.ArmFlowTrace":           "ROADMAP item 7: transaction-scoped flow traces",
 	"internal/core.Controller.DisarmFlowTrace":        "ROADMAP item 7: transaction-scoped flow traces",
 	"internal/core.Controller.FlowTraceRecords":       "ROADMAP item 7: transaction-scoped flow traces",
-	"internal/packet.FlagURG":                         "ROADMAP item 18: the TCP flag set stays whole",
 	"internal/state.FlowIndex.Len":                    "ROADMAP item 1(a): FlowIndex goes whole with the benchmark's index probe",
 	"internal/state.FlowIndex.RemoveID":               "ROADMAP item 1(a): FlowIndex goes whole with the benchmark's index probe",
 }
@@ -103,7 +104,6 @@ var optionsList = []string{
 	"core.NodeOptions.FindRetryWindow",
 	"core.NodeOptions.Name",
 	"core.NodeOptions.PeerCallTimeout",
-	"core.NodeOptions.PullTimeout",
 	"core.Options.BatchSize",
 	"core.Options.CallTimeout",
 	"core.Options.Compress",
@@ -122,15 +122,6 @@ var optionsList = []string{
 	"elastic.Config.LowRate",
 	"elastic.Config.LowWindows",
 	"elastic.Config.MaxInstances",
-	"elastic.Config.MinInstances",
-	"elastic.ProcessConfig.Bin",
-	"elastic.ProcessConfig.Controller",
-	"elastic.ProcessConfig.ExtraArgs",
-	"elastic.ProcessConfig.FlowSpace",
-	"elastic.ProcessConfig.GraceTimeout",
-	"elastic.ProcessConfig.Kind",
-	"elastic.ProcessConfig.Route",
-	"elastic.ProcessConfig.Stderr",
 	"mbox.Options.Codec",
 	"mbox.Options.QueueSize",
 	"mbox.Options.Reconnect",
@@ -138,5 +129,40 @@ var optionsList = []string{
 	"mbox.Options.ReconnectMin",
 	"netsim.Options.RingSize",
 	"packet.PoolOptions.Accounting",
-	"packet.PoolOptions.PayloadCap",
+}
+
+// flagsList names every command-line flag the daemons define (see
+// modPkg.flags). docs/ARCHITECTURE.md's "Tuning knobs" table names each.
+var flagsList = []string{
+	"cmd/openmb-controller -admin",
+	"cmd/openmb-controller -advertise",
+	"cmd/openmb-controller -batch",
+	"cmd/openmb-controller -compress",
+	"cmd/openmb-controller -drain-timeout",
+	"cmd/openmb-controller -find-retry",
+	"cmd/openmb-controller -heartbeat",
+	"cmd/openmb-controller -heartbeat-misses",
+	"cmd/openmb-controller -hello-timeout",
+	"cmd/openmb-controller -join",
+	"cmd/openmb-controller -listen",
+	"cmd/openmb-controller -log-events",
+	"cmd/openmb-controller -metrics",
+	"cmd/openmb-controller -node",
+	"cmd/openmb-controller -quiet-period",
+	"cmd/openmb-controller -shards",
+	"cmd/openmb-mb -cache-bytes",
+	"cmd/openmb-mb -codec",
+	"cmd/openmb-mb -controller",
+	"cmd/openmb-mb -drain-timeout",
+	"cmd/openmb-mb -kind",
+	"cmd/openmb-mb -lb-backends",
+	"cmd/openmb-mb -lb-vip",
+	"cmd/openmb-mb -metrics",
+	"cmd/openmb-mb -name",
+	"cmd/openmb-mb -nat-ip",
+	"cmd/openmb-mb -pace",
+	"cmd/openmb-mb -reconnect",
+	"cmd/openmb-mb -reconnect-max",
+	"cmd/openmb-mb -reconnect-min",
+	"cmd/openmb-mb -trace",
 }

@@ -3,6 +3,7 @@ package openmb
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -257,29 +258,62 @@ var repoRules = []repoRule{
 					have[o.name] = true
 				}
 			}
-			listed := map[string]string{}
-			for _, name := range optionsList {
-				listed[name] = ""
-			}
-			out := staleEntries("optionsList", listed, have)
-			doc, err := tuningKnobs("docs/ARCHITECTURE.md")
-			if err != nil {
-				return append(out, err.Error())
-			}
-			for _, name := range optionsList {
-				if !doc[name] {
-					out = append(out, fmt.Sprintf("docs/ARCHITECTURE.md: the Tuning knobs table does not list %s", name))
-				}
-			}
-			for name := range doc {
-				if _, ok := listed[name]; !ok {
-					out = append(out, fmt.Sprintf("docs/ARCHITECTURE.md: the Tuning knobs table lists %s, which optionsList does not", name))
-				}
-			}
-			sort.Strings(out)
-			return out
+			options, _, err := tuningKnobs("docs/ARCHITECTURE.md")
+			return listMatches("optionsList", optionsList, have, options, err)
 		},
 	},
+	{
+		// The daemons' command-line flags are knobs too: flagsList names
+		// every flag the cmd/openmb-controller and cmd/openmb-mb mains
+		// define, and the Tuning knobs table names each. A new flag fails
+		// until it is listed in both.
+		name: "FlagsOnlyShrink", fixture: "flags",
+		check: func(prog *program, p *modPkg) []string {
+			var out []string
+			for _, f := range p.flags() {
+				if !slices.Contains(flagsList, f.name) {
+					out = append(out, fmt.Sprintf("%s: %s is a new flag; the flags list only shrinks", p.pos(f.pos), f.name))
+				}
+			}
+			return out
+		},
+		stale: func(prog *program) []string {
+			have := map[string]bool{}
+			for _, p := range prog.pkgs {
+				for _, f := range p.flags() {
+					have[f.name] = true
+				}
+			}
+			_, flags, err := tuningKnobs("docs/ARCHITECTURE.md")
+			return listMatches("flagsList", flagsList, have, flags, err)
+		},
+	},
+}
+
+// listMatches reports the entries of list that have does not hold, and
+// each difference between list and the names the Tuning knobs table gives
+// (doc, or the error reading it).
+func listMatches(listName string, list []string, have, doc map[string]bool, err error) []string {
+	listed := map[string]string{}
+	for _, name := range list {
+		listed[name] = ""
+	}
+	out := staleEntries(listName, listed, have)
+	if err != nil {
+		return append(out, err.Error())
+	}
+	for _, name := range list {
+		if !doc[name] {
+			out = append(out, fmt.Sprintf("docs/ARCHITECTURE.md: the Tuning knobs table does not list %s", name))
+		}
+	}
+	for name := range doc {
+		if _, ok := listed[name]; !ok {
+			out = append(out, fmt.Sprintf("docs/ARCHITECTURE.md: the Tuning knobs table lists %s, which %s does not", name, listName))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // staleEntries reports the entries of list that have does not hold.
@@ -816,23 +850,79 @@ func (p *modPkg) options() []decl {
 	return out
 }
 
+// daemons are the cmd/ mains whose flags flagsList names.
+var daemons = []string{"cmd/openmb-controller", "cmd/openmb-mb"}
+
+// A flagDef is one command-line flag a daemon defines.
+type flagDef struct {
+	name string // "cmd/openmb-mb -codec"
+	pos  token.Pos
+}
+
+// flags lists the flags p defines through package flag (flag.String,
+// flag.DurationVar, a FlagSet's methods, ...), if p is a daemon. A flag
+// whose name is not a constant is listed under the name "?".
+func (p *modPkg) flags() []flagDef {
+	if !slices.Contains(daemons, p.rel) {
+		return nil
+	}
+	var out []flagDef
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !isFunc(p.info.Uses[sel.Sel], "flag", flagDefiners...) {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1 // BoolVar(&b, name, ...), Var(value, name, usage)
+			}
+			name := "?"
+			if v := p.info.Types[call.Args[arg]].Value; v != nil && v.Kind() == constant.String {
+				name = constant.StringVal(v)
+			}
+			out = append(out, flagDef{p.rel + " -" + name, call.Pos()})
+			return true
+		})
+	}
+	return out
+}
+
+// flagDefiners are package flag's functions and FlagSet methods that define
+// a flag.
+var flagDefiners = []string{
+	"Bool", "BoolFunc", "BoolVar", "Duration", "DurationVar", "Float64", "Float64Var",
+	"Func", "Int", "Int64", "Int64Var", "IntVar", "String", "StringVar", "TextVar",
+	"Uint", "Uint64", "Uint64Var", "UintVar", "Var",
+}
+
 // knobRef matches a backquoted "pkg.Type.Field" in the Tuning knobs table,
 // with further fields of the same type as " / Field".
 var knobRef = regexp.MustCompile("`([a-z]+\\.[A-Z]\\w*)\\.([A-Z]\\w*(?: / [A-Z]\\w*)*)`")
 
-// tuningKnobs returns the config fields the "Tuning knobs" table of the
-// Markdown file doc names in its first column.
-func tuningKnobs(doc string) (map[string]bool, error) {
+// flagRef matches a backquoted "cmd/main -flag" in the Tuning knobs table,
+// with further flags of the same mains as " / -flag" and several mains as
+// "cmd/{a,b}".
+var flagRef = regexp.MustCompile("`cmd/(\\{[a-z,-]+\\}|[a-z-]+) (-[a-z][a-z0-9-]*(?: / -[a-z][a-z0-9-]*)*)`")
+
+// tuningKnobs returns the config fields and the daemon flags ("cmd/openmb-mb
+// -codec") the "Tuning knobs" table of the Markdown file doc names in its
+// first column.
+func tuningKnobs(doc string) (options, flags map[string]bool, err error) {
 	b, err := os.ReadFile(doc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	_, table, ok := strings.Cut(string(b), "\n## Tuning knobs\n")
 	if !ok {
-		return nil, fmt.Errorf("%s has no Tuning knobs section", doc)
+		return nil, nil, fmt.Errorf("%s has no Tuning knobs section", doc)
 	}
 	table, _, _ = strings.Cut(table, "\n## ")
-	names := map[string]bool{}
+	options, flags = map[string]bool{}, map[string]bool{}
 	for _, line := range strings.Split(table, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 3 {
@@ -840,9 +930,16 @@ func tuningKnobs(doc string) (map[string]bool, error) {
 		}
 		for _, m := range knobRef.FindAllStringSubmatch(cells[1], -1) {
 			for _, field := range strings.Split(m[2], " / ") {
-				names[m[1]+"."+field] = true
+				options[m[1]+"."+field] = true
+			}
+		}
+		for _, m := range flagRef.FindAllStringSubmatch(cells[1], -1) {
+			for _, main := range strings.Split(strings.Trim(m[1], "{}"), ",") {
+				for _, f := range strings.Split(m[2], " / ") {
+					flags["cmd/"+main+" "+f] = true
+				}
 			}
 		}
 	}
-	return names, nil
+	return options, flags, nil
 }
