@@ -50,13 +50,9 @@ func Snapshot(logic mbox.Logic) (*Image, error) {
 	img.Config = entries
 	collect := func(class state.Class) ([]state.Chunk, error) {
 		var chunks []state.Chunk
-		err := logic.GetPerflow(class, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-			blob, err := build(func() {})
-			if err != nil {
-				return err
-			}
-			// The image keeps the blob; build reuses its buffer.
-			chunks = append(chunks, state.Chunk{Key: key, Blob: bytes.Clone(blob)})
+		err := mbox.ExportPerflow(logic, class, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
+			// The image keeps the blob; the export reuses its buffer.
+			chunks = append(chunks, state.Chunk{Key: id.Key(), Blob: bytes.Clone(blob)})
 			return nil
 		})
 		return chunks, err
@@ -85,12 +81,12 @@ func Restore(logic mbox.Logic, img *Image) error {
 		return fmt.Errorf("baseline: restore config: %w", err)
 	}
 	for _, c := range img.SupportPerflow {
-		if err := logic.PutPerflow(state.Supporting, c); err != nil {
+		if err := mbox.PutPerflow(logic, state.Supporting, c); err != nil {
 			return fmt.Errorf("baseline: restore per-flow supporting: %w", err)
 		}
 	}
 	for _, c := range img.ReportPerflow {
-		if err := logic.PutPerflow(state.Reporting, c); err != nil {
+		if err := mbox.PutPerflow(logic, state.Reporting, c); err != nil {
 			return fmt.Errorf("baseline: restore per-flow reporting: %w", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"bytes"
 	"sync"
 	"time"
 
@@ -124,13 +123,8 @@ func Move(valve *HaltBuffer, src, dst mbox.Logic, m packet.FieldMatch, releaseTo
 	valve.Halt()
 	start := time.Now()
 	for _, class := range []state.Class{state.Supporting, state.Reporting} {
-		err := src.GetPerflow(class, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-			blob, err := build(func() {})
-			if err != nil {
-				return err
-			}
-			// PutPerflow may keep its chunk; build reuses its buffer.
-			if err := dst.PutPerflow(class, state.Chunk{Key: key, Blob: bytes.Clone(blob)}); err != nil {
+		err := mbox.ExportPerflow(src, class, m, func(id packet.FlowID, blob []byte) error {
+			if err := mbox.PutPerflow(dst, class, state.Chunk{Key: id.Key(), Blob: blob}); err != nil {
 				return err
 			}
 			res.ChunksMoved++
@@ -140,7 +134,7 @@ func Move(valve *HaltBuffer, src, dst mbox.Logic, m packet.FieldMatch, releaseTo
 			valve.Release(nil) // never leave traffic suspended
 			return res, err
 		}
-		if _, err := src.DelPerflow(class, m); err != nil {
+		if _, err := mbox.DelPerflow(src, class, m); err != nil {
 			valve.Release(nil)
 			return res, err
 		}

@@ -15,7 +15,6 @@ import (
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
-	"openmb/internal/state"
 )
 
 // gateLogic wraps a CounterLogic so its per-flow supporting get signals the
@@ -41,18 +40,23 @@ func newGateLogic(after int) *gateLogic {
 	}
 }
 
-func (g *gateLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	return g.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
-		g.mu.Lock()
-		g.seen++
-		hit := g.seen == g.after
-		g.mu.Unlock()
-		if hit {
-			g.once.Do(func() { close(g.reached) })
-			<-g.release
-		}
-		return emit(key, build)
-	})
+// Lock is the gate. The runtime takes the table's lock through the logic
+// once for each get to collect its keys, then before each key the get
+// exports (and once for a delete). A move runs its two gets, one per class,
+// at once, so the gate holds every Lock from the (after+2)-th on until
+// released, before the lock is held: the supporting get stops before its
+// after-th key, or the next one if the reporting get collected late (and
+// that collection stops too).
+func (g *gateLogic) Lock() {
+	g.mu.Lock()
+	g.seen++
+	hit := g.seen >= g.after+2
+	g.mu.Unlock()
+	if hit {
+		g.once.Do(func() { close(g.reached) })
+		<-g.release
+	}
+	g.CounterLogic.Lock()
 }
 
 // gateDeadline bounds the wait for a move to reach its gate; far above the
@@ -75,8 +79,8 @@ func (g *gateLogic) awaitReached(t *testing.T, src *mbox.Runtime) {
 		seen := g.seen
 		g.mu.Unlock()
 		m := src.Metrics()
-		t.Fatalf("move never reached the gate within %v: source get emitted %d of the %d chunks that pin it; source holds %d flows, %d marked keys, processed %d packets, raised %d events",
-			gateDeadline, seen, g.after, g.Flows(), src.MarkedKeys(), m.Processed, m.EventsRaised)
+		t.Fatalf("move never reached the gate within %v: source took its table's lock %d of the %d times that pin it; source holds %d flows, %d marked keys, processed %d packets, raised %d events",
+			gateDeadline, seen, g.after+2, g.Flows(), src.MarkedKeys(), m.Processed, m.EventsRaised)
 	}
 }
 

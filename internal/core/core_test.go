@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -704,20 +705,24 @@ func TestConcurrentMovesManyKeys(t *testing.T) {
 
 // stallGetLogic wraps a CounterLogic so its first per-flow export signals
 // the test and then blocks until released — a deterministic way to catch a
-// move with its get stream in flight.
+// move with its get stream in flight. The runtime takes the table's lock
+// through the logic once to collect each get's keys, then before each key it
+// exports; Lock holds every call but the first until released, before the
+// lock is held, so the move's supporting get stalls before its first key.
 type stallGetLogic struct {
 	*mbtest.CounterLogic
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
+	locks   atomic.Int32
 }
 
-func (l *stallGetLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	return l.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
+func (l *stallGetLogic) Lock() {
+	if l.locks.Add(1) > 1 {
 		l.once.Do(func() { close(l.started) })
 		<-l.release
-		return emit(key, build)
-	})
+	}
+	l.CounterLogic.Lock()
 }
 
 // TestDisconnectErrorIsPropagated: calls outstanding when a middlebox drops

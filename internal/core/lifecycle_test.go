@@ -18,7 +18,9 @@ import (
 
 // heldPutLogic is a counter middlebox whose first per-flow put (or, with
 // shared set, its first shared put) signals entered and blocks until
-// release, pinning a transaction in its data phase.
+// release, pinning a transaction in its data phase. The runtime installs a
+// per-flow chunk through the logic's PutPerflow, the one its Table promotes,
+// so the override here holds the put before the table's lock.
 type heldPutLogic struct {
 	*mbtest.CounterLogic
 	shared        bool

@@ -50,17 +50,17 @@ type Context struct {
 }
 
 // Touch records that the logic created or updated the per-flow state
-// identified by id — the FlowID of the key GetPerflow exports it under, at
-// the middlebox's own keying granularity — of the given class. Call it while
-// holding the lock that serializes this state against export: if the state
-// is currently part of a move or clone transaction, the runtime will raise a
-// reprocess event after the packet completes.
+// identified by id — its key in the middlebox's Table, under which a get
+// exports it — of the given class. Call it while holding the lock that
+// serializes this state against export: if the state is currently part of a
+// move or clone transaction, the runtime will raise a reprocess event after
+// the packet completes.
 //
 // With no transaction in progress Touch takes no lock: it reads the count of
 // marks and returns on zero. That read cannot miss a mark that matters. A
-// mark is only ever set by the mark() callback of GetPerflow/GetShared, which
-// the logic invokes while holding its own lock, and Touch is called under
-// that same lock. So either the export's critical section came first — then
+// mark is only ever set by a get while it holds the middlebox's lock — the
+// Table's, around each per-flow key (exportPerflow), or the logic's own,
+// around GetShared's mark() — and Touch is called under that same lock. So either the export's critical section came first — then
 // its count update happened before this Touch through the lock's
 // unlock/lock edge, and the count read here is not zero — or this Touch's
 // critical section came first, and the update it reports is inside the

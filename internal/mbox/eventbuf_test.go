@@ -29,15 +29,10 @@ func (l *touchLogic) ProcessBurst(ctxs []Context, pkts []*packet.Packet) {
 		ctxs[i].Touch(state.Supporting, p.FlowID())
 	}
 }
-func (l *touchLogic) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
-	return nil
-}
-func (l *touchLogic) PutPerflow(state.Class, state.Chunk) error              { return nil }
-func (l *touchLogic) DelPerflow(state.Class, packet.FieldMatch) (int, error) { return 0, nil }
-func (l *touchLogic) GetShared(state.Class, func()) ([]byte, error)          { return nil, ErrNoSharedState }
-func (l *touchLogic) PutShared(state.Class, []byte) error                    { return nil }
-func (l *touchLogic) Stats(packet.FieldMatch) sbi.StatsReply                 { return sbi.StatsReply{} }
-func (l *touchLogic) Config() *state.ConfigTree                              { return l.cfg }
+func (l *touchLogic) GetShared(state.Class, func()) ([]byte, error) { return nil, ErrNoSharedState }
+func (l *touchLogic) PutShared(state.Class, []byte) error           { return nil }
+func (l *touchLogic) Stats(packet.FieldMatch) sbi.StatsReply        { return sbi.StatsReply{} }
+func (l *touchLogic) Config() *state.ConfigTree                     { return l.cfg }
 
 // TestReprocessEventEncodeAllocs drives packets for a marked (mid-move)
 // flow through a connected runtime and bounds the steady-state allocations

@@ -1,6 +1,9 @@
 package mbox
 
-import "openmb/internal/packet"
+import (
+	"openmb/internal/packet"
+	"openmb/internal/state"
+)
 
 // Test hooks exposing internals to the external test package.
 
@@ -35,3 +38,33 @@ func EnqueueReplayForTest(rt *Runtime, p *packet.Packet, shared bool) { rt.enque
 // CreditPeakForTest returns the most chunk frames any get of rt has had sent
 // beyond the credit the controller had returned.
 func CreditPeakForTest(rt *Runtime) int { return int(rt.creditPeak.Load()) }
+
+// ExportPerflowForTest runs the runtime's per-flow export loop on l's table
+// with the given mark, calling before ahead of each key's hold of the
+// table's lock (after the keys are collected).
+func ExportPerflowForTest(l Logic, class state.Class, m packet.FieldMatch, before func(), mark func(packet.FlowID), emit func(id packet.FlowID, blob []byte) error) error {
+	return exportPerflow(&lockHook{perflow: perflowOf(l), before: before}, class, m, mark, emit)
+}
+
+// lockHook runs before ahead of each lock the export loop takes but the
+// first, under which it collects the keys.
+type lockHook struct {
+	perflow
+	before func()
+	locks  int
+}
+
+func (h *lockHook) Lock() {
+	if h.locks++; h.locks > 1 {
+		h.before()
+	}
+	h.perflow.Lock()
+}
+
+// MatchForTest returns the keys a per-flow get of l's table would export.
+func MatchForTest(l Logic, class state.Class, m packet.FieldMatch) ([]packet.FlowID, error) {
+	t := perflowOf(l)
+	t.Lock()
+	defer t.Unlock()
+	return t.matchLocked(class, m)
+}

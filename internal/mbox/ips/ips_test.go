@@ -277,18 +277,14 @@ func TestGetPutMovesAnalyzerTree(t *testing.T) {
 
 	dst := New()
 	moved := 0
-	err := src.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
+	err := mbox.ExportPerflow(src, state.Supporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
 		moved++
-		return dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob})
+		return dst.PutPerflow(state.Supporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil || moved != 1 {
 		t.Fatalf("get: moved=%d err=%v", moved, err)
 	}
-	src.DelPerflow(state.Supporting, packet.MatchAll)
+	mbox.DelPerflow(src, state.Supporting, packet.MatchAll)
 
 	// The destination continues the flow: the response completes the
 	// HTTP transaction parsed from state moved mid-request.
@@ -305,7 +301,7 @@ func TestGetPutMovesAnalyzerTree(t *testing.T) {
 func TestMovedFlagNoLogOnDelete(t *testing.T) {
 	i := New()
 	rt := run(t, i, handshake("10.0.0.1", "1.1.1.1", 1234, 80)...)
-	n, err := i.DelPerflow(state.Supporting, packet.MatchAll)
+	n, err := mbox.DelPerflow(i, state.Supporting, packet.MatchAll)
 	if err != nil || n != 1 {
 		t.Fatalf("del: %d %v", n, err)
 	}
@@ -409,17 +405,13 @@ func TestCorrectnessUnmodifiedVsMoved(t *testing.T) {
 		rtA.HandlePacket(p)
 	}
 	rtA.Drain(10 * time.Second)
-	err := a.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
-		return b.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob})
+	err := mbox.ExportPerflow(a, state.Supporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
+		return b.PutPerflow(state.Supporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.DelPerflow(state.Supporting, packet.MatchAll)
+	mbox.DelPerflow(a, state.Supporting, packet.MatchAll)
 	for _, p := range tr.Packets[half:] {
 		rtB.HandlePacket(p)
 	}
@@ -465,10 +457,7 @@ func BenchmarkSerializeConn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		err := i.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-			_, err := build(func() {})
-			return err
-		})
+		err := mbox.ExportPerflow(i, state.Supporting, packet.MatchAll, func(packet.FlowID, []byte) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,13 +497,9 @@ func TestUDPAndICMPConnections(t *testing.T) {
 	// UDP/ICMP state moves like TCP state.
 	dst := New()
 	moved := 0
-	err := i.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
+	err := mbox.ExportPerflow(i, state.Supporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
 		moved++
-		return dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob})
+		return dst.PutPerflow(state.Supporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil || moved != 2 {
 		t.Fatalf("moved=%d err=%v", moved, err)

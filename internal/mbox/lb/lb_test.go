@@ -91,17 +91,17 @@ func TestGranularityErrorOnDstConstraint(t *testing.T) {
 	// destination-constrained get is finer than the keying granularity.
 	l := New(vip, 80, backends)
 	m, _ := packet.ParseFieldMatch("[nw_dst=1.1.1.10]")
-	err := l.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil })
+	err := mbox.ExportPerflow(l, state.Supporting, m, func(packet.FlowID, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("destination-constrained get should fail")
 	}
 	m2, _ := packet.ParseFieldMatch("[tp_dst=80]")
-	if err := l.GetPerflow(state.Supporting, m2, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil }); err == nil {
+	if err := mbox.ExportPerflow(l, state.Supporting, m2, func(packet.FlowID, []byte) error { return nil }); err == nil {
 		t.Fatal("destination-port get should fail")
 	}
 	// Source constraints are at or coarser than the keying granularity.
 	m3, _ := packet.ParseFieldMatch("[nw_src=10.0.0.0/24]")
-	if err := l.GetPerflow(state.Supporting, m3, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil }); err != nil {
+	if err := mbox.ExportPerflow(l, state.Supporting, m3, func(packet.FlowID, []byte) error { return nil }); err != nil {
 		t.Fatalf("source-constrained get should succeed: %v", err)
 	}
 }
@@ -118,12 +118,8 @@ func TestMovePreservesAssignments(t *testing.T) {
 	want, _ := src.Assignment(netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1001, packet.ProtoTCP)
 
 	dst := New(vip, 80, backends)
-	err := src.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
-		return dst.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob})
+	err := mbox.ExportPerflow(src, state.Supporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
+		return dst.PutPerflow(state.Supporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil {
 		t.Fatal(err)

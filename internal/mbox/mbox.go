@@ -2,8 +2,9 @@
 // middlebox. It implements the mechanics of the southbound API (§4 of the
 // paper) once, so that concrete middleboxes (internal/mbox/ips, monitor, re,
 // nat, lb) only supply their packet-processing logic and state
-// serialization — per-flow state through one Table, whose Codec is all a
-// middlebox writes of the per-flow southbound calls:
+// serialization — per-flow state through one embedded Table, on which the
+// runtime runs the per-flow get, put and delete, so that its Codec is all a
+// middlebox writes of them:
 //
 //   - a packet loop decoupling link delivery from processing;
 //   - the moved-flag registry and the three-step reprocess-event scheme of
@@ -39,6 +40,15 @@ var ErrNoSharedState = errors.New("mbox: middlebox has no shared state of this c
 // while the southbound loop invokes state operations. Hold locks per chunk,
 // not per operation, so that a long-running get does not stall the data path
 // (the paper measures at most a 2% per-packet latency increase during gets).
+//
+// A logic has per-flow state only through a Table in its method set: a
+// *Table embedded in it (the middleboxes here embed a Table in their struct
+// and are passed by pointer), or the inner logic's when it wraps one by
+// embedding Logic. New finds it once. A logic passed by value with a Table
+// embedded by value has none in its method set, so it has no per-flow
+// state: its per-flow gets and deletes answer Count 0 and its puts are
+// refused, as for a logic with no Table (the RE boxes). Methods named
+// GetPerflow, PutPerflow or DelPerflow on a logic are never called.
 type Logic interface {
 	// Kind returns the middlebox type name, e.g. "ips" or "monitor".
 	Kind() string
@@ -65,63 +75,11 @@ type Logic interface {
 	// ctxs across bursts: do not retain them past the call.
 	ProcessBurst(ctxs []Context, pkts []*packet.Packet)
 
-	// GetPerflow streams the plaintext chunks of the given class whose
-	// keys match m, at the middlebox's own keying granularity. If m is
-	// finer than that granularity, return an error (§4.1.2).
-	//
-	// Table implements GetPerflow, PutPerflow, DelPerflow and the per-flow
-	// half of Stats once, to this contract; a middlebox that embeds one
-	// supplies only its value's Codec. The rest of this comment is what the
-	// table does, for a logic that does not use one.
-	//
-	// For each matching chunk, call emit with the chunk's key and a
-	// build function that snapshots the chunk's state, in any order of
-	// keys (the runtime's marks are a set). build receives a
-	// mark callback and MUST invoke it while holding the lock that
-	// serializes this chunk against packet processing, immediately
-	// before serializing. This makes the moved-mark and the snapshot
-	// atomic with respect to packets: an update that lands before the
-	// snapshot is in the blob and raises no event; an update after it
-	// raises a reprocess event. State is transferred exactly once —
-	// atomicity requirements (ii) and (iii) of §4.2.1. build is valid only
-	// during the emit call that received it. Its blob is valid until the
-	// next build or until GetPerflow returns, so a caller copies what it
-	// keeps.
-	//
-	// Implementations should collect matching keys under their lock,
-	// then emit each chunk with build serializing under a short
-	// per-chunk lock acquisition. A key whose state left in between is
-	// still marked and exported, as a zero-length blob (a tombstone).
-	//
-	// Keys cross this interface as FlowKeys; tables hold packet.FlowID.
-	// The runtime marks key.ID(), so ProcessBurst must Touch with the ID of
-	// the key the state is exported under, and a key with a non-IPv4
-	// address fails the get (the wire form cannot carry it).
-	GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error
-
-	// PutPerflow installs one chunk previously exported by a peer
-	// instance of the same kind, under c.Key.ID(); a key whose ID reports
-	// false is rejected. A tombstone (zero-length blob) installs nothing.
-	// The runtime opens c.Blob in place in the received frame, which it
-	// reuses for a later frame once the put is ACKed: c.Blob is valid only
-	// during the call, and a logic copies what it keeps, as GetPerflow's
-	// build returns a buffer valid only during its emit. Every codec under
-	// Table copies out of the blob (binary reads, netip.AddrFromSlice,
-	// string conversions, json.Unmarshal), and the RE boxes refuse per-flow
-	// puts.
-	PutPerflow(class state.Class, c state.Chunk) error
-
-	// DelPerflow removes matching state without side effects (no log
-	// entries, no alerts: the state has moved, not terminated). Returns
-	// the number of chunks removed. A match GetPerflow refuses is refused
-	// here too, and counts no per-flow chunks in Stats.
-	DelPerflow(class state.Class, m packet.FieldMatch) (int, error)
-
 	// GetShared exports the shared state of the given class as a single
-	// chunk (§4.1.2: "all shared state must be cloned/merged"). Like
-	// GetPerflow's build, implementations MUST invoke mark under the
-	// lock serializing shared state against packet processing, right
-	// before serializing.
+	// chunk (§4.1.2: "all shared state must be cloned/merged"). As a get
+	// marks each per-flow key under the Table's lock, implementations MUST
+	// invoke mark under the lock serializing shared state against packet
+	// processing, right before serializing.
 	GetShared(class state.Class, mark func()) ([]byte, error)
 
 	// PutShared installs shared state. If shared state of that class

@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"openmb/internal/mbox"
 	"openmb/internal/mbox/mbtest"
+	"openmb/internal/mbox/re"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
 	"openmb/internal/state"
@@ -258,6 +260,28 @@ func TestPutAndDelPerflow(t *testing.T) {
 	}
 	if logic.Count(key) != 0 {
 		t.Fatal("state not deleted")
+	}
+}
+
+// TestNoTableOverTheWire: the runtime answers the per-flow calls for a
+// logic without a per-flow table (the RE encoder) itself: a get ends done
+// with Count 0, a put gets an error frame, a delete ends done with Count 0.
+func TestNoTableOverTheWire(t *testing.T) {
+	enc := re.NewEncoder(1 << 12)
+	h := newHarness(t, enc)
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 1, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
+	if m := h.reply(t); m.Type != sbi.MsgDone || m.ID != 1 || m.Count != 0 {
+		t.Fatalf("get: %+v, want done with Count 0", m)
+	}
+	sealed := state.NewSealer("openmb-mbtype-" + enc.Kind()).Seal([]byte("state"))
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 2, Op: sbi.OpPutSupportPerflow,
+		Chunk: &state.Chunk{Key: pkt(5, 5000).Flow(), Blob: sealed}})
+	if m := h.reply(t); m.Type != sbi.MsgError || m.ID != 2 || !strings.Contains(m.Error, "no per-flow") {
+		t.Fatalf("put: %+v, want the table's refusal", m)
+	}
+	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 3, Op: sbi.OpDelSupportPerflow, Match: packet.MatchAll})
+	if m := h.reply(t); m.Type != sbi.MsgDone || m.ID != 3 || m.Count != 0 {
+		t.Fatalf("del: %+v, want done with Count 0", m)
 	}
 }
 

@@ -182,12 +182,8 @@ func TestGetPutMoveConservesCounts(t *testing.T) {
 	total := src.TotalPerflowPackets()
 
 	dst := New()
-	err := src.GetPerflow(state.Reporting, packet.MatchAll, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
-		return dst.PutPerflow(state.Reporting, state.Chunk{Key: key, Blob: blob})
+	err := mbox.ExportPerflow(src, state.Reporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
+		return dst.PutPerflow(state.Reporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +292,7 @@ func TestDelPerflowSilent(t *testing.T) {
 		tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, 0, "x"),
 		tcpPkt("10.0.0.2", "1.1.1.1", 2, 80, 0, "x"))
 	match, _ := packet.ParseFieldMatch("[nw_src=10.0.0.1]")
-	n, err := m.DelPerflow(state.Reporting, match)
+	n, err := mbox.DelPerflow(m, state.Reporting, match)
 	if err != nil || n != 1 {
 		t.Fatalf("del: n=%d err=%v", n, err)
 	}
@@ -313,7 +309,7 @@ func TestGetPerflowOnlyReporting(t *testing.T) {
 	m := New()
 	process(t, m, tcpPkt("10.0.0.1", "1.1.1.1", 1, 80, 0, "x"))
 	calls := 0
-	err := m.GetPerflow(state.Supporting, packet.MatchAll, func(packet.FlowKey, func(func()) ([]byte, error)) error {
+	err := mbox.ExportPerflow(m, state.Supporting, packet.MatchAll, func(packet.FlowID, []byte) error {
 		calls++
 		return nil
 	})
@@ -388,10 +384,7 @@ func BenchmarkLinearScanGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.GetPerflow(state.Reporting, match, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-			_, err := build(func() {})
-			return err
-		})
+		mbox.ExportPerflow(m, state.Reporting, match, func(packet.FlowID, []byte) error { return nil })
 	}
 }
 

@@ -509,7 +509,7 @@ func runIdleListSequence(seed int64, steps int) error {
 				m = packet.FieldMatch{SrcPrefix: netip.PrefixFrom(key().SrcIP, 31+rng.Intn(2)).Masked()}
 			}
 			desc = fmt.Sprintf("del %s", m)
-			got, err := n.DelPerflow(state.Supporting, m)
+			got, err := mbox.DelPerflow(n, state.Supporting, m)
 			if want := ref.del(m); err != nil || got != want {
 				return fmt.Errorf("step %d (%s): deleted %d (err %v), reference %d", step, desc, got, err, want)
 			}

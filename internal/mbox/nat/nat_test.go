@@ -122,12 +122,8 @@ func TestCriticalStateFailover(t *testing.T) {
 	extPort, _ := primary.Lookup(netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1001, packet.ProtoTCP)
 
 	replacement := New(extIP)
-	err := primary.GetPerflow(state.Supporting, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		if err != nil {
-			return err
-		}
-		return replacement.PutPerflow(state.Supporting, state.Chunk{Key: key, Blob: blob})
+	err := mbox.ExportPerflow(primary, state.Supporting, packet.MatchAll, func(id packet.FlowID, blob []byte) error {
+		return replacement.PutPerflow(state.Supporting, state.Chunk{Key: id.Key(), Blob: blob})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +174,7 @@ func TestPortCollisionOnPut(t *testing.T) {
 func TestGranularityError(t *testing.T) {
 	n := New(extIP)
 	m, _ := packet.ParseFieldMatch("[nw_dst=8.8.8.8]")
-	err := n.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil })
+	err := mbox.ExportPerflow(n, state.Supporting, m, func(packet.FlowID, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("destination-constrained get should fail")
 	}

@@ -195,19 +195,6 @@ func (e *Encoder) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	e.mu.Unlock()
 }
 
-// GetPerflow implements mbox.Logic: RE has no per-flow state.
-func (e *Encoder) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
-	return nil
-}
-
-// PutPerflow implements mbox.Logic.
-func (e *Encoder) PutPerflow(class state.Class, c state.Chunk) error {
-	return fmt.Errorf("re: encoder has no per-flow state")
-}
-
-// DelPerflow implements mbox.Logic.
-func (e *Encoder) DelPerflow(state.Class, packet.FieldMatch) (int, error) { return 0, nil }
-
 // GetShared implements mbox.Logic: all caches (supporting) or the
 // counters (reporting).
 func (e *Encoder) GetShared(class state.Class, mark func()) ([]byte, error) {
@@ -358,19 +345,6 @@ func (d *Decoder) ProcessBurst(ctxs []mbox.Context, pkts []*packet.Packet) {
 	}
 	d.mu.Unlock()
 }
-
-// GetPerflow implements mbox.Logic: RE has no per-flow state.
-func (d *Decoder) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
-	return nil
-}
-
-// PutPerflow implements mbox.Logic.
-func (d *Decoder) PutPerflow(class state.Class, c state.Chunk) error {
-	return fmt.Errorf("re: decoder has no per-flow state")
-}
-
-// DelPerflow implements mbox.Logic.
-func (d *Decoder) DelPerflow(state.Class, packet.FieldMatch) (int, error) { return 0, nil }
 
 // GetShared implements mbox.Logic.
 func (d *Decoder) GetShared(class state.Class, mark func()) ([]byte, error) {

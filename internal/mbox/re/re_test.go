@@ -417,14 +417,14 @@ func TestNoPerflowState(t *testing.T) {
 	enc, dec := NewEncoder(1<<12), NewDecoder(1<<12)
 	for _, logic := range []mbox.Logic{enc, dec} {
 		calls := 0
-		err := logic.GetPerflow(state.Supporting, packet.MatchAll, func(packet.FlowKey, func(func()) ([]byte, error)) error {
+		err := mbox.ExportPerflow(logic, state.Supporting, packet.MatchAll, func(packet.FlowID, []byte) error {
 			calls++
 			return nil
 		})
 		if err != nil || calls != 0 {
 			t.Fatalf("%s: per-flow get should be empty", logic.Kind())
 		}
-		if err := logic.PutPerflow(state.Supporting, state.Chunk{}); err == nil {
+		if err := mbox.PutPerflow(logic, state.Supporting, state.Chunk{}); err == nil {
 			t.Fatalf("%s: per-flow put should fail", logic.Kind())
 		}
 	}

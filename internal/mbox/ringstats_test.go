@@ -30,15 +30,10 @@ func newGateLogic() *gateLogic {
 
 func (l *gateLogic) Kind() string                                       { return "gate" }
 func (l *gateLogic) ProcessBurst(ctxs []Context, pkts []*packet.Packet) { <-l.gate }
-func (l *gateLogic) GetPerflow(state.Class, packet.FieldMatch, func(packet.FlowKey, func(func()) ([]byte, error)) error) error {
-	return nil
-}
-func (l *gateLogic) PutPerflow(state.Class, state.Chunk) error              { return nil }
-func (l *gateLogic) DelPerflow(state.Class, packet.FieldMatch) (int, error) { return 0, nil }
-func (l *gateLogic) GetShared(state.Class, func()) ([]byte, error)          { return nil, ErrNoSharedState }
-func (l *gateLogic) PutShared(state.Class, []byte) error                    { return nil }
-func (l *gateLogic) Stats(packet.FieldMatch) sbi.StatsReply                 { return sbi.StatsReply{} }
-func (l *gateLogic) Config() *state.ConfigTree                              { return l.cfg }
+func (l *gateLogic) GetShared(state.Class, func()) ([]byte, error)      { return nil, ErrNoSharedState }
+func (l *gateLogic) PutShared(state.Class, []byte) error                { return nil }
+func (l *gateLogic) Stats(packet.FieldMatch) sbi.StatsReply             { return sbi.StatsReply{} }
+func (l *gateLogic) Config() *state.ConfigTree                          { return l.cfg }
 
 func ringPacket(i int) *packet.Packet {
 	return &packet.Packet{

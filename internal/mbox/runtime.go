@@ -43,6 +43,9 @@ type Options struct {
 type Runtime struct {
 	name  string
 	logic Logic
+	// table is the logic's per-flow state, found once: the per-flow get,
+	// put and delete run on it.
+	table perflow
 	// sealer encrypts exported state chunks with a key derived from the
 	// logic's Kind, so all instances of one middlebox type share it and the
 	// controller cannot inspect blobs.
@@ -164,6 +167,7 @@ func New(name string, logic Logic, opts Options) *Runtime {
 	rt := &Runtime{
 		name:         name,
 		logic:        logic,
+		table:        perflowOf(logic),
 		sealer:       state.NewSealer("openmb-mbtype-" + logic.Kind()),
 		codec:        opts.Codec,
 		ring:         newIngressRing(opts.QueueSize),

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,8 +243,8 @@ func (rt *Runtime) serveSouthbound(conn *sbi.Conn) {
 			continue
 		}
 		// Requests are served on the southbound goroutine, per-flow gets
-		// on their own; the packet worker runs concurrently, so logic
-		// implementations lock per chunk (see Logic contract).
+		// on their own; the packet worker runs concurrently, so a get takes
+		// the table's lock per chunk (exportPerflow).
 		rt.serveRequest(conn, &gets, m)
 		served++
 		// Reply coalescing: replies are encoded deferred, and the flush
@@ -328,11 +329,17 @@ func (rt *Runtime) serveRequest(conn *sbi.Conn, gets *getStreams, m *sbi.Message
 
 	case sbi.OpSetEventFilter:
 		f := eventFilter{codePrefix: m.Path, match: m.Match.ForID(), enable: m.Enable}
+		now := time.Now()
 		if m.TTLNanos > 0 {
-			f.expires = time.Now().Add(time.Duration(m.TTLNanos))
+			f.expires = now.Add(time.Duration(m.TTLNanos))
 		}
+		// The newest matching filter decides (filterAllowsBurst): drop the
+		// expired ones and those with f's prefix and match that f outlives.
 		rt.filtersMu.Lock()
-		rt.filters = append(rt.filters, f)
+		rt.filters = append(slices.DeleteFunc(rt.filters, func(o eventFilter) bool {
+			outlived := f.expires.IsZero() || !o.expires.IsZero() && !f.expires.Before(o.expires)
+			return !o.expires.IsZero() && now.After(o.expires) || o.codePrefix == f.codePrefix && o.match == f.match && outlived
+		}), f)
 		rt.filtersMu.Unlock()
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgDone, ID: m.ID})
 
@@ -536,8 +543,8 @@ func (s *getStreams) settle(m packet.FieldMatch) {
 
 // startGet serves a per-flow get on its own goroutine: waiting for credit
 // must not block the serve loop, which carries the puts whose ACKs are that
-// credit (ARCHITECTURE.md, "Credit-windowed gets"). GetPerflow holds no lock
-// across emit (see Logic), so the wait stalls nothing else.
+// credit (ARCHITECTURE.md, "Credit-windowed gets"). The export loop holds no
+// lock across its emit (exportPerflow), so the wait stalls nothing else.
 func (rt *Runtime) startGet(conn *sbi.Conn, gets *getStreams, m *sbi.Message, class state.Class) {
 	g := &getStream{match: m.Match.ForID(), out: make(chan struct{}, max(m.Window, 0)),
 		cancel: make(chan struct{}), done: make(chan struct{})}
@@ -584,23 +591,8 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		pending, slab = pending[:0], slab[:0]
 		return err
 	}
-	// build invokes mark under the logic's lock immediately before
-	// serializing, so the moved-mark and the snapshot are atomic: every
-	// packet update is either inside the blob or covered by a reprocess
-	// event, never both and never neither. One mark serves the get, marking
-	// the key last emitted.
-	var cur packet.FlowID
-	mark := func() { rt.markKey(class, cur) }
-	err := rt.logic.GetPerflow(class, m.Match, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
-		// A key enters the runtime's tables here, as an ID.
-		var ok bool
-		if cur, ok = key.ID(); !ok {
-			return fmt.Errorf("mbox: exported flow key %s is not IPv4", key)
-		}
-		blob, err := build(mark)
-		if err != nil {
-			return err
-		}
+	mark := func(id packet.FlowID) { rt.markKey(class, id) }
+	err := exportPerflow(rt.table, class, m.Match, mark, func(id packet.FlowID, blob []byte) error {
 		if m.Compressed {
 			blob = deflate(blob)
 		}
@@ -612,7 +604,7 @@ func (rt *Runtime) serveGetPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 		}
 		n := len(slab)
 		slab = fs.AppendSeal(slab, blob)
-		pending = append(pending, state.Chunk{Key: key, Blob: slab[n:len(slab):len(slab)]})
+		pending = append(pending, state.Chunk{Key: id.Key(), Blob: slab[n:len(slab):len(slab)]})
 		if len(pending) >= batch {
 			return flush()
 		}
@@ -642,7 +634,7 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 	// One FrameSealer opens the whole frame, reusing its scratch buffer.
 	// The blobs open in place: the frame is this runtime's own, freshly
 	// decoded. It goes back to the codec's pool once the reply is encoded,
-	// so PutPerflow copies what it keeps (see Logic).
+	// so the table's codec copies what it keeps.
 	defer m.Release()
 	fs := rt.sealer.Frame()
 	defer fs.Release()
@@ -656,7 +648,7 @@ func (rt *Runtime) servePutPerflow(conn *sbi.Conn, m *sbi.Message, class state.C
 			blob, err = inflate(blob)
 		}
 		if err == nil {
-			err = rt.logic.PutPerflow(class, state.Chunk{Key: c.Key, Blob: blob})
+			err = rt.table.PutPerflow(class, state.Chunk{Key: c.Key, Blob: blob})
 		}
 		if err == nil {
 			installed++
@@ -676,7 +668,7 @@ func (rt *Runtime) serveDelPerflow(conn *sbi.Conn, gets *getStreams, m *sbi.Mess
 	rt.activeOps.Add(1)
 	defer rt.activeOps.Add(-1)
 	gets.settle(m.Match) // no get marks under m once the marks below clear
-	n, err := rt.logic.DelPerflow(class, m.Match)
+	n, err := delPerflow(rt.table, class, m.Match)
 	if err != nil {
 		_ = conn.SendDeferred(&sbi.Message{Type: sbi.MsgError, ID: m.ID, Error: err.Error()})
 		return

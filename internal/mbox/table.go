@@ -3,6 +3,7 @@ package mbox
 import (
 	"fmt"
 	"iter"
+	"reflect"
 	"sync"
 
 	"openmb/internal/packet"
@@ -47,9 +48,9 @@ type Codec[V any] interface {
 // Table is a middlebox's per-flow state: one class of entries keyed by
 // packet.FlowID under one keying rule, and the one mutex that serializes
 // them — and everything else the middlebox's ProcessBurst touches — against
-// the southbound calls. It implements GetPerflow, PutPerflow, DelPerflow and
-// Stats of Logic once; a middlebox embeds it, so they are promoted, and
-// supplies only its value's Codec. See ARCHITECTURE.md, "Per-flow table".
+// the southbound calls. A middlebox embeds it and supplies only its value's
+// Codec; the runtime runs the per-flow get, put and delete on it, and its
+// Stats serves the middlebox's. See ARCHITECTURE.md, "Per-flow table".
 //
 // On the packet path the middlebox reaches its entries only through Touch
 // and Insert, with the lock held; both report the update to the packet's
@@ -108,11 +109,15 @@ func (t *Table[V]) Len() int { return t.m.Len() }
 // key.
 func (t *Table[V]) All() iter.Seq2[packet.FlowID, V] { return t.m.All() }
 
-// matchLocked returns the keys matching m in either direction, in table
-// order, from one scan of the table. It holds the keying rule for the get,
-// the delete and the stats alike: a table not keyed canonically refuses a
-// match that constrains the destination, which is finer than its keys.
-func (t *Table[V]) matchLocked(m packet.FieldMatch) ([]packet.FlowID, error) {
+// matchLocked returns the keys of class matching m in either direction, in
+// table order, from one scan of the table; none for a class the table does
+// not hold. It holds the keying rule for the get, the delete and the stats
+// alike: a table not keyed canonically refuses a match that constrains the
+// destination, which is finer than its keys (§4.1.2).
+func (t *Table[V]) matchLocked(class state.Class, m packet.FieldMatch) ([]packet.FlowID, error) {
+	if class != t.class {
+		return nil, nil
+	}
 	if t.keying != Canonical && m.ConstrainsDst() {
 		return nil, fmt.Errorf("%s: destination constraints are finer than the per-flow keying granularity", t.kind)
 	}
@@ -126,46 +131,20 @@ func (t *Table[V]) matchLocked(m packet.FieldMatch) ([]packet.FlowID, error) {
 	return ids, nil
 }
 
-// GetPerflow implements Logic. Keys are collected under the lock, in table
-// order, then each chunk is marked and serialized under its own short hold
-// of it. A key that left the table in between exports a tombstone, a
-// zero-length blob: it is still marked, so its chunk still registers it at
-// the destination, and a packet that re-creates the flow here replays there;
-// the put installs nothing for it. One build serves the whole get: it
-// snapshots the key last emitted into one reused buffer.
-func (t *Table[V]) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	if class != t.class {
-		return nil
+// appendLocked appends the wire form of the entry under id to dst, if there
+// is one: nothing is the tombstone of a key that left the table.
+func (t *Table[V]) appendLocked(dst []byte, id packet.FlowID) []byte {
+	if v, ok := t.m.Get(id); ok {
+		return t.codec.Append(dst, v)
 	}
-	t.Lock()
-	ids, err := t.matchLocked(m)
-	t.Unlock()
-	if err != nil {
-		return err
-	}
-	var cur packet.FlowID
-	var buf []byte
-	build := func(mark func()) ([]byte, error) {
-		t.Lock()
-		defer t.Unlock()
-		mark()
-		v, ok := t.m.Get(cur)
-		if !ok {
-			return nil, nil
-		}
-		buf = t.codec.Append(buf[:0], v)
-		return buf, nil
-	}
-	for _, cur = range ids {
-		if err = emit(cur.Key(), build); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dst
 }
 
-// PutPerflow implements Logic: the chunk's key is keyed by the table's rule
-// and its value merged in by the codec's Put. A tombstone installs nothing.
+// PutPerflow installs one chunk exported by a peer instance of the same
+// kind: its key is keyed by the table's rule and its value merged in by the
+// codec's Put. A key that is not IPv4 is refused; a tombstone installs
+// nothing. The runtime opens c.Blob in place in the received frame, so the
+// codec copies what it keeps.
 func (t *Table[V]) PutPerflow(class state.Class, c state.Chunk) error {
 	if class != t.class {
 		return fmt.Errorf("%s: no per-flow %v state", t.kind, class)
@@ -197,36 +176,17 @@ func (t *Table[V]) PutPerflow(class state.Class, c state.Chunk) error {
 	return nil
 }
 
-// DelPerflow implements Logic: the matching entries go without side effects
-// beyond the codec's Drop. It refuses the matches GetPerflow refuses.
-func (t *Table[V]) DelPerflow(class state.Class, m packet.FieldMatch) (int, error) {
-	if class != t.class {
-		return 0, nil
-	}
-	t.Lock()
-	defer t.Unlock()
-	ids, err := t.matchLocked(m)
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range ids {
-		t.Remove(id)
-	}
-	return len(ids), nil
-}
-
-// Stats implements Logic for the table's class: the matching entries and
-// their wire bytes. A match GetPerflow refuses counts none. A middlebox with
-// shared state adds its own fields.
+// Stats reports the table's matching entries and their wire bytes under its
+// class; a match the get refuses counts none. A middlebox's Stats adds its
+// shared state.
 func (t *Table[V]) Stats(m packet.FieldMatch) sbi.StatsReply {
 	t.Lock()
 	defer t.Unlock()
-	ids, _ := t.matchLocked(m)
+	ids, _ := t.matchLocked(t.class, m)
 	var buf []byte
 	size := 0
 	for _, id := range ids {
-		v, _ := t.m.Get(id)
-		buf = t.codec.Append(buf[:0], v)
+		buf = t.appendLocked(buf[:0], id)
 		size += len(buf)
 	}
 	var s sbi.StatsReply
@@ -236,4 +196,97 @@ func (t *Table[V]) Stats(m packet.FieldMatch) sbi.StatsReply {
 		s.SupportPerflowChunks, s.SupportPerflowBytes = len(ids), size
 	}
 	return s
+}
+
+// perflow is a Table with its value type erased, promoted by a logic's
+// embedded Table: the runtime runs the per-flow get, put and delete on it.
+// It takes the lock through the logic (for a get's collection of its keys,
+// each key the get exports, and a delete), so a logic wrapping another sees
+// those steps and its PutPerflow before the lock is held.
+type perflow interface {
+	sync.Locker
+	matchLocked(class state.Class, m packet.FieldMatch) ([]packet.FlowID, error)
+	appendLocked(dst []byte, id packet.FlowID) []byte
+	PutPerflow(class state.Class, c state.Chunk) error
+	Remove(id packet.FlowID)
+}
+
+// perflowOf returns logic's embedded Table. A wrapper that embeds the Logic
+// interface hides the inner logic's table from its method set, so the inner
+// logic's is returned. A logic without one (the RE boxes) gets an empty
+// table of no class: a get or a delete there finds no keys, so ends with
+// Count 0, and a put is refused.
+func perflowOf(logic Logic) perflow {
+	if t, ok := logic.(perflow); ok {
+		return t
+	}
+	if v := reflect.Indirect(reflect.ValueOf(logic)); v.Kind() == reflect.Struct {
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.Anonymous && f.Type == reflect.TypeFor[Logic]() && !v.Field(i).IsNil() {
+				return perflowOf(v.Field(i).Interface().(Logic))
+			}
+		}
+	}
+	return &Table[struct{}]{kind: logic.Kind()}
+}
+
+// exportPerflow is the per-flow get (§4.2.1): the keys of class matching m,
+// collected under the table's lock, then per key the lock, the mark, the
+// entry's wire form, the unlock, and only then emit, which may wait for
+// credit with no lock held. Packets Touch under the same lock, so an update
+// before the snapshot is in the blob and one after it raises a reprocess
+// event: state moves exactly once, atomicity (ii) and (iii). A key that left
+// the table in between is still marked and exported, as a zero-length blob
+// (a tombstone): it still registers at the destination, and a packet that
+// re-creates the flow here replays there. The blob is valid until emit
+// returns.
+func exportPerflow(t perflow, class state.Class, m packet.FieldMatch, mark func(packet.FlowID), emit func(id packet.FlowID, blob []byte) error) error {
+	t.Lock()
+	ids, err := t.matchLocked(class, m)
+	t.Unlock()
+	if err != nil {
+		return err
+	}
+	var buf []byte
+	for _, id := range ids {
+		t.Lock()
+		mark(id)
+		buf = t.appendLocked(buf[:0], id)
+		t.Unlock()
+		if err := emit(id, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// delPerflow removes the entries of class matching m with no side effect but
+// the codec's Drop (the state has moved, not terminated) and counts them.
+func delPerflow(t perflow, class state.Class, m packet.FieldMatch) (int, error) {
+	t.Lock()
+	defer t.Unlock()
+	ids, err := t.matchLocked(class, m)
+	if err != nil {
+		return 0, err
+	}
+	for _, id := range ids {
+		t.Remove(id)
+	}
+	return len(ids), nil
+}
+
+// ExportPerflow runs the per-flow get on logic's table outside a runtime,
+// marking nothing.
+func ExportPerflow(logic Logic, class state.Class, m packet.FieldMatch, emit func(id packet.FlowID, blob []byte) error) error {
+	return exportPerflow(perflowOf(logic), class, m, func(packet.FlowID) {}, emit)
+}
+
+// PutPerflow installs one chunk into logic's table outside a runtime.
+func PutPerflow(logic Logic, class state.Class, c state.Chunk) error {
+	return perflowOf(logic).PutPerflow(class, c)
+}
+
+// DelPerflow runs the per-flow delete on logic's table outside a runtime.
+func DelPerflow(logic Logic, class state.Class, m packet.FieldMatch) (int, error) {
+	return delPerflow(perflowOf(logic), class, m)
 }

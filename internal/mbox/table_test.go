@@ -34,10 +34,9 @@ func tableKeys[V any](tbl *mbox.Table[V]) []packet.FlowID {
 func getChunks(t *testing.T, l mbox.Logic, class state.Class, m packet.FieldMatch) []state.Chunk {
 	t.Helper()
 	var got []state.Chunk
-	err := l.GetPerflow(class, m, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
-		got = append(got, state.Chunk{Key: key, Blob: bytes.Clone(blob)})
-		return err
+	err := mbox.ExportPerflow(l, class, m, func(id packet.FlowID, blob []byte) error {
+		got = append(got, state.Chunk{Key: id.Key(), Blob: bytes.Clone(blob)})
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", m, err)
@@ -110,7 +109,7 @@ func checkMaintained[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], clas
 	dm, _ := packet.ParseFieldMatch(del)
 	want := matchEither(all, dm)
 	moved := getChunks(t, l, class, dm)
-	if n, err := l.DelPerflow(class, dm); err != nil || n != len(want) {
+	if n, err := mbox.DelPerflow(l, class, dm); err != nil || n != len(want) {
 		t.Fatalf("del %s: %d, %v; MatchEither finds %d", del, n, err, len(want))
 	}
 	if left := tableKeys(tbl); len(left) != len(all)-len(want) || len(matchEither(left, dm)) != 0 {
@@ -119,7 +118,7 @@ func checkMaintained[V any](t *testing.T, l mbox.Logic, tbl *mbox.Table[V], clas
 	checkPrefixMatches(t, "after a delete", l, tbl, class, matches)
 
 	for _, c := range moved {
-		if err := l.PutPerflow(class, c); err != nil {
+		if err := mbox.PutPerflow(l, class, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +197,7 @@ func TestIndexMaintainedAcrossPutDel(t *testing.T) {
 }
 
 // TestTableKeyingRuleRefusesEverywhere: a table not keyed canonically
-// refuses a match that constrains the destination, and Stats and DelPerflow
+// refuses a match that constrains the destination, and Stats and the delete
 // refuse it exactly as the get does: they count and delete nothing, where
 // matching the reversed key would hit every flow whose source lies in the
 // destination prefix.
@@ -224,14 +223,14 @@ func TestTableKeyingRuleRefusesEverywhere(t *testing.T) {
 				t.Fatalf("%d per-flow entries, want 3", n)
 			}
 			m, _ := packet.ParseFieldMatch("[nw_dst=" + c.client + ".0/24]")
-			err := l.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error { return nil })
+			err := mbox.ExportPerflow(l, state.Supporting, m, func(packet.FlowID, []byte) error { return nil })
 			if err == nil {
 				t.Fatalf("get %s: no error", m)
 			}
 			if s := l.Stats(m); s.SupportPerflowChunks != 0 || s.SupportPerflowBytes != 0 {
 				t.Errorf("stats %s: %d chunks, %d bytes; want none", m, s.SupportPerflowChunks, s.SupportPerflowBytes)
 			}
-			if n, err := l.DelPerflow(state.Supporting, m); err == nil || n != 0 {
+			if n, err := mbox.DelPerflow(l, state.Supporting, m); err == nil || n != 0 {
 				t.Errorf("del %s: %d deleted, error %v; want the get's refusal", m, n, err)
 			}
 			if n := perflowChunks(l); n != 3 {
@@ -242,13 +241,12 @@ func TestTableKeyingRuleRefusesEverywhere(t *testing.T) {
 }
 
 // exportAll returns the blobs of every chunk a get over the whole table
-// exports.
+// exports, through the export loop a runtime's get runs.
 func exportAll(l mbox.Logic, class state.Class) ([][]byte, error) {
 	var blobs [][]byte
-	err := l.GetPerflow(class, packet.MatchAll, func(_ packet.FlowKey, build func(func()) ([]byte, error)) error {
-		blob, err := build(func() {})
+	err := mbox.ExportPerflow(l, class, packet.MatchAll, func(_ packet.FlowID, blob []byte) error {
 		blobs = append(blobs, bytes.Clone(blob))
-		return err
+		return nil
 	})
 	return blobs, err
 }
@@ -282,7 +280,7 @@ func FuzzTableCodec(f *testing.F) {
 		}
 		key := id.Key()
 		a := c.new()
-		if err := a.PutPerflow(c.class, state.Chunk{Key: key, Blob: blob}); err != nil || len(blob) == 0 {
+		if err := mbox.PutPerflow(a, c.class, state.Chunk{Key: key, Blob: blob}); err != nil || len(blob) == 0 {
 			return
 		}
 		first, err := exportAll(a, c.class)
@@ -290,7 +288,7 @@ func FuzzTableCodec(f *testing.F) {
 			t.Fatalf("%s: a put of %q exports %q (%v)", c.name, blob, first, err)
 		}
 		b := c.new()
-		if err := b.PutPerflow(c.class, state.Chunk{Key: key, Blob: first[0]}); err != nil {
+		if err := mbox.PutPerflow(b, c.class, state.Chunk{Key: key, Blob: first[0]}); err != nil {
 			t.Fatalf("%s: the table's own export %q does not put back: %v", c.name, first[0], err)
 		}
 		if second, err := exportAll(b, c.class); err != nil || len(second) != 1 || !bytes.Equal(second[0], first[0]) {
@@ -324,6 +322,22 @@ func BenchmarkTableTouch(b *testing.B) {
 	}
 }
 
+// TestTableWrapperKeepsTable: a logic that wraps another by embedding the
+// Logic interface (to watch its bursts, say) keeps the inner logic's
+// per-flow state: a get exports its keys and a delete removes them.
+func TestTableWrapperKeepsTable(t *testing.T) {
+	inner := mbtest.NewCounterLogic(8)
+	inner.Preload(3)
+	wrapped := &struct{ mbox.Logic }{inner}
+	n := 0
+	if err := mbox.ExportPerflow(wrapped, state.Supporting, packet.MatchAll, func(packet.FlowID, []byte) error { n++; return nil }); err != nil || n != 3 {
+		t.Fatalf("get through the wrapper exported %d keys (%v), want 3", n, err)
+	}
+	if n, err := mbox.DelPerflow(wrapped, state.Supporting, packet.MatchAll); err != nil || n != 3 || inner.Flows() != 0 {
+		t.Fatalf("delete through the wrapper removed %d keys (%v), %d left; want 3 and 0", n, err, inner.Flows())
+	}
+}
+
 // BenchmarkTableMatch is one prefix-constrained get's match, a scan of the
 // whole table, over 8192 and 16384 resident flows: at half the table (the
 // split a scale-up moves) and at 1/128 of it.
@@ -337,12 +351,8 @@ func BenchmarkTableMatch(b *testing.B) {
 			b.Run(fmt.Sprintf("flows=%d/share=1:%d", flows, share), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					err := l.GetPerflow(state.Supporting, m, func(packet.FlowKey, func(func()) ([]byte, error)) error {
-						n++
-						return nil
-					})
-					if err != nil || n != flows/share {
+					ids, err := mbox.MatchForTest(l, state.Supporting, m)
+					if n := len(ids); err != nil || n != flows/share {
 						b.Fatalf("%s matched %d of %d flows (%v), want %d", m, n, flows, err, flows/share)
 					}
 				}

@@ -71,17 +71,15 @@ func TestGetTombstonesKeyDeletedMidGet(t *testing.T) {
 			}
 			var chunks []state.Chunk
 			marked := 0
-			err := src.GetPerflow(c.class, packet.MatchAll, func(key packet.FlowKey, build func(func()) ([]byte, error)) error {
-				// The flow ends (a delete, an expiry, a termination) after
-				// the get collected its key.
-				if _, err := src.DelPerflow(c.class, packet.MatchAll); err != nil {
-					return err
+			// The flow ends (a delete, an expiry, a termination) after the
+			// get collected its key.
+			var delErr error
+			end := func() { _, delErr = mbox.DelPerflow(src, c.class, packet.MatchAll) }
+			err := mbox.ExportPerflowForTest(src, c.class, packet.MatchAll, end, func(packet.FlowID) { marked++ }, func(id packet.FlowID, blob []byte) error {
+				if delErr != nil {
+					return delErr
 				}
-				blob, err := build(func() { marked++ })
-				if err != nil {
-					return err
-				}
-				chunks = append(chunks, state.Chunk{Key: key, Blob: blob})
+				chunks = append(chunks, state.Chunk{Key: id.Key(), Blob: blob})
 				return nil
 			})
 			if err != nil {
@@ -91,7 +89,7 @@ func TestGetTombstonesKeyDeletedMidGet(t *testing.T) {
 				t.Fatalf("marked %d keys, exported %d chunks; want 1 and 1", marked, len(chunks))
 			}
 			for _, ch := range chunks {
-				if err := dst.PutPerflow(c.class, ch); err != nil {
+				if err := mbox.PutPerflow(dst, c.class, ch); err != nil {
 					t.Fatalf("put of the deleted key's chunk: %v", err)
 				}
 			}

@@ -1,11 +1,10 @@
 package mbox_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"openmb/internal/mbox/mbtest"
 	"openmb/internal/packet"
 	"openmb/internal/sbi"
-	"openmb/internal/state"
 )
 
 // TestGetWindowBoundsUncreditedFrames moves whole tables through a real
@@ -109,21 +107,27 @@ func TestGetWaitsForCredit(t *testing.T) {
 }
 
 // pausedLogic pauses a CounterLogic's export before its third key until
-// released.
+// released. The runtime takes the table's lock through the logic once to
+// collect a get's keys, then before each key it exports, so the fourth Lock
+// pauses the export before the third key, with the lock not held.
 type pausedLogic struct {
 	*mbtest.CounterLogic
+	locks            atomic.Int32
 	reached, release chan struct{}
 }
 
-func (l pausedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	n := 0
-	return l.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error {
-		if n++; n == 3 {
-			close(l.reached)
-			<-l.release
-		}
-		return emit(key, build)
-	})
+func newPausedLogic() *pausedLogic {
+	l := &pausedLogic{CounterLogic: mbtest.NewCounterLogic(16), reached: make(chan struct{}), release: make(chan struct{})}
+	l.Preload(10)
+	return l
+}
+
+func (l *pausedLogic) Lock() {
+	if l.locks.Add(1) == 4 {
+		close(l.reached)
+		<-l.release
+	}
+	l.CounterLogic.Lock()
 }
 
 // TestEndTransactionSettlesRunningGet: a transaction ended while its get is
@@ -131,8 +135,7 @@ func (l pausedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit fun
 // waits for it before clearing, so the get marks nothing afterwards and its
 // end reaches the controller before the end-transaction ack.
 func TestEndTransactionSettlesRunningGet(t *testing.T) {
-	logic := pausedLogic{mbtest.NewCounterLogic(16), make(chan struct{}), make(chan struct{})}
-	logic.Preload(10)
+	logic := newPausedLogic()
 	h := newHarness(t, logic)
 	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 1, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll, Window: 64})
 	<-logic.reached
@@ -166,8 +169,7 @@ func TestEndTransactionSettlesRunningGet(t *testing.T) {
 // decode) stops its gets at their next frame, before a redial could start a
 // session whose clears they would outlive.
 func TestSessionEndStopsItsGets(t *testing.T) {
-	logic := pausedLogic{mbtest.NewCounterLogic(16), make(chan struct{}), make(chan struct{})}
-	logic.Preload(10)
+	logic := newPausedLogic()
 	tr := sbi.NewMemTransport()
 	l, err := tr.Listen("ctrl")
 	if err != nil {
@@ -207,70 +209,12 @@ func TestSessionEndStopsItsGets(t *testing.T) {
 	}
 }
 
-// reversedLogic exports a CounterLogic's keys in descending FlowID order. A
-// build is valid only during its emit, so it collects the keys with a get
-// that builds nothing, then snapshots each key itself as the table does:
-// mark and serialize under the lock.
-type reversedLogic struct{ *mbtest.CounterLogic }
-
-func (l reversedLogic) GetPerflow(class state.Class, m packet.FieldMatch, emit func(key packet.FlowKey, build func(mark func()) ([]byte, error)) error) error {
-	var keys []packet.FlowKey
-	err := l.CounterLogic.GetPerflow(class, m, func(key packet.FlowKey, _ func(mark func()) ([]byte, error)) error {
-		keys = append(keys, key)
-		return nil
-	})
-	slices.SortFunc(keys, func(a, b packet.FlowKey) int {
-		ia, _ := a.ID()
-		ib, _ := b.ID()
-		return ib.Compare(ia)
-	})
-	for i := 0; i < len(keys) && err == nil; i++ {
-		id, _ := keys[i].ID()
-		err = emit(keys[i], func(mark func()) ([]byte, error) {
-			l.Lock()
-			defer l.Unlock()
-			mark()
-			n, ok := l.Get(id)
-			if !ok {
-				return nil, nil
-			}
-			blob := make([]byte, l.ChunkBytes)
-			binary.BigEndian.PutUint64(blob, n)
-			return blob, nil
-		})
-	}
-	return err
-}
-
-// TestMarkCountsDistinctKeys: a key two gets export is one mark. The mark
-// count Touch reads without a lock grows only when a mark adds a key, so it
-// still equals the marks it stands for.
-func TestMarkCountsDistinctKeys(t *testing.T) {
-	h := newHarness(t, mbtest.NewCounterLogic(8))
-	h.rt.HandlePacket(pkt(1, 1000))
-	h.rt.Drain(time.Second)
-	for id := uint64(1); id <= 2; id++ {
-		h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: id, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
-		if chunks, count := h.collectGet(t, id); count != 1 || len(chunks) != 1 {
-			t.Fatalf("get %d: %d chunks, count %d; want 1", id, len(chunks), count)
-		}
-	}
-	if n := h.rt.MarkedKeys(); n != 1 {
-		t.Fatalf("%d keys marked after two gets of one key, want 1", n)
-	}
-	if count, marks := mbox.MarkCountForTest(h.rt); count != int64(marks) {
-		t.Fatalf("mark count %d, marks %d", count, marks)
-	}
-}
-
-// TestGetMarksAnyExportOrder: the marks are a set, so a get whose logic
-// exports in descending order succeeds and marks every key it exported. A
+// TestDelByReversedMatchClearsMarks: a get marks every key it exported, a
 // packet on each key raises one reprocess event, and the delete that ends
 // the move clears every mark, though its match names the flows by their
 // source, the reverse of the counter's canonical keys.
-func TestGetMarksAnyExportOrder(t *testing.T) {
-	logic := reversedLogic{mbtest.NewCounterLogic(8)}
-	h := newHarness(t, logic)
+func TestDelByReversedMatchClearsMarks(t *testing.T) {
+	h := newHarness(t, mbtest.NewCounterLogic(8))
 	const flows = 3
 	for i := byte(1); i <= flows; i++ {
 		h.rt.HandlePacket(pkt(i, 1000*uint16(i)))
@@ -279,14 +223,7 @@ func TestGetMarksAnyExportOrder(t *testing.T) {
 	h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: 1, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
 	chunks, count := h.collectGet(t, 1)
 	if count != flows || len(chunks) != flows {
-		t.Fatalf("descending export: %d chunks, count %d; want %d", len(chunks), count, flows)
-	}
-	for i := 1; i < len(chunks); i++ {
-		id, _ := chunks[i].Key.ID()
-		prev, _ := chunks[i-1].Key.ID()
-		if id.Compare(prev) >= 0 {
-			t.Fatalf("export order %v is not descending", chunks)
-		}
+		t.Fatalf("get: %d chunks, count %d; want %d", len(chunks), count, flows)
 	}
 	if n := h.rt.MarkedKeys(); n != flows {
 		t.Fatalf("%d keys marked, want %d", n, flows)
@@ -323,4 +260,25 @@ func TestGetMarksAnyExportOrder(t *testing.T) {
 	h.rt.HandlePacket(pkt(1, 1000))
 	h.rt.Drain(time.Second)
 	noEvent("after the delete")
+}
+
+// TestMarkCountsDistinctKeys: a key two gets export is one mark. The mark
+// count Touch reads without a lock grows only when a mark adds a key, so it
+// still equals the marks it stands for.
+func TestMarkCountsDistinctKeys(t *testing.T) {
+	h := newHarness(t, mbtest.NewCounterLogic(8))
+	h.rt.HandlePacket(pkt(1, 1000))
+	h.rt.Drain(time.Second)
+	for id := uint64(1); id <= 2; id++ {
+		h.send(t, &sbi.Message{Type: sbi.MsgRequest, ID: id, Op: sbi.OpGetSupportPerflow, Match: packet.MatchAll})
+		if chunks, count := h.collectGet(t, id); count != 1 || len(chunks) != 1 {
+			t.Fatalf("get %d: %d chunks, count %d; want 1", id, len(chunks), count)
+		}
+	}
+	if n := h.rt.MarkedKeys(); n != 1 {
+		t.Fatalf("%d keys marked after two gets of one key, want 1", n)
+	}
+	if count, marks := mbox.MarkCountForTest(h.rt); count != int64(marks) {
+		t.Fatalf("mark count %d, marks %d", count, marks)
+	}
 }

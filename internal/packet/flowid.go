@@ -46,7 +46,7 @@ func wordAddr(w uint64) netip.Addr {
 
 // ID returns the table form of k. It reports false when k holds a non-IPv4
 // address (encoded as 0, as AppendBinary does); callers reject such a key
-// where it enters — runtime emit, PutPerflow, codec encode.
+// where it enters — PutPerflow, codec encode.
 func (k FlowKey) ID() (FlowID, bool) {
 	src, sok := addr4(k.SrcIP)
 	dst, dok := addr4(k.DstIP)

@@ -91,7 +91,11 @@ type Runtime = mbox.Runtime
 // RuntimeOptions configures a Runtime.
 type RuntimeOptions = mbox.Options
 
-// Logic is the contract concrete middleboxes implement.
+// Logic is the contract concrete middleboxes implement. Its methods name
+// types of the module's internal packages, so a logic outside the module
+// wraps one of the middleboxes below (embedding *NAT, say, or Logic), which
+// keeps the middlebox's per-flow state: that comes only from the table the
+// middlebox embeds, not from methods of the wrapper (see mbox.Logic).
 type Logic = mbox.Logic
 
 // Context carries per-packet interaction between a Runtime and its Logic.
