@@ -57,20 +57,17 @@ func main() {
 
 	// The controller is always a cluster node: with no -join it is a
 	// one-node cluster, which behaves as a standalone controller.
-	node := openmb.NewNode(openmb.NodeOptions{
-		Name:            *nodeName,
-		Advertise:       *advertise,
-		FindRetryWindow: *findRetry,
-		Cluster: openmb.ClusterOptions{Controller: openmb.ControllerOptions{
-			QuietPeriod:       *quiet,
-			Compress:          *compress,
-			BatchSize:         *batch,
-			Shards:            *shards,
-			HeartbeatInterval: *heartbeat,
-			HeartbeatMisses:   *misses,
-			HelloTimeout:      *helloTimeout,
-		}},
-	})
+	opts := openmb.NodeOptions{Name: *nodeName, Advertise: *advertise, FindRetryWindow: *findRetry}
+	opts.Cluster.Controller = openmb.ControllerOptions{
+		QuietPeriod:       *quiet,
+		Compress:          *compress,
+		BatchSize:         *batch,
+		Shards:            *shards,
+		HeartbeatInterval: *heartbeat,
+		HeartbeatMisses:   *misses,
+		HelloTimeout:      *helloTimeout,
+	}
+	node := openmb.NewNode(opts)
 	if *events {
 		node.SubscribeIntrospection(func(mb string, ev *openmb.Event) {
 			log.Printf("event from %s: code=%s key=%s values=%v", mb, ev.Code, ev.Key, ev.Values)
@@ -131,7 +128,7 @@ func main() {
 // Every handler answers from (or acts through) the local node, so the
 // endpoint stays useful under partition: /owner serves the stale-but-safe
 // directory view, /move and /pull fail with the node's own quorum errors.
-func serveAdmin(addr string, node *openmb.Node) (string, error) {
+func serveAdmin(addr string, node *openmb.Controller) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ok %s peers=%d known=%d\n", node.Name(), len(node.Peers()), node.KnownNodes())
@@ -202,7 +199,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // joinRetry dials into the cluster with a short retry: in scripted
 // bring-ups (CI, systemd) the seed node's listener may be a beat behind.
-func joinRetry(node *openmb.Node, addr string) error {
+func joinRetry(node *openmb.Controller, addr string) error {
 	var err error
 	for attempt, delay := 0, 200*time.Millisecond; attempt < 10; attempt++ {
 		if err = node.Join(addr); err == nil {

@@ -21,12 +21,11 @@ func main() {
 	//    the openmb-controller daemon exposes the same thing via -node and
 	//    -join).
 	tr := openmb.NewMemTransport()
-	nodes := map[string]*openmb.Node{}
+	nodes := map[string]*openmb.Controller{}
 	for _, name := range []string{"node-a", "node-b"} {
-		n := openmb.NewNode(openmb.NodeOptions{
-			Name:    name,
-			Cluster: openmb.ClusterOptions{Controller: openmb.ControllerOptions{QuietPeriod: 200 * time.Millisecond}},
-		})
+		opts := openmb.NodeOptions{Name: name}
+		opts.Cluster.Controller = openmb.ControllerOptions{QuietPeriod: 200 * time.Millisecond}
+		n := openmb.NewNode(opts)
 		defer n.Close()
 		if err := n.Serve(tr, name); err != nil {
 			log.Fatal(err)
@@ -46,7 +45,7 @@ func main() {
 	//    accepted.
 	monitors := map[string]*openmb.Monitor{}
 	runtimes := map[string]*openmb.Runtime{}
-	for name, at := range map[string]*openmb.Node{"prads1": a, "prads2": b} {
+	for name, at := range map[string]*openmb.Controller{"prads1": a, "prads2": b} {
 		m := openmb.NewMonitor()
 		rt := openmb.NewRuntime(name, m, openmb.RuntimeOptions{})
 		defer rt.Close()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"openmb"
-	"openmb/internal/mbox/nat"
 )
 
 func main() {
@@ -26,8 +25,8 @@ func main() {
 	extIP := netip.MustParseAddr("5.5.5.5")
 	b.AddSwitch("s1")
 	outside := b.AddHost("outside", 0)
-	nat1 := nat.New(extIP)
-	nat2 := nat.New(extIP)
+	nat1 := openmb.NewNAT(extIP)
+	nat2 := openmb.NewNAT(extIP)
 	if _, err := b.AddMB("nat1", nat1, "outside"); err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +60,8 @@ func main() {
 	b.Quiesce(30 * time.Second)
 	time.Sleep(50 * time.Millisecond) // events are asynchronous
 	created, _ := shadow.Counts()
-	fmt.Printf("nat1 holds %d mappings; shadow observed %d creations\n", nat1.MappingCount(), created)
+	fmt.Printf("nat1 holds %d mappings; shadow observed %d creations and mirrors %d mappings\n",
+		nat1.MappingCount(), created, shadow.Len())
 
 	// nat1 is failing: move the minimal critical snapshot to nat2 and
 	// re-route. Mappings keep their external ports; timers restart.
@@ -87,7 +87,7 @@ func main() {
 	b.Quiesce(30 * time.Second)
 	recv := outside.Received()
 	last := recv[len(recv)-1]
-	fmt.Printf("post-failover packet forwarded (%d -> %d deliveries) with source %s:%d\n",
-		before, outside.Count(), last.SrcIP, last.SrcPort)
+	fmt.Printf("post-failover packet forwarded (%d -> %d deliveries) with source %s:%d; nat2 drops %+v\n",
+		before, outside.Count(), last.SrcIP, last.SrcPort, nat2.Drops())
 	b.Ctrl.WaitTxns(30 * time.Second)
 }

@@ -176,15 +176,46 @@ func TestMoveInternalSubset(t *testing.T) {
 	}
 }
 
+// holdFirstPut is a counter middlebox whose first per-flow put signals held
+// and waits for release. Under PutWorkers 1 a get's credit window is one
+// frame, so while the put waits the source's get has sent its first frame
+// and waits for credit, holding no lock: that frame's keys are marked and
+// still the source's.
+type holdFirstPut struct {
+	*mbtest.CounterLogic
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (l *holdFirstPut) PutPerflow(class state.Class, c state.Chunk) error {
+	l.once.Do(func() {
+		close(l.held)
+		<-l.release
+	})
+	return l.CounterLogic.PutPerflow(class, c)
+}
+
 // TestMoveAtomicityUnderTraffic is the core correctness property of the
 // paper (§4.2.1): packets keep flowing to the source during a move, and no
 // state update may be lost or double-applied. Every packet increments its
 // flow's counter exactly once somewhere; at the end the destination must
-// hold exactly one increment per packet.
+// hold exactly one increment per packet. The move is held after its first
+// frame, and traffic to every flow — that frame's exported keys among
+// them — lands in the hold, so the window between a key's export and the
+// move's end always carries updates that only a reprocess event can carry.
 func TestMoveAtomicityUnderTraffic(t *testing.T) {
-	r := newRig(t, core.Options{QuietPeriod: 80 * time.Millisecond})
+	r := newRig(t, core.Options{QuietPeriod: 80 * time.Millisecond, PutWorkers: 1})
 	const flows = 40
 	r.src.Preload(flows)
+	dst := &holdFirstPut{CounterLogic: mbtest.NewCounterLogic(16), held: make(chan struct{}), release: make(chan struct{})}
+	dstRT := r.attach(t, "held", dst)
+	t.Cleanup(func() {
+		select {
+		case <-dst.release:
+		default:
+			close(dst.release)
+		}
+	})
 
 	stop := make(chan struct{})
 	var sent int
@@ -209,27 +240,50 @@ func TestMoveAtomicityUnderTraffic(t *testing.T) {
 	}()
 
 	time.Sleep(5 * time.Millisecond) // let some traffic land first
-	if err := r.ctrl.MoveInternal("src", "dst", packet.MatchAll); err != nil {
-		t.Fatal(err)
+	moved := make(chan error, 1)
+	go func() { moved <- r.ctrl.MoveInternal("src", "held", packet.MatchAll) }()
+	select {
+	case <-dst.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the move's first put never arrived")
 	}
-	// The "routing change": traffic to the source stops.
 	close(stop)
 	wg.Wait()
+	raised := r.srcRT.Metrics().EventsRaised
+	const rounds = 3
+	for range rounds {
+		for i := range flows {
+			r.srcRT.HandlePacket(mbtest.PacketForFlow(i))
+		}
+	}
+	sent += rounds * flows
+	if !r.srcRT.Drain(10 * time.Second) {
+		t.Fatal("source did not drain the held window's traffic")
+	}
+	inHold := r.srcRT.Metrics().EventsRaised - raised
+	close(dst.release)
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	// The "routing change": traffic to the source has stopped.
 	if !r.srcRT.Drain(10 * time.Second) {
 		t.Fatal("source did not drain")
 	}
 	if !r.ctrl.WaitTxns(10 * time.Second) {
 		t.Fatal("transactions did not complete")
 	}
-	if !r.dstRT.Drain(10 * time.Second) {
+	if !dstRT.Drain(10 * time.Second) {
 		t.Fatal("destination did not drain replays")
 	}
 
 	want := uint64(flows + sent) // preloaded counts + one per packet
-	got := r.dst.SumCounts()
+	got := dst.SumCounts()
 	if got != want {
-		t.Fatalf("atomicity violated: dst sum=%d want=%d (sent=%d, events raised=%d forwarded=%d)",
-			got, want, sent, r.srcRT.Metrics().EventsRaised, r.ctrl.Metrics().EventsForwarded)
+		t.Fatalf("atomicity violated: dst sum=%d want=%d (sent=%d, events raised=%d, in the hold %d, forwarded=%d)",
+			got, want, sent, r.srcRT.Metrics().EventsRaised, inHold, r.ctrl.Metrics().EventsForwarded)
+	}
+	if inHold == 0 {
+		t.Fatal("no packet in the held window hit an exported key")
 	}
 	if r.src.Flows() != 0 {
 		t.Fatalf("src flows remain: %d", r.src.Flows())

@@ -361,19 +361,6 @@ func (i *IPS) ConnCount() int {
 	return i.Len()
 }
 
-// Connection returns a copy of the live connection for key, if present.
-func (i *IPS) Connection(key packet.FlowKey) (Conn, bool) {
-	i.Lock()
-	defer i.Unlock()
-	id, _ := key.Canonical().ID()
-	conn, ok := i.Get(id)
-	if !ok {
-		return Conn{}, false
-	}
-	cp := *conn
-	return cp, true
-}
-
 // Report returns a copy of the shared reporting counters.
 func (i *IPS) Report() (alerts, dropped, connsLogged, scanAlerts uint64) {
 	i.Lock()

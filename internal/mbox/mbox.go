@@ -42,10 +42,11 @@ var ErrNoSharedState = errors.New("mbox: middlebox has no shared state of this c
 // (the paper measures at most a 2% per-packet latency increase during gets).
 //
 // A logic has per-flow state only through a Table in its method set: a
-// *Table embedded in it (the middleboxes here embed a Table in their struct
-// and are passed by pointer), or the inner logic's when it wraps one by
-// embedding Logic. New finds it once. A logic passed by value with a Table
-// embedded by value has none in its method set, so it has no per-flow
+// Table embedded in its struct, the logic passed by pointer — the
+// middleboxes here do so, and a logic outside the module does the same with
+// openmb.Table[V] (examples/custommb) — or the inner logic's when it wraps
+// one by embedding Logic. New finds it once. A logic passed by value with a
+// Table embedded by value has none in its method set, so it has no per-flow
 // state: its per-flow gets and deletes answer Count 0 and its puts are
 // refused, as for a logic with no Table (the RE boxes). Methods named
 // GetPerflow, PutPerflow or DelPerflow on a logic are never called.

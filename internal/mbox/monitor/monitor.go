@@ -393,18 +393,6 @@ func (m *Monitor) Snapshot() Snapshot {
 	return s
 }
 
-// FlowRecord returns a copy of the record for key, if present.
-func (m *Monitor) FlowRecord(key packet.FlowKey) (connRecord, bool) {
-	m.Lock()
-	defer m.Unlock()
-	id, _ := key.Canonical().ID()
-	rec, ok := m.Get(id)
-	if !ok {
-		return connRecord{}, false
-	}
-	return *rec, true
-}
-
 // FlowCount returns the number of per-flow records.
 func (m *Monitor) FlowCount() int {
 	m.Lock()

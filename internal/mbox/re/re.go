@@ -278,16 +278,6 @@ func (e *Encoder) Report() (input, output, matchBytes, matches uint64) {
 	return e.report.InputBytes, e.report.OutputBytes, e.report.MatchBytes, e.report.Matches
 }
 
-// CacheCount returns the number of per-decoder caches.
-func (e *Encoder) CacheCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dirty {
-		e.applyConfigLocked()
-	}
-	return len(e.caches)
-}
-
 // Decoder is the RE decoder middlebox logic.
 type Decoder struct {
 	mu     sync.Mutex

@@ -29,9 +29,6 @@ type InstalledRule struct {
 	packets atomic.Uint64
 }
 
-// Packets returns how many packets have matched this rule.
-func (r *InstalledRule) Packets() uint64 { return r.packets.Load() }
-
 // Switch is a software switch with a priority flow table. The zero value is
 // not usable; create with NewSwitch and attach to a Network.
 type Switch struct {
@@ -103,12 +100,6 @@ func (s *Switch) Remove(id string) bool {
 	}
 	return false
 }
-
-// TableMisses returns the count of packets that matched no rule.
-func (s *Switch) TableMisses() uint64 { return s.tableMisses.Load() }
-
-// Forwarded returns the count of packet forwards (one per output port).
-func (s *Switch) Forwarded() uint64 { return s.forwarded.Load() }
 
 // classifyLocked scans the flow table for the winning rule (priority desc;
 // within a priority class the most recently installed matching rule wins).
@@ -258,9 +249,6 @@ func NewHost(n *Network, name string, limit int) *Host {
 	return h
 }
 
-// Name returns the host's network name.
-func (h *Host) Name() string { return h.name }
-
 // HandleBurst implements Endpoint: it records the packets and disposes of
 // the borrows. Pooled packets are copied out — a detached heap copy goes
 // into the record and the original returns to its pool immediately — so a
@@ -299,9 +287,6 @@ func (h *Host) HandleBurst(ps []*packet.Packet) {
 	h.mu.Unlock()
 }
 
-// Send transmits a packet toward a connected neighbor.
-func (h *Host) Send(to string, p *packet.Packet) error { return h.net.Send(h.name, to, p) }
-
 // Received returns a snapshot of recorded packets. The records are owned by
 // the host (pooled deliveries were copied out at arrival), so callers may
 // inspect them without reference bookkeeping.
@@ -317,14 +302,4 @@ func (h *Host) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Reset clears the recorded packets and count. Records are host-owned
-// copies (see HandleBurst), so there are no pool references to return —
-// dropping them is enough.
-func (h *Host) Reset() {
-	h.mu.Lock()
-	h.received = nil
-	h.count = 0
-	h.mu.Unlock()
 }

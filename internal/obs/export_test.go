@@ -3,6 +3,7 @@ package obs
 import (
 	"sort"
 	"strings"
+	"time"
 )
 
 // Test hooks: observers only the package's own tests read.
@@ -41,4 +42,12 @@ func (t *FlowTracer) Spec() (TraceSpec, bool) {
 		return TraceSpec{}, false
 	}
 	return a.spec, true
+}
+
+// Mean returns the average observed duration, or 0 when empty.
+func (s HistogramSnapshot) Mean() time.Duration {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Sum / time.Duration(s.Count)
 }

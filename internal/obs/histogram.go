@@ -85,9 +85,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the owning bucket, mirroring histogram_quantile(). Returns 0 when
 // the snapshot is empty; observations in the +Inf bucket report the last
@@ -122,12 +119,4 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		cum = next
 	}
 	return BucketBound(NumBuckets - 1)
-}
-
-// Mean returns the average observed duration, or 0 when empty.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }

@@ -66,13 +66,6 @@ func (c *Controller) SetUpdateDelay(d time.Duration) {
 	c.updateDelay = d
 }
 
-// Updates returns the number of Route/Unroute operations performed.
-func (c *Controller) Updates() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.updates
-}
-
 // Route installs forwarding state so that packets matching m follow the
 // given hops: route(k, r) in the paper. Rules are installed from the last
 // hop backward — the standard discipline that avoids transient blackholes —

@@ -41,12 +41,12 @@ func twoSwitchTopo(t *testing.T) (*netsim.Network, *Controller, *netsim.Host, *n
 }
 
 func TestRouteEndToEnd(t *testing.T) {
-	n, c, src, dst, _ := twoSwitchTopo(t)
+	n, c, _, dst, _ := twoSwitchTopo(t)
 	_, err := c.Route(packet.MatchAll, 10, []Hop{{"s1", "s2"}, {"s2", "dst"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Send("s1", mkPacket(80))
+	n.Send("src", "s1", mkPacket(80))
 	n.Quiesce(time.Second)
 	if dst.Count() != 1 {
 		t.Fatalf("dst received %d", dst.Count())
@@ -61,7 +61,7 @@ func TestRouteUnknownSwitch(t *testing.T) {
 }
 
 func TestUnroute(t *testing.T) {
-	n, c, src, dst, _ := twoSwitchTopo(t)
+	n, c, _, dst, _ := twoSwitchTopo(t)
 	id, _ := c.Route(packet.MatchAll, 10, []Hop{{"s1", "s2"}, {"s2", "dst"}})
 	if err := c.Unroute(id); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestUnroute(t *testing.T) {
 	if err := c.Unroute(id); err == nil {
 		t.Fatal("double unroute should fail")
 	}
-	src.Send("s1", mkPacket(80))
+	n.Send("src", "s1", mkPacket(80))
 	n.Quiesce(time.Second)
 	if dst.Count() != 0 {
 		t.Fatal("unrouted traffic still delivered")
@@ -79,15 +79,15 @@ func TestUnroute(t *testing.T) {
 func TestRouteUpdateSteersTraffic(t *testing.T) {
 	// The scaling scenario: re-route the HTTP substream to a new instance
 	// by installing a higher-priority route.
-	n, c, src, dst, alt := twoSwitchTopo(t)
+	n, c, _, dst, alt := twoSwitchTopo(t)
 	c.Route(packet.MatchAll, 10, []Hop{{"s1", "s2"}, {"s2", "dst"}})
-	src.Send("s1", mkPacket(80))
+	n.Send("src", "s1", mkPacket(80))
 	n.Quiesce(time.Second)
 
 	http, _ := packet.ParseFieldMatch("[tp_dst=80]")
 	c.Route(http, 20, []Hop{{"s1", "s2"}, {"s2", "alt"}})
-	src.Send("s1", mkPacket(80))
-	src.Send("s1", mkPacket(443))
+	n.Send("src", "s1", mkPacket(80))
+	n.Send("src", "s1", mkPacket(443))
 	n.Quiesce(time.Second)
 	if alt.Count() != 1 {
 		t.Fatalf("alt received %d, want 1", alt.Count())

@@ -152,13 +152,6 @@ func (t *ConfigTree) Del(path string) error {
 	return nil
 }
 
-// Version returns the mutation counter.
-func (t *ConfigTree) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
-
 // Watch registers fn to run after every successful mutation. Watchers must
 // not call back into the tree's mutating methods.
 func (t *ConfigTree) Watch(fn func(path string)) {

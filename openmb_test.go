@@ -87,7 +87,7 @@ func TestPublicAPITestbed(t *testing.T) {
 	if _, err := b.SDN.Route(openmb.MatchAll, 10, []openmb.Hop{{Switch: "s1", OutPort: "m1"}}); err != nil {
 		t.Fatal(err)
 	}
-	tr := openmb.CloudTrace(openmb.CloudTraceConfig{Seed: 1, Flows: 10})
+	tr := openmb.RedundantTrace(openmb.RedundantTraceConfig{Seed: 1, Flows: 10})
 	if err := b.InjectTrace("s1", tr.Packets, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,9 @@ func TestPublicAPITestbed(t *testing.T) {
 	}
 }
 
-// TestTraceGenerators sanity-checks the public trace constructors.
+// TestTraceGenerators sanity-checks the public trace constructor (the
+// cloud and data-center generators are internal/trace's).
 func TestTraceGenerators(t *testing.T) {
-	if s := openmb.CloudTrace(openmb.CloudTraceConfig{Seed: 1, Flows: 5}).Stats(); s.Flows != 5 {
-		t.Fatalf("cloud: %+v", s)
-	}
-	if s := openmb.UnivDCTrace(openmb.UnivDCTraceConfig{Seed: 1, Flows: 5}).Stats(); s.Flows != 5 {
-		t.Fatalf("univdc: %+v", s)
-	}
 	if s := openmb.RedundantTrace(openmb.RedundantTraceConfig{Seed: 1, Flows: 4}).Stats(); s.Flows != 4 {
 		t.Fatalf("redundant: %+v", s)
 	}
